@@ -10,6 +10,7 @@ campaign-level quality metrics.
 from repro.attacks.cpa import (
     CPAResult,
     NonFiniteValuesError,
+    NonIntegralValuesError,
     StreamingCPA,
     default_checkpoints,
     run_cpa,
@@ -49,6 +50,7 @@ __all__ = [
     "DPAResult",
     "FullKeyResult",
     "NonFiniteValuesError",
+    "NonIntegralValuesError",
     "column_of_key_byte",
     "recover_last_round_key",
     "centered_square",

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.attacks.models import _validate_ct_bytes
 from repro.util import kernels
 from repro.util.errors import ReproError
 
@@ -47,13 +48,8 @@ def _accumulate_numpy(x: np.ndarray, h: np.ndarray):
 kernels.register_backend("cpa", "numpy", accumulate=_accumulate_numpy)
 
 
-class NonFiniteValuesError(ReproError):
-    """NaN/Inf values reached the CPA accumulator.
-
-    A single non-finite leakage or hypothesis value silently poisons
-    every correlation downstream (the running sums all become NaN), so
-    :meth:`StreamingCPA.update` rejects the block instead and names
-    the offending trace indices.
+class _TraceValuesError(ReproError):
+    """Values the accumulator rejects, named by trace index.
 
     Attributes:
         which: ``"leakage"`` or ``"hypotheses"``.
@@ -63,16 +59,44 @@ class NonFiniteValuesError(ReproError):
             workers).
     """
 
+    problem = ""
+
     def __init__(self, which: str, indices: np.ndarray):
         indices = np.asarray(indices, dtype=np.int64)
         shown = ", ".join(str(i) for i in indices[:8])
         if indices.size > 8:
             shown += ", ... (%d total)" % indices.size
         super().__init__(
-            "non-finite %s values at trace indices [%s]" % (which, shown)
+            "%s %s values at trace indices [%s]"
+            % (self.problem, which, shown)
         )
         self.which = which
         self.indices = indices
+
+
+class NonFiniteValuesError(_TraceValuesError):
+    """NaN/Inf values reached the CPA accumulator.
+
+    A single non-finite leakage or hypothesis value silently poisons
+    every correlation downstream (the running sums all become NaN), so
+    :meth:`StreamingCPA.update` rejects the block instead and names
+    the offending trace indices.
+    """
+
+    problem = "non-finite"
+
+
+class NonIntegralValuesError(_TraceValuesError):
+    """Fractional leakage reached the by-value accumulator.
+
+    The by-value statistic equals the dense one bit for bit, and merges
+    in any order, only because every sum of integer-valued float64
+    leakage is exact.  :meth:`StreamingCPA.update` therefore rejects a
+    by-value block holding a finite non-integral value and names its
+    traces.
+    """
+
+    problem = "non-integral"
 
 
 @dataclass
@@ -188,15 +212,31 @@ class StreamingCPA:
         self._sum_hh = np.zeros(num_candidates)
         self._sum_xh = np.zeros(num_candidates)
 
-    def update(self, leakage: np.ndarray, hypotheses: np.ndarray) -> None:
+    def update(
+        self,
+        leakage: np.ndarray,
+        hypotheses: np.ndarray,
+        values: Optional[np.ndarray] = None,
+    ) -> None:
         """Add a block of traces.
 
         Args:
             leakage: (B,) measured leakage values.
-            hypotheses: (B, num_candidates) hypothesis values.
+            hypotheses: (B, num_candidates) hypothesis values or, with
+                ``values``, a by-value table of shape
+                (256, num_candidates) whose row ``v`` holds the
+                hypotheses of a trace with byte value ``v``.
+            values: (B,) byte value (e.g. ciphertext byte) of every
+                trace.  ``update(x, table, values)`` adds exactly the
+                state of ``update(x, table[values])`` without building
+                the (B, num_candidates) matrix; the leakage must then
+                be integer-valued (:class:`NonIntegralValuesError`).
         """
         x = np.asarray(leakage, dtype=np.float64)
         h = np.asarray(hypotheses)
+        if values is not None:
+            self._update_by_value(x, h, values)
+            return
         if x.ndim != 1 or h.shape != (x.shape[0], self.num_candidates):
             raise ValueError(
                 "shape mismatch: leakage %r vs hypotheses %r"
@@ -230,6 +270,57 @@ class StreamingCPA:
         self._sum_h += sum_h
         self._sum_hh += sum_hh
         self._sum_xh += sum_xh
+
+    def _update_by_value(
+        self, x: np.ndarray, table: np.ndarray, values: np.ndarray
+    ) -> None:
+        """The by-value statistic: per-value trace counts and leakage
+        sums, folded through the table.
+
+        With ``cnt[v]`` traces of value ``v`` whose leakage sums to
+        ``sx[v]``, the dense sums are ``sum_h = cnt @ T``,
+        ``sum_hh = cnt @ T**2`` and ``sum_xh = sx @ T``.  For
+        integer-valued leakage and tables every term is an integer
+        below 2**53, so both routes compute the same exact float64
+        sums — bit-identical state, in any accumulation order.
+        """
+        values = _validate_ct_bytes(values)
+        if x.ndim != 1 or values.shape != x.shape:
+            raise ValueError(
+                "shape mismatch: leakage %r vs values %r"
+                % (x.shape, values.shape)
+            )
+        if table.shape != (256, self.num_candidates):
+            raise ValueError(
+                "by-value table must be (256, %d), got %r"
+                % (self.num_candidates, table.shape)
+            )
+        finite_x = np.isfinite(x)
+        if not finite_x.all():
+            raise NonFiniteValuesError(
+                "leakage", self.count + np.flatnonzero(~finite_x)
+            )
+        finite_rows = np.isfinite(table).all(axis=1)
+        if not finite_rows.all():
+            raise NonFiniteValuesError(
+                "hypotheses",
+                self.count + np.flatnonzero(~finite_rows[values]),
+            )
+        integral = x == np.floor(x)
+        if not integral.all():
+            raise NonIntegralValuesError(
+                "leakage", self.count + np.flatnonzero(~integral)
+            )
+        t = table.astype(np.float64)
+        index = values.astype(np.intp)
+        counts = np.bincount(index, minlength=256).astype(np.float64)
+        sums = np.bincount(index, weights=x, minlength=256)
+        self.count += x.shape[0]
+        self._sum_x += x.sum()
+        self._sum_xx += (x * x).sum()
+        self._sum_h += counts @ t
+        self._sum_hh += counts @ (t * t)
+        self._sum_xh += sums @ t
 
     def merge(self, other: "StreamingCPA") -> "StreamingCPA":
         """Fold another accumulator's traces into this one (in place).
@@ -323,6 +414,7 @@ def run_cpa(
     hypotheses: np.ndarray,
     checkpoints: Optional[Sequence[int]] = None,
     correct_key: Optional[int] = None,
+    values: Optional[np.ndarray] = None,
 ) -> CPAResult:
     """Full CPA with progress over trace count.
 
@@ -330,7 +422,8 @@ def run_cpa(
         leakage: (N,) measured leakage (Hamming weight of sensor bits,
             a single sensor bit, a TDC readout, ...).
         hypotheses: (N, 256) hypothesis matrix from
-            :mod:`repro.attacks.models`.
+            :mod:`repro.attacks.models` or, with ``values``, a
+            (256, 256) by-value table (see :meth:`StreamingCPA.update`).
         checkpoints: trace counts at which to record correlations;
             defaults to :func:`default_checkpoints`.  A final
             checkpoint at ``num_traces`` is always appended when
@@ -338,6 +431,9 @@ def run_cpa(
             (traces beyond the last explicit checkpoint used to be
             silently dropped).
         correct_key: true key byte for rank/MTD metrics.
+        values: (N,) byte value of every trace, selecting its row of
+            the by-value ``hypotheses`` table; the result equals the
+            dense ``run_cpa(leakage, hypotheses[values])`` bit for bit.
 
     Returns:
         :class:`CPAResult` with one correlation row per checkpoint.
@@ -346,8 +442,15 @@ def run_cpa(
     h = np.asarray(hypotheses)
     if x.ndim != 1:
         raise ValueError("leakage must be 1-D")
-    if h.ndim != 2 or h.shape[0] != x.shape[0]:
-        raise ValueError("hypotheses must be (N, num_candidates)")
+    if values is None:
+        rows, label = x.shape[0], "N"
+    else:
+        values = np.asarray(values)
+        if values.shape != x.shape:
+            raise ValueError("values must be (N,) like the leakage")
+        rows, label = 256, "256"
+    if h.ndim != 2 or h.shape[0] != rows:
+        raise ValueError("hypotheses must be (%s, num_candidates)" % label)
     num_traces = x.shape[0]
     if checkpoints is None:
         points = default_checkpoints(num_traces)
@@ -362,7 +465,10 @@ def run_cpa(
     rows: List[np.ndarray] = []
     previous = 0
     for point in points:
-        engine.update(x[previous:point], h[previous:point])
+        if values is None:
+            engine.update(x[previous:point], h[previous:point])
+        else:
+            engine.update(x[previous:point], h, values[previous:point])
         rows.append(engine.correlations())
         previous = point
     return CPAResult(

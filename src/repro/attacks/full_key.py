@@ -21,7 +21,7 @@ import numpy as np
 from repro.aes.aes128 import invert_key_schedule
 from repro.aes.leakage import SHIFT_ROWS_SOURCE
 from repro.attacks.cpa import CPAResult, run_cpa
-from repro.attacks.models import single_bit_hypothesis
+from repro.attacks.models import BYTE_VALUES, single_bit_hypothesis
 from repro.util.executors import CampaignHealth, RetryPolicy, map_ordered
 from repro.util.shm import ArrayFanout, fanout_state
 
@@ -118,14 +118,20 @@ def _attack_byte_task(task: Dict[str, object]) -> CPAResult:
     leakage = state.array("leakage")
     ct = state.array("ciphertexts")
     correct_key = state.heavy["correct_key"]
-    hypotheses = single_bit_hypothesis(
-        ct[:, byte_index], bit=state.heavy["target_bit"]
-    )
+    bit = state.heavy["target_bit"]
+    if state.heavy["integral"]:
+        # By value: one 256-row table instead of an (N, 256) matrix.
+        hypotheses = single_bit_hypothesis(BYTE_VALUES, bit=bit)
+        values: Optional[np.ndarray] = ct[:, byte_index]
+    else:
+        hypotheses = single_bit_hypothesis(ct[:, byte_index], bit=bit)
+        values = None
     return run_cpa(
         leakage[:, column_of_key_byte(byte_index)],
         hypotheses,
         checkpoints=state.heavy["checkpoints"],
         correct_key=None if correct_key is None else correct_key[byte_index],
+        values=values,
     )
 
 
@@ -147,6 +153,10 @@ def recover_last_round_key(
             column cycle (from
             :meth:`repro.core.AttackCampaign.collect_column_traces` or
             :meth:`repro.aes.LeakageModel.column_voltages`).
+            Integer-valued leakage runs the by-value statistic
+            (:meth:`repro.attacks.cpa.StreamingCPA.update`), any other
+            the dense (N, 256) hypothesis matrix; both give the same
+            correlations for integer leakage.
         ciphertexts: (N, 16) observed ciphertext blocks.
         target_bit: hypothesis bit within the pre-SBox byte.
         correct_key: true round-10 key for metrics, if known.
@@ -186,6 +196,9 @@ def recover_last_round_key(
             "target_bit": target_bit,
             "checkpoints": checkpoints,
             "correct_key": correct_key,
+            # Integer-valued leakage (every campaign's) takes the exact
+            # by-value statistic; analog leakage keeps the dense path.
+            "integral": bool((leakage == np.floor(leakage)).all()),
         },
         arrays={"leakage": leakage, "ciphertexts": ct},
         executor=executor,

@@ -21,12 +21,36 @@ from repro.util import kernels
 DEFAULT_TARGET_BYTE = 3
 #: Paper's target: the 1st bit (index 0) of the state byte.
 DEFAULT_TARGET_BIT = 0
+#: Every byte value in order: ``single_bit_hypothesis(BYTE_VALUES)`` is
+#: the by-value table of :meth:`repro.attacks.cpa.StreamingCPA.update`.
+BYTE_VALUES = np.arange(256, dtype=np.uint8)
 
 
 def _validate_ct_bytes(ct_bytes: np.ndarray) -> np.ndarray:
+    """Ciphertext bytes as a 1-D uint8 array.
+
+    Values that are not integers in 0..255 raise instead of being cast:
+    ``astype(np.uint8)`` would silently attack the hypotheses of 0 for
+    256, 255 for -1 and 3 for 3.7.
+    """
     arr = np.asarray(ct_bytes)
     if arr.ndim != 1:
         raise ValueError("ct_bytes must be 1-D (one byte per trace)")
+    if arr.dtype == np.uint8:
+        return arr
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(
+            "ct_bytes must be integers in 0..255, got dtype %s" % arr.dtype
+        )
+    bad = ~((arr >= 0) & (arr <= 255))
+    if arr.dtype.kind == "f":
+        bad |= arr != np.floor(arr)
+    if bad.any():
+        index = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            "ciphertext byte %r at index %d is not an integer in 0..255"
+            % (arr[index].item(), index)
+        )
     return arr.astype(np.uint8)
 
 

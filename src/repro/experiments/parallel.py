@@ -17,13 +17,14 @@ Determinism is preserved by construction:
   the serial path would have produced;
 * leakage and hypothesis values are integer-valued, so the running
   sums are float-exact and merging is order-independent: the sharded
-  result is bit-identical to :func:`repro.attacks.cpa.run_cpa`.
+  result, accumulated by ciphertext-byte value
+  (:meth:`~repro.attacks.cpa.StreamingCPA.update` with ``values``), is
+  bit-identical to the dense :func:`repro.attacks.cpa.run_cpa`.
 
 Workers run on either backend of
 :func:`repro.util.executors.map_ordered`: the default thread pool (the
-heavy kernels — waveform-bank sampling, hypothesis table lookups, the
-accumulator GEMV — are numpy calls that release the GIL for most of
-their runtime) or, with ``executor="process"``, a process pool whose
+heavy kernels — waveform-bank sampling, the by-value CPA bincounts —
+are numpy calls that release the GIL for most of their runtime) or, with ``executor="process"``, a process pool whose
 shard tasks are module-level functions with picklable payloads,
 buying real multi-core scaling for the Python-bound stages.  Both
 backends produce bit-identical results at any worker count.
@@ -62,6 +63,7 @@ from repro.attacks.full_key import (
     recover_last_round_key,
 )
 from repro.attacks.models import (
+    BYTE_VALUES,
     DEFAULT_TARGET_BIT,
     DEFAULT_TARGET_BYTE,
     single_bit_hypothesis,
@@ -228,6 +230,32 @@ def _segment_ends(shard: Shard, points: np.ndarray) -> List[int]:
     return [int(p) for p in inside] + [shard.end]
 
 
+def _segment_partials(
+    leakage: np.ndarray,
+    ct_bytes: np.ndarray,
+    start: int,
+    segment_ends: Sequence[int],
+    target_bit: int,
+) -> List[Tuple[int, StreamingCPA]]:
+    """One by-value CPA partial per segment of a shard's traces.
+
+    ``leakage`` and ``ct_bytes`` cover the shard from global trace
+    ``start``.  Each segment is accumulated from its ciphertext bytes
+    and the 256-row single-bit table — no (N, 256) hypothesis matrix —
+    into the exact state the dense matrix would give.
+    """
+    table = single_bit_hypothesis(BYTE_VALUES, bit=target_bit)
+    partials: List[Tuple[int, StreamingCPA]] = []
+    previous = start
+    for segment_end in segment_ends:
+        local = slice(previous - start, segment_end - start)
+        engine = StreamingCPA(num_candidates=table.shape[1])
+        engine.update(leakage[local], table, ct_bytes[local])
+        partials.append((segment_end, engine))
+        previous = segment_end
+    return partials
+
+
 def _attack_shard_task(
     task: Dict[str, object]
 ) -> List[Tuple[int, StreamingCPA]]:
@@ -260,22 +288,13 @@ def _attack_shard_task(
                 state.heavy["bit"],
             )
         )
-    leakage = poison_leakage(leakage)
-    hypotheses = single_bit_hypothesis(
+    return _segment_partials(
+        poison_leakage(leakage),
         ct_bytes[shard.start : shard.end],
-        bit=state.heavy["target_bit"],
+        shard.start,
+        segment_ends,
+        state.heavy["target_bit"],
     )
-    partials: List[Tuple[int, StreamingCPA]] = []
-    previous = shard.start
-    for segment_end in segment_ends:
-        engine = StreamingCPA(num_candidates=hypotheses.shape[1])
-        engine.update(
-            leakage[previous - shard.start : segment_end - shard.start],
-            hypotheses[previous - shard.start : segment_end - shard.start],
-        )
-        partials.append((segment_end, engine))
-        previous = segment_end
-    return partials
 
 
 def _validate_partials(task: Dict[str, object], result: object) -> None:
@@ -300,7 +319,7 @@ def _validate_column_block(
 ) -> None:
     """Reject truncated column-leakage blocks before they stack."""
     shard: Shard = task["shard"]
-    expected = (shard.num_traces, 4)
+    expected = (shard.num_traces, 1 if "column" in task else 4)
     shape = getattr(result, "shape", None)
     if shape != expected:
         raise TruncatedResultError(
@@ -612,21 +631,13 @@ def _physical_shard_task(
                 total += hamming_weight_series(bits, state.heavy["mask"])
             leakage[local] = total
         ct_bytes[local] = data["ciphertexts"][:, state.heavy["target_byte"]]
-    leakage = poison_leakage(leakage)
-    hypotheses = single_bit_hypothesis(
-        ct_bytes, bit=state.heavy["target_bit"]
+    return _segment_partials(
+        poison_leakage(leakage),
+        ct_bytes,
+        shard.start,
+        segment_ends,
+        state.heavy["target_bit"],
     )
-    partials: List[Tuple[int, StreamingCPA]] = []
-    previous = shard.start
-    for segment_end in segment_ends:
-        engine = StreamingCPA(num_candidates=hypotheses.shape[1])
-        engine.update(
-            leakage[previous - shard.start : segment_end - shard.start],
-            hypotheses[previous - shard.start : segment_end - shard.start],
-        )
-        partials.append((segment_end, engine))
-        previous = segment_end
-    return partials
 
 
 def sharded_physical_attack(
@@ -838,8 +849,10 @@ def sharded_physical_full_key(
     resolved POI set instead of the single nominal cycle sample.
 
     Sharding, checkpointing and fault tolerance mirror
-    :func:`sharded_full_key`; results are bit-identical at any worker
-    count because all chunk streams are keyed on global indices.
+    :func:`sharded_full_key`, except that a shard stays one task (its
+    chunks are generated once for all four columns); results are
+    bit-identical at any worker count because all chunk streams are
+    keyed on global indices.
     """
     if num_traces < 2:
         raise ValueError("need at least 2 traces")
@@ -881,6 +894,126 @@ def sharded_physical_full_key(
         ),
     )
 
+    with ArrayFanout(
+        heavy={
+            "generator": generator,
+            "sensor": sensor,
+            "chunk_size": chunk_size,
+            "seed": seed,
+            "mask": mask,
+            "preprocess": preprocess,
+            "column_samples": column_samples,
+        },
+        arrays={"plaintexts": plaintexts},
+        executor=executor,
+        workers=max_workers or default_workers(),
+        num_tasks=len(shards),
+    ) as fanout:
+        leakage = _run_checkpointed_columns(
+            _physical_column_shard_task,
+            [{"ctx": fanout.context_id, "shard": shard} for shard in shards],
+            shards,
+            manifest,
+            max_workers,
+            executor,
+            policy,
+            fault_plan,
+            health,
+            checkpoint_path,
+            checkpoint_every,
+            resume,
+            map_kwargs=fanout.map_kwargs,
+        )
+    return recover_last_round_key(
+        leakage,
+        ciphertexts,
+        target_bit=target_bit,
+        correct_key=generator.cipher.last_round_key,
+        checkpoints=checkpoints,
+        max_workers=max_workers,
+        executor=executor,
+        policy=policy,
+        health=health,
+    )
+
+
+def _column_shard_task(task: Dict[str, object]) -> np.ndarray:
+    """One shard's leakage at one last-round column, ``(num, 1)``.
+
+    Chunk jitter seeds are keyed on the global ``(column, start)``
+    grid, so the four columns of a shard are independent tasks (see
+    :func:`_column_tasks`) that the pool balances across workers.
+    Returns the block instead of writing into a shared array so the
+    payload round-trips through a process pool unchanged.
+    """
+    state = fanout_state(task["ctx"])
+    campaign: AttackCampaign = state.heavy["campaign"]
+    shard: Shard = task["shard"]
+    column: int = task["column"]
+    voltages = state.array("voltages")
+    mask: np.ndarray = state.heavy["mask"]
+    chunk_size: int = state.heavy["chunk_size"]
+
+    leakage = np.empty((shard.num_traces, 1), dtype=np.float64)
+    for start in range(shard.start, shard.end, chunk_size):
+        end = min(start + chunk_size, shard.end)
+        leakage[start - shard.start : end - shard.start, 0] = (
+            campaign.column_leakage_block(
+                voltages[start:end, column], start, column, mask
+            )
+        )
+    return poison_leakage(leakage)
+
+
+def _column_tasks(
+    context_id: str, shards: Sequence[Shard]
+) -> List[Dict[str, object]]:
+    """One :func:`_column_shard_task` per (shard, column), shard-major."""
+    return [
+        {"ctx": context_id, "shard": shard, "column": column}
+        for shard in shards
+        for column in range(4)
+    ]
+
+
+def _shard_blocks(
+    results: Sequence[np.ndarray], per_shard: int
+) -> List[np.ndarray]:
+    """Each shard's ``per_shard`` consecutive task results, hstacked
+    into its ``(num, 4)`` leakage block."""
+    return [
+        np.hstack(results[index : index + per_shard])
+        for index in range(0, len(results), per_shard)
+    ]
+
+
+def _run_checkpointed_columns(
+    task_fn: Callable[[Dict[str, object]], np.ndarray],
+    tasks: List[Dict[str, object]],
+    shards: List[Shard],
+    manifest: CampaignManifest,
+    max_workers: Optional[int],
+    executor: Optional[str],
+    policy: Optional[RetryPolicy],
+    fault_plan: Optional[FaultPlan],
+    health: Optional[CampaignHealth],
+    checkpoint_path: Optional[str],
+    checkpoint_every: Optional[int],
+    resume: bool,
+    map_kwargs: Optional[Dict[str, object]] = None,
+) -> np.ndarray:
+    """Shared group-wise collect/checkpoint loop of the two full-key
+    drivers; returns the ``(N, 4)`` column leakage.
+
+    ``tasks`` holds the same number of tasks for every shard, in shard
+    order: four (one per column) for the analytic source, one for the
+    physical source, which generates each chunk once for all columns.
+    Every task carries its shard's fault site, and the leakage prefix
+    becomes durable after every ``checkpoint_every`` whole shards, so
+    the shard plan, manifest and checkpoint files do not depend on the
+    split.
+    """
+    per_shard = len(tasks) // len(shards)
     blocks: List[np.ndarray] = []
     completed = 0
     if resume and checkpoint_path is not None and os.path.exists(
@@ -904,92 +1037,44 @@ def sharded_physical_full_key(
     )
     group = len(shards)
     if checkpoint_path is not None:
+        # Default group = worker count, so durability costs no
+        # parallelism (a group is one map_ordered call).
         group = max(1, checkpoint_every or max_workers or default_workers())
-    with ArrayFanout(
-        heavy={
-            "generator": generator,
-            "sensor": sensor,
-            "chunk_size": chunk_size,
-            "seed": seed,
-            "mask": mask,
-            "preprocess": preprocess,
-            "column_samples": column_samples,
-        },
-        arrays={"plaintexts": plaintexts},
-        executor=executor,
-        workers=max_workers or default_workers(),
-        num_tasks=len(shards),
-    ) as fanout:
-        tasks = [
-            {"ctx": fanout.context_id, "shard": shard} for shard in shards
-        ]
-        while completed < len(tasks):
-            stop = min(completed + group, len(tasks))
-            kwargs: Dict[str, object] = {}
-            if robust:
-                kwargs = dict(
-                    policy=policy,
-                    fault_plan=fault_plan,
-                    sites=[shard.site for shard in shards[completed:stop]],
-                    health=health,
-                    validate=_validate_column_block,
-                )
-            blocks.extend(
-                map_ordered(
-                    _physical_column_shard_task,
-                    tasks[completed:stop],
-                    max_workers=max_workers,
-                    executor=executor,
-                    **fanout.map_kwargs,
-                    **kwargs,
-                )
+    while completed < len(shards):
+        stop = min(completed + group, len(shards))
+        kwargs: Dict[str, object] = {}
+        if robust:
+            kwargs = dict(
+                policy=policy,
+                fault_plan=fault_plan,
+                sites=[
+                    shard.site
+                    for shard in shards[completed:stop]
+                    for _ in range(per_shard)
+                ],
+                health=health,
+                validate=_validate_column_block,
             )
-            completed = stop
-            if checkpoint_path is not None:
-                save_checkpoint(
-                    checkpoint_path,
-                    CampaignCheckpoint(
-                        manifest=manifest,
-                        completed_shards=completed,
-                        arrays={"leakage_prefix": np.vstack(blocks)},
-                    ),
-                )
-    leakage = np.vstack(blocks)
-    return recover_last_round_key(
-        leakage,
-        ciphertexts,
-        target_bit=target_bit,
-        correct_key=generator.cipher.last_round_key,
-        checkpoints=checkpoints,
-        max_workers=max_workers,
-        executor=executor,
-        policy=policy,
-        health=health,
-    )
-
-
-def _column_shard_task(task: Dict[str, object]) -> np.ndarray:
-    """One shard's column-resolved leakage collection, ``(num, 4)``.
-
-    Returns the block instead of writing into a shared array so the
-    payload round-trips through a process pool unchanged.
-    """
-    state = fanout_state(task["ctx"])
-    campaign: AttackCampaign = state.heavy["campaign"]
-    shard: Shard = task["shard"]
-    voltages = state.array("voltages")
-    mask: np.ndarray = state.heavy["mask"]
-    chunk_size: int = state.heavy["chunk_size"]
-
-    leakage = np.empty((shard.num_traces, 4), dtype=np.float64)
-    for column in range(4):
-        for start in range(shard.start, shard.end, chunk_size):
-            end = min(start + chunk_size, shard.end)
-            local = slice(start - shard.start, end - shard.start)
-            leakage[local, column] = campaign.column_leakage_block(
-                voltages[start:end, column], start, column, mask
+        results = map_ordered(
+            task_fn,
+            tasks[completed * per_shard : stop * per_shard],
+            max_workers=max_workers,
+            executor=executor,
+            **dict(map_kwargs or {}),
+            **kwargs,
+        )
+        blocks.extend(_shard_blocks(results, per_shard))
+        completed = stop
+        if checkpoint_path is not None:
+            save_checkpoint(
+                checkpoint_path,
+                CampaignCheckpoint(
+                    manifest=manifest,
+                    completed_shards=completed,
+                    arrays={"leakage_prefix": np.vstack(blocks)},
+                ),
             )
-    return poison_leakage(leakage)
+    return np.vstack(blocks)
 
 
 def sharded_full_key(
@@ -1009,13 +1094,15 @@ def sharded_full_key(
 ) -> FullKeyResult:
     """Parallel drop-in for :meth:`AttackCampaign.attack_full_key`.
 
-    Column-resolved trace collection is sharded across workers (chunk
-    seeds keyed on the global ``(column, start)`` grid, identical to
-    the serial collector), then the 16 per-byte CPAs run on the same
-    backend.  With ``checkpoint_path`` set, the collected leakage
-    prefix becomes durable after every ``checkpoint_every`` shards, so
-    a killed collection resumes without regenerating completed shards;
-    the per-byte CPA stage is cheap and always recomputed.
+    Column-resolved trace collection fans out as one task per
+    (shard, column) — chunk seeds are keyed on the global
+    ``(column, start)`` grid, identical to the serial collector — and
+    each shard's four columns are stacked back in order; then the 16
+    per-byte CPAs run on the same backend.  With ``checkpoint_path``
+    set, the collected leakage prefix becomes durable after every
+    ``checkpoint_every`` shards, so a killed collection resumes without
+    regenerating completed shards; the per-byte CPA stage is cheap and
+    always recomputed.
     """
     if num_traces < 2:
         raise ValueError("need at least 2 traces")
@@ -1045,32 +1132,6 @@ def sharded_full_key(
         ),
     )
 
-    blocks: List[np.ndarray] = []
-    completed = 0
-    if resume and checkpoint_path is not None and os.path.exists(
-        checkpoint_path
-    ):
-        stored = load_checkpoint(checkpoint_path)
-        verify_manifest(checkpoint_path, stored.manifest, manifest)
-        completed = stored.completed_shards
-        if completed:
-            blocks.append(
-                np.asarray(
-                    stored.arrays["leakage_prefix"], dtype=np.float64
-                )
-            )
-
-    robust = (
-        policy is not None
-        or fault_plan is not None
-        or health is not None
-        or checkpoint_path is not None
-    )
-    group = len(shards)
-    if checkpoint_path is not None:
-        # Default group = worker count, so durability costs no
-        # parallelism (a group is one map_ordered call).
-        group = max(1, checkpoint_every or max_workers or default_workers())
     with ArrayFanout(
         heavy={
             "campaign": campaign,
@@ -1080,43 +1141,23 @@ def sharded_full_key(
         arrays={"voltages": voltages},
         executor=executor,
         workers=max_workers or default_workers(),
-        num_tasks=len(shards),
+        num_tasks=4 * len(shards),
     ) as fanout:
-        tasks = [
-            {"ctx": fanout.context_id, "shard": shard} for shard in shards
-        ]
-        while completed < len(tasks):
-            stop = min(completed + group, len(tasks))
-            kwargs: Dict[str, object] = {}
-            if robust:
-                kwargs = dict(
-                    policy=policy,
-                    fault_plan=fault_plan,
-                    sites=[shard.site for shard in shards[completed:stop]],
-                    health=health,
-                    validate=_validate_column_block,
-                )
-            blocks.extend(
-                map_ordered(
-                    _column_shard_task,
-                    tasks[completed:stop],
-                    max_workers=max_workers,
-                    executor=executor,
-                    **fanout.map_kwargs,
-                    **kwargs,
-                )
-            )
-            completed = stop
-            if checkpoint_path is not None:
-                save_checkpoint(
-                    checkpoint_path,
-                    CampaignCheckpoint(
-                        manifest=manifest,
-                        completed_shards=completed,
-                        arrays={"leakage_prefix": np.vstack(blocks)},
-                    ),
-                )
-    leakage = np.vstack(blocks)
+        leakage = _run_checkpointed_columns(
+            _column_shard_task,
+            _column_tasks(fanout.context_id, shards),
+            shards,
+            manifest,
+            max_workers,
+            executor,
+            policy,
+            fault_plan,
+            health,
+            checkpoint_path,
+            checkpoint_every,
+            resume,
+            map_kwargs=fanout.map_kwargs,
+        )
     return recover_last_round_key(
         leakage,
         ciphertexts,

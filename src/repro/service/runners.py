@@ -50,10 +50,12 @@ from repro.experiments.parallel import (
     Shard,
     _attack_shard_task,
     _column_shard_task,
+    _column_tasks,
     _normalize_checkpoints,
     _physical_column_shard_task,
     _physical_shard_task,
     _segment_ends,
+    _shard_blocks,
     plan_shards,
     sharded_attack,
     sharded_full_key,
@@ -935,20 +937,16 @@ def run_fullkey_shard(
             arrays={"voltages": voltages},
             executor=executor,
             workers=workers,
-            num_tasks=len(sub_shards),
+            num_tasks=4 * len(sub_shards),
         ) as fanout:
-            tasks = [
-                {"ctx": fanout.context_id, "shard": sub}
-                for sub in sub_shards
-            ]
-            blocks = map_ordered(
+            columns = map_ordered(
                 _column_shard_task,
-                tasks,
+                _column_tasks(fanout.context_id, sub_shards),
                 max_workers=workers,
                 executor=executor,
                 **fanout.map_kwargs,
             )
-        return np.vstack(blocks)
+        return np.vstack(_shard_blocks(columns, 4))
 
 
 def merge_attack_partials(

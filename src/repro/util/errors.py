@@ -14,6 +14,9 @@ Concrete subclasses live next to the subsystem that raises them:
   returned a payload inconsistent with its task.
 * :class:`repro.attacks.cpa.NonFiniteValuesError` — NaN/Inf leakage or
   hypothesis values reached the CPA accumulator.
+* :class:`repro.attacks.cpa.NonIntegralValuesError` — fractional leakage
+  reached the by-value CPA accumulator, whose sums are exact only for
+  integers.
 * :class:`repro.traceio.TraceIOError` — a trace file is truncated or
   corrupt.
 * :class:`repro.experiments.checkpoint.CheckpointError` — a campaign

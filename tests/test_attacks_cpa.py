@@ -281,3 +281,81 @@ class TestStateRoundtrip:
         state = engine.state_arrays()
         state["sum_h"][:] = -99.0
         assert (engine._sum_h != -99.0).all()
+
+
+class TestByValueUpdate:
+    """``update(x, table, values)`` is the dense update, bit for bit."""
+
+    def _stream(self, n=3000, seed=0):
+        rng = np.random.default_rng(seed)
+        leakage = rng.integers(0, 193, n).astype(np.float64)
+        values = rng.integers(0, 256, n, dtype=np.uint8)
+        return leakage, values
+
+    def test_run_cpa_by_value_matches_dense(self):
+        from repro.attacks.models import BYTE_VALUES
+
+        leakage, values = self._stream(n=8000, seed=1)
+        table = single_bit_hypothesis(BYTE_VALUES)
+        dense = run_cpa(leakage, table[values], correct_key=42)
+        by_value = run_cpa(leakage, table, correct_key=42, values=values)
+        assert np.array_equal(dense.checkpoints, by_value.checkpoints)
+        assert np.array_equal(dense.correlations, by_value.correlations)
+
+    def test_non_integral_leakage_rejected_with_indices(self):
+        from repro.attacks import NonIntegralValuesError
+        from repro.util.errors import ReproError
+
+        leakage, values = self._stream(n=20)
+        table = np.eye(256)
+        engine = StreamingCPA()
+        engine.update(leakage, table, values)
+        leakage[4] += 0.5
+        leakage[11] = -0.25
+        with pytest.raises(NonIntegralValuesError) as excinfo:
+            engine.update(leakage, table, values)
+        assert isinstance(excinfo.value, ReproError)
+        assert excinfo.value.which == "leakage"
+        # Indices are offset by the 20 traces already accumulated.
+        assert excinfo.value.indices.tolist() == [24, 31]
+        assert "24" in str(excinfo.value) and "31" in str(excinfo.value)
+        assert engine.count == 20
+
+    def test_non_finite_checked_before_integrality(self):
+        # An injected NaN (the fault harness's "nan" fault) must still
+        # surface as NonFiniteValuesError next to fractional values.
+        from repro.attacks import NonFiniteValuesError
+
+        leakage, values = self._stream(n=20)
+        leakage[2] = 0.5
+        leakage[9] = np.nan
+        with pytest.raises(NonFiniteValuesError) as excinfo:
+            StreamingCPA().update(leakage, np.eye(256), values)
+        assert excinfo.value.indices.tolist() == [9]
+
+    def test_non_finite_table_row_names_its_traces(self):
+        from repro.attacks import NonFiniteValuesError
+
+        leakage, values = self._stream(n=20)
+        table = np.zeros((256, 256))
+        table[values[6]] = np.inf
+        with pytest.raises(NonFiniteValuesError) as excinfo:
+            StreamingCPA().update(leakage, table, values)
+        assert excinfo.value.which == "hypotheses"
+        assert 6 in excinfo.value.indices.tolist()
+
+    def test_values_must_be_bytes(self):
+        leakage, values = self._stream(n=4)
+        with pytest.raises(ValueError, match="256"):
+            StreamingCPA().update(
+                leakage, np.eye(256), np.array([1, 2, 256, 3])
+            )
+
+    def test_shape_validation(self):
+        leakage, values = self._stream(n=10)
+        with pytest.raises(ValueError, match="values"):
+            StreamingCPA().update(leakage, np.eye(256), values[:5])
+        with pytest.raises(ValueError, match="table"):
+            StreamingCPA().update(leakage, np.eye(128), values)
+        with pytest.raises(ValueError, match="256"):
+            run_cpa(leakage, np.eye(128), values=values)

@@ -87,3 +87,32 @@ class TestHammingDistanceHypothesis:
         cts = random_ciphertexts(10, seed=6)
         h = hamming_distance_hypothesis(cts[:, 15], cts[:, 3])
         assert h.shape == (10, 256)
+
+
+class TestCiphertextByteValidation:
+    """Out-of-range or fractional bytes must raise, never wrap."""
+
+    @pytest.mark.parametrize("bad", [256, -1, 3.7, np.nan, np.inf])
+    def test_rejects_non_byte_values(self, bad):
+        cts = np.array([7.0, bad, 9.0])
+        with pytest.raises(ValueError, match="index 1"):
+            single_bit_hypothesis(cts)
+
+    def test_wrapping_input_is_rejected(self):
+        # Once cast silently to the hypotheses of [0, 255, 3].
+        with pytest.raises(ValueError, match="256"):
+            single_bit_hypothesis(np.array([256, -1, 3.7]))
+        with pytest.raises(ValueError, match="-1"):
+            hamming_weight_hypothesis(np.array([5, -1], dtype=np.int64))
+
+    def test_rejects_non_numeric_dtype(self):
+        with pytest.raises(ValueError, match="dtype"):
+            single_bit_hypothesis(np.array(["a", "b"]))
+
+    def test_integer_and_integral_float_bytes_accepted(self):
+        cts = random_ciphertexts(64, seed=7)[:, 3]
+        expected = single_bit_hypothesis(cts, bit=2)
+        for converted in (cts.astype(np.int64), cts.astype(np.float64)):
+            assert np.array_equal(
+                single_bit_hypothesis(converted, bit=2), expected
+            )
