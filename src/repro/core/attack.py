@@ -34,11 +34,7 @@ from repro.attacks.models import (
     single_bit_hypothesis,
 )
 from repro.core.endpoint_sensor import BenignSensor
-from repro.core.postprocess import (
-    SensitivityCensus,
-    hamming_weight_series,
-    sensitivity_census,
-)
+from repro.core.postprocess import SensitivityCensus, sensitivity_census
 from repro.pdn.aggressors import ROAggressorSchedule, aes_current_waveform
 from repro.pdn.model import PDNModel
 from repro.sensors.ro import ROSensor
@@ -319,15 +315,20 @@ class AttackCampaign:
                 the jitter seed is keyed on it, so identical slices
                 yield identical leakage no matter which worker or loop
                 computes them.
-            reduction / mask / bit: from :meth:`resolve_reduction`.
+            reduction / mask / bit: from :meth:`resolve_reduction`;
+                single-bit reduction reads the one-hot mask of ``bit``.
         """
-        bits = self.sensor.sample_bits(
+        if reduction != REDUCTION_HW:
+            mask = np.zeros(self.sensor.num_bits, dtype=bool)
+            mask[bit] = True
+        weight = self.sensor.sample_weight(
             voltages,
             seed=derive_seed(self.seed, "campaign-jitter", global_start),
+            mask=mask,
         )
         if reduction == REDUCTION_HW:
-            return hamming_weight_series(bits, mask)
-        return bits[:, bit].astype(np.float64)
+            return weight
+        return weight.astype(np.float64)
 
     def collect_reduced_traces(
         self,
@@ -472,13 +473,13 @@ class AttackCampaign:
         Mirrors :meth:`reduced_leakage_block`: the jitter seed is keyed
         on ``(column, global_start)``, matching the serial collector.
         """
-        bits = self.sensor.sample_bits(
+        return self.sensor.sample_weight(
             voltages,
             seed=derive_seed(
                 self.seed, "campaign-jitter", column, global_start
             ),
+            mask=mask,
         )
-        return hamming_weight_series(bits, mask)
 
     def collect_column_traces(
         self,

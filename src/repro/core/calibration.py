@@ -32,7 +32,28 @@ import numpy as np
 from repro.core.waveform_bank import WaveformBank
 from repro.timing.delay_model import DelayAnnotation, DelayModel
 from repro.timing.event_sim import TimedSimulator, endpoint_waveforms
+from repro.util import kernels
+from repro.util.errors import ReproError
 from repro.util.rng import make_rng
+
+
+class NonFiniteSensorInputError(ReproError):
+    """A NaN/Inf supply voltage or shared-jitter value reached a sensor.
+
+    A non-finite query time has no latch interval: the sampling paths
+    would disagree on it (the padded kernel latches the initial value,
+    :meth:`EndpointWaveform.value_at` the settled one), so sampling
+    rejects it and names the first offending cycle.
+    """
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteSensorInputError(
+            "non-finite %s at cycle %d (value %r; %d such cycle(s))"
+            % (what, bad[0], float(values.flat[bad[0]]), bad.size)
+        )
 
 
 @dataclass
@@ -133,8 +154,15 @@ class SensorCalibration:
         voltages: np.ndarray,
         shared_jitter_ps: Optional[np.ndarray],
     ) -> np.ndarray:
-        """Per-cycle query times with shared jitter folded in."""
-        tau = self.nominal_times(voltages)
+        """Per-cycle query times with shared jitter folded in.
+
+        Raises:
+            NonFiniteSensorInputError: a voltage or shared-jitter value
+                is NaN or infinite (the first bad cycle is named).
+        """
+        v = np.asarray(voltages, dtype=float)
+        _require_finite(v, "supply voltage")
+        tau = self.nominal_times(v)
         if shared_jitter_ps is not None:
             shared = np.asarray(shared_jitter_ps, dtype=float)
             if shared.shape != tau.shape:
@@ -142,6 +170,7 @@ class SensorCalibration:
                     "shared jitter shape %r does not match voltages %r"
                     % (shared.shape, tau.shape)
                 )
+            _require_finite(shared, "shared jitter")
             tau = tau + shared
         return tau
 
@@ -177,6 +206,34 @@ class SensorCalibration:
         """
         tau = self._query_times(voltages, shared_jitter_ps)
         return self.bank.sample(tau, jitter_ps=jitter_ps, seed=seed)
+
+    def sample_weight(
+        self,
+        voltages: np.ndarray,
+        mask: np.ndarray,
+        jitter_ps: float = 0.0,
+        seed: int = 0,
+        shared_jitter_ps: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Masked Hamming weight of :meth:`sample_bits` per cycle.
+
+        Equal, for every input, to ``sample_bits(...)[:, mask].sum(axis=1)``
+        as int64, through the dispatched ``sensor`` kernel.
+
+        Args:
+            mask: (num_bits,) bool selection of the summed endpoints.
+            voltages / jitter_ps / seed / shared_jitter_ps: as for
+                :meth:`sample_bits`.
+        """
+        keep = np.asarray(mask, dtype=bool)
+        if keep.shape != (self.num_bits,):
+            raise ValueError(
+                "mask must have one entry per bit, got %r" % (keep.shape,)
+            )
+        tau = self._query_times(voltages, shared_jitter_ps)
+        return kernels.dispatch("sensor", "masked_weight")(
+            self.bank, tau, jitter_ps, seed, keep
+        )
 
     def sample_bits_reference(
         self,

@@ -186,11 +186,7 @@ class BenignSensor(VoltageSensor):
                 baseline of the e2e performance suite.
         """
         v = np.asarray(voltages, dtype=float)
-        if self.shared_jitter_ps > 0:
-            rng = make_rng(derive_seed(seed, self.name, "shared-jitter"))
-            shared = rng.normal(0.0, self.shared_jitter_ps, size=v.shape[0])
-        else:
-            shared = None
+        shared = self._shared_jitter(v, seed)
         blocks = [
             (
                 inst.calibration.sample_bits_reference
@@ -205,6 +201,72 @@ class BenignSensor(VoltageSensor):
             for index, inst in enumerate(self._instances)
         ]
         return np.concatenate(blocks, axis=1)
+
+    def sample_weight(
+        self,
+        voltages: np.ndarray,
+        seed: int = 0,
+        mask: Optional[np.ndarray] = None,
+        reference: bool = False,
+    ) -> np.ndarray:
+        """Masked Hamming weight of :meth:`sample_bits` per cycle (int64).
+
+        Equal to ``hamming_weight_series(sample_bits(voltages, seed,
+        reference), mask)`` for every input — same shared-jitter draw,
+        same per-instance jitter seeds — but each instance's share of
+        the mask is read through the fused ``sensor`` kernel, which
+        never materialises the ``(N, num_bits)`` word.
+
+        Args:
+            voltages: (N,) supply voltage during each measure cycle.
+            seed: jitter seed.
+            mask: (num_bits,) bool selection of the summed bits across
+                all instances; None sums every bit.
+            reference: read through the legacy per-endpoint loop.
+        """
+        v = np.asarray(voltages, dtype=float)
+        if mask is None:
+            keep = np.ones(self.num_bits, dtype=bool)
+        else:
+            keep = np.asarray(mask, dtype=bool)
+            if keep.shape != (self.num_bits,):
+                raise ValueError(
+                    "mask must have one entry per bit, got %r"
+                    % (keep.shape,)
+                )
+        shared = self._shared_jitter(v, seed)
+        weight = np.zeros(v.shape[0], dtype=np.int64)
+        offset = 0
+        for index, inst in enumerate(self._instances):
+            part = keep[offset:offset + inst.num_bits]
+            offset += inst.num_bits
+            jitter_seed = derive_seed(seed, self.name, "jitter", index)
+            if reference:
+                bits = inst.calibration.sample_bits_reference(
+                    v,
+                    jitter_ps=self.jitter_ps,
+                    seed=jitter_seed,
+                    shared_jitter_ps=shared,
+                )
+                weight += bits[:, part].sum(axis=1, dtype=np.int64)
+            else:
+                weight += inst.calibration.sample_weight(
+                    v,
+                    part,
+                    jitter_ps=self.jitter_ps,
+                    seed=jitter_seed,
+                    shared_jitter_ps=shared,
+                )
+        return weight
+
+    def _shared_jitter(
+        self, voltages: np.ndarray, seed: int
+    ) -> Optional[np.ndarray]:
+        """The common-mode capture-clock jitter draw (None when off)."""
+        if self.shared_jitter_ps <= 0:
+            return None
+        rng = make_rng(derive_seed(seed, self.name, "shared-jitter"))
+        return rng.normal(0.0, self.shared_jitter_ps, size=voltages.shape[0])
 
     # ------------------------------------------------------------------
     # Ground-truth path (gate-level, slow; used for validation)

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
+from repro.util import kernels
 from repro.util.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -239,3 +240,24 @@ class WaveformBank:
 def build_bank(waveforms: Sequence["EndpointWaveform"]) -> WaveformBank:
     """Construct a :class:`WaveformBank` (convenience wrapper)."""
     return WaveformBank(list(waveforms))
+
+
+def masked_weight_numpy(
+    bank: WaveformBank,
+    times_ps: np.ndarray,
+    jitter_ps: float,
+    seed: int,
+    mask: np.ndarray,
+) -> np.ndarray:
+    """Reference ``sensor`` op: sample the full word, sum masked bits.
+
+    The native form (:mod:`repro.util.kernels_native`) draws the same
+    jitter stream and latches each masked endpoint in one pass,
+    without materialising the ``(N, num_bits)`` word.
+    """
+    return bank.sample(times_ps, jitter_ps=jitter_ps, seed=seed)[
+        :, np.asarray(mask, dtype=bool)
+    ].sum(axis=1, dtype=np.int64)
+
+
+kernels.register_backend("sensor", "numpy", masked_weight=masked_weight_numpy)

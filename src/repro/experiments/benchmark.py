@@ -1189,6 +1189,7 @@ def run_kernels_benchmark(
     cpa_traces: int = 50_000,
     resample_traces: int = 4_000,
     resample_samples: int = 256,
+    sensor_cycles: int = 50_000,
     repeats: int = 3,
     seed: int = 1,
 ) -> Dict[str, object]:
@@ -1197,7 +1198,9 @@ def run_kernels_benchmark(
     For each kernel (``aes``: fused activity+ciphertexts, ``pdn``:
     batched IIR droop integration, ``cpa``: streaming accumulate over
     256 candidates, ``resample``: polyphase upfirdn over a trace
-    batch), every backend available on this host is warmed, asserted
+    batch, ``sensor``: the ALU sensor's jittered Hamming weight over
+    its census mask at campaign voltages), every backend available on
+    this host is warmed, asserted
     bit-identical to the numpy reference, and timed best-of
     ``repeats``.  ``speedup_vs_numpy`` on the resolved backend is the
     number the acceptance gate reads.
@@ -1271,6 +1274,22 @@ def run_kernels_benchmark(
         lambda: polyphase_resample(resample_batch, 3, 2),
         resample_traces,
     )
+
+    campaign = AttackCampaign(
+        BenignSensor.from_name("alu"), AES128(ExperimentConfig().key),
+        seed=seed,
+    )
+    census = campaign.characterization.census.ro_sensitive
+    _, sensor_voltages = campaign.campaign_inputs(sensor_cycles)
+    sensor_seed = derive_seed(seed, "bench-kernels-sensor")
+    sweep(
+        "sensor",
+        lambda: campaign.sensor.sample_weight(
+            sensor_voltages, seed=sensor_seed, mask=census
+        ),
+        sensor_cycles,
+    )
+    record["kernels"]["sensor"]["mask_bits"] = int(census.sum())
     return record
 
 

@@ -74,7 +74,6 @@ from repro.core.attack import (
     AttackCampaign,
 )
 from repro.core.endpoint_sensor import BenignSensor
-from repro.core.postprocess import hamming_weight_series
 from repro.core.tracegen import PhysicalTraceGenerator, random_plaintexts
 from repro.experiments.checkpoint import (
     CampaignCheckpoint,
@@ -607,13 +606,11 @@ def _physical_shard_task(
             plaintexts[start:end], seed=derive_seed(seed, "e2e-noise", start)
         )
         if preprocess is None:
-            bits = sensor.sample_bits(
+            leakage[local] = sensor.sample_weight(
                 data["voltages"][:, sample_index],
                 seed=derive_seed(seed, "e2e-jitter", start),
+                mask=state.heavy["mask"],
                 reference=reference,
-            )
-            leakage[local] = hamming_weight_series(
-                bits, state.heavy["mask"]
             )
         else:
             # Shard-local vectorized preprocessing: align/crop/resample
@@ -623,12 +620,12 @@ def _physical_shard_task(
             processed = preprocess.apply(data["voltages"])
             total = np.zeros(end - start, dtype=np.float64)
             for poi, sample in enumerate(state.heavy["samples"]):
-                bits = sensor.sample_bits(
+                total += sensor.sample_weight(
                     processed[:, int(sample)],
                     seed=derive_seed(seed, "e2e-jitter", start, poi),
+                    mask=state.heavy["mask"],
                     reference=reference,
                 )
-                total += hamming_weight_series(bits, state.heavy["mask"])
             leakage[local] = total
         ct_bytes[local] = data["ciphertexts"][:, state.heavy["target_byte"]]
     return _segment_partials(
@@ -809,13 +806,13 @@ def _physical_column_shard_task(task: Dict[str, object]) -> np.ndarray:
         for column in range(4):
             total = np.zeros(end - start, dtype=np.float64)
             for poi, sample in enumerate(column_samples[column]):
-                bits = sensor.sample_bits(
+                total += sensor.sample_weight(
                     voltages[:, int(sample)],
                     seed=derive_seed(
                         seed, "e2e-col-jitter", start, column, poi
                     ),
+                    mask=mask,
                 )
-                total += hamming_weight_series(bits, mask)
             leakage[local, column] = total
     return poison_leakage(leakage)
 

@@ -76,8 +76,9 @@ __all__ = [
 KERNELS_ENV = "REPRO_KERNELS"
 
 #: The hot kernels behind the registry: the three original campaign
-#: kernels plus the polyphase resampler of the preprocessing subsystem.
-KERNEL_NAMES = ("aes", "pdn", "cpa", "resample")
+#: kernels, the polyphase resampler of the preprocessing subsystem, and
+#: the fused sensor read (jitter draw + masked Hamming weight).
+KERNEL_NAMES = ("aes", "pdn", "cpa", "resample", "sensor")
 
 #: Accepted selection modes (per kernel or for all kernels at once).
 KERNEL_MODES = ("auto", "numpy", "scipy", "native")
@@ -164,6 +165,7 @@ _DOMAIN_MODULES: Dict[str, Tuple[str, ...]] = {
     "pdn": ("repro.pdn.model",),
     "cpa": ("repro.attacks.cpa",),
     "resample": ("repro.preprocess.resample",),
+    "sensor": ("repro.core.waveform_bank",),
 }
 
 
@@ -412,14 +414,22 @@ def backend_metadata() -> Dict[str, object]:
     serves the native backend (``"numba"`` / ``"cc"`` / None) and
     ``numba`` records the numba version (None when not installed) —
     perf snapshots are only comparable when the kernels that produced
-    them are known.
+    them are known.  ``native_refused`` maps each kernel the loaded
+    provider could not serve (e.g. a failed ``sensor`` self-check) to
+    the reason; those kernels run on numpy through :func:`dispatch`.
     """
     backends = active_backends()
     provider = None
+    refused: Dict[str, str] = {}
     if "native" in backends.values():
         native = _load_native()
         if native is not None:
             provider = native.provider
+            refused = {
+                kernel: reason
+                for kernel, reason in native.refused.items()
+                if backends.get(kernel) == "native"
+            }
     try:
         import numba  # noqa: PLC0415 — version probe only
 
@@ -429,6 +439,7 @@ def backend_metadata() -> Dict[str, object]:
     return {
         "kernel_backends": backends,
         "native_provider": provider,
+        "native_refused": refused,
         "numba": numba_version,
     }
 
@@ -449,4 +460,10 @@ def describe() -> str:
         if meta["numba"] is not None
         else "numba absent"
     )
-    return "kernels: %s (%s; %s)" % (" ".join(parts), native, numba)
+    refused = "".join(
+        "; %s native refused: %s" % item
+        for item in sorted(meta["native_refused"].items())
+    )
+    return "kernels: %s (%s; %s%s)" % (
+        " ".join(parts), native, numba, refused
+    )

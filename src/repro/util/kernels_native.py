@@ -61,11 +61,20 @@ class NativeProvider:
         provider: ``"numba"`` or ``"cc"`` — recorded in bench metadata.
         ops: ``{(kernel, op): callable}`` with the same signatures the
             registered numpy reference ops use.
+        refused: ``{kernel: reason}`` for kernels this provider could
+            not serve; :func:`repro.util.kernels.dispatch` falls back
+            to numpy for them.
     """
 
-    def __init__(self, provider: str, ops: Dict[Tuple[str, str], Callable]):
+    def __init__(
+        self,
+        provider: str,
+        ops: Dict[Tuple[str, str], Callable],
+        refused: Optional[Dict[str, str]] = None,
+    ):
         self.provider = provider
         self.ops = ops
+        self.refused = dict(refused or {})
 
 
 # ----------------------------------------------------------------------
@@ -641,6 +650,257 @@ long long repro_cpa_accumulate_i8(
 
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-std=c99", "-ffp-contract=off"]
 
+#: The fused sensor kernel: per-endpoint jitter drawn from an inlined
+#: PCG64 through numpy's ziggurat, latched by the ``value_at`` tie rule
+#: and summed over the masked endpoints, in the bank's endpoint-major
+#: draw order.  The ziggurat's ~1% rejection (and ``idx == 0`` tail)
+#: draws are not re-implemented: the state is rewound to before the
+#: draw and numpy's own ``random_standard_normal`` (statically linked
+#: from ``libnpyrandom.a``) redraws through a ``bitgen_t`` wrapping it.
+#: The fast-path tables are recovered from that same function at load
+#: (:func:`_ziggurat_tables`) and passed in, so the library has no
+#: mutable globals.
+_SENSOR_C_SOURCE = r"""
+#include <stdint.h>
+
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+double random_standard_normal(bitgen_t *bitgen_state);
+
+typedef unsigned __int128 u128;
+
+typedef struct {
+    u128 state;
+    u128 inc;
+} pcg64_t;
+
+static inline uint64_t pcg64_next(pcg64_t *rng)
+{
+    const u128 mult = ((u128)0x2360ED051FC65DA4ULL << 64)
+                      | 0x4385DF649FCCF645ULL;
+    rng->state = rng->state * mult + rng->inc;
+    uint64_t x = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
+    unsigned rot = (unsigned)(rng->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+static uint64_t pcg64_u64(void *st) { return pcg64_next((pcg64_t *)st); }
+
+static uint32_t pcg64_u32(void *st)
+{
+    return (uint32_t)pcg64_next((pcg64_t *)st);
+}
+
+static double pcg64_double(void *st)
+{
+    return (double)(pcg64_next((pcg64_t *)st) >> 11)
+           * (1.0 / 9007199254740992.0);
+}
+
+static void pcg64_init(pcg64_t *rng, const uint64_t *words)
+{
+    rng->state = ((u128)words[0] << 64) | words[1];
+    rng->inc = ((u128)words[2] << 64) | words[3];
+}
+
+/* Off the fast path: rewind to before the draw and let numpy redraw.
+   Only this copy of the state escapes, so the caller's stays in
+   registers. */
+static double slow_normal(pcg64_t *rng, u128 saved)
+{
+    pcg64_t st = {saved, rng->inc};
+    bitgen_t bg = {&st, pcg64_u64, pcg64_u32, pcg64_double, pcg64_u64};
+    double x = random_standard_normal(&bg);
+    rng->state = st.state;
+    return x;
+}
+
+/* One standard normal, bit-identical to numpy's ziggurat; *slow counts
+   draws that fell off the fast path (tail: idx == 0 among them). */
+static inline double draw_normal(
+    pcg64_t *rng, const double *wi, const uint64_t *ki,
+    long long *slow, long long *tail)
+{
+    u128 saved = rng->state;
+    uint64_t r = pcg64_next(rng);
+    int idx = (int)(r & 0xff);
+    r >>= 8;
+    uint64_t rabs = (r >> 1) & 0x000fffffffffffffULL;
+    /* x = +/-(rabs * wi[idx]); the sign flips the IEEE sign bit (as
+       unary minus does) without a data-dependent branch. */
+    union { double d; uint64_t u; } x;
+    x.d = (double)rabs * wi[idx];
+    x.u ^= (r & 0x1) << 63;
+    if (__builtin_expect(rabs < ki[idx], 1))
+        return x.d;
+    *slow += 1;
+    *tail += idx == 0;
+    return slow_normal(rng, saved);
+}
+
+/* The latched value at each query: vals[c - 1] (vals[0] when c == 0)
+   for c edges at or before q, i.e. searchsorted(edges, q, "right").
+   Few-edge endpoints select along the ascending edges without a
+   branch; a constant m (the switch below) lets the compiler unroll and
+   vectorise that loop.  Deep endpoints binary-search. */
+static inline void latch_select(
+    const double *edges, const uint8_t *vals, long long m,
+    const double *q, long long len, int64_t *w)
+{
+    for (long long t = 0; t < len; ++t) {
+        int64_t v = vals[0];
+        for (long long k = 1; k < m; ++k)
+            v = edges[k] <= q[t] ? vals[k] : v;
+        w[t] += v;
+    }
+}
+
+static void latch(
+    const double *edges, const uint8_t *vals, long long m,
+    const double *q, long long len, int64_t *w)
+{
+    switch (m) {
+    case 1: latch_select(edges, vals, 1, q, len, w); return;
+    case 2: latch_select(edges, vals, 2, q, len, w); return;
+    case 3: latch_select(edges, vals, 3, q, len, w); return;
+    case 4: latch_select(edges, vals, 4, q, len, w); return;
+    }
+    if (m <= 16) {
+        latch_select(edges, vals, m, q, len, w);
+        return;
+    }
+    for (long long t = 0; t < len; ++t) {
+        long long c = 0, hi = m;
+        while (c < hi) {
+            long long mid = c + (hi - c) / 2;
+            if (edges[mid] <= q[t])
+                c = mid + 1;
+            else
+                hi = mid;
+        }
+        w[t] += vals[c > 0 ? c - 1 : 0];
+    }
+}
+
+#define SENSOR_BLOCK 512
+
+long long repro_sensor_masked_weight(
+    const double *tau, long long n, double sigma, const uint64_t *pcg,
+    const double *wi, const uint64_t *ki,
+    const double *times, const uint8_t *values, const int64_t *offsets,
+    const uint8_t *mask, long long limit, int64_t *weight)
+{
+    pcg64_t rng;
+    pcg64_init(&rng, pcg);
+    long long slow = 0, tail = 0;
+    double q[SENSOR_BLOCK];
+    for (long long i = 0; i < limit; ++i) {
+        if (!mask[i]) {
+            if (sigma > 0)
+                for (long long t = 0; t < n; ++t)
+                    draw_normal(&rng, wi, ki, &slow, &tail);
+            continue;
+        }
+        const double *edges = times + offsets[i];
+        const uint8_t *vals = values + offsets[i];
+        long long m = offsets[i + 1] - offsets[i];
+        if (!(sigma > 0)) {
+            latch(edges, vals, m, tau, n, weight);
+            continue;
+        }
+        /* Draw a block, then latch it: the latch runs off the
+           generator's serial dependency chain. */
+        for (long long t0 = 0; t0 < n; t0 += SENSOR_BLOCK) {
+            long long len = n - t0 < SENSOR_BLOCK ? n - t0 : SENSOR_BLOCK;
+            for (long long t = 0; t < len; ++t)
+                q[t] = draw_normal(&rng, wi, ki, &slow, &tail);
+            for (long long t = 0; t < len; ++t)
+                q[t] = (0.0 + sigma * q[t]) + tau[t0 + t];
+            latch(edges, vals, m, q, len, weight + t0);
+        }
+    }
+    return slow;
+}
+
+long long repro_sensor_normals(
+    const uint64_t *pcg, const double *wi, const uint64_t *ki,
+    long long n, double *out, uint64_t *final_state, long long *tail)
+{
+    pcg64_t rng;
+    pcg64_init(&rng, pcg);
+    long long slow = 0;
+    *tail = 0;
+    for (long long t = 0; t < n; ++t)
+        out[t] = draw_normal(&rng, wi, ki, &slow, tail);
+    final_state[0] = (uint64_t)(rng.state >> 64);
+    final_state[1] = (uint64_t)rng.state;
+    return slow;
+}
+
+/* Table recovery: a stub generator whose first word is chosen by the
+   caller; later words take the fast path at x = 0 and doubles are
+   0.0 then 0.5, so every rejection branch terminates.  A draw that
+   needed exactly one call took the fast path. */
+typedef struct {
+    uint64_t word;
+    int calls;
+    int doubles;
+} zig_stub_t;
+
+static uint64_t stub_u64(void *st)
+{
+    zig_stub_t *s = (zig_stub_t *)st;
+    return s->calls++ == 0 ? s->word : 0;
+}
+
+static uint32_t stub_u32(void *st) { return (uint32_t)stub_u64(st); }
+
+static double stub_double(void *st)
+{
+    zig_stub_t *s = (zig_stub_t *)st;
+    s->calls++;
+    return s->doubles++ == 0 ? 0.0 : 0.5;
+}
+
+static double zig_probe(int idx, uint64_t rabs, int *calls)
+{
+    zig_stub_t s = {(uint64_t)idx | (rabs << 9), 0, 0};
+    bitgen_t bg = {&s, stub_u64, stub_u32, stub_double, stub_u64};
+    double x = random_standard_normal(&bg);
+    *calls = s.calls;
+    return x;
+}
+
+void repro_ziggurat_tables(double *wi, uint64_t *ki)
+{
+    for (int i = 0; i < 256; ++i) {
+        int calls;
+        wi[i] = zig_probe(i, 1, &calls);
+        uint64_t lo = 0, hi = 1ULL << 52;
+        while (lo < hi) {
+            uint64_t mid = lo + (hi - lo) / 2;
+            zig_probe(i, mid, &calls);
+            if (calls == 1)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        ki[i] = lo;
+    }
+}
+"""
+
+#: Fixed seeds and draw count of the load-time ziggurat self-check;
+#: 2^16 draws per seed reach both the rejection and the tail path.
+_SELF_CHECK_SEEDS = (0, 1)
+_SELF_CHECK_DRAWS = 1 << 16
+
 
 def _cache_dir() -> str:
     configured = os.environ.get(CACHE_ENV)
@@ -660,13 +920,24 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
-def _compile_library(compiler: str) -> str:
-    """Build (or reuse) the content-hashed shared library; return path."""
+def _compile_library(
+    compiler: str,
+    source: str = _C_SOURCE,
+    name: str = "repro_kernels",
+    link: Tuple[str, ...] = (),
+    salt: Tuple[str, ...] = (),
+) -> str:
+    """Build (or reuse) a content-hashed shared library; return path.
+
+    ``link`` names extra objects/archives linked in; ``salt`` adds
+    what the hash must also cover (e.g. the version of a statically
+    linked archive).
+    """
     digest = hashlib.sha256(
-        ("\0".join([_C_SOURCE] + _CFLAGS)).encode()
+        ("\0".join([source, *_CFLAGS, *link, *salt])).encode()
     ).hexdigest()[:16]
     cache = _cache_dir()
-    lib_path = os.path.join(cache, "repro_kernels_%s.so" % digest)
+    lib_path = os.path.join(cache, "%s_%s.so" % (name, digest))
     if os.path.exists(lib_path):
         return lib_path
     os.makedirs(cache, exist_ok=True)
@@ -675,10 +946,10 @@ def _compile_library(compiler: str) -> str:
     fd, src_path = tempfile.mkstemp(suffix=".c", dir=cache)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(_C_SOURCE)
+            handle.write(source)
         tmp_lib = src_path[:-2] + ".so"
         subprocess.run(
-            [compiler, *_CFLAGS, "-o", tmp_lib, src_path, "-lm"],
+            [compiler, *_CFLAGS, "-o", tmp_lib, src_path, *link, "-lm"],
             check=True,
             capture_output=True,
             text=True,
@@ -710,6 +981,10 @@ def _tables():
         u8(GMUL3_TABLE),
         u8(POPCOUNT8_TABLE),
     )
+
+
+def _ptr(arr: np.ndarray, ctype):
+    return arr.ctypes.data_as(ctypes.POINTER(ctype))
 
 
 def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
@@ -747,9 +1022,7 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
     lib.repro_cpa_accumulate_i8.restype = ll
 
     sbox, inv_sbox, shift_src, g2, g3, pop = _tables()
-
-    def ptr(arr, ctype):
-        return arr.ctypes.data_as(ctypes.POINTER(ctype))
+    ptr = _ptr
 
     sbox_p = ptr(sbox, ctypes.c_uint8)
     inv_sbox_p = ptr(inv_sbox, ctypes.c_uint8)
@@ -886,6 +1159,183 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
     }
 
 
+def _numpy_random_archive() -> Optional[str]:
+    """numpy's static ``libnpyrandom.a`` (its distributions), or None."""
+    path = os.path.join(
+        os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a"
+    )
+    return path if os.path.exists(path) else None
+
+
+def _ziggurat_tables(lib) -> Tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat fast-path tables ``(wi, ki)``, probed at load.
+
+    ``wi[i]`` is the draw for ``rabs = 1`` in strip ``i``; ``ki[i]`` is
+    the smallest ``rabs`` that leaves the fast path (binary search).
+    """
+    wi = np.empty(256, dtype=np.float64)
+    ki = np.empty(256, dtype=np.uint64)
+    lib.repro_ziggurat_tables(
+        _ptr(wi, ctypes.c_double), _ptr(ki, ctypes.c_uint64)
+    )
+    return wi, ki
+
+
+def _pcg64_words(rng: np.random.Generator) -> np.ndarray:
+    """``(state_hi, state_lo, inc_hi, inc_lo)`` of a PCG64 generator."""
+    state = rng.bit_generator.state
+    if state["bit_generator"] != "PCG64":
+        raise ValueError(
+            "fused sensor kernel needs PCG64, got %s" % state["bit_generator"]
+        )
+    low = (1 << 64) - 1
+    s, inc = state["state"]["state"], state["state"]["inc"]
+    return np.array([s >> 64, s & low, inc >> 64, inc & low], dtype=np.uint64)
+
+
+def _sensor_self_check(normals: Callable) -> Optional[str]:
+    """None when the inlined draws equal ``Generator.normal``, else why.
+
+    ``normals(words, n)`` returns ``(z, state_words, slow, tail)``; the
+    draws and the stream position after them must both match numpy's,
+    and the fixed corpus must reach the rejection and tail paths.
+    """
+    slow_total = tail_total = 0
+    for seed in _SELF_CHECK_SEEDS:
+        rng = np.random.default_rng(seed)
+        z, state, slow, tail = normals(_pcg64_words(rng), _SELF_CHECK_DRAWS)
+        expected = rng.normal(0.0, 1.0, size=_SELF_CHECK_DRAWS)
+        if not np.array_equal(z, expected):
+            first = int(np.flatnonzero(z != expected)[0])
+            return (
+                "ziggurat self-check failed: draw %d of seed %d differs "
+                "from Generator.normal" % (first, seed)
+            )
+        if not np.array_equal(state, _pcg64_words(rng)[:2]):
+            return (
+                "ziggurat self-check failed: stream position after "
+                "seed %d differs from Generator.normal" % seed
+            )
+        slow_total += slow
+        tail_total += tail
+    if not slow_total or not tail_total:
+        return "ziggurat self-check never reached the rejection/tail path"
+    return None
+
+
+def _build_sensor_ops(
+    compiler: str,
+) -> Tuple[Dict[Tuple[str, str], Callable], Optional[str]]:
+    """The fused sensor op, or no ops and the reason it was refused.
+
+    A separate library from the other C kernels, so a host without
+    ``libnpyrandom.a`` (or whose numpy draws differently) keeps them.
+    """
+    archive = _numpy_random_archive()
+    if archive is None:
+        return {}, "numpy/random/lib/libnpyrandom.a not found"
+    try:
+        lib = ctypes.CDLL(
+            _compile_library(
+                compiler,
+                _SENSOR_C_SOURCE,
+                name="repro_sensor",
+                link=(archive,),
+                salt=(np.__version__,),
+            )
+        )
+    except subprocess.CalledProcessError as exc:
+        return {}, "sensor kernel build failed: %s" % (
+            (exc.stderr or str(exc)).strip()
+        )
+    except OSError as exc:
+        return {}, "sensor kernel library failed to load: %s" % exc
+    u64p = ctypes.POINTER(ctypes.c_uint64)
+    f64p = ctypes.POINTER(ctypes.c_double)
+    ll = ctypes.c_longlong
+    lib.repro_ziggurat_tables.argtypes = [f64p, u64p]
+    lib.repro_ziggurat_tables.restype = None
+    lib.repro_sensor_normals.argtypes = [
+        u64p, f64p, u64p, ll, f64p, u64p, ctypes.POINTER(ll)
+    ]
+    lib.repro_sensor_normals.restype = ll
+    lib.repro_sensor_masked_weight.argtypes = [
+        f64p, ll, ctypes.c_double, u64p, f64p, u64p, f64p,
+        ctypes.POINTER(ctypes.c_uint8), ctypes.POINTER(ctypes.c_int64),
+        ctypes.POINTER(ctypes.c_uint8), ll, ctypes.POINTER(ctypes.c_int64),
+    ]
+    lib.repro_sensor_masked_weight.restype = ll
+
+    wi, ki = _ziggurat_tables(lib)
+    wi_p = _ptr(wi, ctypes.c_double)
+    ki_p = _ptr(ki, ctypes.c_uint64)
+
+    def normals(words, n):
+        z = np.empty(n, dtype=np.float64)
+        state = np.empty(2, dtype=np.uint64)
+        tail = ll(0)
+        slow = lib.repro_sensor_normals(
+            _ptr(words, ctypes.c_uint64), wi_p, ki_p, n,
+            _ptr(z, ctypes.c_double), _ptr(state, ctypes.c_uint64),
+            ctypes.byref(tail),
+        )
+        return z, state, slow, tail.value
+
+    reason = _sensor_self_check(normals)
+    if reason is not None:
+        return {}, reason
+
+    from repro.util.rng import make_rng  # noqa: PLC0415 — leaf module
+
+    def masked_weight(bank, times_ps, jitter_ps, seed, mask):
+        tau = np.ascontiguousarray(times_ps, dtype=np.float64)
+        if tau.ndim != 1:
+            raise ValueError("query times must be 1-D")
+        keep = np.ascontiguousarray(mask, dtype=bool)
+        if keep.shape != (bank.num_bits,):
+            raise ValueError(
+                "mask must have one entry per bit, got %r" % (keep.shape,)
+            )
+        sigma = float(jitter_ps)
+        if not np.isfinite(sigma):
+            from repro.core.waveform_bank import masked_weight_numpy
+
+            return masked_weight_numpy(bank, tau, jitter_ps, seed, mask)
+        weight = np.zeros(tau.shape[0], dtype=np.int64)
+        masked = np.flatnonzero(keep)
+        if masked.size == 0 or tau.shape[0] == 0:
+            return weight
+        # The generator is private to this call, so endpoints after the
+        # last masked one need not be drawn at all.
+        words = (
+            _pcg64_words(make_rng(seed, "endpoint-jitter"))
+            if sigma > 0
+            else np.zeros(4, dtype=np.uint64)
+        )
+        times = np.ascontiguousarray(bank.flat_times_ps, dtype=np.float64)
+        values = np.ascontiguousarray(bank.flat_values, dtype=np.uint8)
+        offsets = np.ascontiguousarray(bank.offsets, dtype=np.int64)
+        if offsets.shape != (bank.num_bits + 1,) or not (
+            offsets[-1] == times.shape[0] == values.shape[0]
+        ):
+            raise ValueError("waveform bank arrays are inconsistent")
+        lib.repro_sensor_masked_weight(
+            _ptr(tau, ctypes.c_double), tau.shape[0], sigma,
+            _ptr(words, ctypes.c_uint64), wi_p, ki_p,
+            _ptr(times, ctypes.c_double),
+            _ptr(values, ctypes.c_uint8),
+            _ptr(offsets, ctypes.c_int64),
+            _ptr(keep.view(np.uint8), ctypes.c_uint8),
+            int(masked[-1]) + 1,
+            _ptr(weight, ctypes.c_int64),
+        )
+        return weight
+
+    # The raw draws, for tests that check a corpus reaches the slow path.
+    masked_weight.normals = normals
+    return {("sensor", "masked_weight"): masked_weight}, None
+
+
 # ----------------------------------------------------------------------
 # Loading
 # ----------------------------------------------------------------------
@@ -935,7 +1385,11 @@ def load_native() -> Optional[NativeProvider]:
     if request in ("auto", "numba"):
         if numba is not None:
             try:
-                _LOADED = NativeProvider("numba", _build_numba_ops())
+                _LOADED = NativeProvider(
+                    "numba",
+                    _build_numba_ops(),
+                    {"sensor": "the numba provider has no sensor kernel"},
+                )
                 return _LOADED
             except Exception as exc:  # pragma: no cover - numba hosts
                 reasons.append("numba kernels failed to build: %s" % exc)
@@ -950,7 +1404,12 @@ def load_native() -> Optional[NativeProvider]:
         else:
             try:
                 lib_path = _compile_library(compiler)
-                _LOADED = NativeProvider("cc", _build_cc_ops(lib_path))
+                ops = _build_cc_ops(lib_path)
+                sensor_ops, refused = _build_sensor_ops(compiler)
+                ops.update(sensor_ops)
+                _LOADED = NativeProvider(
+                    "cc", ops, {} if refused is None else {"sensor": refused}
+                )
                 return _LOADED
             except subprocess.CalledProcessError as exc:
                 reasons.append(

@@ -411,7 +411,9 @@ class TestKernelsOption:
         assert code == 0
         assert out.startswith("kernels: ")
         record = json.loads(path.read_text())
-        assert set(record["kernels"]) == {"aes", "pdn", "cpa", "resample"}
+        assert set(record["kernels"]) == {
+            "aes", "pdn", "cpa", "resample", "sensor",
+        }
         for entry in record["kernels"].values():
             for case in entry["backends"].values():
                 assert case["identical_to_numpy"] is True

@@ -164,7 +164,9 @@ class TestKernelsMetadata:
 
         host = host_metadata()
         assert host["kernel_backends"] == kernels.active_backends()
-        assert set(host["kernel_backends"]) == {"aes", "pdn", "cpa", "resample"}
+        assert set(host["kernel_backends"]) == {
+            "aes", "pdn", "cpa", "resample", "sensor",
+        }
         # numba is optional: a version string when importable, else None.
         try:
             import numba
@@ -194,12 +196,16 @@ class TestKernelsBenchmark:
             pdn_traces=8,
             pdn_samples=64,
             cpa_traces=400,
+            sensor_cycles=2000,
             repeats=1,
             seed=5,
         )
         assert path.exists()
         assert json.loads(path.read_text()) is not None
-        assert set(record["kernels"]) == {"aes", "pdn", "cpa", "resample"}
+        assert set(record["kernels"]) == {
+            "aes", "pdn", "cpa", "resample", "sensor",
+        }
+        assert record["kernels"]["sensor"]["mask_bits"] > 0
         for kernel, entry in record["kernels"].items():
             backends = entry["backends"]
             # Every backend available on this host was swept and

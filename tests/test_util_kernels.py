@@ -65,7 +65,7 @@ class TestParseSpec:
         for spec in (None, "", "  "):
             assert kernels.parse_spec(spec) == {
                 "aes": "auto", "pdn": "auto", "cpa": "auto",
-                "resample": "auto",
+                "resample": "auto", "sensor": "auto",
             }
 
     @pytest.mark.parametrize("mode", kernels.KERNEL_MODES)
@@ -77,7 +77,7 @@ class TestParseSpec:
     def test_per_kernel_map(self):
         assert kernels.parse_spec("aes=native, pdn=scipy") == {
             "aes": "native", "pdn": "scipy", "cpa": "auto",
-            "resample": "auto",
+            "resample": "auto", "sensor": "auto",
         }
 
     def test_unknown_mode_rejected(self):
@@ -176,7 +176,7 @@ class TestAvailability:
     def test_backend_metadata_shape(self):
         meta = kernels.backend_metadata()
         assert set(meta) == {
-            "kernel_backends", "native_provider", "numba",
+            "kernel_backends", "native_provider", "native_refused", "numba",
         }
         assert set(meta["kernel_backends"]) == set(kernels.KERNEL_NAMES)
 
