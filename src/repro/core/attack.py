@@ -268,6 +268,12 @@ class AttackCampaign:
             return None, bit
         raise ValueError("unknown reduction %r" % (reduction,))
 
+    def ciphertexts(self, num_traces: int) -> np.ndarray:
+        """The campaign's seeded ciphertext draw, ``(N, 16)``."""
+        return random_ciphertexts(
+            num_traces, seed=derive_seed(self.seed, "campaign-ct")
+        )
+
     def campaign_inputs(
         self, num_traces: int
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -277,10 +283,22 @@ class AttackCampaign:
         so any partitioning of downstream work observes the same
         victim behaviour.
         """
-        ciphertexts = random_ciphertexts(
-            num_traces, seed=derive_seed(self.seed, "campaign-ct")
-        )
+        ciphertexts = self.ciphertexts(num_traces)
         voltages = self.leakage.voltages(
+            ciphertexts,
+            self.cipher.last_round_key,
+            seed=derive_seed(self.seed, "campaign-noise"),
+        )
+        return ciphertexts, voltages
+
+    def column_inputs(
+        self, num_traces: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`campaign_inputs` with the voltages of all four
+        last-round column cycles, ``(N, 4)`` — the full-key campaign's
+        inputs, from the same ciphertext and noise draws."""
+        ciphertexts = self.ciphertexts(num_traces)
+        voltages = self.leakage.column_voltages(
             ciphertexts,
             self.cipher.last_round_key,
             seed=derive_seed(self.seed, "campaign-noise"),
@@ -402,14 +420,7 @@ class AttackCampaign:
         order = candidates[np.argsort(-rho[candidates], kind="stable")]
         order = order[: max(1, top_k)]
 
-        ciphertexts = random_ciphertexts(
-            trial_traces, seed=derive_seed(self.seed, "campaign-ct")
-        )
-        voltages = self.leakage.voltages(
-            ciphertexts,
-            self.cipher.last_round_key,
-            seed=derive_seed(self.seed, "campaign-noise"),
-        )
+        ciphertexts, voltages = self.campaign_inputs(trial_traces)
         hypotheses = single_bit_hypothesis(
             ciphertexts[:, target_byte], bit=target_bit
         )
@@ -502,14 +513,7 @@ class AttackCampaign:
         mask = self.characterization.census.ro_sensitive
         if not mask.any():
             raise RuntimeError("no sensitive bits to reduce over")
-        ciphertexts = random_ciphertexts(
-            num_traces, seed=derive_seed(self.seed, "campaign-ct")
-        )
-        voltages = self.leakage.column_voltages(
-            ciphertexts,
-            self.cipher.last_round_key,
-            seed=derive_seed(self.seed, "campaign-noise"),
-        )
+        ciphertexts, voltages = self.column_inputs(num_traces)
         leakage = np.empty((num_traces, 4), dtype=np.float64)
         for column in range(4):
             for start in range(0, num_traces, chunk_size):
@@ -555,14 +559,7 @@ class AttackCampaign:
                 otherwise the decoded thermometer value (Fig. 9).
         """
         sensor = tdc or TDCSensor()
-        ciphertexts = random_ciphertexts(
-            num_traces, seed=derive_seed(self.seed, "campaign-ct")
-        )
-        voltages = self.leakage.voltages(
-            ciphertexts,
-            self.cipher.last_round_key,
-            seed=derive_seed(self.seed, "campaign-noise"),
-        )
+        ciphertexts, voltages = self.campaign_inputs(num_traces)
         if bit is None:
             leakage = sensor.sample_scalar(
                 voltages, seed=derive_seed(self.seed, "tdc")
@@ -599,14 +596,7 @@ class AttackCampaign:
         and the paper measures against a TDC instead.
         """
         sensor = ro_sensor or ROSensor()
-        ciphertexts = random_ciphertexts(
-            num_traces, seed=derive_seed(self.seed, "campaign-ct")
-        )
-        voltages = self.leakage.voltages(
-            ciphertexts,
-            self.cipher.last_round_key,
-            seed=derive_seed(self.seed, "campaign-noise"),
-        )
+        ciphertexts, voltages = self.campaign_inputs(num_traces)
         # Window-average dilution: the informative sample occupies one
         # sensor sample period of the counting window.
         sample_period_s = 1.0 / 150e6

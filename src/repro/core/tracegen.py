@@ -60,15 +60,24 @@ from repro.pdn.aggressors import (
 )
 from repro.pdn.model import PDNModel
 from repro.preprocess.spec import MisalignmentSpec
-from repro.util.rng import make_rng
+from repro.util.rng import derive_seed, make_rng
 
-__all__ = ["PhysicalTraceGenerator", "random_plaintexts"]
+__all__ = [
+    "PhysicalTraceGenerator",
+    "campaign_plaintexts",
+    "random_plaintexts",
+]
 
 
 def random_plaintexts(num_traces: int, seed: int = 0) -> np.ndarray:
     """Uniformly random plaintext blocks ``(N, 16)`` uint8."""
     rng = make_rng(seed, "plaintexts")
     return rng.integers(0, 256, size=(num_traces, 16), dtype=np.uint8)
+
+
+def campaign_plaintexts(num_traces: int, seed: int) -> np.ndarray:
+    """The plaintexts of a physical campaign with seed ``seed``."""
+    return random_plaintexts(num_traces, seed=derive_seed(seed, "e2e-pt"))
 
 
 class PhysicalTraceGenerator:
@@ -164,6 +173,11 @@ class PhysicalTraceGenerator:
             cached = BatchedAES128.from_cipher(self.cipher)
             self.__dict__["_batched_aes"] = cached
         return cached
+
+    def encrypt(self, plaintexts: np.ndarray) -> np.ndarray:
+        """Ciphertexts of ``plaintexts`` — the batched cipher alone, no
+        waveform."""
+        return self._batched_cipher().encrypt(plaintexts)
 
     def working_set_bytes_per_trace(self) -> int:
         """Approximate per-trace footprint of :meth:`generate`.

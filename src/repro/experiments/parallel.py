@@ -1,20 +1,37 @@
-"""Sharded, mergeable, fault-tolerant CPA campaign driver.
+"""Sharded, mergeable, fault-tolerant campaign drivers: one shard contract.
 
 A half-million-trace campaign decomposes naturally: trace generation
 (sensor sampling) and hypothesis building are embarrassingly parallel
-over disjoint trace ranges, and the CPA statistic is a set of running
-sums, so per-shard :class:`~repro.attacks.cpa.StreamingCPA`
-accumulators merge into exactly the single-stream state.
+over disjoint trace ranges, and the statistics are running sums, so
+per-shard results merge into exactly the single-stream state.  Every
+campaign — the single-byte CPA of Fig. 10 and its 16-byte extension,
+over the analytical leakage model or physically generated traces —
+runs through one contract:
+
+* a **recipe** computes one chunk's leakage from ``(state, start,
+  end)``: analytic reduced, analytic per-column, physical single-byte
+  or physical 4-column.  Recipes are the only per-source code;
+* a :class:`ShardSource` pairs a recipe with the fan-out state and
+  arrays it reads;
+* a **statistic** — :class:`SegmentPartials` (by-value CPA partials per
+  checkpoint segment) or :class:`ColumnBlocks` (column leakage blocks)
+  — owns its result validator, its one in-order reducer and its
+  checkpoint arrays;
+* :func:`_shard_task` is the one picklable task and :func:`_run_shards`
+  the one fan-out/checkpoint loop.  The four public drivers, a fleet
+  lease (:func:`run_lease`) and the fleet coordinator's merge all
+  reduce through the same statistic.
 
 Determinism is preserved by construction:
 
-* ciphertexts and victim voltages are drawn campaign-globally (one
-  seeded draw for all N traces) before any sharding;
+* ciphertexts, victim voltages and plaintexts are drawn
+  campaign-globally (one seeded draw for all N traces) before any
+  sharding;
 * shard boundaries are aligned to the campaign's
   :data:`~repro.core.attack.TRACE_CHUNK` grid, and each chunk's jitter
-  seed is keyed on its *global* start index — the same derivation the
-  serial collector uses — so every worker reproduces the exact leakage
-  the serial path would have produced;
+  and noise seeds are keyed on its *global* start index — the same
+  derivation the serial collector uses — so every worker reproduces
+  the exact leakage the serial path would have produced;
 * leakage and hypothesis values are integer-valued, so the running
   sums are float-exact and merging is order-independent: the sharded
   result, accumulated by ciphertext-byte value
@@ -23,35 +40,33 @@ Determinism is preserved by construction:
 
 Workers run on either backend of
 :func:`repro.util.executors.map_ordered`: the default thread pool (the
-heavy kernels — waveform-bank sampling, the by-value CPA bincounts —
-are numpy calls that release the GIL for most of their runtime) or, with ``executor="process"``, a process pool whose
-shard tasks are module-level functions with picklable payloads,
-buying real multi-core scaling for the Python-bound stages.  Both
-backends produce bit-identical results at any worker count.
+heavy kernels release the GIL for most of their runtime) or, with
+``executor="process"``, a process pool fed through
+:class:`repro.util.shm.ArrayFanout`.  Both backends produce
+bit-identical results at any worker count.
 
 The same determinism is what makes the campaign *fault-tolerant*:
-because every shard task is a pure function of its payload, the
-runtime may retry a failed shard, rebuild a broken process pool, or
-degrade ``process -> thread -> serial``
+because the shard task is a pure function of its payload, the runtime
+may retry a failed shard, rebuild a broken process pool, or degrade
+``process -> thread -> serial``
 (:class:`repro.util.executors.RetryPolicy`) without any effect on the
 result.  Passing ``checkpoint_path`` makes progress durable: after
-every ``checkpoint_every`` completed shards the merged accumulator
-state and a configuration-fingerprinted manifest are atomically
-written (:mod:`repro.experiments.checkpoint`), and ``resume=True``
-continues a killed campaign from the last checkpoint, bit-identical
-to an uninterrupted run.  Deterministic fault injection for all of
-these paths lives in :mod:`repro.util.faults`.
+every ``checkpoint_every`` completed shards the statistic's state and
+a configuration-fingerprinted manifest are atomically written
+(:mod:`repro.experiments.checkpoint`), and ``resume=True`` continues a
+killed campaign from the last checkpoint, bit-identical to an
+uninterrupted run.  Deterministic fault injection for all of these
+paths lives in :mod:`repro.util.faults`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.aes.leakage import random_ciphertexts
 from repro.attacks.cpa import (
     CPAResult,
     StreamingCPA,
@@ -74,7 +89,7 @@ from repro.core.attack import (
     AttackCampaign,
 )
 from repro.core.endpoint_sensor import BenignSensor
-from repro.core.tracegen import PhysicalTraceGenerator, random_plaintexts
+from repro.core.tracegen import PhysicalTraceGenerator, campaign_plaintexts
 from repro.experiments.checkpoint import (
     CampaignCheckpoint,
     CampaignManifest,
@@ -93,14 +108,19 @@ from repro.util.executors import (
 )
 from repro.util.faults import FaultPlan, poison_leakage
 from repro.util.rng import derive_seed
-from repro.util.shm import ArrayFanout, fanout_state
+from repro.util.shm import ArrayFanout, FanoutPayload, fanout_state
 
 __all__ = [
     "DEFAULT_CHUNK_WORKING_SET_BYTES",
+    "ColumnBlocks",
+    "SegmentPartials",
     "Shard",
+    "ShardSource",
     "default_workers",
     "plan_chunk_size",
     "plan_shards",
+    "run_lease",
+    "segment_ends",
     "sharded_attack",
     "sharded_full_key",
     "sharded_physical_attack",
@@ -223,10 +243,281 @@ def _normalize_checkpoints(
     return points
 
 
-def _segment_ends(shard: Shard, points: np.ndarray) -> List[int]:
-    """Shard-internal segment boundaries: checkpoints, then shard end."""
-    inside = points[(points > shard.start) & (points < shard.end)]
-    return [int(p) for p in inside] + [shard.end]
+def segment_ends(shard: Shard, boundaries: Sequence[int]) -> List[int]:
+    """A shard's merge boundaries: ``boundaries`` strictly inside it,
+    then the shard end."""
+    inside = [int(p) for p in boundaries if shard.start < int(p) < shard.end]
+    return inside + [shard.end]
+
+
+# ----------------------------------------------------------------------
+# Recipes: one chunk's leakage, ``(state, start, end, column)``
+# ----------------------------------------------------------------------
+#
+# CPA recipes return ``(leakage, ciphertext_bytes)`` for the chunk;
+# column recipes return a ``(num, width)`` leakage block.  Every seed is
+# keyed on the chunk's *global* start, so any chunk-aligned sharding
+# reproduces the serial campaign.
+
+
+def _reduced_recipe(
+    state: FanoutPayload, start: int, end: int, column: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Analytic reduced leakage at the target byte's cycle."""
+    heavy = state.heavy
+    campaign: AttackCampaign = heavy["campaign"]
+    leakage = campaign.reduced_leakage_block(
+        state.array("voltages")[start:end],
+        start,
+        heavy["reduction"],
+        heavy["mask"],
+        heavy["bit"],
+    )
+    return leakage, state.array("ct_bytes")[start:end]
+
+
+def _column_recipe(
+    state: FanoutPayload, start: int, end: int, column: Optional[int]
+) -> np.ndarray:
+    """Analytic Hamming-weight leakage at one last-round column."""
+    campaign: AttackCampaign = state.heavy["campaign"]
+    return campaign.column_leakage_block(
+        state.array("voltages")[start:end, column],
+        start,
+        column,
+        state.heavy["mask"],
+    )[:, None]
+
+
+def _physical_recipe(
+    state: FanoutPayload, start: int, end: int, column: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One generated chunk read at the target byte's cycle.
+
+    The chunk is simulated end to end — encryption, current waveform,
+    PDN integration, sensor sampling.  With a preprocessing plan the
+    chunk is aligned/cropped/resampled shard-locally and the leakage
+    sums the sensor's readings over the resolved POI set, one jitter
+    stream per POI.
+    """
+    heavy = state.heavy
+    generator: PhysicalTraceGenerator = heavy["generator"]
+    sensor: BenignSensor = heavy["sensor"]
+    seed: int = heavy["seed"]
+    reference: bool = heavy["reference"]
+    preprocess: Optional[ResolvedPreprocess] = heavy["preprocess"]
+    generate = (
+        generator.generate_reference if reference else generator.generate
+    )
+    data = generate(
+        state.array("plaintexts")[start:end],
+        seed=derive_seed(seed, "e2e-noise", start),
+    )
+    if preprocess is None:
+        voltages = data["voltages"]
+        reads = [(heavy["sample_index"], (start,))]
+    else:
+        voltages = preprocess.apply(data["voltages"])
+        reads = [(s, (start, poi)) for poi, s in enumerate(heavy["samples"])]
+    leakage = np.zeros(end - start, dtype=np.float64)
+    for sample, key in reads:
+        leakage += sensor.sample_weight(
+            voltages[:, int(sample)],
+            seed=derive_seed(seed, "e2e-jitter", *key),
+            mask=heavy["mask"],
+            reference=reference,
+        )
+    return leakage, data["ciphertexts"][:, heavy["target_byte"]]
+
+
+def _physical_columns_recipe(
+    state: FanoutPayload, start: int, end: int, column: Optional[int]
+) -> np.ndarray:
+    """One generated chunk read at all four last-round columns.
+
+    The chunk is generated once, optionally preprocessed, then read at
+    every column's sample set with per-``(chunk, column, poi)`` jitter
+    streams, so one waveform pass feeds all 16 per-byte CPAs.
+    """
+    heavy = state.heavy
+    generator: PhysicalTraceGenerator = heavy["generator"]
+    sensor: BenignSensor = heavy["sensor"]
+    seed: int = heavy["seed"]
+    preprocess: Optional[ResolvedPreprocess] = heavy["preprocess"]
+    data = generator.generate(
+        state.array("plaintexts")[start:end],
+        seed=derive_seed(seed, "e2e-noise", start),
+    )
+    voltages = (
+        data["voltages"]
+        if preprocess is None
+        else preprocess.apply(data["voltages"])
+    )
+    leakage = np.zeros((end - start, 4), dtype=np.float64)
+    for col, samples in heavy["column_samples"].items():
+        for poi, sample in enumerate(samples):
+            leakage[:, col] += sensor.sample_weight(
+                voltages[:, int(sample)],
+                seed=derive_seed(seed, "e2e-col-jitter", start, col, poi),
+                mask=heavy["mask"],
+            )
+    return leakage
+
+
+@dataclass(frozen=True)
+class ShardSource:
+    """A campaign's traces under the shard contract.
+
+    ``heavy`` holds the recipe, the chunk size and the objects the
+    recipe reads; ``arrays`` the campaign-global inputs it slices;
+    ``columns`` the tasks per shard (one per column for the analytic
+    per-column recipe, whose chunk seeds are keyed per column).
+    ``ciphertexts`` are the full-key hypothesis stage's inputs when the
+    source derives them (None for the physical single-byte source,
+    which reads its ciphertext bytes off the generated chunks).
+
+    Build one with the constructor for its recipe; the local drivers
+    and the fleet lease route call the same constructors.
+    """
+
+    heavy: Dict[str, object]
+    arrays: Dict[str, np.ndarray]
+    columns: Tuple[Optional[int], ...] = (None,)
+    ciphertexts: Optional[np.ndarray] = None
+
+    @classmethod
+    def reduced(
+        cls,
+        campaign: AttackCampaign,
+        num_traces: int,
+        reduction: str = REDUCTION_HW,
+        bit: Optional[int] = None,
+        target_byte: int = DEFAULT_TARGET_BYTE,
+        target_bit: int = DEFAULT_TARGET_BIT,
+        chunk_size: int = TRACE_CHUNK,
+    ) -> "ShardSource":
+        """Analytic reduced leakage for the single-byte CPA."""
+        mask, bit = campaign.resolve_reduction(reduction, bit)
+        ciphertexts, voltages = campaign.campaign_inputs(num_traces)
+        return cls(
+            heavy={
+                "recipe": _reduced_recipe,
+                "chunk_size": chunk_size,
+                "campaign": campaign,
+                "reduction": reduction,
+                "mask": mask,
+                "bit": bit,
+                "target_bit": target_bit,
+            },
+            arrays={
+                "voltages": voltages,
+                "ct_bytes": ciphertexts[:, target_byte],
+            },
+            ciphertexts=ciphertexts,
+        )
+
+    @classmethod
+    def per_column(
+        cls,
+        campaign: AttackCampaign,
+        num_traces: int,
+        chunk_size: int = TRACE_CHUNK,
+    ) -> "ShardSource":
+        """Analytic per-column leakage for the full-key recovery."""
+        mask, _ = campaign.resolve_reduction(REDUCTION_HW)
+        ciphertexts, voltages = campaign.column_inputs(num_traces)
+        return cls(
+            heavy={
+                "recipe": _column_recipe,
+                "chunk_size": chunk_size,
+                "campaign": campaign,
+                "mask": mask,
+            },
+            arrays={"voltages": voltages},
+            columns=(0, 1, 2, 3),
+            ciphertexts=ciphertexts,
+        )
+
+    @classmethod
+    def physical(
+        cls,
+        generator: PhysicalTraceGenerator,
+        sensor: BenignSensor,
+        num_traces: int,
+        seed: int = 0,
+        mask: Optional[np.ndarray] = None,
+        preprocess: Optional[ResolvedPreprocess] = None,
+        target_byte: int = DEFAULT_TARGET_BYTE,
+        target_bit: int = DEFAULT_TARGET_BIT,
+        reference: bool = False,
+        chunk_size: int = TRACE_CHUNK,
+    ) -> "ShardSource":
+        """Physically generated traces for the single-byte CPA."""
+        column = column_of_key_byte(target_byte)
+        return cls(
+            heavy={
+                "recipe": _physical_recipe,
+                "chunk_size": chunk_size,
+                "generator": generator,
+                "sensor": sensor,
+                "seed": seed,
+                "reference": reference,
+                "sample_index": int(
+                    generator.last_round_sample_indices()[column]
+                ),
+                "mask": mask,
+                "target_byte": target_byte,
+                "target_bit": target_bit,
+                "preprocess": preprocess,
+                "samples": None
+                if preprocess is None
+                else preprocess.samples_for_column(column),
+            },
+            arrays={"plaintexts": campaign_plaintexts(num_traces, seed)},
+        )
+
+    @classmethod
+    def physical_columns(
+        cls,
+        generator: PhysicalTraceGenerator,
+        sensor: BenignSensor,
+        num_traces: int,
+        seed: int = 0,
+        mask: Optional[np.ndarray] = None,
+        preprocess: Optional[ResolvedPreprocess] = None,
+        chunk_size: int = TRACE_CHUNK,
+    ) -> "ShardSource":
+        """Physically generated traces for the full-key recovery."""
+        plaintexts = campaign_plaintexts(num_traces, seed)
+        aligned = generator.last_round_sample_indices()
+        return cls(
+            heavy={
+                "recipe": _physical_columns_recipe,
+                "chunk_size": chunk_size,
+                "generator": generator,
+                "sensor": sensor,
+                "seed": seed,
+                "mask": None if mask is None else np.asarray(mask),
+                "preprocess": preprocess,
+                "column_samples": {
+                    column: (
+                        np.array([int(aligned[column])], dtype=np.int64)
+                        if preprocess is None
+                        else preprocess.samples_for_column(column)
+                    )
+                    for column in range(4)
+                },
+            },
+            arrays={"plaintexts": plaintexts},
+            # The hypothesis stage needs ciphertexts only: an
+            # encryption-only pass, the waveforms stay worker-side.
+            ciphertexts=generator.encrypt(plaintexts),
+        )
+
+
+# ----------------------------------------------------------------------
+# Statistics: validator, in-order reducer, checkpoint arrays
+# ----------------------------------------------------------------------
 
 
 def _segment_partials(
@@ -255,104 +546,190 @@ def _segment_partials(
     return partials
 
 
-def _attack_shard_task(
-    task: Dict[str, object]
-) -> List[Tuple[int, StreamingCPA]]:
-    """One shard's trace generation + per-segment CPA accumulation.
+class SegmentPartials:
+    """By-value CPA segment partials, merged in trace order.
 
-    Module-level and picklable, but the payload is only a context id
-    plus the shard descriptor: the campaign object arrives fork-once
-    per worker, and the campaign-global input arrays are read in place
-    (driver memory or a shared-memory mapping — see
-    :class:`repro.util.shm.ArrayFanout`), so neither a task nor a
+    Tasks split their shard at ``boundaries``.  The reducer merges each
+    partial into a running accumulator and snapshots it at every
+    boundary: the correlation row there (``per_segment=False``: a
+    campaign's checkpoints) or the segment's own accumulator, after
+    which a fresh one starts (``per_segment=True``: a fleet lease
+    folding its local sub-shards back onto its segments).
+    """
+
+    def __init__(self, boundaries: Sequence[int], per_segment: bool = False):
+        self.points = np.asarray(boundaries, dtype=np.int64)
+        self._snap_at = {int(p) for p in self.points}
+        self._per_segment = per_segment
+        self.running = StreamingCPA(num_candidates=256)
+        self.snapshots: List[object] = []
+
+    def task_fields(self, shard: Shard) -> Dict[str, object]:
+        return {"segment_ends": segment_ends(shard, self.points)}
+
+    @staticmethod
+    def validate(task: Dict[str, object], result: object) -> None:
+        """Reject truncated/corrupt partial lists before they merge."""
+        shard: Shard = task["shard"]
+        expected = [int(p) for p in task["segment_ends"]]
+        if not isinstance(result, (list, tuple)):
+            raise TruncatedResultError(
+                shard.site, "a list of partials", type(result).__name__
+            )
+        try:
+            boundaries = [int(boundary) for boundary, _ in result]
+        except (TypeError, ValueError):
+            boundaries = None
+        if boundaries != expected:
+            raise TruncatedResultError(
+                shard.site,
+                "segment boundaries %s" % expected,
+                "%s" % boundaries,
+            )
+
+    def merge(self, results: Sequence[List[Tuple[int, StreamingCPA]]]) -> None:
+        for partials in results:
+            for boundary, engine in partials:
+                self.running.merge(engine)
+                if int(boundary) not in self._snap_at:
+                    continue
+                if self._per_segment:
+                    self.snapshots.append((int(boundary), self.running))
+                    self.running = StreamingCPA(num_candidates=256)
+                else:
+                    self.snapshots.append(self.running.correlations())
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        arrays = {
+            "rows": np.vstack(self.snapshots)
+            if self.snapshots
+            else np.zeros((0, self.running.num_candidates))
+        }
+        for key, value in self.running.state_arrays().items():
+            arrays["engine_" + key] = value
+        return arrays
+
+    def restore(self, arrays: Dict[str, np.ndarray]) -> None:
+        self.running = StreamingCPA.from_state_arrays(
+            {
+                key[len("engine_"):]: value
+                for key, value in arrays.items()
+                if key.startswith("engine_")
+            }
+        )
+        self.snapshots = list(split_rows(arrays["rows"]))
+
+    def result(self, correct_key: int) -> CPAResult:
+        return CPAResult(
+            checkpoints=self.points,
+            correlations=np.vstack(self.snapshots),
+            correct_key=correct_key,
+        )
+
+
+class ColumnBlocks:
+    """Column leakage blocks, stacked in trace order.
+
+    A shard contributes ``per_shard`` consecutive task results (one per
+    column for the analytic per-column recipe), hstacked back into its
+    ``(num, 4)`` block.
+    """
+
+    def __init__(self, per_shard: int = 1):
+        self.per_shard = per_shard
+        self.blocks: List[np.ndarray] = []
+
+    def task_fields(self, shard: Shard) -> Dict[str, object]:
+        return {}
+
+    @staticmethod
+    def validate(task: Dict[str, object], result: object) -> None:
+        """Reject truncated column-leakage blocks before they stack."""
+        shard: Shard = task["shard"]
+        expected = (shard.num_traces, 1 if "column" in task else 4)
+        shape = getattr(result, "shape", None)
+        if shape != expected:
+            raise TruncatedResultError(
+                shard.site, "leakage block %s" % (expected,), "%s" % (shape,)
+            )
+
+    def merge(self, results: Sequence[np.ndarray]) -> None:
+        self.blocks.extend(
+            np.hstack(results[index : index + self.per_shard])
+            for index in range(0, len(results), self.per_shard)
+        )
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        return {"leakage_prefix": self.result()}
+
+    def restore(self, arrays: Dict[str, np.ndarray]) -> None:
+        self.blocks = [np.asarray(arrays["leakage_prefix"], dtype=np.float64)]
+
+    def result(self) -> np.ndarray:
+        return np.vstack(self.blocks)
+
+
+# ----------------------------------------------------------------------
+# The one shard task and the one fan-out/checkpoint loop
+# ----------------------------------------------------------------------
+
+
+def _shard_task(task: Dict[str, object]) -> object:
+    """One shard: the source's recipe over the shard's chunks, reduced
+    to the task's statistic.
+
+    Module-level and picklable, but the payload is only a context id,
+    the shard, and its ``column`` or ``segment_ends``: the source's
+    heavy state arrives fork-once per worker, and the campaign-global
+    arrays are read in place (driver memory or a shared-memory mapping
+    — see :class:`repro.util.shm.ArrayFanout`), so neither a task nor a
     retry re-serializes anything heavier than a few hundred bytes.
     """
     state = fanout_state(task["ctx"])
-    campaign: AttackCampaign = state.heavy["campaign"]
-    shard: Shard = task["shard"]
-    voltages = state.array("voltages")
-    ct_bytes = state.array("ct_bytes")
-    segment_ends: List[int] = task["segment_ends"]
+    recipe = state.heavy["recipe"]
     chunk_size: int = state.heavy["chunk_size"]
-
-    leakage = np.empty(shard.num_traces, dtype=np.float64)
-    for start in range(shard.start, shard.end, chunk_size):
-        end = min(start + chunk_size, shard.end)
-        leakage[start - shard.start : end - shard.start] = (
-            campaign.reduced_leakage_block(
-                voltages[start:end],
-                start,
-                state.heavy["reduction"],
-                state.heavy["mask"],
-                state.heavy["bit"],
-            )
-        )
+    shard: Shard = task["shard"]
+    column = task.get("column")
+    chunks = [
+        recipe(state, start, min(start + chunk_size, shard.end), column)
+        for start in range(shard.start, shard.end, chunk_size)
+    ]
+    if "segment_ends" not in task:
+        return poison_leakage(np.concatenate(chunks).astype(np.float64))
+    leakage = np.concatenate([leak for leak, _ in chunks])
     return _segment_partials(
-        poison_leakage(leakage),
-        ct_bytes[shard.start : shard.end],
+        poison_leakage(leakage.astype(np.float64)),
+        np.concatenate([values for _, values in chunks]),
         shard.start,
-        segment_ends,
+        task["segment_ends"],
         state.heavy["target_bit"],
     )
 
 
-def _validate_partials(task: Dict[str, object], result: object) -> None:
-    """Reject truncated/corrupt shard payloads before they merge."""
-    expected = list(task["segment_ends"])
-    shard: Shard = task["shard"]
-    if not isinstance(result, (list, tuple)):
-        raise TruncatedResultError(
-            shard.site, "a list of partials", type(result).__name__
-        )
-    boundaries = [boundary for boundary, _ in result]
-    if boundaries != expected:
-        raise TruncatedResultError(
-            shard.site,
-            "segment boundaries %s" % expected,
-            "%s" % boundaries,
-        )
+def _run_shards(
+    source: ShardSource,
+    shards: Sequence[Shard],
+    statistic,
+    manifest: Optional[CampaignManifest] = None,
+    max_workers: Optional[int] = None,
+    executor: Optional[str] = None,
+    policy: Optional[RetryPolicy] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    health: Optional[CampaignHealth] = None,
+    checkpoint_path: Optional[str] = None,
+    checkpoint_every: Optional[int] = None,
+    resume: bool = False,
+):
+    """Every shard through :func:`_shard_task`, reduced by ``statistic``.
 
-
-def _validate_column_block(
-    task: Dict[str, object], result: object
-) -> None:
-    """Reject truncated column-leakage blocks before they stack."""
-    shard: Shard = task["shard"]
-    expected = (shard.num_traces, 1 if "column" in task else 4)
-    shape = getattr(result, "shape", None)
-    if shape != expected:
-        raise TruncatedResultError(
-            shard.site, "leakage block %s" % (expected,), "%s" % (shape,)
-        )
-
-
-def _run_checkpointed_cpa(
-    task_fn: Callable[[Dict[str, object]], List[Tuple[int, StreamingCPA]]],
-    tasks: List[Dict[str, object]],
-    shards: List[Shard],
-    points: np.ndarray,
-    correct_key: int,
-    manifest: CampaignManifest,
-    max_workers: Optional[int],
-    executor: Optional[str],
-    policy: Optional[RetryPolicy],
-    fault_plan: Optional[FaultPlan],
-    health: Optional[CampaignHealth],
-    checkpoint_path: Optional[str],
-    checkpoint_every: Optional[int],
-    resume: bool,
-    map_kwargs: Optional[Dict[str, object]] = None,
-) -> CPAResult:
-    """Shared group-wise execute/merge/checkpoint loop of the two CPA
-    drivers.
-
-    Shards run in groups of ``checkpoint_every``; after each group the
-    merged running state becomes durable.  Because groups complete in
-    trace order, the completed set is always a shard-plan prefix, and
-    a resumed run replays the identical merge sequence.
+    Shards run in groups of ``checkpoint_every`` (default: the worker
+    count, so durability costs no parallelism); after each group the
+    statistic's state becomes durable.  Groups complete in trace order,
+    so the completed set is always a shard-plan prefix and a resumed
+    run replays the identical merge sequence.  Every task carries its
+    shard's fault site, so the shard plan, manifest and checkpoint
+    files do not depend on how many tasks a shard splits into.
     """
-    running = StreamingCPA(num_candidates=256)
-    rows: List[np.ndarray] = []
     completed = 0
     if resume and checkpoint_path is not None and os.path.exists(
         checkpoint_path
@@ -360,77 +737,159 @@ def _run_checkpointed_cpa(
         stored = load_checkpoint(checkpoint_path)
         verify_manifest(checkpoint_path, stored.manifest, manifest)
         completed = stored.completed_shards
-        running = StreamingCPA.from_state_arrays(
-            {
-                key[len("engine_"):]: value
-                for key, value in stored.arrays.items()
-                if key.startswith("engine_")
-            }
-        )
-        rows = split_rows(stored.arrays["rows"])
-
+        if completed:
+            statistic.restore(stored.arrays)
     robust = (
         policy is not None
         or fault_plan is not None
         or health is not None
         or checkpoint_path is not None
     )
-    group = len(tasks)
+    group = len(shards)
     if checkpoint_path is not None:
-        # Default group = worker count, so durability costs no
-        # parallelism (a group is one map_ordered call).
         group = max(1, checkpoint_every or max_workers or default_workers())
-    checkpoint_set = {int(p) for p in points}
-    while completed < len(tasks):
-        stop = min(completed + group, len(tasks))
-        kwargs: Dict[str, object] = {}
-        if robust:
-            kwargs = dict(
-                policy=policy,
-                fault_plan=fault_plan,
-                sites=[shard.site for shard in shards[completed:stop]],
-                health=health,
-                validate=_validate_partials,
+    per_shard = len(source.columns)
+    with ArrayFanout(
+        heavy=source.heavy,
+        arrays=source.arrays,
+        executor=executor,
+        workers=max_workers or default_workers(),
+        num_tasks=per_shard * len(shards),
+    ) as fanout:
+        tasks = [
+            dict(
+                {"ctx": fanout.context_id, "shard": shard},
+                **({} if column is None else {"column": column}),
+                **statistic.task_fields(shard),
             )
-        per_shard = map_ordered(
-            task_fn,
-            tasks[completed:stop],
-            max_workers=max_workers,
-            executor=executor,
-            **dict(map_kwargs or {}),
-            **kwargs,
+            for shard in shards
+            for column in source.columns
+        ]
+        while completed < len(shards):
+            stop = min(completed + group, len(shards))
+            kwargs: Dict[str, object] = {}
+            if robust:
+                kwargs = dict(
+                    policy=policy,
+                    fault_plan=fault_plan,
+                    sites=[
+                        shard.site
+                        for shard in shards[completed:stop]
+                        for _ in range(per_shard)
+                    ],
+                    health=health,
+                    validate=statistic.validate,
+                )
+            statistic.merge(
+                map_ordered(
+                    _shard_task,
+                    tasks[completed * per_shard : stop * per_shard],
+                    max_workers=max_workers,
+                    executor=executor,
+                    **fanout.map_kwargs,
+                    **kwargs,
+                )
+            )
+            completed = stop
+            if checkpoint_path is not None:
+                save_checkpoint(
+                    checkpoint_path,
+                    CampaignCheckpoint(
+                        manifest=manifest,
+                        completed_shards=completed,
+                        arrays=statistic.arrays(),
+                    ),
+                )
+    return statistic
+
+
+# ----------------------------------------------------------------------
+# Fleet leases
+# ----------------------------------------------------------------------
+
+
+def _plan_subshards(shard: Shard, workers: int) -> List[Shard]:
+    """Chunk-aligned split of one lease for the worker's local pool."""
+    if workers <= 1 or shard.start % TRACE_CHUNK:
+        return [shard]
+    relative = plan_shards(shard.num_traces, workers, TRACE_CHUNK)
+    return [
+        Shard(shard.start + sub.start, shard.start + sub.end)
+        for sub in relative
+    ]
+
+
+def run_lease(
+    source: ShardSource,
+    start: int,
+    end: int,
+    segment_ends: Optional[Sequence[int]] = None,
+    workers: int = 1,
+    executor: Optional[str] = None,
+):
+    """One fleet lease ``[start, end)`` of a campaign on this host.
+
+    The lease splits into chunk-aligned sub-shards for the local pool,
+    runs them through the same task and loop as the local drivers, and
+    folds them back with the statistic's reducer.  With
+    ``segment_ends`` the result is one ``(boundary, StreamingCPA)`` per
+    segment end; without, the lease's ``(num, 4)`` leakage block.  Both
+    are bit-identical to the serial pass over the lease.
+    """
+    lease = Shard(int(start), int(end))
+    subs = _plan_subshards(lease, workers)
+    if segment_ends is None:
+        blocks = _run_shards(
+            source, subs, ColumnBlocks(len(source.columns)),
+            max_workers=workers, executor=executor,
         )
-        for partials in per_shard:
-            for boundary, engine in partials:
-                running.merge(engine)
-                if boundary in checkpoint_set:
-                    rows.append(running.correlations())
-        completed = stop
-        if checkpoint_path is not None:
-            arrays: Dict[str, np.ndarray] = {
-                "rows": np.vstack(rows)
-                if rows
-                else np.zeros((0, running.num_candidates))
-            }
-            arrays.update(
-                {
-                    "engine_" + key: value
-                    for key, value in running.state_arrays().items()
-                }
-            )
-            save_checkpoint(
-                checkpoint_path,
-                CampaignCheckpoint(
-                    manifest=manifest,
-                    completed_shards=completed,
-                    arrays=arrays,
-                ),
-            )
-    return CPAResult(
-        checkpoints=points,
-        correlations=np.vstack(rows),
-        correct_key=correct_key,
+        return blocks.result()
+    partials = _run_shards(
+        source, subs, SegmentPartials(segment_ends, per_segment=True),
+        max_workers=workers, executor=executor,
     )
+    # The segment ends come with the lease: reject ones the lease's
+    # sub-shard boundaries do not produce.
+    task = {"shard": lease, "segment_ends": segment_ends}
+    partials.validate(task, partials.snapshots)
+    return partials.snapshots
+
+
+# ----------------------------------------------------------------------
+# The four public drivers
+# ----------------------------------------------------------------------
+
+
+def _manifest(
+    kind: str,
+    params: Dict[str, object],
+    shards: Sequence[Shard],
+    checkpoints: Sequence[int],
+) -> CampaignManifest:
+    return CampaignManifest(
+        kind=kind,
+        params=params,
+        shard_plan=tuple((s.start, s.end) for s in shards),
+        checkpoints=tuple(int(p) for p in checkpoints),
+    )
+
+
+def _acquisition_manifest_params(
+    generator: PhysicalTraceGenerator,
+    preprocess: Optional[ResolvedPreprocess],
+) -> Dict[str, object]:
+    """Manifest entries for acquisition realism — only when active.
+
+    Absent keys keep every acquisition-free manifest (and hence config
+    hash, checkpoint resume and service cache key) byte-stable.
+    """
+    params: Dict[str, object] = {}
+    misalignment = getattr(generator, "misalignment", None)
+    if misalignment is not None and misalignment.enabled:
+        params["misalignment"] = misalignment.to_string()
+    if preprocess is not None:
+        params["preprocess"] = preprocess.spec.to_string()
+    return params
 
 
 def sharded_attack(
@@ -488,14 +947,16 @@ def sharded_attack(
     """
     if num_traces < 2:
         raise ValueError("need at least 2 traces")
-    mask, bit = campaign.resolve_reduction(reduction, bit)
-    ciphertexts, voltages = campaign.campaign_inputs(num_traces)
+    source = ShardSource.reduced(
+        campaign, num_traces, reduction, bit, target_byte, target_bit,
+        chunk_size,
+    )
     points = _normalize_checkpoints(checkpoints, num_traces)
     shards = plan_shards(num_traces, max_workers, chunk_size)
-
-    manifest = CampaignManifest(
-        kind="attack",
-        params={
+    bit = source.heavy["bit"]
+    manifest = _manifest(
+        "attack",
+        {
             "campaign_seed": campaign.seed,
             "sensor": campaign.sensor.name,
             "last_round_key": campaign.cipher.last_round_key.hex(),
@@ -506,135 +967,14 @@ def sharded_attack(
             "target_bit": int(target_bit),
             "chunk_size": int(chunk_size),
         },
-        shard_plan=tuple((s.start, s.end) for s in shards),
-        checkpoints=tuple(int(p) for p in points),
+        shards,
+        points,
     )
-    with ArrayFanout(
-        heavy={
-            "campaign": campaign,
-            "chunk_size": chunk_size,
-            "reduction": reduction,
-            "mask": mask,
-            "bit": bit,
-            "target_bit": target_bit,
-        },
-        arrays={
-            "voltages": voltages,
-            "ct_bytes": ciphertexts[:, target_byte],
-        },
-        executor=executor,
-        workers=max_workers or default_workers(),
-        num_tasks=len(shards),
-    ) as fanout:
-        tasks = [
-            {
-                "ctx": fanout.context_id,
-                "shard": shard,
-                "segment_ends": _segment_ends(shard, points),
-            }
-            for shard in shards
-        ]
-        return _run_checkpointed_cpa(
-            _attack_shard_task,
-            tasks,
-            shards,
-            points,
-            campaign.cipher.last_round_key[target_byte],
-            manifest,
-            max_workers,
-            executor,
-            policy,
-            fault_plan,
-            health,
-            checkpoint_path,
-            checkpoint_every,
-            resume,
-            map_kwargs=fanout.map_kwargs,
-        )
-
-
-def _acquisition_manifest_params(
-    generator: PhysicalTraceGenerator,
-    preprocess: Optional[ResolvedPreprocess],
-) -> Dict[str, object]:
-    """Manifest entries for acquisition realism — only when active.
-
-    Absent keys keep every pre-PR acquisition-free manifest (and hence
-    config hash, checkpoint resume and service cache key) byte-stable.
-    """
-    params: Dict[str, object] = {}
-    misalignment = getattr(generator, "misalignment", None)
-    if misalignment is not None and misalignment.enabled:
-        params["misalignment"] = misalignment.to_string()
-    if preprocess is not None:
-        params["preprocess"] = preprocess.spec.to_string()
-    return params
-
-
-def _physical_shard_task(
-    task: Dict[str, object]
-) -> List[Tuple[int, StreamingCPA]]:
-    """One shard of the physical (waveform-level) campaign.
-
-    Unlike :func:`_attack_shard_task`, the traces do not exist up
-    front: each chunk is *generated* here — encryption, current
-    waveform, PDN integration, sensor sampling — with its noise and
-    jitter seeds keyed on the chunk's global start index, so any
-    chunk-aligned sharding reproduces the identical campaign.
-    """
-    state = fanout_state(task["ctx"])
-    generator: PhysicalTraceGenerator = state.heavy["generator"]
-    sensor: BenignSensor = state.heavy["sensor"]
-    shard: Shard = task["shard"]
-    plaintexts = state.array("plaintexts")
-    segment_ends: List[int] = task["segment_ends"]
-    chunk_size: int = state.heavy["chunk_size"]
-    seed: int = state.heavy["seed"]
-    reference: bool = state.heavy["reference"]
-    sample_index: int = state.heavy["sample_index"]
-    preprocess: Optional[ResolvedPreprocess] = state.heavy.get("preprocess")
-
-    generate = (
-        generator.generate_reference if reference else generator.generate
-    )
-    leakage = np.empty(shard.num_traces, dtype=np.float64)
-    ct_bytes = np.empty(shard.num_traces, dtype=np.uint8)
-    for start in range(shard.start, shard.end, chunk_size):
-        end = min(start + chunk_size, shard.end)
-        local = slice(start - shard.start, end - shard.start)
-        data = generate(
-            plaintexts[start:end], seed=derive_seed(seed, "e2e-noise", start)
-        )
-        if preprocess is None:
-            leakage[local] = sensor.sample_weight(
-                data["voltages"][:, sample_index],
-                seed=derive_seed(seed, "e2e-jitter", start),
-                mask=state.heavy["mask"],
-                reference=reference,
-            )
-        else:
-            # Shard-local vectorized preprocessing: align/crop/resample
-            # the chunk, then sum the sensor's readings over the
-            # resolved POI set (one jitter stream per POI, keyed on the
-            # chunk's global start like every other chunk stream).
-            processed = preprocess.apply(data["voltages"])
-            total = np.zeros(end - start, dtype=np.float64)
-            for poi, sample in enumerate(state.heavy["samples"]):
-                total += sensor.sample_weight(
-                    processed[:, int(sample)],
-                    seed=derive_seed(seed, "e2e-jitter", start, poi),
-                    mask=state.heavy["mask"],
-                    reference=reference,
-                )
-            leakage[local] = total
-        ct_bytes[local] = data["ciphertexts"][:, state.heavy["target_byte"]]
-    return _segment_partials(
-        poison_leakage(leakage),
-        ct_bytes,
-        shard.start,
-        segment_ends,
-        state.heavy["target_bit"],
-    )
+    return _run_shards(
+        source, shards, SegmentPartials(points), manifest, max_workers,
+        executor, policy, fault_plan, health, checkpoint_path,
+        checkpoint_every, resume,
+    ).result(campaign.cipher.last_round_key[target_byte])
 
 
 def sharded_physical_attack(
@@ -689,16 +1029,9 @@ def sharded_physical_attack(
     """
     if num_traces < 2:
         raise ValueError("need at least 2 traces")
-    plaintexts = random_plaintexts(
-        num_traces, seed=derive_seed(seed, "e2e-pt")
-    )
-    sample_index = int(
-        generator.last_round_sample_indices()[column_of_key_byte(target_byte)]
-    )
-    samples = (
-        None
-        if preprocess is None
-        else preprocess.samples_for_column(column_of_key_byte(target_byte))
+    source = ShardSource.physical(
+        generator, sensor, num_traces, seed, mask, preprocess,
+        target_byte, target_bit, reference, chunk_size,
     )
     points = _normalize_checkpoints(checkpoints, num_traces)
     shards = plan_shards(num_traces, max_workers, chunk_size)
@@ -712,366 +1045,15 @@ def sharded_physical_attack(
         "target_bit": int(target_bit),
         "chunk_size": int(chunk_size),
         "reference": bool(reference),
-        "sample_index": sample_index,
-    }
-    # Acquisition-realism keys enter the manifest only when active, so
-    # every pre-existing config hash (and with it checkpoint resume and
-    # service cache keys) stays byte-identical.
-    params.update(_acquisition_manifest_params(generator, preprocess))
-    manifest = CampaignManifest(
-        kind="physical",
-        params=params,
-        shard_plan=tuple((s.start, s.end) for s in shards),
-        checkpoints=tuple(int(p) for p in points),
-    )
-    with ArrayFanout(
-        heavy={
-            "generator": generator,
-            "sensor": sensor,
-            "chunk_size": chunk_size,
-            "seed": seed,
-            "reference": reference,
-            "sample_index": sample_index,
-            "mask": mask,
-            "target_byte": target_byte,
-            "target_bit": target_bit,
-            "preprocess": preprocess,
-            "samples": samples,
-        },
-        arrays={"plaintexts": plaintexts},
-        executor=executor,
-        workers=max_workers or default_workers(),
-        num_tasks=len(shards),
-    ) as fanout:
-        tasks = [
-            {
-                "ctx": fanout.context_id,
-                "shard": shard,
-                "segment_ends": _segment_ends(shard, points),
-            }
-            for shard in shards
-        ]
-        return _run_checkpointed_cpa(
-            _physical_shard_task,
-            tasks,
-            shards,
-            points,
-            generator.cipher.last_round_key[target_byte],
-            manifest,
-            max_workers,
-            executor,
-            policy,
-            fault_plan,
-            health,
-            checkpoint_path,
-            checkpoint_every,
-            resume,
-            map_kwargs=fanout.map_kwargs,
-        )
-
-
-def _physical_column_shard_task(task: Dict[str, object]) -> np.ndarray:
-    """One shard's column-resolved *physical* leakage, ``(num, 4)``.
-
-    Each chunk is generated end to end once (noise seed keyed on the
-    chunk's global start, exactly like :func:`_physical_shard_task`),
-    optionally preprocessed shard-locally, then read at every column's
-    resolved sample set with per-``(chunk, column, poi)`` jitter
-    streams — so any chunk-aligned sharding (including the fleet's)
-    reproduces the identical leakage block.
-    """
-    state = fanout_state(task["ctx"])
-    generator: PhysicalTraceGenerator = state.heavy["generator"]
-    sensor: BenignSensor = state.heavy["sensor"]
-    shard: Shard = task["shard"]
-    plaintexts = state.array("plaintexts")
-    chunk_size: int = state.heavy["chunk_size"]
-    seed: int = state.heavy["seed"]
-    mask: Optional[np.ndarray] = state.heavy["mask"]
-    preprocess: Optional[ResolvedPreprocess] = state.heavy.get("preprocess")
-    column_samples: Dict[int, np.ndarray] = state.heavy["column_samples"]
-
-    leakage = np.empty((shard.num_traces, 4), dtype=np.float64)
-    for start in range(shard.start, shard.end, chunk_size):
-        end = min(start + chunk_size, shard.end)
-        local = slice(start - shard.start, end - shard.start)
-        data = generator.generate(
-            plaintexts[start:end], seed=derive_seed(seed, "e2e-noise", start)
-        )
-        voltages = (
-            data["voltages"]
-            if preprocess is None
-            else preprocess.apply(data["voltages"])
-        )
-        for column in range(4):
-            total = np.zeros(end - start, dtype=np.float64)
-            for poi, sample in enumerate(column_samples[column]):
-                total += sensor.sample_weight(
-                    voltages[:, int(sample)],
-                    seed=derive_seed(
-                        seed, "e2e-col-jitter", start, column, poi
-                    ),
-                    mask=mask,
-                )
-            leakage[local, column] = total
-    return poison_leakage(leakage)
-
-
-def sharded_physical_full_key(
-    generator: PhysicalTraceGenerator,
-    sensor: BenignSensor,
-    num_traces: int,
-    mask: Optional[np.ndarray] = None,
-    target_bit: int = DEFAULT_TARGET_BIT,
-    checkpoints: Optional[List[int]] = None,
-    max_workers: Optional[int] = None,
-    chunk_size: int = TRACE_CHUNK,
-    executor: Optional[str] = None,
-    seed: int = 0,
-    preprocess: Optional[ResolvedPreprocess] = None,
-    policy: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    health: Optional[CampaignHealth] = None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-    resume: bool = False,
-) -> FullKeyResult:
-    """Full 16-byte key recovery over physically generated traces.
-
-    The physical counterpart of :func:`sharded_full_key`: every trace
-    is simulated end to end and all four last-round columns are read
-    from the *same* generated chunk, so one waveform pass feeds all 16
-    per-byte CPAs.  With ``preprocess`` set, each chunk is aligned /
-    cropped / resampled shard-locally and every column reads its
-    resolved POI set instead of the single nominal cycle sample.
-
-    Sharding, checkpointing and fault tolerance mirror
-    :func:`sharded_full_key`, except that a shard stays one task (its
-    chunks are generated once for all four columns); results are
-    bit-identical at any worker count because all chunk streams are
-    keyed on global indices.
-    """
-    if num_traces < 2:
-        raise ValueError("need at least 2 traces")
-    if mask is not None:
-        mask = np.asarray(mask)
-    plaintexts = random_plaintexts(
-        num_traces, seed=derive_seed(seed, "e2e-pt")
-    )
-    # Ciphertexts for the hypothesis stage come from a dedicated
-    # encryption-only pass — the waveform chunks stay worker-side.
-    ciphertexts = generator._batched_cipher().encrypt(plaintexts)
-    aligned_indices = generator.last_round_sample_indices()
-    column_samples = {
-        column: (
-            np.array([int(aligned_indices[column])], dtype=np.int64)
-            if preprocess is None
-            else preprocess.samples_for_column(column)
-        )
-        for column in range(4)
-    }
-    shards = plan_shards(num_traces, max_workers, chunk_size)
-    params = {
-        "seed": int(seed),
-        "sensor": sensor.name,
-        "last_round_key": generator.cipher.last_round_key.hex(),
-        "num_traces": int(num_traces),
-        "mask": None if mask is None else np.asarray(mask).tolist(),
-        "target_bit": int(target_bit),
-        "chunk_size": int(chunk_size),
-        "sample_indices": [int(i) for i in aligned_indices],
+        "sample_index": source.heavy["sample_index"],
     }
     params.update(_acquisition_manifest_params(generator, preprocess))
-    manifest = CampaignManifest(
-        kind="physical-fullkey",
-        params=params,
-        shard_plan=tuple((s.start, s.end) for s in shards),
-        checkpoints=tuple(
-            int(p) for p in (checkpoints if checkpoints else ())
-        ),
-    )
-
-    with ArrayFanout(
-        heavy={
-            "generator": generator,
-            "sensor": sensor,
-            "chunk_size": chunk_size,
-            "seed": seed,
-            "mask": mask,
-            "preprocess": preprocess,
-            "column_samples": column_samples,
-        },
-        arrays={"plaintexts": plaintexts},
-        executor=executor,
-        workers=max_workers or default_workers(),
-        num_tasks=len(shards),
-    ) as fanout:
-        leakage = _run_checkpointed_columns(
-            _physical_column_shard_task,
-            [{"ctx": fanout.context_id, "shard": shard} for shard in shards],
-            shards,
-            manifest,
-            max_workers,
-            executor,
-            policy,
-            fault_plan,
-            health,
-            checkpoint_path,
-            checkpoint_every,
-            resume,
-            map_kwargs=fanout.map_kwargs,
-        )
-    return recover_last_round_key(
-        leakage,
-        ciphertexts,
-        target_bit=target_bit,
-        correct_key=generator.cipher.last_round_key,
-        checkpoints=checkpoints,
-        max_workers=max_workers,
-        executor=executor,
-        policy=policy,
-        health=health,
-    )
-
-
-def _column_shard_task(task: Dict[str, object]) -> np.ndarray:
-    """One shard's leakage at one last-round column, ``(num, 1)``.
-
-    Chunk jitter seeds are keyed on the global ``(column, start)``
-    grid, so the four columns of a shard are independent tasks (see
-    :func:`_column_tasks`) that the pool balances across workers.
-    Returns the block instead of writing into a shared array so the
-    payload round-trips through a process pool unchanged.
-    """
-    state = fanout_state(task["ctx"])
-    campaign: AttackCampaign = state.heavy["campaign"]
-    shard: Shard = task["shard"]
-    column: int = task["column"]
-    voltages = state.array("voltages")
-    mask: np.ndarray = state.heavy["mask"]
-    chunk_size: int = state.heavy["chunk_size"]
-
-    leakage = np.empty((shard.num_traces, 1), dtype=np.float64)
-    for start in range(shard.start, shard.end, chunk_size):
-        end = min(start + chunk_size, shard.end)
-        leakage[start - shard.start : end - shard.start, 0] = (
-            campaign.column_leakage_block(
-                voltages[start:end, column], start, column, mask
-            )
-        )
-    return poison_leakage(leakage)
-
-
-def _column_tasks(
-    context_id: str, shards: Sequence[Shard]
-) -> List[Dict[str, object]]:
-    """One :func:`_column_shard_task` per (shard, column), shard-major."""
-    return [
-        {"ctx": context_id, "shard": shard, "column": column}
-        for shard in shards
-        for column in range(4)
-    ]
-
-
-def _shard_blocks(
-    results: Sequence[np.ndarray], per_shard: int
-) -> List[np.ndarray]:
-    """Each shard's ``per_shard`` consecutive task results, hstacked
-    into its ``(num, 4)`` leakage block."""
-    return [
-        np.hstack(results[index : index + per_shard])
-        for index in range(0, len(results), per_shard)
-    ]
-
-
-def _run_checkpointed_columns(
-    task_fn: Callable[[Dict[str, object]], np.ndarray],
-    tasks: List[Dict[str, object]],
-    shards: List[Shard],
-    manifest: CampaignManifest,
-    max_workers: Optional[int],
-    executor: Optional[str],
-    policy: Optional[RetryPolicy],
-    fault_plan: Optional[FaultPlan],
-    health: Optional[CampaignHealth],
-    checkpoint_path: Optional[str],
-    checkpoint_every: Optional[int],
-    resume: bool,
-    map_kwargs: Optional[Dict[str, object]] = None,
-) -> np.ndarray:
-    """Shared group-wise collect/checkpoint loop of the two full-key
-    drivers; returns the ``(N, 4)`` column leakage.
-
-    ``tasks`` holds the same number of tasks for every shard, in shard
-    order: four (one per column) for the analytic source, one for the
-    physical source, which generates each chunk once for all columns.
-    Every task carries its shard's fault site, and the leakage prefix
-    becomes durable after every ``checkpoint_every`` whole shards, so
-    the shard plan, manifest and checkpoint files do not depend on the
-    split.
-    """
-    per_shard = len(tasks) // len(shards)
-    blocks: List[np.ndarray] = []
-    completed = 0
-    if resume and checkpoint_path is not None and os.path.exists(
-        checkpoint_path
-    ):
-        stored = load_checkpoint(checkpoint_path)
-        verify_manifest(checkpoint_path, stored.manifest, manifest)
-        completed = stored.completed_shards
-        if completed:
-            blocks.append(
-                np.asarray(
-                    stored.arrays["leakage_prefix"], dtype=np.float64
-                )
-            )
-
-    robust = (
-        policy is not None
-        or fault_plan is not None
-        or health is not None
-        or checkpoint_path is not None
-    )
-    group = len(shards)
-    if checkpoint_path is not None:
-        # Default group = worker count, so durability costs no
-        # parallelism (a group is one map_ordered call).
-        group = max(1, checkpoint_every or max_workers or default_workers())
-    while completed < len(shards):
-        stop = min(completed + group, len(shards))
-        kwargs: Dict[str, object] = {}
-        if robust:
-            kwargs = dict(
-                policy=policy,
-                fault_plan=fault_plan,
-                sites=[
-                    shard.site
-                    for shard in shards[completed:stop]
-                    for _ in range(per_shard)
-                ],
-                health=health,
-                validate=_validate_column_block,
-            )
-        results = map_ordered(
-            task_fn,
-            tasks[completed * per_shard : stop * per_shard],
-            max_workers=max_workers,
-            executor=executor,
-            **dict(map_kwargs or {}),
-            **kwargs,
-        )
-        blocks.extend(_shard_blocks(results, per_shard))
-        completed = stop
-        if checkpoint_path is not None:
-            save_checkpoint(
-                checkpoint_path,
-                CampaignCheckpoint(
-                    manifest=manifest,
-                    completed_shards=completed,
-                    arrays={"leakage_prefix": np.vstack(blocks)},
-                ),
-            )
-    return np.vstack(blocks)
+    return _run_shards(
+        source, shards, SegmentPartials(points),
+        _manifest("physical", params, shards, points), max_workers,
+        executor, policy, fault_plan, health, checkpoint_path,
+        checkpoint_every, resume,
+    ).result(generator.cipher.last_round_key[target_byte])
 
 
 def sharded_full_key(
@@ -1103,19 +1085,11 @@ def sharded_full_key(
     """
     if num_traces < 2:
         raise ValueError("need at least 2 traces")
-    mask, _ = campaign.resolve_reduction(REDUCTION_HW)
-    ciphertexts = random_ciphertexts(
-        num_traces, seed=derive_seed(campaign.seed, "campaign-ct")
-    )
-    voltages = campaign.leakage.column_voltages(
-        ciphertexts,
-        campaign.cipher.last_round_key,
-        seed=derive_seed(campaign.seed, "campaign-noise"),
-    )
+    source = ShardSource.per_column(campaign, num_traces, chunk_size)
     shards = plan_shards(num_traces, max_workers, chunk_size)
-    manifest = CampaignManifest(
-        kind="fullkey",
-        params={
+    manifest = _manifest(
+        "fullkey",
+        {
             "campaign_seed": campaign.seed,
             "sensor": campaign.sensor.name,
             "last_round_key": campaign.cipher.last_round_key.hex(),
@@ -1123,43 +1097,89 @@ def sharded_full_key(
             "target_bit": int(target_bit),
             "chunk_size": int(chunk_size),
         },
-        shard_plan=tuple((s.start, s.end) for s in shards),
-        checkpoints=tuple(
-            int(p) for p in (checkpoints if checkpoints else ())
-        ),
+        shards,
+        checkpoints or (),
     )
-
-    with ArrayFanout(
-        heavy={
-            "campaign": campaign,
-            "mask": mask,
-            "chunk_size": chunk_size,
-        },
-        arrays={"voltages": voltages},
-        executor=executor,
-        workers=max_workers or default_workers(),
-        num_tasks=4 * len(shards),
-    ) as fanout:
-        leakage = _run_checkpointed_columns(
-            _column_shard_task,
-            _column_tasks(fanout.context_id, shards),
-            shards,
-            manifest,
-            max_workers,
-            executor,
-            policy,
-            fault_plan,
-            health,
-            checkpoint_path,
-            checkpoint_every,
-            resume,
-            map_kwargs=fanout.map_kwargs,
-        )
+    leakage = _run_shards(
+        source, shards, ColumnBlocks(len(source.columns)), manifest,
+        max_workers, executor, policy, fault_plan, health,
+        checkpoint_path, checkpoint_every, resume,
+    ).result()
     return recover_last_round_key(
         leakage,
-        ciphertexts,
+        source.ciphertexts,
         target_bit=target_bit,
         correct_key=campaign.cipher.last_round_key,
+        checkpoints=checkpoints,
+        max_workers=max_workers,
+        executor=executor,
+        policy=policy,
+        health=health,
+    )
+
+
+def sharded_physical_full_key(
+    generator: PhysicalTraceGenerator,
+    sensor: BenignSensor,
+    num_traces: int,
+    mask: Optional[np.ndarray] = None,
+    target_bit: int = DEFAULT_TARGET_BIT,
+    checkpoints: Optional[List[int]] = None,
+    max_workers: Optional[int] = None,
+    chunk_size: int = TRACE_CHUNK,
+    executor: Optional[str] = None,
+    seed: int = 0,
+    preprocess: Optional[ResolvedPreprocess] = None,
+    policy: Optional[RetryPolicy] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    health: Optional[CampaignHealth] = None,
+    checkpoint_path: Optional[str] = None,
+    checkpoint_every: Optional[int] = None,
+    resume: bool = False,
+) -> FullKeyResult:
+    """Full 16-byte key recovery over physically generated traces.
+
+    Every trace is simulated end to end and all four last-round columns
+    are read from the *same* generated chunk, so one task per shard
+    feeds all 16 per-byte CPAs.  With ``preprocess`` set, each chunk is
+    aligned / cropped / resampled shard-locally and every column reads
+    its resolved POI set instead of the single nominal cycle sample.
+    The column-block statistic, its checkpoints and the runtime knobs
+    are those of :func:`sharded_full_key`; results are bit-identical at
+    any worker count because all chunk streams are keyed on global
+    indices.
+    """
+    if num_traces < 2:
+        raise ValueError("need at least 2 traces")
+    source = ShardSource.physical_columns(
+        generator, sensor, num_traces, seed, mask, preprocess, chunk_size
+    )
+    shards = plan_shards(num_traces, max_workers, chunk_size)
+    mask = source.heavy["mask"]
+    params = {
+        "seed": int(seed),
+        "sensor": sensor.name,
+        "last_round_key": generator.cipher.last_round_key.hex(),
+        "num_traces": int(num_traces),
+        "mask": None if mask is None else mask.tolist(),
+        "target_bit": int(target_bit),
+        "chunk_size": int(chunk_size),
+        "sample_indices": [
+            int(i) for i in generator.last_round_sample_indices()
+        ],
+    }
+    params.update(_acquisition_manifest_params(generator, preprocess))
+    leakage = _run_shards(
+        source, shards, ColumnBlocks(),
+        _manifest("physical-fullkey", params, shards, checkpoints or ()),
+        max_workers, executor, policy, fault_plan, health,
+        checkpoint_path, checkpoint_every, resume,
+    ).result()
+    return recover_last_round_key(
+        leakage,
+        source.ciphertexts,
+        target_bit=target_bit,
+        correct_key=generator.cipher.last_round_key,
         checkpoints=checkpoints,
         max_workers=max_workers,
         executor=executor,

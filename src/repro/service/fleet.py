@@ -25,9 +25,13 @@ protocol of :mod:`repro.service.codec` in both directions.  The
   even *duplicate* completions (a revoked worker finishing late) are
   harmless: the first result per shard wins and any repeat is
   bit-identical by construction.
+* **Validation** — every lease result passes the job statistic's
+  validator (:meth:`~repro.service.runners.FleetShardPlan.validate`)
+  before it is stored; a malformed one counts as a worker error:
+  requeue, and toward distinct-worker quarantine.
 * **Merge** — partial :class:`~repro.attacks.cpa.StreamingCPA` states
-  merge in shard-plan order through the exact loop of the single-host
-  driver, so correlations are byte-identical at any fleet size, any
+  merge in shard-plan order through the single-host driver's reducer,
+  so correlations are byte-identical at any fleet size, any
   completion interleaving, and any reassignment history.
 
 The coordinator lives inside the scheduler's event loop; all state is
@@ -54,6 +58,7 @@ from repro.service.runners import (
     plan_fleet_job,
 )
 from repro.util.errors import ReproError
+from repro.util.executors import TruncatedResultError
 
 __all__ = [
     "FleetConfig",
@@ -612,7 +617,19 @@ class FleetCoordinator:
             self.metrics.inc("fleet_duplicate_results")
             await self._pump()
             return
-        job.results[index] = message.get("result")
+        result = message.get("result")
+        try:
+            job.plan.validate(index, result)
+        except TruncatedResultError as exc:
+            # A malformed result is the worker failing the lease: the
+            # same requeue and distinct-worker quarantine as an error.
+            self.metrics.inc("fleet_invalid_results")
+            await self._on_error(
+                worker,
+                {"lease_id": lease_id, "error": "invalid result: %s" % exc},
+            )
+            return
+        job.results[index] = result
         if job.outstanding.get(index) is lease:
             del job.outstanding[index]
         self._leases.pop(lease_id, None)

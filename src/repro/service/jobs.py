@@ -47,6 +47,7 @@ __all__ = [
     "JobState",
     "QueueFullError",
     "STATUS_TERMINAL",
+    "check_acquisition_reduction",
     "normalize_params",
 ]
 
@@ -263,7 +264,29 @@ def normalize_params(
         if expected is float and isinstance(value, int):
             value = float(value)
         normalized[name] = _check_value(kind, name, value)
+    check_acquisition_reduction(kind, normalized)
     return normalized
+
+
+def check_acquisition_reduction(
+    kind: str, params: Dict[str, object]
+) -> None:
+    """Reject an attack job that pairs jitter/preprocess with a
+    single-bit reduction.
+
+    ``jitter`` and ``preprocess`` route an attack onto the physical
+    pipeline, which reduces full endpoint words, so they require
+    ``reduction=hamming_weight``.  Called at admission and again when a
+    job's campaign is resolved, so every route rejects it alike.
+    """
+    acquisition = params.get("jitter") or params.get("preprocess")
+    reduction = params.get("reduction", "hamming_weight")
+    if kind == "attack" and acquisition and reduction != "hamming_weight":
+        raise JobError(
+            "attack job: jitter/preprocess require "
+            "reduction=hamming_weight (the physical pipeline reduces "
+            "full endpoint words)"
+        )
 
 
 @dataclass(frozen=True)

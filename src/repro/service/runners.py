@@ -9,6 +9,16 @@ fault-tolerant sharded drivers (:func:`sharded_attack` /
 :func:`sharded_full_key` / :func:`run_all_figures`) — so service jobs
 inherit retries, backend degradation, and checkpoint/resume for free.
 
+Fleet execution is the same computation split differently.  One
+resolver (:class:`_Job`) turns an ``attack`` or ``fullkey`` job's
+params into its campaign: the direct run calls the public driver, a
+lease (:func:`run_attack_shard` / :func:`run_fullkey_shard`) runs the
+driver's own shard source through
+:func:`repro.experiments.parallel.run_lease`, and the coordinator
+merges (:func:`merge_attack_partials` / :func:`merge_fullkey_blocks`)
+reduce with the driver's statistic — one shard contract on every
+route.
+
 Trace-generation jobs additionally support *coalescing*:
 :func:`run_tracegen_batch` runs one deterministic pass (batched AES →
 current waveform → PDN droop) over the concatenated plaintexts of many
@@ -30,33 +40,33 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.aes.aes128 import AES128
-from repro.aes.leakage import random_ciphertexts
-from repro.attacks.cpa import CPAResult, StreamingCPA
+from repro.attacks.cpa import CPAResult, StreamingCPA, default_checkpoints
 from repro.attacks.full_key import (
     FullKeyResult,
     column_of_key_byte,
     recover_last_round_key,
 )
 from repro.attacks.models import DEFAULT_TARGET_BIT, DEFAULT_TARGET_BYTE
-from repro.core.attack import REDUCTION_HW, TRACE_CHUNK
-from repro.core.tracegen import PhysicalTraceGenerator, random_plaintexts
+from repro.core.attack import TRACE_CHUNK
+from repro.core.tracegen import (
+    PhysicalTraceGenerator,
+    campaign_plaintexts,
+    random_plaintexts,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
+    ColumnBlocks,
+    SegmentPartials,
     Shard,
-    _attack_shard_task,
-    _column_shard_task,
-    _column_tasks,
-    _normalize_checkpoints,
-    _physical_column_shard_task,
-    _physical_shard_task,
-    _segment_ends,
-    _shard_blocks,
+    ShardSource,
     plan_shards,
+    run_lease,
+    segment_ends,
     sharded_attack,
     sharded_full_key,
     sharded_physical_attack,
@@ -66,14 +76,16 @@ from repro.preprocess.pipeline import ResolvedPreprocess, resolve_preprocess
 from repro.preprocess.spec import MisalignmentSpec, PreprocessSpec
 from repro.experiments.runner import FigureRecord, run_all_figures
 from repro.experiments.setup import ExperimentSetup
+from repro.service.jobs import check_acquisition_reduction
 from repro.util import kernels
 from repro.util.executors import (
     CampaignHealth,
     RetryPolicy,
-    map_ordered,
+    # Leases fan out through repro.experiments.parallel; the name stays
+    # importable here for the bench ledger's patch table (bench/spans.py).
+    map_ordered,  # noqa: F401
 )
 from repro.util.rng import derive_seed
-from repro.util.shm import ArrayFanout
 
 __all__ = [
     "FleetShardPlan",
@@ -237,6 +249,120 @@ def _physical_seed(config: ExperimentConfig, circuit: str) -> int:
     return derive_seed(config.seed, "physical-campaign", circuit)
 
 
+#: ``(kind, physical) -> (public driver, the shard source it builds)``.
+#: :class:`_Job` hands both the same keyword arguments.
+_ROUTES = {
+    ("attack", False): (sharded_attack, ShardSource.reduced),
+    ("attack", True): (sharded_physical_attack, ShardSource.physical),
+    ("fullkey", False): (sharded_full_key, ShardSource.per_column),
+    ("fullkey", True): (
+        sharded_physical_full_key,
+        ShardSource.physical_columns,
+    ),
+}
+
+
+class _Job:
+    """An ``attack`` or ``fullkey`` job resolved from its params.
+
+    The one place job params become campaign objects.  The direct run
+    (:meth:`run`) calls the public driver and a lease (:meth:`source`)
+    builds that driver's shard source, both from the same arguments;
+    the coordinator merges resolve here too, so the routes cannot
+    drift apart.  Resolution is lazy: a merge that needs only the
+    cipher never builds the sensor or the traces.
+    """
+
+    def __init__(self, kind: str, params: Dict[str, object]):
+        check_acquisition_reduction(kind, params)
+        self.kind = kind
+        self.params = params
+        self.config = _experiment_config(params)
+        self.setup = cached_setup(self.config)
+        self.circuit = str(params.get("circuit", "alu"))
+        self.num_traces = int(params["traces"])  # type: ignore[arg-type]
+        self.misalignment, self.spec = _acquisition_specs(params)
+        self.physical = self.misalignment is not None or self.spec is not None
+        self.seed = _physical_seed(self.config, self.circuit)
+
+    @property
+    def campaign(self):
+        return self.setup.campaign(self.circuit)
+
+    @property
+    def generator(self) -> PhysicalTraceGenerator:
+        return _physical_generator(self.setup.cipher, self.misalignment)
+
+    def knobs(self, **runtime: object) -> Dict[str, object]:
+        """The job's execution knobs, plus ``runtime`` ones."""
+        return dict(
+            max_workers=self.params.get("workers"),
+            executor=self.params.get("executor"),
+            policy=retry_policy(
+                self.params.get("retries"),  # type: ignore[arg-type]
+                self.params.get("task_timeout"),  # type: ignore[arg-type]
+                self.config.seed,
+            ),
+            **runtime,
+        )
+
+    def _arguments(self) -> Dict[str, object]:
+        """What the job's driver and shard source are built from."""
+        if not self.physical:
+            arguments = {"campaign": self.campaign}
+            if self.kind == "attack":
+                arguments["reduction"] = str(self.params["reduction"])
+            return dict(arguments, num_traces=self.num_traces)
+        generator = self.generator
+        columns = (
+            (column_of_key_byte(DEFAULT_TARGET_BYTE),)
+            if self.kind == "attack"
+            else tuple(range(4))
+        )
+        return {
+            "generator": generator,
+            "sensor": self.campaign.sensor,
+            "num_traces": self.num_traces,
+            "seed": self.seed,
+            "preprocess": _resolved_plan(
+                self.spec, generator, self.seed, columns
+            ),
+        }
+
+    def run(self, **runtime: object) -> object:
+        """The direct route: the job's public driver."""
+        driver, _ = _ROUTES[self.kind, self.physical]
+        return driver(**self._arguments(), **self.knobs(**runtime))
+
+    def source(self) -> ShardSource:
+        """The lease route: the driver's shard source, cached per
+        configuration."""
+        _, build = _ROUTES[self.kind, self.physical]
+        campaign = self.campaign
+        key = (
+            self.kind,
+            campaign.sensor.name,
+            int(campaign.seed),
+            self.num_traces,
+            self.params.get("reduction"),
+            self.params.get("jitter"),
+            self.params.get("preprocess"),
+        )
+        return _cached_inputs(key, lambda: build(**self._arguments()))
+
+    def ciphertexts(self) -> np.ndarray:
+        """The full-key hypothesis stage's ciphertexts, without traces.
+
+        The coordinator's merge needs only these; :meth:`source` would
+        also draw the whole campaign's column voltages (about 0.3 s at
+        250k traces) just to discard them.
+        """
+        if self.physical:
+            plaintexts = campaign_plaintexts(self.num_traces, self.seed)
+            return self.generator.encrypt(plaintexts)
+        return self.campaign.ciphertexts(self.num_traces)
+
+
 def run_attack(
     params: Dict[str, object],
     health: Optional[CampaignHealth] = None,
@@ -246,57 +372,7 @@ def run_attack(
 ) -> CPAResult:
     """The ``repro attack`` campaign as a parameter-dict runner."""
     with kernels.use(_kernels_spec(params)):
-        config = _experiment_config(params)
-        setup = cached_setup(config)
-        circuit = str(params["circuit"])
-        campaign = setup.campaign(circuit)
-        misalignment, spec = _acquisition_specs(params)
-        if misalignment is not None or spec is not None:
-            from repro.service.jobs import JobError  # noqa: PLC0415
-
-            if str(params["reduction"]) != REDUCTION_HW:
-                raise JobError(
-                    "attack job: jitter/preprocess require "
-                    "reduction=hamming_weight (the physical pipeline "
-                    "reduces full endpoint words)"
-                )
-            generator = _physical_generator(setup.cipher, misalignment)
-            seed = _physical_seed(config, circuit)
-            preprocess = _resolved_plan(
-                spec,
-                generator,
-                seed,
-                (column_of_key_byte(DEFAULT_TARGET_BYTE),),
-            )
-            return sharded_physical_attack(
-                generator,
-                campaign.sensor,
-                int(params["traces"]),  # type: ignore[arg-type]
-                max_workers=params.get("workers"),  # type: ignore[arg-type]
-                executor=params.get("executor"),  # type: ignore[arg-type]
-                seed=seed,
-                preprocess=preprocess,
-                policy=retry_policy(
-                    params.get("retries"),  # type: ignore[arg-type]
-                    params.get("task_timeout"),  # type: ignore[arg-type]
-                    config.seed,
-                ),
-                health=health,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                resume=resume,
-            )
-        return sharded_attack(
-            campaign,
-            int(params["traces"]),  # type: ignore[arg-type]
-            reduction=str(params["reduction"]),
-            max_workers=params.get("workers"),  # type: ignore[arg-type]
-            executor=params.get("executor"),  # type: ignore[arg-type]
-            policy=retry_policy(
-                params.get("retries"),  # type: ignore[arg-type]
-                params.get("task_timeout"),  # type: ignore[arg-type]
-                config.seed,
-            ),
+        return _Job("attack", params).run(
             health=health,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
@@ -313,44 +389,7 @@ def run_fullkey(
 ) -> FullKeyResult:
     """The ``repro fullkey`` campaign as a parameter-dict runner."""
     with kernels.use(_kernels_spec(params)):
-        config = _experiment_config(params)
-        setup = cached_setup(config)
-        misalignment, spec = _acquisition_specs(params)
-        if misalignment is not None or spec is not None:
-            campaign = setup.campaign("alu")
-            generator = _physical_generator(setup.cipher, misalignment)
-            seed = _physical_seed(config, "alu")
-            preprocess = _resolved_plan(
-                spec, generator, seed, tuple(range(4))
-            )
-            return sharded_physical_full_key(
-                generator,
-                campaign.sensor,
-                int(params["traces"]),  # type: ignore[arg-type]
-                max_workers=params.get("workers"),  # type: ignore[arg-type]
-                executor=params.get("executor"),  # type: ignore[arg-type]
-                seed=seed,
-                preprocess=preprocess,
-                policy=retry_policy(
-                    params.get("retries"),  # type: ignore[arg-type]
-                    params.get("task_timeout"),  # type: ignore[arg-type]
-                    config.seed,
-                ),
-                health=health,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                resume=resume,
-            )
-        return sharded_full_key(
-            setup.campaign("alu"),
-            int(params["traces"]),  # type: ignore[arg-type]
-            max_workers=params.get("workers"),  # type: ignore[arg-type]
-            executor=params.get("executor"),  # type: ignore[arg-type]
-            policy=retry_policy(
-                params.get("retries"),  # type: ignore[arg-type]
-                params.get("task_timeout"),  # type: ignore[arg-type]
-                config.seed,
-            ),
+        return _Job("fullkey", params).run(
             health=health,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
@@ -507,13 +546,12 @@ def run_tracegen_batch(
 # *warm set*, which is what the coordinator's cache-aware placement
 # matches job config hashes against.
 
-#: Campaign input arrays rebuilt on this host, keyed per configuration.
-#: A handful of entries bounds memory (a 250k-trace campaign's inputs
-#: are a few MB); LRU keeps the actively leased configs resident.
+#: Lease shard sources (campaign input arrays plus the recipe's state)
+#: rebuilt on this host, keyed per configuration.  A handful of entries
+#: bounds memory (a 250k-trace campaign's inputs are a few MB); LRU
+#: keeps the actively leased configs resident.
 _INPUTS_MAX_ENTRIES = 4
-_INPUTS: "OrderedDict[Tuple[object, ...], Tuple[np.ndarray, np.ndarray]]" = (
-    OrderedDict()
-)
+_INPUTS: "OrderedDict[Tuple[object, ...], ShardSource]" = OrderedDict()
 _INPUTS_LOCK = threading.Lock()
 
 #: Config hashes this process has done work for (insertion-ordered so
@@ -540,9 +578,8 @@ def warm_cache_keys(limit: int = 64) -> List[str]:
 
 
 def _cached_inputs(
-    key: Tuple[object, ...],
-    build,
-) -> Tuple[np.ndarray, np.ndarray]:
+    key: Tuple[object, ...], build: Callable[[], ShardSource]
+) -> ShardSource:
     with _INPUTS_LOCK:
         hit = _INPUTS.get(key)
         if hit is not None:
@@ -557,38 +594,14 @@ def _cached_inputs(
     return value
 
 
-def _attack_inputs(campaign, num_traces: int):
-    """Campaign-global ciphertexts/voltages, cached per configuration."""
-    key = ("attack", campaign.sensor.name, int(campaign.seed), int(num_traces))
-    return _cached_inputs(key, lambda: campaign.campaign_inputs(num_traces))
-
-
-def _fullkey_inputs(campaign, num_traces: int):
-    """Column-resolved ciphertexts/voltages, cached per configuration."""
-
-    def build():
-        ciphertexts = random_ciphertexts(
-            num_traces, seed=derive_seed(campaign.seed, "campaign-ct")
-        )
-        voltages = campaign.leakage.column_voltages(
-            ciphertexts,
-            campaign.cipher.last_round_key,
-            seed=derive_seed(campaign.seed, "campaign-noise"),
-        )
-        return ciphertexts, voltages
-
-    key = ("fullkey", campaign.sensor.name, int(campaign.seed), int(num_traces))
-    return _cached_inputs(key, build)
-
-
 @dataclass(frozen=True)
 class FleetShardPlan:
     """A job's chunk-aligned shard decomposition for fleet dispatch.
 
     ``segment_ends[i]`` are shard *i*'s internal merge boundaries —
     every campaign checkpoint falling inside the shard plus the shard
-    end — exactly :func:`repro.experiments.parallel._segment_ends`, so
-    the coordinator's trace-order merge reproduces the single-host
+    end (:func:`repro.experiments.parallel.segment_ends`) — so the
+    coordinator's trace-order merge reproduces the single-host
     checkpoint sequence bit for bit.
     """
 
@@ -596,6 +609,16 @@ class FleetShardPlan:
     shards: Tuple[Tuple[int, int], ...]
     segment_ends: Tuple[Tuple[int, ...], ...]
     checkpoints: Tuple[int, ...]
+
+    def validate(self, index: int, result: object) -> None:
+        """Check shard ``index``'s lease result with the job statistic's
+        validator (raises :class:`TruncatedResultError` if malformed)."""
+        shard = Shard(*self.shards[index])
+        if self.kind == "attack":
+            task = {"shard": shard, "segment_ends": self.segment_ends[index]}
+            SegmentPartials.validate(task, result)
+        else:
+            ColumnBlocks.validate({"shard": shard}, result)
 
 
 def plan_fleet_job(
@@ -611,197 +634,15 @@ def plan_fleet_job(
         raise ValueError("job kind %r is not fleet-dispatchable" % kind)
     num_traces = int(params["traces"])  # type: ignore[arg-type]
     shards = plan_shards(num_traces, max(1, int(num_shards)), TRACE_CHUNK)
-    if kind == "attack":
-        points = _normalize_checkpoints(None, num_traces)
-        ends = tuple(
-            tuple(_segment_ends(shard, points)) for shard in shards
-        )
-        checkpoints = tuple(int(p) for p in points)
-    else:
-        ends = tuple((shard.end,) for shard in shards)
-        checkpoints = ()
+    points = default_checkpoints(num_traces) if kind == "attack" else ()
     return FleetShardPlan(
         kind=kind,
         shards=tuple((s.start, s.end) for s in shards),
-        segment_ends=ends,
-        checkpoints=checkpoints,
+        segment_ends=tuple(
+            tuple(segment_ends(shard, points)) for shard in shards
+        ),
+        checkpoints=tuple(int(p) for p in points),
     )
-
-
-def _plan_subshards(shard: Shard, workers: int) -> List[Shard]:
-    """Chunk-aligned split of one lease for the worker's local pool."""
-    if workers <= 1 or shard.start % TRACE_CHUNK:
-        return [shard]
-    relative = plan_shards(shard.num_traces, workers, TRACE_CHUNK)
-    return [
-        Shard(shard.start + sub.start, shard.start + sub.end)
-        for sub in relative
-    ]
-
-
-def _fold_subshard_partials(
-    per_sub: Sequence[List[Tuple[int, StreamingCPA]]],
-    segment_ends: Sequence[int],
-) -> List[Tuple[int, StreamingCPA]]:
-    """Merge local sub-shard partials back onto the lease's segments.
-
-    Sub-shard boundaries are a superset of the lease's segment ends
-    (each sub-shard re-splits on the checkpoints it contains, plus its
-    own end); merging them in trace order and snapshotting at each
-    requested segment end yields the identical per-segment engines a
-    serial pass over the lease would have produced — same integer-exact
-    running sums, different grouping.
-    """
-    targets = [int(p) for p in segment_ends]
-    folded: List[Tuple[int, StreamingCPA]] = []
-    accumulator = StreamingCPA(num_candidates=256)
-    cursor = 0
-    for partials in per_sub:
-        for boundary, engine in partials:
-            accumulator.merge(engine)
-            if cursor < len(targets) and int(boundary) == targets[cursor]:
-                folded.append((targets[cursor], accumulator))
-                accumulator = StreamingCPA(num_candidates=256)
-                cursor += 1
-    if cursor != len(targets):
-        raise ValueError(
-            "sub-shard boundaries did not cover segment ends %s" % targets
-        )
-    return folded
-
-
-def _run_physical_attack_shard(
-    params: Dict[str, object],
-    config: ExperimentConfig,
-    campaign,
-    misalignment: Optional[MisalignmentSpec],
-    spec: Optional[PreprocessSpec],
-    shard: Shard,
-    segment_ends: Sequence[int],
-    workers: int,
-    executor: Optional[str],
-) -> List[Tuple[int, Dict[str, np.ndarray]]]:
-    """One *physical* attack shard lease (jitter/preprocess jobs).
-
-    Mirrors :func:`run_attack_shard` over the physical pipeline: the
-    lease's chunks are generated end to end on the global chunk grid
-    (the same seed derivations as
-    :func:`~repro.experiments.parallel.sharded_physical_attack`), so
-    the coordinator's merge is bit-identical to the local route.
-    """
-    circuit = str(params["circuit"])
-    column = column_of_key_byte(DEFAULT_TARGET_BYTE)
-    generator = _physical_generator(campaign.cipher, misalignment)
-    seed = _physical_seed(config, circuit)
-    preprocess = _resolved_plan(spec, generator, seed, (column,))
-    samples = (
-        None if preprocess is None else preprocess.samples_for_column(column)
-    )
-    num_traces = int(params["traces"])  # type: ignore[arg-type]
-    plaintexts = random_plaintexts(
-        num_traces, seed=derive_seed(seed, "e2e-pt")
-    )
-    sample_index = int(generator.last_round_sample_indices()[column])
-    sub_shards = _plan_subshards(shard, workers)
-    with ArrayFanout(
-        heavy={
-            "generator": generator,
-            "sensor": campaign.sensor,
-            "chunk_size": TRACE_CHUNK,
-            "seed": seed,
-            "reference": False,
-            "sample_index": sample_index,
-            "mask": None,
-            "target_byte": DEFAULT_TARGET_BYTE,
-            "target_bit": DEFAULT_TARGET_BIT,
-            "preprocess": preprocess,
-            "samples": samples,
-        },
-        arrays={"plaintexts": plaintexts},
-        executor=executor,
-        workers=workers,
-        num_tasks=len(sub_shards),
-    ) as fanout:
-        tasks = [
-            {
-                "ctx": fanout.context_id,
-                "shard": sub,
-                "segment_ends": [
-                    int(p)
-                    for p in segment_ends
-                    if sub.start < int(p) < sub.end
-                ]
-                + [sub.end],
-            }
-            for sub in sub_shards
-        ]
-        per_sub = map_ordered(
-            _physical_shard_task,
-            tasks,
-            max_workers=workers,
-            executor=executor,
-            **fanout.map_kwargs,
-        )
-    folded = _fold_subshard_partials(per_sub, segment_ends)
-    return [
-        (boundary, engine.state_arrays()) for boundary, engine in folded
-    ]
-
-
-def _run_physical_fullkey_shard(
-    params: Dict[str, object],
-    config: ExperimentConfig,
-    campaign,
-    misalignment: Optional[MisalignmentSpec],
-    spec: Optional[PreprocessSpec],
-    shard: Shard,
-    workers: int,
-    executor: Optional[str],
-) -> np.ndarray:
-    """One *physical* full-key shard lease: a ``(num, 4)`` block."""
-    generator = _physical_generator(campaign.cipher, misalignment)
-    seed = _physical_seed(config, "alu")
-    preprocess = _resolved_plan(spec, generator, seed, tuple(range(4)))
-    aligned = generator.last_round_sample_indices()
-    column_samples = {
-        column: (
-            np.array([int(aligned[column])], dtype=np.int64)
-            if preprocess is None
-            else preprocess.samples_for_column(column)
-        )
-        for column in range(4)
-    }
-    num_traces = int(params["traces"])  # type: ignore[arg-type]
-    plaintexts = random_plaintexts(
-        num_traces, seed=derive_seed(seed, "e2e-pt")
-    )
-    sub_shards = _plan_subshards(shard, workers)
-    with ArrayFanout(
-        heavy={
-            "generator": generator,
-            "sensor": campaign.sensor,
-            "chunk_size": TRACE_CHUNK,
-            "seed": seed,
-            "mask": None,
-            "preprocess": preprocess,
-            "column_samples": column_samples,
-        },
-        arrays={"plaintexts": plaintexts},
-        executor=executor,
-        workers=workers,
-        num_tasks=len(sub_shards),
-    ) as fanout:
-        tasks = [
-            {"ctx": fanout.context_id, "shard": sub} for sub in sub_shards
-        ]
-        blocks = map_ordered(
-            _physical_column_shard_task,
-            tasks,
-            max_workers=workers,
-            executor=executor,
-            **fanout.map_kwargs,
-        )
-    return np.vstack(blocks)
 
 
 def run_attack_shard(
@@ -814,81 +655,23 @@ def run_attack_shard(
 ) -> List[Tuple[int, Dict[str, np.ndarray]]]:
     """One attack shard lease on this host, as raw accumulator states.
 
-    Rebuilds the campaign deterministically from the job parameters,
-    generates exactly the lease's trace range on the global chunk grid,
-    and returns one :meth:`StreamingCPA.state_arrays` dict per segment
-    boundary — ready for the frame codec and for order-preserving
-    merges on the coordinator.  A multi-slot worker fans the lease out
-    across its local pool (``ArrayFanout`` + :func:`map_ordered`, the
-    PR 5 zero-copy path) and folds the sub-partials back; single-slot
-    hosts run the shard task inline.  Both paths are bit-identical.
+    Rebuilds the campaign's shard source deterministically from the job
+    parameters (cached per configuration), runs exactly the lease's
+    trace range on the global chunk grid through the local drivers'
+    shard task — split across ``local_workers`` and folded back — and
+    returns one :meth:`StreamingCPA.state_arrays` dict per segment
+    boundary, ready for the frame codec and the coordinator's merge.
     """
     with kernels.use(_kernels_spec(params)):
-        config = _experiment_config(params)
-        setup = cached_setup(config)
-        campaign = setup.campaign(str(params["circuit"]))
-        misalignment, spec = _acquisition_specs(params)
-        if misalignment is not None or spec is not None:
-            return _run_physical_attack_shard(
-                params,
-                config,
-                campaign,
-                misalignment,
-                spec,
-                Shard(int(start), int(end)),
-                segment_ends,
-                max(1, int(local_workers or 1)),
-                executor,
-            )
-        reduction = str(params["reduction"])
-        mask, bit = campaign.resolve_reduction(reduction)
-        ciphertexts, voltages = _attack_inputs(
-            campaign, int(params["traces"])  # type: ignore[arg-type]
+        folded = run_lease(
+            _Job("attack", params).source(),
+            start,
+            end,
+            [int(p) for p in segment_ends],
+            max(1, int(local_workers or 1)),
+            executor,
         )
-        shard = Shard(int(start), int(end))
-        workers = max(1, int(local_workers or 1))
-        sub_shards = _plan_subshards(shard, workers)
-        with ArrayFanout(
-            heavy={
-                "campaign": campaign,
-                "chunk_size": TRACE_CHUNK,
-                "reduction": reduction,
-                "mask": mask,
-                "bit": bit,
-                "target_bit": DEFAULT_TARGET_BIT,
-            },
-            arrays={
-                "voltages": voltages,
-                "ct_bytes": ciphertexts[:, DEFAULT_TARGET_BYTE],
-            },
-            executor=executor,
-            workers=workers,
-            num_tasks=len(sub_shards),
-        ) as fanout:
-            tasks = [
-                {
-                    "ctx": fanout.context_id,
-                    "shard": sub,
-                    "segment_ends": [
-                        int(p)
-                        for p in segment_ends
-                        if sub.start < int(p) < sub.end
-                    ]
-                    + [sub.end],
-                }
-                for sub in sub_shards
-            ]
-            per_sub = map_ordered(
-                _attack_shard_task,
-                tasks,
-                max_workers=workers,
-                executor=executor,
-                **fanout.map_kwargs,
-            )
-        folded = _fold_subshard_partials(per_sub, segment_ends)
-        return [
-            (boundary, engine.state_arrays()) for boundary, engine in folded
-        ]
+    return [(boundary, engine.state_arrays()) for boundary, engine in folded]
 
 
 def run_fullkey_shard(
@@ -900,53 +683,20 @@ def run_fullkey_shard(
 ) -> np.ndarray:
     """One full-key shard lease: the column-resolved leakage block.
 
-    Mirrors the collection stage of :func:`sharded_full_key` for the
-    lease's trace range; the cheap 16-byte CPA stage always runs on the
-    coordinator (:func:`merge_fullkey_blocks`), exactly as the
-    single-host driver recomputes it after collection.
+    The collection stage of :func:`sharded_full_key` (or its physical
+    counterpart) for the lease's trace range; the cheap 16-byte CPA
+    stage always runs on the coordinator (:func:`merge_fullkey_blocks`),
+    exactly as the single-host driver recomputes it after collection.
     """
     with kernels.use(_kernels_spec(params)):
-        config = _experiment_config(params)
-        setup = cached_setup(config)
-        campaign = setup.campaign("alu")
-        misalignment, spec = _acquisition_specs(params)
-        if misalignment is not None or spec is not None:
-            return _run_physical_fullkey_shard(
-                params,
-                config,
-                campaign,
-                misalignment,
-                spec,
-                Shard(int(start), int(end)),
-                max(1, int(local_workers or 1)),
-                executor,
-            )
-        mask, _ = campaign.resolve_reduction(REDUCTION_HW)
-        _ciphertexts, voltages = _fullkey_inputs(
-            campaign, int(params["traces"])  # type: ignore[arg-type]
+        return run_lease(
+            _Job("fullkey", params).source(),
+            start,
+            end,
+            None,
+            max(1, int(local_workers or 1)),
+            executor,
         )
-        shard = Shard(int(start), int(end))
-        workers = max(1, int(local_workers or 1))
-        sub_shards = _plan_subshards(shard, workers)
-        with ArrayFanout(
-            heavy={
-                "campaign": campaign,
-                "mask": mask,
-                "chunk_size": TRACE_CHUNK,
-            },
-            arrays={"voltages": voltages},
-            executor=executor,
-            workers=workers,
-            num_tasks=4 * len(sub_shards),
-        ) as fanout:
-            columns = map_ordered(
-                _column_shard_task,
-                _column_tasks(fanout.context_id, sub_shards),
-                max_workers=workers,
-                executor=executor,
-                **fanout.map_kwargs,
-            )
-        return np.vstack(_shard_blocks(columns, 4))
 
 
 def merge_attack_partials(
@@ -958,29 +708,26 @@ def merge_attack_partials(
 ) -> CPAResult:
     """Trace-order merge of per-shard accumulator states → CPAResult.
 
-    Replays exactly the merge loop of the single-host driver
-    (:func:`repro.experiments.parallel._run_checkpointed_cpa`): shards
+    The single-host driver's reducer (:class:`SegmentPartials`): shards
     in plan order, segments in trace order, correlations evaluated at
     every checkpoint boundary.  Because the running sums are
     float-exact, the result is bit-identical regardless of which
     workers computed the partials, in what interleaving, after how many
     reassignments, or with what local sub-sharding.
     """
-    points = np.asarray(plan.checkpoints, dtype=np.int64)
-    checkpoint_set = {int(p) for p in points}
-    running = StreamingCPA(num_candidates=256)
-    rows: List[np.ndarray] = []
-    for partials in partials_by_shard:
-        for boundary, state in partials:
-            running.merge(StreamingCPA.from_state_arrays(state))
-            if int(boundary) in checkpoint_set:
-                rows.append(running.correlations())
-    config = _experiment_config(params)
-    setup = cached_setup(config)
-    return CPAResult(
-        checkpoints=points,
-        correlations=np.vstack(rows),
-        correct_key=int(setup.cipher.last_round_key[DEFAULT_TARGET_BYTE]),
+    job = _Job("attack", params)
+    statistic = SegmentPartials(plan.checkpoints)
+    statistic.merge(
+        [
+            [
+                (int(boundary), StreamingCPA.from_state_arrays(state))
+                for boundary, state in partials
+            ]
+            for partials in partials_by_shard
+        ]
+    )
+    return statistic.result(
+        int(job.setup.cipher.last_round_key[DEFAULT_TARGET_BYTE])
     )
 
 
@@ -992,48 +739,25 @@ def merge_fullkey_blocks(
     """Stack per-shard leakage blocks and recover the last-round key.
 
     The blocks arrive in shard-plan order, so the stacked matrix is the
-    exact array :func:`sharded_full_key` builds; the per-byte CPA stage
+    exact array the single-host driver builds; the per-byte CPA stage
     then runs locally with the job's own execution knobs — identical to
     the single-host path by construction.
     """
     with kernels.use(_kernels_spec(params)):
-        config = _experiment_config(params)
-        setup = cached_setup(config)
-        campaign = setup.campaign("alu")
-        num_traces = int(params["traces"])  # type: ignore[arg-type]
-        leakage = np.vstack(list(blocks))
-        if leakage.shape[0] != num_traces:
+        job = _Job("fullkey", params)
+        statistic = ColumnBlocks()
+        statistic.merge(list(blocks))
+        leakage = statistic.result()
+        if leakage.shape[0] != job.num_traces:
             raise ValueError(
                 "fullkey merge expected %d traces, got %d"
-                % (num_traces, leakage.shape[0])
-            )
-        misalignment, spec = _acquisition_specs(params)
-        if misalignment is not None or spec is not None:
-            # Physical jobs draw plaintexts; the hypothesis ciphertexts
-            # come from a cheap encryption-only pass over the same
-            # seeded draw the shard workers generated from.
-            generator = _physical_generator(campaign.cipher, misalignment)
-            seed = _physical_seed(config, "alu")
-            plaintexts = random_plaintexts(
-                num_traces, seed=derive_seed(seed, "e2e-pt")
-            )
-            ciphertexts = generator._batched_cipher().encrypt(plaintexts)
-        else:
-            ciphertexts = random_ciphertexts(
-                num_traces, seed=derive_seed(campaign.seed, "campaign-ct")
+                % (job.num_traces, leakage.shape[0])
             )
         return recover_last_round_key(
             leakage,
-            ciphertexts,
+            job.ciphertexts(),
             target_bit=DEFAULT_TARGET_BIT,
-            correct_key=campaign.cipher.last_round_key,
+            correct_key=job.setup.cipher.last_round_key,
             checkpoints=None,
-            max_workers=params.get("workers"),  # type: ignore[arg-type]
-            executor=params.get("executor"),  # type: ignore[arg-type]
-            policy=retry_policy(
-                params.get("retries"),  # type: ignore[arg-type]
-                params.get("task_timeout"),  # type: ignore[arg-type]
-                config.seed,
-            ),
-            health=health,
+            **job.knobs(health=health),
         )

@@ -10,10 +10,10 @@ server drains or the connection drops:
 
 * each lease executes on a thread (``asyncio.to_thread``) through
   :func:`repro.service.runners.run_attack_shard` /
-  :func:`run_fullkey_shard`, which rebuild campaign state
-  deterministically from the job parameters and fan the shard out over
-  the host's local pool (``ArrayFanout`` + ``map_ordered`` — the PR 5
-  zero-copy machinery), so one worker runs at full single-host speed;
+  :func:`run_fullkey_shard`, which rebuild the campaign's shard source
+  deterministically from the job parameters and run the lease through
+  the single-host shard task and loop on the host's local pool, so one
+  worker runs at full single-host speed;
 * a heartbeat task reports liveness and the current warm-key set every
   ``heartbeat_s`` (the server dictates the interval at registration);
 * ``revoke`` suppresses leases that have not started yet; a lease
@@ -22,9 +22,10 @@ server drains or the connection drops:
   the duplicate (this is deliberate: purity makes late results
   harmless, and finishing is cheaper than tearing down a pool);
 * a :class:`~repro.util.faults.FaultPlan` can be injected (tests, CI)
-  to fire deterministic exceptions/hangs keyed on the shard site and
-  lease attempt — the same keying the single-host resilient runtime
-  uses, so recovery paths are reproducible down to the attempt number;
+  to fire deterministic exceptions, hangs and truncated results keyed
+  on the shard site and lease attempt — the same keying the
+  single-host resilient runtime uses, so recovery paths are
+  reproducible down to the attempt number;
 * with ``reconnect=True`` the worker *outlives the server*: a dropped
   link (including a SIGKILLed coordinator) triggers a redial loop with
   seeded exponential backoff, the warm-key advertisement is re-sent at
@@ -403,18 +404,27 @@ class FleetWorker:
                     local_workers=self.local_workers,
                     executor=self.executor,
                 )
-                return [
+                result: object = [
                     [int(boundary), state] for boundary, state in partials
                 ]
-            if kind == "fullkey":
-                return run_fullkey_shard(
+            elif kind == "fullkey":
+                result = run_fullkey_shard(
                     params,
                     start,
                     end,
                     local_workers=self.local_workers,
                     executor=self.executor,
                 )
-        raise WorkerError("lease has unknown job kind %r" % kind)
+            else:
+                raise WorkerError("lease has unknown job kind %r" % kind)
+        if self.fault_plan is not None:
+            # A "truncate" fault loses the payload's last element on
+            # the way back, as on the single-host runtime; the
+            # coordinator's result validation must catch it.
+            result = self.fault_plan.corrupt_payload(
+                site, attempt, "fleet", result
+            )
+        return result
 
     # ------------------------------------------------------------------
     # Heartbeats

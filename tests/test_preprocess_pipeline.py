@@ -216,31 +216,6 @@ class TestServiceShardPath:
         "preprocess": "align=correlation:4",
     }
 
-    def test_sharded_merge_equals_local_run(self):
-        from repro.service.jobs import JobSpec
-        from repro.service.runners import (
-            merge_attack_partials,
-            plan_fleet_job,
-            run_attack,
-            run_attack_shard,
-        )
-
-        spec = JobSpec.create("attack", dict(self.PARAMS))
-        baseline = run_attack(dict(spec.params, fleet=False))
-        plan = plan_fleet_job("attack", spec.params, 2)
-        assert len(plan.shards) > 1, "plan must actually distribute"
-        partials = [
-            run_attack_shard(
-                spec.params, start, end, list(ends), local_workers=1
-            )
-            for (start, end), ends in zip(plan.shards, plan.segment_ends)
-        ]
-        merged = merge_attack_partials(spec.params, plan, partials)
-        assert np.array_equal(
-            merged.correlations, baseline.correlations
-        )
-        assert np.array_equal(merged.checkpoints, baseline.checkpoints)
-
     def test_fleet_of_two_workers_is_bit_identical(self):
         from tests.test_service_fleet import (
             _run_job,

@@ -18,10 +18,12 @@ from repro.service.fleet import FleetConfig, FleetCoordinator
 from repro.service.jobs import JobSpec
 from repro.service.runners import (
     merge_attack_partials,
+    merge_fullkey_blocks,
     plan_fleet_job,
     run_attack,
     run_attack_shard,
     run_fullkey,
+    run_fullkey_shard,
 )
 from repro.service.scheduler import CampaignScheduler, SchedulerConfig
 from repro.service.server import CampaignServer
@@ -114,20 +116,6 @@ class TestShardPlanAndMerge:
         )
         assert covered == sorted(plan.checkpoints)
 
-    def test_independent_shards_merge_to_the_exact_local_result(self):
-        spec = _attack_spec()
-        baseline = _baseline(spec)
-        plan = plan_fleet_job("attack", spec.params, 3)
-        assert len(plan.shards) > 1, "plan must actually distribute"
-        partials = [
-            run_attack_shard(
-                spec.params, start, end, list(ends), local_workers=1
-            )
-            for (start, end), ends in zip(plan.shards, plan.segment_ends)
-        ]
-        merged = merge_attack_partials(spec.params, plan, partials)
-        _assert_cpa_equal(merged, baseline)
-
     def test_merge_is_invariant_to_shard_count(self):
         spec = _attack_spec()
         baseline = _baseline(spec)
@@ -143,6 +131,100 @@ class TestShardPlanAndMerge:
             ]
             merged = merge_attack_partials(spec.params, plan, partials)
             _assert_cpa_equal(merged, baseline)
+
+
+class TestRouteIdentity:
+    """The fleet route (plan -> lease -> merge) equals the direct run.
+
+    110k traces over two shards gives a two-chunk first lease, so a
+    two-slot worker really splits it into local sub-shards and folds
+    them back before the coordinator merge.
+    """
+
+    SOURCES = {
+        "analytic": {},
+        "physical": {
+            "jitter": "uniform:2",
+            "preprocess": "align=correlation:4",
+        },
+    }
+
+    @pytest.mark.parametrize("local_workers", [1, 2])
+    @pytest.mark.parametrize("source", ["analytic", "physical"])
+    @pytest.mark.parametrize("kind", ["attack", "fullkey"])
+    def test_fleet_route(self, kind, source, local_workers):
+        spec = JobSpec.create(
+            kind, dict(self.SOURCES[source], traces=110_000, seed=5)
+        )
+        plan = plan_fleet_job(kind, spec.params, 2)
+        assert len(plan.shards) == 2
+        if kind == "attack":
+            direct = run_attack(dict(spec.params, fleet=False))
+            partials = [
+                run_attack_shard(
+                    spec.params, start, end, list(ends),
+                    local_workers=local_workers,
+                )
+                for (start, end), ends in zip(plan.shards, plan.segment_ends)
+            ]
+            merged = merge_attack_partials(spec.params, plan, partials)
+            pairs = [(merged, direct)]
+        else:
+            direct = run_fullkey(dict(spec.params, fleet=False))
+            blocks = [
+                run_fullkey_shard(
+                    spec.params, start, end, local_workers=local_workers
+                )
+                for start, end in plan.shards
+            ]
+            merged = merge_fullkey_blocks(spec.params, blocks)
+            assert (
+                merged.recovered_last_round_key
+                == direct.recovered_last_round_key
+            )
+            pairs = list(zip(merged.byte_results, direct.byte_results))
+        for mine, theirs in pairs:
+            assert mine.correct_key == theirs.correct_key
+            assert (
+                mine.checkpoints.tobytes() == theirs.checkpoints.tobytes()
+            )
+            assert (
+                mine.correlations.tobytes() == theirs.correlations.tobytes()
+            )
+
+
+class TestLeaseValidation:
+    """The coordinator checks each lease result against the job's
+    statistic before storing it."""
+
+    def test_attack_partials_must_cover_the_segment_ends(self):
+        from repro.util.executors import TruncatedResultError
+
+        spec = _attack_spec()
+        plan = plan_fleet_job("attack", spec.params, 2)
+        (start, end), ends = plan.shards[0], plan.segment_ends[0]
+        partials = [
+            [boundary, state]
+            for boundary, state in run_attack_shard(
+                spec.params, start, end, list(ends), local_workers=1
+            )
+        ]
+        plan.validate(0, partials)
+        for bad in (partials[:-1], partials[1:], None, "junk"):
+            with pytest.raises(TruncatedResultError):
+                plan.validate(0, bad)
+
+    def test_fullkey_block_must_have_the_lease_shape(self):
+        from repro.util.executors import TruncatedResultError
+
+        spec = JobSpec.create("fullkey", {"traces": 2_000, "seed": 1})
+        plan = plan_fleet_job("fullkey", spec.params, 1)
+        start, end = plan.shards[0]
+        block = run_fullkey_shard(spec.params, start, end)
+        plan.validate(0, block)
+        for bad in (block[:-1], block[:, :3], None):
+            with pytest.raises(TruncatedResultError):
+                plan.validate(0, bad)
 
 
 class TestFleetEndToEnd:
@@ -218,6 +300,39 @@ class TestFleetEndToEnd:
                 assert state.status == "done", state.error
                 metrics = scheduler.metrics
                 assert metrics.counter("fleet_shard_errors").value >= 1
+                assert (
+                    metrics.counter("fleet_leases_reassigned").value >= 1
+                )
+                from repro.service.codec import from_payload
+
+                return from_payload(state.result)
+            finally:
+                await _teardown(workers, tasks, server)
+
+        _assert_cpa_equal(asyncio.run(run()), baseline)
+
+    def test_truncated_result_is_rejected_and_reassigned(self):
+        spec = _attack_spec()
+        baseline = _baseline(spec)
+        # Worker 0 loses the last segment of every first-attempt
+        # result; the coordinator's validator must reject it and the
+        # reassigned lease (attempt 1) delivers the whole payload.
+        plans = {
+            0: FaultPlan(
+                [FaultSpec("truncate", attempts=1, scope="any")], seed=3
+            )
+        }
+
+        async def run():
+            scheduler, server, host, port = await _start_service()
+            workers, tasks = await _start_workers(
+                host, port, scheduler, 2, fault_plans=plans
+            )
+            try:
+                state = await _run_job(scheduler, spec)
+                assert state.status == "done", state.error
+                metrics = scheduler.metrics
+                assert metrics.counter("fleet_invalid_results").value >= 1
                 assert (
                     metrics.counter("fleet_leases_reassigned").value >= 1
                 )

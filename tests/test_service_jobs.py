@@ -104,6 +104,42 @@ class TestAcquisitionParams:
         with pytest.raises(JobError, match="window"):
             normalize_params("attack", {"preprocess": "window=9"})
 
+    def test_single_bit_with_acquisition_rejected_on_every_route(self):
+        for extra in (
+            {"jitter": "uniform:2"},
+            {"preprocess": "align=correlation:4"},
+        ):
+            with pytest.raises(JobError, match="reduction=hamming_weight"):
+                normalize_params(
+                    "attack", dict(extra, reduction="single_bit")
+                )
+        # A param dict that skipped admission: the direct route, the
+        # lease route and the coordinator merge reject it alike.
+        from repro.service.runners import (
+            merge_attack_partials,
+            plan_fleet_job,
+            run_attack,
+            run_attack_shard,
+        )
+
+        params = dict(
+            normalize_params(
+                "attack", {"traces": 4000, "jitter": "uniform:2"}
+            ),
+            reduction="single_bit",
+        )
+        plan = plan_fleet_job("attack", params, 1)
+        routes = (
+            lambda: run_attack(params),
+            lambda: run_attack_shard(
+                params, 0, 4000, list(plan.segment_ends[0])
+            ),
+            lambda: merge_attack_partials(params, plan, []),
+        )
+        for route in routes:
+            with pytest.raises(JobError, match="reduction=hamming_weight"):
+                route()
+
     def test_tracegen_takes_jitter_but_not_preprocess(self):
         params = normalize_params("tracegen", {"jitter": "uniform:1"})
         assert params["jitter"] == "uniform:1"

@@ -266,57 +266,62 @@ class TestWorkerReconnect:
             asyncio.run(worker.run())
 
 
+def _run_poisoned_fleet(fault: FaultSpec):
+    """A 2-worker fleet where every worker carries ``fault``."""
+    spec = JobSpec.create(
+        "attack", {"traces": 8_000, "seed": 1, "fleet": True}
+    )
+    poison = FaultPlan([fault], seed=2)
+
+    async def run():
+        scheduler = CampaignScheduler(
+            SchedulerConfig(max_concurrency=1),
+            fleet_config=FleetConfig(quarantine_after=2),
+        )
+        server = CampaignServer(scheduler, port=0)
+        host, port = await server.start()
+        workers, tasks = [], []
+        for index in range(2):
+            worker = FleetWorker(
+                host,
+                port,
+                name="poisoned%d" % index,
+                slots=1,
+                local_workers=1,
+                fault_plan=poison,
+                quiet=True,
+            )
+            workers.append(worker)
+            tasks.append(asyncio.create_task(worker.run()))
+        deadline = asyncio.get_running_loop().time() + 15.0
+        while scheduler.fleet.num_workers < 2:
+            assert asyncio.get_running_loop().time() < deadline
+            await asyncio.sleep(0.02)
+        try:
+            state = scheduler.submit(spec)
+            async for _event in state.stream():
+                pass
+            quarantined = scheduler.metrics.counter(
+                "shards_quarantined"
+            ).value
+            return state, quarantined
+        finally:
+            for worker in workers:
+                worker.drain()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            await server.close()
+
+    return asyncio.run(run())
+
+
 class TestQuarantine:
     def test_poison_shard_fails_fast_with_a_structured_error(self):
         """A shard that raises on two distinct workers is the shard's
         fault; the job fails immediately with a quarantine report
         instead of burning the whole attempt budget."""
-        spec = JobSpec.create(
-            "attack", {"traces": 8_000, "seed": 1, "fleet": True}
+        state, quarantined = _run_poisoned_fleet(
+            FaultSpec("exception", attempts=99, scope="any")
         )
-        poison = FaultPlan(
-            [FaultSpec("exception", attempts=99, scope="any")], seed=2
-        )
-
-        async def run():
-            scheduler = CampaignScheduler(
-                SchedulerConfig(max_concurrency=1),
-                fleet_config=FleetConfig(quarantine_after=2),
-            )
-            server = CampaignServer(scheduler, port=0)
-            host, port = await server.start()
-            workers, tasks = [], []
-            for index in range(2):
-                worker = FleetWorker(
-                    host,
-                    port,
-                    name="poisoned%d" % index,
-                    slots=1,
-                    local_workers=1,
-                    fault_plan=poison,
-                    quiet=True,
-                )
-                workers.append(worker)
-                tasks.append(asyncio.create_task(worker.run()))
-            deadline = asyncio.get_running_loop().time() + 15.0
-            while scheduler.fleet.num_workers < 2:
-                assert asyncio.get_running_loop().time() < deadline
-                await asyncio.sleep(0.02)
-            try:
-                state = scheduler.submit(spec)
-                async for _event in state.stream():
-                    pass
-                quarantined = scheduler.metrics.counter(
-                    "shards_quarantined"
-                ).value
-                return state, quarantined
-            finally:
-                for worker in workers:
-                    worker.drain()
-                await asyncio.gather(*tasks, return_exceptions=True)
-                await server.close()
-
-        state, quarantined = asyncio.run(run())
         assert state.status == "failed"
         assert "quarantined" in state.error
         assert "distinct worker" in state.error
@@ -324,6 +329,17 @@ class TestQuarantine:
         assert quarantined >= 1
         kinds = [event["event"] for event in state.events]
         assert "shard_quarantined" in kinds
+
+    def test_persistently_truncated_results_quarantine_the_shard(self):
+        """Results that fail validation on two distinct workers count
+        exactly like raised errors."""
+        state, quarantined = _run_poisoned_fleet(
+            FaultSpec("truncate", attempts=99, scope="any")
+        )
+        assert state.status == "failed"
+        assert "quarantined" in state.error
+        assert "invalid result" in state.error
+        assert quarantined >= 1
 
 
 class TestPhantomHandshake:
