@@ -17,8 +17,8 @@ Commands:
   ``BENCH_sampling.json``; ``--suite e2e`` measures the batched
   end-to-end trace-generation pipeline (AES datapath + PDN IIR +
   process sharding) and writes ``BENCH_e2e.json``; ``--suite kernels``
-  compares every available backend (numpy/scipy/native) of the three
-  hot kernels and writes ``BENCH_kernels.json``; ``--suite fleet``
+  compares every available backend (numpy/native) of the five hot
+  kernels and writes ``BENCH_kernels.json``; ``--suite fleet``
   measures distributed campaign dispatch over 1 vs N loopback workers
   (bit-identity asserted before any timing) and writes
   ``BENCH_fleet.json``; ``--suite chaos`` runs the deterministic
@@ -26,8 +26,8 @@ Commands:
   barrier, restart it on the same journal, and assert the recovered
   results are byte-identical to undisturbed runs — and writes
   ``BENCH_chaos.json``.  All records embed host metadata
-  (python/numpy/scipy versions, CPU count, platform, executor backend,
-  resolved kernel-backend map, native provider, numba version) so
+  (python/numpy versions, CPU count, platform, executor backend,
+  resolved kernel-backend map, native provider) so
   snapshots from different machines compare honestly.
 * ``serve`` — run the campaign job service: an asyncio scheduler with
   a bounded priority queue, request batching, in-flight dedupe, a
@@ -57,11 +57,12 @@ Commands:
 Parallel commands accept ``--workers N`` and ``--executor
 {thread,process}``; results are bit-identical across backends and
 worker counts.  The campaign and bench commands also accept
-``--kernels {auto,numpy,scipy,native}`` (or a per-kernel map like
-``aes=native,pdn=scipy``) selecting the compiled-kernel backends —
+``--kernels {auto,numpy,native}`` (or a per-kernel map like
+``aes=native,pdn=numpy``) selecting the compiled-kernel backends —
 bit-identical by contract.  Invalid values (``--workers 0``, an
-unknown executor or kernels name, ``native`` on a host without numba
-or a C compiler) exit with code 2 and one actionable line, not a
+unknown executor or kernels name, ``native`` on a host without a C
+compiler, a ``REPRO_NATIVE_PROVIDER`` other than ``auto`` or
+``none``) exit with code 2 and one actionable line, not a
 traceback.  The campaign commands (``attack``, ``fullkey``) also
 take fault-tolerance flags — ``--checkpoint PATH``,
 ``--checkpoint-every K``, ``--resume``, ``--retries N``,
@@ -100,18 +101,19 @@ def _add_kernels_argument(parser) -> None:
         "--kernels",
         default=None,
         metavar="{auto,numpy,native}",
-        help="kernel backend selection: auto (default), numpy, scipy, "
-        "native, or a per-kernel map like aes=native,pdn=scipy",
+        help="kernel backend selection: auto (default), numpy, "
+        "native, or a per-kernel map like aes=native,pdn=numpy",
     )
 
 
 def _validate_parallel_args(args) -> None:
-    """Reject bad --workers/--executor values with a ReproError.
+    """Reject bad --workers/--executor/--kernels values with a ReproError.
 
     Argparse would answer with a usage dump and exit code 2 of its
     own; routing through :class:`ReproError` instead gives the same
     one-actionable-line contract as every campaign failure.
     """
+    from repro.util import kernels, kernels_native
     from repro.util.errors import ReproError
     from repro.util.executors import EXECUTOR_KINDS
 
@@ -127,10 +129,11 @@ def _validate_parallel_args(args) -> None:
             "unknown --executor %r (expected one of %s)"
             % (executor, ", ".join(EXECUTOR_KINDS))
         )
+    # An unknown REPRO_NATIVE_PROVIDER fails every command up front,
+    # not only the first one that dispatches a kernel.
+    kernels_native.provider_request()
     spec = getattr(args, "kernels", None)
     if spec is not None:
-        from repro.util import kernels
-
         # parse_spec raises KernelConfigError (a ReproError) on an
         # unknown mode/kernel; resolving eagerly raises
         # KernelUnavailableError naming the missing dependency when
@@ -703,7 +706,7 @@ def _cmd_bench(args) -> int:
     from repro.util import kernels
 
     # One-line availability/selection report (which backend each
-    # kernel resolved to, what serves "native", numba version).
+    # kernel resolved to, what serves "native").
     print(kernels.describe())
     if args.suite == "kernels":
         from repro.experiments.benchmark import write_kernels_benchmark

@@ -88,21 +88,11 @@ def host_metadata(executor: Optional[str] = None) -> Dict[str, object]:
     platform that produced them is known; this block pins the
     interpreter, the numeric stack, the machine, the executor backend,
     and — since the kernel dispatch layer — the resolved kernel backend
-    map (``kernel_backends``), the native provider serving it, and the
-    numba version.  ``scipy``/``numba`` are optional in the runtime, so
-    their versions are recorded as ``None`` when absent rather than
-    failing the bench.
+    map (``kernel_backends``) and the native provider serving it.
     """
-    try:
-        import scipy  # noqa: PLC0415 — optional dependency probe
-
-        scipy_version: Optional[str] = scipy.__version__
-    except ImportError:
-        scipy_version = None
     meta = {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy_version,
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
@@ -119,23 +109,28 @@ def host_metadata(executor: Optional[str] = None) -> Dict[str, object]:
 def warm_kernels() -> None:
     """Run every dispatched kernel once on tiny inputs, pre-timing.
 
-    JIT-compiled backends (numba) pay compilation and the cc backend
-    pays a one-time library build on first call; running each op here
-    keeps that cost out of every timed repeat.  The warm-up outputs are
-    asserted equal to the numpy reference — the same
-    assert-before-timing contract the stage comparisons enforce, just
-    extended to the warm-up itself.
+    The native backend pays a one-time library build (and the sensor
+    kernel its load-time self-check) on first call; running each op
+    here keeps that cost out of every timed repeat.  The warm-up
+    outputs of all five kernels are asserted equal to the numpy
+    reference — the same assert-before-timing contract the stage
+    comparisons enforce, just extended to the warm-up itself.
     """
     rng = make_rng(derive_seed(0, "bench-kernel-warmup"))
     plaintexts = rng.integers(0, 256, size=(4, 16), dtype=np.uint8)
     currents = rng.normal(0.02, 0.005, size=(4, 32))
     leakage = rng.integers(0, 9, size=16).astype(np.float64)
     hypotheses = rng.integers(0, 2, size=(16, 256)).astype(np.int8)
+    samples = rng.normal(size=(3, 40))
 
     from repro.aes.batch import BatchedAES128, cycle_activity_and_ciphertexts
     from repro.attacks.cpa import StreamingCPA
     from repro.attacks.models import single_bit_hypothesis
-    from repro.pdn.model import PDNModel
+    from repro.pdn.model import PDNModel, PDNParameters
+    from repro.preprocess.resample import polyphase_resample
+
+    sensor = BenignSensor.from_name("alu")
+    voltages = rng.normal(PDNParameters().nominal_voltage, 0.005, size=64)
 
     def run_all():
         batched = BatchedAES128(bytes(range(16)))
@@ -145,24 +140,18 @@ def warm_kernels() -> None:
         )
         hyp = single_bit_hypothesis(states[:, 11, 0])
         droop = PDNModel().integrate_batch(currents)
+        resampled = polyphase_resample(samples, 3, 2)
+        weight = sensor.sample_weight(voltages, seed=7)
         engine = StreamingCPA()
         engine.update(leakage, hypotheses)
-        return states, activity, ciphertexts, hyp, droop, engine
+        arrays = (states, activity, ciphertexts, hyp, droop, resampled,
+                  weight)
+        return arrays + tuple(engine.state_arrays().values())
 
     with kernels.use("numpy"):
         reference = run_all()
     warmed = run_all()
-    same = all(
-        np.array_equal(a, b)
-        for a, b in zip(reference[:5], warmed[:5])
-    ) and all(
-        np.array_equal(a, b)
-        for a, b in zip(
-            reference[5].state_arrays().values(),
-            warmed[5].state_arrays().values(),
-        )
-    )
-    if not same:
+    if not all(np.array_equal(a, b) for a, b in zip(reference, warmed)):
         raise AssertionError(
             "kernel warm-up output diverges from the numpy reference "
             "(active backends: %r)" % (kernels.active_backends(),)
@@ -1209,6 +1198,7 @@ def run_kernels_benchmark(
     from repro.attacks.cpa import StreamingCPA
     from repro.pdn.model import PDNModel
 
+    warm_kernels()
     rng = make_rng(derive_seed(seed, "bench-kernels"))
     record: Dict[str, object] = {
         "seed": seed,

@@ -24,13 +24,15 @@ recurrence::
     c2 = -(1 - 2*zeta*omega0*dt)
     b0 = (omega0*dt)^2 * R
 
-which is evaluated as a vectorized IIR filter
-(:meth:`PDNModel.integrate_batch`); the pure-Python recurrence loop
-(:meth:`PDNModel._integrate_reference`) is kept as the bit-identical
-ground truth the fast path is validated against.  The recurrence is
-stable only while ``omega0*dt`` stays below its Jury bound —
-:meth:`PDNModel.recurrence_coefficients` raises ``ValueError`` for
-resonance/sample-rate combinations that would silently diverge.
+which is evaluated through the ``pdn`` kernel of
+:mod:`repro.util.kernels` (:meth:`PDNModel.integrate_batch`: a numpy
+recurrence vectorized across traces, or the native C loop); the
+pure-Python recurrence loop (:meth:`PDNModel._integrate_reference`) is
+kept as the bit-identical ground truth the fast path is validated
+against.  The recurrence is stable only while ``omega0*dt`` stays below
+its Jury bound — :meth:`PDNModel.recurrence_coefficients` raises
+``ValueError`` for resonance/sample-rate combinations that would
+silently diverge.
 
 Typical FPGA PDN resonances sit in the 100 kHz – 10 MHz band; the
 default 2 MHz makes a 4 MHz RO on/off pattern produce the two clearly
@@ -47,17 +49,10 @@ import numpy as np
 from repro.util import kernels
 from repro.util.rng import make_rng
 
-try:  # scipy is optional; the pure-numpy fallback is bit-identical.
-    from scipy.signal import lfilter as _lfilter
-except ImportError:  # pragma: no cover - depends on the environment
-    _lfilter = None
-
-
 # ----------------------------------------------------------------------
 # Registered kernel backends for the droop recurrence.  The numpy pair
-# is the bit-identity reference; scipy's lfilter (registered only when
-# importable) and the native sequential loop produce the same float64
-# operation sequence per sample, so all three match bit-for-bit.
+# is the bit-identity reference; the native sequential loop produces the
+# same float64 operation sequence per sample, so both match bit-for-bit.
 # ----------------------------------------------------------------------
 
 
@@ -95,31 +90,6 @@ kernels.register_backend(
     integrate=_integrate_numpy,
     integrate_batch=_integrate_batch_numpy,
 )
-
-if _lfilter is not None:
-
-    # _lfilter is re-read at call time so tests can simulate scipy
-    # disappearing after import; the numpy recurrence is bit-identical.
-    def _integrate_scipy(
-        current: np.ndarray, c1: float, c2: float, b0: float
-    ) -> np.ndarray:
-        if _lfilter is None:
-            return _integrate_numpy(current, c1, c2, b0)
-        return _lfilter([b0], [1.0, -c1, -c2], current)
-
-    def _integrate_batch_scipy(
-        currents: np.ndarray, c1: float, c2: float, b0: float
-    ) -> np.ndarray:
-        if _lfilter is None:
-            return _integrate_batch_numpy(currents, c1, c2, b0)
-        return _lfilter([b0], [1.0, -c1, -c2], currents, axis=1)
-
-    kernels.register_backend(
-        "pdn",
-        "scipy",
-        integrate=_integrate_scipy,
-        integrate_batch=_integrate_batch_scipy,
-    )
 
 
 @dataclass(frozen=True)
@@ -251,8 +221,8 @@ class PDNModel:
         """Integrate the RLC droop response for one current waveform.
 
         Dispatched through the kernel registry: ``native`` runs the
-        sequential compiled loop, ``scipy`` the IIR ``lfilter`` form,
-        ``numpy`` the reference recurrence — all bit-identical.
+        sequential compiled loop, ``numpy`` the reference recurrence —
+        both bit-identical.
         """
         current = np.asarray(current, dtype=np.float64)
         c1, c2, b0 = self.recurrence_coefficients()

@@ -12,8 +12,8 @@ their effort on and which perfectly-triggered simulation skips:
 2. :mod:`repro.preprocess.align` — static-window crop plus
    correlation/SAD shift estimation against a reference trace;
 3. :mod:`repro.preprocess.resample` — polyphase rational resampling,
-   registered as the fourth :mod:`repro.util.kernels` kernel
-   (scipy-gated, with a bit-identical numpy fallback);
+   registered as the fourth :mod:`repro.util.kernels` kernel (a
+   numpy reference and a bit-identical native C loop);
 4. :mod:`repro.preprocess.poi` — variance and SOST point-of-interest
    ranking feeding a reduced-sample view into the streaming CPA;
 5. :mod:`repro.preprocess.pipeline` — binding a spec to a concrete

@@ -7,20 +7,16 @@ grid, which keeps the resampled trace time-aligned with the input —
 ``map_resampled_index`` then converts an original sample index into
 the resampled space.
 
-Backends follow the :mod:`repro.util.kernels` dispatch conventions as
-the fourth registered kernel (``resample``):
+The filter runs through the ``resample`` kernel of
+:mod:`repro.util.kernels` (op ``upfirdn``):
 
-* ``scipy`` — :func:`scipy.signal.upfirdn`'s compiled polyphase loop;
 * ``numpy`` — a pure-numpy polyphase evaluation registered as the
-  reference.  Each output phase accumulates its taps in *descending*
-  tap order, which is exactly the accumulation order of scipy's
-  implementation — so the two backends are **bit-identical**, not just
-  close, and the registry's equality contract holds for this kernel
-  like for aes/pdn/cpa (asserted in the test suite over a sweep of
-  rate pairs).
-
-There is no native implementation; under a ``native`` selection the
-dispatcher falls back to ``scipy`` where available, else ``numpy``.
+  reference.  Each output sample accumulates its in-range taps in
+  *descending* tap order.
+* ``native`` — ``repro_upfirdn`` in the C library of
+  :mod:`repro.util.kernels_native`, which sums the same products in the
+  same order, so the two backends are **bit-identical**, not just
+  close (asserted in the test suite over generated rates and batches).
 """
 
 from __future__ import annotations
@@ -88,12 +84,12 @@ def _upfirdn_out_len(n_taps: int, n_in: int, up: int, down: int) -> int:
 def _upfirdn_numpy(
     taps: np.ndarray, x: np.ndarray, up: int, down: int
 ) -> np.ndarray:
-    """Reference polyphase upfirdn, bit-identical to scipy's.
+    """Reference polyphase upfirdn (zero-stuff, filter, decimate).
 
     Output sample ``j`` taps the input at ``start - t`` for tap indices
-    ``t`` of phase ``j*down % up``; accumulating ``t`` from the
-    highest tap down replays scipy's in-loop accumulation order, so
-    every float64 partial sum matches the compiled path exactly.
+    ``t`` of phase ``j*down % up``, accumulated from the highest tap
+    down; the native ``repro_upfirdn`` loop keeps that order, so every
+    float64 partial sum matches the compiled path exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     taps = np.asarray(taps, dtype=np.float64)
@@ -116,16 +112,7 @@ def _upfirdn_numpy(
     return out
 
 
-def _upfirdn_scipy(
-    taps: np.ndarray, x: np.ndarray, up: int, down: int
-) -> np.ndarray:
-    from scipy.signal import upfirdn  # noqa: PLC0415 — scipy-gated
-
-    return upfirdn(taps, np.asarray(x, dtype=np.float64), up=up, down=down)
-
-
 kernels.register_backend("resample", "numpy", upfirdn=_upfirdn_numpy)
-kernels.register_backend("resample", "scipy", upfirdn=_upfirdn_scipy)
 
 
 def resampled_length(num_samples: int, up: int, down: int) -> int:
@@ -149,7 +136,7 @@ def polyphase_resample(
     Delay-compensated: output sample ``j`` sits at input time
     ``j * down / up``, so resampling by ``1/1`` is the identity and
     attack samples move by :func:`map_resampled_index`.  Dispatched
-    through the ``resample`` kernel; every backend is bit-identical.
+    through the ``resample`` kernel; both backends are bit-identical.
     """
     traces = np.asarray(traces, dtype=np.float64)
     up, down = _reduced(up, down)

@@ -164,20 +164,23 @@ def _check_value(kind: str, name: str, value: object) -> object:
             "%s job: unknown executor %r (expected one of %s)"
             % (kind, value, ", ".join(EXECUTOR_KINDS))
         )
-    if name == "kernels" and value is not None:
-        from repro.util import kernels
+    if name == "kernels":
+        from repro.util import kernels, kernels_native
 
         try:
-            # Same contract as the CLI: unknown modes are structured
-            # errors at admission; a native request the host cannot
-            # serve names the missing dependency instead of failing
-            # deep inside the campaign.
-            kernels.parse_spec(str(value))
-            with kernels.use(str(value)):
-                pass
-        except kernels.KernelConfigError as exc:
-            raise JobError("%s job: %s" % (kind, exc)) from None
-        except kernels.KernelUnavailableError as exc:
+            # Same contract as the CLI: an unknown mode or
+            # REPRO_NATIVE_PROVIDER value is a structured error at
+            # admission; a native request the host cannot serve names
+            # the missing dependency instead of failing deep inside
+            # the campaign.
+            kernels_native.provider_request()
+            if value is not None:
+                kernels.parse_spec(str(value))
+                with kernels.use(str(value)):
+                    pass
+        except (
+            kernels.KernelConfigError, kernels.KernelUnavailableError
+        ) as exc:
             raise JobError("%s job: %s" % (kind, exc)) from None
     if name == "workers" and value is not None and value < 1:
         raise JobError("%s job: workers must be >= 1" % kind)

@@ -1,49 +1,41 @@
 """Kernel dispatch registry: one switch for every hot numeric kernel.
 
-PRs 1-5 vectorized the trace path and fixed the parallel fan-out; what
-remains of the campaign wall-clock is the *serial ceiling* of three
-numpy kernels — the batched AES round pipeline, the second-order IIR
-PDN recurrence, and the streaming-CPA accumulate.  This module is the
-single place that decides which implementation of each kernel runs:
+Five hot kernels sit behind this registry: the batched AES round
+pipeline (with the hypothesis blocks), the second-order IIR PDN
+recurrence, the streaming-CPA accumulate, the polyphase resampler of
+the preprocessing subsystem, and the fused sensor read.  This module is
+the single place that decides which implementation of each runs:
 
-* ``numpy`` — the reference fast path that exists today.  Always
-  available, and the ground truth every other backend is asserted
-  bit-identical against.
-* ``scipy`` — where a scipy implementation exists (the PDN integrator's
-  ``lfilter`` form).  Optional; requesting it where scipy is absent or
-  where no scipy form exists falls back to ``numpy``.
-* ``native`` — compiled kernels (:mod:`repro.util.kernels_native`):
-  numba ``@njit(cache=True)`` loops when numba is installed (the
-  ``repro[native]`` extra), otherwise a small C library built once with
-  the system compiler and loaded through ctypes.  Optional; requesting
-  it when neither provider is available raises a structured
-  :class:`KernelUnavailableError` naming the missing dependency.
+* ``numpy`` — the reference path.  Always available, and the ground
+  truth the native backend is asserted bit-identical against.
+* ``native`` — a small C library (:mod:`repro.util.kernels_native`)
+  built once with the system compiler and loaded through ctypes.
+  Requesting it on a host without a C compiler raises a structured
+  :class:`KernelUnavailableError` naming what is missing.
 
 Selection is driven by the ``REPRO_KERNELS`` environment variable or
 the ``--kernels`` CLI/service knob.  A spec is either one mode for all
-kernels (``auto`` | ``numpy`` | ``scipy`` | ``native``) or a per-kernel
-map such as ``aes=native,pdn=scipy,cpa=numpy``.  ``auto`` (the default)
-resolves each kernel to the fastest available backend: ``native`` if a
-provider loads, else ``scipy`` where one exists, else ``numpy``.
+kernels (``auto`` | ``numpy`` | ``native``) or a per-kernel map such as
+``aes=native,pdn=numpy``.  ``auto`` (the default) resolves each kernel
+to ``native`` when the provider loads, else to ``numpy``.
 
-The contract every backend must honour is the same one the existing
-scipy path honours: **bit-identical outputs** on campaign inputs.  AES
-and the hypothesis blocks are exact integer arithmetic; the PDN
-recurrence evaluates the same three fused float64 operations per sample
-in the same order on every backend (the native build disables FMA
-contraction for exactly this reason); the CPA sums are float64 sums of
-integer-valued leakage/hypotheses, which are order-independent and
-therefore exact (the same property :meth:`StreamingCPA.merge` already
-relies on).  The test suite asserts exact equality across every
-available backend, and ``repro bench`` asserts it again before timing
-anything.
+The contract both backends honour is **bit-identical outputs** on
+campaign inputs.  AES and the hypothesis blocks are exact integer
+arithmetic; the PDN recurrence and the resampler evaluate the same
+float64 operations in the same order on both backends (the native build
+disables FMA contraction for exactly this reason); the CPA sums are
+float64 sums of integer-valued leakage/hypotheses, which are
+order-independent and therefore exact (the same property
+:meth:`StreamingCPA.merge` already relies on).  The test suite asserts
+exact equality on every available backend, and ``repro bench`` asserts
+it again before timing anything.
 
 Dispatch happens at *call time* from module-level functions, so nothing
-unpicklable (numba dispatchers, ctypes handles) is ever stored on
-campaign objects: shard tasks, fork-once worker payloads and checkpoint
-state pickle exactly as before, and every process-pool worker resolves
-the same spec — :func:`configure` exports the active spec through the
-environment so spawned workers inherit it too.
+unpicklable (ctypes handles) is ever stored on campaign objects: shard
+tasks, fork-once worker payloads and checkpoint state pickle exactly as
+before, and every process-pool worker resolves the same spec —
+:func:`configure` exports the active spec through the environment so
+spawned workers inherit it too.
 """
 
 from __future__ import annotations
@@ -81,7 +73,7 @@ KERNELS_ENV = "REPRO_KERNELS"
 KERNEL_NAMES = ("aes", "pdn", "cpa", "resample", "sensor")
 
 #: Accepted selection modes (per kernel or for all kernels at once).
-KERNEL_MODES = ("auto", "numpy", "scipy", "native")
+KERNEL_MODES = ("auto", "numpy", "native")
 
 
 class KernelConfigError(ReproError):
@@ -91,8 +83,8 @@ class KernelConfigError(ReproError):
 class KernelUnavailableError(ReproError):
     """A requested backend cannot be provided on this host.
 
-    Raised when ``native`` is requested but no provider loads; the
-    message names the missing dependency so the fix is actionable.
+    Raised when ``native`` is requested but the C library does not
+    load; the message names the reason so the fix is actionable.
     """
 
 
@@ -100,7 +92,7 @@ def parse_spec(spec: Optional[str]) -> Dict[str, str]:
     """Parse a kernel spec into a ``{kernel: mode}`` map.
 
     Accepts a single mode (``"native"`` applies to all kernels) or a
-    comma-separated per-kernel map (``"aes=native,pdn=scipy"``; kernels
+    comma-separated per-kernel map (``"aes=native,pdn=numpy"``; kernels
     not named default to ``auto``).  ``None`` or ``""`` means ``auto``
     everywhere.
 
@@ -118,7 +110,7 @@ def parse_spec(spec: Optional[str]) -> Dict[str, str]:
         if spec not in KERNEL_MODES:
             raise KernelConfigError(
                 "unknown kernels mode %r (expected one of %s, or a "
-                "per-kernel map like aes=native,pdn=scipy)"
+                "per-kernel map like aes=native,pdn=numpy)"
                 % (spec, ", ".join(KERNEL_MODES))
             )
         return {kernel: spec for kernel in KERNEL_NAMES}
@@ -189,20 +181,6 @@ def register_backend(
 # Availability probing
 # ----------------------------------------------------------------------
 
-_SCIPY_AVAILABLE: Optional[bool] = None
-
-
-def _scipy_available() -> bool:
-    global _SCIPY_AVAILABLE
-    if _SCIPY_AVAILABLE is None:
-        try:
-            import scipy.signal  # noqa: F401,PLC0415 — probe only
-
-            _SCIPY_AVAILABLE = True
-        except ImportError:
-            _SCIPY_AVAILABLE = False
-    return _SCIPY_AVAILABLE
-
 
 def _load_native():
     """The native provider, or None (lazy import keeps startup cheap)."""
@@ -217,26 +195,18 @@ def _native_unavailable_reason() -> str:
     return kernels_native.unavailable_reason()
 
 
-def _has_scipy_ops(kernel: str) -> bool:
-    return bool(_IMPLS.get((kernel, "scipy")))
-
-
 def available_backends(kernel: str) -> Tuple[str, ...]:
     """Backends that would actually serve ``kernel`` on this host.
 
-    Probes lazily (the first call may import numba or build the C
-    fallback); the result is what the import-parametrized equality
-    tests sweep over.
+    Probes lazily (the first call may build the C library); the result
+    is what the import-parametrized equality tests sweep over.
     """
     if kernel not in KERNEL_NAMES:
         raise ValueError("unknown kernel %r" % (kernel,))
     _ensure_registered(kernel)
-    backends = ["numpy"]
-    if _has_scipy_ops(kernel) and _scipy_available():
-        backends.append("scipy")
     if _load_native() is not None:
-        backends.append("native")
-    return tuple(backends)
+        return ("numpy", "native")
+    return ("numpy",)
 
 
 # ----------------------------------------------------------------------
@@ -263,30 +233,23 @@ def _resolve_one(kernel: str, mode: str) -> str:
     _ensure_registered(kernel)
     if mode == "numpy":
         return "numpy"
-    if mode == "scipy":
-        # "scipy where it exists today": kernels without a scipy form
-        # (aes, cpa) and hosts without scipy fall back to the
-        # reference path rather than failing.
-        if _has_scipy_ops(kernel) and _scipy_available():
-            return "scipy"
-        return "numpy"
-    if mode == "native":
-        if _load_native() is None:
-            raise KernelUnavailableError(
-                "native kernels requested for %r but no provider is "
-                "available: %s" % (kernel, _native_unavailable_reason())
-            )
-        return "native"
-    # auto: fastest available, preserving the bit-identity contract.
     if _load_native() is not None:
         return "native"
-    if _has_scipy_ops(kernel) and _scipy_available():
-        return "scipy"
+    if mode == "native":
+        raise KernelUnavailableError(
+            "native kernels requested for %r but no provider is "
+            "available: %s" % (kernel, _native_unavailable_reason())
+        )
     return "numpy"
 
 
 def _resolve(spec: Optional[str]) -> Dict[str, str]:
     modes = parse_spec(spec)
+    # An unknown REPRO_NATIVE_PROVIDER is a config error even under an
+    # all-numpy spec, not a silent switch to numpy.
+    from repro.util import kernels_native  # noqa: PLC0415 — lazy
+
+    kernels_native.provider_request()
     return {
         kernel: _resolve_one(kernel, modes[kernel])
         for kernel in KERNEL_NAMES
@@ -310,11 +273,11 @@ def active_backends() -> Dict[str, str]:
 def configure(spec: Optional[str]) -> Dict[str, str]:
     """Select the kernel backends process-wide and return the map.
 
-    Validates the spec, resolves it eagerly (so an unavailable
-    ``native`` request fails here, with the structured error, rather
-    than deep inside a campaign), and exports it through
-    ``REPRO_KERNELS`` so process-pool workers — forked or spawned —
-    resolve identically.  Passing ``None`` restores the
+    Validates the spec and ``REPRO_NATIVE_PROVIDER``, resolves it
+    eagerly (so an unavailable ``native`` request fails here, with the
+    structured error, rather than deep inside a campaign), and exports
+    it through ``REPRO_KERNELS`` so process-pool workers — forked or
+    spawned — resolve identically.  Passing ``None`` restores the
     environment-driven default.
     """
     global _CONFIGURED_SPEC, _RESOLVED, _RESOLVED_FOR
@@ -362,13 +325,12 @@ def invalidate_cache() -> None:
     Needed when a test flips ``REPRO_NATIVE_PROVIDER`` or otherwise
     changes host availability underneath an already-resolved map.
     """
-    global _RESOLVED, _RESOLVED_FOR, _SCIPY_AVAILABLE
+    global _RESOLVED, _RESOLVED_FOR
     from repro.util import kernels_native  # noqa: PLC0415 — lazy
 
     with _LOCK:
         _RESOLVED = None
         _RESOLVED_FOR = None
-        _SCIPY_AVAILABLE = None
         kernels_native._reset_for_tests()
 
 
@@ -377,25 +339,13 @@ def dispatch(kernel: str, op: str) -> Callable:
 
     Resolution happens here, at call time, never at object-construction
     time — campaign objects stay free of backend handles and therefore
-    picklable.  A backend that lacks a specific op falls back down the
-    ``native -> scipy -> numpy`` chain for that op (so e.g. a global
-    ``native`` selection still serves the resample kernel, which has
-    no native form, through its scipy implementation).
+    picklable.  A kernel the native provider refused (e.g. a ``sensor``
+    op whose load-time self-check failed) dispatches numpy.
     """
     _ensure_registered(kernel)
-    backend = active_backends()[kernel]
-    if backend == "native":
+    if active_backends()[kernel] == "native":
         provider = _load_native()
-        if provider is not None:
-            fn = provider.ops.get((kernel, op))
-            if fn is not None:
-                return fn
-        if _scipy_available():
-            fn = _IMPLS.get((kernel, "scipy"), {}).get(op)
-            if fn is not None:
-                return fn
-    elif backend != "numpy":
-        fn = _IMPLS.get((kernel, backend), {}).get(op)
+        fn = provider.ops.get((kernel, op)) if provider is not None else None
         if fn is not None:
             return fn
     return _IMPLS[(kernel, "numpy")][op]
@@ -410,13 +360,12 @@ def backend_metadata() -> Dict[str, object]:
     """Provenance block for benchmark records.
 
     ``kernel_backends`` is the resolved map (e.g. ``{"aes": "native",
-    "pdn": "scipy", "cpa": "native"}``), ``native_provider`` names what
-    serves the native backend (``"numba"`` / ``"cc"`` / None) and
-    ``numba`` records the numba version (None when not installed) —
-    perf snapshots are only comparable when the kernels that produced
-    them are known.  ``native_refused`` maps each kernel the loaded
-    provider could not serve (e.g. a failed ``sensor`` self-check) to
-    the reason; those kernels run on numpy through :func:`dispatch`.
+    "pdn": "native", "cpa": "numpy", ...}``) and ``native_provider``
+    names what serves the native backend (``"cc"`` or None) — perf
+    snapshots are only comparable when the kernels that produced them
+    are known.  ``native_refused`` maps each kernel the loaded provider
+    could not serve (e.g. a failed ``sensor`` self-check) to the
+    reason; those kernels run on numpy through :func:`dispatch`.
     """
     backends = active_backends()
     provider = None
@@ -430,17 +379,10 @@ def backend_metadata() -> Dict[str, object]:
                 for kernel, reason in native.refused.items()
                 if backends.get(kernel) == "native"
             }
-    try:
-        import numba  # noqa: PLC0415 — version probe only
-
-        numba_version: Optional[str] = numba.__version__
-    except ImportError:
-        numba_version = None
     return {
         "kernel_backends": backends,
         "native_provider": provider,
         "native_refused": refused,
-        "numba": numba_version,
     }
 
 
@@ -455,15 +397,8 @@ def describe() -> str:
         native = "native: %s" % meta["native_provider"]
     else:
         native = "native: unavailable (%s)" % _native_unavailable_reason()
-    numba = (
-        "numba %s" % meta["numba"]
-        if meta["numba"] is not None
-        else "numba absent"
-    )
     refused = "".join(
         "; %s native refused: %s" % item
         for item in sorted(meta["native_refused"].items())
     )
-    return "kernels: %s (%s; %s%s)" % (
-        " ".join(parts), native, numba, refused
-    )
+    return "kernels: %s (%s%s)" % (" ".join(parts), native, refused)

@@ -1,33 +1,26 @@
-"""Native providers for the kernel dispatch registry.
+"""The native provider of the kernel dispatch registry.
 
-Two interchangeable providers serve the ``native`` backend of
-:mod:`repro.util.kernels`:
+The ``native`` backend of :mod:`repro.util.kernels` is a small C
+translation of the numpy reference loops, embedded below as source,
+compiled once with the system compiler into a content-hashed shared
+library under a cache directory, and loaded through ctypes.
+``-ffp-contract=off`` disables FMA contraction, and no ``-ffast-math``
+means IEEE semantics (and a working ``isfinite``) everywhere.
 
-* **numba** — ``@njit(cache=True, nogil=True)`` loops, used when numba
-  is importable (the ``repro[native]`` extra).  ``fastmath`` stays off:
-  fused multiply-adds and reassociation would break the bit-identity
-  contract.
-* **cc** — a small C translation of the same loops, embedded below as
-  source, compiled once with the system compiler into a content-hashed
-  shared library under a cache directory, and loaded through ctypes.
-  ``-ffp-contract=off`` disables FMA contraction for the same reason,
-  and no ``-ffast-math`` means IEEE semantics (and a working
-  ``isfinite``) everywhere.
-
-Both express each kernel as the *same sequence of IEEE-754 float64
-operations* (or exact uint8 table lookups) as the numpy reference, so
-outputs are bit-identical, not merely close — the property the
-exact-equality test suite and the bench's assert-before-timing check
-enforce.
+Each kernel is the *same sequence of IEEE-754 float64 operations* (or
+exact uint8 table lookups) as its numpy reference, so outputs are
+bit-identical, not merely close — the property the exact-equality test
+suite and the bench's assert-before-timing check enforce.
 
 Nothing here is ever pickled: the registry dispatches to these ops at
-call time, so campaign objects carry no numba dispatchers or ctypes
-handles.  Forked pool workers inherit the loaded library; spawned ones
-re-open it from the on-disk cache.
+call time, so campaign objects carry no ctypes handles.  Forked pool
+workers inherit the loaded library; spawned ones re-open it from the
+on-disk cache.
 
-``REPRO_NATIVE_PROVIDER`` forces a provider: ``numba``, ``cc``, or
-``none`` (useful in tests to exercise the unavailable path without
-uninstalling anything).
+``REPRO_NATIVE_PROVIDER`` is ``auto`` (the default: load the C
+library when a compiler exists) or ``none`` (no native provider, which
+exercises the numpy-only path without uninstalling anything).  Any
+other value is a :class:`~repro.util.kernels.KernelConfigError`.
 """
 
 from __future__ import annotations
@@ -42,23 +35,27 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["NativeProvider", "load_native", "unavailable_reason"]
+from repro.util.kernels import KernelConfigError
+
+__all__ = [
+    "NativeProvider",
+    "load_native",
+    "provider_request",
+    "unavailable_reason",
+]
 
 PROVIDER_ENV = "REPRO_NATIVE_PROVIDER"
 CACHE_ENV = "REPRO_KERNELS_CACHE"
 
-try:  # optional dependency: the repro[native] extra
-    import numba
-    from numba import njit
-except ImportError:  # pragma: no cover - depends on the environment
-    numba = None
+#: Accepted ``REPRO_NATIVE_PROVIDER`` values.
+PROVIDER_VALUES = ("auto", "none")
 
 
 class NativeProvider:
     """A loaded native backend: its name and its op table.
 
     Attributes:
-        provider: ``"numba"`` or ``"cc"`` — recorded in bench metadata.
+        provider: ``"cc"`` — recorded in bench metadata.
         ops: ``{(kernel, op): callable}`` with the same signatures the
             registered numpy reference ops use.
         refused: ``{kernel: reason}`` for kernels this provider could
@@ -75,319 +72,6 @@ class NativeProvider:
         self.provider = provider
         self.ops = ops
         self.refused = dict(refused or {})
-
-
-# ----------------------------------------------------------------------
-# numba provider
-# ----------------------------------------------------------------------
-
-if numba is not None:  # pragma: no cover - exercised on numba hosts
-
-    @njit(cache=True, nogil=True)
-    def _nb_round_states(rk, pt, sbox, shift_src, g2, g3, out):
-        n = pt.shape[0]
-        for t in range(n):
-            s = np.empty(16, dtype=np.uint8)
-            tmp = np.empty(16, dtype=np.uint8)
-            for i in range(16):
-                out[t, 0, i] = pt[t, i]
-                s[i] = pt[t, i] ^ rk[0, i]
-                out[t, 1, i] = s[i]
-            for r in range(1, 10):
-                for i in range(16):
-                    tmp[i] = sbox[s[shift_src[i]]]
-                for c in range(4):
-                    a0 = tmp[4 * c]
-                    a1 = tmp[4 * c + 1]
-                    a2 = tmp[4 * c + 2]
-                    a3 = tmp[4 * c + 3]
-                    s[4 * c] = (g2[a0] ^ g3[a1] ^ a2 ^ a3) ^ rk[r, 4 * c]
-                    s[4 * c + 1] = (
-                        a0 ^ g2[a1] ^ g3[a2] ^ a3
-                    ) ^ rk[r, 4 * c + 1]
-                    s[4 * c + 2] = (
-                        a0 ^ a1 ^ g2[a2] ^ g3[a3]
-                    ) ^ rk[r, 4 * c + 2]
-                    s[4 * c + 3] = (
-                        g3[a0] ^ a1 ^ a2 ^ g2[a3]
-                    ) ^ rk[r, 4 * c + 3]
-                for i in range(16):
-                    out[t, r + 1, i] = s[i]
-            for i in range(16):
-                tmp[i] = sbox[s[shift_src[i]]]
-            for i in range(16):
-                s[i] = tmp[i] ^ rk[10, i]
-                out[t, 11, i] = s[i]
-
-    @njit(cache=True, nogil=True)
-    def _nb_cycle_hd(states, cpr, pop, out):
-        n = states.shape[0]
-        col = np.empty(4, dtype=np.int64)
-        for t in range(n):
-            for r in range(11):
-                for c in range(4):
-                    acc = np.int64(0)
-                    for i in range(4):
-                        acc += pop[
-                            states[t, r, 4 * c + i]
-                            ^ states[t, r + 1, 4 * c + i]
-                        ]
-                    col[c] = acc
-                for c in range(cpr):
-                    out[t, r * cpr + c] = col[c % 4]
-
-    @njit(cache=True, nogil=True)
-    def _nb_cycle_activity(states, cpr, pop, vw, tw, out):
-        n = states.shape[0]
-        col_hd = np.empty(4, dtype=np.int64)
-        col_hw = np.empty(4, dtype=np.int64)
-        for t in range(n):
-            for r in range(11):
-                for c in range(4):
-                    hd = np.int64(0)
-                    hw = np.int64(0)
-                    for i in range(4):
-                        a = states[t, r, 4 * c + i]
-                        hd += pop[a ^ states[t, r + 1, 4 * c + i]]
-                        hw += pop[a]
-                    col_hd[c] = hd
-                    col_hw[c] = hw
-                for c in range(cpr):
-                    out[t, r * cpr + c] = (
-                        vw * col_hw[c % 4] + tw * col_hd[c % 4]
-                    )
-
-    @njit(cache=True, nogil=True)
-    def _nb_activity_ct(rk, pt, sbox, shift_src, g2, g3, pop, cpr, vw, tw,
-                        activity, ct):
-        n = pt.shape[0]
-        prev = np.empty(16, dtype=np.uint8)
-        cur = np.empty(16, dtype=np.uint8)
-        tmp = np.empty(16, dtype=np.uint8)
-        for t in range(n):
-            for i in range(16):
-                prev[i] = pt[t, i]
-                cur[i] = pt[t, i] ^ rk[0, i]
-            for r in range(11):
-                if r > 0:
-                    for i in range(16):
-                        tmp[i] = sbox[prev[shift_src[i]]]
-                    if r < 10:
-                        for c in range(4):
-                            a0 = tmp[4 * c]
-                            a1 = tmp[4 * c + 1]
-                            a2 = tmp[4 * c + 2]
-                            a3 = tmp[4 * c + 3]
-                            cur[4 * c] = (
-                                g2[a0] ^ g3[a1] ^ a2 ^ a3
-                            ) ^ rk[r, 4 * c]
-                            cur[4 * c + 1] = (
-                                a0 ^ g2[a1] ^ g3[a2] ^ a3
-                            ) ^ rk[r, 4 * c + 1]
-                            cur[4 * c + 2] = (
-                                a0 ^ a1 ^ g2[a2] ^ g3[a3]
-                            ) ^ rk[r, 4 * c + 2]
-                            cur[4 * c + 3] = (
-                                g3[a0] ^ a1 ^ a2 ^ g2[a3]
-                            ) ^ rk[r, 4 * c + 3]
-                    else:
-                        for i in range(16):
-                            cur[i] = tmp[i] ^ rk[10, i]
-                for c in range(4):
-                    hd = np.int64(0)
-                    hw = np.int64(0)
-                    for i in range(4):
-                        a = prev[4 * c + i]
-                        hd += pop[a ^ cur[4 * c + i]]
-                        hw += pop[a]
-                    col = vw * hw + tw * hd
-                    cc = c
-                    while cc < cpr:
-                        activity[t, r * cpr + cc] = col
-                        cc += 4
-                for i in range(16):
-                    prev[i] = cur[i]
-            for i in range(16):
-                ct[t, i] = cur[i]
-
-    @njit(cache=True, nogil=True)
-    def _nb_hyp_single_bit(ct_bytes, inv_sbox, bit, out):
-        n = ct_bytes.shape[0]
-        for t in range(n):
-            c = ct_bytes[t]
-            for k in range(256):
-                out[t, k] = np.int8((inv_sbox[c ^ k] >> bit) & 1)
-
-    @njit(cache=True, nogil=True)
-    def _nb_hyp_hw(ct_bytes, inv_sbox, pop, out):
-        n = ct_bytes.shape[0]
-        for t in range(n):
-            c = ct_bytes[t]
-            for k in range(256):
-                out[t, k] = np.int8(pop[inv_sbox[c ^ k]])
-
-    @njit(cache=True, nogil=True)
-    def _nb_pdn_integrate(x, c1, c2, b0, out):
-        rows = x.shape[0]
-        cols = x.shape[1]
-        for r in range(rows):
-            z1 = 0.0
-            z2 = 0.0
-            for i in range(cols):
-                z = c1 * z1 + c2 * z2 + b0 * x[r, i]
-                out[r, i] = z
-                z2 = z1
-                z1 = z
-
-    @njit(cache=True, nogil=True)
-    def _nb_cpa_accumulate_f64(x, h, out):
-        n = x.shape[0]
-        k = h.shape[1]
-        sx = 0.0
-        sxx = 0.0
-        for i in range(n):
-            xi = x[i]
-            if not np.isfinite(xi):
-                return i + 1
-            sx += xi
-            sxx += xi * xi
-            for j in range(k):
-                hij = h[i, j]
-                if not np.isfinite(hij):
-                    return i + 1
-                out[2 + j] += hij
-                out[2 + k + j] += hij * hij
-                out[2 + 2 * k + j] += hij * xi
-        out[0] = sx
-        out[1] = sxx
-        return 0
-
-    @njit(cache=True, nogil=True)
-    def _nb_cpa_accumulate_i8(x, h, out):
-        n = x.shape[0]
-        k = h.shape[1]
-        sx = 0.0
-        sxx = 0.0
-        for i in range(n):
-            xi = x[i]
-            if not np.isfinite(xi):
-                return i + 1
-            sx += xi
-            sxx += xi * xi
-            for j in range(k):
-                hij = float(h[i, j])
-                out[2 + j] += hij
-                out[2 + k + j] += hij * hij
-                out[2 + 2 * k + j] += hij * xi
-        out[0] = sx
-        out[1] = sxx
-        return 0
-
-
-def _build_numba_ops() -> Dict[Tuple[str, str], Callable]:
-    """Wrap the njit kernels in the registry op signatures."""
-    # pragma: no cover - exercised on numba hosts
-    tables = _tables()
-    sbox, inv_sbox, shift_src, g2, g3, pop = tables
-
-    def round_states(round_keys, blocks):
-        rk = np.ascontiguousarray(round_keys, dtype=np.uint8)
-        pt = np.ascontiguousarray(blocks, dtype=np.uint8)
-        out = np.empty((pt.shape[0], 12, 16), dtype=np.uint8)
-        _nb_round_states(rk, pt, sbox, shift_src, g2, g3, out)
-        return out
-
-    def cycle_hd_from_states(states, cycles_per_round):
-        st = np.ascontiguousarray(states, dtype=np.uint8)
-        out = np.empty(
-            (st.shape[0], 11 * cycles_per_round), dtype=np.int64
-        )
-        _nb_cycle_hd(st, cycles_per_round, pop, out)
-        return out
-
-    def cycle_activity_from_states(
-        states, cycles_per_round, value_weight, transition_weight
-    ):
-        st = np.ascontiguousarray(states, dtype=np.uint8)
-        out = np.empty(
-            (st.shape[0], 11 * cycles_per_round), dtype=np.float64
-        )
-        _nb_cycle_activity(
-            st, cycles_per_round, pop,
-            float(value_weight), float(transition_weight), out,
-        )
-        return out
-
-    def activity_and_ciphertexts(
-        round_keys, blocks, cycles_per_round, value_weight,
-        transition_weight,
-    ):
-        rk = np.ascontiguousarray(round_keys, dtype=np.uint8)
-        pt = np.ascontiguousarray(blocks, dtype=np.uint8)
-        activity = np.empty(
-            (pt.shape[0], 11 * cycles_per_round), dtype=np.float64
-        )
-        ct = np.empty((pt.shape[0], 16), dtype=np.uint8)
-        _nb_activity_ct(
-            rk, pt, sbox, shift_src, g2, g3, pop, cycles_per_round,
-            float(value_weight), float(transition_weight), activity, ct,
-        )
-        return activity, ct
-
-    def single_bit_hypothesis(ct_bytes, bit):
-        ct = np.ascontiguousarray(ct_bytes, dtype=np.uint8)
-        out = np.empty((ct.shape[0], 256), dtype=np.int8)
-        _nb_hyp_single_bit(ct, inv_sbox, bit, out)
-        return out
-
-    def hamming_weight_hypothesis(ct_bytes):
-        ct = np.ascontiguousarray(ct_bytes, dtype=np.uint8)
-        out = np.empty((ct.shape[0], 256), dtype=np.int8)
-        _nb_hyp_hw(ct, inv_sbox, pop, out)
-        return out
-
-    def integrate(current, c1, c2, b0):
-        x = np.ascontiguousarray(current, dtype=np.float64).reshape(1, -1)
-        out = np.empty_like(x)
-        _nb_pdn_integrate(x, c1, c2, b0, out)
-        return out[0]
-
-    def integrate_batch(currents, c1, c2, b0):
-        x = np.ascontiguousarray(currents, dtype=np.float64)
-        out = np.empty_like(x)
-        _nb_pdn_integrate(x, c1, c2, b0, out)
-        return out
-
-    def accumulate(x, h):
-        out = np.zeros(2 + 3 * h.shape[1], dtype=np.float64)
-        xf = np.ascontiguousarray(x, dtype=np.float64)
-        if h.dtype == np.int8:
-            status = _nb_cpa_accumulate_i8(
-                xf, np.ascontiguousarray(h), out
-            )
-        else:
-            status = _nb_cpa_accumulate_f64(
-                xf, np.ascontiguousarray(h, dtype=np.float64), out
-            )
-        if status != 0:
-            return None
-        k = h.shape[1]
-        return (
-            float(out[0]), float(out[1]),
-            out[2:2 + k], out[2 + k:2 + 2 * k], out[2 + 2 * k:],
-        )
-
-    return {
-        ("aes", "round_states"): round_states,
-        ("aes", "cycle_hd_from_states"): cycle_hd_from_states,
-        ("aes", "cycle_activity_from_states"): cycle_activity_from_states,
-        ("aes", "activity_and_ciphertexts"): activity_and_ciphertexts,
-        ("aes", "single_bit_hypothesis"): single_bit_hypothesis,
-        ("aes", "hamming_weight_hypothesis"): hamming_weight_hypothesis,
-        ("pdn", "integrate"): integrate,
-        ("pdn", "integrate_batch"): integrate_batch,
-        ("cpa", "accumulate"): accumulate,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -645,6 +329,33 @@ long long repro_cpa_accumulate_i8(
     out[0] = sx;
     out[1] = sxx;
     return 0;
+}
+
+/* Polyphase upfirdn, row by row: output j reads input start - t for
+   the taps t of phase j*down % up, summed highest tap first (the
+   _upfirdn_numpy order), skipping taps outside the input. */
+void repro_upfirdn(
+    const double *h, long long n_taps, const double *x, long long rows,
+    long long n_in, long long up, long long down, long long n_out,
+    double *out)
+{
+    for (long long r = 0; r < rows; ++r) {
+        const double *xr = x + n_in * r;
+        double *o = out + n_out * r;
+        for (long long j = 0; j < n_out; ++j) {
+            long long m = j * down, p = m % up, start = m / up;
+            long long hi = (n_taps - p + up - 1) / up - 1;
+            long long lo = start - n_in + 1;
+            if (hi > start)
+                hi = start;
+            if (lo < 0)
+                lo = 0;
+            double acc = 0.0;
+            for (long long t = hi; t >= lo; --t)
+                acc += h[p + t * up] * xr[start - t];
+            o[j] = acc;
+        }
+    }
 }
 """
 
@@ -1020,6 +731,8 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
     lib.repro_cpa_accumulate_f64.restype = ll
     lib.repro_cpa_accumulate_i8.argtypes = [f64p, i8p, ll, ll, f64p]
     lib.repro_cpa_accumulate_i8.restype = ll
+    lib.repro_upfirdn.argtypes = [f64p, ll, f64p, ll, ll, ll, ll, ll, f64p]
+    lib.repro_upfirdn.restype = None
 
     sbox, inv_sbox, shift_src, g2, g3, pop = _tables()
     ptr = _ptr
@@ -1146,6 +859,21 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
             out[2 + 2 * k:].copy(),
         )
 
+    def upfirdn(taps, x, up, down):
+        h = np.ascontiguousarray(taps, dtype=np.float64)
+        xc = np.ascontiguousarray(x, dtype=np.float64)
+        if h.ndim != 1 or xc.ndim < 1 or up < 1 or down < 1:
+            raise ValueError("upfirdn needs 1-D taps and up, down >= 1")
+        n_in = xc.shape[-1]
+        n_out = -(-((n_in - 1) * up + h.shape[0]) // down)
+        out = np.empty(xc.shape[:-1] + (n_out,), dtype=np.float64)
+        lib.repro_upfirdn(
+            ptr(h, ctypes.c_double), h.shape[0], ptr(xc, ctypes.c_double),
+            int(np.prod(xc.shape[:-1])), n_in, int(up), int(down),
+            n_out, ptr(out, ctypes.c_double),
+        )
+        return out
+
     return {
         ("aes", "round_states"): round_states,
         ("aes", "cycle_hd_from_states"): cycle_hd_from_states,
@@ -1156,6 +884,7 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
         ("pdn", "integrate"): integrate,
         ("pdn", "integrate_batch"): integrate_batch,
         ("cpa", "accumulate"): accumulate,
+        ("resample", "upfirdn"): upfirdn,
     }
 
 
@@ -1347,20 +1076,33 @@ _LOAD_FAILED_REASON: Optional[str] = None
 _LOADED_FOR: Optional[str] = None
 
 
-def _provider_request() -> str:
-    return os.environ.get(PROVIDER_ENV, "auto").strip().lower() or "auto"
+def provider_request() -> str:
+    """The ``REPRO_NATIVE_PROVIDER`` value, validated.
+
+    Raises:
+        KernelConfigError: on anything but ``auto`` or ``none``.
+    """
+    request = os.environ.get(PROVIDER_ENV, "auto").strip().lower() or "auto"
+    if request not in PROVIDER_VALUES:
+        raise KernelConfigError(
+            "unknown %s value %r (expected one of %s)"
+            % (PROVIDER_ENV, request, ", ".join(PROVIDER_VALUES))
+        )
+    return request
 
 
 def load_native() -> Optional[NativeProvider]:
     """The native provider for this host, or None (reason recorded).
 
-    Probes once per ``REPRO_NATIVE_PROVIDER`` value: numba first (when
-    allowed and importable), then the cc/ctypes fallback (when a C
-    compiler exists).  A failed probe caches its reason for
-    :func:`unavailable_reason`.
+    Probes once per ``REPRO_NATIVE_PROVIDER`` value: builds (or reuses)
+    the C library when a compiler exists.  A failed probe caches its
+    reason for :func:`unavailable_reason`.
+
+    Raises:
+        KernelConfigError: on an unknown ``REPRO_NATIVE_PROVIDER``.
     """
     global _LOADED, _LOAD_FAILED_REASON, _LOADED_FOR
-    request = _provider_request()
+    request = provider_request()
     if _LOADED_FOR == request and (
         _LOADED is not None or _LOAD_FAILED_REASON is not None
     ):
@@ -1370,58 +1112,28 @@ def load_native() -> Optional[NativeProvider]:
     _LOADED_FOR = request
 
     if request == "none":
+        _LOAD_FAILED_REASON = "disabled via %s=none" % PROVIDER_ENV
+        return None
+    compiler = _find_compiler()
+    if compiler is None:
+        _LOAD_FAILED_REASON = "no C compiler found (tried cc, gcc, clang)"
+        return None
+    try:
+        ops = _build_cc_ops(_compile_library(compiler))
+        sensor_ops, refused = _build_sensor_ops(compiler)
+    except subprocess.CalledProcessError as exc:
         _LOAD_FAILED_REASON = (
-            "disabled via %s=none" % PROVIDER_ENV
+            "C kernel build failed: %s" % (exc.stderr or str(exc)).strip()
         )
         return None
-    if request not in ("auto", "numba", "cc"):
-        _LOAD_FAILED_REASON = (
-            "unknown %s value %r (expected auto, numba, cc, or none)"
-            % (PROVIDER_ENV, request)
-        )
+    except OSError as exc:
+        _LOAD_FAILED_REASON = "C kernel library failed to load: %s" % exc
         return None
-
-    reasons = []
-    if request in ("auto", "numba"):
-        if numba is not None:
-            try:
-                _LOADED = NativeProvider(
-                    "numba",
-                    _build_numba_ops(),
-                    {"sensor": "the numba provider has no sensor kernel"},
-                )
-                return _LOADED
-            except Exception as exc:  # pragma: no cover - numba hosts
-                reasons.append("numba kernels failed to build: %s" % exc)
-        else:
-            reasons.append(
-                "numba is not installed (pip install 'repro[native]')"
-            )
-    if request in ("auto", "cc"):
-        compiler = _find_compiler()
-        if compiler is None:
-            reasons.append("no C compiler found (tried cc, gcc, clang)")
-        else:
-            try:
-                lib_path = _compile_library(compiler)
-                ops = _build_cc_ops(lib_path)
-                sensor_ops, refused = _build_sensor_ops(compiler)
-                ops.update(sensor_ops)
-                _LOADED = NativeProvider(
-                    "cc", ops, {} if refused is None else {"sensor": refused}
-                )
-                return _LOADED
-            except subprocess.CalledProcessError as exc:
-                reasons.append(
-                    "C kernel build failed: %s"
-                    % (exc.stderr or exc).strip()
-                )
-            except OSError as exc:
-                reasons.append("C kernel library failed to load: %s" % exc)
-    _LOAD_FAILED_REASON = "; ".join(reasons) or (
-        "provider %r produced no kernels" % request
+    ops.update(sensor_ops)
+    _LOADED = NativeProvider(
+        "cc", ops, {} if refused is None else {"sensor": refused}
     )
-    return None
+    return _LOADED
 
 
 def unavailable_reason() -> str:

@@ -339,14 +339,41 @@ class TestKernelsOption:
         assert code in (0, 1)
 
     def test_invalid_kernels_one_line_exit_2(self, capsys):
-        code = main(["attack", "alu", "--kernels", "turbo"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: ")
-        assert "turbo" in err
-        assert "native" in err and "numpy" in err
-        assert "Traceback" not in err
-        assert err.count("\n") == 1, "one actionable line, no traceback"
+        # scipy was a backend once; it is now an unknown mode too.
+        for mode in ("turbo", "scipy"):
+            code = main(["attack", "alu", "--kernels", mode])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("error: ")
+            assert mode in err
+            assert "native" in err and "numpy" in err
+            assert "Traceback" not in err
+            assert err.count("\n") == 1, "one actionable line, no traceback"
+
+    @pytest.mark.parametrize("provider", ["numba", "cc", "turbo"])
+    def test_unknown_native_provider_one_line_exit_2(
+        self, provider, monkeypatch, capsys
+    ):
+        # Every command checks REPRO_NATIVE_PROVIDER up front, with or
+        # without --kernels; an unknown value is not a quiet numpy run.
+        from repro.util import kernels, kernels_native
+
+        monkeypatch.setenv(kernels_native.PROVIDER_ENV, provider)
+        kernels.invalidate_cache()
+        try:
+            for argv in (
+                ["attack", "alu", "--traces", "2000"],
+                ["census", "alu"],
+                ["attack", "alu", "--kernels", "numpy"],
+            ):
+                assert main(argv) == 2, argv
+                err = capsys.readouterr().err
+                assert err.startswith("error: ")
+                assert provider in err and "REPRO_NATIVE_PROVIDER" in err
+                assert err.count("\n") == 1
+        finally:
+            monkeypatch.undo()
+            kernels.invalidate_cache()
 
     def test_unknown_kernel_name_one_line_exit_2(self, capsys):
         code = main(["attack", "alu", "--kernels", "rsa=native"])

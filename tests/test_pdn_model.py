@@ -133,17 +133,6 @@ class TestRecurrenceIntegrator:
         for t, current in enumerate(currents):
             assert np.array_equal(batch[t], pdn._integrate(current))
 
-    def test_no_scipy_fallback_bit_identical(self, monkeypatch):
-        import repro.pdn.model as model_module
-
-        pdn = PDNModel(PDNParameters(noise_sigma_v=0.0), seed=0)
-        currents = self._waveforms()
-        with_scipy_single = pdn._integrate(currents[0])
-        with_scipy_batch = pdn.integrate_batch(currents)
-        monkeypatch.setattr(model_module, "_lfilter", None)
-        assert np.array_equal(pdn._integrate(currents[0]), with_scipy_single)
-        assert np.array_equal(pdn.integrate_batch(currents), with_scipy_batch)
-
     def test_batch_rejects_wrong_rank(self):
         pdn = PDNModel(seed=0)
         with pytest.raises(ValueError):

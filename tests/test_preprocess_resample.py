@@ -2,7 +2,7 @@
 
 ``resample`` is the fourth entry in the :mod:`repro.util.kernels`
 dispatch registry; the contract inherited from the other kernels is
-that every available backend is *bit-identical*, so a scipy install
+that every available backend is *bit-identical*, so the native C loop
 can never change campaign results — only their speed.
 """
 

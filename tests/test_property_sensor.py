@@ -272,7 +272,7 @@ class TestSelfCheck:
             pytest.skip("no C compiler on this host")
         if kernels_native._numpy_random_archive() is None:
             pytest.skip("numpy ships no libnpyrandom.a here")
-        monkeypatch.setenv(kernels_native.PROVIDER_ENV, "cc")
+        monkeypatch.setenv(kernels_native.PROVIDER_ENV, "auto")
         kernels.invalidate_cache()
         try:
             provider = kernels_native.load_native()
@@ -292,7 +292,7 @@ class TestSelfCheck:
             wi[7] = np.nextafter(wi[7], np.inf)
             return wi, ki
 
-        monkeypatch.setenv(kernels_native.PROVIDER_ENV, "cc")
+        monkeypatch.setenv(kernels_native.PROVIDER_ENV, "auto")
         monkeypatch.setattr(kernels_native, "_ziggurat_tables", corrupted)
         kernels.invalidate_cache()
         try:
@@ -318,7 +318,7 @@ class TestSelfCheck:
     def test_missing_archive_keeps_other_c_kernels(self, monkeypatch):
         if kernels_native._find_compiler() is None:
             pytest.skip("no C compiler on this host")
-        monkeypatch.setenv(kernels_native.PROVIDER_ENV, "cc")
+        monkeypatch.setenv(kernels_native.PROVIDER_ENV, "auto")
         monkeypatch.setattr(
             kernels_native, "_numpy_random_archive", lambda: None
         )

@@ -267,8 +267,24 @@ class TestKernelsParameter:
         assert normalize_params("attack")["kernels"] is None
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(JobError, match="turbo"):
-            normalize_params("attack", {"kernels": "turbo"})
+        # scipy was a backend once; it is now an unknown mode too.
+        for mode in ("turbo", "scipy"):
+            with pytest.raises(JobError, match=mode):
+                normalize_params("attack", {"kernels": mode})
+
+    @pytest.mark.parametrize("provider", ["numba", "cc"])
+    def test_unknown_native_provider_rejected(self, provider, monkeypatch):
+        from repro.util import kernels, kernels_native
+
+        monkeypatch.setenv(kernels_native.PROVIDER_ENV, provider)
+        kernels.invalidate_cache()
+        try:
+            for params in ({}, {"kernels": "numpy"}, {"kernels": "auto"}):
+                with pytest.raises(JobError, match="REPRO_NATIVE_PROVIDER"):
+                    normalize_params("attack", params)
+        finally:
+            monkeypatch.undo()
+            kernels.invalidate_cache()
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(JobError, match="rsa"):

@@ -3,15 +3,20 @@
 The contract under test: every backend of every hot kernel (batched
 AES, PDN IIR recurrence, streaming-CPA accumulate) is **bit-identical**
 to the numpy reference — the equality suite below is parametrized over
-whatever backends actually load on this host, so the same tests gate
-the numba provider, the cc/ctypes provider, and the scipy path alike.
+whatever backends actually load on this host (numpy everywhere, the
+cc/ctypes provider where a C compiler exists).
 """
 
 import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aes.batch import (
     BatchedAES128,
@@ -31,8 +36,8 @@ from repro.util import kernels, kernels_native
 from repro.util.rng import derive_seed, make_rng
 
 # Probed once at collection: the suite parametrizes over the backends
-# this host can actually serve (numpy everywhere; scipy and native
-# where available).
+# this host can actually serve (numpy everywhere; native where a C
+# compiler exists).
 AES_BACKENDS = kernels.available_backends("aes")
 PDN_BACKENDS = kernels.available_backends("pdn")
 CPA_BACKENDS = kernels.available_backends("cpa")
@@ -46,7 +51,7 @@ needs_native = pytest.mark.skipif(
 
 @pytest.fixture
 def no_native():
-    """Simulate a host without numba or a C compiler."""
+    """Simulate a host without a C compiler."""
     saved = os.environ.get(kernels_native.PROVIDER_ENV)
     os.environ[kernels_native.PROVIDER_ENV] = "none"
     kernels.invalidate_cache()
@@ -75,8 +80,8 @@ class TestParseSpec:
         }
 
     def test_per_kernel_map(self):
-        assert kernels.parse_spec("aes=native, pdn=scipy") == {
-            "aes": "native", "pdn": "scipy", "cpa": "auto",
+        assert kernels.parse_spec("aes=native, pdn=numpy") == {
+            "aes": "native", "pdn": "numpy", "cpa": "auto",
             "resample": "auto", "sensor": "auto",
         }
 
@@ -95,6 +100,111 @@ class TestParseSpec:
     def test_error_message_names_accepted_values(self):
         with pytest.raises(kernels.KernelConfigError, match="native"):
             kernels.parse_spec("bogus")
+
+
+#: The modes the grammar accepts; anything else is a config error.
+MODES = ("auto", "numpy", "native")
+#: Deterministic example generation: the suite must not flake.
+FUZZ = settings(derandomize=True, deadline=None, max_examples=200)
+_WORDS = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyzAEN0123456789_-.", min_size=1,
+    max_size=12,
+)
+#: Mode strings that must be rejected: removed backends, wrong case,
+#: and arbitrary words.
+_BAD_MODES = st.one_of(
+    st.sampled_from(["scipy", "numba", "cc", "NUMPY", "Native", "none"]),
+    _WORDS.filter(lambda word: word not in MODES),
+)
+_BAD_KERNELS = _WORDS.filter(lambda word: word not in kernels.KERNEL_NAMES)
+
+
+class TestSpecGrammarFuzz:
+    def test_modes_are_numpy_and_native_only(self):
+        assert kernels.KERNEL_MODES == MODES
+
+    @FUZZ
+    @given(
+        entries=st.dictionaries(
+            st.sampled_from(kernels.KERNEL_NAMES), st.sampled_from(MODES)
+        ),
+        separator=st.sampled_from([",", ", ", " , "]),
+    )
+    def test_every_map_parses_to_its_dict(self, entries, separator):
+        spec = separator.join("%s=%s" % item for item in entries.items())
+        expected = {kernel: "auto" for kernel in kernels.KERNEL_NAMES}
+        expected.update(entries)
+        assert kernels.parse_spec(spec) == expected
+
+    @FUZZ
+    @given(mode=_BAD_MODES)
+    def test_unknown_single_mode_rejected(self, mode):
+        with pytest.raises(kernels.KernelConfigError):
+            kernels.parse_spec(mode)
+
+    @FUZZ
+    @given(
+        entries=st.dictionaries(
+            st.sampled_from(kernels.KERNEL_NAMES), st.sampled_from(MODES)
+        ),
+        kernel=st.sampled_from(kernels.KERNEL_NAMES),
+        mode=_BAD_MODES,
+    )
+    def test_unknown_mode_in_a_map_rejected(self, entries, kernel, mode):
+        entries = dict(entries, **{kernel: mode})
+        spec = ",".join("%s=%s" % item for item in entries.items())
+        with pytest.raises(kernels.KernelConfigError, match="mode"):
+            kernels.parse_spec(spec)
+
+    @FUZZ
+    @given(name=_BAD_KERNELS, mode=st.sampled_from(MODES))
+    def test_unknown_kernel_name_rejected(self, name, mode):
+        with pytest.raises(kernels.KernelConfigError, match="kernel"):
+            kernels.parse_spec("aes=numpy,%s=%s" % (name, mode))
+
+
+class TestProviderValue:
+    @pytest.mark.parametrize("provider", ["numba", "cc", "scipy", "turbo"])
+    def test_unknown_provider_is_a_config_error(self, provider, monkeypatch):
+        # Before: an unknown value disabled the C library and auto
+        # quietly resolved every kernel to numpy.
+        monkeypatch.setenv(kernels_native.PROVIDER_ENV, provider)
+        kernels.invalidate_cache()
+        try:
+            for spec in (None, "auto", "numpy", "native", "aes=native"):
+                with pytest.raises(
+                    kernels.KernelConfigError, match=provider
+                ) as excinfo:
+                    kernels.configure(spec)
+                assert "\n" not in str(excinfo.value)
+            with pytest.raises(kernels.KernelConfigError):
+                kernels.active_backends()
+        finally:
+            monkeypatch.undo()
+            kernels.invalidate_cache()
+        assert kernels.KERNELS_ENV not in os.environ
+
+    @pytest.mark.parametrize("provider", ["auto", " AUTO ", ""])
+    def test_auto_loads_the_c_library(self, provider, monkeypatch):
+        monkeypatch.setenv(kernels_native.PROVIDER_ENV, provider)
+        kernels.invalidate_cache()
+        try:
+            resolved = kernels.configure("auto")
+            expected = "native" if NATIVE else "numpy"
+            assert set(resolved.values()) == {expected}
+        finally:
+            kernels.configure(None)
+            monkeypatch.undo()
+            kernels.invalidate_cache()
+
+    def test_none_resolves_everything_to_numpy(self, no_native):
+        resolved = kernels.configure("auto")
+        try:
+            assert resolved == {
+                kernel: "numpy" for kernel in kernels.KERNEL_NAMES
+            }
+        finally:
+            kernels.configure(None)
 
 
 class TestConfigureAndUse:
@@ -159,24 +269,29 @@ class TestAvailability:
         with pytest.raises(ValueError):
             kernels.available_backends("rsa")
 
-    def test_scipy_mode_without_scipy_ops_falls_back(self):
-        # aes/cpa have no scipy form; requesting scipy must degrade to
-        # the reference path, not fail.
-        with kernels.use("scipy") as resolved:
-            assert resolved["aes"] == "numpy"
-            assert resolved["cpa"] == "numpy"
-
-    def test_dispatch_falls_back_to_numpy_for_missing_ops(self):
-        with kernels.use("scipy"):
-            op = kernels.dispatch("aes", "round_states")
+    @needs_native
+    def test_dispatch_falls_back_to_numpy_for_missing_ops(self, monkeypatch):
+        # A kernel the loaded provider refused still resolves to
+        # native, and dispatch serves the numpy reference for it.
         from repro.aes.batch import _round_states_numpy
 
-        assert op is _round_states_numpy
+        provider = kernels_native.load_native()
+        monkeypatch.delitem(provider.ops, ("aes", "round_states"))
+        monkeypatch.setitem(provider.refused, "aes", "refused for a test")
+        with kernels.use("native") as resolved:
+            assert resolved["aes"] == "native"
+            assert (
+                kernels.dispatch("aes", "round_states")
+                is _round_states_numpy
+            )
+            assert kernels.backend_metadata()["native_refused"] == {
+                "aes": "refused for a test"
+            }
 
     def test_backend_metadata_shape(self):
         meta = kernels.backend_metadata()
         assert set(meta) == {
-            "kernel_backends", "native_provider", "native_refused", "numba",
+            "kernel_backends", "native_provider", "native_refused",
         }
         assert set(meta["kernel_backends"]) == set(kernels.KERNEL_NAMES)
 
@@ -195,16 +310,14 @@ class TestNativeUnavailable:
 
     def test_auto_resolves_cleanly_without_native(self, no_native):
         resolved = kernels.active_backends()
-        assert "native" not in resolved.values()
-        assert set(resolved.values()) <= {"numpy", "scipy"}
+        assert set(resolved.values()) == {"numpy"}
 
     def test_error_names_missing_dependency(self, monkeypatch):
-        # Simulate a host with neither numba nor a C compiler: the
-        # error must name what to install, not just say "unavailable".
-        # Pin the provider to auto so an outer REPRO_NATIVE_PROVIDER
-        # (e.g. the numpy-fallback CI run) doesn't preempt the probe.
+        # Simulate a host without a C compiler: the error must name
+        # what is missing, not just say "unavailable".  Pin the
+        # provider to auto so an outer REPRO_NATIVE_PROVIDER (e.g. the
+        # numpy-only CI check) doesn't preempt the probe.
         monkeypatch.setenv(kernels_native.PROVIDER_ENV, "auto")
-        monkeypatch.setattr(kernels_native, "numba", None)
         monkeypatch.setattr(
             kernels_native, "_find_compiler", lambda: None
         )
@@ -214,9 +327,7 @@ class TestNativeUnavailable:
                 kernels.KernelUnavailableError
             ) as excinfo:
                 kernels.configure("native")
-            message = str(excinfo.value)
-            assert "numba" in message
-            assert "compiler" in message
+            assert "compiler" in str(excinfo.value)
         finally:
             kernels.invalidate_cache()
 
@@ -493,3 +604,44 @@ class TestNativeProcessSafety:
             resolved = kernels.active_backends()
         assert resolved["aes"] == "native"
         assert resolved["pdn"] == "numpy"
+
+
+# ----------------------------------------------------------------------
+# numpy is the only runtime dependency: a campaign process never
+# imports scipy, even on a host where it is installed.
+# ----------------------------------------------------------------------
+
+
+class TestNumpyOnlyRuntime:
+    def test_resampled_jitter_attack_never_imports_scipy(self):
+        script = textwrap.dedent(
+            """
+            import sys
+
+            from repro.service import runners
+            from repro.service.jobs import normalize_params
+
+            params = normalize_params("attack", {
+                "traces": 2000, "workers": 1,
+                "jitter": "uniform:2", "preprocess": "resample=3/2",
+            })
+            result = runners.run_attack(params)
+            assert result.correlations.shape[1] == 256, result
+            assert "scipy" not in sys.modules, sorted(
+                name for name in sys.modules if name.startswith("scipy")
+            )
+            assert "numba" not in sys.modules
+            print("ok")
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
+            + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
