@@ -14,6 +14,7 @@ key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -23,7 +24,6 @@ from repro.aes.leakage import SHIFT_ROWS_SOURCE
 from repro.attacks.cpa import CPAResult, run_cpa
 from repro.attacks.models import BYTE_VALUES, single_bit_hypothesis
 from repro.util.executors import CampaignHealth, RetryPolicy, map_ordered
-from repro.util.shm import ArrayFanout, fanout_state
 
 
 def column_of_key_byte(byte_index: int) -> int:
@@ -104,22 +104,14 @@ class FullKeyResult:
         return max(mtds)  # type: ignore[arg-type]
 
 
-def _attack_byte_task(task: Dict[str, object]) -> CPAResult:
-    """One key byte's CPA (module-level so process pools can pickle it).
-
-    The task carries only the byte index plus a fan-out context id; the
-    (N, 4) leakage matrix and (N, 16) ciphertext block are resolved in
-    the worker — from driver memory on in-process backends, from a
-    shared-memory mapping on the process backend — so no task or retry
-    ever re-serializes the campaign data.
-    """
-    state = fanout_state(task["ctx"])
-    byte_index: int = task["byte_index"]
-    leakage = state.array("leakage")
-    ct = state.array("ciphertexts")
-    correct_key = state.heavy["correct_key"]
-    bit = state.heavy["target_bit"]
-    if state.heavy["integral"]:
+def _attack_byte_task(state: Dict[str, object], byte_index: int) -> CPAResult:
+    """One key byte's CPA over the shared (N, 4) leakage and (N, 16)
+    ciphertexts, read in place from ``state``."""
+    leakage: np.ndarray = state["leakage"]
+    ct: np.ndarray = state["ciphertexts"]
+    correct_key = state["correct_key"]
+    bit = state["target_bit"]
+    if state["integral"]:
         # By value: one 256-row table instead of an (N, 256) matrix.
         hypotheses = single_bit_hypothesis(BYTE_VALUES, bit=bit)
         values: Optional[np.ndarray] = ct[:, byte_index]
@@ -129,7 +121,7 @@ def _attack_byte_task(task: Dict[str, object]) -> CPAResult:
     return run_cpa(
         leakage[:, column_of_key_byte(byte_index)],
         hypotheses,
-        checkpoints=state.heavy["checkpoints"],
+        checkpoints=state["checkpoints"],
         correct_key=None if correct_key is None else correct_key[byte_index],
         values=values,
     )
@@ -142,7 +134,6 @@ def recover_last_round_key(
     correct_key: Optional[bytes] = None,
     checkpoints: Optional[List[int]] = None,
     max_workers: Optional[int] = None,
-    executor: Optional[str] = None,
     policy: Optional[RetryPolicy] = None,
     health: Optional[CampaignHealth] = None,
 ) -> FullKeyResult:
@@ -165,8 +156,6 @@ def recover_last_round_key(
             CPAs on a worker pool (each byte's CPA is a fixed function
             of its inputs, so the result is identical to the serial
             loop).  Default: serial.
-        executor: ``"thread"`` (default) or ``"process"`` — see
-            :func:`repro.util.executors.map_ordered`.
         policy: retry/timeout/degradation policy; with ``health``,
             switches the per-byte CPAs onto the resilient path of
             :func:`map_ordered` (each byte's CPA is deterministic, so
@@ -190,33 +179,22 @@ def recover_last_round_key(
             health=health,
             sites=["byte[%d]" % index for index in range(16)],
         )
-    workers = 1 if max_workers is None else max_workers
-    with ArrayFanout(
-        heavy={
-            "target_bit": target_bit,
-            "checkpoints": checkpoints,
-            "correct_key": correct_key,
-            # Integer-valued leakage (every campaign's) takes the exact
-            # by-value statistic; analog leakage keeps the dense path.
-            "integral": bool((leakage == np.floor(leakage)).all()),
-        },
-        arrays={"leakage": leakage, "ciphertexts": ct},
-        executor=executor,
-        workers=workers,
-        num_tasks=16,
-    ) as fanout:
-        tasks = [
-            {"ctx": fanout.context_id, "byte_index": byte_index}
-            for byte_index in range(16)
-        ]
-        results = map_ordered(
-            _attack_byte_task,
-            tasks,
-            max_workers=workers,
-            executor=executor,
-            **fanout.map_kwargs,
-            **kwargs,
-        )
+    state = {
+        "leakage": leakage,
+        "ciphertexts": ct,
+        "target_bit": target_bit,
+        "checkpoints": checkpoints,
+        "correct_key": correct_key,
+        # Integer-valued leakage (every campaign's) takes the exact
+        # by-value statistic; analog leakage keeps the dense path.
+        "integral": bool((leakage == np.floor(leakage)).all()),
+    }
+    results = map_ordered(
+        partial(_attack_byte_task, state),
+        range(16),
+        max_workers=1 if max_workers is None else max_workers,
+        **kwargs,
+    )
     return FullKeyResult(
         byte_results=results,
         true_last_round_key=correct_key,

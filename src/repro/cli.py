@@ -16,7 +16,7 @@ Commands:
   measures sensor sampling + the sharded campaign driver and writes
   ``BENCH_sampling.json``; ``--suite e2e`` measures the batched
   end-to-end trace-generation pipeline (AES datapath + PDN IIR +
-  process sharding) and writes ``BENCH_e2e.json``; ``--suite kernels``
+  sharded campaign) and writes ``BENCH_e2e.json``; ``--suite kernels``
   compares every available backend (numpy/native) of the five hot
   kernels and writes ``BENCH_kernels.json``; ``--suite fleet``
   measures distributed campaign dispatch over 1 vs N loopback workers
@@ -26,7 +26,7 @@ Commands:
   barrier, restart it on the same journal, and assert the recovered
   results are byte-identical to undisturbed runs — and writes
   ``BENCH_chaos.json``.  All records embed host metadata
-  (python/numpy versions, CPU count, platform, executor backend,
+  (python/numpy versions, CPU count, platform,
   resolved kernel-backend map, native provider) so
   snapshots from different machines compare honestly.
 * ``serve`` — run the campaign job service: an asyncio scheduler with
@@ -39,7 +39,7 @@ Commands:
   restart and finishes every unfinished job bit-identically.
 * ``worker`` — join a running service as a fleet worker: register
   capabilities (CPUs, slots, kernel backends, warm cache keys), pull
-  shard leases, and execute them through the local zero-copy pool.
+  shard leases, and execute them through the local thread pool.
   ``--reconnect`` keeps redialing a lost (or restarting) server with
   seeded exponential backoff instead of exiting.
 * ``submit`` — send one job (``tracegen``/``attack``/``fullkey``/
@@ -54,13 +54,13 @@ Commands:
   counters), or ``--metrics`` for the live counters/gauges/latency
   histograms.
 
-Parallel commands accept ``--workers N`` and ``--executor
-{thread,process}``; results are bit-identical across backends and
-worker counts.  The campaign and bench commands also accept
+Parallel commands accept ``--workers N`` and run on a thread pool;
+results are bit-identical across worker counts.  The campaign and
+bench commands also accept
 ``--kernels {auto,numpy,native}`` (or a per-kernel map like
 ``aes=native,pdn=numpy``) selecting the compiled-kernel backends —
 bit-identical by contract.  Invalid values (``--workers 0``, an
-unknown executor or kernels name, ``native`` on a host without a C
+unknown kernels name, ``native`` on a host without a C
 compiler, a ``REPRO_NATIVE_PROVIDER`` other than ``auto`` or
 ``none``) exit with code 2 and one actionable line, not a
 traceback.  The campaign commands (``attack``, ``fullkey``) also
@@ -82,21 +82,10 @@ from typing import List, Optional
 import numpy as np
 
 
-def _add_executor_argument(parser) -> None:
-    # No argparse choices= here: executor names are validated in
-    # _validate_parallel_args so a typo gets the same one-line exit-2
-    # treatment as every other structured failure.
-    parser.add_argument(
-        "--executor",
-        default=None,
-        metavar="{thread,process}",
-        help="worker-pool backend (default: thread)",
-    )
-
-
 def _add_kernels_argument(parser) -> None:
-    # Validated like --executor: unknown modes and unavailable native
-    # backends surface as one-line exit-2 ReproErrors, not tracebacks.
+    # No argparse choices= here: unknown modes and unavailable native
+    # backends are validated in _validate_parallel_args so they surface
+    # as one-line exit-2 ReproErrors, not usage dumps.
     parser.add_argument(
         "--kernels",
         default=None,
@@ -107,7 +96,7 @@ def _add_kernels_argument(parser) -> None:
 
 
 def _validate_parallel_args(args) -> None:
-    """Reject bad --workers/--executor/--kernels values with a ReproError.
+    """Reject bad --workers/--kernels values with a ReproError.
 
     Argparse would answer with a usage dump and exit code 2 of its
     own; routing through :class:`ReproError` instead gives the same
@@ -115,19 +104,12 @@ def _validate_parallel_args(args) -> None:
     """
     from repro.util import kernels, kernels_native
     from repro.util.errors import ReproError
-    from repro.util.executors import EXECUTOR_KINDS
 
     workers = getattr(args, "workers", None)
     if workers is not None and workers < 1:
         raise ReproError(
             "--workers must be >= 1 (got %d); use --workers 1 for a "
             "serial run" % workers
-        )
-    executor = getattr(args, "executor", None)
-    if executor is not None and executor not in EXECUTOR_KINDS:
-        raise ReproError(
-            "unknown --executor %r (expected one of %s)"
-            % (executor, ", ".join(EXECUTOR_KINDS))
         )
     # An unknown REPRO_NATIVE_PROVIDER fails every command up front,
     # not only the first one that dispatches a kernel.
@@ -260,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="workers for the sharded driver (1 = serial)",
     )
-    _add_executor_argument(attack)
     _add_kernels_argument(attack)
     _add_acquisition_arguments(attack)
     _add_resilience_arguments(attack)
@@ -271,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="workers for collection and per-byte CPAs",
     )
-    _add_executor_argument(fullkey)
     _add_kernels_argument(fullkey)
     _add_acquisition_arguments(fullkey)
     _add_resilience_arguments(fullkey)
@@ -303,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="workers for the sharded CPA figures",
     )
-    _add_executor_argument(report)
     _add_kernels_argument(report)
     _add_acquisition_arguments(report)
     report.add_argument(
@@ -343,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument("--workers", type=int, default=None)
-    _add_executor_argument(bench)
     _add_kernels_argument(bench)
     bench.add_argument(
         "--output", default=None,
@@ -441,7 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None, metavar="N",
         help="local pool size per lease (default: usable CPUs)",
     )
-    _add_executor_argument(worker)
     worker.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="result-cache directory whose keys are advertised as "
@@ -537,7 +514,6 @@ def _campaign_params(args, **extra) -> dict:
         "traces": args.traces,
         "seed": args.seed,
         "workers": args.workers,
-        "executor": args.executor,
         "kernels": getattr(args, "kernels", None),
     }
     if hasattr(args, "retries"):
@@ -570,7 +546,6 @@ def _cmd_attack(args) -> int:
             seed=args.seed,
             num_traces=args.traces,
             max_workers=args.workers,
-            executor=args.executor,
         )
     )
     correct = setup.cipher.last_round_key[setup.config.target_byte]
@@ -687,7 +662,6 @@ def _cmd_report(args) -> int:
         "seed": args.seed,
         "cpa": not args.no_cpa,
         "workers": args.workers,
-        "executor": args.executor,
         "kernels": args.kernels,
     }
     params.update(_acquisition_params(args))
@@ -754,7 +728,6 @@ def _cmd_bench(args) -> int:
             circuit=args.circuit,
             repeats=args.repeats,
             max_workers=args.workers,
-            executor=args.executor,
             seed=args.seed,
         )
     else:
@@ -812,7 +785,6 @@ def _cmd_worker(args) -> int:
         name=args.name,
         slots=args.slots,
         local_workers=args.workers,
-        executor=args.executor,
         cache_dir=args.cache_dir,
         quiet=args.quiet,
         reconnect=args.reconnect,
@@ -1029,8 +1001,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             from repro.util import kernels
 
             # Apply the backend selection for the whole command (and,
-            # via REPRO_KERNELS, for its process-pool workers);
-            # restored on exit so in-process callers are unaffected.
+            # via REPRO_KERNELS, for its child processes); restored on
+            # exit so in-process callers are unaffected.
             with kernels.use(spec):
                 return _COMMANDS[args.command](args)
         return _COMMANDS[args.command](args)

@@ -166,7 +166,7 @@ class PhysicalTraceGenerator:
         The expansion is cheap but sits on the per-chunk hot path of
         sharded campaigns; caching it makes worker-side chunk loops
         re-derive nothing per chunk.  Lazy so unpickled generators
-        (process-pool fan-out) rebuild it on first use.
+        rebuild it on first use.
         """
         cached = self.__dict__.get("_batched_aes")
         if cached is None:

@@ -12,7 +12,7 @@ snapshot, regenerated via ``repro bench``).
 batched AES datapath vs the per-trace cipher loop, the IIR-form PDN
 integrator vs the pure-Python recurrence, the combined physical trace
 generator, and a full physical CPA campaign — fast kernels on a
-multi-worker process pool against the per-trace reference path run
+multi-worker thread pool against the per-trace reference path run
 serially.  Every comparison asserts bit-identical outputs (states,
 waveforms, sampled bits, CPA correlations) before anything is timed;
 ``BENCH_e2e.json`` is the tracked snapshot
@@ -75,20 +75,22 @@ from repro.experiments.parallel import (
     sharded_attack,
 )
 from repro.util import kernels
-from repro.util.executors import usable_cpu_count
+from repro.util.executors import EXECUTOR_THREAD, usable_cpu_count
 from repro.util.rng import derive_seed, make_rng
 
 from repro.aes.aes128 import AES128
 
 
-def host_metadata(executor: Optional[str] = None) -> Dict[str, object]:
+def host_metadata() -> Dict[str, object]:
     """Host provenance embedded in every benchmark record.
 
     Performance snapshots are only comparable between runs when the
     platform that produced them is known; this block pins the
-    interpreter, the numeric stack, the machine, the executor backend,
-    and — since the kernel dispatch layer — the resolved kernel backend
-    map (``kernel_backends``) and the native provider serving it.
+    interpreter, the numeric stack, the machine, the pool backend
+    (``executor``: always ``"thread"`` now; older records may say
+    ``"process"``), and — since the kernel dispatch layer — the
+    resolved kernel backend map (``kernel_backends``) and the native
+    provider serving it.
     """
     meta = {
         "python": platform.python_version(),
@@ -100,7 +102,7 @@ def host_metadata(executor: Optional[str] = None) -> Dict[str, object]:
         # make this smaller than cpu_count in containers and CI, and a
         # "parallel speedup" is only meaningful against this number.
         "usable_cpus": usable_cpu_count(),
-        "executor": executor if executor is not None else "thread",
+        "executor": EXECUTOR_THREAD,
     }
     meta.update(kernels.backend_metadata())
     return meta
@@ -384,7 +386,6 @@ def run_e2e_benchmark(
     circuit: str = "alu",
     repeats: int = 3,
     max_workers: Optional[int] = None,
-    executor: Optional[str] = None,
     seed: int = 1,
 ) -> Dict[str, object]:
     """Benchmark the vectorized trace-generation pipeline end to end.
@@ -394,9 +395,8 @@ def run_e2e_benchmark(
     IIR PDN integration vs the pure-Python recurrence, and the combined
     :class:`~repro.core.tracegen.PhysicalTraceGenerator` fast vs
     reference paths — plus one physical CPA campaign comparison:
-    fast kernels sharded over ``max_workers`` workers on the chosen
-    ``executor`` backend against the per-trace reference pipeline run
-    serially.
+    fast kernels sharded over ``max_workers`` workers against the
+    per-trace reference pipeline run serially.
 
     Every stage first asserts the fast output is bit-identical to the
     reference (AES activity, droop waveforms, generated voltages,
@@ -410,7 +410,6 @@ def run_e2e_benchmark(
         circuit: registry circuit used as the sensor.
         repeats: timing repeats (best-of).
         max_workers: campaign worker count (default: machine default).
-        executor: campaign executor backend (default: thread).
         seed: campaign seed.
     """
     from repro.aes.batch import encryption_cycle_hd_batch
@@ -420,7 +419,6 @@ def run_e2e_benchmark(
         random_plaintexts,
     )
     from repro.experiments.parallel import sharded_physical_attack
-    from repro.util.executors import resolve_executor
 
     warm_kernels()
     cipher = AES128(ExperimentConfig().key)
@@ -520,7 +518,6 @@ def run_e2e_benchmark(
     # Stage 4: physical CPA campaign -----------------------------------
     workers = max_workers if max_workers is not None else default_workers()
     exceed = _workers_exceed_cpus(workers)
-    backend = resolve_executor(executor)
     # Chunk sized to the generation pipeline's working-set footprint
     # (cache-resident chunks), not to the campaign's trace count.
     chunk = plan_chunk_size(
@@ -545,7 +542,6 @@ def run_e2e_benchmark(
             campaign_traces,
             max_workers=workers,
             chunk_size=chunk,
-            executor=backend,
             seed=seed,
         )
 
@@ -583,7 +579,7 @@ def run_e2e_benchmark(
         "cpu_count": usable_cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "host": host_metadata(backend),
+        "host": host_metadata(),
         "trace_generation": {
             "num_traces": gen_traces,
             "num_samples": generator.num_samples,
@@ -595,7 +591,7 @@ def run_e2e_benchmark(
             "num_traces": campaign_traces,
             "workers": workers,
             "workers_exceed_cpus": exceed,
-            "executor": backend,
+            "executor": EXECUTOR_THREAD,
             "chunk_size": chunk,
             "reference_serial_s": reference_s,
             "fast_s": fast_s,
@@ -620,7 +616,7 @@ def write_e2e_benchmark(
     return record
 
 
-def _codec_payload_bytes(result) -> Dict[str, object]:
+def _codec_frame_sizes(result) -> Dict[str, object]:
     """Binary-frame vs base64-JSON size of one campaign result.
 
     The fleet wire moved array payloads off base64-in-JSON onto
@@ -802,7 +798,7 @@ def run_fleet_benchmark(
         "traces": traces,
         "repeats": repeats,
         "host": host_metadata(),
-        "codec": _codec_payload_bytes(baseline),
+        "codec": _codec_frame_sizes(baseline),
         "single_host_s": baseline_s,
         "single_host_traces_per_s": traces / baseline_s,
         "fleet": fleet,
@@ -1298,7 +1294,6 @@ def run_preprocess_benchmark(
     severities=(0, 1, 2, 3),
     repeats: int = 3,
     max_workers: Optional[int] = None,
-    executor: Optional[str] = None,
     seed: int = 1,
 ) -> Dict[str, object]:
     """Acquisition-realism benchmark: alignment cost and what it buys.
@@ -1379,7 +1374,6 @@ def run_preprocess_benchmark(
             sensor,
             4000,
             max_workers=workers,
-            executor=executor,
             seed=seed,
             preprocess=gate_plan,
         )
@@ -1394,7 +1388,7 @@ def run_preprocess_benchmark(
         "seed": seed,
         "traces": int(traces),
         "repeats": repeats,
-        "host": host_metadata(executor),
+        "host": host_metadata(),
         "identity": {
             "disabled_spec_bit_identical": True,
             "workers_1_vs_2_bit_identical": True,
@@ -1436,7 +1430,6 @@ def run_preprocess_benchmark(
             sensor,
             traces,
             max_workers=max_workers,
-            executor=executor,
             seed=seed,
         )
         plan = resolve_preprocess(align_spec, jittered, seed, columns=(3,))
@@ -1445,7 +1438,6 @@ def run_preprocess_benchmark(
             sensor,
             traces,
             max_workers=max_workers,
-            executor=executor,
             seed=seed,
             preprocess=plan,
         )

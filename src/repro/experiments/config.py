@@ -31,10 +31,6 @@ class ExperimentConfig:
             (None: a machine-dependent default; 1: force serial).
             Results are identical either way — sharding only changes
             wall-clock.
-        executor: sharded-driver backend, ``"thread"`` (default) or
-            ``"process"`` (true multi-core; see
-            :mod:`repro.util.executors`).  Results are identical on
-            either backend.
     """
 
     seed: int = 1
@@ -45,7 +41,6 @@ class ExperimentConfig:
     target_bit: int = 0
     overclock_mhz: float = 300.0
     max_workers: Optional[int] = None
-    executor: Optional[str] = None
 
     def scaled(self, fraction: float) -> "ExperimentConfig":
         """A cheaper copy with ``num_traces`` scaled by ``fraction``.
@@ -64,7 +59,6 @@ class ExperimentConfig:
             target_bit=self.target_bit,
             overclock_mhz=self.overclock_mhz,
             max_workers=self.max_workers,
-            executor=self.executor,
         )
 
 

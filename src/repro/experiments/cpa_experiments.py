@@ -85,7 +85,6 @@ def fig10_cpa_alu(setup: ExperimentSetup) -> CPAExperimentOutcome:
         target_byte=setup.config.target_byte,
         target_bit=setup.config.target_bit,
         max_workers=setup.config.max_workers,
-        executor=setup.config.executor,
     )
     return CPAExperimentOutcome(
         "fig10", "ALU @300 MHz, HW of sensitive bits", result
@@ -124,7 +123,6 @@ def fig12_cpa_alu_best_bit(setup: ExperimentSetup) -> CPAExperimentOutcome:
         target_byte=setup.config.target_byte,
         target_bit=setup.config.target_bit,
         max_workers=setup.config.max_workers,
-        executor=setup.config.executor,
     )
     return CPAExperimentOutcome(
         "fig12", "ALU, single endpoint (paper: bit 21)", result,
@@ -145,7 +143,6 @@ def fig13_cpa_alu_alternate_bit(
         target_byte=setup.config.target_byte,
         target_bit=setup.config.target_bit,
         max_workers=setup.config.max_workers,
-        executor=setup.config.executor,
     )
     return CPAExperimentOutcome(
         "fig13", "ALU, alternate endpoint (paper: bit 6)", result,
@@ -162,7 +159,6 @@ def fig17_cpa_c6288(setup: ExperimentSetup) -> CPAExperimentOutcome:
         target_byte=setup.config.target_byte,
         target_bit=setup.config.target_bit,
         max_workers=setup.config.max_workers,
-        executor=setup.config.executor,
     )
     return CPAExperimentOutcome(
         "fig17", "2x C6288 @300 MHz, HW of 64-bit word", result
@@ -182,7 +178,6 @@ def fig18_cpa_c6288_best_bit(
         target_byte=setup.config.target_byte,
         target_bit=setup.config.target_bit,
         max_workers=setup.config.max_workers,
-        executor=setup.config.executor,
     )
     return CPAExperimentOutcome(
         "fig18", "C6288, single endpoint (paper: bit 28)", result,

@@ -17,8 +17,8 @@ runs through one contract:
   checkpoint segment) or :class:`ColumnBlocks` (column leakage blocks)
   — owns its result validator, its one in-order reducer and its
   checkpoint arrays;
-* :func:`_shard_task` is the one picklable task and :func:`_run_shards`
-  the one fan-out/checkpoint loop.  The four public drivers, a fleet
+* :func:`_shard_task` is the one task and :func:`_run_shards` the one
+  fan-out/checkpoint loop.  The four public drivers, a fleet
   lease (:func:`run_lease`) and the fleet coordinator's merge all
   reduce through the same statistic.
 
@@ -38,17 +38,15 @@ Determinism is preserved by construction:
   (:meth:`~repro.attacks.cpa.StreamingCPA.update` with ``values``), is
   bit-identical to the dense :func:`repro.attacks.cpa.run_cpa`.
 
-Workers run on either backend of
-:func:`repro.util.executors.map_ordered`: the default thread pool (the
-heavy kernels release the GIL for most of their runtime) or, with
-``executor="process"``, a process pool fed through
-:class:`repro.util.shm.ArrayFanout`.  Both backends produce
-bit-identical results at any worker count.
+Workers run on the thread pool of
+:func:`repro.util.executors.map_ordered` (the heavy kernels release the
+GIL) and read the campaign's objects and arrays in place through one
+:class:`repro.util.shm.ArrayFanout`.  Results are bit-identical at any
+worker count.
 
 The same determinism is what makes the campaign *fault-tolerant*:
 because the shard task is a pure function of its payload, the runtime
-may retry a failed shard, rebuild a broken process pool, or degrade
-``process -> thread -> serial``
+may retry a failed shard or degrade ``thread -> serial``
 (:class:`repro.util.executors.RetryPolicy`) without any effect on the
 result.  Passing ``checkpoint_path`` makes progress durable: after
 every ``checkpoint_every`` completed shards the statistic's state and
@@ -63,6 +61,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,7 +107,7 @@ from repro.util.executors import (
 )
 from repro.util.faults import FaultPlan, poison_leakage
 from repro.util.rng import derive_seed
-from repro.util.shm import ArrayFanout, FanoutPayload, fanout_state
+from repro.util.shm import ArrayFanout
 
 __all__ = [
     "DEFAULT_CHUNK_WORKING_SET_BYTES",
@@ -261,28 +260,28 @@ def segment_ends(shard: Shard, boundaries: Sequence[int]) -> List[int]:
 
 
 def _reduced_recipe(
-    state: FanoutPayload, start: int, end: int, column: Optional[int]
+    state: ArrayFanout, start: int, end: int, column: Optional[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Analytic reduced leakage at the target byte's cycle."""
     heavy = state.heavy
     campaign: AttackCampaign = heavy["campaign"]
     leakage = campaign.reduced_leakage_block(
-        state.array("voltages")[start:end],
+        state.arrays["voltages"][start:end],
         start,
         heavy["reduction"],
         heavy["mask"],
         heavy["bit"],
     )
-    return leakage, state.array("ct_bytes")[start:end]
+    return leakage, state.arrays["ct_bytes"][start:end]
 
 
 def _column_recipe(
-    state: FanoutPayload, start: int, end: int, column: Optional[int]
+    state: ArrayFanout, start: int, end: int, column: Optional[int]
 ) -> np.ndarray:
     """Analytic Hamming-weight leakage at one last-round column."""
     campaign: AttackCampaign = state.heavy["campaign"]
     return campaign.column_leakage_block(
-        state.array("voltages")[start:end, column],
+        state.arrays["voltages"][start:end, column],
         start,
         column,
         state.heavy["mask"],
@@ -290,7 +289,7 @@ def _column_recipe(
 
 
 def _physical_recipe(
-    state: FanoutPayload, start: int, end: int, column: Optional[int]
+    state: ArrayFanout, start: int, end: int, column: Optional[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One generated chunk read at the target byte's cycle.
 
@@ -310,7 +309,7 @@ def _physical_recipe(
         generator.generate_reference if reference else generator.generate
     )
     data = generate(
-        state.array("plaintexts")[start:end],
+        state.arrays["plaintexts"][start:end],
         seed=derive_seed(seed, "e2e-noise", start),
     )
     if preprocess is None:
@@ -331,7 +330,7 @@ def _physical_recipe(
 
 
 def _physical_columns_recipe(
-    state: FanoutPayload, start: int, end: int, column: Optional[int]
+    state: ArrayFanout, start: int, end: int, column: Optional[int]
 ) -> np.ndarray:
     """One generated chunk read at all four last-round columns.
 
@@ -345,7 +344,7 @@ def _physical_columns_recipe(
     seed: int = heavy["seed"]
     preprocess: Optional[ResolvedPreprocess] = heavy["preprocess"]
     data = generator.generate(
-        state.array("plaintexts")[start:end],
+        state.arrays["plaintexts"][start:end],
         seed=derive_seed(seed, "e2e-noise", start),
     )
     voltages = (
@@ -644,13 +643,20 @@ class ColumnBlocks:
 
     @staticmethod
     def validate(task: Dict[str, object], result: object) -> None:
-        """Reject truncated column-leakage blocks before they stack."""
+        """Reject truncated or non-finite column-leakage blocks before
+        they stack: downstream, only the per-byte CPAs would see a NaN,
+        after collection, when the shard can no longer be retried."""
         shard: Shard = task["shard"]
         expected = (shard.num_traces, 1 if "column" in task else 4)
         shape = getattr(result, "shape", None)
         if shape != expected:
             raise TruncatedResultError(
                 shard.site, "leakage block %s" % (expected,), "%s" % (shape,)
+            )
+        bad = int((~np.isfinite(result)).any(axis=1).sum())
+        if bad:
+            raise TruncatedResultError(
+                shard.site, "finite leakage", "%d non-finite row(s)" % bad
             )
 
     def merge(self, results: Sequence[np.ndarray]) -> None:
@@ -674,18 +680,14 @@ class ColumnBlocks:
 # ----------------------------------------------------------------------
 
 
-def _shard_task(task: Dict[str, object]) -> object:
+def _shard_task(state: ArrayFanout, task: Dict[str, object]) -> object:
     """One shard: the source's recipe over the shard's chunks, reduced
     to the task's statistic.
 
-    Module-level and picklable, but the payload is only a context id,
-    the shard, and its ``column`` or ``segment_ends``: the source's
-    heavy state arrives fork-once per worker, and the campaign-global
-    arrays are read in place (driver memory or a shared-memory mapping
-    — see :class:`repro.util.shm.ArrayFanout`), so neither a task nor a
-    retry re-serializes anything heavier than a few hundred bytes.
+    The payload is only the shard and its ``column`` or
+    ``segment_ends``; the source's heavy objects and campaign-global
+    arrays are read in place from ``state``.
     """
-    state = fanout_state(task["ctx"])
     recipe = state.heavy["recipe"]
     chunk_size: int = state.heavy["chunk_size"]
     shard: Shard = task["shard"]
@@ -712,7 +714,6 @@ def _run_shards(
     statistic,
     manifest: Optional[CampaignManifest] = None,
     max_workers: Optional[int] = None,
-    executor: Optional[str] = None,
     policy: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     health: Optional[CampaignHealth] = None,
@@ -749,16 +750,10 @@ def _run_shards(
     if checkpoint_path is not None:
         group = max(1, checkpoint_every or max_workers or default_workers())
     per_shard = len(source.columns)
-    with ArrayFanout(
-        heavy=source.heavy,
-        arrays=source.arrays,
-        executor=executor,
-        workers=max_workers or default_workers(),
-        num_tasks=per_shard * len(shards),
-    ) as fanout:
+    with ArrayFanout(source.heavy, source.arrays) as fanout:
         tasks = [
             dict(
-                {"ctx": fanout.context_id, "shard": shard},
+                {"shard": shard},
                 **({} if column is None else {"column": column}),
                 **statistic.task_fields(shard),
             )
@@ -782,11 +777,9 @@ def _run_shards(
                 )
             statistic.merge(
                 map_ordered(
-                    _shard_task,
+                    partial(_shard_task, fanout),
                     tasks[completed * per_shard : stop * per_shard],
                     max_workers=max_workers,
-                    executor=executor,
-                    **fanout.map_kwargs,
                     **kwargs,
                 )
             )
@@ -825,7 +818,6 @@ def run_lease(
     end: int,
     segment_ends: Optional[Sequence[int]] = None,
     workers: int = 1,
-    executor: Optional[str] = None,
 ):
     """One fleet lease ``[start, end)`` of a campaign on this host.
 
@@ -841,12 +833,12 @@ def run_lease(
     if segment_ends is None:
         blocks = _run_shards(
             source, subs, ColumnBlocks(len(source.columns)),
-            max_workers=workers, executor=executor,
+            max_workers=workers,
         )
         return blocks.result()
     partials = _run_shards(
         source, subs, SegmentPartials(segment_ends, per_segment=True),
-        max_workers=workers, executor=executor,
+        max_workers=workers,
     )
     # The segment ends come with the lease: reject ones the lease's
     # sub-shard boundaries do not produce.
@@ -902,7 +894,6 @@ def sharded_attack(
     checkpoints: Optional[Sequence[int]] = None,
     max_workers: Optional[int] = None,
     chunk_size: int = TRACE_CHUNK,
-    executor: Optional[str] = None,
     policy: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     health: Optional[CampaignHealth] = None,
@@ -927,8 +918,6 @@ def sharded_attack(
             pass 1 to force in-process serial execution).
         chunk_size: trace-generation block length; must stay on the
             campaign's chunk grid to reproduce the serial jitter seeds.
-        executor: ``"thread"`` (default) or ``"process"`` — the
-            :func:`repro.util.executors.map_ordered` backend.
         policy: retry/timeout/degradation policy; any fault-tolerance
             argument (also ``fault_plan``, ``health``,
             ``checkpoint_path``) switches shard execution into the
@@ -972,8 +961,8 @@ def sharded_attack(
     )
     return _run_shards(
         source, shards, SegmentPartials(points), manifest, max_workers,
-        executor, policy, fault_plan, health, checkpoint_path,
-        checkpoint_every, resume,
+        policy, fault_plan, health, checkpoint_path, checkpoint_every,
+        resume,
     ).result(campaign.cipher.last_round_key[target_byte])
 
 
@@ -987,7 +976,6 @@ def sharded_physical_attack(
     checkpoints: Optional[Sequence[int]] = None,
     max_workers: Optional[int] = None,
     chunk_size: int = TRACE_CHUNK,
-    executor: Optional[str] = None,
     seed: int = 0,
     reference: bool = False,
     preprocess: Optional[ResolvedPreprocess] = None,
@@ -1012,7 +1000,7 @@ def sharded_physical_attack(
         mask: sensitive-bit mask for the Hamming-weight reduction
             (None: all endpoint bits).
         target_byte / target_bit / checkpoints / max_workers /
-            chunk_size / executor: as in :func:`sharded_attack`.
+            chunk_size: as in :func:`sharded_attack`.
         seed: campaign seed (plaintexts, ambient noise, jitter).
         reference: run every stage through its per-trace pure-Python
             reference path instead of the vectorized kernels.  Both
@@ -1051,8 +1039,8 @@ def sharded_physical_attack(
     return _run_shards(
         source, shards, SegmentPartials(points),
         _manifest("physical", params, shards, points), max_workers,
-        executor, policy, fault_plan, health, checkpoint_path,
-        checkpoint_every, resume,
+        policy, fault_plan, health, checkpoint_path, checkpoint_every,
+        resume,
     ).result(generator.cipher.last_round_key[target_byte])
 
 
@@ -1063,7 +1051,6 @@ def sharded_full_key(
     checkpoints: Optional[List[int]] = None,
     max_workers: Optional[int] = None,
     chunk_size: int = TRACE_CHUNK,
-    executor: Optional[str] = None,
     policy: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     health: Optional[CampaignHealth] = None,
@@ -1102,8 +1089,8 @@ def sharded_full_key(
     )
     leakage = _run_shards(
         source, shards, ColumnBlocks(len(source.columns)), manifest,
-        max_workers, executor, policy, fault_plan, health,
-        checkpoint_path, checkpoint_every, resume,
+        max_workers, policy, fault_plan, health, checkpoint_path,
+        checkpoint_every, resume,
     ).result()
     return recover_last_round_key(
         leakage,
@@ -1112,7 +1099,6 @@ def sharded_full_key(
         correct_key=campaign.cipher.last_round_key,
         checkpoints=checkpoints,
         max_workers=max_workers,
-        executor=executor,
         policy=policy,
         health=health,
     )
@@ -1127,7 +1113,6 @@ def sharded_physical_full_key(
     checkpoints: Optional[List[int]] = None,
     max_workers: Optional[int] = None,
     chunk_size: int = TRACE_CHUNK,
-    executor: Optional[str] = None,
     seed: int = 0,
     preprocess: Optional[ResolvedPreprocess] = None,
     policy: Optional[RetryPolicy] = None,
@@ -1172,8 +1157,8 @@ def sharded_physical_full_key(
     leakage = _run_shards(
         source, shards, ColumnBlocks(),
         _manifest("physical-fullkey", params, shards, checkpoints or ()),
-        max_workers, executor, policy, fault_plan, health,
-        checkpoint_path, checkpoint_every, resume,
+        max_workers, policy, fault_plan, health, checkpoint_path,
+        checkpoint_every, resume,
     ).result()
     return recover_last_round_key(
         leakage,
@@ -1182,7 +1167,6 @@ def sharded_physical_full_key(
         correct_key=generator.cipher.last_round_key,
         checkpoints=checkpoints,
         max_workers=max_workers,
-        executor=executor,
         policy=policy,
         health=health,
     )

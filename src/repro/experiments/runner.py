@@ -249,7 +249,6 @@ def _acquisition_figure_thunk(
             traces,
             target_byte=setup.config.target_byte,
             max_workers=setup.config.max_workers,
-            executor=setup.config.executor,
             seed=seed,
         )
         processed = (
@@ -261,7 +260,6 @@ def _acquisition_figure_thunk(
                 traces,
                 target_byte=setup.config.target_byte,
                 max_workers=setup.config.max_workers,
-                executor=setup.config.executor,
                 seed=seed,
                 preprocess=resolved,
             )

@@ -17,8 +17,7 @@ resolution is a pure function of ``(spec, generator config, seed)``:
   ``"preprocess-pilot-noise"``).
 
 Every worker therefore derives the identical plan, and the resolved
-object is small and picklable, so it rides the fork-once heavy state
-of the zero-copy shard fan-out unchanged.
+object rides the shard fan-out's heavy state unchanged.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from typing import AsyncIterator, Dict, List, Optional, Tuple
 from repro.experiments.checkpoint import CampaignManifest
 from repro.experiments.config import DEFAULT_KEY
 from repro.util.errors import ReproError
-from repro.util.executors import EXECUTOR_KINDS
+from repro.util.executors import EXECUTOR_THREAD
 
 __all__ = [
     "JOB_KINDS",
@@ -157,12 +157,18 @@ def _check_value(kind: str, name: str, value: object) -> object:
             "%s job: reduction %r not one of %s"
             % (kind, value, ", ".join(_REDUCTIONS))
         )
-    if name == "executor" and value is not None and (
-        value not in EXECUTOR_KINDS
-    ):
+    # Campaigns run on one thread pool; "executor" stays in the schema
+    # so clients that name it keep working, and accepts only "thread".
+    if name == "executor" and value == "process":
         raise JobError(
-            "%s job: unknown executor %r (expected one of %s)"
-            % (kind, value, ", ".join(EXECUTOR_KINDS))
+            "%s job: executor 'process' is not available: the process "
+            "backend was removed; omit executor or pass %r"
+            % (kind, EXECUTOR_THREAD)
+        )
+    if name == "executor" and value not in (None, EXECUTOR_THREAD):
+        raise JobError(
+            "%s job: unknown executor %r (the only executor is %r)"
+            % (kind, value, EXECUTOR_THREAD)
         )
     if name == "kernels":
         from repro.util import kernels, kernels_native

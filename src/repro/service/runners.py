@@ -7,7 +7,7 @@ the scheduler's thread workers (:mod:`repro.service.scheduler`) both
 execute through the runners here, which in turn route through the
 fault-tolerant sharded drivers (:func:`sharded_attack` /
 :func:`sharded_full_key` / :func:`run_all_figures`) — so service jobs
-inherit retries, backend degradation, and checkpoint/resume for free.
+inherit retries, pool degradation, and checkpoint/resume for free.
 
 Fleet execution is the same computation split differently.  One
 resolver (:class:`_Job`) turns an ``attack`` or ``fullkey`` job's
@@ -148,8 +148,7 @@ def _kernels_spec(params: Dict[str, object]) -> Optional[str]:
 
     Runners apply the spec with :func:`repro.util.kernels.use` so a
     service job's backend selection matches the equivalent CLI
-    invocation — including the exported ``REPRO_KERNELS`` environment
-    variable that process-pool workers resolve against.
+    invocation.
     """
     spec = params.get("kernels")
     return None if spec is None else str(spec)
@@ -160,7 +159,6 @@ def _experiment_config(params: Dict[str, object]) -> ExperimentConfig:
         seed=int(params["seed"]),  # type: ignore[arg-type]
         num_traces=int(params["traces"]),  # type: ignore[arg-type]
         max_workers=params.get("workers"),  # type: ignore[arg-type]
-        executor=params.get("executor"),  # type: ignore[arg-type]
     )
 
 
@@ -297,7 +295,6 @@ class _Job:
         """The job's execution knobs, plus ``runtime`` ones."""
         return dict(
             max_workers=self.params.get("workers"),
-            executor=self.params.get("executor"),
             policy=retry_policy(
                 self.params.get("retries"),  # type: ignore[arg-type]
                 self.params.get("task_timeout"),  # type: ignore[arg-type]
@@ -651,7 +648,6 @@ def run_attack_shard(
     end: int,
     segment_ends: Sequence[int],
     local_workers: Optional[int] = None,
-    executor: Optional[str] = None,
 ) -> List[Tuple[int, Dict[str, np.ndarray]]]:
     """One attack shard lease on this host, as raw accumulator states.
 
@@ -669,7 +665,6 @@ def run_attack_shard(
             end,
             [int(p) for p in segment_ends],
             max(1, int(local_workers or 1)),
-            executor,
         )
     return [(boundary, engine.state_arrays()) for boundary, engine in folded]
 
@@ -679,7 +674,6 @@ def run_fullkey_shard(
     start: int,
     end: int,
     local_workers: Optional[int] = None,
-    executor: Optional[str] = None,
 ) -> np.ndarray:
     """One full-key shard lease: the column-resolved leakage block.
 
@@ -695,7 +689,6 @@ def run_fullkey_shard(
             end,
             None,
             max(1, int(local_workers or 1)),
-            executor,
         )
 
 

@@ -108,7 +108,6 @@ class FleetWorker:
         name: Optional[str] = None,
         slots: int = 1,
         local_workers: Optional[int] = None,
-        executor: Optional[str] = None,
         cache_dir: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
         quiet: bool = False,
@@ -131,7 +130,6 @@ class FleetWorker:
         self.name = name or "worker-%d" % os.getpid()
         self.slots = slots
         self.local_workers = local_workers
-        self.executor = executor
         self.cache_dir = cache_dir
         self.fault_plan = fault_plan
         self.quiet = quiet
@@ -402,7 +400,6 @@ class FleetWorker:
                     end,
                     [int(p) for p in lease.get("segment_ends") or []],
                     local_workers=self.local_workers,
-                    executor=self.executor,
                 )
                 result: object = [
                     [int(boundary), state] for boundary, state in partials
@@ -413,7 +410,6 @@ class FleetWorker:
                     start,
                     end,
                     local_workers=self.local_workers,
-                    executor=self.executor,
                 )
             else:
                 raise WorkerError("lease has unknown job kind %r" % kind)
@@ -465,7 +461,6 @@ def run_worker(
     name: Optional[str] = None,
     slots: int = 1,
     local_workers: Optional[int] = None,
-    executor: Optional[str] = None,
     cache_dir: Optional[str] = None,
     quiet: bool = False,
     reconnect: bool = False,
@@ -486,7 +481,6 @@ def run_worker(
         name=name,
         slots=slots,
         local_workers=local_workers,
-        executor=executor,
         cache_dir=cache_dir,
         quiet=quiet,
         reconnect=reconnect,

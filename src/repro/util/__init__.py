@@ -1,4 +1,4 @@
-"""Shared low-level utilities: bits, seeded randomness, executors.
+"""Shared low-level utilities: bits, seeded randomness, the worker pool.
 
 These helpers are deliberately dependency-light; every other subpackage
 may import from here, but :mod:`repro.util` imports nothing from the rest
@@ -7,17 +7,13 @@ of the library.
 
 from repro.util.errors import ReproError
 from repro.util.executors import (
-    EXECUTOR_KINDS,
-    EXECUTOR_PROCESS,
     EXECUTOR_THREAD,
     CampaignHealth,
     RetryPolicy,
     ShardError,
     TruncatedResultError,
     default_workers,
-    make_executor,
     map_ordered,
-    resolve_executor,
 )
 from repro.util.faults import (
     FAULT_KINDS,
@@ -40,8 +36,6 @@ from repro.util.fileio import atomic_write
 from repro.util.rng import derive_seed, make_rng
 
 __all__ = [
-    "EXECUTOR_KINDS",
-    "EXECUTOR_PROCESS",
     "EXECUTOR_THREAD",
     "FAULT_KINDS",
     "CampaignHealth",
@@ -57,9 +51,7 @@ __all__ = [
     "bitstring",
     "default_workers",
     "derive_seed",
-    "make_executor",
     "map_ordered",
-    "resolve_executor",
     "hamming_distance",
     "hamming_weight",
     "hamming_weight_array",

@@ -1,53 +1,41 @@
-"""Executor selection and the fault-tolerant ordered map.
+"""The fault-tolerant ordered map every campaign fans out through.
 
 The sharded campaign driver (:mod:`repro.experiments.parallel`) and the
 per-byte full-key CPAs (:mod:`repro.attacks.full_key`) both fan work
 out over identical, order-preserving maps; this module is the single
-place that decides *how* those maps run:
+place that runs them, on a :class:`concurrent.futures.ThreadPoolExecutor`.
+The hot kernels (C or numpy) release the GIL, so threads scale without
+serializing anything: every task reads the driver's arrays in place.
 
-* ``"thread"`` — :class:`concurrent.futures.ThreadPoolExecutor`.  Fine
-  for numpy-heavy tasks that release the GIL, zero serialization cost.
-* ``"process"`` — :class:`concurrent.futures.ProcessPoolExecutor`.
-  True multi-core scaling for the Python-bound stages; task functions
-  and payloads must be picklable (module-level functions, plain data).
-
-On top of backend selection, :func:`map_ordered` optionally runs each
-task under a :class:`RetryPolicy`: per-task deadlines, bounded retries
-with exponential backoff and deterministic jitter, automatic executor
-rebuild after pool breakage (``BrokenProcessPool`` from an OOM-killed
-worker), and graceful degradation ``process -> thread -> serial`` when
-a backend is persistently unhealthy.  Failures that survive the whole
-ladder surface as a structured :class:`ShardError`; everything the
-runtime did to keep the campaign alive is recorded in a
-:class:`CampaignHealth` report.  Because campaign task functions are
-pure functions of their payloads (all randomness is keyed on global
-trace indices), a retried task reproduces its result bit for bit, so
-none of this machinery can change a campaign's output — only whether
-it survives.
+On top of the pool, :func:`map_ordered` optionally runs each task under
+a :class:`RetryPolicy`: per-task deadlines counted from the moment the
+task starts on a pool thread, bounded retries with exponential backoff
+and deterministic jitter, and graceful degradation ``thread -> serial``
+when the pool stays unhealthy.  Failures that survive the whole ladder
+surface as a structured :class:`ShardError`; everything the runtime did
+to keep the campaign alive is recorded in a :class:`CampaignHealth`
+report.  Because campaign task functions are pure functions of their
+payloads (all randomness is keyed on global trace indices), a retried
+task reproduces its result bit for bit, so none of this machinery can
+change a campaign's output — only whether it survives.
 
 It lives in :mod:`repro.util` because the consumers import each other
 (``experiments.parallel`` imports ``attacks.full_key``); a neutral home
-keeps the executor policy in one code path, per the CLI ``--executor``
-contract.
+keeps the pool policy in one code path.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
+import threading
 import time
-import uuid
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -59,14 +47,9 @@ from repro.util.errors import ReproError
 from repro.util.faults import FaultPlan, fault_scope
 from repro.util.rng import derive_seed
 
-#: Thread-pool backend (default: no pickling, GIL-bound Python stages).
+#: The thread-pool backend.
 EXECUTOR_THREAD = "thread"
-#: Process-pool backend (picklable tasks, real multi-core scaling).
-EXECUTOR_PROCESS = "process"
-#: Accepted ``--executor`` values.
-EXECUTOR_KINDS = (EXECUTOR_THREAD, EXECUTOR_PROCESS)
-#: In-process execution — the last rung of the degradation ladder (not
-#: a user-selectable ``--executor`` value).
+#: In-process execution — the last rung of the degradation ladder.
 BACKEND_SERIAL = "serial"
 
 _Task = TypeVar("_Task")
@@ -98,126 +81,6 @@ def default_workers() -> int:
     return min(8, usable_cpu_count())
 
 
-def resolve_executor(executor: Optional[str]) -> str:
-    """Validate an executor kind; ``None`` means the thread default."""
-    if executor is None:
-        return EXECUTOR_THREAD
-    if executor not in EXECUTOR_KINDS:
-        raise ValueError(
-            "unknown executor %r (expected one of %s)"
-            % (executor, ", ".join(EXECUTOR_KINDS))
-        )
-    return executor
-
-
-def make_executor(
-    executor: Optional[str],
-    max_workers: int,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple = (),
-) -> Executor:
-    """Construct the requested executor kind.
-
-    ``initializer``/``initargs`` run once per worker at pool start —
-    the fork-once hook that ships heavy, immutable campaign state a
-    single time per worker instead of once per task per attempt.
-    """
-    if resolve_executor(executor) == EXECUTOR_PROCESS:
-        return ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=initializer,
-            initargs=initargs,
-        )
-    return ThreadPoolExecutor(
-        max_workers=max_workers,
-        initializer=initializer,
-        initargs=initargs,
-    )
-
-
-# ----------------------------------------------------------------------
-# Fork-once worker state
-# ----------------------------------------------------------------------
-
-#: Per-process store of fanned-out campaign state, keyed by context id.
-#: In the driver process it is populated directly by
-#: :class:`WorkerContext`; in process-pool workers by the pool
-#: initializer (exactly once per worker, however many tasks and retries
-#: that worker serves).
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _install_worker_state(context_id: str, payload: object) -> None:
-    """Pool initializer: bind one context's payload in this worker.
-
-    Keeps an existing registration: when a thread pool (the degradation
-    ladder's middle rung) runs this initializer *in the driver process*,
-    the driver's registration — which holds the real arrays — must win
-    over the handle-bearing worker payload, so in-process threads read
-    the originals instead of re-attaching shared memory.  Freshly
-    forked pool workers start with an empty store and install normally.
-    """
-    _WORKER_STATE.setdefault(context_id, payload)
-
-
-def worker_state(context_id: str) -> object:
-    """Resolve a fanned-out context from this process's store."""
-    try:
-        return _WORKER_STATE[context_id]
-    except KeyError:
-        raise RuntimeError(
-            "worker context %r is not installed in this process; "
-            "shard tasks must run under the WorkerContext that "
-            "created them" % context_id
-        ) from None
-
-
-class WorkerContext:
-    """Fork-once fan-out of heavy, immutable task state.
-
-    The driver registers ``payload`` under a fresh context id:
-
-    * locally, in this process's store — so thread/serial backends
-      (including the degradation ladder's lower rungs) resolve it with
-      zero copies and zero pickling;
-    * for the process backend, via :attr:`initializer`/:attr:`initargs`
-      passed to :func:`map_ordered`, which ships ``worker_payload``
-      (default: the same payload) to each worker exactly once at pool
-      start — and again on pool rebuild, never per task.
-
-    Task payloads then carry only the context id plus per-task
-    scalars, so a retried task re-pickles a few hundred bytes instead
-    of the whole campaign.
-    """
-
-    def __init__(
-        self, payload: object, worker_payload: object = _UNSET
-    ) -> None:
-        self.context_id = "ctx-%d-%s" % (os.getpid(), uuid.uuid4().hex[:12])
-        self._worker_payload = (
-            payload if worker_payload is _UNSET else worker_payload
-        )
-        _WORKER_STATE[self.context_id] = payload
-
-    @property
-    def initializer(self) -> Callable[..., None]:
-        return _install_worker_state
-
-    @property
-    def initargs(self) -> Tuple[str, object]:
-        return (self.context_id, self._worker_payload)
-
-    def close(self) -> None:
-        """Drop the driver-side registration (idempotent)."""
-        _WORKER_STATE.pop(self.context_id, None)
-
-    def __enter__(self) -> "WorkerContext":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 # ----------------------------------------------------------------------
 # Retry policy and structured failure reporting
 # ----------------------------------------------------------------------
@@ -231,10 +94,12 @@ class RetryPolicy:
         max_attempts: attempts per task *per backend* before the task
             is declared stuck on that backend (>= 1; 1 disables
             retries).
-        timeout: per-task deadline in seconds, measured from
-            submission (None: no deadline).  A task past its deadline
-            is abandoned and retried; serial execution cannot enforce
-            deadlines (there is no second thread to abandon from).
+        timeout: per-task deadline in seconds, measured from the moment
+            the task starts on a pool thread (None: no deadline); time
+            spent queued behind other tasks does not count.  A task past
+            its deadline is abandoned and retried; serial execution
+            cannot enforce deadlines (there is no second thread to
+            abandon from).
         backoff_base / backoff_factor / backoff_max: exponential
             backoff between retry rounds, in seconds:
             ``min(backoff_max, backoff_base * backoff_factor**(k-1))``
@@ -242,9 +107,9 @@ class RetryPolicy:
         jitter: relative jitter on the backoff delay, drawn
             deterministically from ``seed`` and the round identity so
             reruns sleep identically.
-        degrade: when a backend stays unhealthy after the per-backend
-            retry budget, fall through the ladder
-            ``process -> thread -> serial`` instead of failing.
+        degrade: when the pool stays unhealthy after the per-backend
+            retry budget, fall back to serial execution instead of
+            failing.
         seed: seed for the deterministic jitter draws.
     """
 
@@ -319,23 +184,14 @@ class TruncatedResultError(ReproError):
 
 @dataclass
 class AttemptRecord:
-    """One task submission as seen by the driver.
-
-    ``payload_bytes`` is the pickled size of the task payload shipped
-    for this submission — measured only on the process backend, where
-    serialization is real work (``None`` elsewhere).  Retried shards
-    must reuse their already-materialized payloads, so this number
-    stays small and flat across attempts; the regression suite asserts
-    exactly that.
-    """
+    """One task attempt as seen by the driver."""
 
     site: str
     backend: str
     attempt: int
-    status: str  # "ok" | "error" | "timeout" | "pool-broken"
+    status: str  # "ok" | "error" | "timeout"
     seconds: float
     error: Optional[str] = None
-    payload_bytes: Optional[int] = None
 
 
 @dataclass
@@ -348,7 +204,6 @@ class CampaignHealth:
 
     attempts: List[AttemptRecord] = field(default_factory=list)
     degradations: List[Tuple[str, str]] = field(default_factory=list)
-    pool_rebuilds: int = 0
     wall_time: float = 0.0
 
     def record(
@@ -359,18 +214,14 @@ class CampaignHealth:
         status: str,
         seconds: float,
         error: Optional[str] = None,
-        payload_bytes: Optional[int] = None,
     ) -> None:
         self.attempts.append(
-            AttemptRecord(
-                site, backend, attempt, status, seconds, error,
-                payload_bytes,
-            )
+            AttemptRecord(site, backend, attempt, status, seconds, error)
         )
 
     @property
     def retries(self) -> int:
-        """Failed submissions (every one triggered a retry or rung)."""
+        """Failed attempts (every one triggered a retry or rung)."""
         return sum(1 for a in self.attempts if a.status != "ok")
 
     @property
@@ -389,16 +240,6 @@ class CampaignHealth:
             times[a.site] = times.get(a.site, 0.0) + a.seconds
         return times
 
-    def payload_bytes_per_attempt(self, site: str) -> List[int]:
-        """Pickled payload bytes of each process-backend submission of
-        ``site``, in submission order (the double-pickling regression
-        gauge)."""
-        return [
-            a.payload_bytes
-            for a in self.attempts
-            if a.site == site and a.payload_bytes is not None
-        ]
-
     def summary(self) -> str:
         parts = [
             "%d attempt(s) over %d task(s): %d ok, %d failed"
@@ -411,8 +252,6 @@ class CampaignHealth:
         ]
         if self.timeouts:
             parts.append("%d timeout(s)" % self.timeouts)
-        if self.pool_rebuilds:
-            parts.append("%d pool rebuild(s)" % self.pool_rebuilds)
         for source, target in self.degradations:
             parts.append("degraded %s->%s" % (source, target))
         parts.append("%.2fs wall" % self.wall_time)
@@ -429,13 +268,11 @@ class CampaignHealth:
                     "status": a.status,
                     "seconds": a.seconds,
                     "error": a.error,
-                    "payload_bytes": a.payload_bytes,
                 }
                 for a in self.attempts
             ],
             "retries": self.retries,
             "timeouts": self.timeouts,
-            "pool_rebuilds": self.pool_rebuilds,
             "degradations": [list(d) for d in self.degradations],
             "wall_time": self.wall_time,
         }
@@ -454,13 +291,7 @@ def _execute_task(
     plan: Optional[FaultPlan],
     backend: str,
 ) -> _Result:
-    """One task invocation, with the fault plan threaded through.
-
-    Module-level (and every argument picklable when the task is) so
-    the process backend ships the *wrapped* call to its workers — the
-    plan must fire inside the worker for crash faults to genuinely
-    break the pool.
-    """
+    """One task invocation, with the fault plan threaded through."""
     if plan is None:
         return fn(task)
     with fault_scope(plan, site, attempt, backend):
@@ -469,52 +300,34 @@ def _execute_task(
         return plan.corrupt_payload(site, attempt, backend, result)
 
 
-def _degradation_ladder(
-    kind: str, workers: int, num_tasks: int, policy: RetryPolicy
-) -> List[str]:
-    if workers <= 1 or num_tasks <= 1:
-        return [BACKEND_SERIAL]
-    if not policy.degrade:
-        return [kind]
-    if kind == EXECUTOR_PROCESS:
-        return [EXECUTOR_PROCESS, EXECUTOR_THREAD, BACKEND_SERIAL]
-    return [EXECUTOR_THREAD, BACKEND_SERIAL]
-
-
 def map_ordered(
     fn: Callable[[_Task], _Result],
     tasks: Sequence[_Task],
     max_workers: Optional[int] = None,
-    executor: Optional[str] = None,
     *,
     policy: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     sites: Optional[Sequence[str]] = None,
     health: Optional[CampaignHealth] = None,
     validate: Optional[Callable[[_Task, _Result], None]] = None,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple = (),
 ) -> List[_Result]:
-    """``[fn(t) for t in tasks]``, optionally on a worker pool.
+    """``[fn(t) for t in tasks]``, optionally on a thread pool.
 
     Results come back in task order regardless of completion order, so
     any reduction that folds them sequentially (e.g. merging
-    per-segment CPA accumulators) is independent of the backend and of
-    the worker count.  With one worker (or one task) the map runs
-    in-process — the serial path stays a plain loop with no pool
-    overhead and no pickling requirement.
+    per-segment CPA accumulators) is independent of the worker count.
+    With one worker (or one task) the map runs in-process — the serial
+    path stays a plain loop with no pool overhead.
 
     Passing any of the keyword-only arguments switches the map into
     its fault-tolerant mode (see the module docstring); without them
-    the legacy zero-overhead path runs unchanged.
+    the zero-overhead path runs unchanged.
 
     Args:
-        fn: task function.  For the process backend it must be
-            picklable, i.e. defined at module level.
-        tasks: task payloads (picklable for the process backend).
+        fn: task function.
+        tasks: task payloads.
         max_workers: pool size (default :func:`default_workers`;
             1 forces serial).
-        executor: ``"thread"`` (default) or ``"process"``.
         policy: retry/timeout/degradation policy
             (default :class:`RetryPolicy` when any fault-tolerant
             argument is supplied).
@@ -530,18 +343,12 @@ def map_ordered(
             after each successful attempt; raising (e.g.
             :class:`TruncatedResultError`) marks the attempt failed
             and triggers the retry path.
-        initializer / initargs: run once per pool worker at pool start
-            (and after every pool rebuild) — the fork-once channel for
-            heavy shard state (see :class:`WorkerContext`).  Ignored on
-            the in-process serial path, where the driver's own state
-            store is already visible.
 
     Raises:
         ShardError: a task kept failing through the whole retry budget
             and degradation ladder.
     """
     workers = max_workers if max_workers is not None else default_workers()
-    kind = resolve_executor(executor)
     resilient = not (
         policy is None
         and fault_plan is None
@@ -551,23 +358,17 @@ def map_ordered(
     if not resilient:
         if workers <= 1 or len(tasks) <= 1:
             return [fn(task) for task in tasks]
-        with make_executor(
-            kind, max_workers=workers,
-            initializer=initializer, initargs=initargs,
-        ) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return _resilient_map(
         fn,
         tasks,
         workers,
-        kind,
         policy or RetryPolicy(),
         fault_plan,
         sites,
         health if health is not None else CampaignHealth(),
         validate,
-        initializer,
-        initargs,
     )
 
 
@@ -575,14 +376,11 @@ def _resilient_map(
     fn: Callable[[_Task], _Result],
     tasks: Sequence[_Task],
     workers: int,
-    kind: str,
     policy: RetryPolicy,
     plan: Optional[FaultPlan],
     sites: Optional[Sequence[str]],
     health: CampaignHealth,
     validate: Optional[Callable[[_Task, _Result], None]],
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple = (),
 ) -> List[_Result]:
     names = (
         list(sites)
@@ -596,7 +394,12 @@ def _resilient_map(
     results: List[object] = [_UNSET] * len(tasks)
     submissions = [0] * len(tasks)
     last_error: List[Optional[BaseException]] = [None] * len(tasks)
-    ladder = _degradation_ladder(kind, workers, len(tasks), policy)
+    if workers <= 1 or len(tasks) <= 1:
+        ladder = [BACKEND_SERIAL]
+    elif policy.degrade:
+        ladder = [EXECUTOR_THREAD, BACKEND_SERIAL]
+    else:
+        ladder = [EXECUTOR_THREAD]
     started = time.monotonic()
     try:
         for rung, backend in enumerate(ladder):
@@ -614,9 +417,9 @@ def _resilient_map(
                 )
             else:
                 leftover = _pool_rung(
-                    fn, tasks, pending, names, workers, backend,
-                    policy, plan, results, submissions, last_error,
-                    health, validate, final, initializer, initargs,
+                    fn, tasks, pending, names, workers, policy, plan,
+                    results, submissions, last_error, health, validate,
+                    final,
                 )
                 if leftover and not final:
                     health.degradations.append(
@@ -627,154 +430,149 @@ def _resilient_map(
     return results  # type: ignore[return-value]
 
 
+def _pool_round(
+    fn, tasks, pending, names, workers, policy, plan, submissions,
+) -> Iterator[Tuple[int, str, object, float]]:
+    """One retry round of ``pending`` on a fresh thread pool.
+
+    Yields ``(index, status, value, seconds)`` per task, in task order:
+    ``"ok"`` with the result, ``"error"`` with the exception,
+    ``"timeout"``, or ``"requeued"`` for a task that never started
+    because every pool thread was held by a task past its deadline.
+
+    Each task stamps its own start on the pool thread, so a deadline
+    counts only the time the task runs, never the time it waits in the
+    queue.  The pool is fresh per round: threads abandoned on a
+    deadline keep running in the background, and a retry must not
+    queue behind them.
+    """
+    changed = threading.Condition()
+    began: Dict[int, float] = {}
+    ended: Dict[int, float] = {}
+    attempts = {index: submissions[index] for index in pending}
+
+    def run(index: int) -> object:
+        with changed:
+            began[index] = time.monotonic()
+            changed.notify_all()
+        try:
+            return _execute_task(
+                fn, tasks[index], names[index], attempts[index], plan,
+                EXECUTOR_THREAD,
+            )
+        finally:
+            with changed:
+                ended[index] = time.monotonic()
+                changed.notify_all()
+
+    for index in pending:
+        submissions[index] += 1
+    pool = ThreadPoolExecutor(max_workers=workers)
+    abandoned: List[int] = []
+    try:
+        futures = {index: pool.submit(run, index) for index in pending}
+        for index in pending:
+            future = futures[index]
+            with changed:
+                while index not in began:
+                    stuck = sum(1 for i in abandoned if i not in ended)
+                    if stuck >= workers and future.cancel():
+                        break
+                    changed.wait()
+            if future.cancelled():
+                submissions[index] -= 1
+                yield index, "requeued", None, 0.0
+                continue
+            start = began[index]
+            remaining = (
+                None
+                if policy.timeout is None
+                else max(0.0, start + policy.timeout - time.monotonic())
+            )
+            try:
+                result = future.result(timeout=remaining)
+            except FuturesTimeout:
+                abandoned.append(index)
+                yield index, "timeout", None, time.monotonic() - start
+            except Exception as exc:
+                yield index, "error", exc, ended[index] - start
+            else:
+                yield index, "ok", result, ended[index] - start
+    finally:
+        # wait=False: a hung task must not block the driver; its thread
+        # finishes in the background.
+        pool.shutdown(wait=False)
+
+
 def _pool_rung(
-    fn, tasks, pending, names, workers, backend, policy, plan,
+    fn, tasks, pending, names, workers, policy, plan,
     results, submissions, last_error, health, validate, final,
-    initializer=None, initargs=(),
 ) -> List[int]:
-    """Run ``pending`` tasks on one pool backend.
+    """Run ``pending`` tasks on the thread pool.
 
     Returns the indices still unfinished after the per-backend retry
     budget (empty on success); raises :class:`ShardError` instead when
     this is the final rung.
     """
     failures = {index: 0 for index in pending}
-    pool = make_executor(
-        backend, workers, initializer=initializer, initargs=initargs
-    )
-    # Serialization is real work only on the process backend; meter the
-    # payload actually shipped per submission so retries that re-pickle
-    # heavy state are measurable (and regression-testable).
-    meter_payloads = backend == EXECUTOR_PROCESS
-    payload_sizes: Dict[int, int] = {}
     round_number = 0
-    try:
-        while pending:
-            if round_number > 0:
-                time.sleep(policy.backoff_delay(backend, round_number))
-            futures = {}
-            submitted_at = {}
-            broken = False
-            retry: List[int] = []
-            for index in pending:
-                attempt = submissions[index]
-                submissions[index] += 1
-                if meter_payloads:
-                    payload_sizes[index] = len(
-                        pickle.dumps(
-                            tasks[index],
-                            protocol=pickle.HIGHEST_PROTOCOL,
-                        )
-                    )
+    while pending:
+        if round_number > 0:
+            time.sleep(policy.backoff_delay(EXECUTOR_THREAD, round_number))
+        retry: List[int] = []
+        for index, status, value, seconds in _pool_round(
+            fn, tasks, pending, names, workers, policy, plan, submissions,
+        ):
+            if status == "requeued":
+                retry.append(index)
+                continue
+            attempt = submissions[index] - 1
+            if status == "ok":
                 try:
-                    futures[index] = pool.submit(
-                        _execute_task, fn, tasks[index], names[index],
-                        attempt, plan, backend,
-                    )
-                except BrokenExecutor as exc:
-                    # An earlier task's crash broke the pool before
-                    # this submission landed; count the attempt and
-                    # retry it on the rebuilt pool below.
-                    broken = True
-                    failures[index] += 1
-                    retry.append(index)
-                    last_error[index] = exc
-                    health.record(
-                        names[index], backend, attempt, "pool-broken",
-                        0.0, error=repr(exc),
-                        payload_bytes=payload_sizes.get(index),
-                    )
-                    continue
-                submitted_at[index] = time.monotonic()
-            for index in pending:
-                if index not in futures:
-                    continue
-                attempt = submissions[index] - 1
-                begun = submitted_at[index]
-                try:
-                    if policy.timeout is not None:
-                        remaining = (
-                            begun + policy.timeout - time.monotonic()
-                        )
-                        result = futures[index].result(
-                            timeout=max(0.0, remaining)
-                        )
-                    else:
-                        result = futures[index].result()
                     if validate is not None:
-                        validate(tasks[index], result)
-                    results[index] = result
-                    health.record(
-                        names[index], backend, attempt, "ok",
-                        time.monotonic() - begun,
-                        payload_bytes=payload_sizes.get(index),
-                    )
-                except FuturesTimeout:
-                    futures[index].cancel()
-                    failures[index] += 1
-                    retry.append(index)
-                    last_error[index] = TimeoutError(
-                        "task %s exceeded its %.3fs deadline"
-                        % (names[index], policy.timeout)
-                    )
-                    health.record(
-                        names[index], backend, attempt, "timeout",
-                        time.monotonic() - begun,
-                        error=str(last_error[index]),
-                        payload_bytes=payload_sizes.get(index),
-                    )
-                except BrokenExecutor as exc:
-                    # The pool died under this task (worker crash /
-                    # OOM kill); every sibling future fails the same
-                    # way, so all of them retry on a rebuilt pool.
-                    broken = True
-                    failures[index] += 1
-                    retry.append(index)
-                    last_error[index] = exc
-                    health.record(
-                        names[index], backend, attempt, "pool-broken",
-                        time.monotonic() - begun, error=repr(exc),
-                        payload_bytes=payload_sizes.get(index),
-                    )
+                        validate(tasks[index], value)
                 except Exception as exc:
-                    failures[index] += 1
-                    retry.append(index)
-                    last_error[index] = exc
+                    status, value = "error", exc
+                else:
+                    results[index] = value
                     health.record(
-                        names[index], backend, attempt, "error",
-                        time.monotonic() - begun, error=repr(exc),
-                        payload_bytes=payload_sizes.get(index),
+                        names[index], EXECUTOR_THREAD, attempt, "ok",
+                        seconds,
                     )
-            if broken:
-                pool.shutdown(wait=False)
-                pool = make_executor(
-                    backend, workers,
-                    initializer=initializer, initargs=initargs,
+                    continue
+            if status == "timeout":
+                value = TimeoutError(
+                    "task %s exceeded its %.3fs deadline"
+                    % (names[index], policy.timeout)
                 )
-                health.pool_rebuilds += 1
-            exhausted = [
-                index
-                for index in retry
-                if failures[index] >= policy.max_attempts
-            ]
-            if exhausted:
-                if final:
-                    index = exhausted[0]
-                    raise ShardError(
-                        names[index], submissions[index], backend,
-                        last_error[index],
-                    )
-                # Backend persistently unhealthy: hand everything
-                # still unfinished to the next rung of the ladder.
-                return retry
-            pending = retry
-            round_number += 1
-        return []
-    finally:
-        # wait=False: a hung worker must not block the driver; thread
-        # workers finish their sleep in the background, process
-        # workers are reaped by the executor's atexit machinery.
-        pool.shutdown(wait=False)
+                error = str(value)
+            else:
+                error = repr(value)
+            failures[index] += 1
+            retry.append(index)
+            last_error[index] = value
+            health.record(
+                names[index], EXECUTOR_THREAD, attempt, status, seconds,
+                error=error,
+            )
+        exhausted = [
+            index
+            for index in retry
+            if failures[index] >= policy.max_attempts
+        ]
+        if exhausted:
+            if final:
+                index = exhausted[0]
+                raise ShardError(
+                    names[index], submissions[index], EXECUTOR_THREAD,
+                    last_error[index],
+                )
+            # Pool persistently unhealthy: hand everything still
+            # unfinished to the next rung of the ladder.
+            return retry
+        pending = retry
+        round_number += 1
+    return []
 
 
 def _serial_rung(

@@ -1,31 +1,24 @@
 """Deterministic fault injection for the campaign runtime.
 
-Large sharded campaigns fail in practice — workers raise, worker
-processes get OOM-killed (surfacing as ``BrokenProcessPool``), tasks
+Large sharded campaigns fail in practice — workers raise, tasks
 hang, and corrupt numerics or truncated payloads sneak into results.
 Related work treats faults in multi-tenant FPGA fabrics as a
 first-class concern (FLARE, arXiv:2502.15578; "Hacking the Fabric",
 arXiv:2410.16497); this module makes the *runtime's own* failure modes
 injectable so every recovery path in
 :func:`repro.util.executors.map_ordered` and the shard drivers is
-testable without flaky sleeps or real OOM kills.
+testable without flaky sleeps.
 
-A :class:`FaultPlan` is a picklable, seeded schedule of
+A :class:`FaultPlan` is a seeded schedule of
 :class:`FaultSpec` entries keyed on *site identity* (a stable string
 such as ``"shard[0:4000]"``) and *attempt number* (how many times that
 site has been submitted).  The same plan therefore fires the same
-faults wherever the task runs — serial, thread pool, or a process-pool
-worker on the other side of a pickle — which is what makes recovery
-tests deterministic.
+faults wherever the task runs — serially, on a pool thread, or on a
+fleet worker — which is what makes recovery tests deterministic.
 
 Failure modes (:data:`FAULT_KINDS`):
 
 * ``"exception"`` — the task raises :class:`InjectedFault`.
-* ``"crash"`` — the worker *process* dies via ``os._exit``; the parent
-  observes ``BrokenProcessPool``.  Only fires in a process-pool worker
-  (a thread or serial "crash" would kill the whole interpreter), which
-  also models reality: pool breakage is a process-backend failure, so
-  degrading to the thread backend genuinely clears it.
 * ``"hang"`` — the task sleeps ``hang_seconds`` before proceeding,
   exercising the per-task deadline in ``map_ordered``.
 * ``"nan"`` — :func:`poison_leakage` corrupts a deterministic subset
@@ -58,7 +51,6 @@ and replayable as any shard-level fault.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -71,7 +63,6 @@ from repro.util.rng import derive_seed
 
 __all__ = [
     "CHAOS_KINDS",
-    "FAULT_CRASH",
     "FAULT_EXCEPTION",
     "FAULT_HANG",
     "FAULT_KINDS",
@@ -82,7 +73,6 @@ __all__ = [
     "FAULT_WORKER_KILL",
     "SCOPE_ANY",
     "SCOPE_POOL",
-    "SCOPE_PROCESS",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
@@ -92,8 +82,6 @@ __all__ = [
 
 #: Task raises :class:`InjectedFault`.
 FAULT_EXCEPTION = "exception"
-#: Worker process exits hard (``BrokenProcessPool`` in the parent).
-FAULT_CRASH = "crash"
 #: Task sleeps past the per-task deadline.
 FAULT_HANG = "hang"
 #: Leakage values are corrupted to NaN/Inf inside the task.
@@ -116,7 +104,6 @@ CHAOS_KINDS = (
 #: All injectable failure modes.
 FAULT_KINDS = (
     FAULT_EXCEPTION,
-    FAULT_CRASH,
     FAULT_HANG,
     FAULT_NAN,
     FAULT_TRUNCATE,
@@ -124,15 +111,10 @@ FAULT_KINDS = (
 
 #: Fire on every backend, including serial in-process execution.
 SCOPE_ANY = "any"
-#: Fire only when the task runs on a worker pool (thread or process).
+#: Fire only when the task runs on a worker pool, not serially.
 SCOPE_POOL = "pool"
-#: Fire only inside a process-pool worker (foreign PID).
-SCOPE_PROCESS = "process"
 #: Accepted ``FaultSpec.scope`` values.
-FAULT_SCOPES = (SCOPE_ANY, SCOPE_POOL, SCOPE_PROCESS)
-
-#: Exit status used by injected worker crashes (distinctive in logs).
-CRASH_EXIT_CODE = 42
+FAULT_SCOPES = (SCOPE_ANY, SCOPE_POOL)
 
 
 class InjectedFault(RuntimeError):
@@ -163,7 +145,6 @@ class FaultSpec:
             task *submissions*, starting at 0); pass a large value for
             a persistent fault that only degradation can clear.
         scope: where the fault may fire (:data:`FAULT_SCOPES`).
-            Defaults to ``"process"`` for crashes, ``"any"`` otherwise.
         rate: probability the fault fires at an eligible
             ``(site, attempt)``; the coin is seeded from the plan seed
             and the key, so it is deterministic per identity.  1.0
@@ -175,7 +156,7 @@ class FaultSpec:
     kind: str
     site: str = "*"
     attempts: int = 1
-    scope: Optional[str] = None
+    scope: str = SCOPE_ANY
     rate: float = 1.0
     hang_seconds: float = 0.25
     fraction: float = 0.1
@@ -186,7 +167,7 @@ class FaultSpec:
                 "unknown fault kind %r (expected one of %s)"
                 % (self.kind, ", ".join(FAULT_KINDS))
             )
-        if self.scope is not None and self.scope not in FAULT_SCOPES:
+        if self.scope not in FAULT_SCOPES:
             raise ValueError(
                 "unknown fault scope %r (expected one of %s)"
                 % (self.scope, ", ".join(FAULT_SCOPES))
@@ -196,28 +177,16 @@ class FaultSpec:
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError("rate must lie in [0, 1]")
 
-    @property
-    def effective_scope(self) -> str:
-        if self.scope is not None:
-            return self.scope
-        return SCOPE_PROCESS if self.kind == FAULT_CRASH else SCOPE_ANY
-
     def matches_site(self, site: str) -> bool:
         return self.site == "*" or self.site == site
 
 
 class FaultPlan:
-    """A seeded, picklable schedule of faults keyed on site identity.
-
-    The plan records the PID it was built in, so ``scope="process"``
-    faults can tell a process-pool worker (foreign PID) from the
-    driver process even after a pickle round-trip.
-    """
+    """A seeded schedule of faults keyed on site identity."""
 
     def __init__(self, specs: Sequence[FaultSpec] = (), seed: int = 0):
         self.specs: Tuple[FaultSpec, ...] = tuple(specs)
         self.seed = seed
-        self.origin_pid = os.getpid()
 
     def __repr__(self) -> str:
         return "FaultPlan(%d specs, seed=%d)" % (len(self.specs), self.seed)
@@ -225,13 +194,7 @@ class FaultPlan:
     # -- matching ------------------------------------------------------
 
     def _scope_allows(self, spec: FaultSpec, backend: str) -> bool:
-        scope = spec.effective_scope
-        if scope == SCOPE_ANY:
-            return True
-        if scope == SCOPE_POOL:
-            return backend != "serial"
-        # SCOPE_PROCESS: a genuine worker process of a process pool.
-        return backend == "process" and os.getpid() != self.origin_pid
+        return spec.scope == SCOPE_ANY or backend != "serial"
 
     def _coin(self, spec: FaultSpec, site: str, attempt: int) -> bool:
         if spec.rate >= 1.0:
@@ -267,13 +230,8 @@ class FaultPlan:
     # -- delivery ------------------------------------------------------
 
     def fire(self, site: str, attempt: int, backend: str) -> None:
-        """Deliver pre-task faults (crash, hang, exception), in that
-        severity order, for one task invocation."""
-        if self.match(FAULT_CRASH, site, attempt, backend) is not None:
-            # Simulated OOM kill: bypass all cleanup, exactly like the
-            # kernel's OOM killer would.  Scope checks above guarantee
-            # this only ever runs inside a process-pool worker.
-            os._exit(CRASH_EXIT_CODE)
+        """Deliver pre-task faults (hang, then exception) for one task
+        invocation."""
         hang = self.match(FAULT_HANG, site, attempt, backend)
         if hang is not None:
             time.sleep(hang.hang_seconds)
@@ -312,7 +270,7 @@ class FaultPlan:
 
 # -- in-task fault context ---------------------------------------------
 #
-# Pre-task faults are delivered by the executor wrapper; faults that
+# Pre-task faults are delivered by the pool's task wrapper; faults that
 # act on *data inside the task* need the task body to consult the plan
 # without threading (plan, site, attempt) through every signature.  The
 # wrapper installs a thread-local context; the helpers below read it.

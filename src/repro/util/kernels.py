@@ -31,11 +31,10 @@ exact equality on every available backend, and ``repro bench`` asserts
 it again before timing anything.
 
 Dispatch happens at *call time* from module-level functions, so nothing
-unpicklable (ctypes handles) is ever stored on campaign objects: shard
-tasks, fork-once worker payloads and checkpoint state pickle exactly as
-before, and every process-pool worker resolves the same spec —
-:func:`configure` exports the active spec through the environment so
-spawned workers inherit it too.
+unpicklable (ctypes handles) is ever stored on campaign objects, and
+checkpoint state pickles exactly as before.  :func:`configure` exports
+the active spec through the environment so child processes inherit it
+too.
 """
 
 from __future__ import annotations
@@ -276,8 +275,8 @@ def configure(spec: Optional[str]) -> Dict[str, str]:
     Validates the spec and ``REPRO_NATIVE_PROVIDER``, resolves it
     eagerly (so an unavailable ``native`` request fails here, with the
     structured error, rather than deep inside a campaign), and exports
-    it through ``REPRO_KERNELS`` so process-pool workers — forked or
-    spawned — resolve identically.  Passing ``None`` restores the
+    it through ``REPRO_KERNELS`` so child processes resolve
+    identically.  Passing ``None`` restores the
     environment-driven default.
     """
     global _CONFIGURED_SPEC, _RESOLVED, _RESOLVED_FOR

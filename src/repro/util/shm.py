@@ -1,380 +1,50 @@
-"""Zero-copy publication of campaign arrays via shared memory.
+"""A campaign's fan-out state, shared by the pool threads in place.
 
-The process-sharded campaign drivers fan identical, read-only numpy
-blocks (trace voltages, ciphertext columns, plaintexts) out to every
-worker.  Shipping those blocks inside each task payload pays the full
-serialization tax once per task *per attempt* — the measured cause of
-the 0.83x "parallel speedup" this module exists to eliminate.  Instead,
-the driver publishes each block once into a POSIX shared-memory segment
-(:class:`SharedArrayPublisher`), hands workers a tiny picklable
-:class:`SharedArrayHandle`, and workers map the segment read-only on
-first use (:func:`attach_array`), caching the mapping for the life of
-the worker process.
+Every shard task of one :func:`repro.experiments.parallel._run_shards`
+call reads the same heavy objects (campaign, generator, sensor,
+preprocessing plan) and the same campaign-global arrays (voltages,
+ciphertext bytes, plaintexts).  The pool runs on threads, so tasks hold
+one :class:`ArrayFanout` and read the driver's objects directly: nothing
+is copied or serialized, per task or per retry.
 
-Lifecycle is explicit and owned by the *driver*:
-
-* :class:`SharedArrayPublisher` is a context manager; on exit (normal
-  completion, exception, or the executor degradation ladder bailing
-  out) every segment it created is closed **and unlinked**.  Workers
-  that die mid-shard (SIGKILL, OOM) never owned the segments, so the
-  driver's unlink still reclaims ``/dev/shm`` — the fault-injection
-  suite asserts this for crash, retry, and degradation paths.
-* Worker-side attachments are views, never owners: a worker's exit
-  releases its mapping but cannot unlink a segment other workers (or a
-  rebuilt pool) still need.
-* As a last-ditch safety net, the :mod:`multiprocessing` resource
-  tracker of the publishing process unlinks any segment whose publisher
-  crashed before ``close()`` ran.
-
-CPython 3.11 wart, handled here so callers never see it: attaching to
-an existing segment *also* registers it with the attaching process's
-resource tracker.  Under the default ``fork`` start method all
-processes share one tracker and registration is set-deduplicated, so
-the publisher's explicit unlink leaves the tracker clean.  Under
-``spawn`` each worker gets its own tracker, which would unlink shared
-segments when the worker exits; :func:`attach_array` detects that case
-(the attach spawned a fresh tracker in this process) and unregisters
-the segment so only the publisher ever unlinks.
-
-Thread and serial backends never touch this module: in-process workers
-read the driver's arrays directly, which is already zero-copy.
+The module and the class keep their names, and ``_run_shards`` stays
+the one place that constructs an :class:`ArrayFanout`, because the
+benchmark's traced runs wrap ``ArrayFanout.__init__`` and
+``ArrayFanout.close`` by name (``bench/spans.py`` ``PATCHES``).  That
+holds until ROADMAP item 1 replaces the patch table with in-program
+spans.
 """
 
 from __future__ import annotations
 
-import os
-import secrets
-import threading
-from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
-from repro.util.executors import (
-    EXECUTOR_PROCESS,
-    WorkerContext,
-    resolve_executor,
-    worker_state,
-)
-
-__all__ = [
-    "SHM_PREFIX",
-    "ArrayFanout",
-    "FanoutPayload",
-    "SharedArrayHandle",
-    "SharedArrayPublisher",
-    "attach_array",
-    "detach_all",
-    "fanout_state",
-    "leaked_segments",
-]
-
-#: Leading tag of every segment name this module creates; the leak
-#: tests (and operators inspecting ``/dev/shm``) key on it.
-SHM_PREFIX = "repro-shm"
-
-
-@dataclass(frozen=True)
-class SharedArrayHandle:
-    """Picklable reference to one published array.
-
-    A handle is ~100 bytes on the wire regardless of the array it
-    names, which is what makes retried shard payloads cheap: the retry
-    re-pickles the handle, never the block.
-
-    Attributes:
-        name: shared-memory segment name (``/dev/shm/<name>`` on Linux).
-        shape: array shape.
-        dtype: numpy dtype string (``np.dtype(...).str`` round-trips).
-        origin_pid: PID of the publishing process (diagnostics only).
-    """
-
-    name: str
-    shape: Tuple[int, ...]
-    dtype: str
-    origin_pid: int
-
-    @property
-    def nbytes(self) -> int:
-        count = 1
-        for dim in self.shape:
-            count *= dim
-        return count * np.dtype(self.dtype).itemsize
-
-
-class SharedArrayPublisher:
-    """Driver-side owner of a campaign's shared-memory segments.
-
-    Usage::
-
-        with SharedArrayPublisher() as publisher:
-            handle = publisher.publish("voltages", voltages)
-            ...  # run the sharded map; workers attach_array(handle)
-        # segments closed and unlinked here, even on exceptions
-
-    ``close()`` is idempotent, so explicit calls and the context
-    manager compose.
-    """
-
-    def __init__(self) -> None:
-        self._segments: List[shared_memory.SharedMemory] = []
-        self._counter = 0
-        self._token = secrets.token_hex(4)
-
-    def publish(self, label: str, array: np.ndarray) -> SharedArrayHandle:
-        """Copy ``array`` into a fresh segment; return its handle.
-
-        The copy is the *only* one the campaign ever makes of the
-        block: every worker maps the same pages.  The returned view is
-        frozen read-only on the worker side; the driver keeps its
-        original array and never reads the segment back.
-        """
-        block = np.ascontiguousarray(array)
-        name = "%s-%d-%s-%d" % (
-            SHM_PREFIX,
-            os.getpid(),
-            self._token,
-            self._counter,
-        )
-        self._counter += 1
-        segment = shared_memory.SharedMemory(
-            create=True, name=name, size=max(1, block.nbytes)
-        )
-        if block.nbytes:
-            view = np.ndarray(
-                block.shape, dtype=block.dtype, buffer=segment.buf
-            )
-            view[...] = block
-        self._segments.append(segment)
-        return SharedArrayHandle(
-            name=name,
-            shape=tuple(block.shape),
-            dtype=np.dtype(block.dtype).str,
-            origin_pid=os.getpid(),
-        )
-
-    @property
-    def segment_names(self) -> List[str]:
-        return [segment.name for segment in self._segments]
-
-    def close(self) -> None:
-        """Close and unlink every published segment (idempotent)."""
-        segments, self._segments = self._segments, []
-        for segment in segments:
-            try:
-                segment.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass  # already reclaimed (e.g. by the resource tracker)
-
-    def __enter__(self) -> "SharedArrayPublisher":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC order dependent
-        try:
-            self.close()
-        except Exception:
-            pass  # interpreter teardown; the resource tracker covers us
-
-
-# ----------------------------------------------------------------------
-# Worker-side attachment cache
-# ----------------------------------------------------------------------
-
-#: Per-process attachment cache: segment name -> (mapping, array view).
-#: Pool workers are reused across tasks and retries, so each worker
-#: maps a given segment exactly once for its whole lifetime.  The lock
-#: matters when attaching threads share one process (a thread pool
-#: handed handle payloads): an unlocked check-create-store lets two
-#: threads race, and the loser's evicted mapping can be reclaimed
-#: under a reader mid-shard.
-_ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, np.ndarray]] = {}
-_ATTACH_LOCK = threading.Lock()
-
-
-def _tracker_alive() -> bool:
-    """Whether this process already talks to a resource tracker."""
-    tracker = resource_tracker._resource_tracker
-    return getattr(tracker, "_fd", None) is not None
-
-
-def attach_array(handle: SharedArrayHandle) -> np.ndarray:
-    """Map a published segment and return its read-only array view.
-
-    Safe to call from the publishing process too (it returns a second
-    view of the same pages), though in-process backends are expected to
-    bypass shared memory entirely.
-    """
-    cached = _ATTACHED.get(handle.name)
-    if cached is not None:
-        return cached[1]
-    with _ATTACH_LOCK:
-        cached = _ATTACHED.get(handle.name)
-        if cached is not None:
-            return cached[1]
-        inherited_tracker = _tracker_alive()
-        segment = shared_memory.SharedMemory(name=handle.name)
-        if not inherited_tracker:
-            # Fresh tracker spawned by this very attach (spawn start
-            # method): unregister so this worker's exit cannot unlink a
-            # segment the publisher still owns.  With an inherited
-            # (fork) tracker the registration deduplicates against the
-            # publisher's and the publisher's unlink clears it.
-            try:
-                resource_tracker.unregister(segment._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker races
-                pass
-        view = np.ndarray(
-            handle.shape, dtype=np.dtype(handle.dtype), buffer=segment.buf
-        )
-        view.flags.writeable = False
-        _ATTACHED[handle.name] = (segment, view)
-    return view
-
-
-def detach_all() -> None:
-    """Drop this process's attachment cache (tests / explicit cleanup).
-
-    Never unlinks: unlinking is the publisher's job.
-    """
-    with _ATTACH_LOCK:
-        attached = dict(_ATTACHED)
-        _ATTACHED.clear()
-    for segment, _view in attached.values():
-        try:
-            segment.close()
-        except (OSError, BufferError):  # pragma: no cover - best effort
-            pass
-
-
-# ----------------------------------------------------------------------
-# Campaign fan-out: fork-once worker state + zero-copy arrays
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class FanoutPayload:
-    """What one fanned-out context holds: heavy objects + big arrays.
-
-    The driver-side registration carries the real arrays; the
-    worker-side copy (shipped once per process-pool worker via the pool
-    initializer) carries :class:`SharedArrayHandle` stand-ins instead.
-    :meth:`array` resolves either transparently, so shard task
-    functions are identical on every backend.
-    """
-
-    heavy: Dict[str, object]
-    arrays: Dict[str, object]
-
-    def array(self, key: str) -> np.ndarray:
-        value = self.arrays[key]
-        if isinstance(value, SharedArrayHandle):
-            return attach_array(value)
-        return value
-
-
-def fanout_state(context_id: str) -> FanoutPayload:
-    """Resolve a shard task's :class:`FanoutPayload` in this process."""
-    payload = worker_state(context_id)
-    if not isinstance(payload, FanoutPayload):
-        raise RuntimeError(
-            "context %r does not hold a FanoutPayload" % context_id
-        )
-    return payload
+__all__ = ["ArrayFanout"]
 
 
 class ArrayFanout:
-    """One campaign's zero-copy fan-out, as a single lifecycle.
+    """One campaign's heavy objects and arrays, as a single lifecycle.
 
-    Composes a :class:`repro.util.executors.WorkerContext` (fork-once
-    heavy state) with a :class:`SharedArrayPublisher` (zero-copy
-    arrays):
-
-    * thread/serial backends — and the degradation ladder falling back
-      to them — resolve the driver's registration and read the original
-      arrays in place;
-    * the process backend ships ``heavy`` plus tiny array handles once
-      per worker via the pool initializer, and workers map the
-      published segments on first use.
-
-    Shared-memory segments are only created when a process pool can
-    actually fan out (``executor == "process"`` with more than one
-    worker and more than one task); otherwise the publisher stays
-    empty and closing is free.  Exiting the context (normally or via
-    an exception) drops the registration and unlinks every segment.
+    ``heavy`` and ``arrays`` are the driver's own objects, never copies.
+    Exiting the context (normally or via an exception) drops the
+    fan-out's references to them.
     """
 
     def __init__(
-        self,
-        heavy: Dict[str, object],
-        arrays: Dict[str, np.ndarray],
-        executor: Optional[str] = None,
-        workers: int = 1,
-        num_tasks: int = 2,
+        self, heavy: Dict[str, object], arrays: Dict[str, np.ndarray]
     ) -> None:
-        self._publisher = SharedArrayPublisher()
-        worker_arrays: Dict[str, object] = dict(arrays)
-        if (
-            resolve_executor(executor) == EXECUTOR_PROCESS
-            and workers > 1
-            and num_tasks > 1
-        ):
-            worker_arrays = {
-                key: self._publisher.publish(key, value)
-                for key, value in arrays.items()
-            }
-        self._context = WorkerContext(
-            FanoutPayload(heavy, dict(arrays)),
-            FanoutPayload(heavy, worker_arrays),
-        )
-
-    @property
-    def context_id(self) -> str:
-        return self._context.context_id
-
-    @property
-    def map_kwargs(self) -> Dict[str, object]:
-        """Keyword arguments for :func:`repro.util.executors.map_ordered`."""
-        return {
-            "initializer": self._context.initializer,
-            "initargs": self._context.initargs,
-        }
-
-    @property
-    def shared_segments(self) -> List[str]:
-        """Names of the segments this fan-out published (may be empty)."""
-        return self._publisher.segment_names
+        self.heavy = heavy
+        self.arrays = arrays
 
     def close(self) -> None:
-        """Unregister the context and unlink all segments (idempotent)."""
-        self._context.close()
-        self._publisher.close()
+        """Drop the references (idempotent)."""
+        self.heavy = {}
+        self.arrays = {}
 
     def __enter__(self) -> "ArrayFanout":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def leaked_segments() -> List[str]:
-    """Names of this module's segments still present in ``/dev/shm``.
-
-    Empty on platforms without a ``/dev/shm`` (the lifecycle tests
-    skip there).
-    """
-    root = "/dev/shm"
-    if not os.path.isdir(root):  # pragma: no cover - non-Linux
-        return []
-    return sorted(
-        entry
-        for entry in os.listdir(root)
-        if entry.startswith(SHM_PREFIX)
-    )

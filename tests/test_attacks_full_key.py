@@ -92,25 +92,6 @@ class TestRecoverLastRoundKey:
                 np.zeros((10, 4)), np.zeros((5, 16), dtype=np.uint8)
             )
 
-    def test_process_executor_matches_serial(self):
-        # Integer-valued leakage keeps the CPA sums float-exact, so the
-        # process backend must reproduce the serial result bit for bit
-        # (continuous leakage is only reproducible up to BLAS summation
-        # order, which may differ across pickled array alignments).
-        rng = np.random.default_rng(7)
-        leakage = rng.integers(0, 64, size=(3000, 4)).astype(np.float64)
-        cts = rng.integers(0, 256, size=(3000, 16), dtype=np.uint8)
-        serial = recover_last_round_key(leakage, cts)
-        process = recover_last_round_key(
-            leakage, cts, max_workers=4, executor="process",
-        )
-        assert (
-            serial.recovered_last_round_key
-            == process.recovered_last_round_key
-        )
-        for a, b in zip(serial.byte_results, process.byte_results):
-            assert np.array_equal(a.correlations, b.correlations)
-
     def test_result_metrics(self, campaign_data):
         cipher, cts, leakage = campaign_data
         result = recover_last_round_key(

@@ -81,26 +81,6 @@ class TestBench:
         assert "speedup_vs_reference" in capsys.readouterr().out
 
 
-class TestExecutorOption:
-    def test_attack_accepts_process_executor(self, capsys):
-        code = main([
-            "attack", "alu", "--traces", "4000",
-            "--workers", "2", "--executor", "process",
-        ])
-        assert "best guess" in capsys.readouterr().out
-        assert code in (0, 1)
-
-    def test_invalid_executor_one_line_exit_2(self, capsys):
-        code = main(["attack", "alu", "--executor", "fiber"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: ")
-        assert "fiber" in err
-        assert "thread" in err and "process" in err
-        assert "Traceback" not in err
-        assert err.count("\n") == 1, "one actionable line, no traceback"
-
-
 class TestWorkersValidation:
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_workers_one_line_exit_2(self, capsys, value):
@@ -116,12 +96,6 @@ class TestWorkersValidation:
         code = main(["fullkey", "--workers", "0"])
         assert code == 2
         assert "--workers" in capsys.readouterr().err
-
-    def test_bench_validates_executor(self, capsys):
-        code = main(["bench", "--executor", "fork"])
-        assert code == 2
-        assert "fork" in capsys.readouterr().err
-
 
 class TestServiceVerbs:
     def test_submit_without_server_one_line_exit_2(self, capsys):

@@ -69,7 +69,6 @@ class TestE2EBenchmark:
             campaign_traces=400,
             repeats=1,
             max_workers=1,
-            executor="thread",
             seed=3,
         )
         on_disk = json.loads(path.read_text())
@@ -89,13 +88,13 @@ class TestHostMetadata:
 
         from repro.util.executors import usable_cpu_count
 
-        host = host_metadata("process")
+        host = host_metadata()
         assert host["python"] == platform.python_version()
         assert host["numpy"] == np.__version__
         assert host["cpu_count"] == os.cpu_count()
         assert host["usable_cpus"] == usable_cpu_count()
         assert host["usable_cpus"] <= host["cpu_count"]
-        assert host["executor"] == "process"
+        assert host["executor"] == "thread"
         assert host["platform"]
         assert host["machine"]
 

@@ -19,7 +19,6 @@ from repro.experiments.parallel import (
     sharded_attack,
     sharded_full_key,
 )
-from repro.util.shm import leaked_segments
 
 
 class TestPlanShards:
@@ -151,29 +150,6 @@ class TestShardedAttack:
         assert result.checkpoints.tolist() == [1000, 3000]
         assert result.correlations.shape[0] == 2
 
-    def test_process_executor_matches_serial(self, alu_campaign):
-        kwargs = dict(
-            reduction=REDUCTION_HW,
-            checkpoints=[2000, 4000],
-            chunk_size=1000,
-        )
-        serial = sharded_attack(alu_campaign, 4000, max_workers=1, **kwargs)
-        process = sharded_attack(
-            alu_campaign, 4000, max_workers=4, executor="process", **kwargs
-        )
-        thread = sharded_attack(
-            alu_campaign, 4000, max_workers=4, executor="thread", **kwargs
-        )
-        assert np.array_equal(serial.correlations, process.correlations)
-        assert np.array_equal(serial.correlations, thread.correlations)
-
-    def test_unknown_executor_rejected(self, alu_campaign):
-        with pytest.raises(ValueError, match="unknown executor"):
-            sharded_attack(
-                alu_campaign, 4000, max_workers=2, chunk_size=1000,
-                executor="fiber",
-            )
-
     def test_validation(self, alu_campaign):
         with pytest.raises(ValueError):
             sharded_attack(alu_campaign, 1)
@@ -220,22 +196,6 @@ class TestShardedFullKey:
         )
         for a, b in zip(serial.byte_results, threaded.byte_results):
             assert np.array_equal(a.correlations, b.correlations)
-
-    def test_process_executor_matches_serial(self, alu_campaign):
-        serial = sharded_full_key(
-            alu_campaign, 3000, max_workers=1, chunk_size=1000
-        )
-        process = sharded_full_key(
-            alu_campaign, 3000, max_workers=4, chunk_size=1000,
-            executor="process",
-        )
-        assert (
-            serial.recovered_last_round_key
-            == process.recovered_last_round_key
-        )
-        for a, b in zip(serial.byte_results, process.byte_results):
-            assert np.array_equal(a.correlations, b.correlations)
-
 
 class TestStreamingMerge:
     def _integer_stream(self, n=6000, seed=0):
@@ -314,46 +274,6 @@ class TestFaultTolerantCampaign:
             max_workers=4, chunk_size=self.CS,
         )
 
-    def test_worker_crash_recovers_bit_identically(self, alu_campaign):
-        from repro.util.executors import CampaignHealth, RetryPolicy
-        from repro.util.faults import FAULT_CRASH, FaultPlan, FaultSpec
-
-        baseline = self._baseline(alu_campaign)
-        shards = plan_shards(4000, 4, self.CS)
-        plan = FaultPlan(
-            [FaultSpec(FAULT_CRASH, site=shards[1].site, attempts=1)],
-            seed=5,
-        )
-        health = CampaignHealth()
-        result = sharded_attack(
-            alu_campaign, 4000, checkpoints=[2000, 4000],
-            max_workers=4, chunk_size=self.CS, executor="process",
-            policy=RetryPolicy(max_attempts=3, backoff_base=0.0),
-            fault_plan=plan, health=health,
-        )
-        assert np.array_equal(result.correlations, baseline.correlations)
-        assert health.pool_rebuilds >= 1
-
-    def test_persistent_crash_degrades_with_identical_output(
-        self, alu_campaign
-    ):
-        from repro.util.executors import CampaignHealth, RetryPolicy
-        from repro.util.faults import FAULT_CRASH, FaultPlan, FaultSpec
-
-        baseline = self._baseline(alu_campaign)
-        plan = FaultPlan(
-            [FaultSpec(FAULT_CRASH, attempts=10**6)], seed=5
-        )
-        health = CampaignHealth()
-        result = sharded_attack(
-            alu_campaign, 4000, checkpoints=[2000, 4000],
-            max_workers=4, chunk_size=self.CS, executor="process",
-            policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
-            fault_plan=plan, health=health,
-        )
-        assert np.array_equal(result.correlations, baseline.correlations)
-        assert ("process", "thread") in health.degradations
-
     def test_nan_poisoning_caught_and_retried(self, alu_campaign):
         from repro.util.executors import CampaignHealth, RetryPolicy
         from repro.util.faults import FAULT_NAN, FaultPlan, FaultSpec
@@ -374,6 +294,31 @@ class TestFaultTolerantCampaign:
         assert np.array_equal(result.correlations, baseline.correlations)
         failed = [a for a in health.attempts if a.status == "error"]
         assert any("NonFinite" in (a.error or "") for a in failed)
+
+    def test_nan_poisoned_column_block_caught_and_retried(
+        self, alu_campaign
+    ):
+        from repro.util.executors import CampaignHealth, RetryPolicy
+        from repro.util.faults import FAULT_NAN, FaultPlan, FaultSpec
+
+        baseline = sharded_full_key(
+            alu_campaign, 3000, max_workers=3, chunk_size=self.CS,
+        )
+        shards = plan_shards(3000, 3, self.CS)
+        plan = FaultPlan(
+            [FaultSpec(FAULT_NAN, site=shards[1].site, attempts=1)],
+            seed=2,
+        )
+        health = CampaignHealth()
+        result = sharded_full_key(
+            alu_campaign, 3000, max_workers=3, chunk_size=self.CS,
+            policy=RetryPolicy(max_attempts=3, backoff_base=0.0),
+            fault_plan=plan, health=health,
+        )
+        for a, b in zip(baseline.byte_results, result.byte_results):
+            assert np.array_equal(a.correlations, b.correlations)
+        failed = [a for a in health.attempts if a.status == "error"]
+        assert failed and all("non-finite" in a.error for a in failed)
 
     def test_truncated_partials_caught_and_retried(self, alu_campaign):
         from repro.util.executors import CampaignHealth, RetryPolicy
@@ -417,136 +362,21 @@ class TestFaultTolerantCampaign:
 
 
 @pytest.mark.timeout(300)
-class TestSharedMemoryLifecycle:
-    """No ``/dev/shm`` leak on any campaign exit path.
-
-    The driver owns every segment: normal completion, a SIGKILLed
-    worker mid-shard, and the process→thread degradation ladder must
-    all leave ``/dev/shm`` clean, because dead workers never owned the
-    segments and the fan-out context unlinks on exit.
-    """
-
-    CS = 1000
-
-    def test_normal_completion_unlinks(self, alu_campaign):
-        assert leaked_segments() == []
-        result = sharded_attack(
-            alu_campaign, 4000, checkpoints=[2000, 4000],
-            max_workers=4, chunk_size=self.CS, executor="process",
-        )
-        assert result.correlations.shape[0] == 2
-        assert leaked_segments() == []
-
-    def test_worker_sigkill_mid_shard_unlinks(self, alu_campaign):
-        from repro.util.executors import CampaignHealth, RetryPolicy
-        from repro.util.faults import FAULT_CRASH, FaultPlan, FaultSpec
-
-        assert leaked_segments() == []
-        baseline = sharded_attack(
-            alu_campaign, 4000, checkpoints=[2000, 4000],
-            max_workers=4, chunk_size=self.CS,
-        )
-        shards = plan_shards(4000, 4, self.CS)
-        plan = FaultPlan(
-            [FaultSpec(FAULT_CRASH, site=shards[1].site, attempts=1)],
-            seed=9,
-        )
-        health = CampaignHealth()
-        result = sharded_attack(
-            alu_campaign, 4000, checkpoints=[2000, 4000],
-            max_workers=4, chunk_size=self.CS, executor="process",
-            policy=RetryPolicy(max_attempts=3, backoff_base=0.0),
-            fault_plan=plan, health=health,
-        )
-        assert np.array_equal(result.correlations, baseline.correlations)
-        assert health.pool_rebuilds >= 1
-        # The killed worker held a read-only mapping, never ownership:
-        # the driver's unlink must still reclaim every segment.
-        assert leaked_segments() == []
-
-    def test_degradation_ladder_unlinks(self, alu_campaign):
-        from repro.util.executors import CampaignHealth, RetryPolicy
-        from repro.util.faults import FAULT_CRASH, FaultPlan, FaultSpec
-
-        assert leaked_segments() == []
-        baseline = sharded_attack(
-            alu_campaign, 4000, checkpoints=[2000, 4000],
-            max_workers=4, chunk_size=self.CS,
-        )
-        plan = FaultPlan(
-            [FaultSpec(FAULT_CRASH, attempts=10**6)], seed=9
-        )
-        health = CampaignHealth()
-        result = sharded_attack(
-            alu_campaign, 4000, checkpoints=[2000, 4000],
-            max_workers=4, chunk_size=self.CS, executor="process",
-            policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
-            fault_plan=plan, health=health,
-        )
-        # process → thread: the fallen-back in-process workers resolve
-        # the driver's own registration, bit-identically.
-        assert np.array_equal(result.correlations, baseline.correlations)
-        assert ("process", "thread") in health.degradations
-        assert leaked_segments() == []
-
-    def test_fullkey_process_path_unlinks(self, alu_campaign):
-        assert leaked_segments() == []
-        sharded_full_key(
-            alu_campaign, 3000, max_workers=4, chunk_size=self.CS,
-            executor="process",
-        )
-        assert leaked_segments() == []
-
-    def test_retry_reships_only_lightweight_payload(self, alu_campaign):
-        from repro.util.executors import CampaignHealth, RetryPolicy
-        from repro.util.faults import (
-            FAULT_EXCEPTION,
-            FaultPlan,
-            FaultSpec,
-        )
-
-        baseline = sharded_attack(
-            alu_campaign, 4000, checkpoints=[2000, 4000],
-            max_workers=4, chunk_size=self.CS,
-        )
-        shards = plan_shards(4000, 4, self.CS)
-        plan = FaultPlan(
-            [FaultSpec(FAULT_EXCEPTION, site=shards[1].site, attempts=2)],
-            seed=4,
-        )
-        health = CampaignHealth()
-        result = sharded_attack(
-            alu_campaign, 4000, checkpoints=[2000, 4000],
-            max_workers=4, chunk_size=self.CS, executor="process",
-            policy=RetryPolicy(max_attempts=4, backoff_base=0.0),
-            fault_plan=plan, health=health,
-        )
-        assert np.array_equal(result.correlations, baseline.correlations)
-        sizes = health.payload_bytes_per_attempt(shards[1].site)
-        assert len(sizes) == 3  # two injected failures + the success
-        # The double-pickling regression gauge: every submission of a
-        # shard — first attempt and retries alike — ships only the
-        # context id + shard descriptor, never the campaign state.
-        assert max(sizes) < 2048
-        assert len(set(sizes)) == 1
-
-
-@pytest.mark.timeout(300)
 class TestCheckpointResume:
     """A killed campaign resumed from its checkpoint is bit-identical."""
 
     CS = 1000
 
-    def _interrupt_then_resume(self, alu_campaign, tmp_path, executor):
+    def _interrupt_then_resume(self, alu_campaign, tmp_path):
         from repro.util.executors import RetryPolicy, ShardError
         from repro.util.faults import FAULT_EXCEPTION, FaultPlan, FaultSpec
         from repro.experiments.checkpoint import load_checkpoint
 
         baseline = sharded_attack(
             alu_campaign, 4000, checkpoints=[1500, 2500, 4000],
-            max_workers=4, chunk_size=self.CS, executor=executor,
+            max_workers=4, chunk_size=self.CS,
         )
-        path = str(tmp_path / ("resume-%s.npz" % executor))
+        path = str(tmp_path / "resume.npz")
         shards = plan_shards(4000, 4, self.CS)
         # A persistent exception on the third shard kills the driver
         # after the first checkpoint group is durable.
@@ -557,7 +387,7 @@ class TestCheckpointResume:
         with pytest.raises(ShardError):
             sharded_attack(
                 alu_campaign, 4000, checkpoints=[1500, 2500, 4000],
-                max_workers=4, chunk_size=self.CS, executor=executor,
+                max_workers=4, chunk_size=self.CS,
                 checkpoint_path=path, checkpoint_every=1,
                 policy=RetryPolicy(
                     max_attempts=2, backoff_base=0.0, degrade=False,
@@ -568,7 +398,7 @@ class TestCheckpointResume:
         assert 0 < stored.completed_shards < len(shards)
         resumed = sharded_attack(
             alu_campaign, 4000, checkpoints=[1500, 2500, 4000],
-            max_workers=4, chunk_size=self.CS, executor=executor,
+            max_workers=4, chunk_size=self.CS,
             checkpoint_path=path, checkpoint_every=1, resume=True,
         )
         assert np.array_equal(
@@ -578,12 +408,7 @@ class TestCheckpointResume:
         assert resumed.correct_key == baseline.correct_key
 
     def test_kill_then_resume_thread_backend(self, alu_campaign, tmp_path):
-        self._interrupt_then_resume(alu_campaign, tmp_path, "thread")
-
-    def test_kill_then_resume_process_backend(
-        self, alu_campaign, tmp_path
-    ):
-        self._interrupt_then_resume(alu_campaign, tmp_path, "process")
+        self._interrupt_then_resume(alu_campaign, tmp_path)
 
     def test_uninterrupted_checkpointed_run_identical(
         self, alu_campaign, tmp_path

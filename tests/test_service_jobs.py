@@ -49,6 +49,16 @@ class TestNormalizeParams:
         with pytest.raises(JobError, match="key_hex"):
             normalize_params("tracegen", {"key_hex": "zz"})
 
+    @pytest.mark.parametrize("kind", ["attack", "fullkey", "report"])
+    def test_process_executor_rejected_as_removed(self, kind):
+        with pytest.raises(JobError, match="process backend was removed"):
+            normalize_params(kind, {"executor": "process"})
+
+    @pytest.mark.parametrize("value", [None, "thread"])
+    def test_thread_executor_still_normalizes(self, value):
+        params = normalize_params("attack", {"executor": value})
+        assert params["executor"] == value
+
     def test_int_promoted_to_float(self):
         params = normalize_params("attack", {"task_timeout": 30})
         assert params["task_timeout"] == 30.0
@@ -155,7 +165,7 @@ class TestCacheKey:
             {
                 "traces": 1000,
                 "workers": 8,
-                "executor": "process",
+                "executor": "thread",
                 "retries": 5,
                 "task_timeout": 3.0,
             },

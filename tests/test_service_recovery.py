@@ -160,6 +160,38 @@ class TestJournalRecovery:
         assert status == "failed"
         assert "no longer valid" in error
 
+    def test_journaled_process_executor_job_fails_structurally(
+        self, tmp_path
+    ):
+        # A job journaled before the process backend was removed comes
+        # back failed, not crashing the recovery pass.
+        journal = JobJournal(str(tmp_path / "journal"))
+        journal.append(
+            "submitted", "job-000001",
+            spec={
+                "kind": "attack",
+                "params": {"traces": 4000, "executor": "process"},
+                "priority": 10,
+            },
+        )
+        journal.crash()
+
+        async def run():
+            scheduler = CampaignScheduler(
+                _config(tmp_path, str(tmp_path / "journal"))
+            )
+            await scheduler.start()
+            try:
+                state = scheduler.job("job-000001")
+                return state.status, state.error
+            finally:
+                await scheduler.stop()
+
+        status, error = asyncio.run(run())
+        assert status == "failed"
+        assert "journaled spec is no longer valid" in error
+        assert "process backend was removed" in error
+
     def test_second_scheduler_on_same_journal_refused(self, tmp_path):
         config = _config(tmp_path, str(tmp_path / "journal"))
 

@@ -1,27 +1,24 @@
-"""Tests for the executor selection and the fault-tolerant map."""
+"""Tests for the thread pool and the fault-tolerant map."""
 
 import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 
 import pytest
 
 from repro.util.executors import (
-    EXECUTOR_KINDS,
-    EXECUTOR_PROCESS,
-    EXECUTOR_THREAD,
     CampaignHealth,
     RetryPolicy,
     ShardError,
     TruncatedResultError,
-    WorkerContext,
     default_workers,
-    make_executor,
     map_ordered,
-    resolve_executor,
     usable_cpu_count,
-    worker_state,
 )
 from repro.util.faults import (
-    FAULT_CRASH,
     FAULT_EXCEPTION,
     FAULT_HANG,
     FAULT_TRUNCATE,
@@ -43,78 +40,27 @@ def _pid_of(_):
     return os.getpid()
 
 
-def _add_context_base(task):
-    """Resolve fork-once state in whatever process runs the task."""
-    return worker_state(task["ctx"]) + task["x"]
-
-
-class TestResolve:
-    def test_none_means_thread(self):
-        assert resolve_executor(None) == EXECUTOR_THREAD
-
-    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
-    def test_known_kinds_pass_through(self, kind):
-        assert resolve_executor(kind) == kind
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("greenlet")
-
-
-class TestMakeExecutor:
-    def test_kinds_construct_and_run(self):
-        for kind in (None, EXECUTOR_THREAD, EXECUTOR_PROCESS):
-            with make_executor(kind, max_workers=2) as pool:
-                assert list(pool.map(_square, [1, 2, 3])) == [1, 4, 9]
-
-
 class TestMapOrdered:
     def test_preserves_task_order(self):
         tasks = list(range(20))
         expected = [t * t for t in tasks]
-        for kind in (None, EXECUTOR_THREAD, EXECUTOR_PROCESS):
-            assert map_ordered(
-                _square, tasks, max_workers=4, executor=kind
-            ) == expected
+        assert map_ordered(_square, tasks, max_workers=4) == expected
 
     def test_single_worker_runs_inline(self):
-        # With one worker the map must run in-process: closures (which
-        # a process pool could never pickle) are fine.
+        # With one worker the map runs in-process, in task order.
         captured = []
         result = map_ordered(
             lambda x: captured.append(x) or x, [1, 2, 3], max_workers=1,
-            executor=EXECUTOR_PROCESS,
         )
         assert result == [1, 2, 3]
         assert captured == [1, 2, 3]
 
     def test_single_task_runs_inline(self):
-        assert map_ordered(
-            lambda x: x + 1, [41], max_workers=8,
-            executor=EXECUTOR_PROCESS,
-        ) == [42]
-
-    def test_process_backend_uses_worker_processes(self):
-        pids = set(
-            map_ordered(
-                _pid_of, range(8), max_workers=2,
-                executor=EXECUTOR_PROCESS,
-            )
-        )
-        assert os.getpid() not in pids
+        assert map_ordered(lambda x: x + 1, [41], max_workers=8) == [42]
 
     def test_thread_backend_stays_in_process(self):
-        pids = set(
-            map_ordered(
-                _pid_of, range(8), max_workers=2,
-                executor=EXECUTOR_THREAD,
-            )
-        )
+        pids = set(map_ordered(_pid_of, range(8), max_workers=2))
         assert pids == {os.getpid()}
-
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError):
-            map_ordered(_square, [1, 2], max_workers=2, executor="mpi")
 
     def test_default_workers_positive(self):
         assert 1 <= default_workers() <= 8
@@ -135,95 +81,6 @@ class TestUsableCpuCount:
         # sized from the cores this process may run on, not from the
         # machine's total.
         assert default_workers() == min(8, usable_cpu_count())
-
-
-class TestWorkerContext:
-    def test_registers_and_resolves_locally(self):
-        payload = {"heavy": list(range(100))}
-        with WorkerContext(payload) as context:
-            assert worker_state(context.context_id) is payload
-
-    def test_close_drops_registration(self):
-        context = WorkerContext("state")
-        context.close()
-        with pytest.raises(RuntimeError, match="not installed"):
-            worker_state(context.context_id)
-        context.close()  # idempotent
-
-    def test_unknown_context_rejected_with_guidance(self):
-        with pytest.raises(RuntimeError, match="WorkerContext"):
-            worker_state("ctx-0-never-created")
-
-    def test_initargs_ship_worker_payload(self):
-        with WorkerContext("driver", worker_payload="worker") as context:
-            context_id, payload = context.initargs
-            assert context_id == context.context_id
-            assert payload == "worker"
-            # The driver-side registry holds the *driver* payload.
-            assert worker_state(context.context_id) == "driver"
-
-    def test_context_ids_are_unique(self):
-        with WorkerContext(1) as a, WorkerContext(2) as b:
-            assert a.context_id != b.context_id
-
-    def test_initializer_fans_state_to_process_workers(self):
-        with WorkerContext(100) as context:
-            tasks = [{"ctx": context.context_id, "x": x} for x in range(6)]
-            results = map_ordered(
-                _add_context_base, tasks, max_workers=2,
-                executor=EXECUTOR_PROCESS,
-                initializer=context.initializer,
-                initargs=context.initargs,
-            )
-        assert results == [100 + x for x in range(6)]
-
-    def test_thread_backend_resolves_without_initializer(self):
-        # Threads share the driver's store; no initializer required.
-        with WorkerContext(7) as context:
-            tasks = [{"ctx": context.context_id, "x": x} for x in range(4)]
-            results = map_ordered(
-                _add_context_base, tasks, max_workers=2,
-                executor=EXECUTOR_THREAD,
-            )
-        assert results == [7 + x for x in range(4)]
-
-
-class TestPayloadMetering:
-    def test_process_backend_records_payload_bytes(self):
-        health = CampaignHealth()
-        map_ordered(
-            _square, [1, 2, 3, 4], max_workers=2,
-            executor=EXECUTOR_PROCESS, policy=FAST, health=health,
-        )
-        sizes = [a.payload_bytes for a in health.attempts]
-        assert all(isinstance(s, int) and s > 0 for s in sizes)
-
-    def test_in_process_backends_record_none(self):
-        health = CampaignHealth()
-        map_ordered(
-            _square, [1, 2, 3], max_workers=2,
-            executor=EXECUTOR_THREAD, policy=FAST, health=health,
-        )
-        map_ordered(
-            _square, [4], max_workers=1, policy=FAST, health=health,
-        )
-        assert all(a.payload_bytes is None for a in health.attempts)
-
-    def test_per_attempt_sizes_stay_flat_across_retries(self):
-        plan = FaultPlan(
-            [FaultSpec(FAULT_EXCEPTION, site="task[1]", attempts=2)]
-        )
-        health = CampaignHealth()
-        map_ordered(
-            _square, [10, 20, 30, 40], max_workers=2,
-            executor=EXECUTOR_PROCESS,
-            policy=FAST, fault_plan=plan, health=health,
-        )
-        sizes = health.payload_bytes_per_attempt("task[1]")
-        assert len(sizes) == 3  # two injected failures + the success
-        # A retry reuses the already-materialized payload: every
-        # submission ships the same (tiny) number of bytes.
-        assert len(set(sizes)) == 1
 
 
 class TestRetryPolicy:
@@ -285,7 +142,6 @@ class TestResilientMap:
         health = CampaignHealth()
         result = map_ordered(
             _square, list(range(6)), max_workers=3,
-            executor=EXECUTOR_THREAD,
             policy=FAST, fault_plan=plan, health=health,
         )
         assert result == [x * x for x in range(6)]
@@ -308,39 +164,6 @@ class TestResilientMap:
         assert isinstance(error.cause, InjectedFault)
         assert isinstance(error.__cause__, InjectedFault)
 
-    def test_worker_crash_recovers_with_pool_rebuild(self):
-        plan = FaultPlan(
-            [FaultSpec(FAULT_CRASH, site="task[1]", attempts=1)]
-        )
-        health = CampaignHealth()
-        result = map_ordered(
-            _square, [1, 2, 3, 4], max_workers=2,
-            executor=EXECUTOR_PROCESS,
-            policy=FAST, fault_plan=plan, health=health,
-        )
-        assert result == [1, 4, 9, 16]
-        assert health.pool_rebuilds >= 1
-        assert any(
-            a.status == "pool-broken" for a in health.attempts
-        )
-
-    def test_persistent_breakage_degrades_to_thread(self):
-        # The crash fires on every process-pool attempt, so the process
-        # rung can never finish; the ladder must hand the work to the
-        # thread backend (where process-scoped crashes cannot fire) and
-        # produce identical output.
-        plan = FaultPlan(
-            [FaultSpec(FAULT_CRASH, site="task[0]", attempts=10**6)]
-        )
-        health = CampaignHealth()
-        result = map_ordered(
-            _square, [5, 6, 7, 8], max_workers=2,
-            executor=EXECUTOR_PROCESS,
-            policy=FAST, fault_plan=plan, health=health,
-        )
-        assert result == [25, 36, 49, 64]
-        assert ("process", "thread") in health.degradations
-
     def test_pool_fault_degrades_thread_to_serial(self):
         plan = FaultPlan(
             [
@@ -353,7 +176,6 @@ class TestResilientMap:
         health = CampaignHealth()
         result = map_ordered(
             _square, [1, 2, 3, 4], max_workers=2,
-            executor=EXECUTOR_THREAD,
             policy=FAST, fault_plan=plan, health=health,
         )
         assert result == [1, 4, 9, 16]
@@ -370,7 +192,7 @@ class TestResilientMap:
         )
         health = CampaignHealth()
         result = map_ordered(
-            _square, [1, 2], max_workers=2, executor=EXECUTOR_THREAD,
+            _square, [1, 2], max_workers=2,
             policy=RetryPolicy(
                 max_attempts=3, timeout=0.2, backoff_base=0.0,
             ),
@@ -436,3 +258,120 @@ class TestResilientMap:
             _square, tasks, max_workers=4, policy=FAST,
         )
         assert legacy == resilient
+
+
+def _counting_sleeper(seconds, calls):
+    """A task that records each execution and sleeps ``seconds``."""
+    lock = threading.Lock()
+
+    def task(x):
+        with lock:
+            calls.append(x)
+        time.sleep(seconds)
+        return x
+
+    return task
+
+
+@pytest.mark.timeout(120)
+class TestDeadlines:
+    """A deadline counts the time a task runs, not the time it queues."""
+
+    def test_queued_tasks_do_not_spend_their_deadline(self):
+        # Four 0.6 s tasks on two threads: the last two wait 0.6 s in
+        # the queue, then run 0.6 s, inside their 1.0 s deadline.
+        calls = []
+        health = CampaignHealth()
+        started = time.monotonic()
+        result = map_ordered(
+            _counting_sleeper(0.6, calls), range(4), max_workers=2,
+            policy=RetryPolicy(timeout=1.0, max_attempts=2),
+            health=health,
+        )
+        wall = time.monotonic() - started
+        assert result == [0, 1, 2, 3]
+        assert health.timeouts == 0
+        assert sorted(calls) == [0, 1, 2, 3]  # each task ran once
+        assert wall < 1.7
+
+    def test_retry_after_timeout_runs_on_a_fresh_pool(self):
+        # Both first attempts hang for 3 s and are abandoned at their
+        # 0.2 s deadline, holding both threads; the retries must not
+        # queue behind those threads.
+        plan = FaultPlan(
+            [
+                FaultSpec(FAULT_HANG, site=site, hang_seconds=3.0)
+                for site in ("task[0]", "task[1]")
+            ]
+        )
+        health = CampaignHealth()
+        started = time.monotonic()
+        result = map_ordered(
+            _square, [1, 2], max_workers=2,
+            policy=RetryPolicy(timeout=0.2, backoff_base=0.0),
+            fault_plan=plan, health=health,
+        )
+        assert result == [1, 4]
+        assert health.timeouts == 2
+        assert not health.degradations
+        assert time.monotonic() - started < 2.0
+
+    def test_tasks_behind_stuck_threads_are_requeued(self):
+        # Both threads hang past their deadline on the first round, so
+        # task[2] and task[3] can never start there: they move to the
+        # next round without spending an attempt.
+        plan = FaultPlan(
+            [
+                FaultSpec(FAULT_HANG, site=site, hang_seconds=2.0)
+                for site in ("task[0]", "task[1]")
+            ]
+        )
+        health = CampaignHealth()
+        result = map_ordered(
+            _square, range(4), max_workers=2,
+            policy=RetryPolicy(timeout=0.2, backoff_base=0.0),
+            fault_plan=plan, health=health,
+        )
+        assert result == [0, 1, 4, 9]
+        assert health.timeouts == 2
+        attempts = {a.site: a.attempt for a in health.attempts
+                    if a.status == "ok"}
+        assert attempts == {
+            "task[0]": 1, "task[1]": 1, "task[2]": 0, "task[3]": 0,
+        }
+
+
+@pytest.mark.timeout(300)
+def test_campaign_never_imports_the_process_pool_or_shared_memory():
+    """A two-worker campaign runs on threads alone: the process pool and
+    shared-memory modules are never even imported."""
+    script = textwrap.dedent(
+        """
+        import sys
+
+        from repro.service import runners
+        from repro.service.jobs import normalize_params
+
+        params = normalize_params(
+            "attack", {"traces": 4000, "workers": 2}
+        )
+        result = runners.run_attack(params)
+        assert result.correlations.shape[1] == 256, result
+        for name in (
+            "concurrent.futures.process", "multiprocessing.shared_memory",
+        ):
+            assert name not in sys.modules, name
+        print("ok")
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

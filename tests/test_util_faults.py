@@ -1,13 +1,10 @@
 """Tests for the deterministic fault-injection plan."""
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.util.faults import (
     CHAOS_KINDS,
-    FAULT_CRASH,
     FAULT_EXCEPTION,
     FAULT_HANG,
     FAULT_KINDS,
@@ -18,7 +15,6 @@ from repro.util.faults import (
     FAULT_WORKER_KILL,
     SCOPE_ANY,
     SCOPE_POOL,
-    SCOPE_PROCESS,
     FaultPlan,
     FaultSpec,
     InjectedFault,
@@ -42,9 +38,8 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec(FAULT_EXCEPTION, rate=1.5)
 
-    def test_crash_defaults_to_process_scope(self):
-        assert FaultSpec(FAULT_CRASH).effective_scope == SCOPE_PROCESS
-        assert FaultSpec(FAULT_EXCEPTION).effective_scope == SCOPE_ANY
+    def test_scope_defaults_to_any(self):
+        assert FaultSpec(FAULT_EXCEPTION).scope == SCOPE_ANY
 
     def test_site_wildcard(self):
         spec = FaultSpec(FAULT_EXCEPTION)
@@ -67,10 +62,6 @@ class TestMatching:
         )
         assert plan.match(FAULT_EXCEPTION, "s", 0, "serial") is None
         assert plan.match(FAULT_EXCEPTION, "s", 0, "thread") is not None
-        # SCOPE_PROCESS additionally requires a foreign PID, so it can
-        # never fire in the driver process itself.
-        crash = FaultPlan([FaultSpec(FAULT_CRASH, attempts=99)])
-        assert crash.match(FAULT_CRASH, "s", 0, "process") is None
 
     def test_rate_coin_is_deterministic(self):
         plan_a = FaultPlan(
@@ -97,7 +88,6 @@ class TestMatching:
             [FaultSpec(FAULT_EXCEPTION, site="shard[0:4]")], seed=9
         )
         clone = pickle.loads(pickle.dumps(plan))
-        assert clone.origin_pid == plan.origin_pid == os.getpid()
         assert clone.match(FAULT_EXCEPTION, "shard[0:4]", 0, "serial")
 
 
@@ -172,7 +162,6 @@ class TestFaultScope:
 def test_fault_kinds_complete():
     assert set(FAULT_KINDS) == {
         FAULT_EXCEPTION,
-        FAULT_CRASH,
         FAULT_HANG,
         FAULT_NAN,
         FAULT_TRUNCATE,

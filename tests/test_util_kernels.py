@@ -30,7 +30,6 @@ from repro.attacks.models import (
     hamming_weight_hypothesis,
     single_bit_hypothesis,
 )
-from repro.experiments.parallel import sharded_attack
 from repro.pdn.model import PDNModel, PDNParameters
 from repro.util import kernels, kernels_native
 from repro.util.rng import derive_seed, make_rng
@@ -543,8 +542,8 @@ class TestCPABackendsBitIdentical:
 
 
 # ----------------------------------------------------------------------
-# Process-pool composition: native kernels must survive pickling and
-# fork/spawn, and sharded campaigns must stay bit-identical to serial.
+# Process safety: campaign objects pickle under the native backend, and
+# the kernel spec reaches child processes through the environment.
 # ----------------------------------------------------------------------
 
 
@@ -574,28 +573,9 @@ class TestNativeProcessSafety:
         assert clone.count == 8
 
     @needs_native
-    def test_process_pool_native_merges_bit_identical(
-        self, alu_campaign
-    ):
-        # Same chunk layout on both sides (chunk boundaries seed the
-        # per-chunk RNG streams); only the backend and executor differ.
-        with kernels.use("numpy"):
-            serial = sharded_attack(
-                alu_campaign, 4000, max_workers=1, chunk_size=1000
-            )
-        with kernels.use("native"):
-            sharded = sharded_attack(
-                alu_campaign, 4000,
-                max_workers=2, chunk_size=1000, executor="process",
-            )
-        assert np.array_equal(
-            serial.correlations, sharded.correlations
-        )
-
-    @needs_native
     def test_spec_reaches_workers_through_env(self):
-        # configure() exports REPRO_KERNELS so pool workers (fork or
-        # spawn) resolve the same backends as the driver.
+        # configure() exports REPRO_KERNELS so child processes resolve
+        # the same backends as the parent.
         with kernels.use("aes=native,pdn=numpy"):
             assert (
                 os.environ[kernels.KERNELS_ENV]

@@ -1,206 +1,45 @@
-"""Tests for the shared-memory array fan-out (:mod:`repro.util.shm`).
+"""Tests for the campaign fan-out state (:mod:`repro.util.shm`).
 
-The contract: the driver owns every segment's lifecycle (publish once,
-unlink on close, no ``/dev/shm`` leaks on any exit path), workers see
-bit-identical read-only views, and handles stay tiny on the wire no
-matter how large the arrays they name.
+The contract: every pool thread reads the driver's own objects and
+arrays — no copies — and closing the fan-out drops its references.
 """
 
-import pickle
+from functools import partial
 
 import numpy as np
-import pytest
 
-from repro.util.executors import map_ordered, worker_state
-from repro.util.shm import (
-    ArrayFanout,
-    FanoutPayload,
-    SharedArrayHandle,
-    SharedArrayPublisher,
-    attach_array,
-    fanout_state,
-    leaked_segments,
-)
+from repro.util.executors import map_ordered
+from repro.util.shm import ArrayFanout
 
 
-def _shard_sum(task):
-    """Module-level worker: resolve fan-out state, sum a slice."""
-    state = fanout_state(task["ctx"])
-    values = state.array("values")
-    lo, hi = task["range"]
-    return float(values[lo:hi].sum()) + state.heavy.get("offset", 0.0)
-
-
-class TestSharedArrayPublisher:
-    def test_publish_attach_round_trips(self):
-        values = np.arange(5000, dtype=np.float64).reshape(100, 50)
-        with SharedArrayPublisher() as publisher:
-            handle = publisher.publish("values", values)
-            view = attach_array(handle)
-            assert np.array_equal(view, values)
-            assert view.dtype == values.dtype
-            assert view.shape == values.shape
-        assert leaked_segments() == []
-
-    def test_attached_view_is_read_only(self):
-        with SharedArrayPublisher() as publisher:
-            handle = publisher.publish("x", np.zeros(10))
-            view = attach_array(handle)
-            with pytest.raises(ValueError):
-                view[0] = 1.0
-
-    def test_handle_stays_tiny_on_the_wire(self):
-        # The whole point: a retried task re-pickles the handle, never
-        # the block, so the wire cost is independent of array size.
-        big = np.zeros((1000, 1000))
-        with SharedArrayPublisher() as publisher:
-            handle = publisher.publish("big", big)
-            assert isinstance(handle, SharedArrayHandle)
-            assert handle.nbytes == big.nbytes
-            wire = len(pickle.dumps(handle, pickle.HIGHEST_PROTOCOL))
-            assert wire < 512
-
-    def test_close_unlinks_and_is_idempotent(self):
-        publisher = SharedArrayPublisher()
-        publisher.publish("a", np.ones(4))
-        publisher.publish("b", np.ones(8))
-        assert len(publisher.segment_names) == 2
-        publisher.close()
-        assert leaked_segments() == []
-        publisher.close()  # second close is a no-op
-        assert publisher.segment_names == []
-
-    def test_exception_path_unlinks(self):
-        with pytest.raises(RuntimeError):
-            with SharedArrayPublisher() as publisher:
-                publisher.publish("x", np.ones(16))
-                raise RuntimeError("campaign died mid-shard")
-        assert leaked_segments() == []
-
-    def test_zero_size_array_round_trips(self):
-        with SharedArrayPublisher() as publisher:
-            handle = publisher.publish("empty", np.zeros((0, 4)))
-            view = attach_array(handle)
-            assert view.shape == (0, 4)
-        assert leaked_segments() == []
-
-
-class TestFanoutPayload:
-    def test_plain_array_resolved_in_place(self):
-        values = np.arange(8.0)
-        payload = FanoutPayload(heavy={}, arrays={"values": values})
-        assert payload.array("values") is values
-
-    def test_handle_resolved_via_attach(self):
-        values = np.arange(64.0)
-        with SharedArrayPublisher() as publisher:
-            handle = publisher.publish("values", values)
-            payload = FanoutPayload(heavy={}, arrays={"values": handle})
-            assert np.array_equal(payload.array("values"), values)
-        assert leaked_segments() == []
-
-    def test_fanout_state_rejects_foreign_payloads(self):
-        from repro.util.executors import WorkerContext
-
-        with WorkerContext({"not": "a fanout payload"}) as context:
-            with pytest.raises(RuntimeError, match="FanoutPayload"):
-                fanout_state(context.context_id)
-
-    def test_fanout_state_rejects_unknown_context(self):
-        with pytest.raises(RuntimeError, match="not installed"):
-            fanout_state("ctx-0-doesnotexist")
+def _shard_sum(state, bounds):
+    lo, hi = bounds
+    return float(state.arrays["values"][lo:hi].sum()) + state.heavy["offset"]
 
 
 class TestArrayFanout:
     def test_thread_backend_shares_driver_arrays(self):
         values = np.arange(100.0)
         with ArrayFanout(
-            heavy={"offset": 0.0},
-            arrays={"values": values},
-            executor="thread",
-            workers=4,
-            num_tasks=4,
+            heavy={"offset": 0.0}, arrays={"values": values}
         ) as fanout:
-            # No segments: in-process workers read the original array.
-            assert fanout.shared_segments == []
-            state = fanout_state(fanout.context_id)
-            assert state.array("values") is values
-        assert leaked_segments() == []
+            assert fanout.arrays["values"] is values
 
-    def test_process_single_worker_skips_segments(self):
-        with ArrayFanout(
-            heavy={}, arrays={"values": np.ones(10)},
-            executor="process", workers=1, num_tasks=4,
-        ) as fanout:
-            assert fanout.shared_segments == []
-
-    def test_process_single_task_skips_segments(self):
-        with ArrayFanout(
-            heavy={}, arrays={"values": np.ones(10)},
-            executor="process", workers=4, num_tasks=1,
-        ) as fanout:
-            assert fanout.shared_segments == []
-
-    def test_close_drops_context_and_segments(self):
-        fanout = ArrayFanout(
-            heavy={}, arrays={"values": np.ones(32)},
-            executor="process", workers=2, num_tasks=2,
-        )
-        assert len(fanout.shared_segments) == 1
-        context_id = fanout.context_id
-        worker_state(context_id)  # resolvable while open
-        fanout.close()
-        assert leaked_segments() == []
-        with pytest.raises(RuntimeError):
-            worker_state(context_id)
-        fanout.close()  # idempotent
-
-    def test_map_kwargs_feed_pool_initializer(self):
-        with ArrayFanout(
-            heavy={}, arrays={}, executor="thread", workers=2,
-        ) as fanout:
-            kwargs = fanout.map_kwargs
-            assert set(kwargs) == {"initializer", "initargs"}
-            assert kwargs["initargs"][0] == fanout.context_id
-
-
-@pytest.mark.timeout(120)
-class TestProcessFanout:
-    def test_workers_attach_and_driver_unlinks(self):
+    def test_pool_threads_read_the_driver_arrays(self):
         values = np.arange(40_000, dtype=np.float64)
-        expected = [
-            float(values[i * 10_000 : (i + 1) * 10_000].sum())
-            for i in range(4)
-        ]
+        bounds = [(i * 10_000, (i + 1) * 10_000) for i in range(4)]
         with ArrayFanout(
-            heavy={"offset": 0.0},
-            arrays={"values": values},
-            executor="process",
-            workers=2,
-            num_tasks=4,
+            heavy={"offset": 1.0}, arrays={"values": values}
         ) as fanout:
-            assert len(fanout.shared_segments) == 1
-            tasks = [
-                {
-                    "ctx": fanout.context_id,
-                    "range": (i * 10_000, (i + 1) * 10_000),
-                }
-                for i in range(4)
-            ]
             results = map_ordered(
-                _shard_sum, tasks, max_workers=2, executor="process",
-                **fanout.map_kwargs,
+                partial(_shard_sum, fanout), bounds, max_workers=2
             )
-            assert results == expected
-        assert leaked_segments() == []
+        assert results == [
+            float(values[lo:hi].sum()) + 1.0 for lo, hi in bounds
+        ]
 
-    def test_task_payloads_stay_tiny(self):
-        # The fan-out exists so task (and retry) payloads exclude the
-        # arrays; the whole task dict must pickle smaller than one
-        # cache line's worth of array data would.
-        with ArrayFanout(
-            heavy={}, arrays={"values": np.zeros(1_000_000)},
-            executor="process", workers=2, num_tasks=2,
-        ) as fanout:
-            task = {"ctx": fanout.context_id, "range": (0, 1000)}
-            assert len(pickle.dumps(task, pickle.HIGHEST_PROTOCOL)) < 512
+    def test_close_drops_references_and_is_idempotent(self):
+        fanout = ArrayFanout(heavy={"x": 1}, arrays={"values": np.ones(4)})
+        fanout.close()
+        assert fanout.heavy == {} and fanout.arrays == {}
+        fanout.close()
