@@ -112,10 +112,10 @@ def warm_kernels() -> None:
     """Run every dispatched kernel once on tiny inputs, pre-timing.
 
     The native backend pays a one-time library build (and the sensor
-    kernel its load-time self-check) on first call; running each op
-    here keeps that cost out of every timed repeat.  The warm-up
-    outputs of all five kernels are asserted equal to the numpy
-    reference — the same assert-before-timing contract the stage
+    and align kernels their load-time self-checks) on first call;
+    running each op here keeps that cost out of every timed repeat.
+    The warm-up outputs of all six kernels are asserted equal to the
+    numpy reference — the same assert-before-timing contract the stage
     comparisons enforce, just extended to the warm-up itself.
     """
     rng = make_rng(derive_seed(0, "bench-kernel-warmup"))
@@ -129,6 +129,7 @@ def warm_kernels() -> None:
     from repro.attacks.cpa import StreamingCPA
     from repro.attacks.models import single_bit_hypothesis
     from repro.pdn.model import PDNModel, PDNParameters
+    from repro.preprocess.align import estimate_shifts
     from repro.preprocess.resample import polyphase_resample
 
     sensor = BenignSensor.from_name("alu")
@@ -143,11 +144,12 @@ def warm_kernels() -> None:
         hyp = single_bit_hypothesis(states[:, 11, 0])
         droop = PDNModel().integrate_batch(currents)
         resampled = polyphase_resample(samples, 3, 2)
+        shifts = estimate_shifts(samples, samples[0], 4)
         weight = sensor.sample_weight(voltages, seed=7)
         engine = StreamingCPA()
         engine.update(leakage, hypotheses)
         arrays = (states, activity, ciphertexts, hyp, droop, resampled,
-                  weight)
+                  shifts, weight)
         return arrays + tuple(engine.state_arrays().values())
 
     with kernels.use("numpy"):
@@ -1175,6 +1177,7 @@ def run_kernels_benchmark(
     resample_traces: int = 4_000,
     resample_samples: int = 256,
     sensor_cycles: int = 50_000,
+    align_traces: int = 20_000,
     repeats: int = 3,
     seed: int = 1,
 ) -> Dict[str, object]:
@@ -1184,8 +1187,9 @@ def run_kernels_benchmark(
     batched IIR droop integration, ``cpa``: streaming accumulate over
     256 candidates, ``resample``: polyphase upfirdn over a trace
     batch, ``sensor``: the ALU sensor's jittered Hamming weight over
-    its census mask at campaign voltages), every backend available on
-    this host is warmed, asserted
+    its census mask at campaign voltages, ``align``: correlation shift
+    search over +-4 samples of jittered 72-sample traces, shifts and
+    scores), every backend available on this host is warmed, asserted
     bit-identical to the numpy reference, and timed best-of
     ``repeats``.  ``speedup_vs_numpy`` on the resolved backend is the
     number the acceptance gate reads.
@@ -1276,6 +1280,19 @@ def run_kernels_benchmark(
         sensor_cycles,
     )
     record["kernels"]["sensor"]["mask_bits"] = int(census.sum())
+
+    align_reference = np.sin(np.arange(72) / 3.0)
+    align_shifts = rng.integers(-4, 5, size=(align_traces, 1))
+    align_batch = align_reference[
+        (np.arange(72) - align_shifts) % 72
+    ] + rng.normal(scale=0.2, size=(align_traces, 72))
+    sweep(
+        "align",
+        lambda: kernels.dispatch("align", "estimate")(
+            align_batch, align_reference, 4, "correlation"
+        ),
+        align_traces,
+    )
     return record
 
 

@@ -295,9 +295,10 @@ def _physical_recipe(
 
     The chunk is simulated end to end — encryption, current waveform,
     PDN integration, sensor sampling.  With a preprocessing plan the
-    chunk is aligned/cropped/resampled shard-locally and the leakage
-    sums the sensor's readings over the resolved POI set, one jitter
-    stream per POI.
+    chunk is aligned shard-locally, only the resolved POI samples are
+    cropped/resampled (:meth:`ResolvedPreprocess.read`), and the
+    leakage sums the sensor's readings over them, one jitter stream per
+    POI.
     """
     heavy = state.heavy
     generator: PhysicalTraceGenerator = heavy["generator"]
@@ -316,8 +317,8 @@ def _physical_recipe(
         voltages = data["voltages"]
         reads = [(heavy["sample_index"], (start,))]
     else:
-        voltages = preprocess.apply(data["voltages"])
-        reads = [(s, (start, poi)) for poi, s in enumerate(heavy["samples"])]
+        voltages = preprocess.read(data["voltages"], heavy["samples"])
+        reads = [(poi, (start, poi)) for poi in range(voltages.shape[1])]
     leakage = np.zeros(end - start, dtype=np.float64)
     for sample, key in reads:
         leakage += sensor.sample_weight(
@@ -334,9 +335,10 @@ def _physical_columns_recipe(
 ) -> np.ndarray:
     """One generated chunk read at all four last-round columns.
 
-    The chunk is generated once, optionally preprocessed, then read at
-    every column's sample set with per-``(chunk, column, poi)`` jitter
-    streams, so one waveform pass feeds all 16 per-byte CPAs.
+    The chunk is generated once, optionally preprocessed at the union
+    of the columns' samples, then read at every column's sample set
+    with per-``(chunk, column, poi)`` jitter streams, so one waveform
+    pass feeds all 16 per-byte CPAs.
     """
     heavy = state.heavy
     generator: PhysicalTraceGenerator = heavy["generator"]
@@ -347,13 +349,17 @@ def _physical_columns_recipe(
         state.arrays["plaintexts"][start:end],
         seed=derive_seed(seed, "e2e-noise", start),
     )
-    voltages = (
-        data["voltages"]
-        if preprocess is None
-        else preprocess.apply(data["voltages"])
-    )
+    voltages = data["voltages"]
+    column_samples = heavy["column_samples"]
+    if preprocess is not None:
+        wanted = np.unique(np.concatenate(list(column_samples.values())))
+        voltages = preprocess.read(voltages, wanted)
+        column_samples = {
+            col: np.searchsorted(wanted, samples)
+            for col, samples in column_samples.items()
+        }
     leakage = np.zeros((end - start, 4), dtype=np.float64)
-    for col, samples in heavy["column_samples"].items():
+    for col, samples in column_samples.items():
         for poi, sample in enumerate(samples):
             leakage[:, col] += sensor.sample_weight(
                 voltages[:, int(sample)],

@@ -10,15 +10,18 @@ their effort on and which perfectly-triggered simulation skips:
    (how the attacker undoes it), with a one-line string grammar shared
    by CLI flags, service job params, manifests and cache keys;
 2. :mod:`repro.preprocess.align` — static-window crop plus
-   correlation/SAD shift estimation against a reference trace;
+   correlation/SAD shift estimation against a reference trace, the
+   ``align`` kernel of :mod:`repro.util.kernels` (a BLAS-free numpy
+   reference and a bit-identical native C search);
 3. :mod:`repro.preprocess.resample` — polyphase rational resampling,
-   registered as the fourth :mod:`repro.util.kernels` kernel (a
-   numpy reference and a bit-identical native C loop);
+   the ``resample`` kernel (a numpy reference and a bit-identical
+   native C loop), plus the per-sample tap terms campaigns evaluate;
 4. :mod:`repro.preprocess.poi` — variance and SOST point-of-interest
    ranking feeding a reduced-sample view into the streaming CPA;
 5. :mod:`repro.preprocess.pipeline` — binding a spec to a concrete
    generator (:func:`~repro.preprocess.pipeline.resolve_preprocess`)
-   into the picklable per-shard plan the campaign drivers execute.
+   into the picklable per-shard plan the campaign drivers execute,
+   which computes only the processed samples the sensor reads.
 
 **This is not** :mod:`repro.core.postprocess`.  The two names are
 deliberate and disjoint, and the test suite pins the split:

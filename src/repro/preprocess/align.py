@@ -2,9 +2,8 @@
 
 Remote-power campaigns rarely get a clean trigger; the classic fix is
 to estimate each trace's time offset against a reference trace and
-gather it back onto the reference grid.  Two standard metrics are
-implemented, both vectorized over the batch with a small loop over
-candidate shifts:
+gather it back onto the reference grid.  Two standard metrics score
+every candidate shift over the overlapping span:
 
 * **correlation** — normalized cross-correlation of the overlapping
   span (robust to gain/offset differences);
@@ -18,6 +17,21 @@ are searched in the order ``0, -1, 1, -2, 2, ...`` and ties keep the
 earlier candidate, so degenerate traces (e.g. all-constant, where
 every correlation denominator is zero) deterministically resolve to
 shift 0 instead of an arbitrary extreme.
+
+The scoring runs through the ``align`` kernel of
+:mod:`repro.util.kernels` (op ``estimate``):
+
+* ``numpy`` — the reference, vectorized over the batch with a loop
+  over candidate shifts.  Every sum is numpy's own ``sum``/``mean``
+  (pairwise summation along each row); no BLAS product is used, so a
+  trace's score does not depend on the batch it sits in, the host's
+  core count or its BLAS build.
+* ``native`` — ``repro_align`` in the C library of
+  :mod:`repro.util.kernels_native`, which scores one trace at a time
+  with the same operations in the same order (numpy's pairwise
+  summation included), so shifts *and* scores are bit-identical.
+
+Non-finite samples are rejected before either backend runs.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.preprocess.spec import PreprocessError
+from repro.util import kernels
 
 __all__ = [
     "align_traces",
@@ -74,36 +89,35 @@ def _as_batch(
     return traces, reference
 
 
-def estimate_shifts(
-    traces: np.ndarray,
-    reference: np.ndarray,
-    max_shift: int,
-    metric: str = "correlation",
-) -> np.ndarray:
-    """Per-trace integer shift estimate against ``reference``.
+def _check_finite(traces: np.ndarray, reference: np.ndarray) -> None:
+    """Reject NaN/inf before scoring: they would silently pick a shift."""
+    if not np.isfinite(reference).all():
+        raise PreprocessError("alignment reference has non-finite samples")
+    # min/max propagate NaN and surface +-inf: two cheap reductions on
+    # the common, all-finite path.
+    if traces.size and np.isfinite(traces.min()) and np.isfinite(
+        traces.max()
+    ):
+        return
+    bad = np.flatnonzero(~np.isfinite(traces).all(axis=1))
+    if bad.size:
+        raise PreprocessError(
+            "trace %d has non-finite samples; alignment needs finite "
+            "traces" % bad[0]
+        )
 
-    Args:
-        traces: ``(num, samples)`` batch (a single 1-D trace is
-            promoted to a one-row batch).
-        reference: ``(samples,)`` reference trace.
-        max_shift: search half-range; must be smaller than the trace
-            length so every candidate keeps a non-empty overlap.
-        metric: ``"correlation"`` or ``"sad"``.
 
-    Returns:
-        ``(num,)`` int64 shifts in ``[-max_shift, max_shift]``.
+def _estimate_numpy(
+    traces: np.ndarray, reference: np.ndarray, max_shift: int, metric: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Reference shift search: ``(best_shift, best_score)`` per trace.
+
+    Every reduction is a numpy ``sum``/``mean`` along a row (pairwise
+    summation), never a BLAS product, so each row's score is a function
+    of that row alone; ``repro_align`` repeats these operations in this
+    order.
     """
-    traces, reference = _as_batch(traces, reference)
     num, length = traces.shape
-    if int(max_shift) >= length:
-        raise PreprocessError(
-            "max_shift=%d must be smaller than the %d-sample window"
-            % (max_shift, length)
-        )
-    if metric not in ("correlation", "sad"):
-        raise PreprocessError(
-            "alignment metric %r not one of correlation, sad" % metric
-        )
     best_score = np.full(num, -np.inf)
     best_shift = np.zeros(num, dtype=np.int64)
     # Exactly-constant traces must score 0 at every shift (and so keep
@@ -125,7 +139,7 @@ def estimate_shifts(
                 (t_centered * t_centered).sum(axis=1)
                 * (r_centered * r_centered).sum()
             )
-            numer = t_centered @ r_centered
+            numer = (t_centered * r_centered).sum(axis=1)
             score = np.zeros(num)
             valid = varying & (denom > 0)
             score[valid] = numer[valid] / denom[valid]
@@ -140,7 +154,55 @@ def estimate_shifts(
         better = score > best_score
         best_shift[better] = s
         best_score[better] = score[better]
-    return best_shift
+    return best_shift, best_score
+
+
+kernels.register_backend("align", "numpy", estimate=_estimate_numpy)
+
+
+def estimate_shifts(
+    traces: np.ndarray,
+    reference: np.ndarray,
+    max_shift: int,
+    metric: str = "correlation",
+) -> np.ndarray:
+    """Per-trace integer shift estimate against ``reference``.
+
+    Args:
+        traces: ``(num, samples)`` batch (a single 1-D trace is
+            promoted to a one-row batch).
+        reference: ``(samples,)`` reference trace.
+        max_shift: search half-range; must be smaller than the trace
+            length so every candidate keeps a non-empty overlap.
+        metric: ``"correlation"`` or ``"sad"``.
+
+    Returns:
+        ``(num,)`` int64 shifts in ``[-max_shift, max_shift]``; a row's
+        shift depends on that row alone.
+
+    Raises:
+        PreprocessError: on a bad geometry or metric, or a trace or
+            reference with non-finite samples (naming the first such
+            trace).
+    """
+    traces, reference = _as_batch(traces, reference)
+    length = traces.shape[1]
+    if int(max_shift) >= length:
+        raise PreprocessError(
+            "max_shift=%d must be smaller than the %d-sample window"
+            % (max_shift, length)
+        )
+    if metric not in ("correlation", "sad"):
+        raise PreprocessError(
+            "alignment metric %r not one of correlation, sad" % metric
+        )
+    if int(max_shift) < 1:
+        raise PreprocessError("max_shift must be >= 1")
+    _check_finite(traces, reference)
+    shifts, _scores = kernels.dispatch("align", "estimate")(
+        traces, reference, int(max_shift), metric
+    )
+    return shifts
 
 
 def apply_shifts(traces: np.ndarray, shifts: np.ndarray) -> np.ndarray:

@@ -18,6 +18,15 @@ resolution is a pure function of ``(spec, generator config, seed)``:
 
 Every worker therefore derives the identical plan, and the resolved
 object rides the shard fan-out's heavy state unchanged.
+
+No campaign route builds the whole processed trace.  The sensor reads
+one to a few processed samples per column, so the campaign recipes and
+the POI pilot call :meth:`ResolvedPreprocess.read`: shifts are
+estimated on the full raw traces, then only the raw samples the
+requested outputs' filter taps touch are gathered and summed — in the
+order the full align → crop → resample chain would sum them, so the
+values are bit-identical to that chain's at those samples.
+:meth:`ResolvedPreprocess.apply` is ``read`` over every sample.
 """
 
 from __future__ import annotations
@@ -27,11 +36,11 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.preprocess.align import apply_shifts, crop, estimate_shifts
+from repro.preprocess.align import estimate_shifts
 from repro.preprocess.poi import select_poi
 from repro.preprocess.resample import (
     map_resampled_index,
-    polyphase_resample,
+    output_taps,
     resampled_length,
 )
 from repro.preprocess.spec import PreprocessError, PreprocessSpec
@@ -71,24 +80,79 @@ class ResolvedPreprocess:
     processed_samples: int
     column_samples: Dict[int, np.ndarray] = field(default_factory=dict)
 
-    def apply(self, voltages: np.ndarray) -> np.ndarray:
-        """Run the align → crop → resample chain on a trace batch."""
+    def read(
+        self, voltages: np.ndarray, samples: Sequence[int]
+    ) -> np.ndarray:
+        """The align → crop → resample chain's output at ``samples``.
+
+        Shifts are estimated on the full traces.  Then only the raw
+        samples each requested output's filter taps touch are gathered
+        — edge-clamped like :func:`apply_shifts` and offset by the crop
+        window — and summed in the resampler's order (from ``0.0``,
+        highest tap first, out-of-range taps skipped), so every value
+        is bit-identical to the full chain's at that sample.  A
+        resample factor that reduces to ``1/1`` is the identity.
+
+        Args:
+            voltages: ``(num, num_samples)`` raw trace batch.
+            samples: processed-space sample indices, in any order.
+
+        Returns:
+            ``(num, len(samples))`` float64, a transposed view: each
+            requested sample's column is contiguous.
+        """
         v = np.asarray(voltages, dtype=np.float64)
         if v.ndim != 2 or v.shape[1] != self.num_samples:
             raise PreprocessError(
                 "expected a (num, %d) trace batch, got %s"
                 % (self.num_samples, (v.shape,))
             )
-        if self.spec.align != "none":
-            shifts = estimate_shifts(
-                v, self.reference, self.spec.max_shift, self.spec.align
+        wanted = np.asarray(samples, dtype=np.int64).reshape(-1)
+        if wanted.size and not (
+            0 <= wanted.min() and wanted.max() < self.processed_samples
+        ):
+            raise PreprocessError(
+                "samples outside the %d-sample processed trace"
+                % self.processed_samples
             )
-            v = apply_shifts(v, shifts)
-        if self.spec.window is not None:
-            v = crop(v, *self.spec.window)
-        if self.spec.resample is not None:
-            v = polyphase_resample(v, *self.spec.resample)
-        return v
+        spec = self.spec
+        offset, length = 0, self.num_samples
+        if spec.window is not None:
+            offset, length = spec.window[0], spec.window[1] - spec.window[0]
+        if spec.resample is None or spec.resample[0] == spec.resample[1]:
+            terms = [(None, np.array([j])) for j in wanted]
+        else:
+            terms = [output_taps(length, *spec.resample, j) for j in wanted]
+        inputs = np.unique(
+            np.concatenate([np.empty(0, np.int64)] + [t[1] for t in terms])
+        )
+        num = v.shape[0]
+        shifts = (
+            estimate_shifts(v, self.reference, spec.max_shift, spec.align)
+            if spec.align != "none"
+            else np.zeros(num, dtype=np.int64)
+        )
+        # One flat gather per input sample into a contiguous (num,) row.
+        flat = v.ravel()
+        rows = np.arange(num, dtype=np.int64) * self.num_samples
+        gathered = np.empty((inputs.size, num))
+        for k, index in enumerate(offset + inputs):
+            source = shifts + index
+            np.clip(source, 0, self.num_samples - 1, out=source)
+            np.take(flat, source + rows, out=gathered[k])
+        out = np.zeros((wanted.size, num))
+        for k, (taps, sources) in enumerate(terms):
+            positions = np.searchsorted(inputs, sources)
+            if taps is None:
+                out[k] = gathered[positions[0]]
+                continue
+            for tap, position in zip(taps, positions):
+                out[k] += tap * gathered[position]
+        return out.T
+
+    def apply(self, voltages: np.ndarray) -> np.ndarray:
+        """The whole processed trace: :meth:`read` at every sample."""
+        return self.read(voltages, np.arange(self.processed_samples))
 
     def samples_for_column(self, column: int) -> np.ndarray:
         """Processed-space sample indices for one last-round column."""
@@ -222,7 +286,6 @@ def resolve_preprocess(
         pilot = generator.generate(
             pilot_pts, seed=derive_seed(seed, "preprocess-pilot-noise")
         )
-        pilot_processed = resolved.apply(pilot["voltages"])
         # Candidate pool: the column's cycle neighbourhood in processed
         # space — POI selection refines *where inside the cycle* the
         # sensor should latch, it must not wander to another column's
@@ -233,23 +296,39 @@ def resolve_preprocess(
             else 1.0
         )
         radius = max(1, int(round(generator.samples_per_cycle * scale / 2)))
-        column_samples = {}
-        for column, index in nominal.items():
-            pool = np.arange(
+        pools = {
+            column: np.arange(
                 max(0, index - radius),
                 min(int(processed), index + radius + 1),
                 dtype=np.int64,
             )
+            for column, index in nominal.items()
+        }
+        # Rank on the pools' samples only, then map back.  numpy reduces
+        # a row-major (num, k) batch over its rows in one order for
+        # every k >= 2, so each score equals the one the whole
+        # processed batch would give (a one-sample pool needs no
+        # ranking).
+        pooled = np.unique(
+            np.concatenate([np.empty(0, np.int64)] + list(pools.values()))
+        )
+        pilot_read = np.ascontiguousarray(
+            resolved.read(pilot["voltages"], pooled)
+        )
+        column_samples = {}
+        for column, pool in pools.items():
             classes = None
             if spec.poi == "sost":
                 byte = _byte_for_column(column, target_byte)
                 classes = _hamming_weights(pilot["ciphertexts"][:, byte])
-            column_samples[column] = select_poi(
-                pilot_processed,
-                spec.poi,
-                spec.num_poi,
-                classes=classes,
-                candidates=pool,
-            )
+            column_samples[column] = pooled[
+                select_poi(
+                    pilot_read,
+                    spec.poi,
+                    spec.num_poi,
+                    classes=classes,
+                    candidates=np.searchsorted(pooled, pool),
+                )
+            ]
     object.__setattr__(resolved, "column_samples", column_samples)
     return resolved

@@ -17,6 +17,12 @@ The filter runs through the ``resample`` kernel of
   :mod:`repro.util.kernels_native`, which sums the same products in the
   same order, so the two backends are **bit-identical**, not just
   close (asserted in the test suite over generated rates and batches).
+
+Campaigns never resample a whole trace: the sensor reads a handful of
+processed samples, and :meth:`repro.preprocess.pipeline.ResolvedPreprocess.read`
+evaluates just those through :func:`output_taps` — the same products
+summed in the same order, so bit-identical to :func:`polyphase_resample`
+at every sample it computes.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from repro.util import kernels
 __all__ = [
     "design_polyphase_filter",
     "map_resampled_index",
+    "output_taps",
     "polyphase_resample",
     "resampled_length",
 ]
@@ -126,6 +133,36 @@ def map_resampled_index(index: int, up: int, down: int) -> int:
     the valid range by the caller where needed)."""
     up, down = _reduced(up, down)
     return int(round(int(index) * up / down))
+
+
+def output_taps(
+    n_in: int, up: int, down: int, index: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The terms of one output sample of :func:`polyphase_resample`.
+
+    Returns ``(taps, inputs)`` such that output ``index`` of an
+    ``n_in``-sample trace ``x`` is ``0.0 + taps[0] * x[inputs[0]] +
+    taps[1] * x[inputs[1]] + ...``, summed left to right: the in-range
+    taps, highest first, in the ``_upfirdn_numpy`` (and
+    ``repro_upfirdn``) order, so evaluating the terms in that order is
+    bit-identical to resampling the whole trace.  Outputs in the
+    zero-padded tail have no terms.  Only meaningful for factors that
+    do not reduce to ``1/1`` (which :func:`polyphase_resample` returns
+    unfiltered).
+    """
+    up, down = _reduced(up, down)
+    n_in = int(n_in)
+    if n_in < 2:
+        raise PreprocessError("resampling needs at least 2 samples")
+    taps, delay = design_polyphase_filter(up, down)
+    full_index = int(index) + delay // down
+    if full_index >= _upfirdn_out_len(len(taps), n_in, up, down):
+        return np.empty(0), np.empty(0, dtype=np.int64)
+    phase, start = full_index * down % up, full_index * down // up
+    t = np.arange((len(taps) - phase + up - 1) // up - 1, -1, -1)
+    inputs = start - t
+    valid = (inputs >= 0) & (inputs < n_in)
+    return taps[phase + t[valid] * up], inputs[valid]
 
 
 def polyphase_resample(

@@ -1,10 +1,11 @@
 """Kernel dispatch registry: one switch for every hot numeric kernel.
 
-Five hot kernels sit behind this registry: the batched AES round
+Six hot kernels sit behind this registry: the batched AES round
 pipeline (with the hypothesis blocks), the second-order IIR PDN
-recurrence, the streaming-CPA accumulate, the polyphase resampler of
-the preprocessing subsystem, and the fused sensor read.  This module is
-the single place that decides which implementation of each runs:
+recurrence, the streaming-CPA accumulate, the polyphase resampler and
+the shift estimator of the preprocessing subsystem, and the fused
+sensor read.  This module is the single place that decides which
+implementation of each runs:
 
 * ``numpy`` — the reference path.  Always available, and the ground
   truth the native backend is asserted bit-identical against.
@@ -21,9 +22,10 @@ to ``native`` when the provider loads, else to ``numpy``.
 
 The contract both backends honour is **bit-identical outputs** on
 campaign inputs.  AES and the hypothesis blocks are exact integer
-arithmetic; the PDN recurrence and the resampler evaluate the same
-float64 operations in the same order on both backends (the native build
-disables FMA contraction for exactly this reason); the CPA sums are
+arithmetic; the PDN recurrence, the resampler and the shift estimator
+evaluate the same float64 operations in the same order on both backends
+(the native build disables FMA contraction for exactly this reason, and
+the shift estimator repeats numpy's pairwise summation); the CPA sums are
 float64 sums of integer-valued leakage/hypotheses, which are
 order-independent and therefore exact (the same property
 :meth:`StreamingCPA.merge` already relies on).  The test suite asserts
@@ -67,9 +69,10 @@ __all__ = [
 KERNELS_ENV = "REPRO_KERNELS"
 
 #: The hot kernels behind the registry: the three original campaign
-#: kernels, the polyphase resampler of the preprocessing subsystem, and
-#: the fused sensor read (jitter draw + masked Hamming weight).
-KERNEL_NAMES = ("aes", "pdn", "cpa", "resample", "sensor")
+#: kernels, the polyphase resampler of the preprocessing subsystem, the
+#: fused sensor read (jitter draw + masked Hamming weight), and the
+#: alignment shift estimator.
+KERNEL_NAMES = ("aes", "pdn", "cpa", "resample", "sensor", "align")
 
 #: Accepted selection modes (per kernel or for all kernels at once).
 KERNEL_MODES = ("auto", "numpy", "native")
@@ -141,7 +144,7 @@ def parse_spec(spec: Optional[str]) -> Dict[str, str]:
 
 #: ``(kernel, backend) -> {op_name: callable}``.  The ``numpy`` entries
 #: are registered by the domain modules that own them (``aes/batch``,
-#: ``attacks/models``, ``pdn/model``, ``attacks/cpa``) at import time,
+#: ``attacks/models``, ``pdn/model``, ``attacks/cpa``, ...) at import time,
 #: so the reference implementation and its registration can never
 #: drift apart.  ``native`` ops live on the lazily loaded provider
 #: instead (see :func:`dispatch`).
@@ -157,6 +160,7 @@ _DOMAIN_MODULES: Dict[str, Tuple[str, ...]] = {
     "cpa": ("repro.attacks.cpa",),
     "resample": ("repro.preprocess.resample",),
     "sensor": ("repro.core.waveform_bank",),
+    "align": ("repro.preprocess.align",),
 }
 
 
@@ -339,7 +343,7 @@ def dispatch(kernel: str, op: str) -> Callable:
     Resolution happens here, at call time, never at object-construction
     time — campaign objects stay free of backend handles and therefore
     picklable.  A kernel the native provider refused (e.g. a ``sensor``
-    op whose load-time self-check failed) dispatches numpy.
+    or ``align`` op whose load-time self-check failed) dispatches numpy.
     """
     _ensure_registered(kernel)
     if active_backends()[kernel] == "native":
@@ -363,8 +367,8 @@ def backend_metadata() -> Dict[str, object]:
     names what serves the native backend (``"cc"`` or None) — perf
     snapshots are only comparable when the kernels that produced them
     are known.  ``native_refused`` maps each kernel the loaded provider
-    could not serve (e.g. a failed ``sensor`` self-check) to the
-    reason; those kernels run on numpy through :func:`dispatch`.
+    could not serve (e.g. a failed ``sensor`` or ``align`` self-check)
+    to the reason; those kernels run on numpy through :func:`dispatch`.
     """
     backends = active_backends()
     provider = None

@@ -10,7 +10,11 @@ means IEEE semantics (and a working ``isfinite``) everywhere.
 Each kernel is the *same sequence of IEEE-754 float64 operations* (or
 exact uint8 table lookups) as its numpy reference, so outputs are
 bit-identical, not merely close — the property the exact-equality test
-suite and the bench's assert-before-timing check enforce.
+suite and the bench's assert-before-timing check enforce.  Two ops
+mirror numpy internals rather than a loop written here — the sensor's
+ziggurat draws and the shift search's pairwise summation — so each
+checks itself against numpy when the library loads; on a mismatch the
+op is refused (``NativeProvider.refused``) and numpy serves it.
 
 Nothing here is ever pickled: the registry dispatches to these ops at
 call time, so campaign objects carry no ctypes handles.  Forked pool
@@ -355,6 +359,103 @@ void repro_upfirdn(
                 acc += h[p + t * up] * xr[start - t];
             o[j] = acc;
         }
+    }
+}
+
+/* numpy's pairwise summation of a contiguous run (pairwise_sum_DOUBLE):
+   a plain loop under 8 elements, 8 accumulators up to 128, a halving
+   split above.  Callers add the result to 0.0 as add.reduce does. */
+static double pairwise_sum(const double *a, long long n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (long long i = 0; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        long long i;
+        for (int j = 0; j < 8; ++j)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; ++j)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    long long n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* Shift search, one trace at a time (the trace stays in L1): for each
+   candidate the overlap is scored with _estimate_numpy's operations in
+   its order -- mean as sum / count, centred operands, sqrt, the
+   varying guard -- and a strictly greater score wins.  work holds
+   (2 + n_cand) * len + n_cand doubles: two rows of per-trace scratch,
+   the reference windows' sums of squares, then their centred copies.
+   metric: 0 = correlation, 1 = SAD. */
+void repro_align(
+    const double *x, long long rows, long long len, const double *ref,
+    const long long *cand, long long n_cand, int metric, double *work,
+    int64_t *shift_out, double *score_out)
+{
+    double *rss = work + 2 * len, *centred = rss + n_cand;
+    if (metric == 0) {
+        for (long long c = 0; c < n_cand; ++c) {
+            long long s = cand[c], m = len - (s >= 0 ? s : -s);
+            const double *r = s >= 0 ? ref : ref - s;
+            double *rc = centred + c * len;
+            double mean = (0.0 + pairwise_sum(r, m)) / (double)m;
+            for (long long i = 0; i < m; ++i)
+                rc[i] = r[i] - mean;
+            for (long long i = 0; i < m; ++i)
+                work[i] = rc[i] * rc[i];
+            rss[c] = 0.0 + pairwise_sum(work, m);
+        }
+    }
+    double *tc = work, *prod = work + len;
+    for (long long row = 0; row < rows; ++row) {
+        const double *xr = x + len * row;
+        int varying = 0;
+        for (long long i = 1; i < len; ++i)
+            varying |= xr[i] != xr[0];
+        double best = -INFINITY;
+        int64_t best_shift = 0;
+        for (long long c = 0; c < n_cand; ++c) {
+            long long s = cand[c], m = len - (s >= 0 ? s : -s);
+            const double *t = s >= 0 ? xr + s : xr;
+            double score;
+            if (metric == 0) {
+                const double *rc = centred + c * len;
+                double mean = (0.0 + pairwise_sum(t, m)) / (double)m;
+                for (long long i = 0; i < m; ++i)
+                    tc[i] = t[i] - mean;
+                for (long long i = 0; i < m; ++i)
+                    prod[i] = tc[i] * tc[i];
+                double denom = sqrt((0.0 + pairwise_sum(prod, m)) * rss[c]);
+                for (long long i = 0; i < m; ++i)
+                    prod[i] = tc[i] * rc[i];
+                double numer = 0.0 + pairwise_sum(prod, m);
+                score = varying && denom > 0 ? numer / denom : 0.0;
+            } else {
+                const double *r = s >= 0 ? ref : ref - s;
+                for (long long i = 0; i < m; ++i)
+                    prod[i] = fabs(t[i] - r[i]);
+                score = varying
+                    ? -((0.0 + pairwise_sum(prod, m)) / (double)m) : 0.0;
+            }
+            if (score > best) {
+                best = score;
+                best_shift = s;
+            }
+        }
+        shift_out[row] = best_shift;
+        score_out[row] = best;
     }
 }
 """
@@ -733,6 +834,11 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
     lib.repro_cpa_accumulate_i8.restype = ll
     lib.repro_upfirdn.argtypes = [f64p, ll, f64p, ll, ll, ll, ll, ll, f64p]
     lib.repro_upfirdn.restype = None
+    lib.repro_align.argtypes = [
+        f64p, ll, ll, f64p, ctypes.POINTER(ll), ll, ctypes.c_int, f64p,
+        i64p, f64p,
+    ]
+    lib.repro_align.restype = None
 
     sbox, inv_sbox, shift_src, g2, g3, pop = _tables()
     ptr = _ptr
@@ -874,6 +980,36 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
         )
         return out
 
+    align_metrics = {"correlation": 0, "sad": 1}
+
+    def estimate(traces, reference, max_shift, metric):
+        from repro.preprocess.align import shift_candidates
+
+        x = np.ascontiguousarray(traces, dtype=np.float64)
+        ref = np.ascontiguousarray(reference, dtype=np.float64)
+        if (
+            x.ndim != 2
+            or ref.shape != x.shape[1:]
+            or not 1 <= max_shift < x.shape[1]
+            or metric not in align_metrics
+        ):
+            raise ValueError(
+                "align needs a (rows, len) batch, a len-sample reference, "
+                "1 <= max_shift < len and metric correlation or sad"
+            )
+        rows, length = x.shape
+        cand = np.array(shift_candidates(max_shift), dtype=np.int64)
+        work = np.empty((2 + cand.size) * length + cand.size)
+        shifts = np.empty(rows, dtype=np.int64)
+        scores = np.empty(rows, dtype=np.float64)
+        lib.repro_align(
+            ptr(x, ctypes.c_double), rows, length, ptr(ref, ctypes.c_double),
+            ptr(cand, ctypes.c_longlong), cand.size, align_metrics[metric],
+            ptr(work, ctypes.c_double), ptr(shifts, ctypes.c_int64),
+            ptr(scores, ctypes.c_double),
+        )
+        return shifts, scores
+
     return {
         ("aes", "round_states"): round_states,
         ("aes", "cycle_hd_from_states"): cycle_hd_from_states,
@@ -885,7 +1021,46 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
         ("pdn", "integrate_batch"): integrate_batch,
         ("cpa", "accumulate"): accumulate,
         ("resample", "upfirdn"): upfirdn,
+        ("align", "estimate"): estimate,
     }
+
+
+#: ``(length, max_shift)`` of the load-time align self-check: lengths on
+#: both sides of pairwise summation's 8- and 128-element thresholds.
+_ALIGN_CHECK_CASES = ((2, 1), (9, 8), (16, 7), (72, 4), (130, 12), (300, 20))
+
+
+def _align_check_batches(length: int, seed: int):
+    """Normal, integer-valued, constant and shifted-copy rows."""
+    rng = np.random.default_rng(seed)
+    reference = rng.normal(size=length)
+    rows = [
+        rng.normal(size=(4, length)) * 10.0 ** rng.uniform(-3.0, 3.0),
+        rng.integers(-3, 4, size=(4, length)).astype(np.float64),
+        np.full((2, length), rng.normal()),
+        np.stack(
+            [np.roll(reference, s) for s in (-2, -1, 0, 1, 2)]
+        ) * 2.0 + 1.0,
+    ]
+    return np.concatenate(rows), reference
+
+
+def _align_self_check(estimate: Callable) -> Optional[str]:
+    """None when the C shift search equals the numpy one bit for bit."""
+    from repro.preprocess.align import _estimate_numpy
+
+    for case, (length, max_shift) in enumerate(_ALIGN_CHECK_CASES):
+        traces, reference = _align_check_batches(length, case)
+        for metric in ("correlation", "sad"):
+            want = _estimate_numpy(traces, reference, max_shift, metric)
+            got = estimate(traces, reference, max_shift, metric)
+            if any(g.tobytes() != w.tobytes() for g, w in zip(got, want)):
+                return (
+                    "align self-check failed: %s scores of the %d-sample "
+                    "case differ from the numpy reference"
+                    % (metric, length)
+                )
+    return None
 
 
 def _numpy_random_archive() -> Optional[str]:
@@ -1130,9 +1305,12 @@ def load_native() -> Optional[NativeProvider]:
         _LOAD_FAILED_REASON = "C kernel library failed to load: %s" % exc
         return None
     ops.update(sensor_ops)
-    _LOADED = NativeProvider(
-        "cc", ops, {} if refused is None else {"sensor": refused}
-    )
+    refusals = {} if refused is None else {"sensor": refused}
+    align_refused = _align_self_check(ops[("align", "estimate")])
+    if align_refused is not None:
+        del ops[("align", "estimate")]
+        refusals["align"] = align_refused
+    _LOADED = NativeProvider("cc", ops, refusals)
     return _LOADED
 
 

@@ -413,7 +413,7 @@ class TestKernelsOption:
         assert out.startswith("kernels: ")
         record = json.loads(path.read_text())
         assert set(record["kernels"]) == {
-            "aes", "pdn", "cpa", "resample", "sensor",
+            "aes", "pdn", "cpa", "resample", "sensor", "align",
         }
         for entry in record["kernels"].values():
             for case in entry["backends"].values():

@@ -156,7 +156,7 @@ class TestKernelsMetadata:
         host = host_metadata()
         assert host["kernel_backends"] == kernels.active_backends()
         assert set(host["kernel_backends"]) == {
-            "aes", "pdn", "cpa", "resample", "sensor",
+            "aes", "pdn", "cpa", "resample", "sensor", "align",
         }
         if "native" in host["kernel_backends"].values():
             assert host["native_provider"] == "cc"
@@ -187,7 +187,7 @@ class TestKernelsBenchmark:
         assert path.exists()
         assert json.loads(path.read_text()) is not None
         assert set(record["kernels"]) == {
-            "aes", "pdn", "cpa", "resample", "sensor",
+            "aes", "pdn", "cpa", "resample", "sensor", "align",
         }
         assert record["kernels"]["sensor"]["mask_bits"] > 0
         for kernel, entry in record["kernels"].items():

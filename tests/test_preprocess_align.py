@@ -19,6 +19,8 @@ from repro.preprocess.align import (
     shift_candidates,
 )
 from repro.preprocess.spec import PreprocessError
+from repro.util import kernels
+from repro.util.errors import ReproError
 from repro.util.rng import make_rng
 
 
@@ -99,6 +101,42 @@ class TestEstimateShifts:
             estimate_shifts(
                 _shifted_batch(reference, [0]), reference[:-1], 2
             )
+
+
+class TestNonFiniteRejected:
+    """NaN/inf used to pick a shift silently (0 for NaN, a shift whose
+    overlap skips the bad sample for inf); both backends now refuse."""
+
+    @pytest.mark.parametrize("backend", kernels.available_backends("align"))
+    @pytest.mark.parametrize("metric", ["correlation", "sad"])
+    @pytest.mark.parametrize(
+        "row, index, value",
+        [(2, 10, np.nan), (0, 0, np.inf), (4, 63, -np.inf)],
+    )
+    def test_bad_trace_named(self, backend, metric, row, index, value):
+        reference = _reference()
+        traces = _shifted_batch(reference, [0, 1, 2, -1, -2])
+        traces[row, index] = value
+        with kernels.use("align=%s" % backend):
+            with pytest.raises(PreprocessError, match="trace %d " % row):
+                estimate_shifts(traces, reference, 4, metric)
+
+    @pytest.mark.parametrize("backend", kernels.available_backends("align"))
+    def test_bad_reference_rejected(self, backend):
+        reference = _reference()
+        traces = _shifted_batch(reference, [0, 1])
+        reference[5] = np.nan
+        with kernels.use("align=%s" % backend):
+            with pytest.raises(PreprocessError, match="reference"):
+                estimate_shifts(traces, reference, 4)
+
+    def test_error_is_one_line_and_structured(self):
+        reference = _reference()
+        traces = _shifted_batch(reference, [0, 1, 2])
+        traces[1, 3] = np.nan
+        with pytest.raises(ReproError) as info:
+            estimate_shifts(traces, reference, 4)
+        assert "\n" not in str(info.value)
 
 
 class TestApplyShifts:
