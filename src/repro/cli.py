@@ -12,23 +12,13 @@ Commands:
 * ``floorplan <circuit>`` — render the Figs. 3/4 floorplan.
 * ``covert`` — run the covert-channel demonstration.
 * ``report`` — regenerate the paper-vs-measured figure table.
-* ``bench`` — performance snapshot: ``--suite sampling`` (default)
-  measures sensor sampling + the sharded campaign driver and writes
-  ``BENCH_sampling.json``; ``--suite e2e`` measures the batched
-  end-to-end trace-generation pipeline (AES datapath + PDN IIR +
-  sharded campaign) and writes ``BENCH_e2e.json``; ``--suite kernels``
-  compares every available backend (numpy/native) of the five hot
-  kernels and writes ``BENCH_kernels.json``; ``--suite fleet``
-  measures distributed campaign dispatch over 1 vs N loopback workers
-  (bit-identity asserted before any timing) and writes
-  ``BENCH_fleet.json``; ``--suite chaos`` runs the deterministic
-  durability drill — SIGKILL the server mid-campaign at a journaled
-  barrier, restart it on the same journal, and assert the recovered
-  results are byte-identical to undisturbed runs — and writes
-  ``BENCH_chaos.json``.  All records embed host metadata
-  (python/numpy versions, CPU count, platform,
-  resolved kernel-backend map, native provider) so
-  snapshots from different machines compare honestly.
+* ``bench`` — the kernels micro-benchmark: every available backend
+  (numpy/native) of the five dispatched kernels, asserted bit-identical
+  to numpy before it is timed; writes ``BENCH_kernels.json`` with host
+  metadata (python/numpy versions, CPU count, platform, resolved
+  kernel-backend map, native provider).  End-to-end speed is measured
+  by ``bench/run.py``; the chaos, preprocess and scaling drills are
+  functions in :mod:`repro.experiments.drills`.
 * ``serve`` — run the campaign job service: an asyncio scheduler with
   a bounded priority queue, request batching, in-flight dedupe, a
   content-addressed result cache (optionally LRU-bounded with
@@ -295,38 +285,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     bench = sub.add_parser(
-        "bench", help="sampling/campaign or e2e performance snapshot"
-    )
-    bench.add_argument(
-        "--suite",
-        choices=["sampling", "e2e", "kernels", "fleet", "chaos",
-                 "preprocess"],
-        default="sampling",
-        help="sampling: sensor kernels + sharded campaign; "
-        "e2e: batched trace-generation pipeline; "
-        "kernels: per-backend AES/PDN/CPA kernel comparison; "
-        "fleet: distributed dispatch over 1 vs N loopback workers; "
-        "chaos: kill the journaled server mid-campaign and assert "
-        "bit-identical recovery; "
-        "preprocess: alignment throughput + attack success vs "
-        "misalignment severity, with and without alignment",
-    )
-    bench.add_argument("--cycles", type=int, default=100_000)
-    bench.add_argument("--traces", type=int, default=100_000)
-    bench.add_argument(
-        "--gen-traces", type=int, default=4000,
-        help="traces per e2e trace-generation measurement",
-    )
-    bench.add_argument(
-        "--circuit", default="alu", choices=["alu", "c6288", "c6288x2"]
+        "bench",
+        help="kernels micro-benchmark: every backend vs numpy",
     )
     bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--workers", type=int, default=None)
     _add_kernels_argument(bench)
     bench.add_argument(
-        "--output", default=None,
+        "--output", default="BENCH_kernels.json",
         help="where to write the JSON record (default: "
-        "BENCH_<suite>.json)",
+        "BENCH_kernels.json)",
     )
 
     def _add_endpoint_arguments(p) -> None:
@@ -677,71 +644,15 @@ def _cmd_report(args) -> int:
 def _cmd_bench(args) -> int:
     import json
 
+    from repro.experiments.benchmark import write_kernels_benchmark
     from repro.util import kernels
 
     # One-line availability/selection report (which backend each
     # kernel resolved to, what serves "native").
     print(kernels.describe())
-    if args.suite == "kernels":
-        from repro.experiments.benchmark import write_kernels_benchmark
-
-        record = write_kernels_benchmark(
-            args.output or "BENCH_kernels.json",
-            repeats=args.repeats,
-            seed=args.seed,
-        )
-    elif args.suite == "fleet":
-        from repro.experiments.benchmark import write_fleet_benchmark
-
-        record = write_fleet_benchmark(
-            args.output or "BENCH_fleet.json",
-            traces=args.traces,
-            repeats=args.repeats,
-            seed=args.seed,
-        )
-    elif args.suite == "chaos":
-        from repro.experiments.benchmark import write_chaos_benchmark
-
-        record = write_chaos_benchmark(
-            args.output or "BENCH_chaos.json",
-            traces=args.traces,
-            seed=args.seed,
-        )
-    elif args.suite == "preprocess":
-        from repro.experiments.benchmark import (
-            write_preprocess_benchmark,
-        )
-
-        record = write_preprocess_benchmark(
-            args.output or "BENCH_preprocess.json",
-            repeats=args.repeats,
-            max_workers=args.workers,
-            seed=args.seed,
-        )
-    elif args.suite == "e2e":
-        from repro.experiments.benchmark import write_e2e_benchmark
-
-        record = write_e2e_benchmark(
-            args.output or "BENCH_e2e.json",
-            gen_traces=args.gen_traces,
-            campaign_traces=args.traces,
-            circuit=args.circuit,
-            repeats=args.repeats,
-            max_workers=args.workers,
-            seed=args.seed,
-        )
-    else:
-        from repro.experiments.benchmark import write_sampling_benchmark
-
-        record = write_sampling_benchmark(
-            args.output or "BENCH_sampling.json",
-            num_cycles=args.cycles,
-            circuit=args.circuit,
-            campaign_traces=args.traces,
-            repeats=args.repeats,
-            max_workers=args.workers,
-            seed=args.seed,
-        )
+    record = write_kernels_benchmark(
+        args.output, repeats=args.repeats, seed=args.seed
+    )
     print(json.dumps(record, indent=2))
     return 0
 

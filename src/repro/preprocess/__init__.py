@@ -13,9 +13,9 @@ their effort on and which perfectly-triggered simulation skips:
    correlation/SAD shift estimation against a reference trace, the
    ``align`` kernel of :mod:`repro.util.kernels` (a BLAS-free numpy
    reference and a bit-identical native C search);
-3. :mod:`repro.preprocess.resample` — polyphase rational resampling,
-   the ``resample`` kernel (a numpy reference and a bit-identical
-   native C loop), plus the per-sample tap terms campaigns evaluate;
+3. :mod:`repro.preprocess.resample` — polyphase rational resampling
+   (the whole-trace numpy reference) plus the per-sample tap terms
+   campaigns evaluate;
 4. :mod:`repro.preprocess.poi` — variance and SOST point-of-interest
    ranking feeding a reduced-sample view into the streaming CPA;
 5. :mod:`repro.preprocess.pipeline` — binding a spec to a concrete

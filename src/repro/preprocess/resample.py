@@ -7,22 +7,14 @@ grid, which keeps the resampled trace time-aligned with the input —
 ``map_resampled_index`` then converts an original sample index into
 the resampled space.
 
-The filter runs through the ``resample`` kernel of
-:mod:`repro.util.kernels` (op ``upfirdn``):
-
-* ``numpy`` — a pure-numpy polyphase evaluation registered as the
-  reference.  Each output sample accumulates its in-range taps in
-  *descending* tap order.
-* ``native`` — ``repro_upfirdn`` in the C library of
-  :mod:`repro.util.kernels_native`, which sums the same products in the
-  same order, so the two backends are **bit-identical**, not just
-  close (asserted in the test suite over generated rates and batches).
-
+The filter is a pure-numpy polyphase evaluation in which each output
+sample accumulates its in-range taps in *descending* tap order.
 Campaigns never resample a whole trace: the sensor reads a handful of
 processed samples, and :meth:`repro.preprocess.pipeline.ResolvedPreprocess.read`
 evaluates just those through :func:`output_taps` — the same products
 summed in the same order, so bit-identical to :func:`polyphase_resample`
-at every sample it computes.
+at every sample it computes.  :func:`polyphase_resample` is the
+whole-trace reference that property is tested against.
 """
 
 from __future__ import annotations
@@ -33,7 +25,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.preprocess.spec import PreprocessError
-from repro.util import kernels
 
 __all__ = [
     "design_polyphase_filter",
@@ -66,8 +57,7 @@ def design_polyphase_filter(up: int, down: int) -> Tuple[np.ndarray, int]:
     Returns ``(taps, delay)`` where ``taps`` is the Kaiser-windowed
     sinc (gain ``up``, cutoff at the tighter of the two Nyquist rates)
     zero-padded so that ``delay`` — the group delay in up-rate samples
-    — is divisible by ``down``; both backends consume the identical
-    array, so their arithmetic inputs match exactly.
+    — is divisible by ``down``.
     """
     max_rate = max(up, down)
     cutoff = 1.0 / (2.0 * max_rate)
@@ -95,8 +85,7 @@ def _upfirdn_numpy(
 
     Output sample ``j`` taps the input at ``start - t`` for tap indices
     ``t`` of phase ``j*down % up``, accumulated from the highest tap
-    down; the native ``repro_upfirdn`` loop keeps that order, so every
-    float64 partial sum matches the compiled path exactly.
+    down — the order :func:`output_taps` reproduces.
     """
     x = np.asarray(x, dtype=np.float64)
     taps = np.asarray(taps, dtype=np.float64)
@@ -117,9 +106,6 @@ def _upfirdn_numpy(
             valid = (i >= 0) & (i < n_in)
             out[..., j_p[valid]] += taps[p + t * up] * x[..., i[valid]]
     return out
-
-
-kernels.register_backend("resample", "numpy", upfirdn=_upfirdn_numpy)
 
 
 def resampled_length(num_samples: int, up: int, down: int) -> int:
@@ -143,12 +129,11 @@ def output_taps(
     Returns ``(taps, inputs)`` such that output ``index`` of an
     ``n_in``-sample trace ``x`` is ``0.0 + taps[0] * x[inputs[0]] +
     taps[1] * x[inputs[1]] + ...``, summed left to right: the in-range
-    taps, highest first, in the ``_upfirdn_numpy`` (and
-    ``repro_upfirdn``) order, so evaluating the terms in that order is
-    bit-identical to resampling the whole trace.  Outputs in the
-    zero-padded tail have no terms.  Only meaningful for factors that
-    do not reduce to ``1/1`` (which :func:`polyphase_resample` returns
-    unfiltered).
+    taps, highest first, in the ``_upfirdn_numpy`` order, so evaluating
+    the terms in that order is bit-identical to resampling the whole
+    trace.  Outputs in the zero-padded tail have no terms.  Only
+    meaningful for factors that do not reduce to ``1/1`` (which
+    :func:`polyphase_resample` returns unfiltered).
     """
     up, down = _reduced(up, down)
     n_in = int(n_in)
@@ -172,8 +157,7 @@ def polyphase_resample(
 
     Delay-compensated: output sample ``j`` sits at input time
     ``j * down / up``, so resampling by ``1/1`` is the identity and
-    attack samples move by :func:`map_resampled_index`.  Dispatched
-    through the ``resample`` kernel; both backends are bit-identical.
+    attack samples move by :func:`map_resampled_index`.
     """
     traces = np.asarray(traces, dtype=np.float64)
     up, down = _reduced(up, down)
@@ -183,7 +167,7 @@ def polyphase_resample(
     if n_in < 2:
         raise PreprocessError("resampling needs at least 2 samples")
     taps, delay = design_polyphase_filter(up, down)
-    full = kernels.dispatch("resample", "upfirdn")(taps, traces, up, down)
+    full = _upfirdn_numpy(taps, traces, up, down)
     skip = delay // down
     n_out = resampled_length(n_in, up, down)
     out = full[..., skip : skip + n_out]

@@ -30,12 +30,14 @@ through CLI flags (``--jitter``, ``--align``, ...), service job
   optional ``:NUM_POI`` and ``@PILOT_TRACES``.
 
 ``to_string`` emits the canonical form (fixed field order, ``%g``
-numbers), so two specs that mean the same job always hash to the same
-service cache key.
+numbers unless ``%g`` would round, then ``repr``), so two specs that
+mean the same job always hash to the same service cache key, and the
+string parses back to an equal spec.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -63,9 +65,23 @@ POI_METHODS = ("none", "variance", "sost")
 
 _SHIFT_MODES = ("none", "uniform", "gaussian")
 
+#: Defaults of the alignment and POI parameters (also what a disabled
+#: stage's parameters are normalised to).
+_DEFAULT_MAX_SHIFT = 8
+_DEFAULT_NUM_POI = 3
+_DEFAULT_POI_TRACES = 512
+
 
 def _format_number(value: float) -> str:
-    return "%g" % float(value)
+    """``%g`` when it parses back to ``value`` exactly, else ``repr``.
+
+    ``%g`` keeps six significant digits, so a drift of ``0.020000049``
+    would print as ``0.02`` — a different spec, and a different job
+    under the same cache key and checkpoint manifest.  Every value that
+    ``%g`` does round-trip keeps its old canonical string.
+    """
+    text = "%g" % float(value)
+    return text if float(text) == float(value) else repr(float(value))
 
 
 def _parse_float(text: str, what: str) -> float:
@@ -108,6 +124,15 @@ class MisalignmentSpec:
     glitch_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        for what, value in (
+            ("jitter amount", self.shift_samples),
+            ("drift", self.drift),
+            ("glitch rate", self.glitch_rate),
+        ):
+            if not math.isfinite(value):
+                raise PreprocessError(
+                    "%s must be a finite number, got %r" % (what, value)
+                )
         if self.shift_mode not in _SHIFT_MODES:
             raise PreprocessError(
                 "jitter mode %r not one of %s"
@@ -174,8 +199,7 @@ class MisalignmentSpec:
                     "jitter %r needs an amount, e.g. %r" % (name, name + ":2")
                 )
             mode, amount = name, _parse_float(value, "jitter amount")
-        drift = 0.0
-        glitch = 0.0
+        options: Dict[str, float] = {}
         for token in tokens[1:]:
             key, sep, value = token.partition("=")
             if not sep or key not in ("drift", "glitch"):
@@ -183,15 +207,18 @@ class MisalignmentSpec:
                     "unknown jitter option %r (valid: drift=, glitch=)"
                     % token
                 )
-            if key == "drift":
-                drift = _parse_float(value, "drift")
-            else:
-                glitch = _parse_float(value, "glitch rate")
+            if key in options:
+                raise PreprocessError(
+                    "jitter option %r given more than once" % key
+                )
+            options[key] = _parse_float(
+                value, "drift" if key == "drift" else "glitch rate"
+            )
         return cls(
             shift_mode=mode,
             shift_samples=amount,
-            drift=drift,
-            glitch_rate=glitch,
+            drift=options.get("drift", 0.0),
+            glitch_rate=options.get("glitch", 0.0),
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -233,11 +260,11 @@ class PreprocessSpec:
 
     window: Optional[Tuple[int, int]] = None
     align: str = "none"
-    max_shift: int = 8
+    max_shift: int = _DEFAULT_MAX_SHIFT
     resample: Optional[Tuple[int, int]] = None
     poi: str = "none"
-    num_poi: int = 3
-    poi_traces: int = 512
+    num_poi: int = _DEFAULT_NUM_POI
+    poi_traces: int = _DEFAULT_POI_TRACES
 
     def __post_init__(self) -> None:
         if self.window is not None:
@@ -272,6 +299,14 @@ class PreprocessSpec:
             raise PreprocessError("num_poi must be >= 1")
         if self.poi_traces < 2:
             raise PreprocessError("poi_traces must be >= 2")
+        # A disabled stage ignores its parameters and ``to_string``
+        # omits them, so they take their defaults: specs that mean the
+        # same job compare equal and round-trip through the string.
+        if self.align == "none":
+            object.__setattr__(self, "max_shift", _DEFAULT_MAX_SHIFT)
+        if self.poi == "none":
+            object.__setattr__(self, "num_poi", _DEFAULT_NUM_POI)
+            object.__setattr__(self, "poi_traces", _DEFAULT_POI_TRACES)
 
     @property
     def enabled(self) -> bool:
@@ -313,6 +348,10 @@ class PreprocessSpec:
                 raise PreprocessError(
                     "preprocess directive %r is not KEY=VALUE "
                     "(valid keys: window, align, resample, poi)" % token
+                )
+            if key in fields:
+                raise PreprocessError(
+                    "preprocess directive %r given more than once" % key
                 )
             if key == "window":
                 start, sep2, end = value.partition(":")
@@ -378,11 +417,11 @@ class PreprocessSpec:
         return cls(
             window=None if window is None else tuple(window),  # type: ignore[arg-type]
             align=str(data.get("align", "none")),
-            max_shift=int(data.get("max_shift", 8)),  # type: ignore[arg-type]
+            max_shift=int(data.get("max_shift", _DEFAULT_MAX_SHIFT)),  # type: ignore[arg-type]
             resample=None if resample is None else tuple(resample),  # type: ignore[arg-type]
             poi=str(data.get("poi", "none")),
-            num_poi=int(data.get("num_poi", 3)),  # type: ignore[arg-type]
-            poi_traces=int(data.get("poi_traces", 512)),  # type: ignore[arg-type]
+            num_poi=int(data.get("num_poi", _DEFAULT_NUM_POI)),  # type: ignore[arg-type]
+            poi_traces=int(data.get("poi_traces", _DEFAULT_POI_TRACES)),  # type: ignore[arg-type]
         )
 
 

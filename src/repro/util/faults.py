@@ -42,11 +42,11 @@ Chaos kinds (:data:`CHAOS_KINDS`) extend the vocabulary to whole
 * ``"net_cut"`` — sever a worker's TCP connection without killing it.
 
 These are *harness-fired*: :meth:`FaultPlan.fire` never delivers them
-(a task cannot kill the server it runs under).  The chaos benchmark
-(``repro bench --suite chaos``) and the recovery tests consult the
-plan via :meth:`FaultPlan.wants` at named barriers — sites like
-``"barrier:lease_granted"`` — so a kill schedule is as deterministic
-and replayable as any shard-level fault.
+(a task cannot kill the server it runs under).  The chaos drill
+(:func:`repro.experiments.drills.chaos_drill`) and the recovery tests
+consult the plan via :meth:`FaultPlan.wants` at named barriers — sites
+like ``"barrier:lease_granted"`` — so a kill schedule is as
+deterministic and replayable as any shard-level fault.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Kernel dispatch registry: one switch for every hot numeric kernel.
 
-Six hot kernels sit behind this registry: the batched AES round
+Five hot kernels sit behind this registry: the batched AES round
 pipeline (with the hypothesis blocks), the second-order IIR PDN
-recurrence, the streaming-CPA accumulate, the polyphase resampler and
-the shift estimator of the preprocessing subsystem, and the fused
-sensor read.  This module is the single place that decides which
-implementation of each runs:
+recurrence, the streaming-CPA accumulate, the shift estimator of the
+preprocessing subsystem, and the fused sensor read.  This module is
+the single place that decides which implementation of each runs:
 
 * ``numpy`` — the reference path.  Always available, and the ground
   truth the native backend is asserted bit-identical against.
@@ -22,10 +21,10 @@ to ``native`` when the provider loads, else to ``numpy``.
 
 The contract both backends honour is **bit-identical outputs** on
 campaign inputs.  AES and the hypothesis blocks are exact integer
-arithmetic; the PDN recurrence, the resampler and the shift estimator
-evaluate the same float64 operations in the same order on both backends
-(the native build disables FMA contraction for exactly this reason, and
-the shift estimator repeats numpy's pairwise summation); the CPA sums are
+arithmetic; the PDN recurrence and the shift estimator evaluate the
+same float64 operations in the same order on both backends (the native
+build disables FMA contraction for exactly this reason, and the shift
+estimator repeats numpy's pairwise summation); the CPA sums are
 float64 sums of integer-valued leakage/hypotheses, which are
 order-independent and therefore exact (the same property
 :meth:`StreamingCPA.merge` already relies on).  The test suite asserts
@@ -69,10 +68,9 @@ __all__ = [
 KERNELS_ENV = "REPRO_KERNELS"
 
 #: The hot kernels behind the registry: the three original campaign
-#: kernels, the polyphase resampler of the preprocessing subsystem, the
-#: fused sensor read (jitter draw + masked Hamming weight), and the
-#: alignment shift estimator.
-KERNEL_NAMES = ("aes", "pdn", "cpa", "resample", "sensor", "align")
+#: kernels, the fused sensor read (jitter draw + masked Hamming weight),
+#: and the alignment shift estimator.
+KERNEL_NAMES = ("aes", "pdn", "cpa", "sensor", "align")
 
 #: Accepted selection modes (per kernel or for all kernels at once).
 KERNEL_MODES = ("auto", "numpy", "native")
@@ -158,7 +156,6 @@ _DOMAIN_MODULES: Dict[str, Tuple[str, ...]] = {
     "aes": ("repro.aes.batch", "repro.attacks.models"),
     "pdn": ("repro.pdn.model",),
     "cpa": ("repro.attacks.cpa",),
-    "resample": ("repro.preprocess.resample",),
     "sensor": ("repro.core.waveform_bank",),
     "align": ("repro.preprocess.align",),
 }

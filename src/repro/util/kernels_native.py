@@ -335,33 +335,6 @@ long long repro_cpa_accumulate_i8(
     return 0;
 }
 
-/* Polyphase upfirdn, row by row: output j reads input start - t for
-   the taps t of phase j*down % up, summed highest tap first (the
-   _upfirdn_numpy order), skipping taps outside the input. */
-void repro_upfirdn(
-    const double *h, long long n_taps, const double *x, long long rows,
-    long long n_in, long long up, long long down, long long n_out,
-    double *out)
-{
-    for (long long r = 0; r < rows; ++r) {
-        const double *xr = x + n_in * r;
-        double *o = out + n_out * r;
-        for (long long j = 0; j < n_out; ++j) {
-            long long m = j * down, p = m % up, start = m / up;
-            long long hi = (n_taps - p + up - 1) / up - 1;
-            long long lo = start - n_in + 1;
-            if (hi > start)
-                hi = start;
-            if (lo < 0)
-                lo = 0;
-            double acc = 0.0;
-            for (long long t = hi; t >= lo; --t)
-                acc += h[p + t * up] * xr[start - t];
-            o[j] = acc;
-        }
-    }
-}
-
 /* numpy's pairwise summation of a contiguous run (pairwise_sum_DOUBLE):
    a plain loop under 8 elements, 8 accumulators up to 128, a halving
    split above.  Callers add the result to 0.0 as add.reduce does. */
@@ -832,8 +805,6 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
     lib.repro_cpa_accumulate_f64.restype = ll
     lib.repro_cpa_accumulate_i8.argtypes = [f64p, i8p, ll, ll, f64p]
     lib.repro_cpa_accumulate_i8.restype = ll
-    lib.repro_upfirdn.argtypes = [f64p, ll, f64p, ll, ll, ll, ll, ll, f64p]
-    lib.repro_upfirdn.restype = None
     lib.repro_align.argtypes = [
         f64p, ll, ll, f64p, ctypes.POINTER(ll), ll, ctypes.c_int, f64p,
         i64p, f64p,
@@ -965,21 +936,6 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
             out[2 + 2 * k:].copy(),
         )
 
-    def upfirdn(taps, x, up, down):
-        h = np.ascontiguousarray(taps, dtype=np.float64)
-        xc = np.ascontiguousarray(x, dtype=np.float64)
-        if h.ndim != 1 or xc.ndim < 1 or up < 1 or down < 1:
-            raise ValueError("upfirdn needs 1-D taps and up, down >= 1")
-        n_in = xc.shape[-1]
-        n_out = -(-((n_in - 1) * up + h.shape[0]) // down)
-        out = np.empty(xc.shape[:-1] + (n_out,), dtype=np.float64)
-        lib.repro_upfirdn(
-            ptr(h, ctypes.c_double), h.shape[0], ptr(xc, ctypes.c_double),
-            int(np.prod(xc.shape[:-1])), n_in, int(up), int(down),
-            n_out, ptr(out, ctypes.c_double),
-        )
-        return out
-
     align_metrics = {"correlation": 0, "sad": 1}
 
     def estimate(traces, reference, max_shift, metric):
@@ -1020,7 +976,6 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
         ("pdn", "integrate"): integrate,
         ("pdn", "integrate_batch"): integrate_batch,
         ("cpa", "accumulate"): accumulate,
-        ("resample", "upfirdn"): upfirdn,
         ("align", "estimate"): estimate,
     }
 

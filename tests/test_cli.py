@@ -67,20 +67,6 @@ class TestAttack:
         assert code in (0, 1)
 
 
-class TestBench:
-    def test_e2e_suite_writes_record(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_e2e.json"
-        code = main([
-            "bench", "--suite", "e2e",
-            "--gen-traces", "100", "--traces", "400",
-            "--repeats", "1", "--workers", "1",
-            "--output", str(path),
-        ])
-        assert code == 0
-        assert path.exists()
-        assert "speedup_vs_reference" in capsys.readouterr().out
-
-
 class TestWorkersValidation:
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_workers_one_line_exit_2(self, capsys, value):
@@ -154,12 +140,6 @@ class TestFleetVerbs:
         assert args.heartbeat_timeout == 5.0
         assert args.lease_timeout == 30.0
 
-    def test_bench_accepts_fleet_suite(self):
-        from repro.cli import _build_parser
-
-        args = _build_parser().parse_args(["bench", "--suite", "fleet"])
-        assert args.suite == "fleet"
-
     def test_worker_without_server_one_line_exit_2(self, capsys):
         code = main(["worker", "127.0.0.1:1"])
         err = capsys.readouterr().err
@@ -221,13 +201,6 @@ class TestDurabilityVerbs:
         ])
         assert args.reconnect is True
         assert args.max_reconnects == 25
-
-    def test_bench_accepts_chaos_suite(self):
-        from repro.cli import _build_parser
-
-        args = _build_parser().parse_args(["bench", "--suite", "chaos"])
-        assert args.suite == "chaos"
-
 
 class TestParser:
     def test_unknown_command_rejected(self):
@@ -356,6 +329,27 @@ class TestKernelsOption:
         assert "rsa" in err
         assert err.count("\n") == 1
 
+    def test_removed_resample_kernel_is_unknown(self, monkeypatch, capsys):
+        # resample left the registry; naming it, by flag or through
+        # REPRO_KERNELS, is the unknown-kernel error like any other.
+        from repro.util import kernels
+
+        assert main(["attack", "alu", "--kernels", "resample=native"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown kernel 'resample'")
+        assert err.count("\n") == 1
+        monkeypatch.setenv(kernels.KERNELS_ENV, "resample=native")
+        kernels.invalidate_cache()
+        try:
+            assert main(["attack", "alu", "--traces", "2000"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: unknown kernel 'resample'")
+            assert "Traceback" not in err
+            assert err.count("\n") == 1
+        finally:
+            monkeypatch.undo()
+            kernels.invalidate_cache()
+
     def test_fullkey_and_bench_validate_too(self, capsys):
         assert main(["fullkey", "--kernels", "warp"]) == 2
         assert "warp" in capsys.readouterr().err
@@ -404,7 +398,7 @@ class TestKernelsOption:
 
         path = tmp_path / "BENCH_kernels.json"
         code = main([
-            "bench", "--suite", "kernels",
+            "bench",
             "--repeats", "1",
             "--output", str(path),
         ])
@@ -413,7 +407,7 @@ class TestKernelsOption:
         assert out.startswith("kernels: ")
         record = json.loads(path.read_text())
         assert set(record["kernels"]) == {
-            "aes", "pdn", "cpa", "resample", "sensor", "align",
+            "aes", "pdn", "cpa", "sensor", "align",
         }
         for entry in record["kernels"].values():
             for case in entry["backends"].values():
@@ -422,7 +416,7 @@ class TestKernelsOption:
 
 class TestAcquisitionFlags:
     """--jitter/--align/--poi/--window/--resample on attack, fullkey
-    and report, plus the ``bench --suite preprocess`` wiring."""
+    and report."""
 
     def test_malformed_jitter_one_line_exit_2(self, capsys):
         code = main([
@@ -433,6 +427,18 @@ class TestAcquisitionFlags:
         assert code == 2
         assert err.startswith("error: ")
         assert "sideways" in err
+        assert err.count("\n") == 1, "one actionable line, no traceback"
+
+    @pytest.mark.parametrize(
+        "jitter", ["gaussian:inf", "uniform:nan", "uniform:1e400"]
+    )
+    def test_non_finite_jitter_one_line_exit_2(self, jitter, capsys):
+        code = main([
+            "attack", "alu", "--traces", "4000", "--jitter", jitter,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: jitter amount must be a finite")
         assert err.count("\n") == 1, "one actionable line, no traceback"
 
     def test_malformed_align_one_line_exit_2(self, capsys):
@@ -465,20 +471,3 @@ class TestAcquisitionFlags:
         out = capsys.readouterr().out
         assert "best guess" in out
         assert code in (0, 1)
-
-    def test_bench_accepts_preprocess_suite(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "BENCH_preprocess.json"
-        code = main([
-            "--seed", "5",
-            "bench", "--suite", "preprocess",
-            "--repeats", "1",
-            "--output", str(path),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        record = json.loads(path.read_text())
-        assert record["identity"]["workers_1_vs_2_bit_identical"]
-        assert record["alignment"]["traces_per_s"] > 10_000
-        assert record["recovery_frontier"] is not None

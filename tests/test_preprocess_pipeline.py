@@ -101,6 +101,30 @@ class TestAcquisitionRealism:
         assert not np.array_equal(a["voltages"], b["voltages"])
 
 
+class TestCheckpointIdentity:
+    def test_resume_refuses_a_spec_that_differs_below_g_precision(
+        self, sensor, tmp_path
+    ):
+        # The manifest names the campaign's jitter by its canonical
+        # string; two drifts that %g printed alike once shared it.
+        from repro.experiments.checkpoint import CheckpointError
+
+        path = str(tmp_path / "campaign.npz")
+        kwargs = dict(
+            chunk_size=1000, seed=5, checkpoint_path=path,
+            checkpoint_every=1,
+        )
+        first = MisalignmentSpec("gaussian", 1.5, drift=0.02)
+        second = MisalignmentSpec("gaussian", 1.5, drift=0.020000049)
+        sharded_physical_attack(
+            _generator(first), sensor, 2000, **kwargs
+        )
+        with pytest.raises(CheckpointError):
+            sharded_physical_attack(
+                _generator(second), sensor, 2000, resume=True, **kwargs
+            )
+
+
 class TestResolvePreprocess:
     def test_none_and_disabled_stay_none(self):
         generator = _generator()

@@ -1,10 +1,4 @@
-"""Tests for polyphase resampling and its kernel registration.
-
-``resample`` is the fourth entry in the :mod:`repro.util.kernels`
-dispatch registry; the contract inherited from the other kernels is
-that every available backend is *bit-identical*, so the native C loop
-can never change campaign results — only their speed.
-"""
+"""Tests for polyphase resampling (the whole-trace numpy reference)."""
 
 import numpy as np
 import pytest
@@ -15,7 +9,6 @@ from repro.preprocess.resample import (
     resampled_length,
 )
 from repro.preprocess.spec import PreprocessError
-from repro.util import kernels
 from repro.util.rng import make_rng
 
 RATES = [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (4, 2), (5, 3)]
@@ -58,26 +51,3 @@ class TestResample:
     def test_too_short_input_rejected(self):
         with pytest.raises(PreprocessError, match="at least 2"):
             polyphase_resample(np.zeros((1, 1)), 2, 1)
-
-
-class TestKernelRegistration:
-    def test_resample_is_a_registered_kernel(self):
-        assert "resample" in kernels.KERNEL_NAMES
-        assert "resample" in kernels.active_backends()
-
-    def test_numpy_backend_always_available(self):
-        assert "numpy" in kernels.available_backends("resample")
-
-    @pytest.mark.parametrize("up,down", RATES[1:])
-    def test_all_backends_bit_identical(self, up, down):
-        batch = _batch(num=4, samples=64, seed=9)
-        outputs = {}
-        for backend in kernels.available_backends("resample"):
-            with kernels.use("resample=%s" % backend):
-                outputs[backend] = polyphase_resample(batch, up, down)
-        baseline = outputs.pop("numpy")
-        for backend, out in outputs.items():
-            assert np.array_equal(out, baseline), (
-                "backend %r diverges from numpy at rate %d/%d"
-                % (backend, up, down)
-            )

@@ -46,11 +46,26 @@ class TestMisalignmentSpec:
     @pytest.mark.parametrize(
         "text",
         ["", "sideways:2", "uniform", "uniform:abc",
-         "uniform:2,volume=11", "uniform:-1", "none:3"],
+         "uniform:2,volume=11", "uniform:-1", "none:3",
+         "uniform:nan", "gaussian:inf", "uniform:1e400",
+         "uniform:2,drift=0.1,drift=0.2"],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(PreprocessError):
             MisalignmentSpec.from_string(text)
+
+    def test_canonical_strings_pinned(self):
+        # These strings are cache keys and manifest entries already on
+        # disk; the canonical form must not move.
+        for text in ("uniform:3", "gaussian:1.5,drift=0.002,glitch=0.01"):
+            assert MisalignmentSpec.from_string(text).to_string() == text
+
+    def test_canonical_string_is_lossless(self):
+        # %g alone printed drift=0.02 here: a different spec, and a
+        # checkpoint of one was resumed as the other.
+        spec = MisalignmentSpec("gaussian", 1.5, drift=0.020000049)
+        assert spec.to_string() == "gaussian:1.5,drift=0.020000049"
+        assert MisalignmentSpec.from_string(spec.to_string()) == spec
 
     def test_error_is_a_repro_error(self):
         with pytest.raises(ReproError):
@@ -93,11 +108,19 @@ class TestPreprocessSpec:
         "text",
         ["align=fourier", "window=72:8", "window=8", "resample=3",
          "resample=0/2", "poi=entropy", "poi=sost:0", "blur=3",
-         "align"],
+         "align", "window=8:72;window=1:2",
+         "align=sad:4;align=correlation:2"],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(PreprocessError):
             PreprocessSpec.from_string(text)
+
+    def test_disabled_stage_parameters_take_defaults(self):
+        # to_string omits a disabled stage's parameters, so they must
+        # not make two equal-meaning specs compare unequal.
+        spec = PreprocessSpec.from_string("align=none:5;poi=none:4@64")
+        assert spec == PreprocessSpec()
+        assert PreprocessSpec.from_string(spec.to_string()) == spec
 
     def test_method_tables_include_none(self):
         assert "none" in ALIGN_METHODS

@@ -185,7 +185,7 @@ class TestSelfCheck:
             assert provider is not None and provider.provider == "cc"
             assert ("align", "estimate") not in provider.ops
             assert "self-check" in provider.refused["align"]
-            assert ("resample", "upfirdn") in provider.ops
+            assert ("cpa", "accumulate") in provider.ops
             with kernels.use("native") as resolved:
                 assert resolved["align"] == "native"
                 assert kernels.dispatch("align", "estimate") is reference

@@ -299,6 +299,9 @@ class TestKernelsParameter:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(JobError, match="rsa"):
             normalize_params("tracegen", {"kernels": "rsa=native"})
+        # resample left the registry: the same error, at admission.
+        with pytest.raises(JobError, match="unknown kernel 'resample'"):
+            normalize_params("attack", {"kernels": "resample=native"})
 
     def test_native_unavailable_names_dependency(self):
         import os

@@ -424,9 +424,9 @@ class TestSubprocessChaosDrill:
         journaled server at the ``lease_granted`` barrier with two
         jobs in flight (one leased to a remote worker), restart it,
         and every recovered result matches the undisturbed run."""
-        from repro.experiments.benchmark import run_chaos_benchmark
+        from repro.experiments.drills import chaos_drill
 
-        record = run_chaos_benchmark(traces=12_000, seed=1)
+        record = chaos_drill(traces=12_000, seed=1)
         assert record["plan"]["server_kill"] is True
         assert record["identity_diffs"] == 0
         assert record["identical_results"] is True

@@ -69,7 +69,7 @@ class TestParseSpec:
         for spec in (None, "", "  "):
             assert kernels.parse_spec(spec) == {
                 "aes": "auto", "pdn": "auto", "cpa": "auto",
-                "resample": "auto", "sensor": "auto", "align": "auto",
+                "sensor": "auto", "align": "auto",
             }
 
     @pytest.mark.parametrize("mode", kernels.KERNEL_MODES)
@@ -81,7 +81,7 @@ class TestParseSpec:
     def test_per_kernel_map(self):
         assert kernels.parse_spec("aes=native, pdn=numpy") == {
             "aes": "native", "pdn": "numpy", "cpa": "auto",
-            "resample": "auto", "sensor": "auto", "align": "auto",
+            "sensor": "auto", "align": "auto",
         }
 
     def test_unknown_mode_rejected(self):
