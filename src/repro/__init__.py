@@ -16,10 +16,9 @@ Subpackage guide:
 * :mod:`repro.timing` — voltage-dependent delays, STA, timed simulation.
 * :mod:`repro.pdn` / :mod:`repro.fabric` — power-distribution network
   transients and the multi-tenant FPGA device model.
-* :mod:`repro.sensors` — reference TDC / RO sensors and the RO
-  aggressor array.
+* :mod:`repro.sensors` — reference TDC / RO sensors and the RO netlist.
 * :mod:`repro.aes` — the AES-128 victim and its leakage model.
-* :mod:`repro.attacks` — CPA/DPA engines and key-recovery metrics.
+* :mod:`repro.attacks` — the CPA engine and key-recovery metrics.
 * :mod:`repro.defense` — bitstream/netlist checking countermeasures.
 * :mod:`repro.experiments` — drivers regenerating every paper figure.
 """

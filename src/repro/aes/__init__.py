@@ -42,8 +42,6 @@ from repro.aes.leakage import (
     destination_of_source,
     last_round_activity,
     last_round_byte_hd,
-    last_round_hd,
-    last_round_hw,
     random_ciphertexts,
     state_before_final_sbox,
     verify_fast_path,
@@ -75,8 +73,6 @@ __all__ = [
     "destination_of_source",
     "last_round_activity",
     "last_round_byte_hd",
-    "last_round_hd",
-    "last_round_hw",
     "SHIFT_ROWS_SOURCE",
     "mix_columns",
     "random_ciphertexts",

@@ -103,29 +103,6 @@ def destination_of_source() -> np.ndarray:
     return destination
 
 
-def last_round_hd(
-    ciphertexts: np.ndarray, last_round_key: bytes
-) -> np.ndarray:
-    """Total round-10 register-transition Hamming distance per trace."""
-    return last_round_byte_hd(ciphertexts, last_round_key).sum(axis=1)
-
-
-def last_round_hw(
-    ciphertexts: np.ndarray, last_round_key: bytes
-) -> np.ndarray:
-    """Total Hamming weight of the state before the final SubBytes.
-
-    The combinational logic of the final round (the four parallel
-    SBoxes of the 32-bit datapath) switches proportionally to the data
-    it evaluates; the Hamming weight of the pre-SBox state is the
-    classic first-order model of that *value* leakage.  This is the
-    component the paper's single-bit mask model correlates with.
-    """
-    ct = np.asarray(ciphertexts, dtype=np.uint8)
-    s9 = state_before_final_sbox(ct, last_round_key)
-    return _POPCOUNT8[s9].astype(np.int64).sum(axis=1)
-
-
 def _column_byte_indices(column: Optional[int]) -> slice:
     """Byte range of one state column (None = all 16 bytes)."""
     if column is None:

@@ -1,10 +1,9 @@
 """Key-recovery attack engines and metrics.
 
 :func:`run_cpa` is the workhorse (textbook CPA with progress tracking,
-as in all of the paper's Figs. 9–13 and 17–18); :func:`run_dpa` is the
-classic difference-of-means baseline; :mod:`repro.attacks.models`
-defines the hypothesis models, and :mod:`repro.attacks.metrics` the
-campaign-level quality metrics.
+as in all of the paper's Figs. 9–13 and 17–18);
+:mod:`repro.attacks.models` defines the hypothesis models, and
+:mod:`repro.attacks.metrics` the campaign-level quality metrics.
 """
 
 from repro.attacks.cpa import (
@@ -15,7 +14,6 @@ from repro.attacks.cpa import (
     default_checkpoints,
     run_cpa,
 )
-from repro.attacks.dpa import DPAResult, run_dpa
 from repro.attacks.full_key import (
     FullKeyResult,
     column_of_key_byte,
@@ -27,7 +25,6 @@ from repro.attacks.second_order import (
 )
 from repro.attacks.metrics import (
     AttackSummary,
-    correlation_confidence,
     guessing_entropy,
     success_rate,
     summarize,
@@ -47,7 +44,6 @@ __all__ = [
     "CPAResult",
     "DEFAULT_TARGET_BIT",
     "DEFAULT_TARGET_BYTE",
-    "DPAResult",
     "FullKeyResult",
     "NonFiniteValuesError",
     "NonIntegralValuesError",
@@ -57,14 +53,12 @@ __all__ = [
     "run_second_order_cpa",
     "HYPOTHESIS_MODELS",
     "StreamingCPA",
-    "correlation_confidence",
     "default_checkpoints",
     "guessing_entropy",
     "hamming_distance_hypothesis",
     "hamming_weight_hypothesis",
     "inverse_sbox_intermediate",
     "run_cpa",
-    "run_dpa",
     "single_bit_hypothesis",
     "success_rate",
     "summarize",

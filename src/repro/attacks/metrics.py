@@ -66,20 +66,3 @@ def success_rate(ranks: Sequence[int], threshold: int = 0) -> float:
     if arr.size == 0:
         raise ValueError("need at least one rank")
     return float((arr <= threshold).mean())
-
-
-def correlation_confidence(result: CPAResult) -> np.ndarray:
-    """Ratio of correct-key |corr| to the 99.99% sampling-noise bound.
-
-    The sampling distribution of Pearson correlation under the null is
-    approximately N(0, 1/sqrt(n)); values above ~4/sqrt(n) indicate a
-    genuine dependency.  Returns the ratio per checkpoint — the point
-    where it durably exceeds 1 matches the visual crossing of the red
-    curve out of the gray band in the paper's progress figures.
-    """
-    if result.correct_key is None:
-        raise ValueError("result carries no correct key")
-    n = result.checkpoints.astype(float)
-    bound = 4.0 / np.sqrt(n)
-    correct = np.abs(result.correlations[:, result.correct_key])
-    return correct / bound

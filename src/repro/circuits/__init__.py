@@ -22,7 +22,6 @@ from repro.circuits.alu import (
     AluStimulus,
     alu_input_assignment,
     build_alu,
-    opcode_name,
 )
 from repro.circuits.c6288 import (
     C6288_OPERAND_WIDTH,
@@ -62,5 +61,4 @@ __all__ = [
     "full_adder",
     "get_circuit_spec",
     "half_adder",
-    "opcode_name",
 ]

@@ -121,11 +121,3 @@ class AluStimulus:
     def endpoint_nets(self) -> List[str]:
         """The result-word endpoints observed as sensor bits."""
         return ["r%d" % i for i in range(self.width)]
-
-
-def opcode_name(opcode: int) -> str:
-    """Human-readable opcode name (``"ADD"``...)."""
-    try:
-        return _OP_NAMES[opcode]
-    except KeyError:
-        raise ValueError("opcode must be 0..3, got %r" % (opcode,)) from None

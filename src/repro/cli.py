@@ -892,8 +892,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
     Structured campaign failures (:class:`repro.util.ReproError`:
-    shard exhaustion, corrupt trace files or checkpoints, non-finite
-    leakage) are reported as one actionable line on stderr — with a
+    shard exhaustion, corrupt checkpoints, non-finite leakage) are reported as one actionable line on stderr — with a
     resume hint when a checkpoint is in play — instead of a traceback.
     """
     from repro.util.errors import ReproError

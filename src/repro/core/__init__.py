@@ -51,7 +51,7 @@ from repro.core.endpoint_sensor import (
     BenignSensorInstance,
 )
 from repro.core.tracegen import PhysicalTraceGenerator, random_plaintexts
-from repro.core.waveform_bank import WaveformBank, build_bank
+from repro.core.waveform_bank import WaveformBank
 from repro.core.postprocess import (
     SensitivityCensus,
     best_bit,
@@ -89,7 +89,6 @@ __all__ = [
     "WaveformBank",
     "WindowCoverage",
     "best_bit",
-    "build_bank",
     "bit_variances",
     "bits_of_interest",
     "cached_calibrate_endpoints",

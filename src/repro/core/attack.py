@@ -426,9 +426,8 @@ class AttackCampaign:
         )
         scores: Dict[int, float] = {}
         columns = {int(b): np.empty(trial_traces) for b in order}
-        chunk = 50_000
-        for start in range(0, trial_traces, chunk):
-            end = min(start + chunk, trial_traces)
+        for start in range(0, trial_traces, TRACE_CHUNK):
+            end = min(start + TRACE_CHUNK, trial_traces)
             bits = self.sensor.sample_bits(
                 voltages[start:end],
                 seed=derive_seed(self.seed, "campaign-jitter", start),

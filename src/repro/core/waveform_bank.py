@@ -237,11 +237,6 @@ class WaveformBank:
         return bits
 
 
-def build_bank(waveforms: Sequence["EndpointWaveform"]) -> WaveformBank:
-    """Construct a :class:`WaveformBank` (convenience wrapper)."""
-    return WaveformBank(list(waveforms))
-
-
 def masked_weight_numpy(
     bank: WaveformBank,
     times_ps: np.ndarray,

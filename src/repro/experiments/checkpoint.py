@@ -36,7 +36,7 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -242,22 +242,6 @@ def verify_manifest(
         path,
         "%s — refusing to resume a different campaign" % detail,
     )
-
-
-def checkpoint_row_count(
-    checkpoints: Sequence[int], shard_plan: Sequence[Tuple[int, int]],
-    completed_shards: int,
-) -> int:
-    """Correlation rows emitted after ``completed_shards`` shards.
-
-    Rows are emitted whenever a merge boundary lands on the checkpoint
-    grid; with whole-shard groups that is every grid point at or below
-    the completed trace prefix.
-    """
-    if completed_shards == 0:
-        return 0
-    frontier = shard_plan[completed_shards - 1][1]
-    return sum(1 for point in checkpoints if point <= frontier)
 
 
 def split_rows(rows_array: np.ndarray) -> List[np.ndarray]:

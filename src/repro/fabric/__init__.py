@@ -2,17 +2,12 @@
 
 Models the device the experiments run on: the XC7Z020-like site grid
 and tenant regions (:mod:`device`), gate placement (:mod:`placement`),
-floorplan rendering for Figs. 3/4 (:mod:`floorplan`), MMCM clocking
-(:mod:`clocking`), BRAM trace capture (:mod:`bram`), and the UART host
-link (:mod:`uart`).
+floorplan rendering for Figs. 3/4 (:mod:`floorplan`), and MMCM clocking
+(:mod:`clocking`).  The BRAM/UART capture path and host script of the
+paper's Fig. 2 are not modeled: campaigns hand sensor words to the
+attack directly.
 """
 
-from repro.fabric.bram import (
-    BITS_PER_BLOCK,
-    XC7Z020_BRAM_BLOCKS,
-    BRAMBuffer,
-    BRAMOverflowError,
-)
 from repro.fabric.clocking import (
     NUM_MMCMS,
     REFERENCE_CLOCK_MHZ,
@@ -33,28 +28,9 @@ from repro.fabric.floorplan import (
     Floorplan,
 )
 from repro.fabric.placement import Placement, place_netlist
-from repro.fabric.soc import (
-    DeploymentRejected,
-    MultiTenantSystem,
-    Tenant,
-)
-from repro.fabric.uart import (
-    UartFramingError,
-    UartLink,
-    decode_frame,
-    encode_frame,
-    pack_trace_words,
-    unpack_trace_words,
-)
 
 __all__ = [
-    "BITS_PER_BLOCK",
-    "BRAMBuffer",
-    "BRAMOverflowError",
     "ClockTree",
-    "DeploymentRejected",
-    "MultiTenantSystem",
-    "Tenant",
     "DEFAULT_GLYPHS",
     "EMPTY_GLYPH",
     "Floorplan",
@@ -65,15 +41,8 @@ __all__ = [
     "REFERENCE_CLOCK_MHZ",
     "Region",
     "SENSITIVE_GLYPH",
-    "UartFramingError",
-    "UartLink",
-    "XC7Z020_BRAM_BLOCKS",
-    "decode_frame",
     "default_multi_tenant_device",
-    "encode_frame",
-    "pack_trace_words",
     "paper_clock_tree",
     "place_netlist",
     "synthesize_clock",
-    "unpack_trace_words",
 ]

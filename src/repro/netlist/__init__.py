@@ -1,8 +1,8 @@
 """Gate-level netlist substrate.
 
 Provides the netlist graph (:class:`Netlist`), the primitive gate
-library, the ISCAS-85 ``.bench`` parser/writer, a construction helper,
-and structural validation.  All circuit-shaped objects in this library
+library, the ISCAS-85 ``.bench`` parser/writer and a construction
+helper.  All circuit-shaped objects in this library
 (the ALU, C6288, TDC delay line, ring oscillators) are expressed as
 netlists from this package.
 """
@@ -23,7 +23,6 @@ from repro.netlist.gates import (
     resolve_gate_type,
 )
 from repro.netlist.netlist import Gate, Netlist, NetlistError
-from repro.netlist.validate import ValidationReport, validate_netlist
 
 __all__ = [
     "BenchParseError",
@@ -33,13 +32,11 @@ __all__ = [
     "Netlist",
     "NetlistBuilder",
     "NetlistError",
-    "ValidationReport",
     "controlling_value",
     "evaluate_gate",
     "has_controlling_value",
     "parse_bench",
     "parse_bench_file",
     "resolve_gate_type",
-    "validate_netlist",
     "write_bench",
 ]

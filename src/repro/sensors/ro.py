@@ -1,10 +1,12 @@
-"""Ring oscillators: the RO-counter sensor and the 8000-RO aggressor.
+"""Ring oscillators: the RO netlist and the RO-counter sensor.
 
 Ring oscillators serve two roles in the paper:
 
 * **Aggressor** (Sec. IV): an array of 8000 ROs is switched on and off
   to generate strong, controlled voltage fluctuations — the stimulus
-  for the sensitivity censuses of Figs. 5–8 and 14–16.
+  for the sensitivity censuses of Figs. 5–8 and 14–16.  Its current
+  schedule is :class:`repro.pdn.ROAggressorSchedule`; one RO instance
+  (:func:`build_ro_netlist`) is what a bitstream checker scans.
 * **Sensor** (related work, Fig. 1 left): counting RO oscillations in a
   fixed window estimates supply voltage, since oscillation frequency is
   inversely proportional to loop delay.  Included as the slow baseline
@@ -17,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.netlist.builder import NetlistBuilder
 from repro.netlist.netlist import Netlist
-from repro.pdn.aggressors import ROAggressorSchedule
 from repro.sensors.base import VoltageSensor
 from repro.timing.delay_model import DelayModel
 from repro.util.rng import make_rng
@@ -109,35 +109,3 @@ class ROSensor(VoltageSensor):
         for i in range(self.num_bits):
             bits[:, i] = (counts >> i) & 1
         return bits
-
-
-@dataclass
-class RingOscillatorArray:
-    """The 8000-RO aggressor block (paper Sec. IV).
-
-    Couples the on/off :class:`~repro.pdn.ROAggressorSchedule` with the
-    structural netlist view a bitstream checker would analyze.
-
-    Attributes:
-        schedule: enable/disable pattern and electrical magnitude.
-        inverters_per_ro: loop length of each RO instance.
-    """
-
-    schedule: ROAggressorSchedule = ROAggressorSchedule()
-    inverters_per_ro: int = 3
-
-    @property
-    def num_ros(self) -> int:
-        return self.schedule.num_ros
-
-    def current_waveform(self, num_samples: int) -> np.ndarray:
-        """Aggressor current at the PDN sample rate."""
-        return self.schedule.current_waveform(num_samples)
-
-    def representative_netlist(self) -> Netlist:
-        """One RO instance, as submitted in a (malicious) bitstream.
-
-        The full array is 8000 copies; scanning one instance suffices
-        for the defense checker, which reports per-pattern matches.
-        """
-        return build_ro_netlist(self.inverters_per_ro, name="ro_array_cell")

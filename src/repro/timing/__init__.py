@@ -24,12 +24,6 @@ from repro.timing.event_sim import (
     endpoint_settle_times,
     endpoint_waveforms,
 )
-from repro.timing.activity import (
-    ActivityReport,
-    average_activity_per_cycle,
-    measure_activity,
-)
-from repro.timing.sdf import SdfError, read_sdf, write_sdf
 from repro.timing.techmap import (
     DEFAULT_CELL_DELAYS_PS,
     FpgaImplementation,
@@ -39,17 +33,10 @@ from repro.timing.sta import (
     TimingPath,
     TimingReport,
     analyze_timing,
-    path_to_endpoint,
 )
 
 __all__ = [
     "ALPHA",
-    "ActivityReport",
-    "SdfError",
-    "average_activity_per_cycle",
-    "measure_activity",
-    "read_sdf",
-    "write_sdf",
     "DEFAULT_CELL_DELAYS_PS",
     "FpgaImplementation",
     "fpga_annotate",
@@ -65,5 +52,4 @@ __all__ = [
     "annotate_delays",
     "endpoint_settle_times",
     "endpoint_waveforms",
-    "path_to_endpoint",
 ]

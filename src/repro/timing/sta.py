@@ -128,23 +128,3 @@ def analyze_timing(
         critical_path=critical,
         clock_period_ps=clock_period_ps,
     )
-
-
-def path_to_endpoint(
-    annotation: DelayAnnotation, endpoint: str
-) -> TimingPath:
-    """Worst path terminating at a specific endpoint."""
-    report = analyze_timing(annotation)
-    netlist = annotation.netlist
-    if endpoint not in netlist.outputs:
-        raise KeyError("net %s is not a primary output" % endpoint)
-    nets: List[str] = [endpoint]
-    cursor = endpoint
-    while True:
-        gate = netlist.gate_driving(cursor)
-        if gate is None:
-            break
-        cursor = max(gate.inputs, key=lambda n: report.arrival_ps[n])
-        nets.append(cursor)
-    nets.reverse()
-    return TimingPath(endpoint, report.endpoint_arrivals[endpoint], tuple(nets))

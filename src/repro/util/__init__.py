@@ -23,14 +23,10 @@ from repro.util.faults import (
 )
 from repro.util.bits import (
     bits_to_int,
-    bitstring,
     hamming_distance,
     hamming_weight,
-    hamming_weight_array,
     int_to_bits,
     parity,
-    popcount64_array,
-    rotate_left,
 )
 from repro.util.fileio import atomic_write
 from repro.util.rng import derive_seed, make_rng
@@ -48,16 +44,12 @@ __all__ = [
     "TruncatedResultError",
     "atomic_write",
     "bits_to_int",
-    "bitstring",
     "default_workers",
     "derive_seed",
     "map_ordered",
     "hamming_distance",
     "hamming_weight",
-    "hamming_weight_array",
     "int_to_bits",
     "make_rng",
     "parity",
-    "popcount64_array",
-    "rotate_left",
 ]

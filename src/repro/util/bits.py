@@ -2,18 +2,13 @@
 
 The sensing pipeline treats circuit outputs as vectors of bits (path
 endpoints), so conversions between integers, bit vectors and Hamming
-weights are needed in many places.  Conventions:
-
-* Bit vectors are little-endian: index 0 is the least significant bit.
-* Vectorized helpers accept/return :class:`numpy.ndarray` objects of
-  ``uint8`` (bit vectors) or unsigned integer dtypes (packed words).
+weights are needed in many places.  Bit vectors are little-endian:
+index 0 is the least significant bit.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
-
-import numpy as np
 
 
 def int_to_bits(value: int, width: int) -> List[int]:
@@ -47,11 +42,6 @@ def bits_to_int(bits: Sequence[int]) -> int:
     return value
 
 
-def bitstring(value: int, width: int) -> str:
-    """Render ``value`` as an MSB-first binary string of ``width`` chars."""
-    return format(value, "0%db" % width)
-
-
 def hamming_weight(value: int) -> int:
     """Number of set bits of a non-negative integer (arbitrary size)."""
     if value < 0:
@@ -67,50 +57,3 @@ def hamming_distance(a: int, b: int) -> int:
 def parity(value: int) -> int:
     """XOR of all bits of ``value`` (0 or 1)."""
     return hamming_weight(value) & 1
-
-
-def rotate_left(value: int, amount: int, width: int) -> int:
-    """Rotate a ``width``-bit word left by ``amount`` bits."""
-    if width <= 0:
-        raise ValueError("width must be positive, got %d" % width)
-    amount %= width
-    mask = (1 << width) - 1
-    value &= mask
-    return ((value << amount) | (value >> (width - amount))) & mask
-
-
-def hamming_weight_array(bits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum a {0,1} bit array along ``axis``.
-
-    This is the vectorized Hamming-weight post-processing step of the
-    paper: traces of endpoint bit vectors are reduced to one scalar
-    per sample by summing the selected bits.
-    """
-    arr = np.asarray(bits)
-    if arr.size and (arr.min() < 0 or arr.max() > 1):
-        raise ValueError("bit array must contain only 0/1 values")
-    return arr.sum(axis=axis, dtype=np.int64)
-
-
-_POPCOUNT_TABLE = np.array(
-    [bin(i).count("1") for i in range(256)], dtype=np.uint8
-)
-
-
-def popcount64_array(values: np.ndarray) -> np.ndarray:
-    """Per-element popcount of an unsigned integer array (up to 64 bit).
-
-    Implemented with a byte lookup table so it stays fast for the large
-    trace matrices used by the CPA engine.
-    """
-    arr = np.asarray(values)
-    if not np.issubdtype(arr.dtype, np.unsignedinteger):
-        if np.issubdtype(arr.dtype, np.signedinteger):
-            if arr.size and arr.min() < 0:
-                raise ValueError("popcount requires non-negative values")
-            arr = arr.astype(np.uint64)
-        else:
-            raise TypeError("popcount requires an integer array")
-    as_bytes = arr.astype(np.uint64).view(np.uint8)
-    counts = _POPCOUNT_TABLE[as_bytes]
-    return counts.reshape(arr.shape + (8,)).sum(axis=-1, dtype=np.int64)

@@ -17,8 +17,6 @@ Concrete subclasses live next to the subsystem that raises them:
 * :class:`repro.attacks.cpa.NonIntegralValuesError` — fractional leakage
   reached the by-value CPA accumulator, whose sums are exact only for
   integers.
-* :class:`repro.traceio.TraceIOError` — a trace file is truncated or
-  corrupt.
 * :class:`repro.experiments.checkpoint.CheckpointError` — a campaign
   checkpoint is unreadable or belongs to a different configuration.
 """

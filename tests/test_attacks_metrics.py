@@ -5,7 +5,6 @@ import pytest
 
 from repro.attacks import (
     CPAResult,
-    correlation_confidence,
     guessing_entropy,
     success_rate,
     summarize,
@@ -60,20 +59,3 @@ class TestCampaignMetrics:
     def test_success_rate_empty(self):
         with pytest.raises(ValueError):
             success_rate([])
-
-
-class TestCorrelationConfidence:
-    def test_grows_with_disclosure(self):
-        ratio = correlation_confidence(make_result())
-        assert ratio[-1] > ratio[0]
-
-    def test_confident_at_end(self):
-        ratio = correlation_confidence(make_result())
-        # 0.15 vs 4/sqrt(10000) = 0.04 -> ratio 3.75
-        assert ratio[-1] == pytest.approx(0.15 / 0.04)
-
-    def test_requires_correct_key(self):
-        result = make_result()
-        result.correct_key = None
-        with pytest.raises(ValueError):
-            correlation_confidence(result)

@@ -12,7 +12,6 @@ from repro.circuits import (
     AluStimulus,
     alu_input_assignment,
     build_alu,
-    opcode_name,
 )
 
 
@@ -111,16 +110,3 @@ class TestAluStimulus:
     def test_endpoints_are_result_bits(self):
         stim = AluStimulus(width=4)
         assert stim.endpoint_nets == ["r0", "r1", "r2", "r3"]
-
-
-class TestOpcodeName:
-    @pytest.mark.parametrize(
-        "op,name",
-        [(OP_ADD, "ADD"), (OP_AND, "AND"), (OP_OR, "OR"), (OP_XOR, "XOR")],
-    )
-    def test_names(self, op, name):
-        assert opcode_name(op) == name
-
-    def test_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            opcode_name(9)

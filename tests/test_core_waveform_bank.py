@@ -10,7 +10,7 @@ jitter.
 import numpy as np
 import pytest
 
-from repro.core import BenignSensor, WaveformBank, build_bank
+from repro.core import BenignSensor, WaveformBank
 from repro.core.calibration import EndpointWaveform
 from repro.util.rng import derive_seed, make_rng
 
@@ -57,10 +57,6 @@ class TestBankConstruction:
 
     def test_bank_is_cached_on_calibration(self, alu_calibration):
         assert alu_calibration.bank is alu_calibration.bank
-
-    def test_build_bank_helper(self, alu_calibration):
-        bank = build_bank(alu_calibration.waveforms)
-        assert bank.num_bits == alu_calibration.num_bits
 
     def test_rejects_2d_queries(self, alu_calibration):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from repro.experiments.checkpoint import (
     CampaignCheckpoint,
     CampaignManifest,
     CheckpointError,
-    checkpoint_row_count,
     load_checkpoint,
     save_checkpoint,
     split_rows,
@@ -211,14 +210,6 @@ class TestVerifyManifest:
 
 
 class TestRowAccounting:
-    def test_checkpoint_row_count(self):
-        checkpoints = (500, 1000, 1500, 2000, 4000)
-        plan = ((0, 1000), (1000, 2000), (2000, 4000))
-        assert checkpoint_row_count(checkpoints, plan, 0) == 0
-        assert checkpoint_row_count(checkpoints, plan, 1) == 2
-        assert checkpoint_row_count(checkpoints, plan, 2) == 4
-        assert checkpoint_row_count(checkpoints, plan, 3) == 5
-
     def test_split_rows_roundtrip(self):
         stacked = np.arange(12.0).reshape(3, 4)
         rows = split_rows(stacked)

@@ -1,8 +1,9 @@
 """Tests for the batch experiment runner and report rendering."""
 
+import numpy as np
 import pytest
 
-from repro.experiments import ExperimentConfig
+from repro.experiments import ExperimentConfig, runner
 from repro.experiments.runner import (
     FigureRecord,
     render_report,
@@ -35,6 +36,38 @@ class TestRunAllFigures:
 
     def test_measured_strings_populated(self, records):
         assert all(record.measured for record in records)
+
+
+class TestVarianceVerdict:
+    """Figs. 8/16 are OK only when the variance picks are sensitive
+    endpoints and the RO-driven variance sits on sensitive endpoints."""
+
+    @staticmethod
+    def verdict(monkeypatch, figure, best_bit, variance_ro):
+        variance = {
+            "sensitive_mask": np.array([True, True, False, False]),
+            "variance_ro": np.asarray(variance_ro, dtype=float),
+            "best_bit": best_bit,
+            "second_bit": 1,
+        }
+        monkeypatch.setattr(
+            runner, "fig08_16_variance", lambda setup, circuit: variance
+        )
+        return runner._PRELIMINARY_FIGURES[figure](None).ok
+
+    @pytest.mark.parametrize("figure", ["fig08", "fig16"])
+    def test_sensitive_picks_carrying_variance_pass(
+        self, monkeypatch, figure
+    ):
+        assert self.verdict(monkeypatch, figure, 0, [5.0, 3.0, 0.01, 0.0])
+
+    @pytest.mark.parametrize("figure", ["fig08", "fig16"])
+    def test_insensitive_best_bit_fails(self, monkeypatch, figure):
+        assert not self.verdict(monkeypatch, figure, 2, [5.0, 3.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("figure", ["fig08", "fig16"])
+    def test_variance_off_the_sensitive_set_fails(self, monkeypatch, figure):
+        assert not self.verdict(monkeypatch, figure, 0, [5.0, 3.0, 1.0, 0.0])
 
 
 class TestRenderReport:

@@ -1,6 +1,5 @@
 """Cross-module integration tests: the paper's storyline end to end."""
 
-import numpy as np
 import pytest
 
 from repro.core import REDUCTION_HW, REDUCTION_SINGLE_BIT
@@ -9,7 +8,6 @@ from repro.defense import (
     TimingConstraints,
     strict_timing_check,
 )
-from repro.fabric import BRAMBuffer, pack_trace_words, unpack_trace_words
 from repro.sensors import build_ro_netlist, build_tdc_netlist
 
 
@@ -69,20 +67,6 @@ class TestStealthinessStory:
             ),
         )
         assert evaded.accepted
-
-
-class TestCapturePath:
-    """Sensor word -> BRAM -> UART -> host, bit-exact."""
-
-    def test_word_survives_capture_chain(self, alu_sensor):
-        voltages = np.full(16, 1.0)
-        words = alu_sensor.sample_bits(voltages, seed=3)
-        buffer = BRAMBuffer(word_bits=alu_sensor.num_bits, num_blocks=4)
-        buffer.write_burst(words)
-        drained = buffer.drain()
-        payload = pack_trace_words(drained)
-        recovered = unpack_trace_words(payload, alu_sensor.num_bits)
-        assert np.array_equal(recovered, words)
 
 
 class TestCalibrationConsistency:

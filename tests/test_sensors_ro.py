@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sensors import RingOscillatorArray, ROSensor, build_ro_netlist
+from repro.sensors import ROSensor, build_ro_netlist
 
 
 class TestRONetlist:
@@ -64,19 +64,3 @@ class TestROSensor:
             ROSensor(nominal_freq_hz=0.0)
         with pytest.raises(ValueError):
             ROSensor(window_s=-1.0)
-
-
-class TestRingOscillatorArray:
-    def test_default_matches_paper(self):
-        array = RingOscillatorArray()
-        assert array.num_ros == 8000
-
-    def test_current_waveform_shape(self):
-        array = RingOscillatorArray()
-        waveform = array.current_waveform(200)
-        assert waveform.shape == (200,)
-        assert waveform.max() > 0
-
-    def test_representative_netlist_is_flagged_structure(self):
-        array = RingOscillatorArray()
-        assert array.representative_netlist().has_cycles

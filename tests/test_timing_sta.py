@@ -9,7 +9,6 @@ from repro.timing import (
     DelayModel,
     analyze_timing,
     annotate_delays,
-    path_to_endpoint,
 )
 
 
@@ -85,30 +84,3 @@ class TestSlack:
             report.slack_ps("n1")
         with pytest.raises(ValueError):
             report.failing_endpoints()
-
-
-class TestPathToEndpoint:
-    def test_specific_endpoint_path(self):
-        adder = build_ripple_carry_adder(8)
-        ann = annotate_delays(adder, seed=0)
-        path = path_to_endpoint(ann, "s7")
-        assert path.endpoint == "s7"
-        assert path.nets[-1] == "s7"
-        report = analyze_timing(ann)
-        assert path.arrival_ps == pytest.approx(
-            report.endpoint_arrivals["s7"]
-        )
-
-    def test_unknown_endpoint_raises(self):
-        adder = build_ripple_carry_adder(4)
-        with pytest.raises(KeyError):
-            path_to_endpoint(annotate_delays(adder), "nonexistent")
-
-    def test_path_arrival_consistent_with_segment_delays(self):
-        nl = chain_netlist(4)
-        ann = unit_annotation(nl)
-        path = path_to_endpoint(ann, "n3")
-        total = sum(
-            ann.gate_delay_ps[net] for net in path.nets if net != "a"
-        )
-        assert path.arrival_ps == pytest.approx(total)

@@ -1,19 +1,14 @@
 """Unit and property tests for repro.util.bits."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.bits import (
     bits_to_int,
-    bitstring,
     hamming_distance,
     hamming_weight,
-    hamming_weight_array,
     int_to_bits,
     parity,
-    popcount64_array,
-    rotate_left,
 )
 
 
@@ -103,73 +98,3 @@ class TestParity:
         assert parity(value) == hamming_weight(value) % 2
 
 
-class TestRotateLeft:
-    def test_basic(self):
-        assert rotate_left(0b0001, 1, 4) == 0b0010
-
-    def test_wraparound(self):
-        assert rotate_left(0b1000, 1, 4) == 0b0001
-
-    def test_full_rotation_is_identity(self):
-        assert rotate_left(0b1011, 4, 4) == 0b1011
-
-    def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            rotate_left(1, 1, 0)
-
-    @given(st.integers(0, 255), st.integers(0, 64))
-    def test_preserves_weight(self, value, amount):
-        rotated = rotate_left(value, amount, 8)
-        assert hamming_weight(rotated) == hamming_weight(value)
-
-
-class TestHammingWeightArray:
-    def test_rows(self):
-        bits = np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]], dtype=np.uint8)
-        assert hamming_weight_array(bits).tolist() == [2, 0, 3]
-
-    def test_axis_zero(self):
-        bits = np.array([[1, 0], [1, 1]], dtype=np.uint8)
-        assert hamming_weight_array(bits, axis=0).tolist() == [2, 1]
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            hamming_weight_array(np.array([[2, 0]]))
-
-    def test_empty(self):
-        assert hamming_weight_array(np.zeros((0, 4))).shape == (0,)
-
-
-class TestPopcount64Array:
-    def test_known_values(self):
-        values = np.array([0, 1, 3, 255, 2**63], dtype=np.uint64)
-        assert popcount64_array(values).tolist() == [0, 1, 2, 8, 1]
-
-    def test_matches_python_popcount(self):
-        rng = np.random.default_rng(0)
-        values = rng.integers(0, 2**63, size=100, dtype=np.uint64)
-        expected = [bin(int(v)).count("1") for v in values]
-        assert popcount64_array(values).tolist() == expected
-
-    def test_signed_non_negative_ok(self):
-        assert popcount64_array(np.array([7], dtype=np.int64)).tolist() == [3]
-
-    def test_rejects_negative_signed(self):
-        with pytest.raises(ValueError):
-            popcount64_array(np.array([-1], dtype=np.int64))
-
-    def test_rejects_float(self):
-        with pytest.raises(TypeError):
-            popcount64_array(np.array([1.5]))
-
-    def test_shape_preserved(self):
-        values = np.arange(12, dtype=np.uint64).reshape(3, 4)
-        assert popcount64_array(values).shape == (3, 4)
-
-
-class TestBitstring:
-    def test_padded(self):
-        assert bitstring(5, 8) == "00000101"
-
-    def test_exact_width(self):
-        assert bitstring(7, 3) == "111"
