@@ -156,7 +156,7 @@ def recover_last_round_key(
             CPAs on a worker pool (each byte's CPA is a fixed function
             of its inputs, so the result is identical to the serial
             loop).  Default: serial.
-        policy: retry/timeout/degradation policy; with ``health``,
+        policy: retry/timeout policy; with ``health``,
             switches the per-byte CPAs onto the resilient path of
             :func:`map_ordered` (each byte's CPA is deterministic, so
             retries cannot change the result).

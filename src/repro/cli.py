@@ -194,13 +194,13 @@ def _add_resilience_arguments(parser) -> None:
     )
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
-        help="attempts per shard before degrading the backend "
+        help="attempts per shard before the campaign fails "
         "(default: 3 when any resilience flag is set)",
     )
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-shard deadline; a hung shard is abandoned and "
-        "retried",
+        help="per-shard deadline, held at any worker count; a hung "
+        "shard is abandoned and retried",
     )
 
 

@@ -37,7 +37,7 @@ bit-exact equivalence against the legacy loop.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 

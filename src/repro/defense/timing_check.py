@@ -21,7 +21,7 @@ This module implements both sides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Set
+from typing import FrozenSet, Iterable, List, Optional
 
 from repro.timing.delay_model import DelayAnnotation
 from repro.timing.sta import analyze_timing

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-import numpy as np
-
 from repro.attacks.cpa import CPAResult
 from repro.attacks.metrics import summarize
 from repro.core.attack import REDUCTION_HW, REDUCTION_SINGLE_BIT

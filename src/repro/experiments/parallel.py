@@ -46,7 +46,7 @@ worker count.
 
 The same determinism is what makes the campaign *fault-tolerant*:
 because the shard task is a pure function of its payload, the runtime
-may retry a failed shard or degrade ``thread -> serial``
+may retry a failed or hung shard
 (:class:`repro.util.executors.RetryPolicy`) without any effect on the
 result.  Passing ``checkpoint_path`` makes progress durable: after
 every ``checkpoint_every`` completed shards the statistic's state and
@@ -920,11 +920,10 @@ def sharded_attack(
         campaign: characterized attack campaign.
         num_traces / reduction / bit / target_byte / target_bit /
             checkpoints: as in :meth:`AttackCampaign.attack`.
-        max_workers: worker count (default: :func:`default_workers`;
-            pass 1 to force in-process serial execution).
+        max_workers: worker count (default: :func:`default_workers`).
         chunk_size: trace-generation block length; must stay on the
             campaign's chunk grid to reproduce the serial jitter seeds.
-        policy: retry/timeout/degradation policy; any fault-tolerance
+        policy: retry/timeout policy; any fault-tolerance
             argument (also ``fault_plan``, ``health``,
             ``checkpoint_path``) switches shard execution into the
             resilient mode of :func:`map_ordered`.

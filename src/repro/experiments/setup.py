@@ -9,7 +9,6 @@ one board.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.aes.aes128 import AES128

@@ -11,7 +11,7 @@ rate, and the MTD distribution — the statistics behind statements like
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

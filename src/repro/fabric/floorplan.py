@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
-from repro.fabric.device import FpgaDevice, Region
+from repro.fabric.device import FpgaDevice
 from repro.fabric.placement import Placement
 
 #: Default glyphs for the paper's blocks.

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, List, Tuple
 
-from repro.netlist.netlist import Netlist, NetlistError
+from repro.netlist.netlist import Netlist
 
 _DECL_RE = re.compile(r"^(INPUT|OUTPUT)\s*\(\s*([^)]+?)\s*\)$", re.IGNORECASE)
 _GATE_RE = re.compile(

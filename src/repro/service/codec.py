@@ -95,7 +95,9 @@ def decode_array(data: Dict[str, object]) -> np.ndarray:
         raw = base64.b64decode(str(data[_ARRAY_TAG]))
         array = np.frombuffer(raw, dtype=np.dtype(str(data["dtype"])))
         return array.reshape([int(n) for n in data["shape"]]).copy()
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, SyntaxError) as exc:
+        # numpy parses some malformed dtype strings (e.g. "<08") as
+        # Python and raises SyntaxError.
         raise CodecError("corrupt array payload (%s)" % exc) from exc
 
 
@@ -181,7 +183,7 @@ def decode_frames(value: object, frames: Sequence[bytes]) -> object:
         if _FRAME_TAG in value:
             try:
                 raw = frames[int(value[_FRAME_TAG])]  # type: ignore[arg-type]
-            except (IndexError, ValueError, TypeError) as exc:
+            except (IndexError, ValueError, TypeError, OverflowError) as exc:
                 raise CodecError("corrupt frame reference (%s)" % exc) from exc
             if "dtype" not in value:
                 return raw
@@ -190,7 +192,7 @@ def decode_frames(value: object, frames: Sequence[bytes]) -> object:
                 return array.reshape(
                     [int(n) for n in value["shape"]]  # type: ignore[union-attr]
                 ).copy()
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, SyntaxError) as exc:
                 raise CodecError("corrupt array frame (%s)" % exc) from exc
         return {key: decode_frames(item, frames) for key, item in value.items()}
     if isinstance(value, list):
@@ -230,9 +232,12 @@ def pack_message(value: object, compress: bool = True) -> bytes:
 def framed_length(header: Dict[str, object]) -> int:
     """Total frame bytes that follow a parsed header line."""
     try:
-        return sum(int(frame["zn"]) for frame in header["frames"])  # type: ignore[index,union-attr]
-    except (KeyError, TypeError, ValueError) as exc:
+        lengths = [int(frame["zn"]) for frame in header["frames"]]  # type: ignore[index,union-attr]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CodecError("corrupt frame header (%s)" % exc) from exc
+    if any(length < 0 for length in lengths):
+        raise CodecError("corrupt frame header (negative frame length)")
+    return sum(lengths)
 
 
 def unpack_message(header: Dict[str, object], blob: bytes) -> object:
@@ -252,7 +257,7 @@ def unpack_message(header: Dict[str, object], blob: bytes) -> object:
             stored_len = int(meta["zn"])
             raw_len = int(meta["n"])
             flag = int(meta["z"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CodecError("corrupt frame header (%s)" % exc) from exc
         stored = blob[offset : offset + stored_len]
         if len(stored) != stored_len:
@@ -298,7 +303,7 @@ async def read_message(reader) -> Optional[object]:
         return None
     try:
         header = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise CodecError("corrupt frame header line (%s)" % exc) from exc
     if not isinstance(header, dict):
         raise CodecError("frame header must be a JSON object")

@@ -44,7 +44,7 @@ import json
 import os
 import time
 import warnings
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.util.errors import ReproError
 from repro.util.fileio import atomic_write

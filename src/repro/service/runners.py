@@ -7,7 +7,7 @@ the scheduler's thread workers (:mod:`repro.service.scheduler`) both
 execute through the runners here, which in turn route through the
 fault-tolerant sharded drivers (:func:`sharded_attack` /
 :func:`sharded_full_key` / :func:`run_all_figures`) — so service jobs
-inherit retries, pool degradation, and checkpoint/resume for free.
+inherit retries, task deadlines, and checkpoint/resume for free.
 
 Fleet execution is the same computation split differently.  One
 resolver (:class:`_Job`) turns an ``attack`` or ``fullkey`` job's
@@ -128,14 +128,12 @@ def cached_setup(config: ExperimentConfig) -> ExperimentSetup:
 
 
 def retry_policy(
-    retries: Optional[int],
-    task_timeout: Optional[float],
-    seed: int,
+    retries: Optional[int], task_timeout: Optional[float]
 ) -> Optional[RetryPolicy]:
     """A RetryPolicy when either resilience knob is set, else None."""
     if retries is None and task_timeout is None:
         return None
-    kwargs: Dict[str, object] = {"seed": seed}
+    kwargs: Dict[str, object] = {}
     if retries is not None:
         kwargs["max_attempts"] = retries
     if task_timeout is not None:
@@ -298,7 +296,6 @@ class _Job:
             policy=retry_policy(
                 self.params.get("retries"),  # type: ignore[arg-type]
                 self.params.get("task_timeout"),  # type: ignore[arg-type]
-                self.config.seed,
             ),
             **runtime,
         )

@@ -21,9 +21,9 @@ The heart of the campaign service.  A :class:`CampaignScheduler` owns
 * a :class:`~repro.service.metrics.MetricsRegistry` tracking queue
   depth, latencies, cache traffic, and batching efficiency.
 
-Attack/full-key/report jobs execute through the PR 3 resilient
+Attack/full-key/report jobs execute through the resilient
 runtime: every campaign gets a :class:`CampaignHealth` (switching
-:func:`map_ordered` into its retry/degrade mode), and when a
+:func:`map_ordered` into its retry/deadline mode), and when a
 ``spool_dir`` is configured each campaign checkpoints under its cache
 key and resumes automatically if an identical job previously died
 mid-run.

@@ -391,8 +391,8 @@ class FleetWorker:
             # fire on specific (site, attempt) pairs, so a lease that
             # dies on attempt 0 deterministically succeeds when the
             # coordinator reassigns it at attempt 1.
-            self.fault_plan.fire(site, attempt, "fleet")
-        with fault_scope(self.fault_plan, site, attempt, "fleet"):
+            self.fault_plan.fire(site, attempt)
+        with fault_scope(self.fault_plan, site, attempt):
             if kind == "attack":
                 partials = run_attack_shard(
                     params,
@@ -417,9 +417,7 @@ class FleetWorker:
             # A "truncate" fault loses the payload's last element on
             # the way back, as on the single-host runtime; the
             # coordinator's result validation must catch it.
-            result = self.fault_plan.corrupt_payload(
-                site, attempt, "fleet", result
-            )
+            result = self.fault_plan.corrupt_payload(site, attempt, result)
         return result
 
     # ------------------------------------------------------------------

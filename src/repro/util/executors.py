@@ -9,14 +9,15 @@ serializing anything: every task reads the driver's arrays in place.
 
 On top of the pool, :func:`map_ordered` optionally runs each task under
 a :class:`RetryPolicy`: per-task deadlines counted from the moment the
-task starts on a pool thread, bounded retries with exponential backoff
-and deterministic jitter, and graceful degradation ``thread -> serial``
-when the pool stays unhealthy.  Failures that survive the whole ladder
-surface as a structured :class:`ShardError`; everything the runtime did
-to keep the campaign alive is recorded in a :class:`CampaignHealth`
-report.  Because campaign task functions are pure functions of their
-payloads (all randomness is keyed on global trace indices), a retried
-task reproduces its result bit for bit, so none of this machinery can
+task starts on a pool thread, and bounded retry rounds with exponential
+backoff, each round on a fresh pool.  The resilient map always runs on
+the pool (one thread when there is one worker), so a deadline holds at
+every worker count.  A task that exhausts its attempts surfaces as a
+structured :class:`ShardError`; everything the runtime did to keep the
+campaign alive is recorded in a :class:`CampaignHealth` report.
+Because campaign task functions are pure functions of their payloads
+(all randomness is keyed on global trace indices), a retried task
+reproduces its result bit for bit, so none of this machinery can
 change a campaign's output — only whether it survives.
 
 It lives in :mod:`repro.util` because the consumers import each other
@@ -45,12 +46,14 @@ from typing import (
 
 from repro.util.errors import ReproError
 from repro.util.faults import FaultPlan, fault_scope
-from repro.util.rng import derive_seed
 
 #: The thread-pool backend.
 EXECUTOR_THREAD = "thread"
-#: In-process execution — the last rung of the degradation ladder.
-BACKEND_SERIAL = "serial"
+
+#: Exponential backoff before retry round ``k``:
+#: ``min(BACKOFF_MAX, backoff_base * BACKOFF_FACTOR**(k-1))`` seconds.
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 2.0
 
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
@@ -91,82 +94,55 @@ class RetryPolicy:
     """How :func:`map_ordered` treats task failures.
 
     Attributes:
-        max_attempts: attempts per task *per backend* before the task
-            is declared stuck on that backend (>= 1; 1 disables
-            retries).
+        max_attempts: attempts per task before the map raises
+            :class:`ShardError` (>= 1; 1 disables retries).
         timeout: per-task deadline in seconds, measured from the moment
             the task starts on a pool thread (None: no deadline); time
             spent queued behind other tasks does not count.  A task past
-            its deadline is abandoned and retried; serial execution
-            cannot enforce deadlines (there is no second thread to
-            abandon from).
-        backoff_base / backoff_factor / backoff_max: exponential
-            backoff between retry rounds, in seconds:
-            ``min(backoff_max, backoff_base * backoff_factor**(k-1))``
-            before round ``k``.
-        jitter: relative jitter on the backoff delay, drawn
-            deterministically from ``seed`` and the round identity so
-            reruns sleep identically.
-        degrade: when the pool stays unhealthy after the per-backend
-            retry budget, fall back to serial execution instead of
-            failing.
-        seed: seed for the deterministic jitter draws.
+            its deadline is abandoned and retried.
+        backoff_base: sleep before the first retry round, in seconds;
+            later rounds grow by :data:`BACKOFF_FACTOR` up to
+            :data:`BACKOFF_MAX`.
     """
 
     max_attempts: int = 3
     timeout: Optional[float] = None
     backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    jitter: float = 0.25
-    degrade: bool = True
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive")
-        if self.backoff_base < 0 or self.backoff_max < 0:
+        if self.backoff_base < 0:
             raise ValueError("backoff delays must be non-negative")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
 
-    def backoff_delay(self, backend: str, round_number: int) -> float:
-        """Deterministic backoff before retry round ``round_number``."""
+    def backoff_delay(self, round_number: int) -> float:
+        """Backoff before retry round ``round_number``."""
         if round_number < 1:
             return 0.0
-        delay = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (round_number - 1),
+        return min(
+            BACKOFF_MAX,
+            self.backoff_base * BACKOFF_FACTOR ** (round_number - 1),
         )
-        unit = (
-            derive_seed(self.seed, "backoff", backend, round_number)
-            % 2**32
-        ) / 2.0**32
-        return delay * (1.0 + self.jitter * unit)
 
 
 class ShardError(ReproError):
-    """A task exhausted its retry budget on the last available backend.
+    """A task exhausted its retry budget.
 
     Attributes:
         site: stable task identity (e.g. ``"shard[0:4000]"``).
-        attempts: total submissions of the task across all backends.
-        backend: the backend the final attempt ran on.
+        attempts: total submissions of the task.
         cause: the exception that ended the final attempt.
     """
 
-    def __init__(
-        self, site: str, attempts: int, backend: str, cause: BaseException
-    ):
+    def __init__(self, site: str, attempts: int, cause: BaseException):
         super().__init__(
-            "task %s failed after %d attempt(s), last on the %s "
-            "backend: %s" % (site, attempts, backend, cause)
+            "task %s failed after %d attempt(s): %s"
+            % (site, attempts, cause)
         )
         self.site = site
         self.attempts = attempts
-        self.backend = backend
         self.cause = cause
         self.__cause__ = cause
 
@@ -187,7 +163,6 @@ class AttemptRecord:
     """One task attempt as seen by the driver."""
 
     site: str
-    backend: str
     attempt: int
     status: str  # "ok" | "error" | "timeout"
     seconds: float
@@ -203,25 +178,23 @@ class CampaignHealth:
     """
 
     attempts: List[AttemptRecord] = field(default_factory=list)
-    degradations: List[Tuple[str, str]] = field(default_factory=list)
     wall_time: float = 0.0
 
     def record(
         self,
         site: str,
-        backend: str,
         attempt: int,
         status: str,
         seconds: float,
         error: Optional[str] = None,
     ) -> None:
         self.attempts.append(
-            AttemptRecord(site, backend, attempt, status, seconds, error)
+            AttemptRecord(site, attempt, status, seconds, error)
         )
 
     @property
     def retries(self) -> int:
-        """Failed attempts (every one triggered a retry or rung)."""
+        """Failed attempts (every one triggered a retry)."""
         return sum(1 for a in self.attempts if a.status != "ok")
 
     @property
@@ -230,15 +203,8 @@ class CampaignHealth:
 
     @property
     def healthy(self) -> bool:
-        """True when no attempt failed and nothing degraded."""
-        return not self.retries and not self.degradations
-
-    def shard_wall_times(self) -> Dict[str, float]:
-        """Total seconds spent per site, failed attempts included."""
-        times: Dict[str, float] = {}
-        for a in self.attempts:
-            times[a.site] = times.get(a.site, 0.0) + a.seconds
-        return times
+        """True when no attempt failed."""
+        return not self.retries
 
     def summary(self) -> str:
         parts = [
@@ -252,8 +218,6 @@ class CampaignHealth:
         ]
         if self.timeouts:
             parts.append("%d timeout(s)" % self.timeouts)
-        for source, target in self.degradations:
-            parts.append("degraded %s->%s" % (source, target))
         parts.append("%.2fs wall" % self.wall_time)
         return "; ".join(parts)
 
@@ -263,7 +227,6 @@ class CampaignHealth:
             "attempts": [
                 {
                     "site": a.site,
-                    "backend": a.backend,
                     "attempt": a.attempt,
                     "status": a.status,
                     "seconds": a.seconds,
@@ -273,7 +236,6 @@ class CampaignHealth:
             ],
             "retries": self.retries,
             "timeouts": self.timeouts,
-            "degradations": [list(d) for d in self.degradations],
             "wall_time": self.wall_time,
         }
 
@@ -289,15 +251,14 @@ def _execute_task(
     site: str,
     attempt: int,
     plan: Optional[FaultPlan],
-    backend: str,
 ) -> _Result:
     """One task invocation, with the fault plan threaded through."""
     if plan is None:
         return fn(task)
-    with fault_scope(plan, site, attempt, backend):
-        plan.fire(site, attempt, backend)
+    with fault_scope(plan, site, attempt):
+        plan.fire(site, attempt)
         result = fn(task)
-        return plan.corrupt_payload(site, attempt, backend, result)
+        return plan.corrupt_payload(site, attempt, result)
 
 
 def map_ordered(
@@ -316,21 +277,20 @@ def map_ordered(
     Results come back in task order regardless of completion order, so
     any reduction that folds them sequentially (e.g. merging
     per-segment CPA accumulators) is independent of the worker count.
-    With one worker (or one task) the map runs in-process — the serial
-    path stays a plain loop with no pool overhead.
+    With one worker (or one task) the plain map runs in-process — a
+    list comprehension with no pool overhead.
 
     Passing any of the keyword-only arguments switches the map into
-    its fault-tolerant mode (see the module docstring); without them
-    the zero-overhead path runs unchanged.
+    its fault-tolerant mode (see the module docstring), which always
+    runs on the pool — one thread for one worker — so deadlines hold;
+    without them the zero-overhead path runs unchanged.
 
     Args:
         fn: task function.
         tasks: task payloads.
-        max_workers: pool size (default :func:`default_workers`;
-            1 forces serial).
-        policy: retry/timeout/degradation policy
-            (default :class:`RetryPolicy` when any fault-tolerant
-            argument is supplied).
+        max_workers: pool size (default :func:`default_workers`).
+        policy: retry/timeout policy (default :class:`RetryPolicy`
+            when any fault-tolerant argument is supplied).
         fault_plan: deterministic fault-injection schedule
             (:class:`repro.util.faults.FaultPlan`), threaded into every
             task invocation.
@@ -345,8 +305,7 @@ def map_ordered(
             and triggers the retry path.
 
     Raises:
-        ShardError: a task kept failing through the whole retry budget
-            and degradation ladder.
+        ShardError: a task failed on every one of its attempts.
     """
     workers = max_workers if max_workers is not None else default_workers()
     resilient = not (
@@ -363,7 +322,7 @@ def map_ordered(
     return _resilient_map(
         fn,
         tasks,
-        workers,
+        max(1, workers),
         policy or RetryPolicy(),
         fault_plan,
         sites,
@@ -382,6 +341,11 @@ def _resilient_map(
     health: CampaignHealth,
     validate: Optional[Callable[[_Task, _Result], None]],
 ) -> List[_Result]:
+    """Retry rounds on the pool until every task succeeds.
+
+    Raises :class:`ShardError` after the round in which a task fails
+    for the ``policy.max_attempts``-th time.
+    """
     names = (
         list(sites)
         if sites is not None
@@ -393,38 +357,54 @@ def _resilient_map(
         )
     results: List[object] = [_UNSET] * len(tasks)
     submissions = [0] * len(tasks)
+    failures = [0] * len(tasks)
     last_error: List[Optional[BaseException]] = [None] * len(tasks)
-    if workers <= 1 or len(tasks) <= 1:
-        ladder = [BACKEND_SERIAL]
-    elif policy.degrade:
-        ladder = [EXECUTOR_THREAD, BACKEND_SERIAL]
-    else:
-        ladder = [EXECUTOR_THREAD]
+    pending = list(range(len(tasks)))
+    round_number = 0
     started = time.monotonic()
     try:
-        for rung, backend in enumerate(ladder):
-            pending = [
-                i for i in range(len(tasks)) if results[i] is _UNSET
-            ]
-            if not pending:
-                break
-            final = rung == len(ladder) - 1
-            if backend == BACKEND_SERIAL:
-                _serial_rung(
-                    fn, tasks, pending, names, policy, plan,
-                    results, submissions, last_error, health,
-                    validate,
-                )
-            else:
-                leftover = _pool_rung(
-                    fn, tasks, pending, names, workers, policy, plan,
-                    results, submissions, last_error, health, validate,
-                    final,
-                )
-                if leftover and not final:
-                    health.degradations.append(
-                        (backend, ladder[rung + 1])
+        while pending:
+            time.sleep(policy.backoff_delay(round_number))
+            retry: List[int] = []
+            for index, status, value, seconds in _pool_round(
+                fn, tasks, pending, names, workers, policy, plan,
+                submissions,
+            ):
+                if status == "requeued":
+                    retry.append(index)
+                    continue
+                attempt = submissions[index] - 1
+                if status == "ok":
+                    try:
+                        if validate is not None:
+                            validate(tasks[index], value)
+                    except Exception as exc:
+                        status, value = "error", exc
+                    else:
+                        results[index] = value
+                        health.record(names[index], attempt, "ok", seconds)
+                        continue
+                if status == "timeout":
+                    value = TimeoutError(
+                        "task %s exceeded its %.3fs deadline"
+                        % (names[index], policy.timeout)
                     )
+                    error = str(value)
+                else:
+                    error = repr(value)
+                failures[index] += 1
+                retry.append(index)
+                last_error[index] = value
+                health.record(
+                    names[index], attempt, status, seconds, error=error,
+                )
+            for index in retry:
+                if failures[index] >= policy.max_attempts:
+                    raise ShardError(
+                        names[index], submissions[index], last_error[index],
+                    )
+            pending = retry
+            round_number += 1
     finally:
         health.wall_time += time.monotonic() - started
     return results  # type: ignore[return-value]
@@ -458,7 +438,6 @@ def _pool_round(
         try:
             return _execute_task(
                 fn, tasks[index], names[index], attempts[index], plan,
-                EXECUTOR_THREAD,
             )
         finally:
             with changed:
@@ -502,120 +481,3 @@ def _pool_round(
         # wait=False: a hung task must not block the driver; its thread
         # finishes in the background.
         pool.shutdown(wait=False)
-
-
-def _pool_rung(
-    fn, tasks, pending, names, workers, policy, plan,
-    results, submissions, last_error, health, validate, final,
-) -> List[int]:
-    """Run ``pending`` tasks on the thread pool.
-
-    Returns the indices still unfinished after the per-backend retry
-    budget (empty on success); raises :class:`ShardError` instead when
-    this is the final rung.
-    """
-    failures = {index: 0 for index in pending}
-    round_number = 0
-    while pending:
-        if round_number > 0:
-            time.sleep(policy.backoff_delay(EXECUTOR_THREAD, round_number))
-        retry: List[int] = []
-        for index, status, value, seconds in _pool_round(
-            fn, tasks, pending, names, workers, policy, plan, submissions,
-        ):
-            if status == "requeued":
-                retry.append(index)
-                continue
-            attempt = submissions[index] - 1
-            if status == "ok":
-                try:
-                    if validate is not None:
-                        validate(tasks[index], value)
-                except Exception as exc:
-                    status, value = "error", exc
-                else:
-                    results[index] = value
-                    health.record(
-                        names[index], EXECUTOR_THREAD, attempt, "ok",
-                        seconds,
-                    )
-                    continue
-            if status == "timeout":
-                value = TimeoutError(
-                    "task %s exceeded its %.3fs deadline"
-                    % (names[index], policy.timeout)
-                )
-                error = str(value)
-            else:
-                error = repr(value)
-            failures[index] += 1
-            retry.append(index)
-            last_error[index] = value
-            health.record(
-                names[index], EXECUTOR_THREAD, attempt, status, seconds,
-                error=error,
-            )
-        exhausted = [
-            index
-            for index in retry
-            if failures[index] >= policy.max_attempts
-        ]
-        if exhausted:
-            if final:
-                index = exhausted[0]
-                raise ShardError(
-                    names[index], submissions[index], EXECUTOR_THREAD,
-                    last_error[index],
-                )
-            # Pool persistently unhealthy: hand everything still
-            # unfinished to the next rung of the ladder.
-            return retry
-        pending = retry
-        round_number += 1
-    return []
-
-
-def _serial_rung(
-    fn, tasks, pending, names, policy, plan,
-    results, submissions, last_error, health, validate,
-) -> None:
-    """In-process execution — the ladder's last resort.
-
-    No deadline enforcement is possible here; hangs run to completion.
-    Raises :class:`ShardError` when a task exhausts the retry budget
-    (serial is always the final rung).
-    """
-    for index in pending:
-        failures = 0
-        while True:
-            attempt = submissions[index]
-            submissions[index] += 1
-            begun = time.monotonic()
-            try:
-                result = _execute_task(
-                    fn, tasks[index], names[index], attempt, plan,
-                    BACKEND_SERIAL,
-                )
-                if validate is not None:
-                    validate(tasks[index], result)
-                results[index] = result
-                health.record(
-                    names[index], BACKEND_SERIAL, attempt, "ok",
-                    time.monotonic() - begun,
-                )
-                break
-            except Exception as exc:
-                failures += 1
-                last_error[index] = exc
-                health.record(
-                    names[index], BACKEND_SERIAL, attempt, "error",
-                    time.monotonic() - begun, error=repr(exc),
-                )
-                if failures >= policy.max_attempts:
-                    raise ShardError(
-                        names[index], submissions[index],
-                        BACKEND_SERIAL, exc,
-                    )
-                time.sleep(
-                    policy.backoff_delay(BACKEND_SERIAL, failures)
-                )

@@ -13,8 +13,8 @@ A :class:`FaultPlan` is a seeded schedule of
 :class:`FaultSpec` entries keyed on *site identity* (a stable string
 such as ``"shard[0:4000]"``) and *attempt number* (how many times that
 site has been submitted).  The same plan therefore fires the same
-faults wherever the task runs — serially, on a pool thread, or on a
-fleet worker — which is what makes recovery tests deterministic.
+faults wherever the task runs — on a pool thread or on a fleet
+worker — which is what makes recovery tests deterministic.
 
 Failure modes (:data:`FAULT_KINDS`):
 
@@ -71,8 +71,6 @@ __all__ = [
     "FAULT_SERVER_KILL",
     "FAULT_TRUNCATE",
     "FAULT_WORKER_KILL",
-    "SCOPE_ANY",
-    "SCOPE_POOL",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
@@ -109,13 +107,6 @@ FAULT_KINDS = (
     FAULT_TRUNCATE,
 ) + CHAOS_KINDS
 
-#: Fire on every backend, including serial in-process execution.
-SCOPE_ANY = "any"
-#: Fire only when the task runs on a worker pool, not serially.
-SCOPE_POOL = "pool"
-#: Accepted ``FaultSpec.scope`` values.
-FAULT_SCOPES = (SCOPE_ANY, SCOPE_POOL)
-
 
 class InjectedFault(RuntimeError):
     """The synthetic exception raised by ``"exception"`` faults.
@@ -143,8 +134,7 @@ class FaultSpec:
         site: site key the fault targets, or ``"*"`` for every site.
         attempts: fire while ``attempt < attempts`` (attempts count
             task *submissions*, starting at 0); pass a large value for
-            a persistent fault that only degradation can clear.
-        scope: where the fault may fire (:data:`FAULT_SCOPES`).
+            a persistent fault that exhausts the retry budget.
         rate: probability the fault fires at an eligible
             ``(site, attempt)``; the coin is seeded from the plan seed
             and the key, so it is deterministic per identity.  1.0
@@ -156,7 +146,6 @@ class FaultSpec:
     kind: str
     site: str = "*"
     attempts: int = 1
-    scope: str = SCOPE_ANY
     rate: float = 1.0
     hang_seconds: float = 0.25
     fraction: float = 0.1
@@ -166,11 +155,6 @@ class FaultSpec:
             raise ValueError(
                 "unknown fault kind %r (expected one of %s)"
                 % (self.kind, ", ".join(FAULT_KINDS))
-            )
-        if self.scope not in FAULT_SCOPES:
-            raise ValueError(
-                "unknown fault scope %r (expected one of %s)"
-                % (self.scope, ", ".join(FAULT_SCOPES))
             )
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
@@ -193,9 +177,6 @@ class FaultPlan:
 
     # -- matching ------------------------------------------------------
 
-    def _scope_allows(self, spec: FaultSpec, backend: str) -> bool:
-        return spec.scope == SCOPE_ANY or backend != "serial"
-
     def _coin(self, spec: FaultSpec, site: str, attempt: int) -> bool:
         if spec.rate >= 1.0:
             return True
@@ -203,7 +184,7 @@ class FaultPlan:
         return (draw % (2**32)) / 2.0**32 < spec.rate
 
     def match(
-        self, kind: str, site: str, attempt: int, backend: str
+        self, kind: str, site: str, attempt: int
     ) -> Optional[FaultSpec]:
         """First spec of ``kind`` scheduled for ``(site, attempt)``."""
         for spec in self.specs:
@@ -211,7 +192,6 @@ class FaultPlan:
                 spec.kind == kind
                 and spec.matches_site(site)
                 and attempt < spec.attempts
-                and self._scope_allows(spec, backend)
                 and self._coin(spec, site, attempt)
             ):
                 return spec
@@ -221,28 +201,26 @@ class FaultPlan:
         """Does the plan schedule a chaos fault at this barrier?
 
         The chaos harness asks this at named barriers (sites like
-        ``"barrier:lease_granted"``) and delivers the kill/cut itself;
-        backend scoping is meaningless for process-level faults, so
-        the query runs under the permissive ``"chaos"`` backend.
+        ``"barrier:lease_granted"``) and delivers the kill/cut itself.
         """
-        return self.match(kind, site, attempt, "chaos") is not None
+        return self.match(kind, site, attempt) is not None
 
     # -- delivery ------------------------------------------------------
 
-    def fire(self, site: str, attempt: int, backend: str) -> None:
+    def fire(self, site: str, attempt: int) -> None:
         """Deliver pre-task faults (hang, then exception) for one task
         invocation."""
-        hang = self.match(FAULT_HANG, site, attempt, backend)
+        hang = self.match(FAULT_HANG, site, attempt)
         if hang is not None:
             time.sleep(hang.hang_seconds)
-        if self.match(FAULT_EXCEPTION, site, attempt, backend) is not None:
+        if self.match(FAULT_EXCEPTION, site, attempt) is not None:
             raise InjectedFault(site, attempt)
 
     def corrupt_payload(
-        self, site: str, attempt: int, backend: str, result: object
+        self, site: str, attempt: int, result: object
     ) -> object:
         """Apply ``"truncate"`` faults to a task's result payload."""
-        spec = self.match(FAULT_TRUNCATE, site, attempt, backend)
+        spec = self.match(FAULT_TRUNCATE, site, attempt)
         if spec is None:
             return result
         if isinstance(result, (list, tuple, np.ndarray)) and len(result):
@@ -250,10 +228,10 @@ class FaultPlan:
         return result
 
     def poison(
-        self, site: str, attempt: int, backend: str, values: np.ndarray
+        self, site: str, attempt: int, values: np.ndarray
     ) -> np.ndarray:
         """Apply ``"nan"`` faults to a block of leakage values."""
-        spec = self.match(FAULT_NAN, site, attempt, backend)
+        spec = self.match(FAULT_NAN, site, attempt)
         if spec is None:
             return values
         poisoned = np.array(values, dtype=np.float64, copy=True)
@@ -280,13 +258,11 @@ _ACTIVE = threading.local()
 
 @contextmanager
 def fault_scope(
-    plan: Optional["FaultPlan"], site: str, attempt: int, backend: str
+    plan: Optional["FaultPlan"], site: str, attempt: int
 ) -> Iterator[None]:
     """Install the fault context for one task invocation."""
     previous = getattr(_ACTIVE, "context", None)
-    _ACTIVE.context = (
-        None if plan is None else (plan, site, attempt, backend)
-    )
+    _ACTIVE.context = None if plan is None else (plan, site, attempt)
     try:
         yield
     finally:
@@ -302,5 +278,5 @@ def poison_leakage(values: np.ndarray) -> np.ndarray:
     context = getattr(_ACTIVE, "context", None)
     if context is None:
         return values
-    plan, site, attempt, backend = context
-    return plan.poison(site, attempt, backend, values)
+    plan, site, attempt = context
+    return plan.poison(site, attempt, values)

@@ -28,8 +28,14 @@ def adder_case():
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache():
-    """Isolate every test from the process-wide cache state."""
+def fresh_cache(monkeypatch):
+    """Isolate every test from the process-wide cache state.
+
+    The disk layer is off unless a test opts in: an exported
+    ``REPRO_CACHE_DIR`` would otherwise serve entries the in-process
+    layer's assertions expect to be recomputed.
+    """
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     clear_calibration_cache()
     yield
     clear_calibration_cache()

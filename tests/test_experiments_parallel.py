@@ -341,6 +341,40 @@ class TestFaultTolerantCampaign:
         failed = [a for a in health.attempts if a.status == "error"]
         assert any("Truncated" in (a.error or "") for a in failed)
 
+    def test_hung_shard_abandoned_at_deadline_on_one_worker(
+        self, alu_campaign
+    ):
+        # One worker still runs the resilient map on a (one-thread)
+        # pool, so the deadline abandons the hang and the retry lands
+        # bit-identically.
+        import time
+
+        from repro.util.executors import CampaignHealth, RetryPolicy
+        from repro.util.faults import FAULT_HANG, FaultPlan, FaultSpec
+
+        baseline = sharded_attack(
+            alu_campaign, 4000, checkpoints=[2000, 4000],
+            max_workers=1, chunk_size=self.CS,
+        )
+        shards = plan_shards(4000, 1, self.CS)
+        plan = FaultPlan(
+            [FaultSpec(FAULT_HANG, site=shards[0].site, hang_seconds=5.0)]
+        )
+        health = CampaignHealth()
+        started = time.monotonic()
+        result = sharded_attack(
+            alu_campaign, 4000, checkpoints=[2000, 4000],
+            max_workers=1, chunk_size=self.CS,
+            policy=RetryPolicy(timeout=1.0, backoff_base=0.0),
+            fault_plan=plan, health=health,
+        )
+        assert time.monotonic() - started < 5.0
+        assert health.timeouts == 1
+        assert result.correlations.tobytes() == (
+            baseline.correlations.tobytes()
+        )
+        assert np.array_equal(result.checkpoints, baseline.checkpoints)
+
     def test_exhaustion_surfaces_shard_error(self, alu_campaign):
         from repro.util.executors import RetryPolicy, ShardError
         from repro.util.faults import FAULT_EXCEPTION, FaultPlan, FaultSpec
@@ -353,9 +387,7 @@ class TestFaultTolerantCampaign:
         with pytest.raises(ShardError) as excinfo:
             sharded_attack(
                 alu_campaign, 4000, max_workers=4, chunk_size=self.CS,
-                policy=RetryPolicy(
-                    max_attempts=2, backoff_base=0.0, degrade=False,
-                ),
+                policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan,
             )
         assert excinfo.value.site == shards[0].site
@@ -389,9 +421,7 @@ class TestCheckpointResume:
                 alu_campaign, 4000, checkpoints=[1500, 2500, 4000],
                 max_workers=4, chunk_size=self.CS,
                 checkpoint_path=path, checkpoint_every=1,
-                policy=RetryPolicy(
-                    max_attempts=2, backoff_base=0.0, degrade=False,
-                ),
+                policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan,
             )
         stored = load_checkpoint(path)
@@ -477,9 +507,7 @@ class TestCheckpointResume:
             sharded_full_key(
                 alu_campaign, 3000, max_workers=3, chunk_size=self.CS,
                 checkpoint_path=path, checkpoint_every=1,
-                policy=RetryPolicy(
-                    max_attempts=2, backoff_base=0.0, degrade=False,
-                ),
+                policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan,
             )
         assert 0 < load_checkpoint(path).completed_shards < len(shards)

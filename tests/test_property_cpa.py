@@ -178,9 +178,7 @@ class TestShardedFullKeyProperty:
                 alu_campaign, num_traces, max_workers=workers,
                 chunk_size=self.CS, checkpoint_path=path,
                 checkpoint_every=1,
-                policy=RetryPolicy(
-                    max_attempts=2, backoff_base=0.0, degrade=False,
-                ),
+                policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan,
             )
         assert 0 < load_checkpoint(path).completed_shards < len(shards)

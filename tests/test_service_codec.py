@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.cpa import CPAResult
 from repro.attacks.full_key import FullKeyResult
@@ -258,3 +260,82 @@ class TestBinaryFrames:
 
         with pytest.raises(CodecError):
             asyncio.run(run())
+
+
+@st.composite
+def _wire_messages(draw):
+    """A fleet-style message: arrays of several dtypes plus raw bytes."""
+    dtype = draw(st.sampled_from(["<i8", "<f8", "<i4", "|u1", "|b1"]))
+    shape = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    count = int(np.prod(shape))
+    message = {
+        "type": "result",
+        "lease_id": draw(st.integers(0, 10**6)),
+        "result": [
+            [draw(st.integers(0, 10**5)),
+             {"sum_x": np.arange(count).astype(dtype).reshape(shape)}],
+        ],
+        "blob": draw(st.binary(max_size=16)),
+    }
+    if draw(st.booleans()):
+        # A frame large and regular enough to be stored compressed.
+        message["zeros"] = np.zeros(600, dtype=np.uint8)
+    return message
+
+
+class TestWireFuzz:
+    """A corrupted or torn frame is a CodecError, never anything else:
+    the coordinator and a reconnecting worker catch only CodecError."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"body":null,"frames":[{"n":0,"z":0,"zn":-5}]}',
+            b'{"body":null,"frames":[{"n":0,"z":0,"zn":1e999}]}',
+            b'{"body":{"__frame__":1e999},"frames":[]}',
+        ],
+        ids=["negative-length", "infinite-length", "infinite-reference"],
+    )
+    def test_out_of_range_numbers_are_codec_errors(self, line):
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(line + b"\n")
+            reader.feed_eof()
+            await read_message(reader)
+
+        with pytest.raises(CodecError):
+            asyncio.run(run())
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(
+        message=_wire_messages(),
+        values=st.lists(st.integers(0, 255), min_size=1, max_size=3),
+    )
+    def test_every_byte_change_and_truncation(self, message, values):
+        packed = pack_message(message)
+        corrupted = [packed[:end] for end in range(len(packed))]
+        for index, byte in enumerate(packed):
+            replacements = {byte ^ 0x01, byte ^ 0x80, *values} - {byte}
+            corrupted.extend(
+                packed[:index] + bytes([value]) + packed[index + 1:]
+                for value in sorted(replacements)
+            )
+
+        async def run():
+            escaped = []
+            for data in corrupted:
+                reader = asyncio.StreamReader()
+                reader.feed_data(data)
+                reader.feed_eof()
+                try:
+                    await read_message(reader)
+                except CodecError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - the finding
+                    escaped.append((data, exc))
+            return escaped
+
+        escaped = asyncio.run(run())
+        assert not escaped, "%d escaped, first: %r" % (
+            len(escaped), escaped[0],
+        )

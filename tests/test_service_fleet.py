@@ -286,7 +286,7 @@ class TestFleetEndToEnd:
         # attempt; reassignment (attempt 1) deterministically succeeds.
         plans = {
             0: FaultPlan(
-                [FaultSpec("exception", attempts=1, scope="any")], seed=3
+                [FaultSpec("exception", attempts=1)], seed=3
             )
         }
 
@@ -319,7 +319,7 @@ class TestFleetEndToEnd:
         # reassigned lease (attempt 1) delivers the whole payload.
         plans = {
             0: FaultPlan(
-                [FaultSpec("truncate", attempts=1, scope="any")], seed=3
+                [FaultSpec("truncate", attempts=1)], seed=3
             )
         }
 
@@ -361,7 +361,6 @@ class TestFleetEndToEnd:
                     FaultSpec(
                         "hang",
                         attempts=1,
-                        scope="any",
                         hang_seconds=3.0,
                     )
                 ],
@@ -417,7 +416,7 @@ class TestFleetEndToEnd:
             0: FaultPlan(
                 [
                     FaultSpec(
-                        "hang", attempts=1, scope="any", hang_seconds=2.5
+                        "hang", attempts=1, hang_seconds=2.5
                     )
                 ],
                 seed=7,

@@ -352,7 +352,7 @@ class TestQuarantine:
         fault; the job fails immediately with a quarantine report
         instead of burning the whole attempt budget."""
         state, quarantined = _run_poisoned_fleet(
-            FaultSpec("exception", attempts=99, scope="any")
+            FaultSpec("exception", attempts=99)
         )
         assert state.status == "failed"
         assert "quarantined" in state.error
@@ -366,7 +366,7 @@ class TestQuarantine:
         """Results that fail validation on two distinct workers count
         exactly like raised errors."""
         state, quarantined = _run_poisoned_fleet(
-            FaultSpec("truncate", attempts=99, scope="any")
+            FaultSpec("truncate", attempts=99)
         )
         assert state.status == "failed"
         assert "quarantined" in state.error

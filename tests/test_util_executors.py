@@ -22,14 +22,13 @@ from repro.util.faults import (
     FAULT_EXCEPTION,
     FAULT_HANG,
     FAULT_TRUNCATE,
-    SCOPE_POOL,
     FaultPlan,
     FaultSpec,
     InjectedFault,
 )
 
 #: A retry policy with no real sleeping, for fast deterministic tests.
-FAST = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
+FAST = RetryPolicy(max_attempts=3, backoff_base=0.0)
 
 
 def _square(x):
@@ -91,38 +90,18 @@ class TestRetryPolicy:
             RetryPolicy(timeout=0.0)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_base=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=-0.1)
 
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(
-            backoff_base=0.1, backoff_factor=2.0, backoff_max=0.3,
-            jitter=0.0,
-        )
-        delays = [
-            policy.backoff_delay("thread", k) for k in range(5)
-        ]
-        assert delays[0] == 0.0
-        assert delays[1] == pytest.approx(0.1)
-        assert delays[2] == pytest.approx(0.2)
-        assert delays[3] == pytest.approx(0.3)
-        assert delays[4] == pytest.approx(0.3)
-
-    def test_jitter_is_deterministic(self):
-        policy = RetryPolicy(jitter=0.5, seed=11)
-        again = RetryPolicy(jitter=0.5, seed=11)
-        assert policy.backoff_delay("thread", 2) == again.backoff_delay(
-            "thread", 2
-        )
-        base = RetryPolicy(jitter=0.0, seed=11).backoff_delay("thread", 2)
-        assert base <= policy.backoff_delay("thread", 2) <= base * 1.5
+        policy = RetryPolicy(backoff_base=0.5)
+        delays = [policy.backoff_delay(k) for k in range(5)]
+        assert delays == [0.0, 0.5, 1.0, 2.0, 2.0]
 
 
 @pytest.mark.timeout(120)
 class TestResilientMap:
     """Each fault mode either recovers or fails structured."""
 
-    def test_transient_exception_recovers_serial(self):
+    def test_transient_exception_recovers_one_worker(self):
         plan = FaultPlan(
             [FaultSpec(FAULT_EXCEPTION, site="task[1]", attempts=1)]
         )
@@ -160,26 +139,11 @@ class TestResilientMap:
         error = excinfo.value
         assert error.site == "task[0]"
         assert error.attempts == 2
-        assert error.backend == "serial"
+        assert str(error).startswith(
+            "task task[0] failed after 2 attempt(s): "
+        )
         assert isinstance(error.cause, InjectedFault)
         assert isinstance(error.__cause__, InjectedFault)
-
-    def test_pool_fault_degrades_thread_to_serial(self):
-        plan = FaultPlan(
-            [
-                FaultSpec(
-                    FAULT_EXCEPTION, site="task[1]",
-                    scope=SCOPE_POOL, attempts=10**6,
-                )
-            ]
-        )
-        health = CampaignHealth()
-        result = map_ordered(
-            _square, [1, 2, 3, 4], max_workers=2,
-            policy=FAST, fault_plan=plan, health=health,
-        )
-        assert result == [1, 4, 9, 16]
-        assert ("thread", "serial") in health.degradations
 
     def test_hang_hits_timeout_path_and_recovers(self):
         plan = FaultPlan(
@@ -313,7 +277,6 @@ class TestDeadlines:
         )
         assert result == [1, 4]
         assert health.timeouts == 2
-        assert not health.degradations
         assert time.monotonic() - started < 2.0
 
     def test_tasks_behind_stuck_threads_are_requeued(self):
@@ -339,6 +302,54 @@ class TestDeadlines:
         assert attempts == {
             "task[0]": 1, "task[1]": 1, "task[2]": 0, "task[3]": 0,
         }
+
+    @pytest.mark.parametrize(
+        "workers, tasks", [(1, [1, 2, 3]), (4, [1])],
+        ids=["one-worker", "one-task"],
+    )
+    def test_deadline_holds_for_one_worker_and_one_task(
+        self, workers, tasks
+    ):
+        # The resilient map runs on the pool even with a single thread
+        # or a single task, so a hang is abandoned at its deadline.
+        plan = FaultPlan(
+            [FaultSpec(FAULT_HANG, site="task[0]", hang_seconds=3.0)]
+        )
+        health = CampaignHealth()
+        started = time.monotonic()
+        result = map_ordered(
+            _square, tasks, max_workers=workers,
+            policy=RetryPolicy(timeout=0.2, backoff_base=0.0),
+            fault_plan=plan, health=health,
+        )
+        assert result == [x * x for x in tasks]
+        assert health.timeouts == 1
+        assert time.monotonic() - started < 1.0
+
+    def test_task_past_every_deadline_raises_shard_error(self):
+        plan = FaultPlan(
+            [
+                FaultSpec(
+                    FAULT_HANG, site="task[0]", attempts=10**6,
+                    hang_seconds=3.0,
+                )
+            ]
+        )
+        health = CampaignHealth()
+        started = time.monotonic()
+        with pytest.raises(ShardError) as excinfo:
+            map_ordered(
+                _square, [1, 2], max_workers=1,
+                policy=RetryPolicy(
+                    max_attempts=3, timeout=0.2, backoff_base=0.0,
+                ),
+                fault_plan=plan, health=health,
+            )
+        assert time.monotonic() - started < 3 * 0.2 + 0.5
+        assert excinfo.value.site == "task[0]"
+        assert excinfo.value.attempts == 3
+        assert isinstance(excinfo.value.cause, TimeoutError)
+        assert health.timeouts == 3
 
 
 @pytest.mark.timeout(300)
