@@ -89,9 +89,8 @@ def _mix_columns_batch(states: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# numpy reference kernels (registered with the dispatch registry; the
-# public API below routes every call through kernels.dispatch, so the
-# same call sites transparently run the native backend when selected)
+# numpy reference kernels (the public API below runs the C op from
+# kernels.native_op when the selected mode provides one, else these)
 # ----------------------------------------------------------------------
 
 
@@ -163,15 +162,6 @@ def _activity_and_ciphertexts_numpy(
     return activity, states[:, 11].copy()
 
 
-kernels.register_backend(
-    "aes",
-    "numpy",
-    round_states=_round_states_numpy,
-    cycle_hd_from_states=_cycle_hd_numpy,
-    cycle_activity_from_states=_cycle_activity_numpy,
-    activity_and_ciphertexts=_activity_and_ciphertexts_numpy,
-)
-
 
 class BatchedAES128:
     """AES-128 over ``(N, 16)`` uint8 plaintext batches.
@@ -212,7 +202,10 @@ class BatchedAES128:
         round ``r``; index 11 is the ciphertext.
         """
         blocks = as_state_array(plaintexts)
-        op = kernels.dispatch("aes", "round_states")
+        op = (
+            kernels.native_op("aes", "round_states")
+            or _round_states_numpy
+        )
         return op(self.round_keys, blocks)
 
     def encrypt(self, plaintexts: Union[np.ndarray, Sequence[bytes]]
@@ -247,7 +240,10 @@ def cycle_hd_from_states(
     encryption pass; :meth:`BatchedAES128.cycle_hd` is this applied to
     a fresh :meth:`BatchedAES128.round_states` call.
     """
-    op = kernels.dispatch("aes", "cycle_hd_from_states")
+    op = (
+        kernels.native_op("aes", "cycle_hd_from_states")
+        or _cycle_hd_numpy
+    )
     return op(states, schedule.cycles_per_round)
 
 
@@ -269,7 +265,10 @@ def cycle_activity_from_states(
     :func:`repro.aes.leakage.last_round_activity` for that column —
     the same leakage composition the analytical campaign model uses.
     """
-    op = kernels.dispatch("aes", "cycle_activity_from_states")
+    op = (
+        kernels.native_op("aes", "cycle_activity_from_states")
+        or _cycle_activity_numpy
+    )
     return op(
         states, schedule.cycles_per_round, value_weight, transition_weight
     )
@@ -297,7 +296,10 @@ def cycle_activity_and_ciphertexts(
     still materializes the tensor, so dispatch stays bit-identical.
     """
     blocks = as_state_array(plaintexts)
-    op = kernels.dispatch("aes", "activity_and_ciphertexts")
+    op = (
+        kernels.native_op("aes", "activity_and_ciphertexts")
+        or _activity_and_ciphertexts_numpy
+    )
     return op(
         batched.round_keys,
         blocks,

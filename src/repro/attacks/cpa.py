@@ -45,8 +45,6 @@ def _accumulate_numpy(x: np.ndarray, h: np.ndarray):
     )
 
 
-kernels.register_backend("cpa", "numpy", accumulate=_accumulate_numpy)
-
 
 class _TraceValuesError(ReproError):
     """Values the accumulator rejects, named by trace index.
@@ -248,7 +246,8 @@ class StreamingCPA:
         # integer-valued, so the float64 sums are exact and therefore
         # identical across backends and accumulation orders — the same
         # property merge() relies on.
-        sums = kernels.dispatch("cpa", "accumulate")(x, h)
+        op = kernels.native_op("cpa", "accumulate") or _accumulate_numpy
+        sums = op(x, h)
         if sums is None:
             # Re-run the finite checks in numpy to name the offending
             # traces; the accumulator state was never touched.

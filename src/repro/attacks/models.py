@@ -80,14 +80,8 @@ def _hamming_weight_numpy(ct_bytes: np.ndarray) -> np.ndarray:
 
 
 # The hypothesis blocks ride on the AES kernel (same tables, same
-# uint8 arithmetic); native backends fuse the InvSBox lookup with the
+# uint8 arithmetic); the native ops fuse the InvSBox lookup with the
 # bit/HW extraction instead of materializing the (N, 256) intermediate.
-kernels.register_backend(
-    "aes",
-    "numpy",
-    single_bit_hypothesis=_single_bit_numpy,
-    hamming_weight_hypothesis=_hamming_weight_numpy,
-)
 
 
 def single_bit_hypothesis(
@@ -101,13 +95,21 @@ def single_bit_hypothesis(
     if not 0 <= bit < 8:
         raise ValueError("bit must be 0..7, got %d" % bit)
     arr = _validate_ct_bytes(ct_bytes)
-    return kernels.dispatch("aes", "single_bit_hypothesis")(arr, bit)
+    op = (
+        kernels.native_op("aes", "single_bit_hypothesis")
+        or _single_bit_numpy
+    )
+    return op(arr, bit)
 
 
 def hamming_weight_hypothesis(ct_bytes: np.ndarray) -> np.ndarray:
     """Hamming weight of the state byte before the final SBox."""
     arr = _validate_ct_bytes(ct_bytes)
-    return kernels.dispatch("aes", "hamming_weight_hypothesis")(arr)
+    op = (
+        kernels.native_op("aes", "hamming_weight_hypothesis")
+        or _hamming_weight_numpy
+    )
+    return op(arr)
 
 
 def hamming_distance_hypothesis(

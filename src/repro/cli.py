@@ -47,13 +47,12 @@ Commands:
 Parallel commands accept ``--workers N`` and run on a thread pool;
 results are bit-identical across worker counts.  The campaign and
 bench commands also accept
-``--kernels {auto,numpy,native}`` (or a per-kernel map like
-``aes=native,pdn=numpy``) selecting the compiled-kernel backends —
-bit-identical by contract.  Invalid values (``--workers 0``, an
-unknown kernels name, ``native`` on a host without a C
-compiler, a ``REPRO_NATIVE_PROVIDER`` other than ``auto`` or
-``none``) exit with code 2 and one actionable line, not a
-traceback.  The campaign commands (``attack``, ``fullkey``) also
+``--kernels {auto,numpy,native}`` selecting one backend for all five
+compiled kernels — bit-identical by contract; without it
+``REPRO_KERNELS`` (default ``auto``) decides.  Invalid values
+(``--workers 0``, an unknown kernels mode, ``native`` on a host
+without a C compiler) exit with code 2 and one actionable line, not
+a traceback.  The campaign commands (``attack``, ``fullkey``) also
 take fault-tolerance flags — ``--checkpoint PATH``,
 ``--checkpoint-every K``, ``--resume``, ``--retries N``,
 ``--task-timeout S`` — and ``report`` supports figure-granular
@@ -66,6 +65,7 @@ exists) instead of a traceback.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -74,45 +74,74 @@ import numpy as np
 
 def _add_kernels_argument(parser) -> None:
     # No argparse choices= here: unknown modes and unavailable native
-    # backends are validated in _validate_parallel_args so they surface
+    # backends are validated in _validate_args so they surface
     # as one-line exit-2 ReproErrors, not usage dumps.
     parser.add_argument(
         "--kernels",
         default=None,
         metavar="{auto,numpy,native}",
-        help="kernel backend selection: auto (default), numpy, "
-        "native, or a per-kernel map like aes=native,pdn=numpy",
+        help="one backend for every kernel: auto (default: native "
+        "when the C library loads), numpy, or native",
     )
 
 
-def _validate_parallel_args(args) -> None:
-    """Reject bad --workers/--kernels values with a ReproError.
+#: Lower bounds of the numeric arguments: ``dest -> (name, bound,
+#: inclusive)``.  A value below its bound, or NaN/inf, exits 2 with one
+#: line instead of a traceback deep inside a config or a campaign.
+_NUMERIC_BOUNDS = {
+    "workers": ("--workers", 1, True),
+    "traces": ("--traces", 2, True),
+    "checkpoint_every": ("--checkpoint-every", 1, True),
+    "retries": ("--retries", 1, True),
+    "task_timeout": ("--task-timeout", 0, False),
+    "mhz": ("MHZ", 0, False),
+    "rate_mbps": ("--rate-mbps", 0, False),
+    "bits": ("--bits", 1, True),
+    "repeats": ("--repeats", 1, True),
+    "max_concurrency": ("--max-concurrency", 1, True),
+    "queue_size": ("--queue-size", 1, True),
+    "batch_window": ("--batch-window", 0, True),
+    "cache_max_bytes": ("--cache-max-bytes", 1, True),
+    # Must exceed the fleet's heartbeat interval (FleetConfig.heartbeat_s).
+    "heartbeat_timeout": ("--heartbeat-timeout", 2.0, False),
+    "lease_timeout": ("--lease-timeout", 0, False),
+    "fleet_grace": ("--fleet-grace", 0, True),
+    "quarantine_after": ("--quarantine-after", 1, True),
+    "slots": ("--slots", 1, True),
+}
+
+
+def _validate_args(args) -> None:
+    """Reject out-of-range numbers and bad --kernels with a ReproError.
 
     Argparse would answer with a usage dump and exit code 2 of its
     own; routing through :class:`ReproError` instead gives the same
     one-actionable-line contract as every campaign failure.
     """
-    from repro.util import kernels, kernels_native
+    from repro.util import kernels
     from repro.util.errors import ReproError
 
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
+    for dest, (name, bound, inclusive) in _NUMERIC_BOUNDS.items():
+        value = getattr(args, dest, None)
+        if value is None or (
+            math.isfinite(value)
+            and (value >= bound if inclusive else value > bound)
+        ):
+            continue
         raise ReproError(
-            "--workers must be >= 1 (got %d); use --workers 1 for a "
-            "serial run" % workers
+            "%s must be %s %s (got %s)"
+            % (name, ">=" if inclusive else ">", bound, value)
         )
-    # An unknown REPRO_NATIVE_PROVIDER fails every command up front,
-    # not only the first one that dispatches a kernel.
-    kernels_native.provider_request()
-    spec = getattr(args, "kernels", None)
-    if spec is not None:
-        # parse_spec raises KernelConfigError (a ReproError) on an
-        # unknown mode/kernel; resolving eagerly raises
-        # KernelUnavailableError naming the missing dependency when
-        # native is requested on a host that cannot serve it.
-        kernels.parse_spec(spec)
-        with kernels.use(spec):
-            pass
+    mode = getattr(args, "kernels", None)
+    if mode is None:
+        # An unknown REPRO_KERNELS fails every command up front, not
+        # only the first one that dispatches a kernel.
+        kernels.current_mode()
+    else:
+        # KernelConfigError on an unknown mode; KernelUnavailableError
+        # naming the missing dependency for native on a host that
+        # cannot serve it.
+        kernels.check(mode)
 
 
 def _add_acquisition_arguments(parser) -> None:
@@ -905,17 +934,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             "to continue from %s" % args.checkpoint
         )
     try:
-        _validate_parallel_args(args)
-        spec = getattr(args, "kernels", None)
-        if spec is not None:
-            from repro.util import kernels
+        _validate_args(args)
+        from repro.util import kernels
 
-            # Apply the backend selection for the whole command (and,
-            # via REPRO_KERNELS, for its child processes); restored on
-            # exit so in-process callers are unaffected.
-            with kernels.use(spec):
-                return _COMMANDS[args.command](args)
-        return _COMMANDS[args.command](args)
+        # The mode holds for the whole command (and its pool threads)
+        # and is reset on exit, so in-process callers are unaffected.
+        with kernels.use(getattr(args, "kernels", None)):
+            return _COMMANDS[args.command](args)
     except ReproError as error:
         print(
             "error: %s%s" % (error, resume_hint),

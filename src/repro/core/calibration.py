@@ -29,7 +29,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.waveform_bank import WaveformBank
+from repro.core.waveform_bank import WaveformBank, masked_weight_numpy
 from repro.timing.delay_model import DelayAnnotation, DelayModel
 from repro.timing.event_sim import TimedSimulator, endpoint_waveforms
 from repro.util import kernels
@@ -231,9 +231,11 @@ class SensorCalibration:
                 "mask must have one entry per bit, got %r" % (keep.shape,)
             )
         tau = self._query_times(voltages, shared_jitter_ps)
-        return kernels.dispatch("sensor", "masked_weight")(
-            self.bank, tau, jitter_ps, seed, keep
+        op = (
+            kernels.native_op("sensor", "masked_weight")
+            or masked_weight_numpy
         )
+        return op(self.bank, tau, jitter_ps, seed, keep)
 
     def sample_bits_reference(
         self,

@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.util import kernels
 from repro.util.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -254,5 +253,3 @@ def masked_weight_numpy(
         :, np.asarray(mask, dtype=bool)
     ].sum(axis=1, dtype=np.int64)
 
-
-kernels.register_backend("sensor", "numpy", masked_weight=masked_weight_numpy)

@@ -84,13 +84,6 @@ def _integrate_batch_numpy(
     return droop
 
 
-kernels.register_backend(
-    "pdn",
-    "numpy",
-    integrate=_integrate_numpy,
-    integrate_batch=_integrate_batch_numpy,
-)
-
 
 @dataclass(frozen=True)
 class PDNParameters:
@@ -220,13 +213,13 @@ class PDNModel:
     def _integrate(self, current: np.ndarray) -> np.ndarray:
         """Integrate the RLC droop response for one current waveform.
 
-        Dispatched through the kernel registry: ``native`` runs the
-        sequential compiled loop, ``numpy`` the reference recurrence —
-        both bit-identical.
+        Under the ``native`` kernels the compiled sequential loop runs,
+        under ``numpy`` the reference recurrence — both bit-identical.
         """
         current = np.asarray(current, dtype=np.float64)
         c1, c2, b0 = self.recurrence_coefficients()
-        return kernels.dispatch("pdn", "integrate")(current, c1, c2, b0)
+        op = kernels.native_op("pdn", "integrate") or _integrate_numpy
+        return op(current, c1, c2, b0)
 
     def integrate_batch(self, currents: np.ndarray) -> np.ndarray:
         """Droop responses for a batch of current waveforms.
@@ -248,7 +241,10 @@ class PDNModel:
                 % (currents.shape,)
             )
         c1, c2, b0 = self.recurrence_coefficients()
-        op = kernels.dispatch("pdn", "integrate_batch")
+        op = (
+            kernels.native_op("pdn", "integrate_batch")
+            or _integrate_batch_numpy
+        )
         return op(currents, c1, c2, b0)
 
     def simulate(

@@ -157,8 +157,6 @@ def _estimate_numpy(
     return best_shift, best_score
 
 
-kernels.register_backend("align", "numpy", estimate=_estimate_numpy)
-
 
 def estimate_shifts(
     traces: np.ndarray,
@@ -199,9 +197,8 @@ def estimate_shifts(
     if int(max_shift) < 1:
         raise PreprocessError("max_shift must be >= 1")
     _check_finite(traces, reference)
-    shifts, _scores = kernels.dispatch("align", "estimate")(
-        traces, reference, int(max_shift), metric
-    )
+    op = kernels.native_op("align", "estimate") or _estimate_numpy
+    shifts, _scores = op(traces, reference, int(max_shift), metric)
     return shifts
 
 

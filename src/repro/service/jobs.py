@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import AsyncIterator, Dict, List, Optional, Tuple
@@ -170,20 +171,15 @@ def _check_value(kind: str, name: str, value: object) -> object:
             "%s job: unknown executor %r (the only executor is %r)"
             % (kind, value, EXECUTOR_THREAD)
         )
-    if name == "kernels":
-        from repro.util import kernels, kernels_native
+    if name == "kernels" and value is not None:
+        from repro.util import kernels
 
         try:
-            # Same contract as the CLI: an unknown mode or
-            # REPRO_NATIVE_PROVIDER value is a structured error at
-            # admission; a native request the host cannot serve names
-            # the missing dependency instead of failing deep inside
-            # the campaign.
-            kernels_native.provider_request()
-            if value is not None:
-                kernels.parse_spec(str(value))
-                with kernels.use(str(value)):
-                    pass
+            # Same contract as the CLI: an unknown mode is a structured
+            # error at admission, and a native request the host cannot
+            # serve names the missing dependency instead of failing
+            # deep inside the campaign.
+            kernels.check(value)
         except (
             kernels.KernelConfigError, kernels.KernelUnavailableError
         ) as exc:
@@ -224,6 +220,46 @@ def _check_value(kind: str, name: str, value: object) -> object:
     return value
 
 
+#: Above 2**53 not every whole number is a float, so a float count
+#: there may already be rounded.
+_EXACT_INT_FLOAT = float(2 ** 53)
+
+
+def _coerce(kind: str, name: str, value: object, expected: type) -> object:
+    """``value`` as the schema type: an int-valued float becomes an
+    int, an int becomes a float, and NaN/inf or a fractional count is
+    a :class:`JobError` rather than a silent truncation."""
+    numeric = expected in (int, float) and isinstance(value, (int, float))
+    # bool subclasses int; reject it explicitly so `seed: true` cannot
+    # sneak in as seed=1.
+    if isinstance(value, bool) != (expected is bool) or not (
+        isinstance(value, expected) or numeric
+    ):
+        raise JobError(
+            "%s job: parameter %r must be %s, got %r"
+            % (kind, name, expected.__name__, value)
+        )
+    if expected is float:
+        try:
+            finite = math.isfinite(float(value))  # type: ignore[arg-type]
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise JobError(
+                "%s job: parameter %r must be finite, got %r"
+                % (kind, name, value)
+            )
+        return float(value)  # type: ignore[arg-type]
+    if expected is int and isinstance(value, float):
+        if not (value.is_integer() and abs(value) <= _EXACT_INT_FLOAT):
+            raise JobError(
+                "%s job: parameter %r must be a whole number below "
+                "2**53, got %r" % (kind, name, value)
+            )
+        return int(value)
+    return value
+
+
 def normalize_params(
     kind: str, params: Optional[Dict[str, object]] = None
 ) -> Dict[str, object]:
@@ -250,28 +286,8 @@ def normalize_params(
     normalized: Dict[str, object] = {}
     for name, (default, expected, _content) in schema.items():
         value = params.get(name, default)
-        if isinstance(value, bool) and expected is not bool:
-            # bool subclasses int; reject it explicitly so `seed: true`
-            # cannot sneak in as seed=1.
-            raise JobError(
-                "%s job: parameter %r must be %s, got %r"
-                % (kind, name, expected.__name__, value)
-            )
-        if value is not None and not isinstance(value, expected):
-            # bool is an int subclass; keep int fields strictly ints.
-            ok = (
-                expected in (int, float)
-                and isinstance(value, (int, float))
-                and not isinstance(value, bool)
-            )
-            if not ok:
-                raise JobError(
-                    "%s job: parameter %r must be %s, got %r"
-                    % (kind, name, expected.__name__, value)
-                )
-            value = expected(value)
-        if expected is float and isinstance(value, int):
-            value = float(value)
+        if value is not None or default is not None:
+            value = _coerce(kind, name, value, expected)
         normalized[name] = _check_value(kind, name, value)
     check_acquisition_reduction(kind, normalized)
     return normalized

@@ -141,17 +141,6 @@ def retry_policy(
     return RetryPolicy(**kwargs)  # type: ignore[arg-type]
 
 
-def _kernels_spec(params: Dict[str, object]) -> Optional[str]:
-    """The request's validated ``kernels`` spec (None = session default).
-
-    Runners apply the spec with :func:`repro.util.kernels.use` so a
-    service job's backend selection matches the equivalent CLI
-    invocation.
-    """
-    spec = params.get("kernels")
-    return None if spec is None else str(spec)
-
-
 def _experiment_config(params: Dict[str, object]) -> ExperimentConfig:
     return ExperimentConfig(
         seed=int(params["seed"]),  # type: ignore[arg-type]
@@ -365,7 +354,7 @@ def run_attack(
     resume: bool = False,
 ) -> CPAResult:
     """The ``repro attack`` campaign as a parameter-dict runner."""
-    with kernels.use(_kernels_spec(params)):
+    with kernels.use(params.get("kernels")):
         return _Job("attack", params).run(
             health=health,
             checkpoint_path=checkpoint_path,
@@ -382,7 +371,7 @@ def run_fullkey(
     resume: bool = False,
 ) -> FullKeyResult:
     """The ``repro fullkey`` campaign as a parameter-dict runner."""
-    with kernels.use(_kernels_spec(params)):
+    with kernels.use(params.get("kernels")):
         return _Job("fullkey", params).run(
             health=health,
             checkpoint_path=checkpoint_path,
@@ -397,7 +386,7 @@ def run_report(
     resume: bool = False,
 ) -> List[FigureRecord]:
     """The ``repro report`` figure sweep as a parameter-dict runner."""
-    with kernels.use(_kernels_spec(params)):
+    with kernels.use(params.get("kernels")):
         misalignment, spec = _acquisition_specs(params)
         return run_all_figures(
             _experiment_config(params),
@@ -455,7 +444,7 @@ def _tracegen_plaintexts(params: Dict[str, object]) -> np.ndarray:
 
 def run_tracegen(params: Dict[str, object]) -> Dict[str, np.ndarray]:
     """One trace-generation request, alone (the direct path)."""
-    with kernels.use(_kernels_spec(params)):
+    with kernels.use(params.get("kernels")):
         generator = _generator(str(params["key_hex"]))
         misalignment, _ = _acquisition_specs(params)
         seed = derive_seed(int(params["seed"]), "service-noise")  # type: ignore[arg-type]
@@ -492,7 +481,7 @@ def run_tracegen_batch(
         )
     # Backends are bit-identical, so the kernels knob never affects the
     # merged output; the first request's spec drives the shared pass.
-    with kernels.use(_kernels_spec(batch[0])):
+    with kernels.use(batch[0].get("kernels")):
         generator = _generator(str(batch[0]["key_hex"]))
         plaintexts = [_tracegen_plaintexts(params) for params in batch]
         merged = generator.generate_deterministic(np.vstack(plaintexts))
@@ -655,7 +644,7 @@ def run_attack_shard(
     returns one :meth:`StreamingCPA.state_arrays` dict per segment
     boundary, ready for the frame codec and the coordinator's merge.
     """
-    with kernels.use(_kernels_spec(params)):
+    with kernels.use(params.get("kernels")):
         folded = run_lease(
             _Job("attack", params).source(),
             start,
@@ -679,7 +668,7 @@ def run_fullkey_shard(
     stage always runs on the coordinator (:func:`merge_fullkey_blocks`),
     exactly as the single-host driver recomputes it after collection.
     """
-    with kernels.use(_kernels_spec(params)):
+    with kernels.use(params.get("kernels")):
         return run_lease(
             _Job("fullkey", params).source(),
             start,
@@ -733,7 +722,7 @@ def merge_fullkey_blocks(
     then runs locally with the job's own execution knobs — identical to
     the single-host path by construction.
     """
-    with kernels.use(_kernels_spec(params)):
+    with kernels.use(params.get("kernels")):
         job = _Job("fullkey", params)
         statistic = ColumnBlocks()
         statistic.merge(list(blocks))

@@ -3,16 +3,19 @@
 The sharded campaign driver (:mod:`repro.experiments.parallel`) and the
 per-byte full-key CPAs (:mod:`repro.attacks.full_key`) both fan work
 out over identical, order-preserving maps; this module is the single
-place that runs them, on a :class:`concurrent.futures.ThreadPoolExecutor`.
-The hot kernels (C or numpy) release the GIL, so threads scale without
-serializing anything: every task reads the driver's arrays in place.
+place that runs them, on threads.  The hot kernels (C or numpy) release
+the GIL, so threads scale without serializing anything: every task
+reads the driver's arrays in place.  Every task runs in a copy of the
+submitting thread's :mod:`contextvars` context, so per-job context
+state (the kernels mode of :mod:`repro.util.kernels`) follows the job.
 
-On top of the pool, :func:`map_ordered` optionally runs each task under
-a :class:`RetryPolicy`: per-task deadlines counted from the moment the
-task starts on a pool thread, and bounded retry rounds with exponential
-backoff, each round on a fresh pool.  The resilient map always runs on
-the pool (one thread when there is one worker), so a deadline holds at
-every worker count.  A task that exhausts its attempts surfaces as a
+:func:`map_ordered` optionally runs each task under a
+:class:`RetryPolicy`: per-task deadlines counted from the moment the
+task starts on a thread, and bounded retry rounds with exponential
+backoff, each round on fresh daemon threads.  The resilient map always
+runs on threads (one when there is one worker), so a deadline holds at
+every worker count, and a task abandoned past its deadline never holds
+process exit.  A task that exhausts its attempts surfaces as a
 structured :class:`ShardError`; everything the runtime did to keep the
 campaign alive is recorded in a :class:`CampaignHealth` report.
 Because campaign task functions are pure functions of their payloads
@@ -27,11 +30,13 @@ keeps the pool policy in one code path.
 
 from __future__ import annotations
 
+import contextvars
+import math
 import os
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -112,8 +117,11 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ValueError(
+                "timeout must be a finite positive number of seconds, "
+                "got %r" % (self.timeout,)
+            )
         if self.backoff_base < 0:
             raise ValueError("backoff delays must be non-negative")
 
@@ -282,7 +290,7 @@ def map_ordered(
 
     Passing any of the keyword-only arguments switches the map into
     its fault-tolerant mode (see the module docstring), which always
-    runs on the pool — one thread for one worker — so deadlines hold;
+    runs on threads — one for one worker — so deadlines hold;
     without them the zero-overhead path runs unchanged.
 
     Args:
@@ -317,8 +325,13 @@ def map_ordered(
     if not resilient:
         if workers <= 1 or len(tasks) <= 1:
             return [fn(task) for task in tasks]
+        # Each task runs in a copy of the caller's context, so context
+        # state (the kernels mode) follows the job onto pool threads.
+        contexts = [contextvars.copy_context() for _ in tasks]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
+            return list(
+                pool.map(lambda ctx, task: ctx.run(fn, task), contexts, tasks)
+            )
     return _resilient_map(
         fn,
         tasks,
@@ -413,71 +426,88 @@ def _resilient_map(
 def _pool_round(
     fn, tasks, pending, names, workers, policy, plan, submissions,
 ) -> Iterator[Tuple[int, str, object, float]]:
-    """One retry round of ``pending`` on a fresh thread pool.
+    """One retry round of ``pending`` on fresh daemon threads.
 
     Yields ``(index, status, value, seconds)`` per task, in task order:
     ``"ok"`` with the result, ``"error"`` with the exception,
     ``"timeout"``, or ``"requeued"`` for a task that never started
-    because every pool thread was held by a task past its deadline.
+    because every thread was held by a task past its deadline.
 
-    Each task stamps its own start on the pool thread, so a deadline
-    counts only the time the task runs, never the time it waits in the
-    queue.  The pool is fresh per round: threads abandoned on a
-    deadline keep running in the background, and a retry must not
-    queue behind them.
+    Each task stamps its own start on its thread, so a deadline counts
+    only the time the task runs, never the time it waits in the queue.
+    The threads are fresh per round, so a retry never queues behind a
+    task abandoned on a deadline, and they are daemons, so an abandoned
+    task keeps running in the background without holding process exit.
     """
     changed = threading.Condition()
+    queue = deque(pending)
     began: Dict[int, float] = {}
     ended: Dict[int, float] = {}
+    outcome: Dict[int, Tuple[str, object]] = {}
     attempts = {index: submissions[index] for index in pending}
+    context = contextvars.copy_context()
 
-    def run(index: int) -> object:
-        with changed:
-            began[index] = time.monotonic()
-            changed.notify_all()
-        try:
-            return _execute_task(
-                fn, tasks[index], names[index], attempts[index], plan,
-            )
-        finally:
+    def work() -> None:
+        while True:
+            with changed:
+                if not queue:
+                    return
+                index = queue.popleft()
+                began[index] = time.monotonic()
+                changed.notify_all()
+            try:
+                outcome[index] = "ok", context.copy().run(
+                    _execute_task,
+                    fn, tasks[index], names[index], attempts[index], plan,
+                )
+            except BaseException as exc:
+                outcome[index] = "error", exc
             with changed:
                 ended[index] = time.monotonic()
                 changed.notify_all()
 
     for index in pending:
         submissions[index] += 1
-    pool = ThreadPoolExecutor(max_workers=workers)
+    threads = [
+        threading.Thread(target=work, name="repro-task", daemon=True)
+        for _ in range(min(workers, len(pending)))
+    ]
+    for thread in threads:
+        thread.start()
     abandoned: List[int] = []
     try:
-        futures = {index: pool.submit(run, index) for index in pending}
         for index in pending:
-            future = futures[index]
             with changed:
                 while index not in began:
                     stuck = sum(1 for i in abandoned if i not in ended)
-                    if stuck >= workers and future.cancel():
+                    if stuck >= len(threads):
+                        queue.remove(index)
                         break
                     changed.wait()
-            if future.cancelled():
+                started = index in began
+                if started:
+                    start = began[index]
+                    remaining = (
+                        None
+                        if policy.timeout is None
+                        else start + policy.timeout - time.monotonic()
+                    )
+                    finished = changed.wait_for(
+                        lambda: index in ended, timeout=remaining
+                    )
+            if not started:
                 submissions[index] -= 1
                 yield index, "requeued", None, 0.0
-                continue
-            start = began[index]
-            remaining = (
-                None
-                if policy.timeout is None
-                else max(0.0, start + policy.timeout - time.monotonic())
-            )
-            try:
-                result = future.result(timeout=remaining)
-            except FuturesTimeout:
+            elif not finished:
                 abandoned.append(index)
                 yield index, "timeout", None, time.monotonic() - start
-            except Exception as exc:
-                yield index, "error", exc, ended[index] - start
             else:
-                yield index, "ok", result, ended[index] - start
+                status, value = outcome[index]
+                if status == "error" and not isinstance(value, Exception):
+                    raise value  # e.g. SystemExit from a task
+                yield index, status, value, ended[index] - start
     finally:
-        # wait=False: a hung task must not block the driver; its thread
-        # finishes in the background.
-        pool.shutdown(wait=False)
+        # Threads exit once the queue is empty; tasks still queued when
+        # the driver stops are dropped, not run in the background.
+        with changed:
+            queue.clear()

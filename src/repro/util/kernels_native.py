@@ -1,11 +1,11 @@
-"""The native provider of the kernel dispatch registry.
+"""The native backend of :mod:`repro.util.kernels`.
 
-The ``native`` backend of :mod:`repro.util.kernels` is a small C
-translation of the numpy reference loops, embedded below as source,
-compiled once with the system compiler into a content-hashed shared
-library under a cache directory, and loaded through ctypes.
-``-ffp-contract=off`` disables FMA contraction, and no ``-ffast-math``
-means IEEE semantics (and a working ``isfinite``) everywhere.
+A small C translation of the numpy reference loops, embedded below as
+source, compiled once with the system compiler into a content-hashed
+shared library under a cache directory (``REPRO_KERNELS_CACHE``), and
+loaded through ctypes.  ``-ffp-contract=off`` disables FMA contraction,
+and no ``-ffast-math`` means IEEE semantics (and a working
+``isfinite``) everywhere.
 
 Each kernel is the *same sequence of IEEE-754 float64 operations* (or
 exact uint8 table lookups) as its numpy reference, so outputs are
@@ -16,15 +16,9 @@ ziggurat draws and the shift search's pairwise summation — so each
 checks itself against numpy when the library loads; on a mismatch the
 op is refused (``NativeProvider.refused``) and numpy serves it.
 
-Nothing here is ever pickled: the registry dispatches to these ops at
-call time, so campaign objects carry no ctypes handles.  Forked pool
-workers inherit the loaded library; spawned ones re-open it from the
-on-disk cache.
-
-``REPRO_NATIVE_PROVIDER`` is ``auto`` (the default: load the C
-library when a compiler exists) or ``none`` (no native provider, which
-exercises the numpy-only path without uninstalling anything).  Any
-other value is a :class:`~repro.util.kernels.KernelConfigError`.
+Nothing here is ever pickled: callers look these ops up at call time,
+so campaign objects carry no ctypes handles.  A host without a C
+compiler has no native provider; every kernel then runs numpy.
 """
 
 from __future__ import annotations
@@ -35,24 +29,18 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.util.kernels import KernelConfigError
-
 __all__ = [
     "NativeProvider",
     "load_native",
-    "provider_request",
     "unavailable_reason",
 ]
 
-PROVIDER_ENV = "REPRO_NATIVE_PROVIDER"
 CACHE_ENV = "REPRO_KERNELS_CACHE"
-
-#: Accepted ``REPRO_NATIVE_PROVIDER`` values.
-PROVIDER_VALUES = ("auto", "none")
 
 
 class NativeProvider:
@@ -61,10 +49,10 @@ class NativeProvider:
     Attributes:
         provider: ``"cc"`` — recorded in bench metadata.
         ops: ``{(kernel, op): callable}`` with the same signatures the
-            registered numpy reference ops use.
+            numpy reference ops use.
         refused: ``{kernel: reason}`` for kernels this provider could
-            not serve; :func:`repro.util.kernels.dispatch` falls back
-            to numpy for them.
+            not serve; :func:`repro.util.kernels.native_op` returns
+            None for them, so their callers run numpy.
     """
 
     def __init__(
@@ -1199,86 +1187,61 @@ def _build_sensor_ops(
 # Loading
 # ----------------------------------------------------------------------
 
-_LOADED: Optional[NativeProvider] = None
-_LOAD_FAILED_REASON: Optional[str] = None
-#: What the cached load was computed for, so tests that flip
-#: REPRO_NATIVE_PROVIDER see a fresh probe.
-_LOADED_FOR: Optional[str] = None
+_PROBE_LOCK = threading.Lock()
+#: ``(provider, reason)`` once probed: the loaded provider, or None
+#: and why not.
+_PROBED: Optional[Tuple[Optional[NativeProvider], str]] = None
 
 
-def provider_request() -> str:
-    """The ``REPRO_NATIVE_PROVIDER`` value, validated.
-
-    Raises:
-        KernelConfigError: on anything but ``auto`` or ``none``.
-    """
-    request = os.environ.get(PROVIDER_ENV, "auto").strip().lower() or "auto"
-    if request not in PROVIDER_VALUES:
-        raise KernelConfigError(
-            "unknown %s value %r (expected one of %s)"
-            % (PROVIDER_ENV, request, ", ".join(PROVIDER_VALUES))
-        )
-    return request
+def _probe() -> Tuple[Optional[NativeProvider], str]:
+    global _PROBED
+    probed = _PROBED
+    if probed is None:
+        with _PROBE_LOCK:
+            if _PROBED is None:
+                _PROBED = _build_provider()
+            probed = _PROBED
+    return probed
 
 
-def load_native() -> Optional[NativeProvider]:
-    """The native provider for this host, or None (reason recorded).
-
-    Probes once per ``REPRO_NATIVE_PROVIDER`` value: builds (or reuses)
-    the C library when a compiler exists.  A failed probe caches its
-    reason for :func:`unavailable_reason`.
-
-    Raises:
-        KernelConfigError: on an unknown ``REPRO_NATIVE_PROVIDER``.
-    """
-    global _LOADED, _LOAD_FAILED_REASON, _LOADED_FOR
-    request = provider_request()
-    if _LOADED_FOR == request and (
-        _LOADED is not None or _LOAD_FAILED_REASON is not None
-    ):
-        return _LOADED
-    _LOADED = None
-    _LOAD_FAILED_REASON = None
-    _LOADED_FOR = request
-
-    if request == "none":
-        _LOAD_FAILED_REASON = "disabled via %s=none" % PROVIDER_ENV
-        return None
+def _build_provider() -> Tuple[Optional[NativeProvider], str]:
     compiler = _find_compiler()
     if compiler is None:
-        _LOAD_FAILED_REASON = "no C compiler found (tried cc, gcc, clang)"
-        return None
+        return None, "no C compiler found (tried cc, gcc, clang)"
     try:
         ops = _build_cc_ops(_compile_library(compiler))
         sensor_ops, refused = _build_sensor_ops(compiler)
     except subprocess.CalledProcessError as exc:
-        _LOAD_FAILED_REASON = (
+        return None, (
             "C kernel build failed: %s" % (exc.stderr or str(exc)).strip()
         )
-        return None
     except OSError as exc:
-        _LOAD_FAILED_REASON = "C kernel library failed to load: %s" % exc
-        return None
+        return None, "C kernel library failed to load: %s" % exc
     ops.update(sensor_ops)
     refusals = {} if refused is None else {"sensor": refused}
     align_refused = _align_self_check(ops[("align", "estimate")])
     if align_refused is not None:
         del ops[("align", "estimate")]
         refusals["align"] = align_refused
-    _LOADED = NativeProvider("cc", ops, refusals)
-    return _LOADED
+    return NativeProvider("cc", ops, refusals), "available"
+
+
+def load_native() -> Optional[NativeProvider]:
+    """The native provider for this host, or None.
+
+    Probes once per process: builds (or reuses) the C library when a
+    compiler exists; a failed probe keeps its reason for
+    :func:`unavailable_reason`.
+    """
+    return _probe()[0]
 
 
 def unavailable_reason() -> str:
-    """Why :func:`load_native` returned None (for structured errors)."""
-    if load_native() is not None:
-        return "available"
-    return _LOAD_FAILED_REASON or "unknown"
+    """Why :func:`load_native` returned None (``"available"`` if not)."""
+    return _probe()[1]
 
 
 def _reset_for_tests() -> None:
-    """Drop the cached probe so tests can flip REPRO_NATIVE_PROVIDER."""
-    global _LOADED, _LOAD_FAILED_REASON, _LOADED_FOR
-    _LOADED = None
-    _LOAD_FAILED_REASON = None
-    _LOADED_FOR = None
+    """Drop the cached probe (tests that patch the compiler probe)."""
+    global _PROBED
+    _PROBED = None

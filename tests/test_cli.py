@@ -83,6 +83,54 @@ class TestWorkersValidation:
         assert code == 2
         assert "--workers" in capsys.readouterr().err
 
+class TestNumericBounds:
+    """Out-of-range numbers exit 2 with one line before any work runs
+    (they used to raise a ValueError traceback deep inside a config or
+    campaign, divide by zero, or pass silently)."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["serve", "--queue-size", "0"], "--queue-size"),
+        (["serve", "--max-concurrency", "0"], "--max-concurrency"),
+        (["serve", "--batch-window", "-1"], "--batch-window"),
+        (["serve", "--batch-window", "nan"], "--batch-window"),
+        (["serve", "--heartbeat-timeout", "1"], "--heartbeat-timeout"),
+        (["serve", "--lease-timeout", "0"], "--lease-timeout"),
+        (["serve", "--quarantine-after", "0"], "--quarantine-after"),
+        (["serve", "--cache-max-bytes", "0"], "--cache-max-bytes"),
+        (["serve", "--fleet-grace", "-1"], "--fleet-grace"),
+        (["attack", "alu", "--traces", "1"], "--traces"),
+        (["fullkey", "--traces", "1"], "--traces"),
+        (["attack", "alu", "--retries", "0"], "--retries"),
+        (["fullkey", "--retries", "0"], "--retries"),
+        (["attack", "alu", "--task-timeout", "0"], "--task-timeout"),
+        (["attack", "alu", "--task-timeout", "nan"], "--task-timeout"),
+        (["fullkey", "--task-timeout", "inf"], "--task-timeout"),
+        (["attack", "alu", "--checkpoint-every", "0"],
+         "--checkpoint-every"),
+        (["covert", "--bits", "0"], "--bits"),
+        (["covert", "--rate-mbps", "0"], "--rate-mbps"),
+        (["covert", "--rate-mbps", "-1"], "--rate-mbps"),
+        (["timing", "alu", "0"], "MHZ"),
+        (["bench", "--repeats", "0"], "--repeats"),
+        (["worker", "1", "--slots", "0"], "--slots"),
+    ])
+    def test_one_line_exit_2(self, capsys, argv, flag):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: %s must be " % flag)
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_heartbeat_bound_is_the_fleet_interval(self):
+        from repro.cli import _NUMERIC_BOUNDS
+        from repro.service.fleet import FleetConfig
+
+        assert _NUMERIC_BOUNDS["heartbeat_timeout"][1] == (
+            FleetConfig.heartbeat_s
+        )
+
+
 class TestServiceVerbs:
     def test_submit_without_server_one_line_exit_2(self, capsys):
         # Port 1 is never listening; the client should fail with an
@@ -297,32 +345,8 @@ class TestKernelsOption:
             assert "Traceback" not in err
             assert err.count("\n") == 1, "one actionable line, no traceback"
 
-    @pytest.mark.parametrize("provider", ["numba", "cc", "turbo"])
-    def test_unknown_native_provider_one_line_exit_2(
-        self, provider, monkeypatch, capsys
-    ):
-        # Every command checks REPRO_NATIVE_PROVIDER up front, with or
-        # without --kernels; an unknown value is not a quiet numpy run.
-        from repro.util import kernels, kernels_native
-
-        monkeypatch.setenv(kernels_native.PROVIDER_ENV, provider)
-        kernels.invalidate_cache()
-        try:
-            for argv in (
-                ["attack", "alu", "--traces", "2000"],
-                ["census", "alu"],
-                ["attack", "alu", "--kernels", "numpy"],
-            ):
-                assert main(argv) == 2, argv
-                err = capsys.readouterr().err
-                assert err.startswith("error: ")
-                assert provider in err and "REPRO_NATIVE_PROVIDER" in err
-                assert err.count("\n") == 1
-        finally:
-            monkeypatch.undo()
-            kernels.invalidate_cache()
-
     def test_unknown_kernel_name_one_line_exit_2(self, capsys):
+        # One mode serves every kernel; a per-kernel map is not a mode.
         code = main(["attack", "alu", "--kernels", "rsa=native"])
         err = capsys.readouterr().err
         assert code == 2
@@ -330,25 +354,24 @@ class TestKernelsOption:
         assert err.count("\n") == 1
 
     def test_removed_resample_kernel_is_unknown(self, monkeypatch, capsys):
-        # resample left the registry; naming it, by flag or through
-        # REPRO_KERNELS, is the unknown-kernel error like any other.
+        # resample left the kernels; naming it, by flag or through
+        # REPRO_KERNELS, is the unknown-mode error like any other, and
+        # a bad REPRO_KERNELS fails every command up front.
         from repro.util import kernels
 
         assert main(["attack", "alu", "--kernels", "resample=native"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: unknown kernel 'resample'")
+        assert err.startswith("error: unknown kernels mode 'resample")
         assert err.count("\n") == 1
         monkeypatch.setenv(kernels.KERNELS_ENV, "resample=native")
-        kernels.invalidate_cache()
-        try:
-            assert main(["attack", "alu", "--traces", "2000"]) == 2
+        for argv in (["attack", "alu", "--traces", "2000"],
+                     ["census", "alu"]):
+            assert main(argv) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: unknown kernel 'resample'")
+            assert err.startswith("error: unknown kernels mode 'resample")
+            assert kernels.KERNELS_ENV in err
             assert "Traceback" not in err
             assert err.count("\n") == 1
-        finally:
-            monkeypatch.undo()
-            kernels.invalidate_cache()
 
     def test_fullkey_and_bench_validate_too(self, capsys):
         assert main(["fullkey", "--kernels", "warp"]) == 2
@@ -356,28 +379,23 @@ class TestKernelsOption:
         assert main(["bench", "--kernels", "warp"]) == 2
         assert "warp" in capsys.readouterr().err
 
-    def test_native_unavailable_structured_error(self, capsys):
-        import os
+    def test_native_unavailable_structured_error(self, monkeypatch, capsys):
+        from repro.util import kernels_native
 
-        from repro.util import kernels, kernels_native
-
-        saved = os.environ.get(kernels_native.PROVIDER_ENV)
-        os.environ[kernels_native.PROVIDER_ENV] = "none"
-        kernels.invalidate_cache()
+        # A host without a C compiler.
+        monkeypatch.setattr(kernels_native, "_find_compiler", lambda: None)
+        kernels_native._reset_for_tests()
         try:
             code = main(["attack", "alu", "--kernels", "native"])
             err = capsys.readouterr().err
             assert code == 2
             assert err.startswith("error: ")
-            assert "native" in err
+            assert "native" in err and "compiler" in err
             assert "Traceback" not in err
             assert err.count("\n") == 1
         finally:
-            if saved is None:
-                os.environ.pop(kernels_native.PROVIDER_ENV, None)
-            else:
-                os.environ[kernels_native.PROVIDER_ENV] = saved
-            kernels.invalidate_cache()
+            monkeypatch.undo()
+            kernels_native._reset_for_tests()
 
     def test_kernels_selection_restored_after_command(self, capsys):
         import os

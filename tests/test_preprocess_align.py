@@ -117,7 +117,7 @@ class TestNonFiniteRejected:
         reference = _reference()
         traces = _shifted_batch(reference, [0, 1, 2, -1, -2])
         traces[row, index] = value
-        with kernels.use("align=%s" % backend):
+        with kernels.use(backend):
             with pytest.raises(PreprocessError, match="trace %d " % row):
                 estimate_shifts(traces, reference, 4, metric)
 
@@ -126,7 +126,7 @@ class TestNonFiniteRejected:
         reference = _reference()
         traces = _shifted_batch(reference, [0, 1])
         reference[5] = np.nan
-        with kernels.use("align=%s" % backend):
+        with kernels.use(backend):
             with pytest.raises(PreprocessError, match="reference"):
                 estimate_shifts(traces, reference, 4)
 

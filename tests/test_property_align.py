@@ -121,15 +121,15 @@ class TestNativeAlignBitIdentical:
     @given(case=alignment_cases(), metric=METRICS)
     def test_dispatch_matches_reference(self, case, metric):
         traces, reference, max_shift = case
-        with kernels.use("align=numpy"):
+        with kernels.use("numpy"):
             want = estimate_shifts(traces, reference, max_shift, metric)
-        with kernels.use("align=native"):
+        with kernels.use("native"):
             got = estimate_shifts(traces, reference, max_shift, metric)
         _same_bytes(got, want)
 
     def test_dispatch_serves_the_c_op(self):
         with kernels.use("native"):
-            op = kernels.dispatch("align", "estimate")
+            op = kernels.native_op("align", "estimate")
         assert op is _native_estimate()
 
 
@@ -146,7 +146,7 @@ class TestRowLocality:
         num = traces.shape[0]
         a = data.draw(st.integers(min_value=0, max_value=num - 1))
         b = data.draw(st.integers(min_value=a + 1, max_value=num))
-        with kernels.use("align=%s" % backend):
+        with kernels.use(backend):
             whole = estimate_shifts(traces, reference, max_shift, metric)
             part = estimate_shifts(traces[a:b], reference, max_shift, metric)
         _same_bytes(part, whole[a:b])
@@ -158,15 +158,14 @@ class TestSelfCheck:
         # it here is a defect, not a fallback.
         if kernels_native._find_compiler() is None:
             pytest.skip("no C compiler on this host")
-        monkeypatch.setenv(kernels_native.PROVIDER_ENV, "auto")
-        kernels.invalidate_cache()
+        kernels_native._reset_for_tests()
         try:
             provider = kernels_native.load_native()
             assert "align" not in provider.refused
             assert ("align", "estimate") in provider.ops
         finally:
             monkeypatch.undo()
-            kernels.invalidate_cache()
+            kernels_native._reset_for_tests()
 
     def test_failed_check_refuses_the_op(self, monkeypatch):
         if kernels_native._find_compiler() is None:
@@ -177,24 +176,23 @@ class TestSelfCheck:
             shifts, scores = reference(traces, ref, max_shift, metric)
             return shifts, np.nextafter(scores, np.inf)
 
-        monkeypatch.setenv(kernels_native.PROVIDER_ENV, "auto")
         monkeypatch.setattr(align, "_estimate_numpy", perturbed)
-        kernels.invalidate_cache()
+        kernels_native._reset_for_tests()
         try:
             provider = kernels_native.load_native()
             assert provider is not None and provider.provider == "cc"
             assert ("align", "estimate") not in provider.ops
             assert "self-check" in provider.refused["align"]
             assert ("cpa", "accumulate") in provider.ops
-            with kernels.use("native") as resolved:
-                assert resolved["align"] == "native"
-                assert kernels.dispatch("align", "estimate") is reference
+            with kernels.use("native"):
+                assert kernels.active_backends()["align"] == "native"
+                assert kernels.native_op("align", "estimate") is None
                 meta = kernels.backend_metadata()
                 assert "self-check" in meta["native_refused"]["align"]
                 assert "align native refused" in kernels.describe()
         finally:
             monkeypatch.undo()
-            kernels.invalidate_cache()
+            kernels_native._reset_for_tests()
 
 
 #: A 72-sample geometry like the default generator's.

@@ -147,7 +147,7 @@ class TestNativeEqualsNumpy:
             voltages, jitter, rng = _inputs(n, shared, data_seed)
             mask = _mask(kind, alu_calibration.num_bits, rng, census_mask)
             args = dict(jitter_ps=sigma, seed=seed, shared_jitter_ps=jitter)
-            with kernels.use("sensor=native"):
+            with kernels.use("native"):
                 got = alu_calibration.sample_weight(voltages, mask, **args)
             with kernels.use("numpy"):
                 want = alu_calibration.sample_weight(voltages, mask, **args)
@@ -173,7 +173,7 @@ class TestNativeEqualsNumpy:
             n, seed, _sigma, kind, _shared, data_seed = case
             voltages, _jitter, rng = _inputs(n, False, data_seed)
             mask = _mask(kind, c6288_sensor.num_bits, rng)
-            with kernels.use("sensor=native"):
+            with kernels.use("native"):
                 got = c6288_sensor.sample_weight(voltages, seed, mask)
             with kernels.use("numpy"):
                 want = c6288_sensor.sample_weight(voltages, seed, mask)
@@ -259,8 +259,7 @@ class TestSensorLevelIdentity:
     def test_numpy_spec_selects_reference(self):
         with kernels.use("numpy"):
             assert (
-                kernels.dispatch("sensor", "masked_weight")
-                is masked_weight_numpy
+                kernels.native_op("sensor", "masked_weight") is None
             )
 
 
@@ -272,15 +271,14 @@ class TestSelfCheck:
             pytest.skip("no C compiler on this host")
         if kernels_native._numpy_random_archive() is None:
             pytest.skip("numpy ships no libnpyrandom.a here")
-        monkeypatch.setenv(kernels_native.PROVIDER_ENV, "auto")
-        kernels.invalidate_cache()
+        kernels_native._reset_for_tests()
         try:
             provider = kernels_native.load_native()
             assert provider.refused == {}
             assert ("sensor", "masked_weight") in provider.ops
         finally:
             monkeypatch.undo()
-            kernels.invalidate_cache()
+            kernels_native._reset_for_tests()
 
     def test_corrupted_table_refuses_the_op(self, monkeypatch):
         if kernels_native._find_compiler() is None:
@@ -292,9 +290,8 @@ class TestSelfCheck:
             wi[7] = np.nextafter(wi[7], np.inf)
             return wi, ki
 
-        monkeypatch.setenv(kernels_native.PROVIDER_ENV, "auto")
         monkeypatch.setattr(kernels_native, "_ziggurat_tables", corrupted)
-        kernels.invalidate_cache()
+        kernels_native._reset_for_tests()
         try:
             provider = kernels_native.load_native()
             assert provider is not None and provider.provider == "cc"
@@ -302,27 +299,25 @@ class TestSelfCheck:
             assert "self-check" in provider.refused["sensor"]
             # The other C kernels still load.
             assert ("cpa", "accumulate") in provider.ops
-            with kernels.use("native") as resolved:
-                assert resolved["sensor"] == "native"
+            with kernels.use("native"):
+                assert kernels.active_backends()["sensor"] == "native"
                 assert (
-                    kernels.dispatch("sensor", "masked_weight")
-                    is masked_weight_numpy
+                    kernels.native_op("sensor", "masked_weight") is None
                 )
                 meta = kernels.backend_metadata()
                 assert "self-check" in meta["native_refused"]["sensor"]
                 assert "sensor native refused" in kernels.describe()
         finally:
             monkeypatch.undo()
-            kernels.invalidate_cache()
+            kernels_native._reset_for_tests()
 
     def test_missing_archive_keeps_other_c_kernels(self, monkeypatch):
         if kernels_native._find_compiler() is None:
             pytest.skip("no C compiler on this host")
-        monkeypatch.setenv(kernels_native.PROVIDER_ENV, "auto")
         monkeypatch.setattr(
             kernels_native, "_numpy_random_archive", lambda: None
         )
-        kernels.invalidate_cache()
+        kernels_native._reset_for_tests()
         try:
             provider = kernels_native.load_native()
             assert provider is not None
@@ -330,24 +325,21 @@ class TestSelfCheck:
             assert ("aes", "round_states") in provider.ops
             with kernels.use("native"):
                 assert (
-                    kernels.dispatch("sensor", "masked_weight")
-                    is masked_weight_numpy
+                    kernels.native_op("sensor", "masked_weight") is None
                 )
         finally:
             monkeypatch.undo()
-            kernels.invalidate_cache()
+            kernels_native._reset_for_tests()
 
     def test_no_provider_serves_numpy(self, monkeypatch):
-        monkeypatch.setenv(kernels_native.PROVIDER_ENV, "none")
-        kernels.invalidate_cache()
+        # A host without a C compiler.
+        monkeypatch.setattr(kernels_native, "_find_compiler", lambda: None)
+        kernels_native._reset_for_tests()
         try:
-            assert (
-                kernels.dispatch("sensor", "masked_weight")
-                is masked_weight_numpy
-            )
+            assert kernels.native_op("sensor", "masked_weight") is None
         finally:
             monkeypatch.undo()
-            kernels.invalidate_cache()
+            kernels_native._reset_for_tests()
 
 
 def _one_edge_calibration():

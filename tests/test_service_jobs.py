@@ -3,6 +3,8 @@
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.jobs import (
     JOB_KINDS,
@@ -12,6 +14,26 @@ from repro.service.jobs import (
     JobState,
     QueueFullError,
     normalize_params,
+)
+
+
+#: Values a client might send for any parameter: every JSON type, the
+#: numbers that once slipped through, and strings each field accepts.
+_PARAM_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=10**6),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([2.5, 1e308, 4000.0, 0.0, -1.0, 2.0**53 + 2]),
+    st.text(max_size=10),
+    st.sampled_from([
+        "alu", "c6288", "hamming_weight", "single_bit", "thread",
+        "process", "auto", "numpy", "native", "aes=native",
+        "uniform:2", "gaussian:1.5,drift=0.002", "uniform:0",
+        "align=correlation:4;poi=sost:3", "resample=3/2",
+        "000102030405060708090a0b0c0d0e0f",
+    ]),
 )
 
 
@@ -63,6 +85,39 @@ class TestNormalizeParams:
         params = normalize_params("attack", {"task_timeout": 30})
         assert params["task_timeout"] == 30.0
         assert isinstance(params["task_timeout"], float)
+
+    @pytest.mark.parametrize("params", [
+        {"task_timeout": float("nan")},
+        {"task_timeout": float("inf")},
+        {"traces": float("nan")},
+        {"traces": float("inf")},
+        {"traces": 1e308},
+        {"workers": 2.5},
+        {"traces": 4000.5},
+        {"traces": None},
+    ])
+    def test_non_finite_and_fractional_numbers_rejected(self, params):
+        # These once passed admission (NaN and inf deadlines, 1e308
+        # traces), truncated silently (workers 2.5 -> 2) or escaped as
+        # a bare ValueError (traces NaN).
+        with pytest.raises(JobError, match=next(iter(params))):
+            normalize_params("attack", params)
+
+    def test_whole_floats_become_ints(self):
+        params = normalize_params("attack", {"traces": 4000.0, "workers": 2.0})
+        assert params["traces"] == 4000 and type(params["traces"]) is int
+        assert params["workers"] == 2 and type(params["workers"]) is int
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(kind=st.sampled_from(JOB_KINDS), data=st.data())
+    def test_any_params_normalize_or_raise_job_error(self, kind, data):
+        names = st.sampled_from(sorted(normalize_params(kind)) + ["bogus"])
+        params = data.draw(st.dictionaries(names, _PARAM_VALUES, max_size=6))
+        try:
+            normalized = normalize_params(kind, params)
+        except JobError:
+            return
+        assert normalize_params(kind, normalized) == normalized
 
     def test_equal_requests_normalize_identically(self):
         a = normalize_params("attack", {"traces": 1000})
@@ -282,44 +337,33 @@ class TestKernelsParameter:
             with pytest.raises(JobError, match=mode):
                 normalize_params("attack", {"kernels": mode})
 
-    @pytest.mark.parametrize("provider", ["numba", "cc"])
-    def test_unknown_native_provider_rejected(self, provider, monkeypatch):
-        from repro.util import kernels, kernels_native
-
-        monkeypatch.setenv(kernels_native.PROVIDER_ENV, provider)
-        kernels.invalidate_cache()
-        try:
-            for params in ({}, {"kernels": "numpy"}, {"kernels": "auto"}):
-                with pytest.raises(JobError, match="REPRO_NATIVE_PROVIDER"):
-                    normalize_params("attack", params)
-        finally:
-            monkeypatch.undo()
-            kernels.invalidate_cache()
-
     def test_unknown_kernel_rejected(self):
+        # One mode serves every kernel; a per-kernel map is not a mode.
         with pytest.raises(JobError, match="rsa"):
             normalize_params("tracegen", {"kernels": "rsa=native"})
-        # resample left the registry: the same error, at admission.
-        with pytest.raises(JobError, match="unknown kernel 'resample'"):
+        # resample left the kernels: the same error, at admission.
+        with pytest.raises(JobError, match="unknown kernels mode 'resample"):
             normalize_params("attack", {"kernels": "resample=native"})
 
-    def test_native_unavailable_names_dependency(self):
-        import os
+    def test_native_unavailable_names_dependency(self, monkeypatch):
+        from repro.util import kernels_native
 
-        from repro.util import kernels, kernels_native
-
-        saved = os.environ.get(kernels_native.PROVIDER_ENV)
-        os.environ[kernels_native.PROVIDER_ENV] = "none"
-        kernels.invalidate_cache()
+        # A host without a C compiler.
+        monkeypatch.setattr(kernels_native, "_find_compiler", lambda: None)
+        kernels_native._reset_for_tests()
         try:
-            with pytest.raises(JobError, match="native"):
+            with pytest.raises(JobError, match="native.*compiler"):
                 normalize_params("attack", {"kernels": "native"})
         finally:
-            if saved is None:
-                os.environ.pop(kernels_native.PROVIDER_ENV, None)
-            else:
-                os.environ[kernels_native.PROVIDER_ENV] = saved
-            kernels.invalidate_cache()
+            monkeypatch.undo()
+            kernels_native._reset_for_tests()
+
+    def test_admission_enters_no_selection(self):
+        from repro.util import kernels
+
+        before = kernels.current_mode()
+        normalize_params("attack", {"kernels": "numpy"})
+        assert kernels.current_mode() == before
 
     def test_execution_knob_stays_out_of_cache_key(self):
         # Kernel backends are bit-identical by contract, so two specs

@@ -1,5 +1,6 @@
 """Tests for the thread pool and the fault-tolerant map."""
 
+import contextvars
 import os
 import subprocess
 import sys
@@ -90,6 +91,14 @@ class TestRetryPolicy:
             RetryPolicy(timeout=0.0)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_base=-1.0)
+
+    @pytest.mark.parametrize(
+        "timeout", [float("nan"), float("inf"), -1.0, 0.0]
+    )
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        # A NaN deadline once passed and timed out every task at once.
+        with pytest.raises(ValueError, match="finite positive"):
+            RetryPolicy(timeout=timeout)
 
     def test_backoff_grows_and_caps(self):
         policy = RetryPolicy(backoff_base=0.5)
@@ -350,6 +359,74 @@ class TestDeadlines:
         assert excinfo.value.attempts == 3
         assert isinstance(excinfo.value.cause, TimeoutError)
         assert health.timeouts == 3
+
+
+class TestContextPropagation:
+    """Every task runs in a copy of the submitting thread's context."""
+
+    @pytest.mark.parametrize("resilient", [False, True])
+    def test_tasks_see_the_callers_context(self, resilient):
+        var = contextvars.ContextVar("job")
+        kwargs = {"policy": FAST} if resilient else {}
+
+        def task(_):
+            return var.get(None), threading.current_thread().name
+
+        def run(name, out):
+            var.set(name)
+            out[name] = map_ordered(task, range(6), 3, **kwargs)
+
+        out = {}
+        threads = [
+            threading.Thread(target=run, args=(name, out), name=name)
+            for name in ("a", "b")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        for name in ("a", "b"):
+            assert {seen for seen, _ in out[name]} == {name}
+            # The tasks ran on pool threads, not the submitting one.
+            assert name not in {thread for _, thread in out[name]}
+        assert var.get(None) is None
+
+
+@pytest.mark.timeout(60)
+def test_abandoned_task_does_not_hold_process_exit():
+    """A task abandoned on its deadline keeps running in the background,
+    but the process exits as soon as the driver is done."""
+    script = textwrap.dedent(
+        """
+        from repro.util.executors import RetryPolicy, ShardError, map_ordered
+        from repro.util.faults import FAULT_HANG, FaultPlan, FaultSpec
+
+        plan = FaultPlan([FaultSpec(
+            FAULT_HANG, site="task[0]", attempts=1, hang_seconds=5.0,
+        )])
+        try:
+            map_ordered(
+                abs, [1], policy=RetryPolicy(max_attempts=1, timeout=0.2),
+                fault_plan=plan,
+            )
+        except ShardError:
+            print("shard error")
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    elapsed = time.monotonic() - started
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "shard error"
+    assert elapsed < 1.5, "exit waited %.2fs for the hung task" % elapsed
 
 
 @pytest.mark.timeout(300)
