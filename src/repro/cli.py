@@ -85,9 +85,10 @@ def _add_kernels_argument(parser) -> None:
     )
 
 
-#: Lower bounds of the numeric arguments: ``dest -> (name, bound,
-#: inclusive)``.  A value below its bound, or NaN/inf, exits 2 with one
-#: line instead of a traceback deep inside a config or a campaign.
+#: Bounds of the numeric arguments: ``dest -> (name, bound, inclusive)``
+#: for a lower bound, plus an inclusive upper bound as a fourth entry.
+#: A value out of range, or NaN/inf, exits 2 with one line instead of a
+#: traceback deep inside a config, a campaign or a socket ``bind``.
 _NUMERIC_BOUNDS = {
     "workers": ("--workers", 1, True),
     "traces": ("--traces", 2, True),
@@ -108,6 +109,7 @@ _NUMERIC_BOUNDS = {
     "fleet_grace": ("--fleet-grace", 0, True),
     "quarantine_after": ("--quarantine-after", 1, True),
     "slots": ("--slots", 1, True),
+    "port": ("--port", 0, True, 65535),
 }
 
 
@@ -121,17 +123,19 @@ def _validate_args(args) -> None:
     from repro.util import kernels
     from repro.util.errors import ReproError
 
-    for dest, (name, bound, inclusive) in _NUMERIC_BOUNDS.items():
+    for dest, (name, bound, inclusive, *upper) in _NUMERIC_BOUNDS.items():
         value = getattr(args, dest, None)
+        top = upper[0] if upper else math.inf
         if value is None or (
             math.isfinite(value)
             and (value >= bound if inclusive else value > bound)
+            and value <= top
         ):
             continue
-        raise ReproError(
-            "%s must be %s %s (got %s)"
-            % (name, ">=" if inclusive else ">", bound, value)
-        )
+        limits = "%s %s" % (">=" if inclusive else ">", bound)
+        if upper:
+            limits += " and <= %s" % top
+        raise ReproError("%s must be %s (got %s)" % (name, limits, value))
     mode = getattr(args, "kernels", None)
     if mode is None:
         # An unknown REPRO_KERNELS fails every command up front, not

@@ -8,7 +8,8 @@ into one object:
    sensitive bits (Figs. 5–8 / 14–16);
 2. **Collect** — for each of N encryptions, compute the victim's
    last-round activity, the resulting supply voltage at the aligned
-   sensor sample, and the latched endpoint word (chunked, vectorized);
+   sensor sample, and the latched endpoint word (vectorized per
+   :data:`STREAM_BLOCK`);
 3. **Reduce** — Hamming weight over bits of interest, or a single
    endpoint bit;
 4. **Attack** — CPA on the reduced trace against the single-bit
@@ -45,12 +46,15 @@ from repro.util.rng import derive_seed
 REDUCTION_HW = "hamming_weight"
 REDUCTION_SINGLE_BIT = "single_bit"
 
-#: Traces generated per vectorized block.  Per-block jitter seeds are
-#: derived from the block's *global* start index, so any consumer that
-#: honours this grid (the serial collectors below, the sharded campaign
-#: driver in :mod:`repro.experiments.parallel`) reproduces identical
-#: leakage regardless of how the work is partitioned.
-TRACE_CHUNK = 50_000
+#: The stream block: every per-trace random stream of a campaign
+#: (sensor jitter, ambient noise, acquisition jitter) is seeded per
+#: block of this many traces, keyed on the block's *global* start index.
+#: It is also the unit of work, so a shard is any run of whole blocks
+#: and every consumer (the serial collectors below, the sharded drivers
+#: and fleet leases in :mod:`repro.experiments.parallel`) reproduces
+#: identical leakage however the campaign is partitioned.  Fixed, not a
+#: parameter: changing it changes every campaign longer than one block.
+STREAM_BLOCK = 4096
 
 
 @dataclass
@@ -305,17 +309,6 @@ class AttackCampaign:
         )
         return ciphertexts, voltages
 
-    def working_set_bytes_per_trace(self) -> int:
-        """Approximate per-trace footprint of the reduction pipeline.
-
-        Counts the per-trace intermediates a leakage chunk touches: the
-        sampled endpoint bits (uint8 per endpoint), the per-endpoint
-        jitter draws (float64), and the voltage/leakage scalars.  Used
-        by :func:`repro.experiments.parallel.plan_chunk_size` to size
-        leakage chunks to a cache-resident working set.
-        """
-        return int(9 * self.sensor.num_bits + 32)
-
     def reduced_leakage_block(
         self,
         voltages: np.ndarray,
@@ -324,15 +317,16 @@ class AttackCampaign:
         mask: Optional[np.ndarray],
         bit: Optional[int],
     ) -> np.ndarray:
-        """Reduced sensor leakage for one chunk of the campaign.
+        """Reduced sensor leakage for one stream block of the campaign.
 
         Args:
             voltages: voltage slice for traces
-                ``[global_start, global_start + len(voltages))``.
-            global_start: the slice's offset in the full campaign —
-                the jitter seed is keyed on it, so identical slices
-                yield identical leakage no matter which worker or loop
-                computes them.
+                ``[global_start, global_start + len(voltages))``, at
+                most one :data:`STREAM_BLOCK` long.
+            global_start: the block's offset in the full campaign, a
+                multiple of :data:`STREAM_BLOCK` — the jitter seed is
+                keyed on it, so identical blocks yield identical
+                leakage no matter which worker or loop computes them.
             reduction / mask / bit: from :meth:`resolve_reduction`;
                 single-bit reduction reads the one-hot mask of ``bit``.
         """
@@ -353,7 +347,6 @@ class AttackCampaign:
         num_traces: int,
         reduction: str = REDUCTION_HW,
         bit: Optional[int] = None,
-        chunk_size: int = TRACE_CHUNK,
     ) -> Dict[str, np.ndarray]:
         """Generate ciphertexts and reduced sensor traces.
 
@@ -363,7 +356,6 @@ class AttackCampaign:
                 or ``"single_bit"``.
             bit: endpoint index for single-bit reduction (default: the
                 characterization's best bit).
-            chunk_size: traces generated per vectorized block.
 
         Returns:
             dict with ``"ciphertexts"`` (N, 16), ``"leakage"`` (N,)
@@ -374,8 +366,8 @@ class AttackCampaign:
         mask, bit = self.resolve_reduction(reduction, bit)
         ciphertexts, voltages = self.campaign_inputs(num_traces)
         leakage = np.empty(num_traces, dtype=np.float64)
-        for start in range(0, num_traces, chunk_size):
-            end = min(start + chunk_size, num_traces)
+        for start in range(0, num_traces, STREAM_BLOCK):
+            end = min(start + STREAM_BLOCK, num_traces)
             leakage[start:end] = self.reduced_leakage_block(
                 voltages[start:end], start, reduction, mask, bit
             )
@@ -426,8 +418,8 @@ class AttackCampaign:
         )
         scores: Dict[int, float] = {}
         columns = {int(b): np.empty(trial_traces) for b in order}
-        for start in range(0, trial_traces, TRACE_CHUNK):
-            end = min(start + TRACE_CHUNK, trial_traces)
+        for start in range(0, trial_traces, STREAM_BLOCK):
+            end = min(start + STREAM_BLOCK, trial_traces)
             bits = self.sensor.sample_bits(
                 voltages[start:end],
                 seed=derive_seed(self.seed, "campaign-jitter", start),
@@ -478,7 +470,7 @@ class AttackCampaign:
         column: int,
         mask: np.ndarray,
     ) -> np.ndarray:
-        """Hamming-weight leakage for one column over one trace chunk.
+        """Hamming-weight leakage for one column over one stream block.
 
         Mirrors :meth:`reduced_leakage_block`: the jitter seed is keyed
         on ``(column, global_start)``, matching the serial collector.
@@ -492,9 +484,7 @@ class AttackCampaign:
         )
 
     def collect_column_traces(
-        self,
-        num_traces: int,
-        chunk_size: int = TRACE_CHUNK,
+        self, num_traces: int
     ) -> Dict[str, np.ndarray]:
         """Reduced traces for all four last-round column cycles.
 
@@ -515,8 +505,8 @@ class AttackCampaign:
         ciphertexts, voltages = self.column_inputs(num_traces)
         leakage = np.empty((num_traces, 4), dtype=np.float64)
         for column in range(4):
-            for start in range(0, num_traces, chunk_size):
-                end = min(start + chunk_size, num_traces)
+            for start in range(0, num_traces, STREAM_BLOCK):
+                end = min(start + STREAM_BLOCK, num_traces)
                 leakage[start:end, column] = self.column_leakage_block(
                     voltages[start:end, column], start, column, mask
                 )

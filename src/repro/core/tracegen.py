@@ -179,22 +179,6 @@ class PhysicalTraceGenerator:
         waveform."""
         return self._batched_cipher().encrypt(plaintexts)
 
-    def working_set_bytes_per_trace(self) -> int:
-        """Approximate per-trace footprint of :meth:`generate`.
-
-        Counts the big per-trace intermediates of the batched pipeline:
-        the 12 round states (uint8), the per-cycle activity row
-        (float64), and the four waveform-length float64 arrays
-        (currents, droop, clean voltages, noise).  Used by
-        :func:`repro.experiments.parallel.plan_chunk_size` to size
-        generation chunks to a cache-resident working set.
-        """
-        return int(
-            12 * 16
-            + 8 * self.schedule.total_cycles
-            + 4 * 8 * self.num_samples
-        )
-
     def last_round_sample_indices(self) -> np.ndarray:
         """Waveform sample aligned with each of the 4 last-round cycles.
 
@@ -317,7 +301,7 @@ class PhysicalTraceGenerator:
         ``"tracegen-misalign-glitch"`` (per-sample drop/duplicate
         events) — via edge-clamped linear interpolation.  Like the
         ambient-noise block, the draws depend only on ``(seed, shape)``,
-        so chunk-aligned sharding reproduces the identical distortion;
+        so block-aligned sharding reproduces the identical distortion;
         integer uniform shifts gather samples bitwise, which is what
         lets correlation alignment undo them exactly.
 

@@ -19,9 +19,9 @@ Files are written atomically — serialized to a temporary file in the
 destination directory, fsynced, then ``os.replace``d over the target —
 so a crash mid-write can never leave a truncated checkpoint behind;
 the previous durable state simply survives.  Because shard merges are
-order-independent and every chunk's randomness is keyed on global
-trace indices, a campaign resumed from any checkpoint reproduces the
-uninterrupted result bit for bit.
+order-independent and every stream block's randomness is keyed on
+global trace indices, a campaign resumed from any checkpoint
+reproduces the uninterrupted result bit for bit.
 
 The serialized payload is a single ``.npz``: reserved double-
 underscore keys carry the manifest and progress counter, every other
@@ -53,8 +53,13 @@ __all__ = [
     "save_checkpoint",
 ]
 
-#: Bumped whenever the on-disk layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+#: Bumped whenever the on-disk layout, or the random streams a stored
+#: state was drawn from, changes incompatibly.  Version 2 keys every
+#: stream on the 4,096-trace stream block instead of the 50k chunk grid,
+#: so a version-1 checkpoint must not resume.  The version is part of
+#: :attr:`CampaignManifest.config_hash`, hence of every service cache
+#: key.
+CHECKPOINT_VERSION = 2
 
 #: Reserved keys inside the ``.npz`` payload.
 _KEY_MANIFEST = "__manifest__"
@@ -79,7 +84,7 @@ class CampaignManifest:
         kind: campaign flavor (``"attack"``, ``"physical"``,
             ``"fullkey"``, ``"report"``).
         params: JSON-serializable campaign parameters (seeds, trace
-            budget, targets, chunk size, ...).
+            budget, targets, ...).
         shard_plan: the ``(start, end)`` trace range of every shard,
             in execution order.
         checkpoints: the correlation-evaluation grid.

@@ -39,10 +39,7 @@ from repro.core.endpoint_sensor import BenignSensor
 from repro.core.tracegen import PhysicalTraceGenerator, random_plaintexts
 from repro.experiments.benchmark import best_of, warm_kernels
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import (
-    plan_chunk_size,
-    sharded_physical_attack,
-)
+from repro.experiments.parallel import sharded_physical_attack
 from repro.util.executors import usable_cpu_count
 from repro.util.rng import derive_seed
 
@@ -343,7 +340,7 @@ def chaos_drill(traces: int = 60_000, seed: int = 1) -> Dict[str, object]:
 
 
 def preprocess_drill(
-    traces: int = 40_000,
+    traces: int = 80_000,
     align_traces: int = 4096,
     severities=(0, 1, 2, 3),
     repeats: int = 3,
@@ -511,17 +508,10 @@ def _local_scaling(traces: int, repeats: int, seed: int) -> Dict[str, object]:
     """Physical campaign on the thread pool: 2 workers vs 1."""
     generator = PhysicalTraceGenerator(AES128(ExperimentConfig().key))
     sensor = BenignSensor.from_name("alu")
-    # Jitter seeds are keyed on global chunk starts, so both runs share
-    # one chunk grid (sized to the generation working set) and their
-    # correlations compare bit for bit.
-    chunk = plan_chunk_size(
-        traces, generator.working_set_bytes_per_trace(), 2
-    )
 
     def run(workers: int):
         return sharded_physical_attack(
-            generator, sensor, traces, max_workers=workers,
-            chunk_size=chunk, seed=seed,
+            generator, sensor, traces, max_workers=workers, seed=seed
         )
 
     if not np.array_equal(run(1).correlations, run(2).correlations):
@@ -532,7 +522,6 @@ def _local_scaling(traces: int, repeats: int, seed: int) -> Dict[str, object]:
     two_s = best_of(repeats, lambda: run(2))
     return {
         "traces": int(traces),
-        "chunk_size": chunk,
         "identical_correlations": True,
         "workers_1_s": one_s,
         "workers_2_s": two_s,

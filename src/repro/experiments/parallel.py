@@ -8,9 +8,10 @@ campaign — the single-byte CPA of Fig. 10 and its 16-byte extension,
 over the analytical leakage model or physically generated traces —
 runs through one contract:
 
-* a **recipe** computes one chunk's leakage from ``(state, start,
-  end)``: analytic reduced, analytic per-column, physical single-byte
-  or physical 4-column.  Recipes are the only per-source code;
+* a **recipe** computes one stream block's leakage from ``(state,
+  start, end)``: analytic reduced, analytic per-column, physical
+  single-byte or physical 4-column.  Recipes are the only per-source
+  code;
 * a :class:`ShardSource` pairs a recipe with the fan-out state and
   arrays it reads;
 * a **statistic** — :class:`SegmentPartials` (by-value CPA partials per
@@ -27,11 +28,14 @@ Determinism is preserved by construction:
 * ciphertexts, victim voltages and plaintexts are drawn
   campaign-globally (one seeded draw for all N traces) before any
   sharding;
-* shard boundaries are aligned to the campaign's
-  :data:`~repro.core.attack.TRACE_CHUNK` grid, and each chunk's jitter
-  and noise seeds are keyed on its *global* start index — the same
-  derivation the serial collector uses — so every worker reproduces
-  the exact leakage the serial path would have produced;
+* every random stream (sensor jitter, ambient noise, acquisition
+  jitter) is seeded per :data:`~repro.core.attack.STREAM_BLOCK` of
+  4,096 traces, keyed on the block's *global* start index — the same
+  derivation the serial collector uses.  The block is also the unit of
+  work: a shard is any run of whole blocks (:func:`plan_shards` splits
+  the blocks evenly, so no shard is more than one block longer than
+  another), and every worker reproduces the exact leakage the serial
+  path would have produced;
 * leakage and hypothesis values are integer-valued, so the running
   sums are float-exact and merging is order-independent: the sharded
   result, accumulated by ciphertext-byte value
@@ -84,7 +88,7 @@ from repro.attacks.models import (
 )
 from repro.core.attack import (
     REDUCTION_HW,
-    TRACE_CHUNK,
+    STREAM_BLOCK,
     AttackCampaign,
 )
 from repro.core.endpoint_sensor import BenignSensor
@@ -110,13 +114,11 @@ from repro.util.rng import derive_seed
 from repro.util.shm import ArrayFanout
 
 __all__ = [
-    "DEFAULT_CHUNK_WORKING_SET_BYTES",
     "ColumnBlocks",
     "SegmentPartials",
     "Shard",
     "ShardSource",
     "default_workers",
-    "plan_chunk_size",
     "plan_shards",
     "run_lease",
     "segment_ends",
@@ -145,87 +147,32 @@ class Shard:
 
 
 def plan_shards(
-    num_traces: int,
-    num_shards: Optional[int] = None,
-    chunk_size: int = TRACE_CHUNK,
+    num_traces: int, num_shards: Optional[int] = None
 ) -> List[Shard]:
-    """Split ``[0, num_traces)`` into chunk-aligned contiguous shards.
+    """Split ``[0, num_traces)`` into contiguous runs of whole stream
+    blocks.
 
-    Shard boundaries land on multiples of ``chunk_size`` (except the
-    final partial chunk), because per-chunk jitter seeds are keyed on
-    the chunk grid; splitting mid-chunk would change the sampled noise
-    relative to the serial path.
+    Every boundary but the campaign's end lands on a multiple of
+    :data:`STREAM_BLOCK`, because each block's random streams are keyed
+    on its global start; splitting mid-block would change the sampled
+    noise relative to the serial path.  The blocks are distributed as
+    evenly as possible, so no shard is more than one block longer than
+    another; the spare blocks go to the last shards, the ones that hold
+    the campaign's partial last block, so the shards' trace counts come
+    out as even as the grid allows.
     """
     if num_traces < 1:
         raise ValueError("need at least one trace")
-    if chunk_size < 1:
-        raise ValueError("chunk size must be positive")
-    num_chunks = -(-num_traces // chunk_size)
-    shards = min(num_shards or default_workers(), num_chunks)
-    shards = max(1, shards)
-    # Distribute whole chunks as evenly as possible.
-    per_shard, extra = divmod(num_chunks, shards)
+    num_blocks = -(-num_traces // STREAM_BLOCK)
+    shards = max(1, min(num_shards or default_workers(), num_blocks))
+    per_shard, extra = divmod(num_blocks, shards)
     plan: List[Shard] = []
-    chunk_cursor = 0
+    block = 0
     for index in range(shards):
-        take = per_shard + (1 if index < extra else 0)
-        start = chunk_cursor * chunk_size
-        chunk_cursor += take
-        end = min(chunk_cursor * chunk_size, num_traces)
-        plan.append(Shard(start, end))
+        start = block * STREAM_BLOCK
+        block += per_shard + (1 if index >= shards - extra else 0)
+        plan.append(Shard(start, min(block * STREAM_BLOCK, num_traces)))
     return plan
-
-
-#: Default per-chunk working-set budget.  A chunk's arrays (voltages,
-#: sampled bits, jitter draws, currents/droops for the physical path)
-#: should stay resident in a per-core last-level-cache slice while the
-#: numpy kernels stream over them; a few MiB is the sweet spot on
-#: commodity parts, and the exact value only shifts constant factors.
-DEFAULT_CHUNK_WORKING_SET_BYTES = 4 << 20
-
-
-def plan_chunk_size(
-    num_traces: int,
-    bytes_per_trace: int,
-    workers: Optional[int] = None,
-    target_bytes: int = DEFAULT_CHUNK_WORKING_SET_BYTES,
-) -> int:
-    """Trace-chunk length derived from working-set footprint.
-
-    Sizing chunks as ``num_traces / k`` couples the working set to the
-    campaign size: a 100k-trace campaign on 4 workers used to process
-    12.5k-trace chunks whose temporaries spill every cache level.  This
-    derives the chunk from how many traces *fit* instead:
-
-    * at most ``target_bytes / bytes_per_trace`` traces per chunk, so
-      one chunk's arrays stay cache-resident;
-    * at least one chunk per worker (when ``num_traces`` allows), so
-      the pool is saturated regardless of footprint;
-    * never more than ``num_traces``.
-
-    The chunk size feeds the campaign's jitter-seed grid, so the serial
-    baseline of any comparison must be collected at the same chunk size
-    — exactly as with a hand-picked value.
-
-    Args:
-        num_traces: campaign length.
-        bytes_per_trace: per-trace footprint of the generation pipeline
-            (see :meth:`AttackCampaign.working_set_bytes_per_trace` and
-            :meth:`PhysicalTraceGenerator.working_set_bytes_per_trace`).
-        workers: worker count (default :func:`default_workers`).
-        target_bytes: per-chunk working-set budget.
-    """
-    if num_traces < 1:
-        raise ValueError("need at least one trace")
-    if bytes_per_trace < 1:
-        raise ValueError("bytes_per_trace must be positive")
-    if target_bytes < 1:
-        raise ValueError("target_bytes must be positive")
-    chunk = max(1, target_bytes // bytes_per_trace)
-    count = workers if workers is not None else default_workers()
-    if count > 1:
-        chunk = min(chunk, -(-num_traces // count))
-    return int(max(1, min(chunk, num_traces)))
 
 
 def _normalize_checkpoints(
@@ -250,12 +197,12 @@ def segment_ends(shard: Shard, boundaries: Sequence[int]) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# Recipes: one chunk's leakage, ``(state, start, end, column)``
+# Recipes: one stream block's leakage, ``(state, start, end, column)``
 # ----------------------------------------------------------------------
 #
-# CPA recipes return ``(leakage, ciphertext_bytes)`` for the chunk;
+# CPA recipes return ``(leakage, ciphertext_bytes)`` for the block;
 # column recipes return a ``(num, width)`` leakage block.  Every seed is
-# keyed on the chunk's *global* start, so any chunk-aligned sharding
+# keyed on the block's *global* start, so any block-aligned sharding
 # reproduces the serial campaign.
 
 
@@ -291,11 +238,11 @@ def _column_recipe(
 def _physical_recipe(
     state: ArrayFanout, start: int, end: int, column: Optional[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One generated chunk read at the target byte's cycle.
+    """One generated block read at the target byte's cycle.
 
-    The chunk is simulated end to end — encryption, current waveform,
+    The block is simulated end to end — encryption, current waveform,
     PDN integration, sensor sampling.  With a preprocessing plan the
-    chunk is aligned shard-locally, only the resolved POI samples are
+    block is aligned shard-locally, only the resolved POI samples are
     cropped/resampled (:meth:`ResolvedPreprocess.read`), and the
     leakage sums the sensor's readings over them, one jitter stream per
     POI.
@@ -333,11 +280,11 @@ def _physical_recipe(
 def _physical_columns_recipe(
     state: ArrayFanout, start: int, end: int, column: Optional[int]
 ) -> np.ndarray:
-    """One generated chunk read at all four last-round columns.
+    """One generated block read at all four last-round columns.
 
-    The chunk is generated once, optionally preprocessed at the union
+    The block is generated once, optionally preprocessed at the union
     of the columns' samples, then read at every column's sample set
-    with per-``(chunk, column, poi)`` jitter streams, so one waveform
+    with per-``(block, column, poi)`` jitter streams, so one waveform
     pass feeds all 16 per-byte CPAs.
     """
     heavy = state.heavy
@@ -373,13 +320,13 @@ def _physical_columns_recipe(
 class ShardSource:
     """A campaign's traces under the shard contract.
 
-    ``heavy`` holds the recipe, the chunk size and the objects the
-    recipe reads; ``arrays`` the campaign-global inputs it slices;
-    ``columns`` the tasks per shard (one per column for the analytic
-    per-column recipe, whose chunk seeds are keyed per column).
+    ``heavy`` holds the recipe and the objects it reads; ``arrays`` the
+    campaign-global inputs it slices; ``columns`` the tasks per shard
+    (one per column for the analytic per-column recipe, whose block
+    seeds are keyed per column).
     ``ciphertexts`` are the full-key hypothesis stage's inputs when the
     source derives them (None for the physical single-byte source,
-    which reads its ciphertext bytes off the generated chunks).
+    which reads its ciphertext bytes off the generated blocks).
 
     Build one with the constructor for its recipe; the local drivers
     and the fleet lease route call the same constructors.
@@ -399,7 +346,6 @@ class ShardSource:
         bit: Optional[int] = None,
         target_byte: int = DEFAULT_TARGET_BYTE,
         target_bit: int = DEFAULT_TARGET_BIT,
-        chunk_size: int = TRACE_CHUNK,
     ) -> "ShardSource":
         """Analytic reduced leakage for the single-byte CPA."""
         mask, bit = campaign.resolve_reduction(reduction, bit)
@@ -407,7 +353,6 @@ class ShardSource:
         return cls(
             heavy={
                 "recipe": _reduced_recipe,
-                "chunk_size": chunk_size,
                 "campaign": campaign,
                 "reduction": reduction,
                 "mask": mask,
@@ -423,10 +368,7 @@ class ShardSource:
 
     @classmethod
     def per_column(
-        cls,
-        campaign: AttackCampaign,
-        num_traces: int,
-        chunk_size: int = TRACE_CHUNK,
+        cls, campaign: AttackCampaign, num_traces: int
     ) -> "ShardSource":
         """Analytic per-column leakage for the full-key recovery."""
         mask, _ = campaign.resolve_reduction(REDUCTION_HW)
@@ -434,7 +376,6 @@ class ShardSource:
         return cls(
             heavy={
                 "recipe": _column_recipe,
-                "chunk_size": chunk_size,
                 "campaign": campaign,
                 "mask": mask,
             },
@@ -455,14 +396,12 @@ class ShardSource:
         target_byte: int = DEFAULT_TARGET_BYTE,
         target_bit: int = DEFAULT_TARGET_BIT,
         reference: bool = False,
-        chunk_size: int = TRACE_CHUNK,
     ) -> "ShardSource":
         """Physically generated traces for the single-byte CPA."""
         column = column_of_key_byte(target_byte)
         return cls(
             heavy={
                 "recipe": _physical_recipe,
-                "chunk_size": chunk_size,
                 "generator": generator,
                 "sensor": sensor,
                 "seed": seed,
@@ -490,7 +429,6 @@ class ShardSource:
         seed: int = 0,
         mask: Optional[np.ndarray] = None,
         preprocess: Optional[ResolvedPreprocess] = None,
-        chunk_size: int = TRACE_CHUNK,
     ) -> "ShardSource":
         """Physically generated traces for the full-key recovery."""
         plaintexts = campaign_plaintexts(num_traces, seed)
@@ -498,7 +436,6 @@ class ShardSource:
         return cls(
             heavy={
                 "recipe": _physical_columns_recipe,
-                "chunk_size": chunk_size,
                 "generator": generator,
                 "sensor": sensor,
                 "seed": seed,
@@ -687,27 +624,26 @@ class ColumnBlocks:
 
 
 def _shard_task(state: ArrayFanout, task: Dict[str, object]) -> object:
-    """One shard: the source's recipe over the shard's chunks, reduced
-    to the task's statistic.
+    """One shard: the source's recipe over the shard's stream blocks,
+    reduced to the task's statistic.
 
     The payload is only the shard and its ``column`` or
     ``segment_ends``; the source's heavy objects and campaign-global
     arrays are read in place from ``state``.
     """
     recipe = state.heavy["recipe"]
-    chunk_size: int = state.heavy["chunk_size"]
     shard: Shard = task["shard"]
     column = task.get("column")
-    chunks = [
-        recipe(state, start, min(start + chunk_size, shard.end), column)
-        for start in range(shard.start, shard.end, chunk_size)
+    blocks = [
+        recipe(state, start, min(start + STREAM_BLOCK, shard.end), column)
+        for start in range(shard.start, shard.end, STREAM_BLOCK)
     ]
     if "segment_ends" not in task:
-        return poison_leakage(np.concatenate(chunks).astype(np.float64))
-    leakage = np.concatenate([leak for leak, _ in chunks])
+        return poison_leakage(np.concatenate(blocks).astype(np.float64))
+    leakage = np.concatenate([leak for leak, _ in blocks])
     return _segment_partials(
         poison_leakage(leakage.astype(np.float64)),
-        np.concatenate([values for _, values in chunks]),
+        np.concatenate([values for _, values in blocks]),
         shard.start,
         task["segment_ends"],
         state.heavy["target_bit"],
@@ -808,10 +744,13 @@ def _run_shards(
 
 
 def _plan_subshards(shard: Shard, workers: int) -> List[Shard]:
-    """Chunk-aligned split of one lease for the worker's local pool."""
-    if workers <= 1 or shard.start % TRACE_CHUNK:
-        return [shard]
-    relative = plan_shards(shard.num_traces, workers, TRACE_CHUNK)
+    """Block-aligned split of one lease for the worker's local pool."""
+    if shard.start % STREAM_BLOCK:
+        raise ValueError(
+            "lease %s does not start on the %d-trace stream block grid"
+            % (shard.site, STREAM_BLOCK)
+        )
+    relative = plan_shards(shard.num_traces, workers)
     return [
         Shard(shard.start + sub.start, shard.start + sub.end)
         for sub in relative
@@ -827,7 +766,7 @@ def run_lease(
 ):
     """One fleet lease ``[start, end)`` of a campaign on this host.
 
-    The lease splits into chunk-aligned sub-shards for the local pool,
+    The lease splits into block-aligned sub-shards for the local pool,
     runs them through the same task and loop as the local drivers, and
     folds them back with the statistic's reducer.  With
     ``segment_ends`` the result is one ``(boundary, StreamingCPA)`` per
@@ -899,7 +838,6 @@ def sharded_attack(
     target_bit: int = DEFAULT_TARGET_BIT,
     checkpoints: Optional[Sequence[int]] = None,
     max_workers: Optional[int] = None,
-    chunk_size: int = TRACE_CHUNK,
     policy: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     health: Optional[CampaignHealth] = None,
@@ -921,8 +859,6 @@ def sharded_attack(
         num_traces / reduction / bit / target_byte / target_bit /
             checkpoints: as in :meth:`AttackCampaign.attack`.
         max_workers: worker count (default: :func:`default_workers`).
-        chunk_size: trace-generation block length; must stay on the
-            campaign's chunk grid to reproduce the serial jitter seeds.
         policy: retry/timeout policy; any fault-tolerance
             argument (also ``fault_plan``, ``health``,
             ``checkpoint_path``) switches shard execution into the
@@ -942,11 +878,10 @@ def sharded_attack(
     if num_traces < 2:
         raise ValueError("need at least 2 traces")
     source = ShardSource.reduced(
-        campaign, num_traces, reduction, bit, target_byte, target_bit,
-        chunk_size,
+        campaign, num_traces, reduction, bit, target_byte, target_bit
     )
     points = _normalize_checkpoints(checkpoints, num_traces)
-    shards = plan_shards(num_traces, max_workers, chunk_size)
+    shards = plan_shards(num_traces, max_workers)
     bit = source.heavy["bit"]
     manifest = _manifest(
         "attack",
@@ -959,7 +894,6 @@ def sharded_attack(
             "bit": None if bit is None else int(bit),
             "target_byte": int(target_byte),
             "target_bit": int(target_bit),
-            "chunk_size": int(chunk_size),
         },
         shards,
         points,
@@ -980,7 +914,6 @@ def sharded_physical_attack(
     target_bit: int = DEFAULT_TARGET_BIT,
     checkpoints: Optional[Sequence[int]] = None,
     max_workers: Optional[int] = None,
-    chunk_size: int = TRACE_CHUNK,
     seed: int = 0,
     reference: bool = False,
     preprocess: Optional[ResolvedPreprocess] = None,
@@ -1004,8 +937,8 @@ def sharded_physical_attack(
         sensor: benign sensor sampling the aligned supply voltage.
         mask: sensitive-bit mask for the Hamming-weight reduction
             (None: all endpoint bits).
-        target_byte / target_bit / checkpoints / max_workers /
-            chunk_size: as in :func:`sharded_attack`.
+        target_byte / target_bit / checkpoints / max_workers: as in
+            :func:`sharded_attack`.
         seed: campaign seed (plaintexts, ambient noise, jitter).
         reference: run every stage through its per-trace pure-Python
             reference path instead of the vectorized kernels.  Both
@@ -1013,7 +946,7 @@ def sharded_physical_attack(
             benchmark times the fast path against.
         preprocess: resolved preprocessing plan
             (:func:`repro.preprocess.pipeline.resolve_preprocess`);
-            each chunk is aligned/cropped/resampled shard-locally and
+            each block is aligned/cropped/resampled shard-locally and
             the leakage sums the sensor's readings over the resolved
             POI set.  None (the default) leaves the campaign untouched.
         policy / fault_plan / health / checkpoint_path /
@@ -1024,10 +957,10 @@ def sharded_physical_attack(
         raise ValueError("need at least 2 traces")
     source = ShardSource.physical(
         generator, sensor, num_traces, seed, mask, preprocess,
-        target_byte, target_bit, reference, chunk_size,
+        target_byte, target_bit, reference,
     )
     points = _normalize_checkpoints(checkpoints, num_traces)
-    shards = plan_shards(num_traces, max_workers, chunk_size)
+    shards = plan_shards(num_traces, max_workers)
     params = {
         "seed": int(seed),
         "sensor": sensor.name,
@@ -1036,7 +969,6 @@ def sharded_physical_attack(
         "mask": None if mask is None else np.asarray(mask).tolist(),
         "target_byte": int(target_byte),
         "target_bit": int(target_bit),
-        "chunk_size": int(chunk_size),
         "reference": bool(reference),
         "sample_index": source.heavy["sample_index"],
     }
@@ -1055,7 +987,6 @@ def sharded_full_key(
     target_bit: int = DEFAULT_TARGET_BIT,
     checkpoints: Optional[List[int]] = None,
     max_workers: Optional[int] = None,
-    chunk_size: int = TRACE_CHUNK,
     policy: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     health: Optional[CampaignHealth] = None,
@@ -1066,7 +997,7 @@ def sharded_full_key(
     """Parallel drop-in for :meth:`AttackCampaign.attack_full_key`.
 
     Column-resolved trace collection fans out as one task per
-    (shard, column) — chunk seeds are keyed on the global
+    (shard, column) — block seeds are keyed on the global
     ``(column, start)`` grid, identical to the serial collector — and
     each shard's four columns are stacked back in order; then the 16
     per-byte CPAs run on the same backend.  With ``checkpoint_path``
@@ -1077,8 +1008,8 @@ def sharded_full_key(
     """
     if num_traces < 2:
         raise ValueError("need at least 2 traces")
-    source = ShardSource.per_column(campaign, num_traces, chunk_size)
-    shards = plan_shards(num_traces, max_workers, chunk_size)
+    source = ShardSource.per_column(campaign, num_traces)
+    shards = plan_shards(num_traces, max_workers)
     manifest = _manifest(
         "fullkey",
         {
@@ -1087,7 +1018,6 @@ def sharded_full_key(
             "last_round_key": campaign.cipher.last_round_key.hex(),
             "num_traces": int(num_traces),
             "target_bit": int(target_bit),
-            "chunk_size": int(chunk_size),
         },
         shards,
         checkpoints or (),
@@ -1117,7 +1047,6 @@ def sharded_physical_full_key(
     target_bit: int = DEFAULT_TARGET_BIT,
     checkpoints: Optional[List[int]] = None,
     max_workers: Optional[int] = None,
-    chunk_size: int = TRACE_CHUNK,
     seed: int = 0,
     preprocess: Optional[ResolvedPreprocess] = None,
     policy: Optional[RetryPolicy] = None,
@@ -1130,21 +1059,21 @@ def sharded_physical_full_key(
     """Full 16-byte key recovery over physically generated traces.
 
     Every trace is simulated end to end and all four last-round columns
-    are read from the *same* generated chunk, so one task per shard
-    feeds all 16 per-byte CPAs.  With ``preprocess`` set, each chunk is
+    are read from the *same* generated block, so one task per shard
+    feeds all 16 per-byte CPAs.  With ``preprocess`` set, each block is
     aligned / cropped / resampled shard-locally and every column reads
     its resolved POI set instead of the single nominal cycle sample.
     The column-block statistic, its checkpoints and the runtime knobs
     are those of :func:`sharded_full_key`; results are bit-identical at
-    any worker count because all chunk streams are keyed on global
+    any worker count because all block streams are keyed on global
     indices.
     """
     if num_traces < 2:
         raise ValueError("need at least 2 traces")
     source = ShardSource.physical_columns(
-        generator, sensor, num_traces, seed, mask, preprocess, chunk_size
+        generator, sensor, num_traces, seed, mask, preprocess
     )
-    shards = plan_shards(num_traces, max_workers, chunk_size)
+    shards = plan_shards(num_traces, max_workers)
     mask = source.heavy["mask"]
     params = {
         "seed": int(seed),
@@ -1153,7 +1082,6 @@ def sharded_physical_full_key(
         "num_traces": int(num_traces),
         "mask": None if mask is None else mask.tolist(),
         "target_bit": int(target_bit),
-        "chunk_size": int(chunk_size),
         "sample_indices": [
             int(i) for i in generator.last_round_sample_indices()
         ],

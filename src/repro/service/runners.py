@@ -52,7 +52,6 @@ from repro.attacks.full_key import (
     recover_last_round_key,
 )
 from repro.attacks.models import DEFAULT_TARGET_BIT, DEFAULT_TARGET_BYTE
-from repro.core.attack import TRACE_CHUNK
 from repro.core.tracegen import (
     PhysicalTraceGenerator,
     campaign_plaintexts,
@@ -579,7 +578,7 @@ def _cached_inputs(
 
 @dataclass(frozen=True)
 class FleetShardPlan:
-    """A job's chunk-aligned shard decomposition for fleet dispatch.
+    """A job's block-aligned shard decomposition for fleet dispatch.
 
     ``segment_ends[i]`` are shard *i*'s internal merge boundaries —
     every campaign checkpoint falling inside the shard plus the shard
@@ -607,16 +606,18 @@ class FleetShardPlan:
 def plan_fleet_job(
     kind: str, params: Dict[str, object], num_shards: int
 ) -> FleetShardPlan:
-    """Chunk-aligned shard plan for one fleet-dispatched job.
+    """Block-aligned shard plan for one fleet-dispatched job.
 
-    Shards land on the :data:`TRACE_CHUNK` grid (the jitter-seed grid
-    of the single-host drivers), so any fleet size reproduces the exact
-    per-chunk seeds — the precondition for bit-identical merges.
+    Shards are runs of whole stream blocks
+    (:data:`~repro.core.attack.STREAM_BLOCK`, the seed grid of the
+    single-host drivers), split as evenly as :func:`plan_shards` splits
+    them for a local pool, so any fleet size reproduces the exact
+    per-block seeds — the precondition for bit-identical merges.
     """
     if kind not in ("attack", "fullkey"):
         raise ValueError("job kind %r is not fleet-dispatchable" % kind)
     num_traces = int(params["traces"])  # type: ignore[arg-type]
-    shards = plan_shards(num_traces, max(1, int(num_shards)), TRACE_CHUNK)
+    shards = plan_shards(num_traces, max(1, int(num_shards)))
     points = default_checkpoints(num_traces) if kind == "attack" else ()
     return FleetShardPlan(
         kind=kind,
@@ -639,10 +640,11 @@ def run_attack_shard(
 
     Rebuilds the campaign's shard source deterministically from the job
     parameters (cached per configuration), runs exactly the lease's
-    trace range on the global chunk grid through the local drivers'
-    shard task — split across ``local_workers`` and folded back — and
-    returns one :meth:`StreamingCPA.state_arrays` dict per segment
-    boundary, ready for the frame codec and the coordinator's merge.
+    trace range on the global stream-block grid through the local
+    drivers' shard task — split across ``local_workers`` and folded
+    back — and returns one :meth:`StreamingCPA.state_arrays` dict per
+    segment boundary, ready for the frame codec and the coordinator's
+    merge.
     """
     with kernels.use(params.get("kernels")):
         folded = run_lease(

@@ -81,8 +81,10 @@ def parse_worker_address(address: str) -> Tuple[str, int]:
         raise WorkerError(
             "worker address %r is not HOST:PORT" % address
         ) from None
-    if not (0 < port < 65536):
-        raise WorkerError("worker port %d out of range" % port)
+    if not 0 < port <= 65535:
+        raise WorkerError(
+            "worker port must be >= 1 and <= 65535 (got %d)" % port
+        )
     return host or "127.0.0.1", port
 
 

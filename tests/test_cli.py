@@ -122,6 +122,29 @@ class TestNumericBounds:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("port", ["-1", "65536", "99999"])
+    @pytest.mark.parametrize(
+        "verb", [["serve"], ["jobs"], ["submit", "tracegen"]]
+    )
+    def test_port_outside_0_65535_exits_2(self, capsys, verb, port):
+        code = main(verb + ["--port", port])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "error: --port must be >= 0 and <= 65535 (got %s)\n" % port
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("port", ["-1", "65536", "99999"])
+    def test_worker_port_outside_range_exits_2(self, capsys, port):
+        code = main(["worker", "127.0.0.1:%s" % port])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "error: worker port must be >= 1 and <= 65535 (got %s)\n" % port
+        )
+        assert captured.out == ""
+
     def test_heartbeat_bound_is_the_fleet_interval(self):
         from repro.cli import _NUMERIC_BOUNDS
         from repro.service.fleet import FleetConfig
@@ -323,6 +346,54 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert "--resume" in err
         assert path in err
+
+
+class TestCheckpointFormat:
+    def test_version_1_checkpoint_refuses_to_resume(self, tmp_path, capsys):
+        # A checkpoint in the version-1 form (50k chunk grid, with
+        # ``chunk_size`` in its manifest) of this very campaign: resuming
+        # from it would merge state drawn from the old streams into the
+        # new ones, so it must fail with one line and leave it untouched.
+        import json
+
+        import numpy as np
+
+        from repro.experiments.checkpoint import load_checkpoint
+
+        path = str(tmp_path / "attack.npz")
+        argv = [
+            "attack", "alu", "--traces", "9000", "--workers", "2",
+            "--checkpoint", path, "--checkpoint-every", "1",
+        ]
+        assert main(argv) in (0, 1)
+        stored = load_checkpoint(path)
+        manifest = json.loads(stored.manifest.to_json())
+        manifest["version"] = 1
+        manifest["params"]["chunk_size"] = 50_000
+        payload = dict(
+            stored.arrays,
+            __manifest__=np.frombuffer(
+                json.dumps(manifest, sort_keys=True).encode("utf-8"),
+                dtype=np.uint8,
+            ),
+            __completed_shards__=np.int64(1),
+            __version__=np.int64(1),
+        )
+        np.savez(path, **payload)
+        with open(path, "rb") as handle:
+            before = handle.read()
+        capsys.readouterr()
+        code = main(argv + ["--resume"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(
+            "error: checkpoint %s: version 1 not supported (expected 2)"
+            % path
+        )
+        assert captured.err.count("\n") == 1
+        assert "best guess" not in captured.out
+        with open(path, "rb") as handle:
+            assert handle.read() == before
 
 
 class TestKernelsOption:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.aes import AES128, last_round_activity
 from repro.aes.batch import BatchedAES128, cycle_activity_from_states
+from repro.core.attack import STREAM_BLOCK
 from repro.core.tracegen import PhysicalTraceGenerator, random_plaintexts
 from repro.experiments import sharded_physical_attack
 from repro.pdn import aes_current_waveform, aes_current_waveform_batch
@@ -141,19 +142,19 @@ class TestSensorReferencePath:
 
 class TestShardedPhysicalAttack:
     def test_backends_bit_identical(self, generator, alu_sensor):
-        kwargs = dict(chunk_size=1000, seed=5, checkpoints=[2000, 4000])
+        # Three stream blocks, so four workers run three shards.
+        num_traces = 2 * STREAM_BLOCK + 500
+        kwargs = dict(seed=5, checkpoints=[2000, 6000, num_traces])
         serial = sharded_physical_attack(
-            generator, alu_sensor, 4000, max_workers=1, **kwargs
+            generator, alu_sensor, num_traces, max_workers=1, **kwargs
         )
         threaded = sharded_physical_attack(
-            generator, alu_sensor, 4000, max_workers=4, **kwargs
+            generator, alu_sensor, num_traces, max_workers=4, **kwargs
         )
         assert np.array_equal(serial.correlations, threaded.correlations)
 
     def test_reference_path_bit_identical(self, generator, alu_sensor):
-        kwargs = dict(
-            chunk_size=200, seed=5, checkpoints=[400], max_workers=1
-        )
+        kwargs = dict(seed=5, checkpoints=[400], max_workers=1)
         fast = sharded_physical_attack(
             generator, alu_sensor, 400, **kwargs
         )

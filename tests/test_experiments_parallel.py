@@ -2,7 +2,7 @@
 
 The contract under test: sharding changes wall-clock only — every
 result is bit-identical to the serial path, for any worker count and
-any chunk-aligned shard layout.
+any block-aligned shard layout.
 """
 
 import numpy as np
@@ -10,15 +10,23 @@ import pytest
 
 from repro.attacks.cpa import StreamingCPA
 from repro.attacks.full_key import recover_last_round_key
-from repro.core.attack import REDUCTION_HW, REDUCTION_SINGLE_BIT
+from repro.core.attack import (
+    REDUCTION_HW,
+    REDUCTION_SINGLE_BIT,
+    STREAM_BLOCK,
+)
 from repro.experiments.parallel import (
-    DEFAULT_CHUNK_WORKING_SET_BYTES,
     Shard,
-    plan_chunk_size,
     plan_shards,
+    run_lease,
     sharded_attack,
     sharded_full_key,
 )
+
+#: Campaign sizes that span several stream blocks, the last one
+#: partial, so several shards exist and no boundary is a round number.
+N4 = 3 * STREAM_BLOCK + 1000
+N3 = 2 * STREAM_BLOCK + 800
 
 
 class TestPlanShards:
@@ -30,18 +38,32 @@ class TestPlanShards:
             assert a.end == b.start
 
     def test_boundaries_chunk_aligned(self):
-        cases = [
-            (plan_shards(500_000, 4), 50_000),
-            (plan_shards(120_001, 3, chunk_size=50_000), 50_000),
-            (plan_shards(7, 3, chunk_size=2), 2),
+        for num_traces, workers in [(500_000, 4), (120_001, 3), (N4, 4)]:
+            for shard in plan_shards(num_traces, workers)[:-1]:
+                assert shard.end % STREAM_BLOCK == 0
+
+    def test_splits_blocks_evenly(self):
+        # The 60k two-worker campaign is 15 blocks, the last one
+        # partial: 7 + 8 (28,672 + 31,328 traces), not the 50k + 10k
+        # of a coarse grid.  The spare block goes to the shard holding
+        # the partial one.
+        assert plan_shards(60_000, 2) == [
+            Shard(0, 7 * STREAM_BLOCK), Shard(7 * STREAM_BLOCK, 60_000)
         ]
-        for shards, chunk in cases:
-            for shard in shards[:-1]:
-                assert shard.end % chunk == 0
+        for num_traces in (N3, N4, 60_000, 150_000, 250_000):
+            for workers in (1, 2, 3, 4, 7):
+                shards = plan_shards(num_traces, workers)
+                blocks = [-(-s.num_traces // STREAM_BLOCK) for s in shards]
+                assert max(blocks) - min(blocks) <= 1
+                assert len(shards) == min(
+                    workers, -(-num_traces // STREAM_BLOCK)
+                )
 
     def test_fewer_chunks_than_workers(self):
-        shards = plan_shards(1000, 8)
-        assert shards == [Shard(0, 1000)]
+        assert plan_shards(1000, 8) == [Shard(0, 1000)]
+        assert plan_shards(STREAM_BLOCK + 1, 8) == [
+            Shard(0, STREAM_BLOCK), Shard(STREAM_BLOCK, STREAM_BLOCK + 1)
+        ]
 
     def test_shard_num_traces(self):
         assert Shard(100, 350).num_traces == 250
@@ -49,43 +71,13 @@ class TestPlanShards:
     def test_validation(self):
         with pytest.raises(ValueError):
             plan_shards(0, 4)
-        with pytest.raises(ValueError):
-            plan_shards(100, 4, chunk_size=0)
 
+    def test_lease_off_the_block_grid_rejected(self, alu_campaign):
+        from repro.experiments.parallel import ShardSource
 
-class TestPlanChunkSize:
-    def test_bounded_by_working_set_footprint(self):
-        # 1 KiB per trace against the 4 MiB default budget: 4096
-        # traces per chunk, regardless of how long the campaign is.
-        assert plan_chunk_size(10**6, 1024, workers=1) == 4096
-        assert plan_chunk_size(10**7, 1024, workers=1) == 4096
-
-    def test_saturates_workers_on_small_campaigns(self):
-        # A campaign whose footprint-derived chunk would be one giant
-        # block still splits into at least one chunk per worker.
-        assert plan_chunk_size(100, 1, workers=4) == 25
-
-    def test_never_exceeds_campaign_length(self):
-        assert plan_chunk_size(10, 1, workers=1) == 10
-
-    def test_huge_footprint_still_makes_progress(self):
-        assert plan_chunk_size(100, 10**9, workers=1) == 1
-
-    def test_custom_target_bytes(self):
-        assert plan_chunk_size(
-            10**6, 100, workers=1, target_bytes=1000
-        ) == 10
-
-    def test_default_budget_is_cache_scaled(self):
-        assert DEFAULT_CHUNK_WORKING_SET_BYTES == 4 << 20
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            plan_chunk_size(0, 8)
-        with pytest.raises(ValueError):
-            plan_chunk_size(100, 0)
-        with pytest.raises(ValueError):
-            plan_chunk_size(100, 8, target_bytes=0)
+        source = ShardSource.per_column(alu_campaign, N3)
+        with pytest.raises(ValueError, match="stream block grid"):
+            run_lease(source, 1000, N3, workers=2)
 
 
 class TestShardedAttack:
@@ -107,35 +99,30 @@ class TestShardedAttack:
 
     def test_worker_count_invariant(self, alu_campaign):
         kwargs = dict(
-            reduction=REDUCTION_SINGLE_BIT,
-            checkpoints=[2000, 6000],
-            chunk_size=1000,
+            reduction=REDUCTION_SINGLE_BIT, checkpoints=[2000, 6000, N4]
         )
-        one = sharded_attack(alu_campaign, 6000, max_workers=1, **kwargs)
-        four = sharded_attack(alu_campaign, 6000, max_workers=4, **kwargs)
+        one = sharded_attack(alu_campaign, N4, max_workers=1, **kwargs)
+        four = sharded_attack(alu_campaign, N4, max_workers=4, **kwargs)
         assert np.array_equal(one.correlations, four.correlations)
 
     def test_chunk_grid_preserves_serial_seeds(self, alu_campaign):
-        # Sharding with a small chunk must equal the serial collector
-        # run at the same chunk size (jitter seeds are keyed on the
-        # global chunk grid, not on shard-local offsets).
+        # Three shards must equal the serial collector: jitter seeds are
+        # keyed on the global stream-block grid, not on shard-local
+        # offsets.
         from repro.attacks.cpa import run_cpa
         from repro.attacks.models import single_bit_hypothesis
 
-        data = alu_campaign.collect_reduced_traces(
-            6000, REDUCTION_HW, chunk_size=1000
-        )
+        data = alu_campaign.collect_reduced_traces(N3, REDUCTION_HW)
         hypotheses = single_bit_hypothesis(data["ciphertexts"][:, 3])
         serial = run_cpa(
-            data["leakage"], hypotheses, checkpoints=[2500, 6000]
+            data["leakage"], hypotheses, checkpoints=[2500, 6000, N3]
         )
         sharded = sharded_attack(
             alu_campaign,
-            6000,
+            N3,
             reduction=REDUCTION_HW,
-            checkpoints=[2500, 6000],
+            checkpoints=[2500, 6000, N3],
             max_workers=3,
-            chunk_size=1000,
         )
         assert np.array_equal(serial.correlations, sharded.correlations)
 
@@ -145,7 +132,6 @@ class TestShardedAttack:
             3000,
             checkpoints=[1000],
             max_workers=2,
-            chunk_size=1000,
         )
         assert result.checkpoints.tolist() == [1000, 3000]
         assert result.correlations.shape[0] == 2
@@ -159,7 +145,6 @@ class TestShardedAttack:
 
 class TestShardedFullKey:
     def test_matches_serial_exactly(self, alu_campaign):
-        # Default chunk grid: identical to attack_full_key.
         serial = alu_campaign.attack_full_key(5000)
         sharded = sharded_full_key(alu_campaign, 5000, max_workers=4)
         assert (
@@ -170,17 +155,15 @@ class TestShardedFullKey:
             assert np.array_equal(a.correlations, b.correlations)
 
     def test_multi_shard_matches_serial_on_same_grid(self, alu_campaign):
-        # Sharding with a smaller chunk equals the serial collector run
-        # at that chunk size (the jitter-seed grid is the chunk grid).
-        data = alu_campaign.collect_column_traces(5000, chunk_size=1000)
+        # Four shards equal the serial collector, which walks the same
+        # stream-block grid.
+        data = alu_campaign.collect_column_traces(N4)
         serial = recover_last_round_key(
             data["leakage"],
             data["ciphertexts"],
             correct_key=alu_campaign.cipher.last_round_key,
         )
-        sharded = sharded_full_key(
-            alu_campaign, 5000, max_workers=4, chunk_size=1000
-        )
+        sharded = sharded_full_key(alu_campaign, N4, max_workers=4)
         for a, b in zip(serial.byte_results, sharded.byte_results):
             assert np.array_equal(a.correlations, b.correlations)
 
@@ -266,12 +249,10 @@ class TestStreamingMerge:
 class TestFaultTolerantCampaign:
     """Injected faults either recover bit-identically or fail structured."""
 
-    CS = 1000  # small chunk grid so several shards exist
-
     def _baseline(self, alu_campaign):
         return sharded_attack(
-            alu_campaign, 4000, checkpoints=[2000, 4000],
-            max_workers=4, chunk_size=self.CS,
+            alu_campaign, N4, checkpoints=[2000, N4],
+            max_workers=4,
         )
 
     def test_nan_poisoning_caught_and_retried(self, alu_campaign):
@@ -279,15 +260,15 @@ class TestFaultTolerantCampaign:
         from repro.util.faults import FAULT_NAN, FaultPlan, FaultSpec
 
         baseline = self._baseline(alu_campaign)
-        shards = plan_shards(4000, 4, self.CS)
+        shards = plan_shards(N4, 4)
         plan = FaultPlan(
             [FaultSpec(FAULT_NAN, site=shards[2].site, attempts=1)],
             seed=2,
         )
         health = CampaignHealth()
         result = sharded_attack(
-            alu_campaign, 4000, checkpoints=[2000, 4000],
-            max_workers=4, chunk_size=self.CS,
+            alu_campaign, N4, checkpoints=[2000, N4],
+            max_workers=4,
             policy=RetryPolicy(max_attempts=3, backoff_base=0.0),
             fault_plan=plan, health=health,
         )
@@ -302,16 +283,16 @@ class TestFaultTolerantCampaign:
         from repro.util.faults import FAULT_NAN, FaultPlan, FaultSpec
 
         baseline = sharded_full_key(
-            alu_campaign, 3000, max_workers=3, chunk_size=self.CS,
+            alu_campaign, N3, max_workers=3,
         )
-        shards = plan_shards(3000, 3, self.CS)
+        shards = plan_shards(N3, 3)
         plan = FaultPlan(
             [FaultSpec(FAULT_NAN, site=shards[1].site, attempts=1)],
             seed=2,
         )
         health = CampaignHealth()
         result = sharded_full_key(
-            alu_campaign, 3000, max_workers=3, chunk_size=self.CS,
+            alu_campaign, N3, max_workers=3,
             policy=RetryPolicy(max_attempts=3, backoff_base=0.0),
             fault_plan=plan, health=health,
         )
@@ -325,15 +306,15 @@ class TestFaultTolerantCampaign:
         from repro.util.faults import FAULT_TRUNCATE, FaultPlan, FaultSpec
 
         baseline = self._baseline(alu_campaign)
-        shards = plan_shards(4000, 4, self.CS)
+        shards = plan_shards(N4, 4)
         plan = FaultPlan(
             [FaultSpec(FAULT_TRUNCATE, site=shards[3].site, attempts=1)],
             seed=2,
         )
         health = CampaignHealth()
         result = sharded_attack(
-            alu_campaign, 4000, checkpoints=[2000, 4000],
-            max_workers=4, chunk_size=self.CS,
+            alu_campaign, N4, checkpoints=[2000, N4],
+            max_workers=4,
             policy=RetryPolicy(max_attempts=3, backoff_base=0.0),
             fault_plan=plan, health=health,
         )
@@ -353,18 +334,18 @@ class TestFaultTolerantCampaign:
         from repro.util.faults import FAULT_HANG, FaultPlan, FaultSpec
 
         baseline = sharded_attack(
-            alu_campaign, 4000, checkpoints=[2000, 4000],
-            max_workers=1, chunk_size=self.CS,
+            alu_campaign, N4, checkpoints=[2000, N4],
+            max_workers=1,
         )
-        shards = plan_shards(4000, 1, self.CS)
+        shards = plan_shards(N4, 1)
         plan = FaultPlan(
             [FaultSpec(FAULT_HANG, site=shards[0].site, hang_seconds=5.0)]
         )
         health = CampaignHealth()
         started = time.monotonic()
         result = sharded_attack(
-            alu_campaign, 4000, checkpoints=[2000, 4000],
-            max_workers=1, chunk_size=self.CS,
+            alu_campaign, N4, checkpoints=[2000, N4],
+            max_workers=1,
             policy=RetryPolicy(timeout=1.0, backoff_base=0.0),
             fault_plan=plan, health=health,
         )
@@ -379,14 +360,14 @@ class TestFaultTolerantCampaign:
         from repro.util.executors import RetryPolicy, ShardError
         from repro.util.faults import FAULT_EXCEPTION, FaultPlan, FaultSpec
 
-        shards = plan_shards(4000, 4, self.CS)
+        shards = plan_shards(N4, 4)
         plan = FaultPlan(
             [FaultSpec(FAULT_EXCEPTION, site=shards[0].site,
                        attempts=10**6)],
         )
         with pytest.raises(ShardError) as excinfo:
             sharded_attack(
-                alu_campaign, 4000, max_workers=4, chunk_size=self.CS,
+                alu_campaign, N4, max_workers=4,
                 policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan,
             )
@@ -397,19 +378,17 @@ class TestFaultTolerantCampaign:
 class TestCheckpointResume:
     """A killed campaign resumed from its checkpoint is bit-identical."""
 
-    CS = 1000
-
     def _interrupt_then_resume(self, alu_campaign, tmp_path):
         from repro.util.executors import RetryPolicy, ShardError
         from repro.util.faults import FAULT_EXCEPTION, FaultPlan, FaultSpec
         from repro.experiments.checkpoint import load_checkpoint
 
         baseline = sharded_attack(
-            alu_campaign, 4000, checkpoints=[1500, 2500, 4000],
-            max_workers=4, chunk_size=self.CS,
+            alu_campaign, N4, checkpoints=[1500, 2500, N4],
+            max_workers=4,
         )
         path = str(tmp_path / "resume.npz")
-        shards = plan_shards(4000, 4, self.CS)
+        shards = plan_shards(N4, 4)
         # A persistent exception on the third shard kills the driver
         # after the first checkpoint group is durable.
         plan = FaultPlan(
@@ -418,8 +397,8 @@ class TestCheckpointResume:
         )
         with pytest.raises(ShardError):
             sharded_attack(
-                alu_campaign, 4000, checkpoints=[1500, 2500, 4000],
-                max_workers=4, chunk_size=self.CS,
+                alu_campaign, N4, checkpoints=[1500, 2500, N4],
+                max_workers=4,
                 checkpoint_path=path, checkpoint_every=1,
                 policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan,
@@ -427,8 +406,8 @@ class TestCheckpointResume:
         stored = load_checkpoint(path)
         assert 0 < stored.completed_shards < len(shards)
         resumed = sharded_attack(
-            alu_campaign, 4000, checkpoints=[1500, 2500, 4000],
-            max_workers=4, chunk_size=self.CS,
+            alu_campaign, N4, checkpoints=[1500, 2500, N4],
+            max_workers=4,
             checkpoint_path=path, checkpoint_every=1, resume=True,
         )
         assert np.array_equal(
@@ -444,18 +423,18 @@ class TestCheckpointResume:
         self, alu_campaign, tmp_path
     ):
         baseline = sharded_attack(
-            alu_campaign, 4000, max_workers=4, chunk_size=self.CS,
+            alu_campaign, N4, max_workers=4,
         )
         path = str(tmp_path / "full.npz")
         result = sharded_attack(
-            alu_campaign, 4000, max_workers=4, chunk_size=self.CS,
+            alu_campaign, N4, max_workers=4,
             checkpoint_path=path, checkpoint_every=2,
         )
         assert np.array_equal(result.correlations, baseline.correlations)
         # Resuming a finished campaign recomputes nothing and still
         # returns the full result.
         again = sharded_attack(
-            alu_campaign, 4000, max_workers=4, chunk_size=self.CS,
+            alu_campaign, N4, max_workers=4,
             checkpoint_path=path, resume=True,
         )
         assert np.array_equal(again.correlations, baseline.correlations)
@@ -467,12 +446,12 @@ class TestCheckpointResume:
 
         path = str(tmp_path / "mismatch.npz")
         sharded_attack(
-            alu_campaign, 4000, max_workers=4, chunk_size=self.CS,
+            alu_campaign, N4, max_workers=4,
             checkpoint_path=path,
         )
         with pytest.raises(CheckpointError, match="num_traces"):
             sharded_attack(
-                alu_campaign, 5000, max_workers=4, chunk_size=self.CS,
+                alu_campaign, N4 + 1000, max_workers=4,
                 checkpoint_path=path, resume=True,
             )
 
@@ -480,11 +459,11 @@ class TestCheckpointResume:
         self, alu_campaign, tmp_path
     ):
         baseline = sharded_attack(
-            alu_campaign, 4000, max_workers=4, chunk_size=self.CS,
+            alu_campaign, N4, max_workers=4,
         )
         path = str(tmp_path / "never-written.npz")
         result = sharded_attack(
-            alu_campaign, 4000, max_workers=4, chunk_size=self.CS,
+            alu_campaign, N4, max_workers=4,
             checkpoint_path=path, resume=True,
         )
         assert np.array_equal(result.correlations, baseline.correlations)
@@ -495,24 +474,24 @@ class TestCheckpointResume:
         from repro.experiments.checkpoint import load_checkpoint
 
         baseline = sharded_full_key(
-            alu_campaign, 3000, max_workers=3, chunk_size=self.CS,
+            alu_campaign, N3, max_workers=3,
         )
         path = str(tmp_path / "fullkey.npz")
-        shards = plan_shards(3000, 3, self.CS)
+        shards = plan_shards(N3, 3)
         plan = FaultPlan(
             [FaultSpec(FAULT_EXCEPTION, site=shards[2].site,
                        attempts=10**6)],
         )
         with pytest.raises(ShardError):
             sharded_full_key(
-                alu_campaign, 3000, max_workers=3, chunk_size=self.CS,
+                alu_campaign, N3, max_workers=3,
                 checkpoint_path=path, checkpoint_every=1,
                 policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan,
             )
         assert 0 < load_checkpoint(path).completed_shards < len(shards)
         resumed = sharded_full_key(
-            alu_campaign, 3000, max_workers=3, chunk_size=self.CS,
+            alu_campaign, N3, max_workers=3,
             checkpoint_path=path, checkpoint_every=1, resume=True,
         )
         assert (

@@ -7,8 +7,10 @@ spec stays bit-identical to the pre-change code.  The golden arrays in
 ``tests/golden/seed_era_pr10.npz`` were captured from the repository
 at the commit immediately before that layer landed; this module
 replays the same configurations against today's code and compares
-bitwise.  The service cache keys are pinned too: a drifting key would
-silently orphan every previously cached campaign result.
+bitwise; all of them are at most one 4,096-trace stream block long,
+so keying the streams on that block left them untouched.  The service
+cache keys are pinned too: a drifting key would silently orphan every
+previously cached campaign result.
 """
 
 from pathlib import Path
@@ -28,11 +30,33 @@ from repro.util.rng import make_rng
 
 GOLDEN = Path(__file__).parent / "golden" / "seed_era_pr10.npz"
 
-# Cache keys captured from the pre-change commit for the default job
-# of every kind.  They must never drift: the journal replays completed
-# jobs by key, and a changed key silently invalidates every cached
-# result.
+# Cache keys of the default job of every kind under checkpoint format 2
+# (every random stream keyed on the 4,096-trace stream block).  They
+# must never drift within a format: the journal replays completed jobs
+# by key, and a changed key silently invalidates every cached result.
 GOLDEN_CACHE_KEYS = {
+    "tracegen": (
+        "a13f7b96b90de4a06cc4fcce202140d8"
+        "91d398619051794eadb7e5205996a0b4"
+    ),
+    "attack": (
+        "e83117c8bd98349ba376cd08088dbad8"
+        "92ecf25e129aafc4d9f7993c0bb04dd3"
+    ),
+    "fullkey": (
+        "ff2a82a26e8b3c7c0a00b9754138e439"
+        "563233fbbc7bcfb723a7c4c43caf1e68"
+    ),
+    "report": (
+        "5905b7bb45463db5c79bcb01a7f61ab3"
+        "3e8c2f8355eca72e1198e8a143d66b43"
+    ),
+}
+
+# The same jobs' keys under format 1 (the 50k chunk grid), captured
+# from the seed era.  Results cached under them were drawn from other
+# streams and must never be served again.
+FORMAT_1_CACHE_KEYS = {
     "tracegen": (
         "215df9a6757bab6b9ef89b2940ff809a"
         "8a309d3992480129c2cad57db3235d42"
@@ -105,6 +129,12 @@ class TestSeedEraCacheKeys:
         assert (
             JobSpec.create(kind, {}).cache_key
             == GOLDEN_CACHE_KEYS[kind]
+        )
+
+    @pytest.mark.parametrize("kind", sorted(FORMAT_1_CACHE_KEYS))
+    def test_format_1_cache_key_retired(self, kind):
+        assert JobSpec.create(kind, {}).cache_key != (
+            FORMAT_1_CACHE_KEYS[kind]
         )
 
     @pytest.mark.parametrize("kind", ["attack", "fullkey", "report"])

@@ -22,6 +22,7 @@ from repro.attacks import (
     single_bit_hypothesis,
 )
 from repro.attacks.models import BYTE_VALUES
+from repro.core.attack import STREAM_BLOCK
 from repro.experiments.parallel import plan_shards, sharded_full_key
 
 #: Deterministic example generation: the suite must not flake.
@@ -123,9 +124,9 @@ class TestFullKeyReference:
             )
 
 
-def _dense_reference(campaign, num_traces, chunk_size):
+def _dense_reference(campaign, num_traces):
     """Serial column collection plus a dense per-byte CPA loop."""
-    data = campaign.collect_column_traces(num_traces, chunk_size=chunk_size)
+    data = campaign.collect_column_traces(num_traces)
     return [
         run_cpa(
             data["leakage"][:, column_of_key_byte(byte_index)],
@@ -137,20 +138,19 @@ def _dense_reference(campaign, num_traces, chunk_size):
 
 @pytest.mark.timeout(300)
 class TestShardedFullKeyProperty:
-    CS = 500
-
     @settings(derandomize=True, deadline=None, max_examples=4)
     @given(
-        num_traces=st.integers(min_value=600, max_value=2200),
+        num_traces=st.integers(
+            min_value=STREAM_BLOCK + 1, max_value=3 * STREAM_BLOCK - 1
+        ),
         workers=st.sampled_from([1, 2, 3]),
     )
     def test_any_worker_count_equals_serial(
         self, alu_campaign, num_traces, workers
     ):
-        reference = _dense_reference(alu_campaign, num_traces, self.CS)
+        reference = _dense_reference(alu_campaign, num_traces)
         sharded = sharded_full_key(
-            alu_campaign, num_traces, max_workers=workers,
-            chunk_size=self.CS,
+            alu_campaign, num_traces, max_workers=workers
         )
         for expected, result in zip(reference, sharded.byte_results):
             assert np.array_equal(result.correlations, expected)
@@ -163,9 +163,9 @@ class TestShardedFullKeyProperty:
         from repro.util.executors import RetryPolicy, ShardError
         from repro.util.faults import FAULT_EXCEPTION, FaultPlan, FaultSpec
 
-        num_traces = 2000
-        reference = _dense_reference(alu_campaign, num_traces, self.CS)
-        shards = plan_shards(num_traces, workers, self.CS)
+        num_traces = 3 * STREAM_BLOCK - 500
+        reference = _dense_reference(alu_campaign, num_traces)
+        shards = plan_shards(num_traces, workers)
         path = str(tmp_path / "fullkey.npz")
         # A persistent fault on the last shard kills the collection
         # after the earlier shards became durable.
@@ -176,22 +176,20 @@ class TestShardedFullKeyProperty:
         with pytest.raises(ShardError):
             sharded_full_key(
                 alu_campaign, num_traces, max_workers=workers,
-                chunk_size=self.CS, checkpoint_path=path,
-                checkpoint_every=1,
+                checkpoint_path=path, checkpoint_every=1,
                 policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan,
             )
         assert 0 < load_checkpoint(path).completed_shards < len(shards)
         resumed = sharded_full_key(
             alu_campaign, num_traces, max_workers=workers,
-            chunk_size=self.CS, checkpoint_path=path, checkpoint_every=1,
-            resume=True,
+            checkpoint_path=path, checkpoint_every=1, resume=True,
         )
         for expected, result in zip(reference, resumed.byte_results):
             assert np.array_equal(result.correlations, expected)
 
     def test_fleet_lease_local_pool_equals_serial_collector(self):
-        # A two-slot fleet worker splits its lease into chunk-aligned
+        # A two-slot fleet worker splits its lease into block-aligned
         # sub-shards and each of those into four column tasks; the
         # stacked block must be the serial collector's leakage.
         from repro.service.jobs import normalize_params
