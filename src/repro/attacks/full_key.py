@@ -153,12 +153,11 @@ def recover_last_round_key(
         correct_key: true round-10 key for metrics, if known.
         checkpoints: progress checkpoints forwarded to each CPA.
         max_workers: if greater than 1, run the 16 independent per-byte
-            CPAs on a worker pool (each byte's CPA is a fixed function
-            of its inputs, so the result is identical to the serial
-            loop).  Default: serial.
-        policy: retry/timeout policy; with ``health``,
-            switches the per-byte CPAs onto the resilient path of
-            :func:`map_ordered` (each byte's CPA is deterministic, so
+            CPAs concurrently (each byte's CPA is a fixed function of
+            its inputs, so the result is identical to the serial loop).
+            Default: one thread.
+        policy: retry/timeout policy of :func:`map_ordered` (default
+            :class:`RetryPolicy`; each byte's CPA is deterministic, so
             retries cannot change the result).
         health: accumulates the runtime's recovery events.
 
@@ -172,13 +171,6 @@ def recover_last_round_key(
     if ct.shape != (leakage.shape[0], 16):
         raise ValueError("ciphertexts must have shape (N, 16)")
 
-    kwargs: Dict[str, object] = {}
-    if policy is not None or health is not None:
-        kwargs = dict(
-            policy=policy,
-            health=health,
-            sites=["byte[%d]" % index for index in range(16)],
-        )
     state = {
         "leakage": leakage,
         "ciphertexts": ct,
@@ -193,7 +185,9 @@ def recover_last_round_key(
         partial(_attack_byte_task, state),
         range(16),
         max_workers=1 if max_workers is None else max_workers,
-        **kwargs,
+        policy=policy,
+        sites=["byte[%d]" % index for index in range(16)],
+        health=health,
     )
     return FullKeyResult(
         byte_results=results,

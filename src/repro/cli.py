@@ -29,7 +29,8 @@ Commands:
   restart and finishes every unfinished job bit-identically.
 * ``worker`` — join a running service as a fleet worker: register
   capabilities (CPUs, slots, kernel backends, warm cache keys), pull
-  shard leases, and execute them through the local thread pool.
+  shard leases, and run ``--workers N`` of them at once, each lease one
+  shard on one thread.
   ``--reconnect`` keeps redialing a lost (or restarting) server with
   seeded exponential backoff instead of exiting.
 * ``submit`` — send one job (``tracegen``/``attack``/``fullkey``/
@@ -108,7 +109,6 @@ _NUMERIC_BOUNDS = {
     "lease_timeout": ("--lease-timeout", 0, False),
     "fleet_grace": ("--fleet-grace", 0, True),
     "quarantine_after": ("--quarantine-after", 1, True),
-    "slots": ("--slots", 1, True),
     "port": ("--port", 0, True, 65535),
 }
 
@@ -228,7 +228,7 @@ def _add_resilience_arguments(parser) -> None:
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help="attempts per shard before the campaign fails "
-        "(default: 3 when any resilience flag is set)",
+        "(default: 3)",
     )
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
@@ -412,12 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: worker-<pid>)",
     )
     worker.add_argument(
-        "--slots", type=int, default=1, metavar="N",
-        help="concurrent shard leases this worker serves (default: 1)",
-    )
-    worker.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="local pool size per lease (default: usable CPUs)",
+        "--workers", type=int, default=1, metavar="N",
+        help="concurrent shard leases, each on one thread (default: 1)",
     )
     worker.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -727,8 +723,7 @@ def _cmd_worker(args) -> int:
     run_worker(
         args.address,
         name=args.name,
-        slots=args.slots,
-        local_workers=args.workers,
+        slots=args.workers,
         cache_dir=args.cache_dir,
         quiet=args.quiet,
         reconnect=args.reconnect,

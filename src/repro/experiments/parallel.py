@@ -19,9 +19,10 @@ runs through one contract:
   — owns its result validator, its one in-order reducer and its
   checkpoint arrays;
 * :func:`_shard_task` is the one task and :func:`_run_shards` the one
-  fan-out/checkpoint loop.  The four public drivers, a fleet
-  lease (:func:`run_lease`) and the fleet coordinator's merge all
-  reduce through the same statistic.
+  fan-out/checkpoint loop.  A fleet lease (:func:`run_lease`) is one
+  shard, run by the same task on the lease's thread; the four public
+  drivers and the fleet coordinator's merge all reduce through the
+  same statistic.
 
 Determinism is preserved by construction:
 
@@ -42,19 +43,20 @@ Determinism is preserved by construction:
   (:meth:`~repro.attacks.cpa.StreamingCPA.update` with ``values``), is
   bit-identical to the dense :func:`repro.attacks.cpa.run_cpa`.
 
-Workers run on the thread pool of
+Shards run on the thread pool of
 :func:`repro.util.executors.map_ordered` (the heavy kernels release the
 GIL) and read the campaign's objects and arrays in place through one
 :class:`repro.util.shm.ArrayFanout`.  Results are bit-identical at any
 worker count.
 
 The same determinism is what makes the campaign *fault-tolerant*:
-because the shard task is a pure function of its payload, the runtime
-may retry a failed or hung shard
-(:class:`repro.util.executors.RetryPolicy`) without any effect on the
-result.  Passing ``checkpoint_path`` makes progress durable: after
-every ``checkpoint_every`` completed shards the statistic's state and
-a configuration-fingerprinted manifest are atomically written
+because the shard task is a pure function of its payload, the map's
+retry loop (:class:`repro.util.executors.RetryPolicy`) may retry a
+failed or hung shard, and rejects a malformed result through the
+statistic's validator, without any effect on the result.  Passing
+``checkpoint_path`` makes progress durable: after every
+``checkpoint_every`` completed shards the statistic's state and a
+configuration-fingerprinted manifest are atomically written
 (:mod:`repro.experiments.checkpoint`), and ``resume=True`` continues a
 killed campaign from the last checkpoint, bit-identical to an
 uninterrupted run.  Deterministic fault injection for all of these
@@ -197,17 +199,17 @@ def segment_ends(shard: Shard, boundaries: Sequence[int]) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# Recipes: one stream block's leakage, ``(state, start, end, column)``
+# Recipes: one stream block's leakage, ``(state, start, end)``
 # ----------------------------------------------------------------------
 #
 # CPA recipes return ``(leakage, ciphertext_bytes)`` for the block;
-# column recipes return a ``(num, width)`` leakage block.  Every seed is
+# column recipes return a ``(num, 4)`` leakage block.  Every seed is
 # keyed on the block's *global* start, so any block-aligned sharding
 # reproduces the serial campaign.
 
 
 def _reduced_recipe(
-    state: ArrayFanout, start: int, end: int, column: Optional[int]
+    state: ArrayFanout, start: int, end: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Analytic reduced leakage at the target byte's cycle."""
     heavy = state.heavy
@@ -222,21 +224,21 @@ def _reduced_recipe(
     return leakage, state.arrays["ct_bytes"][start:end]
 
 
-def _column_recipe(
-    state: ArrayFanout, start: int, end: int, column: Optional[int]
-) -> np.ndarray:
-    """Analytic Hamming-weight leakage at one last-round column."""
+def _column_recipe(state: ArrayFanout, start: int, end: int) -> np.ndarray:
+    """Analytic Hamming-weight leakage at all four last-round columns,
+    each column on its own ``(column, start)``-keyed streams."""
     campaign: AttackCampaign = state.heavy["campaign"]
-    return campaign.column_leakage_block(
-        state.arrays["voltages"][start:end, column],
-        start,
-        column,
-        state.heavy["mask"],
-    )[:, None]
+    voltages = state.arrays["voltages"][start:end]
+    leakage = np.empty((end - start, 4), dtype=np.float64)
+    for column in range(4):
+        leakage[:, column] = campaign.column_leakage_block(
+            voltages[:, column], start, column, state.heavy["mask"]
+        )
+    return leakage
 
 
 def _physical_recipe(
-    state: ArrayFanout, start: int, end: int, column: Optional[int]
+    state: ArrayFanout, start: int, end: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One generated block read at the target byte's cycle.
 
@@ -278,7 +280,7 @@ def _physical_recipe(
 
 
 def _physical_columns_recipe(
-    state: ArrayFanout, start: int, end: int, column: Optional[int]
+    state: ArrayFanout, start: int, end: int
 ) -> np.ndarray:
     """One generated block read at all four last-round columns.
 
@@ -321,9 +323,7 @@ class ShardSource:
     """A campaign's traces under the shard contract.
 
     ``heavy`` holds the recipe and the objects it reads; ``arrays`` the
-    campaign-global inputs it slices; ``columns`` the tasks per shard
-    (one per column for the analytic per-column recipe, whose block
-    seeds are keyed per column).
+    campaign-global inputs it slices.
     ``ciphertexts`` are the full-key hypothesis stage's inputs when the
     source derives them (None for the physical single-byte source,
     which reads its ciphertext bytes off the generated blocks).
@@ -334,7 +334,6 @@ class ShardSource:
 
     heavy: Dict[str, object]
     arrays: Dict[str, np.ndarray]
-    columns: Tuple[Optional[int], ...] = (None,)
     ciphertexts: Optional[np.ndarray] = None
 
     @classmethod
@@ -380,7 +379,6 @@ class ShardSource:
                 "mask": mask,
             },
             arrays={"voltages": voltages},
-            columns=(0, 1, 2, 3),
             ciphertexts=ciphertexts,
         )
 
@@ -491,18 +489,14 @@ def _segment_partials(
 class SegmentPartials:
     """By-value CPA segment partials, merged in trace order.
 
-    Tasks split their shard at ``boundaries``.  The reducer merges each
-    partial into a running accumulator and snapshots it at every
-    boundary: the correlation row there (``per_segment=False``: a
-    campaign's checkpoints) or the segment's own accumulator, after
-    which a fresh one starts (``per_segment=True``: a fleet lease
-    folding its local sub-shards back onto its segments).
+    Tasks split their shard at ``boundaries`` (a campaign's
+    checkpoints).  The reducer merges each partial into a running
+    accumulator and snapshots the correlation row at every boundary.
     """
 
-    def __init__(self, boundaries: Sequence[int], per_segment: bool = False):
+    def __init__(self, boundaries: Sequence[int]):
         self.points = np.asarray(boundaries, dtype=np.int64)
         self._snap_at = {int(p) for p in self.points}
-        self._per_segment = per_segment
         self.running = StreamingCPA(num_candidates=256)
         self.snapshots: List[object] = []
 
@@ -533,12 +527,7 @@ class SegmentPartials:
         for partials in results:
             for boundary, engine in partials:
                 self.running.merge(engine)
-                if int(boundary) not in self._snap_at:
-                    continue
-                if self._per_segment:
-                    self.snapshots.append((int(boundary), self.running))
-                    self.running = StreamingCPA(num_candidates=256)
-                else:
+                if int(boundary) in self._snap_at:
                     self.snapshots.append(self.running.correlations())
 
     def arrays(self) -> Dict[str, np.ndarray]:
@@ -570,15 +559,10 @@ class SegmentPartials:
 
 
 class ColumnBlocks:
-    """Column leakage blocks, stacked in trace order.
+    """Column leakage blocks, one ``(num, 4)`` block per shard, stacked
+    in trace order."""
 
-    A shard contributes ``per_shard`` consecutive task results (one per
-    column for the analytic per-column recipe), hstacked back into its
-    ``(num, 4)`` block.
-    """
-
-    def __init__(self, per_shard: int = 1):
-        self.per_shard = per_shard
+    def __init__(self):
         self.blocks: List[np.ndarray] = []
 
     def task_fields(self, shard: Shard) -> Dict[str, object]:
@@ -590,7 +574,7 @@ class ColumnBlocks:
         they stack: downstream, only the per-byte CPAs would see a NaN,
         after collection, when the shard can no longer be retried."""
         shard: Shard = task["shard"]
-        expected = (shard.num_traces, 1 if "column" in task else 4)
+        expected = (shard.num_traces, 4)
         shape = getattr(result, "shape", None)
         if shape != expected:
             raise TruncatedResultError(
@@ -603,10 +587,7 @@ class ColumnBlocks:
             )
 
     def merge(self, results: Sequence[np.ndarray]) -> None:
-        self.blocks.extend(
-            np.hstack(results[index : index + self.per_shard])
-            for index in range(0, len(results), self.per_shard)
-        )
+        self.blocks.extend(results)
 
     def arrays(self) -> Dict[str, np.ndarray]:
         return {"leakage_prefix": self.result()}
@@ -627,22 +608,23 @@ def _shard_task(state: ArrayFanout, task: Dict[str, object]) -> object:
     """One shard: the source's recipe over the shard's stream blocks,
     reduced to the task's statistic.
 
-    The payload is only the shard and its ``column`` or
-    ``segment_ends``; the source's heavy objects and campaign-global
-    arrays are read in place from ``state``.
+    The payload is only the shard and its ``segment_ends``; the
+    source's heavy objects and campaign-global arrays are read in place
+    from ``state``.
     """
     recipe = state.heavy["recipe"]
     shard: Shard = task["shard"]
-    column = task.get("column")
     blocks = [
-        recipe(state, start, min(start + STREAM_BLOCK, shard.end), column)
+        recipe(state, start, min(start + STREAM_BLOCK, shard.end))
         for start in range(shard.start, shard.end, STREAM_BLOCK)
     ]
     if "segment_ends" not in task:
-        return poison_leakage(np.concatenate(blocks).astype(np.float64))
+        return poison_leakage(
+            np.concatenate(blocks).astype(np.float64, copy=False)
+        )
     leakage = np.concatenate([leak for leak, _ in blocks])
     return _segment_partials(
-        poison_leakage(leakage.astype(np.float64)),
+        poison_leakage(leakage.astype(np.float64, copy=False)),
         np.concatenate([values for _, values in blocks]),
         shard.start,
         task["segment_ends"],
@@ -669,9 +651,9 @@ def _run_shards(
     count, so durability costs no parallelism); after each group the
     statistic's state becomes durable.  Groups complete in trace order,
     so the completed set is always a shard-plan prefix and a resumed
-    run replays the identical merge sequence.  Every task carries its
-    shard's fault site, so the shard plan, manifest and checkpoint
-    files do not depend on how many tasks a shard splits into.
+    run replays the identical merge sequence.  Every shard is one task
+    under the retry loop of :func:`map_ordered`, keyed on its fault
+    site and checked by the statistic's validator.
     """
     completed = 0
     if resume and checkpoint_path is not None and os.path.exists(
@@ -682,47 +664,26 @@ def _run_shards(
         completed = stored.completed_shards
         if completed:
             statistic.restore(stored.arrays)
-    robust = (
-        policy is not None
-        or fault_plan is not None
-        or health is not None
-        or checkpoint_path is not None
-    )
     group = len(shards)
     if checkpoint_path is not None:
         group = max(1, checkpoint_every or max_workers or default_workers())
-    per_shard = len(source.columns)
     with ArrayFanout(source.heavy, source.arrays) as fanout:
         tasks = [
-            dict(
-                {"shard": shard},
-                **({} if column is None else {"column": column}),
-                **statistic.task_fields(shard),
-            )
+            dict({"shard": shard}, **statistic.task_fields(shard))
             for shard in shards
-            for column in source.columns
         ]
         while completed < len(shards):
             stop = min(completed + group, len(shards))
-            kwargs: Dict[str, object] = {}
-            if robust:
-                kwargs = dict(
-                    policy=policy,
-                    fault_plan=fault_plan,
-                    sites=[
-                        shard.site
-                        for shard in shards[completed:stop]
-                        for _ in range(per_shard)
-                    ],
-                    health=health,
-                    validate=statistic.validate,
-                )
             statistic.merge(
                 map_ordered(
                     partial(_shard_task, fanout),
-                    tasks[completed * per_shard : stop * per_shard],
+                    tasks[completed:stop],
                     max_workers=max_workers,
-                    **kwargs,
+                    policy=policy,
+                    fault_plan=fault_plan,
+                    sites=[shard.site for shard in shards[completed:stop]],
+                    health=health,
+                    validate=statistic.validate,
                 )
             )
             completed = stop
@@ -743,53 +704,48 @@ def _run_shards(
 # ----------------------------------------------------------------------
 
 
-def _plan_subshards(shard: Shard, workers: int) -> List[Shard]:
-    """Block-aligned split of one lease for the worker's local pool."""
-    if shard.start % STREAM_BLOCK:
-        raise ValueError(
-            "lease %s does not start on the %d-trace stream block grid"
-            % (shard.site, STREAM_BLOCK)
-        )
-    relative = plan_shards(shard.num_traces, workers)
-    return [
-        Shard(shard.start + sub.start, shard.start + sub.end)
-        for sub in relative
-    ]
-
-
 def run_lease(
     source: ShardSource,
     start: int,
     end: int,
     segment_ends: Optional[Sequence[int]] = None,
-    workers: int = 1,
 ):
-    """One fleet lease ``[start, end)`` of a campaign on this host.
+    """One fleet lease ``[start, end)`` of a campaign, on this thread.
 
-    The lease splits into block-aligned sub-shards for the local pool,
-    runs them through the same task and loop as the local drivers, and
-    folds them back with the statistic's reducer.  With
+    A lease is one shard: it runs :func:`_shard_task` directly, so a
+    fault scope the caller installs reaches the recipe.  With
     ``segment_ends`` the result is one ``(boundary, StreamingCPA)`` per
     segment end; without, the lease's ``(num, 4)`` leakage block.  Both
     are bit-identical to the serial pass over the lease.
+
+    Raises:
+        ValueError: the lease is off the stream-block grid, or its
+            segment ends do not rise strictly inside it to its end.
     """
     lease = Shard(int(start), int(end))
-    subs = _plan_subshards(lease, workers)
-    if segment_ends is None:
-        blocks = _run_shards(
-            source, subs, ColumnBlocks(len(source.columns)),
-            max_workers=workers,
+    num_traces = len(next(iter(source.arrays.values())))
+    if (
+        not 0 <= lease.start < lease.end <= num_traces
+        or lease.start % STREAM_BLOCK
+        or (lease.end % STREAM_BLOCK and lease.end != num_traces)
+    ):
+        raise ValueError(
+            "lease %s of a %d-trace campaign is off the %d-trace stream "
+            "block grid" % (lease.site, num_traces, STREAM_BLOCK)
         )
-        return blocks.result()
-    partials = _run_shards(
-        source, subs, SegmentPartials(segment_ends, per_segment=True),
-        max_workers=workers,
-    )
-    # The segment ends come with the lease: reject ones the lease's
-    # sub-shard boundaries do not produce.
-    task = {"shard": lease, "segment_ends": segment_ends}
-    partials.validate(task, partials.snapshots)
-    return partials.snapshots
+    task: Dict[str, object] = {"shard": lease}
+    if segment_ends is not None:
+        ends = [int(p) for p in segment_ends]
+        if ends != sorted(set(ends)) or ends[-1:] != [lease.end] or (
+            ends[0] <= lease.start
+        ):
+            raise ValueError(
+                "segment ends %s do not rise inside lease %s to its end"
+                % (ends, lease.site)
+            )
+        task["segment_ends"] = ends
+    with ArrayFanout(source.heavy, source.arrays) as fanout:
+        return _shard_task(fanout, task)
 
 
 # ----------------------------------------------------------------------
@@ -859,10 +815,8 @@ def sharded_attack(
         num_traces / reduction / bit / target_byte / target_bit /
             checkpoints: as in :meth:`AttackCampaign.attack`.
         max_workers: worker count (default: :func:`default_workers`).
-        policy: retry/timeout policy; any fault-tolerance
-            argument (also ``fault_plan``, ``health``,
-            ``checkpoint_path``) switches shard execution into the
-            resilient mode of :func:`map_ordered`.
+        policy: retry/timeout policy of :func:`map_ordered`, which
+            runs every shard (default :class:`RetryPolicy`).
         fault_plan: deterministic fault injection (tests only).
         health: accumulates the runtime's recovery events.
         checkpoint_path: write a durable checkpoint here after every
@@ -996,11 +950,10 @@ def sharded_full_key(
 ) -> FullKeyResult:
     """Parallel drop-in for :meth:`AttackCampaign.attack_full_key`.
 
-    Column-resolved trace collection fans out as one task per
-    (shard, column) — block seeds are keyed on the global
-    ``(column, start)`` grid, identical to the serial collector — and
-    each shard's four columns are stacked back in order; then the 16
-    per-byte CPAs run on the same backend.  With ``checkpoint_path``
+    Column-resolved trace collection fans out as one task per shard,
+    each reading all four columns of its blocks — block seeds are keyed
+    on the global ``(column, start)`` grid, identical to the serial
+    collector; then the 16 per-byte CPAs run on the same backend.  With ``checkpoint_path``
     set, the collected leakage prefix becomes durable after every
     ``checkpoint_every`` shards, so a killed collection resumes without
     regenerating completed shards; the per-byte CPA stage is cheap and
@@ -1023,7 +976,7 @@ def sharded_full_key(
         checkpoints or (),
     )
     leakage = _run_shards(
-        source, shards, ColumnBlocks(len(source.columns)), manifest,
+        source, shards, ColumnBlocks(), manifest,
         max_workers, policy, fault_plan, health, checkpoint_path,
         checkpoint_every, resume,
     ).result()

@@ -68,6 +68,11 @@ __all__ = [
 ]
 
 
+#: Shards planned per free fleet slot, so reassignment after a
+#: mid-campaign loss only repeats a fraction of one worker's share.
+SHARDS_PER_SLOT = 2
+
+
 class FleetError(ReproError):
     """A fleet-dispatched job cannot start or finish."""
 
@@ -135,17 +140,12 @@ class FleetConfig:
             with a :class:`ShardQuarantined` record (connection drops
             and timeouts don't count — those blame the worker, not
             the shard).
-        shards_per_slot: shard granularity — shards planned per free
-            fleet slot, so reassignment after a mid-campaign loss only
-            repeats a fraction of one worker's share.
         register_grace_s: how long a fleet-required job waits for the
             first worker registration before failing.  Zero fails
             immediately; a restarted server sets this above the
             workers' reconnect backoff so recovered ``fleet=true``
             jobs survive the window where every worker is still
             redialing.
-        compress: zlib-compress binary frames (per frame, only when it
-            shrinks them).
     """
 
     heartbeat_s: float = 2.0
@@ -153,9 +153,7 @@ class FleetConfig:
     lease_timeout_s: Optional[float] = None
     max_lease_attempts: int = 3
     quarantine_after: int = 2
-    shards_per_slot: int = 2
     register_grace_s: float = 0.0
-    compress: bool = True
 
     def __post_init__(self) -> None:
         if self.quarantine_after < 1:
@@ -172,8 +170,6 @@ class FleetConfig:
             raise ValueError("lease_timeout_s must be positive")
         if self.max_lease_attempts < 1:
             raise ValueError("max_lease_attempts must be >= 1")
-        if self.shards_per_slot < 1:
-            raise ValueError("shards_per_slot must be >= 1")
 
 
 class _FleetJob:
@@ -259,9 +255,9 @@ class _Worker:
     def free_slots(self) -> int:
         return max(0, self.slots - len(self.leases))
 
-    async def send(self, message: object, compress: bool) -> None:
+    async def send(self, message: object) -> None:
         async with self._send_lock:
-            await write_message(self.writer, message, compress=compress)
+            await write_message(self.writer, message)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -318,7 +314,7 @@ class FleetCoordinator:
             self._monitor = None
         for worker in list(self._workers.values()):
             try:
-                await worker.send({"type": "drain"}, self.config.compress)
+                await worker.send({"type": "drain"})
             except Exception:  # noqa: BLE001 — already disconnecting
                 pass
             await self._drop_worker(worker, "coordinator stopped")
@@ -384,7 +380,6 @@ class FleetCoordinator:
                 "ok": True,
                 "worker_id": worker_id,
                 "heartbeat_s": self.config.heartbeat_s,
-                "compress": self.config.compress,
             }
             writer.write(json.dumps(ack).encode("utf-8") + b"\n")
             await writer.drain()
@@ -464,7 +459,7 @@ class FleetCoordinator:
         plan = plan_fleet_job(
             spec.kind,
             spec.params,
-            self.total_slots * self.config.shards_per_slot,
+            self.total_slots * SHARDS_PER_SLOT,
         )
         job = _FleetJob(spec, job_id, plan, on_event)
         self._jobs[job_id] = job
@@ -590,7 +585,7 @@ class FleetCoordinator:
             job.pending.extendleft(reversed(deferred))
         for worker, message in assignments:
             try:
-                await worker.send(message, self.config.compress)
+                await worker.send(message)
             except Exception:  # noqa: BLE001 — connection died mid-send
                 await self._drop_worker(worker, "send failed")
                 continue
@@ -789,8 +784,7 @@ class FleetCoordinator:
                             {
                                 "type": "revoke",
                                 "lease_id": lease.lease_id,
-                            },
-                            self.config.compress,
+                            }
                         )
                     except Exception:  # noqa: BLE001
                         await self._drop_worker(worker, "send failed")

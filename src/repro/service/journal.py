@@ -290,17 +290,19 @@ class JobJournal:
                     self.snapshot_path, "r", encoding="utf-8"
                 ) as handle:
                     snapshot = json.load(handle)
-            except (OSError, ValueError) as exc:
+                # Valid JSON of the wrong shape is as unreadable as a
+                # torn file.
+                self._table = {
+                    str(job_id): dict(entry)
+                    for job_id, entry in (snapshot.get("jobs") or {}).items()
+                }
+                total_before += int(snapshot.get("total_records") or 0)
+            except (OSError, ValueError, TypeError, AttributeError) as exc:
                 raise JournalError(
                     "journal snapshot %r is unreadable: %s — remove it "
                     "to replay from the log alone"
                     % (self.snapshot_path, exc)
                 ) from exc
-            self._table = {
-                str(job_id): dict(entry)
-                for job_id, entry in (snapshot.get("jobs") or {}).items()
-            }
-            total_before += int(snapshot.get("total_records") or 0)
         tail = self._read_log_records()
         for record in tail:
             apply_record(self._table, record)

@@ -37,6 +37,7 @@ dicts (see :func:`repro.service.jobs.normalize_params`), safe to run on
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -126,10 +127,42 @@ def cached_setup(config: ExperimentConfig) -> ExperimentSetup:
     return setup
 
 
+class _BuildOnce:
+    """A keyed cache that builds each value once, even when several
+    threads ask for the same cold key at the same time: a miss builds
+    under that key's own lock, so other keys still build concurrently.
+    ``max_entries`` bounds the cache (LRU).
+    """
+
+    def __init__(self, max_entries: Optional[int] = None):
+        self.max_entries = max_entries
+        self._values: "OrderedDict[Tuple[object, ...], object]" = (
+            OrderedDict()
+        )
+        self._key_locks: Dict[Tuple[object, ...], threading.Lock] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: Tuple[object, ...], build: Callable[[], object]):
+        with self._lock:
+            key_lock = self._key_locks.setdefault(key, threading.Lock())
+        with key_lock:
+            with self._lock:
+                if key in self._values:
+                    self._values.move_to_end(key)
+                    return self._values[key]
+            value = build()
+            with self._lock:
+                self._values[key] = value
+                while len(self._values) > (self.max_entries or math.inf):
+                    self._values.popitem(last=False)
+        return value
+
+
 def retry_policy(
     retries: Optional[int], task_timeout: Optional[float]
 ) -> Optional[RetryPolicy]:
-    """A RetryPolicy when either resilience knob is set, else None."""
+    """A RetryPolicy when either knob is set, else None (the map's
+    default :class:`RetryPolicy`)."""
     if retries is None and task_timeout is None:
         return None
     kwargs: Dict[str, object] = {}
@@ -179,9 +212,7 @@ def _acquisition_specs(
 #: jobs like ``_SETUPS``: the generator caches its batched key schedule,
 #: and a resolved plan costs a reference + pilot generation pass.
 _PHYSICAL_GENERATORS: Dict[Tuple[str, str], PhysicalTraceGenerator] = {}
-_RESOLVED_PLANS: Dict[
-    Tuple[object, ...], Optional[ResolvedPreprocess]
-] = {}
+_RESOLVED_PLANS = _BuildOnce()
 _PHYSICAL_LOCK = threading.Lock()
 
 
@@ -219,13 +250,10 @@ def _resolved_plan(
         int(seed),
         tuple(int(c) for c in columns),
     )
-    with _PHYSICAL_LOCK:
-        if key in _RESOLVED_PLANS:
-            return _RESOLVED_PLANS[key]
-    resolved = resolve_preprocess(spec, generator, seed, columns=columns)
-    with _PHYSICAL_LOCK:
-        _RESOLVED_PLANS[key] = resolved
-    return resolved
+    return _RESOLVED_PLANS.get(
+        key,
+        lambda: resolve_preprocess(spec, generator, seed, columns=columns),
+    )
 
 
 def _physical_seed(config: ExperimentConfig, circuit: str) -> int:
@@ -330,7 +358,7 @@ class _Job:
             self.params.get("jitter"),
             self.params.get("preprocess"),
         )
-        return _cached_inputs(key, lambda: build(**self._arguments()))
+        return _INPUTS.get(key, lambda: build(**self._arguments()))
 
     def ciphertexts(self) -> np.ndarray:
         """The full-key hypothesis stage's ciphertexts, without traces.
@@ -531,10 +559,9 @@ def run_tracegen_batch(
 #: Lease shard sources (campaign input arrays plus the recipe's state)
 #: rebuilt on this host, keyed per configuration.  A handful of entries
 #: bounds memory (a 250k-trace campaign's inputs are a few MB); LRU
-#: keeps the actively leased configs resident.
-_INPUTS_MAX_ENTRIES = 4
-_INPUTS: "OrderedDict[Tuple[object, ...], ShardSource]" = OrderedDict()
-_INPUTS_LOCK = threading.Lock()
+#: keeps the actively leased configs resident, and two leases of a
+#: cold job served at once build its source once.
+_INPUTS = _BuildOnce(max_entries=4)
 
 #: Config hashes this process has done work for (insertion-ordered so
 #: heartbeats report the most recent last).  Fed by completed leases
@@ -557,23 +584,6 @@ def warm_cache_keys(limit: int = 64) -> List[str]:
     with _WARM_LOCK:
         keys = list(_WARM_KEYS)
     return keys[-limit:]
-
-
-def _cached_inputs(
-    key: Tuple[object, ...], build: Callable[[], ShardSource]
-) -> ShardSource:
-    with _INPUTS_LOCK:
-        hit = _INPUTS.get(key)
-        if hit is not None:
-            _INPUTS.move_to_end(key)
-            return hit
-    value = build()
-    with _INPUTS_LOCK:
-        _INPUTS[key] = value
-        _INPUTS.move_to_end(key)
-        while len(_INPUTS) > _INPUTS_MAX_ENTRIES:
-            _INPUTS.popitem(last=False)
-    return value
 
 
 @dataclass(frozen=True)
@@ -634,34 +644,32 @@ def run_attack_shard(
     start: int,
     end: int,
     segment_ends: Sequence[int],
-    local_workers: Optional[int] = None,
 ) -> List[Tuple[int, Dict[str, np.ndarray]]]:
-    """One attack shard lease on this host, as raw accumulator states.
+    """One attack shard lease on this thread, as raw accumulator states.
 
     Rebuilds the campaign's shard source deterministically from the job
     parameters (cached per configuration), runs exactly the lease's
     trace range on the global stream-block grid through the local
-    drivers' shard task — split across ``local_workers`` and folded
-    back — and returns one :meth:`StreamingCPA.state_arrays` dict per
-    segment boundary, ready for the frame codec and the coordinator's
-    merge.
+    drivers' shard task, and returns one
+    :meth:`StreamingCPA.state_arrays` dict per segment boundary, ready
+    for the frame codec and the coordinator's merge.
     """
     with kernels.use(params.get("kernels")):
-        folded = run_lease(
+        partials = run_lease(
             _Job("attack", params).source(),
             start,
             end,
             [int(p) for p in segment_ends],
-            max(1, int(local_workers or 1)),
         )
-    return [(boundary, engine.state_arrays()) for boundary, engine in folded]
+    return [
+        (boundary, engine.state_arrays()) for boundary, engine in partials
+    ]
 
 
 def run_fullkey_shard(
     params: Dict[str, object],
     start: int,
     end: int,
-    local_workers: Optional[int] = None,
 ) -> np.ndarray:
     """One full-key shard lease: the column-resolved leakage block.
 
@@ -671,13 +679,7 @@ def run_fullkey_shard(
     exactly as the single-host driver recomputes it after collection.
     """
     with kernels.use(params.get("kernels")):
-        return run_lease(
-            _Job("fullkey", params).source(),
-            start,
-            end,
-            None,
-            max(1, int(local_workers or 1)),
-        )
+        return run_lease(_Job("fullkey", params).source(), start, end)
 
 
 def merge_attack_partials(
@@ -693,8 +695,8 @@ def merge_attack_partials(
     in plan order, segments in trace order, correlations evaluated at
     every checkpoint boundary.  Because the running sums are
     float-exact, the result is bit-identical regardless of which
-    workers computed the partials, in what interleaving, after how many
-    reassignments, or with what local sub-sharding.
+    workers computed the partials, in what interleaving, or after how
+    many reassignments.
     """
     job = _Job("attack", params)
     statistic = SegmentPartials(plan.checkpoints)

@@ -8,19 +8,20 @@ rebuilt inputs plus an optional on-disk cache directory scan) — then
 switches the connection to binary frames and serves leases until the
 server drains or the connection drops:
 
-* each lease executes on a thread (``asyncio.to_thread``) through
+* a lease is one shard on one thread: up to ``slots`` leases run at
+  once, each on its own thread (``asyncio.to_thread``) through
   :func:`repro.service.runners.run_attack_shard` /
   :func:`run_fullkey_shard`, which rebuild the campaign's shard source
-  deterministically from the job parameters and run the lease through
-  the single-host shard task and loop on the host's local pool, so one
-  worker runs at full single-host speed;
+  deterministically from the job parameters (once per configuration,
+  however many leases ask at once) and run the single-host shard task
+  over the lease's trace range;
 * a heartbeat task reports liveness and the current warm-key set every
   ``heartbeat_s`` (the server dictates the interval at registration);
 * ``revoke`` suppresses leases that have not started yet; a lease
   already running cannot be interrupted mid-kernel, so it finishes and
   sends its result anyway — the coordinator's idempotent merge drops
   the duplicate (this is deliberate: purity makes late results
-  harmless, and finishing is cheaper than tearing down a pool);
+  harmless, and finishing is cheaper than discarding it);
 * a :class:`~repro.util.faults.FaultPlan` can be injected (tests, CI)
   to fire deterministic exceptions, hangs and truncated results keyed
   on the shard site and lease attempt — the same keying the
@@ -109,7 +110,6 @@ class FleetWorker:
         port: int,
         name: Optional[str] = None,
         slots: int = 1,
-        local_workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
         quiet: bool = False,
@@ -131,7 +131,6 @@ class FleetWorker:
         self.port = port
         self.name = name or "worker-%d" % os.getpid()
         self.slots = slots
-        self.local_workers = local_workers
         self.cache_dir = cache_dir
         self.fault_plan = fault_plan
         self.quiet = quiet
@@ -142,7 +141,6 @@ class FleetWorker:
         self.reconnect_seed = reconnect_seed
         self.worker_id: Optional[str] = None
         self._heartbeat_s = 2.0
-        self._compress = True
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._send_lock = asyncio.Lock()
@@ -209,7 +207,6 @@ class FleetWorker:
             )
         self.worker_id = str(ack["worker_id"])
         self._heartbeat_s = float(ack.get("heartbeat_s", 2.0))
-        self._compress = bool(ack.get("compress", True))
         self._log(
             "registered as %s (%d slot(s), heartbeat %.1fs)"
             % (self.worker_id, self.slots, self._heartbeat_s)
@@ -344,9 +341,7 @@ class FleetWorker:
     # ------------------------------------------------------------------
     async def _send(self, message: object) -> None:
         async with self._send_lock:
-            await write_message(
-                self._writer, message, compress=self._compress
-            )
+            await write_message(self._writer, message)
 
     async def _serve_lease(self, lease: Dict[str, object]) -> None:
         lease_id = str(lease.get("lease_id"))
@@ -401,18 +396,12 @@ class FleetWorker:
                     start,
                     end,
                     [int(p) for p in lease.get("segment_ends") or []],
-                    local_workers=self.local_workers,
                 )
                 result: object = [
                     [int(boundary), state] for boundary, state in partials
                 ]
             elif kind == "fullkey":
-                result = run_fullkey_shard(
-                    params,
-                    start,
-                    end,
-                    local_workers=self.local_workers,
-                )
+                result = run_fullkey_shard(params, start, end)
             else:
                 raise WorkerError("lease has unknown job kind %r" % kind)
         if self.fault_plan is not None:
@@ -460,7 +449,6 @@ def run_worker(
     address: str,
     name: Optional[str] = None,
     slots: int = 1,
-    local_workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
     quiet: bool = False,
     reconnect: bool = False,
@@ -469,6 +457,8 @@ def run_worker(
 ) -> None:
     """Blocking entry point for ``repro worker ADDRESS``.
 
+    ``slots`` is the number of leases served at once, each on one
+    thread (``repro worker --workers N``).
     Connects, serves leases until SIGTERM/SIGINT (graceful: in-flight
     leases finish and report before the process exits) or server
     drain; with ``reconnect`` a lost server is redialed with seeded
@@ -480,7 +470,6 @@ def run_worker(
         port,
         name=name,
         slots=slots,
-        local_workers=local_workers,
         cache_dir=cache_dir,
         quiet=quiet,
         reconnect=reconnect,

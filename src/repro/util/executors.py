@@ -9,19 +9,20 @@ reads the driver's arrays in place.  Every task runs in a copy of the
 submitting thread's :mod:`contextvars` context, so per-job context
 state (the kernels mode of :mod:`repro.util.kernels`) follows the job.
 
-:func:`map_ordered` optionally runs each task under a
-:class:`RetryPolicy`: per-task deadlines counted from the moment the
-task starts on a thread, and bounded retry rounds with exponential
-backoff, each round on fresh daemon threads.  The resilient map always
-runs on threads (one when there is one worker), so a deadline holds at
-every worker count, and a task abandoned past its deadline never holds
-process exit.  A task that exhausts its attempts surfaces as a
-structured :class:`ShardError`; everything the runtime did to keep the
-campaign alive is recorded in a :class:`CampaignHealth` report.
-Because campaign task functions are pure functions of their payloads
-(all randomness is keyed on global trace indices), a retried task
-reproduces its result bit for bit, so none of this machinery can
-change a campaign's output — only whether it survives.
+:func:`map_ordered` runs every task under a :class:`RetryPolicy`
+(the default one unless the caller passes its own): per-task deadlines
+counted from the moment the task starts on a thread, and bounded retry
+rounds with exponential backoff, each round on fresh daemon threads.
+The map always runs on threads (one when there is one worker), so a
+deadline holds at every worker count, and a task abandoned past its
+deadline never holds process exit.  A task that exhausts its attempts
+surfaces as a structured :class:`ShardError`; everything the runtime
+did to keep the campaign alive is recorded in a
+:class:`CampaignHealth` report.  Because campaign task functions are
+pure functions of their payloads (all randomness is keyed on global
+trace indices), a retried task reproduces its result bit for bit, so
+none of this machinery can change a campaign's output — only whether
+it survives.
 
 It lives in :mod:`repro.util` because the consumers import each other
 (``experiments.parallel`` imports ``attacks.full_key``); a neutral home
@@ -36,7 +37,6 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -280,25 +280,19 @@ def map_ordered(
     health: Optional[CampaignHealth] = None,
     validate: Optional[Callable[[_Task, _Result], None]] = None,
 ) -> List[_Result]:
-    """``[fn(t) for t in tasks]``, optionally on a thread pool.
+    """``[fn(t) for t in tasks]`` on a thread pool, under the retry loop.
 
     Results come back in task order regardless of completion order, so
     any reduction that folds them sequentially (e.g. merging
     per-segment CPA accumulators) is independent of the worker count.
-    With one worker (or one task) the plain map runs in-process — a
-    list comprehension with no pool overhead.
-
-    Passing any of the keyword-only arguments switches the map into
-    its fault-tolerant mode (see the module docstring), which always
-    runs on threads — one for one worker — so deadlines hold;
-    without them the zero-overhead path runs unchanged.
+    There is one execution path: retry rounds on fresh daemon threads
+    (see the module docstring), one thread for one worker.
 
     Args:
         fn: task function.
         tasks: task payloads.
         max_workers: pool size (default :func:`default_workers`).
-        policy: retry/timeout policy (default :class:`RetryPolicy`
-            when any fault-tolerant argument is supplied).
+        policy: retry/timeout policy (default :class:`RetryPolicy`).
         fault_plan: deterministic fault-injection schedule
             (:class:`repro.util.faults.FaultPlan`), threaded into every
             task invocation.
@@ -313,52 +307,16 @@ def map_ordered(
             and triggers the retry path.
 
     Raises:
-        ShardError: a task failed on every one of its attempts.
+        ShardError: a task failed on every one of its attempts (raised
+            after the retry round in which it failed for the
+            ``policy.max_attempts``-th time).
     """
-    workers = max_workers if max_workers is not None else default_workers()
-    resilient = not (
-        policy is None
-        and fault_plan is None
-        and health is None
-        and validate is None
+    workers = max(
+        1, max_workers if max_workers is not None else default_workers()
     )
-    if not resilient:
-        if workers <= 1 or len(tasks) <= 1:
-            return [fn(task) for task in tasks]
-        # Each task runs in a copy of the caller's context, so context
-        # state (the kernels mode) follows the job onto pool threads.
-        contexts = [contextvars.copy_context() for _ in tasks]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(lambda ctx, task: ctx.run(fn, task), contexts, tasks)
-            )
-    return _resilient_map(
-        fn,
-        tasks,
-        max(1, workers),
-        policy or RetryPolicy(),
-        fault_plan,
-        sites,
-        health if health is not None else CampaignHealth(),
-        validate,
-    )
-
-
-def _resilient_map(
-    fn: Callable[[_Task], _Result],
-    tasks: Sequence[_Task],
-    workers: int,
-    policy: RetryPolicy,
-    plan: Optional[FaultPlan],
-    sites: Optional[Sequence[str]],
-    health: CampaignHealth,
-    validate: Optional[Callable[[_Task, _Result], None]],
-) -> List[_Result]:
-    """Retry rounds on the pool until every task succeeds.
-
-    Raises :class:`ShardError` after the round in which a task fails
-    for the ``policy.max_attempts``-th time.
-    """
+    policy = policy or RetryPolicy()
+    if health is None:
+        health = CampaignHealth()
     names = (
         list(sites)
         if sites is not None
@@ -380,7 +338,7 @@ def _resilient_map(
             time.sleep(policy.backoff_delay(round_number))
             retry: List[int] = []
             for index, status, value, seconds in _pool_round(
-                fn, tasks, pending, names, workers, policy, plan,
+                fn, tasks, pending, names, workers, policy, fault_plan,
                 submissions,
             ):
                 if status == "requeued":

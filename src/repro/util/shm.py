@@ -5,14 +5,16 @@ call reads the same heavy objects (campaign, generator, sensor,
 preprocessing plan) and the same campaign-global arrays (voltages,
 ciphertext bytes, plaintexts).  The pool runs on threads, so tasks hold
 one :class:`ArrayFanout` and read the driver's objects directly: nothing
-is copied or serialized, per task or per retry.
+is copied or serialized, per task or per retry.  A fleet lease
+(:func:`repro.experiments.parallel.run_lease`) wraps its one shard in
+one too.
 
-The module and the class keep their names, and ``_run_shards`` stays
-the one place that constructs an :class:`ArrayFanout`, because the
-benchmark's traced runs wrap ``ArrayFanout.__init__`` and
-``ArrayFanout.close`` by name (``bench/spans.py`` ``PATCHES``).  That
-holds until ROADMAP item 1 replaces the patch table with in-program
-spans.
+The module and the class keep their names, and ``_run_shards`` and
+``run_lease`` stay the only places that construct an
+:class:`ArrayFanout`, because the benchmark's traced runs wrap
+``ArrayFanout.__init__`` and ``ArrayFanout.close`` by name
+(``bench/spans.py`` ``PATCHES``).  That holds until ROADMAP item 2
+replaces the patch table with in-program spans.
 """
 
 from __future__ import annotations

@@ -112,7 +112,7 @@ class TestNumericBounds:
         (["covert", "--rate-mbps", "-1"], "--rate-mbps"),
         (["timing", "alu", "0"], "MHZ"),
         (["bench", "--repeats", "0"], "--repeats"),
-        (["worker", "1", "--slots", "0"], "--slots"),
+        (["worker", "1", "--workers", "0"], "--workers"),
     ])
     def test_one_line_exit_2(self, capsys, argv, flag):
         code = main(argv)
@@ -192,13 +192,20 @@ class TestFleetVerbs:
 
         args = _build_parser().parse_args([
             "worker", "127.0.0.1:7000",
-            "--name", "w0", "--slots", "2",
-            "--workers", "1", "--quiet",
+            "--name", "w0", "--workers", "2", "--quiet",
         ])
         assert args.command == "worker"
         assert args.address == "127.0.0.1:7000"
-        assert args.name == "w0" and args.slots == 2
-        assert args.workers == 1 and args.quiet is True
+        assert args.name == "w0" and args.workers == 2
+        assert args.quiet is True
+        assert _build_parser().parse_args(["worker", "1"]).workers == 1
+
+    def test_worker_has_one_parallelism_flag(self, capsys):
+        from repro.cli import _build_parser
+
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["worker", "1", "--slots", "2"])
+        assert "--slots" in capsys.readouterr().err
 
     def test_serve_fleet_flags_parse(self):
         from repro.cli import _build_parser

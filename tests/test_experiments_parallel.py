@@ -76,8 +76,36 @@ class TestPlanShards:
         from repro.experiments.parallel import ShardSource
 
         source = ShardSource.per_column(alu_campaign, N3)
-        with pytest.raises(ValueError, match="stream block grid"):
-            run_lease(source, 1000, N3, workers=2)
+        for start, end in (
+            (1000, N3),  # starts mid-block
+            (0, STREAM_BLOCK + 1),  # ends mid-block before the end
+            (STREAM_BLOCK, N3 + 1),  # runs past the campaign
+            (STREAM_BLOCK, STREAM_BLOCK),  # empty
+        ):
+            with pytest.raises(ValueError, match="stream block grid"):
+                run_lease(source, start, end)
+        assert run_lease(source, STREAM_BLOCK, N3).shape == (
+            N3 - STREAM_BLOCK, 4
+        )
+
+    def test_lease_segment_ends_must_end_at_the_lease_end(
+        self, alu_campaign
+    ):
+        from repro.experiments.parallel import ShardSource
+
+        source = ShardSource.reduced(alu_campaign, N3)
+        end = 2 * STREAM_BLOCK
+        for ends in (
+            [],
+            [STREAM_BLOCK],  # stops short of the lease end
+            [end, N3],  # runs past it
+            [3000, 2000, end],  # not rising
+            [0, end],  # at the lease start, outside it
+        ):
+            with pytest.raises(ValueError, match="segment ends"):
+                run_lease(source, 0, end, ends)
+        partials = run_lease(source, 0, end, [3000, end])
+        assert [boundary for boundary, _ in partials] == [3000, end]
 
 
 class TestShardedAttack:

@@ -188,22 +188,30 @@ class TestShardedFullKeyProperty:
         for expected, result in zip(reference, resumed.byte_results):
             assert np.array_equal(result.correlations, expected)
 
-    def test_fleet_lease_local_pool_equals_serial_collector(self):
-        # A two-slot fleet worker splits its lease into block-aligned
-        # sub-shards and each of those into four column tasks; the
-        # stacked block must be the serial collector's leakage.
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_fleet_leases_equal_serial_collector(self, slots):
+        # A worker with ``slots`` slots runs that many leases at once,
+        # each one shard on one thread reading all four columns; the
+        # stacked blocks must be the serial collector's leakage.
+        from concurrent.futures import ThreadPoolExecutor
+
         from repro.service.jobs import normalize_params
         from repro.service.runners import (
             cached_setup,
             _experiment_config,
+            plan_fleet_job,
             run_fullkey_shard,
         )
 
         params = normalize_params("fullkey", {"traces": 60_000, "seed": 1})
         campaign = cached_setup(_experiment_config(params)).campaign("alu")
         serial = campaign.collect_column_traces(60_000)["leakage"]
-        for local_workers in (1, 2):
-            block = run_fullkey_shard(
-                params, 0, 60_000, local_workers=local_workers
+        plan = plan_fleet_job("fullkey", params, 2 * slots)
+        with ThreadPoolExecutor(slots) as worker:
+            blocks = list(
+                worker.map(
+                    lambda lease: run_fullkey_shard(params, *lease),
+                    plan.shards,
+                )
             )
-            assert np.array_equal(block, serial)
+        assert np.array_equal(np.vstack(blocks), serial)

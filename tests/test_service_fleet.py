@@ -63,7 +63,9 @@ async def _start_service(fleet_config=None):
     return scheduler, server, host, port
 
 
-async def _start_workers(host, port, scheduler, count, fault_plans=None):
+async def _start_workers(
+    host, port, scheduler, count, fault_plans=None, slots=1
+):
     workers, tasks = [], []
     for index in range(count):
         plan = (fault_plans or {}).get(index)
@@ -71,8 +73,7 @@ async def _start_workers(host, port, scheduler, count, fault_plans=None):
             host,
             port,
             name="tw%d" % index,
-            slots=1,
-            local_workers=1,
+            slots=slots,
             fault_plan=plan,
             quiet=True,
         )
@@ -123,9 +124,7 @@ class TestShardPlanAndMerge:
         for num_shards in (1, 2):
             plan = plan_fleet_job("attack", spec.params, num_shards)
             partials = [
-                run_attack_shard(
-                    spec.params, start, end, list(ends), local_workers=1
-                )
+                run_attack_shard(spec.params, start, end, list(ends))
                 for (start, end), ends in zip(
                     plan.shards, plan.segment_ends
                 )
@@ -137,9 +136,9 @@ class TestShardPlanAndMerge:
 class TestRouteIdentity:
     """The fleet route (plan -> lease -> merge) equals the direct run.
 
-    110k traces over two shards gives a two-chunk first lease, so a
-    two-slot worker really splits it into local sub-shards and folds
-    them back before the coordinator merge.
+    One in-process worker serves the job.  With two slots the plan has
+    four shards and the worker runs two leases at once, each on its
+    own thread, both asking for the cold job's shard source.
     """
 
     SOURCES = {
@@ -150,35 +149,41 @@ class TestRouteIdentity:
         },
     }
 
-    @pytest.mark.parametrize("local_workers", [1, 2])
+    @pytest.mark.parametrize("slots", [1, 2])
     @pytest.mark.parametrize("source", ["analytic", "physical"])
     @pytest.mark.parametrize("kind", ["attack", "fullkey"])
-    def test_fleet_route(self, kind, source, local_workers):
+    def test_fleet_route(self, kind, source, slots):
+        from repro.service.codec import from_payload
+
         spec = JobSpec.create(
-            kind, dict(self.SOURCES[source], traces=110_000, seed=5)
+            kind,
+            dict(self.SOURCES[source], traces=110_000, seed=5, fleet=True),
         )
-        plan = plan_fleet_job(kind, spec.params, 2)
-        assert len(plan.shards) == 2
+        runner = run_attack if kind == "attack" else run_fullkey
+        direct = runner(dict(spec.params, fleet=False))
+
+        async def run():
+            scheduler, server, host, port = await _start_service()
+            workers, tasks = await _start_workers(
+                host, port, scheduler, 1, slots=slots
+            )
+            try:
+                state = await _run_job(scheduler, spec)
+                assert state.status == "done", state.error
+                (dispatch,) = [
+                    event
+                    for event in state.events
+                    if event["event"] == "fleet_dispatch"
+                ]
+                assert dispatch["shards"] == 2 * slots
+                return from_payload(state.result)
+            finally:
+                await _teardown(workers, tasks, server)
+
+        merged = asyncio.run(run())
         if kind == "attack":
-            direct = run_attack(dict(spec.params, fleet=False))
-            partials = [
-                run_attack_shard(
-                    spec.params, start, end, list(ends),
-                    local_workers=local_workers,
-                )
-                for (start, end), ends in zip(plan.shards, plan.segment_ends)
-            ]
-            merged = merge_attack_partials(spec.params, plan, partials)
             pairs = [(merged, direct)]
         else:
-            direct = run_fullkey(dict(spec.params, fleet=False))
-            blocks = [
-                run_fullkey_shard(
-                    spec.params, start, end, local_workers=local_workers
-                )
-                for start, end in plan.shards
-            ]
-            merged = merge_fullkey_blocks(spec.params, blocks)
             assert (
                 merged.recovered_last_round_key
                 == direct.recovered_last_round_key
@@ -194,6 +199,83 @@ class TestRouteIdentity:
             )
 
 
+class TestOneLeaseOneThread:
+    def test_nan_fault_fires_on_a_worker_serving_two_leases(self):
+        # A lease runs its shard on the lease's own thread, so the
+        # fault scope the worker installs reaches the recipe: every
+        # first attempt is poisoned, the CPA's finite-ness guard
+        # raises, and the reassigned attempts deliver the undisturbed
+        # result.
+        spec = _attack_spec()
+        baseline = _baseline(spec)
+        plans = {0: FaultPlan([FaultSpec("nan", attempts=1)], seed=3)}
+
+        async def run():
+            scheduler, server, host, port = await _start_service()
+            workers, tasks = await _start_workers(
+                host, port, scheduler, 1, fault_plans=plans, slots=2
+            )
+            try:
+                state = await _run_job(scheduler, spec)
+                assert state.status == "done", state.error
+                errors = scheduler.metrics.counter("fleet_shard_errors")
+                assert errors.value == 4  # two slots -> four shards
+                from repro.service.codec import from_payload
+
+                return from_payload(state.result)
+            finally:
+                await _teardown(workers, tasks, server)
+
+        _assert_cpa_equal(asyncio.run(run()), baseline)
+
+    def test_leases_of_a_cold_job_build_its_source_once(self):
+        # More lease threads than cores, over two cold keys, with a
+        # short switch interval: each key's build runs exactly once and
+        # every lease of a key gets the same object.
+        import sys
+        import threading
+        import time
+        from collections import Counter
+
+        from repro.service.runners import _BuildOnce
+
+        cache = _BuildOnce(max_entries=4)
+        calls = Counter()
+        counted = threading.Lock()
+
+        def build(key):
+            with counted:
+                calls[key] += 1
+            time.sleep(0.05)  # every lease asks while the key is cold
+            return object()
+
+        gate = threading.Barrier(8)
+        results = {}
+
+        def lease(index):
+            key = ("job", index % 2)
+            gate.wait(timeout=10)
+            results[index] = cache.get(key, lambda: build(key))
+
+        threads = [
+            threading.Thread(target=lease, args=(index,))
+            for index in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert calls == {("job", 0): 1, ("job", 1): 1}
+        for index in range(8):
+            assert results[index] is results[index % 2]
+
+
 class TestLeaseValidation:
     """The coordinator checks each lease result against the job's
     statistic before storing it."""
@@ -207,7 +289,7 @@ class TestLeaseValidation:
         partials = [
             [boundary, state]
             for boundary, state in run_attack_shard(
-                spec.params, start, end, list(ends), local_workers=1
+                spec.params, start, end, list(ends)
             )
         ]
         plan.validate(0, partials)
@@ -613,7 +695,7 @@ class TestPlacement:
         busy.leases["held"] = None  # b's only slot is taken
         sent = []
 
-        async def record(message, compress):
+        async def record(message):
             sent.append(message["shard_index"])
 
         failed.send = record

@@ -10,12 +10,16 @@ journal directory while a dead owner's lock is stolen silently.
 
 import json
 import os
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.journal import (
     LOCK_NAME,
     LOG_NAME,
+    RECORD_KINDS,
     SNAPSHOT_NAME,
     JobJournal,
     JournalError,
@@ -175,6 +179,24 @@ class TestCompaction:
             assert entry["status"] == "done"
             assert entry["cache_key"] == "abc123"
 
+    @pytest.mark.parametrize(
+        "snapshot",
+        [
+            "[]",
+            '{"jobs": [1]}',
+            '{"jobs": {"job-000001": 5}}',
+            '{"total_records": "x"}',
+        ],
+    )
+    def test_snapshot_of_the_wrong_shape_is_a_structured_error(
+        self, tmp_path, snapshot
+    ):
+        (tmp_path / SNAPSHOT_NAME).write_text(snapshot)
+        with pytest.raises(JournalError, match="snapshot .* unreadable"):
+            JobJournal(str(tmp_path))
+        # The failed open released the lock.
+        assert not (tmp_path / LOCK_NAME).exists()
+
     def test_compact_every_validated(self, tmp_path):
         with pytest.raises(ValueError):
             JobJournal(str(tmp_path), compact_every=0)
@@ -251,3 +273,72 @@ class TestReducer:
                 },
             )
         assert [q["shard"] for q in table["j"]["quarantined"]] == [0, 1]
+
+
+_RECORDS = st.lists(
+    st.tuples(
+        st.sampled_from(RECORD_KINDS),
+        st.sampled_from(["j1", "j2"]),
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "shard": st.integers(0, 3),
+                "worker": st.sampled_from(["w-1", "w-2"]),
+                "attempt": st.integers(0, 2),
+                "error": st.text("ab!", max_size=3),
+            },
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _reopen(directory):
+    """Open, read the table, close; torn-tail warnings are expected."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with JobJournal(directory, fsync=False) as journal:
+            return journal.jobs()
+
+
+class TestJournalFuzz:
+    """Generated record sequences, then every truncation and every
+    single-byte corruption of the log they leave."""
+
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    @given(records=_RECORDS)
+    def test_truncation_and_corruption(self, tmp_path_factory, records):
+        directory = str(tmp_path_factory.mktemp("journal"))
+        log = os.path.join(directory, LOG_NAME)
+        tables = []
+        with JobJournal(directory, fsync=False) as journal:
+            tables.append(journal.jobs())
+            for kind, job_id, data in records:
+                journal.append(kind, job_id, **data)
+                tables.append(journal.jobs())
+        with open(log, "rb") as handle:
+            raw = handle.read()
+
+        def reopen_with(content):
+            with open(log, "wb") as handle:
+                handle.write(content)
+            return _reopen(directory)
+
+        for offset in range(len(raw) + 1):
+            # A cut keeps the records whose newline landed; the torn
+            # tail is dropped and cut off the file, so a second open
+            # replays the same prefix.
+            table = reopen_with(raw[:offset])
+            assert table == tables[raw[:offset].count(b"\n")]
+            assert _reopen(directory) == table
+        # Masks that keep ASCII (a digit, quote or brace turns into a
+        # neighbour, a letter changes case) and one that leaves it.
+        for offset in range(len(raw)):
+            for mask in (0x01, 0x20, 0xFF):
+                flipped = bytearray(raw)
+                flipped[offset] ^= mask
+                try:
+                    reopen_with(bytes(flipped))
+                except JournalError:
+                    pass

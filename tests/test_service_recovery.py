@@ -222,7 +222,6 @@ class TestWorkerReconnect:
                 port,
                 name="phoenix",
                 slots=1,
-                local_workers=1,
                 quiet=True,
                 reconnect=True,
                 max_reconnects=50,
@@ -319,7 +318,6 @@ def _run_poisoned_fleet(fault: FaultSpec):
                 port,
                 name="poisoned%d" % index,
                 slots=1,
-                local_workers=1,
                 fault_plan=poison,
                 quiet=True,
             )
