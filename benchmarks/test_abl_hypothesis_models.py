@@ -11,6 +11,7 @@ from conftest import run_once
 
 from repro.aes.leakage import SHIFT_ROWS_SOURCE, random_ciphertexts
 from repro.attacks import (
+    BYTE_VALUES,
     hamming_distance_hypothesis,
     hamming_weight_hypothesis,
     run_cpa,
@@ -39,18 +40,27 @@ def evaluate(setup):
     correct = setup.cipher.last_round_key[target_byte]
     source_cell = int(SHIFT_ROWS_SOURCE[target_byte])
 
+    target = ciphertexts[:, target_byte]
+    # The Hamming-distance model reads two bytes, so its value is
+    # ``written * 256 + target``: a 65,536-row table.
+    written = ciphertexts[:, source_cell].astype(np.int64)
     models = {
-        "single_bit": single_bit_hypothesis(ciphertexts[:, target_byte]),
-        "hamming_weight": hamming_weight_hypothesis(
-            ciphertexts[:, target_byte]
-        ),
-        "hamming_distance": hamming_distance_hypothesis(
-            ciphertexts[:, source_cell], ciphertexts[:, target_byte]
+        "single_bit": (target, single_bit_hypothesis(BYTE_VALUES)),
+        "hamming_weight": (target, hamming_weight_hypothesis(BYTE_VALUES)),
+        "hamming_distance": (
+            written * 256 + target,
+            hamming_distance_hypothesis(
+                np.repeat(BYTE_VALUES, 256), np.tile(BYTE_VALUES, 256)
+            ),
         ),
     }
     outcome = {}
-    for name, hypotheses in models.items():
-        result = run_cpa(leakage, hypotheses, correct_key=correct)
+    for name, (values, table) in models.items():
+        # Only the final row is read, so one checkpoint suffices.
+        result = run_cpa(
+            leakage, values, table, checkpoints=[TRACES],
+            correct_key=correct,
+        )
         outcome[name] = (
             result.disclosed,
             float(result.final_correlations[correct]),

@@ -10,7 +10,7 @@ reduction combines.
 import numpy as np
 from conftest import run_once
 
-from repro.attacks import run_cpa, single_bit_hypothesis
+from repro.attacks import BYTE_VALUES, run_cpa, single_bit_hypothesis
 from repro.core.postprocess import bits_of_interest
 from repro.util.rng import derive_seed
 
@@ -26,7 +26,7 @@ def sweep(setup):
         mask=characterization.census.ro_sensitive,
     )
     data = campaign.collect_reduced_traces(TRACES)  # for cts/voltages
-    hypotheses = single_bit_hypothesis(data["ciphertexts"][:, 3])
+    table = single_bit_hypothesis(BYTE_VALUES)
     correct = campaign.cipher.last_round_key[3]
 
     corr_by_count = {}
@@ -42,7 +42,11 @@ def sweep(setup):
             )
             leakage[start:end] = bits[:, subset].sum(axis=1)
         result = run_cpa(
-            leakage, hypotheses, checkpoints=[TRACES], correct_key=correct
+            leakage,
+            data["ciphertexts"][:, 3],
+            table,
+            checkpoints=[TRACES],
+            correct_key=correct,
         )
         corr_by_count[count] = float(
             np.abs(result.correlations[-1][correct])

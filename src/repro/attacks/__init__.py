@@ -8,8 +8,8 @@ as in all of the paper's Figs. 9–13 and 17–18);
 
 from repro.attacks.cpa import (
     CPAResult,
+    InexactStateError,
     NonFiniteValuesError,
-    NonIntegralValuesError,
     StreamingCPA,
     default_checkpoints,
     run_cpa,
@@ -30,6 +30,7 @@ from repro.attacks.metrics import (
     summarize,
 )
 from repro.attacks.models import (
+    BYTE_VALUES,
     DEFAULT_TARGET_BIT,
     DEFAULT_TARGET_BYTE,
     HYPOTHESIS_MODELS,
@@ -41,12 +42,13 @@ from repro.attacks.models import (
 
 __all__ = [
     "AttackSummary",
+    "BYTE_VALUES",
     "CPAResult",
     "DEFAULT_TARGET_BIT",
     "DEFAULT_TARGET_BYTE",
     "FullKeyResult",
+    "InexactStateError",
     "NonFiniteValuesError",
-    "NonIntegralValuesError",
     "column_of_key_byte",
     "recover_last_round_key",
     "centered_square",

@@ -1,49 +1,99 @@
 """Correlation Power Analysis engine.
 
 Implements textbook CPA (Brier et al.): Pearson correlation between a
-measured leakage series and a hypothesis matrix over 256 key-byte
-candidates, with *progress tracking* — correlations re-evaluated at
-growing trace counts — to produce the paper's
-"correlation progress over 500k traces" figures and the
-measurements-to-disclosure metric.
+measured leakage series and the hypotheses of 256 key-byte candidates,
+with *progress tracking* — correlations re-evaluated at growing trace
+counts — to produce the paper's "correlation progress over 500k
+traces" figures and the measurements-to-disclosure metric.
 
-The implementation streams over trace blocks and keeps only running
-sums (O(256) state), so half-million-trace campaigns fit comfortably in
-memory regardless of checkpoint density.
+Every hypothesis of the paper's model is a lookup on one byte value
+(the ciphertext byte the key guess is XORed with), i.e. a row of a
+``(V, K)`` table.  The engine therefore keeps, per leakage stream, the
+trace count and leakage sum of every value plus the leakage sum and
+sum of squares — O(V) state, whatever the campaign length — and folds
+the table in only when correlations are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks.models import _validate_ct_bytes
-from repro.util import kernels
 from repro.util.errors import ReproError
 
+#: Table rows folded per matrix product: a 65,536-row (16-bit value)
+#: table is converted to float64 one slice at a time, never whole.
+FOLD_ROWS = 4096
 
-def _accumulate_numpy(x: np.ndarray, h: np.ndarray):
-    """Reference CPA accumulate: block sums, or None on non-finite.
+#: The largest block sum of squares an int64 state takes in; a block at
+#: or above it turns the state float64 (see :meth:`StreamingCPA.update`).
+_EXACT_BLOCK = 2.0 ** 53
 
-    Returns ``(sum_x, sum_xx, sum_h, sum_hh, sum_xh)`` for a finite
-    block.  Returning None (instead of raising) keeps the op contract
-    backend-agnostic; :meth:`StreamingCPA.update` re-runs the finite
-    checks to raise the exact :class:`NonFiniteValuesError`, and no
-    accumulator state is touched either way.
+_INT64_MAX = np.iinfo(np.int64).max
+
+#: The keys of :meth:`StreamingCPA.state_arrays`.
+STATE_KEYS = ("count", "counts", "sums", "sum_x", "sum_xx")
+
+
+def _validate_values(values: np.ndarray, num_values: int) -> np.ndarray:
+    """Values as an integer array, each in ``0..num_values - 1``.
+
+    Values that are not such integers raise instead of being cast:
+    ``astype(np.uint8)`` would silently read the row of 0 for 256, of
+    255 for -1 and of 3 for 3.7.
     """
-    h = np.asarray(h, dtype=np.float64)
-    if not np.isfinite(x).all() or not np.isfinite(h).all():
-        return None
-    return (
-        x.sum(),
-        (x * x).sum(),
-        h.sum(axis=0),
-        (h * h).sum(axis=0),
-        h.T @ x,
-    )
+    arr = np.asarray(values)
+    if arr.dtype == np.uint8 and num_values >= 256:
+        return arr
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(
+            "values must be integers in 0..%d, got dtype %s"
+            % (num_values - 1, arr.dtype)
+        )
+    bad = ~((arr >= 0) & (arr < num_values))
+    if arr.dtype.kind == "f":
+        bad |= arr != np.floor(arr)
+    if bad.any():
+        index = int(np.flatnonzero(bad.reshape(-1))[0])
+        raise ValueError(
+            "value %r at index %d is not an integer in 0..%d"
+            % (arr.reshape(-1)[index].item(), index, num_values - 1)
+        )
+    return arr.astype(np.intp, copy=False)
 
+
+def state_problem(
+    state: object, shape: Tuple[int, ...], count: int
+) -> Optional[str]:
+    """Why ``state`` is not an int64 :meth:`StreamingCPA.state_arrays`
+    of ``count`` traces whose ``counts`` have ``shape`` (None: it is).
+
+    Shard and lease results are checked with this before they merge.
+    """
+    if not isinstance(state, dict) or set(state) != set(STATE_KEYS):
+        return "state with keys %s" % (
+            sorted(state) if isinstance(state, dict) else type(state).__name__
+        )
+    arrays = [np.asarray(state[key]) for key in STATE_KEYS]
+    dtypes = [array.dtype for array in arrays]
+    if dtypes != [np.dtype(np.int64)] * len(arrays):
+        return "a state of dtypes %s" % dtypes
+    got = tuple(array.shape for array in arrays)
+    if got != ((), shape, shape, shape[:-1], shape[:-1]):
+        return "state arrays of shapes %s" % (got,)
+    counted = arrays[1].sum(axis=-1)
+    if int(arrays[0]) != count or (counted != count).any():
+        return "count %d, values counted %s" % (
+            int(arrays[0]), np.unique(counted).tolist()
+        )
+    return None
+
+
+def _trace_rows(bad: np.ndarray) -> np.ndarray:
+    """Trace indices (rows) holding any flagged stream value."""
+    return np.flatnonzero(bad.reshape(bad.shape[0], -1).any(axis=1))
 
 
 class _TraceValuesError(ReproError):
@@ -84,17 +134,13 @@ class NonFiniteValuesError(_TraceValuesError):
     problem = "non-finite"
 
 
-class NonIntegralValuesError(_TraceValuesError):
-    """Fractional leakage reached the by-value accumulator.
+class InexactStateError(ReproError):
+    """A float64 (inexact) CPA state was merged, stored or rebuilt.
 
-    The by-value statistic equals the dense one bit for bit, and merges
-    in any order, only because every sum of integer-valued float64
-    leakage is exact.  :meth:`StreamingCPA.update` therefore rejects a
-    by-value block holding a finite non-integral value and names its
-    traces.
+    Only an int64 state adds up to the same state in any order, so
+    :meth:`StreamingCPA.merge`, :meth:`~StreamingCPA.state_arrays` and
+    :meth:`~StreamingCPA.from_state_arrays` refuse any other.
     """
-
-    problem = "non-integral"
 
 
 @dataclass
@@ -193,281 +239,289 @@ def default_checkpoints(num_traces: int, count: int = 60) -> np.ndarray:
     return points
 
 
-class StreamingCPA:
-    """Accumulates CPA statistics over trace blocks.
+def checkpoint_grid(
+    checkpoints: Optional[Sequence[int]], num_traces: int
+) -> np.ndarray:
+    """The evaluation grid of a ``num_traces`` campaign.
 
-    Usage: feed ``(leakage_block, hypothesis_block)`` pairs via
-    :meth:`update`, call :meth:`correlations` whenever a checkpoint is
-    reached.  :func:`run_cpa` wraps the common in-memory case.
+    :func:`default_checkpoints` when None; otherwise the sorted unique
+    points, which must lie in ``[2, num_traces]``, with ``num_traces``
+    appended when missing so every trace contributes to the result.
+    """
+    if checkpoints is None:
+        return default_checkpoints(num_traces)
+    points = np.unique(np.asarray(checkpoints, dtype=np.int64))
+    if points.size == 0 or points[0] < 2 or points[-1] > num_traces:
+        raise ValueError("checkpoints must lie in [2, num_traces]")
+    if points[-1] != num_traces:
+        points = np.append(points, num_traces)
+    return points
+
+
+class StreamingCPA:
+    """Per-value CPA state of one or more leakage streams.
+
+    Row ``v`` of ``table`` (shape ``(V, K)``) holds the K candidates'
+    hypotheses for a trace whose value is ``v``.  :meth:`update` adds a
+    block's ``count[v]``, ``sum_x[v]``, ``sum_x`` and ``sum_xx``;
+    :meth:`correlations` folds the table in.  With ``streams=S`` every
+    block carries S leakage streams with S values per trace (the
+    full-key attack: one stream per key byte) and correlations come
+    out ``(S, K)``; the streams share the table and one fold.
+
+    The sums are int64 while every block has been integral: such states
+    add up to the same state in any order, so only they merge, store
+    (:meth:`state_arrays`) and rebuild (:meth:`from_state_arrays`).
+    From the first non-integral block on the engine keeps float64 sums
+    for analog single-stream callers, and those three raise
+    :class:`InexactStateError`.
     """
 
-    def __init__(self, num_candidates: int = 256):
-        self.num_candidates = num_candidates
+    def __init__(self, table: np.ndarray, streams: Optional[int] = None):
+        table = np.asarray(table)
+        if table.ndim != 2 or 0 in table.shape:
+            raise ValueError(
+                "table must be (num_values, num_candidates), got %r"
+                % (table.shape,)
+            )
+        self.table = table
         self.count = 0
-        self._sum_x = 0.0
-        self._sum_xx = 0.0
-        self._sum_h = np.zeros(num_candidates)
-        self._sum_hh = np.zeros(num_candidates)
-        self._sum_xh = np.zeros(num_candidates)
+        shape = () if streams is None else (int(streams),)
+        self._counts = np.zeros(shape + table.shape[:1], dtype=np.int64)
+        self._sums = np.zeros(shape + table.shape[:1], dtype=np.int64)
+        self._sum_x = np.zeros(shape, dtype=np.int64)
+        self._sum_xx = np.zeros(shape, dtype=np.int64)
+        self._blocks: Optional[List[tuple]] = None
 
-    def update(
-        self,
-        leakage: np.ndarray,
-        hypotheses: np.ndarray,
-        values: Optional[np.ndarray] = None,
-    ) -> None:
+    @property
+    def num_candidates(self) -> int:
+        return int(self.table.shape[1])
+
+    @property
+    def exact(self) -> bool:
+        """Whether the sums are still int64 (every block integral)."""
+        return self._sums.dtype == np.int64
+
+    def update(self, leakage: np.ndarray, values: np.ndarray) -> None:
         """Add a block of traces.
 
         Args:
-            leakage: (B,) measured leakage values.
-            hypotheses: (B, num_candidates) hypothesis values or, with
-                ``values``, a by-value table of shape
-                (256, num_candidates) whose row ``v`` holds the
-                hypotheses of a trace with byte value ``v``.
-            values: (B,) byte value (e.g. ciphertext byte) of every
-                trace.  ``update(x, table, values)`` adds exactly the
-                state of ``update(x, table[values])`` without building
-                the (B, num_candidates) matrix; the leakage must then
-                be integer-valued (:class:`NonIntegralValuesError`).
+            leakage: (B,) leakage values, or (B, S) for S streams.
+            values: the value (table row) of every leakage entry, same
+                shape, each an integer in ``0..V - 1``.
+
+        Raises:
+            NonFiniteValuesError: a NaN/Inf leakage value, or a trace
+                whose table row is not finite; the state is untouched.
         """
         x = np.asarray(leakage, dtype=np.float64)
-        h = np.asarray(hypotheses)
-        if values is not None:
-            self._update_by_value(x, h, values)
-            return
-        if x.ndim != 1 or h.shape != (x.shape[0], self.num_candidates):
+        num_values = self.table.shape[0]
+        values = _validate_values(values, num_values)
+        if x.shape != values.shape or x.shape[1:] != self._sum_x.shape:
             raise ValueError(
-                "shape mismatch: leakage %r vs hypotheses %r"
-                % (x.shape, h.shape)
+                "shape mismatch: leakage %r vs values %r (a %r-stream "
+                "state)" % (x.shape, values.shape, self._sum_x.shape)
             )
-        # The fused accumulate runs under the selected kernel backend
-        # (int8 hypothesis blocks skip the float64 materialization on
-        # the native path).  Campaign leakage/hypotheses are
-        # integer-valued, so the float64 sums are exact and therefore
-        # identical across backends and accumulation orders — the same
-        # property merge() relies on.
-        op = kernels.native_op("cpa", "accumulate") or _accumulate_numpy
-        sums = op(x, h)
-        if sums is None:
-            # Re-run the finite checks in numpy to name the offending
-            # traces; the accumulator state was never touched.
-            finite_x = np.isfinite(x)
-            if not finite_x.all():
-                raise NonFiniteValuesError(
-                    "leakage", self.count + np.flatnonzero(~finite_x)
-                )
-            finite_h = np.isfinite(
-                np.asarray(h, dtype=np.float64)
-            ).all(axis=1)
+        finite = np.isfinite(x)
+        if not finite.all():
             raise NonFiniteValuesError(
-                "hypotheses", self.count + np.flatnonzero(~finite_h)
+                "leakage", self.count + _trace_rows(~finite)
             )
-        sum_x, sum_xx, sum_h, sum_hh, sum_xh = sums
-        self.count += x.shape[0]
+        if self.table.dtype.kind == "f":
+            finite_rows = np.isfinite(self.table).all(axis=1)[values]
+            if not finite_rows.all():
+                raise NonFiniteValuesError(
+                    "hypotheses", self.count + _trace_rows(~finite_rows)
+                )
+        index = values
+        if x.ndim == 2:
+            index = values + num_values * np.arange(x.shape[1])
+        index = index.reshape(-1).astype(np.intp, copy=False)
+        size = num_values * self._sum_x.size
+        shape = self._counts.shape
+        counts = np.bincount(index, minlength=size)
+        sums = np.bincount(index, weights=x.reshape(-1), minlength=size)
+        sum_x = x.sum(axis=0)
+        sum_xx = (x * x).sum(axis=0)
+        if (
+            self.exact
+            and (x == np.floor(x)).all()
+            and (sum_xx < _EXACT_BLOCK).all()
+            and (sum_xx <= _INT64_MAX - self._sum_xx).all()
+        ):
+            sums = sums.astype(np.int64)
+            sum_x = sum_x.astype(np.int64)
+            sum_xx = sum_xx.astype(np.int64)
+        elif self.exact:
+            self._sums = self._sums.astype(np.float64)
+            self._sum_x = self._sum_x.astype(np.float64)
+            self._sum_xx = self._sum_xx.astype(np.float64)
+        self._counts += counts.reshape(shape)
+        self._sums += sums.reshape(shape)
         self._sum_x += sum_x
         self._sum_xx += sum_xx
-        self._sum_h += sum_h
-        self._sum_hh += sum_hh
-        self._sum_xh += sum_xh
-
-    def _update_by_value(
-        self, x: np.ndarray, table: np.ndarray, values: np.ndarray
-    ) -> None:
-        """The by-value statistic: per-value trace counts and leakage
-        sums, folded through the table.
-
-        With ``cnt[v]`` traces of value ``v`` whose leakage sums to
-        ``sx[v]``, the dense sums are ``sum_h = cnt @ T``,
-        ``sum_hh = cnt @ T**2`` and ``sum_xh = sx @ T``.  For
-        integer-valued leakage and tables every term is an integer
-        below 2**53, so both routes compute the same exact float64
-        sums — bit-identical state, in any accumulation order.
-        """
-        values = _validate_ct_bytes(values)
-        if x.ndim != 1 or values.shape != x.shape:
-            raise ValueError(
-                "shape mismatch: leakage %r vs values %r"
-                % (x.shape, values.shape)
-            )
-        if table.shape != (256, self.num_candidates):
-            raise ValueError(
-                "by-value table must be (256, %d), got %r"
-                % (self.num_candidates, table.shape)
-            )
-        finite_x = np.isfinite(x)
-        if not finite_x.all():
-            raise NonFiniteValuesError(
-                "leakage", self.count + np.flatnonzero(~finite_x)
-            )
-        finite_rows = np.isfinite(table).all(axis=1)
-        if not finite_rows.all():
-            raise NonFiniteValuesError(
-                "hypotheses",
-                self.count + np.flatnonzero(~finite_rows[values]),
-            )
-        integral = x == np.floor(x)
-        if not integral.all():
-            raise NonIntegralValuesError(
-                "leakage", self.count + np.flatnonzero(~integral)
-            )
-        t = table.astype(np.float64)
-        index = values.astype(np.intp)
-        counts = np.bincount(index, minlength=256).astype(np.float64)
-        sums = np.bincount(index, weights=x, minlength=256)
         self.count += x.shape[0]
-        self._sum_x += x.sum()
-        self._sum_xx += (x * x).sum()
-        self._sum_h += counts @ t
-        self._sum_hh += counts @ (t * t)
-        self._sum_xh += sums @ t
+
+    def _require_exact(self, action: str) -> None:
+        if not self.exact:
+            raise InexactStateError(
+                "cannot %s a CPA state that has seen non-integral "
+                "leakage: only int64 states merge exactly" % action
+            )
 
     def merge(self, other: "StreamingCPA") -> "StreamingCPA":
-        """Fold another accumulator's traces into this one (in place).
+        """Fold another state's traces into this one (in place).
 
-        Running sums are additive, so accumulators built over disjoint
+        The int64 sums are additive, so states built over disjoint
         trace blocks — by parallel workers, checkpointed shards, or
         resumed campaigns — combine into exactly the single-stream
-        state (integer-valued leakage and hypotheses make the sums
-        float-exact, hence order-independent).
+        state, in any order.
 
         Returns:
             self, for chaining.
         """
-        if other.num_candidates != self.num_candidates:
+        self._require_exact("merge")
+        other._require_exact("merge")
+        if other._counts.shape != self._counts.shape:
             raise ValueError(
-                "cannot merge %d-candidate accumulator into %d"
-                % (other.num_candidates, self.num_candidates)
+                "cannot merge a %r state into %r"
+                % (other._counts.shape, self._counts.shape)
             )
         self.count += other.count
+        self._counts += other._counts
+        self._sums += other._sums
         self._sum_x += other._sum_x
         self._sum_xx += other._sum_xx
-        self._sum_h += other._sum_h
-        self._sum_hh += other._sum_hh
-        self._sum_xh += other._sum_xh
         return self
 
-    def copy(self) -> "StreamingCPA":
-        """Independent snapshot of the accumulated state."""
-        clone = StreamingCPA(num_candidates=self.num_candidates)
-        clone.count = self.count
-        clone._sum_x = self._sum_x
-        clone._sum_xx = self._sum_xx
-        clone._sum_h = self._sum_h.copy()
-        clone._sum_hh = self._sum_hh.copy()
-        clone._sum_xh = self._sum_xh.copy()
-        return clone
-
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        """The running sums as plain arrays, for checkpoint files.
+        """The int64 state as plain arrays (checkpoints, fleet leases).
 
-        The mapping round-trips bit-exactly through
-        :meth:`from_state_arrays` (and through ``np.savez`` /
-        ``np.load``, which preserve float64 payloads exactly), so a
-        resumed campaign continues from the identical accumulator
-        state an uninterrupted run would have had.
+        Round-trips exactly through :meth:`from_state_arrays`, the
+        frame codec and ``np.savez``, so a resumed campaign continues
+        from the state an uninterrupted run would have had.  A single
+        stream's ``sum_x`` and ``sum_xx`` are int64 scalars.
         """
+        self._require_exact("store")
         return {
             "count": np.int64(self.count),
-            "sum_x": np.float64(self._sum_x),
-            "sum_xx": np.float64(self._sum_xx),
-            "sum_h": self._sum_h.copy(),
-            "sum_hh": self._sum_hh.copy(),
-            "sum_xh": self._sum_xh.copy(),
+            "counts": self._counts.copy(),
+            "sums": self._sums.copy(),
+            "sum_x": self._sum_x.copy()[()],
+            "sum_xx": self._sum_xx.copy()[()],
         }
 
     @classmethod
     def from_state_arrays(
-        cls, state: Dict[str, np.ndarray]
+        cls, state: Dict[str, np.ndarray], table: np.ndarray
     ) -> "StreamingCPA":
-        """Rebuild an accumulator from :meth:`state_arrays` output."""
-        sum_h = np.asarray(state["sum_h"], dtype=np.float64)
-        engine = cls(num_candidates=int(sum_h.shape[0]))
-        engine.count = int(state["count"])
-        engine._sum_x = float(state["sum_x"])
-        engine._sum_xx = float(state["sum_xx"])
-        engine._sum_h = sum_h.copy()
-        engine._sum_hh = np.asarray(
-            state["sum_hh"], dtype=np.float64
-        ).copy()
-        engine._sum_xh = np.asarray(
-            state["sum_xh"], dtype=np.float64
-        ).copy()
+        """Rebuild a state from :meth:`state_arrays` output and its
+        table; the streams come from the arrays' shape."""
+        arrays = {key: np.asarray(state[key]) for key in STATE_KEYS}
+        if any(a.dtype != np.int64 for a in arrays.values()):
+            raise InexactStateError(
+                "CPA state arrays must be int64, got %s"
+                % ", ".join(
+                    "%s=%s" % (key, a.dtype) for key, a in arrays.items()
+                )
+            )
+        counts = arrays["counts"]
+        engine = cls(table, None if counts.ndim == 1 else counts.shape[0])
+        if counts.shape != engine._counts.shape:
+            raise ValueError(
+                "state of shape %r does not fit a %r table"
+                % (counts.shape, engine.table.shape)
+            )
+        engine.count = int(arrays["count"])
+        engine._counts = counts.copy()
+        engine._sums = arrays["sums"].reshape(counts.shape).copy()
+        engine._sum_x = arrays["sum_x"].reshape(counts.shape[:-1]).copy()
+        engine._sum_xx = arrays["sum_xx"].reshape(counts.shape[:-1]).copy()
         return engine
 
+    def _table_blocks(self):
+        """``(rows, [T | T**2])`` per :data:`FOLD_ROWS` slice of the
+        table, as float64; kept when the table is one slice."""
+        if self._blocks is not None:
+            return self._blocks
+        blocks = []
+        for row in range(0, self.table.shape[0], FOLD_ROWS):
+            t = self.table[row:row + FOLD_ROWS].astype(np.float64)
+            rows = slice(row, row + t.shape[0])
+            blocks.append((rows, np.hstack([t, t * t])))
+        if len(blocks) == 1:
+            self._blocks = blocks
+        return blocks
+
     def correlations(self) -> np.ndarray:
-        """Pearson correlation of every candidate over all seen traces."""
+        """Pearson correlation of every candidate over all seen traces:
+        ``(K,)``, or ``(S, K)`` for S streams."""
+        shape = self._sum_x.shape + (self.num_candidates,)
         n = self.count
         if n < 2:
-            return np.zeros(self.num_candidates)
-        cov = self._sum_xh - self._sum_x * self._sum_h / n
-        var_x = self._sum_xx - self._sum_x * self._sum_x / n
-        var_h = self._sum_hh - self._sum_h * self._sum_h / n
+            return np.zeros(shape)
+        k = shape[-1]
+        # Per stream, [count; sum_x] by value times [T | T**2] gives
+        # count @ T, count @ T**2 and sum_x @ T in one two-row product.
+        # Products of more rows start the BLAS thread pool, whose
+        # spinning threads compete with the campaign's worker threads.
+        weights = np.stack([self._counts, self._sums], axis=-2).astype(
+            np.float64
+        ).reshape(-1, 2, self.table.shape[0])
+        folded = np.zeros((weights.shape[0], 2, 2 * k))
+        for rows, both in self._table_blocks():
+            for stream, weight in enumerate(weights):
+                folded[stream] += weight[:, rows] @ both
+        folded = folded.reshape(shape[:-1] + (2, 2 * k))
+        sum_h = folded[..., 0, :k]
+        sum_hh = folded[..., 0, k:]
+        sum_xh = folded[..., 1, :k]
+        sum_x = self._sum_x.astype(np.float64)[..., None]
+        sum_xx = self._sum_xx.astype(np.float64)[..., None]
+        cov = sum_xh - sum_x * sum_h / n
+        var_x = sum_xx - sum_x * sum_x / n
+        var_h = sum_hh - sum_h * sum_h / n
         denom = np.sqrt(np.maximum(var_x, 0.0) * np.maximum(var_h, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            corr = np.where(denom > 0, cov / denom, 0.0)
-        return corr
+            return np.where(denom > 0, cov / denom, 0.0)
 
 
 def run_cpa(
     leakage: np.ndarray,
-    hypotheses: np.ndarray,
+    values: np.ndarray,
+    table: np.ndarray,
     checkpoints: Optional[Sequence[int]] = None,
     correct_key: Optional[int] = None,
-    values: Optional[np.ndarray] = None,
 ) -> CPAResult:
     """Full CPA with progress over trace count.
 
     Args:
         leakage: (N,) measured leakage (Hamming weight of sensor bits,
             a single sensor bit, a TDC readout, ...).
-        hypotheses: (N, 256) hypothesis matrix from
-            :mod:`repro.attacks.models` or, with ``values``, a
-            (256, 256) by-value table (see :meth:`StreamingCPA.update`).
-        checkpoints: trace counts at which to record correlations;
-            defaults to :func:`default_checkpoints`.  A final
-            checkpoint at ``num_traces`` is always appended when
-            missing, so every provided trace contributes to the result
-            (traces beyond the last explicit checkpoint used to be
-            silently dropped).
+        values: (N,) value of every trace — the ciphertext byte, for
+            the models of :mod:`repro.attacks.models` — selecting its
+            row of ``table``.
+        table: (V, K) hypotheses per value, e.g.
+            ``single_bit_hypothesis(BYTE_VALUES)``.
+        checkpoints: trace counts at which to record correlations
+            (:func:`checkpoint_grid`; default
+            :func:`default_checkpoints`).
         correct_key: true key byte for rank/MTD metrics.
-        values: (N,) byte value of every trace, selecting its row of
-            the by-value ``hypotheses`` table; the result equals the
-            dense ``run_cpa(leakage, hypotheses[values])`` bit for bit.
 
     Returns:
         :class:`CPAResult` with one correlation row per checkpoint.
     """
     x = np.asarray(leakage, dtype=np.float64)
-    h = np.asarray(hypotheses)
     if x.ndim != 1:
         raise ValueError("leakage must be 1-D")
-    if values is None:
-        rows, label = x.shape[0], "N"
-    else:
-        values = np.asarray(values)
-        if values.shape != x.shape:
-            raise ValueError("values must be (N,) like the leakage")
-        rows, label = 256, "256"
-    if h.ndim != 2 or h.shape[0] != rows:
-        raise ValueError("hypotheses must be (%s, num_candidates)" % label)
-    num_traces = x.shape[0]
-    if checkpoints is None:
-        points = default_checkpoints(num_traces)
-    else:
-        points = np.unique(np.asarray(checkpoints, dtype=np.int64))
-        if points.size == 0 or points[0] < 2 or points[-1] > num_traces:
-            raise ValueError("checkpoints must lie in [2, num_traces]")
-        if points[-1] != num_traces:
-            points = np.append(points, num_traces)
-
-    engine = StreamingCPA(num_candidates=h.shape[1])
+    if np.shape(values) != x.shape:
+        raise ValueError("values must be (N,) like the leakage")
+    points = checkpoint_grid(checkpoints, x.shape[0])
+    engine = StreamingCPA(table)
     rows: List[np.ndarray] = []
     previous = 0
     for point in points:
-        if values is None:
-            engine.update(x[previous:point], h[previous:point])
-        else:
-            engine.update(x[previous:point], h, values[previous:point])
+        engine.update(x[previous:point], values[previous:point])
         rows.append(engine.correlations())
         previous = point
     return CPAResult(

@@ -26,6 +26,13 @@ from repro.attacks.models import BYTE_VALUES, single_bit_hypothesis
 from repro.util.executors import CampaignHealth, RetryPolicy, map_ordered
 
 
+#: The leakage column of every key byte: ``leakage[:, KEY_BYTE_COLUMNS]``
+#: is the (N, 16) leakage whose stream ``j`` is key byte ``j``'s.
+KEY_BYTE_COLUMNS = np.array(
+    [int(SHIFT_ROWS_SOURCE[j]) // 4 for j in range(16)], dtype=np.intp
+)
+
+
 def column_of_key_byte(byte_index: int) -> int:
     """The state column whose cycle leaks key byte ``byte_index``.
 
@@ -35,7 +42,7 @@ def column_of_key_byte(byte_index: int) -> int:
     """
     if not 0 <= byte_index < 16:
         raise ValueError("byte index must be 0..15, got %d" % byte_index)
-    return int(SHIFT_ROWS_SOURCE[byte_index]) // 4
+    return int(KEY_BYTE_COLUMNS[byte_index])
 
 
 @dataclass
@@ -107,23 +114,13 @@ class FullKeyResult:
 def _attack_byte_task(state: Dict[str, object], byte_index: int) -> CPAResult:
     """One key byte's CPA over the shared (N, 4) leakage and (N, 16)
     ciphertexts, read in place from ``state``."""
-    leakage: np.ndarray = state["leakage"]
-    ct: np.ndarray = state["ciphertexts"]
     correct_key = state["correct_key"]
-    bit = state["target_bit"]
-    if state["integral"]:
-        # By value: one 256-row table instead of an (N, 256) matrix.
-        hypotheses = single_bit_hypothesis(BYTE_VALUES, bit=bit)
-        values: Optional[np.ndarray] = ct[:, byte_index]
-    else:
-        hypotheses = single_bit_hypothesis(ct[:, byte_index], bit=bit)
-        values = None
     return run_cpa(
-        leakage[:, column_of_key_byte(byte_index)],
-        hypotheses,
+        state["leakage"][:, KEY_BYTE_COLUMNS[byte_index]],
+        state["ciphertexts"][:, byte_index],
+        state["table"],
         checkpoints=state["checkpoints"],
         correct_key=None if correct_key is None else correct_key[byte_index],
-        values=values,
     )
 
 
@@ -144,10 +141,6 @@ def recover_last_round_key(
             column cycle (from
             :meth:`repro.core.AttackCampaign.collect_column_traces` or
             :meth:`repro.aes.LeakageModel.column_voltages`).
-            Integer-valued leakage runs the by-value statistic
-            (:meth:`repro.attacks.cpa.StreamingCPA.update`), any other
-            the dense (N, 256) hypothesis matrix; both give the same
-            correlations for integer leakage.
         ciphertexts: (N, 16) observed ciphertext blocks.
         target_bit: hypothesis bit within the pre-SBox byte.
         correct_key: true round-10 key for metrics, if known.
@@ -174,12 +167,9 @@ def recover_last_round_key(
     state = {
         "leakage": leakage,
         "ciphertexts": ct,
-        "target_bit": target_bit,
+        "table": single_bit_hypothesis(BYTE_VALUES, bit=target_bit),
         "checkpoints": checkpoints,
         "correct_key": correct_key,
-        # Integer-valued leakage (every campaign's) takes the exact
-        # by-value statistic; analog leakage keeps the dense path.
-        "integral": bool((leakage == np.floor(leakage)).all()),
     }
     results = map_ordered(
         partial(_attack_byte_task, state),

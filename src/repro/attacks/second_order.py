@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.attacks.cpa import CPAResult, run_cpa
-from repro.attacks.models import hamming_weight_hypothesis
+from repro.attacks.models import BYTE_VALUES, hamming_weight_hypothesis
 
 
 def centered_square(leakage: np.ndarray) -> np.ndarray:
@@ -58,11 +58,10 @@ def run_second_order_cpa(
     Returns:
         a :class:`CPAResult` over the 256 key candidates.
     """
-    preprocessed = centered_square(leakage)
-    hypotheses = hamming_weight_hypothesis(ct_bytes)
     return run_cpa(
-        preprocessed,
-        hypotheses,
+        centered_square(leakage),
+        ct_bytes,
+        hamming_weight_hypothesis(BYTE_VALUES),
         checkpoints=checkpoints,
         correct_key=correct_key,
     )

@@ -13,7 +13,7 @@ Commands:
 * ``covert`` — run the covert-channel demonstration.
 * ``report`` — regenerate the paper-vs-measured figure table.
 * ``bench`` — the kernels micro-benchmark: every available backend
-  (numpy/native) of the five dispatched kernels, asserted bit-identical
+  (numpy/native) of the four dispatched kernels, asserted bit-identical
   to numpy before it is timed; writes ``BENCH_kernels.json`` with host
   metadata (python/numpy versions, CPU count, platform, resolved
   kernel-backend map, native provider).  End-to-end speed is measured
@@ -48,7 +48,7 @@ Commands:
 Parallel commands accept ``--workers N`` and run on a thread pool;
 results are bit-identical across worker counts.  The campaign and
 bench commands also accept
-``--kernels {auto,numpy,native}`` selecting one backend for all five
+``--kernels {auto,numpy,native}`` selecting one backend for all four
 compiled kernels — bit-identical by contract; without it
 ``REPRO_KERNELS`` (default ``auto``) decides.  Invalid values
 (``--workers 0``, an unknown kernels mode, ``native`` on a host

@@ -30,6 +30,7 @@ from repro.aes.aes128 import AES128
 from repro.aes.leakage import LeakageModel, random_ciphertexts
 from repro.attacks.cpa import CPAResult, run_cpa
 from repro.attacks.models import (
+    BYTE_VALUES,
     DEFAULT_TARGET_BIT,
     DEFAULT_TARGET_BYTE,
     single_bit_hypothesis,
@@ -413,9 +414,7 @@ class AttackCampaign:
         order = order[: max(1, top_k)]
 
         ciphertexts, voltages = self.campaign_inputs(trial_traces)
-        hypotheses = single_bit_hypothesis(
-            ciphertexts[:, target_byte], bit=target_bit
-        )
+        table = single_bit_hypothesis(BYTE_VALUES, bit=target_bit)
         scores: Dict[int, float] = {}
         columns = {int(b): np.empty(trial_traces) for b in order}
         for start in range(0, trial_traces, STREAM_BLOCK):
@@ -429,7 +428,8 @@ class AttackCampaign:
         for b in order:
             result = run_cpa(
                 columns[int(b)],
-                hypotheses,
+                ciphertexts[:, target_byte],
+                table,
                 checkpoints=[trial_traces],
             )
             final = np.abs(result.correlations[-1])
@@ -453,12 +453,10 @@ class AttackCampaign:
         rank and measurements-to-disclosure metrics are available.
         """
         data = self.collect_reduced_traces(num_traces, reduction, bit)
-        hypotheses = single_bit_hypothesis(
-            data["ciphertexts"][:, target_byte], bit=target_bit
-        )
         return run_cpa(
             data["leakage"],
-            hypotheses,
+            data["ciphertexts"][:, target_byte],
+            single_bit_hypothesis(BYTE_VALUES, bit=target_bit),
             checkpoints=checkpoints,
             correct_key=self.cipher.last_round_key[target_byte],
         )
@@ -557,12 +555,10 @@ class AttackCampaign:
             leakage = sensor.single_bit(
                 voltages, bit=bit, seed=derive_seed(self.seed, "tdc")
             ).astype(np.float64)
-        hypotheses = single_bit_hypothesis(
-            ciphertexts[:, target_byte], bit=target_bit
-        )
         return run_cpa(
             leakage,
-            hypotheses,
+            ciphertexts[:, target_byte],
+            single_bit_hypothesis(BYTE_VALUES, bit=target_bit),
             checkpoints=checkpoints,
             correct_key=self.cipher.last_round_key[target_byte],
         )
@@ -597,12 +593,10 @@ class AttackCampaign:
         leakage = sensor.sample_scalar(
             averaged, seed=derive_seed(self.seed, "ro-counter")
         ).astype(np.float64)
-        hypotheses = single_bit_hypothesis(
-            ciphertexts[:, target_byte], bit=target_bit
-        )
         return run_cpa(
             leakage,
-            hypotheses,
+            ciphertexts[:, target_byte],
+            single_bit_hypothesis(BYTE_VALUES, bit=target_bit),
             checkpoints=checkpoints,
             correct_key=self.cipher.last_round_key[target_byte],
         )

@@ -174,11 +174,6 @@ class PhysicalTraceGenerator:
             self.__dict__["_batched_aes"] = cached
         return cached
 
-    def encrypt(self, plaintexts: np.ndarray) -> np.ndarray:
-        """Ciphertexts of ``plaintexts`` — the batched cipher alone, no
-        waveform."""
-        return self._batched_cipher().encrypt(plaintexts)
-
     def last_round_sample_indices(self) -> np.ndarray:
         """Waveform sample aligned with each of the 4 last-round cycles.
 

@@ -1,6 +1,6 @@
 """The kernels micro-benchmark: every backend of every dispatched kernel.
 
-:func:`run_kernels_benchmark` sweeps the five dispatched kernels over
+:func:`run_kernels_benchmark` sweeps the four dispatched kernels over
 every backend available on this host, asserts each backend
 bit-identical to the numpy reference before timing it, and records the
 best-of-``repeats`` throughput and the speedup over numpy;
@@ -76,20 +76,16 @@ def warm_kernels() -> None:
     The native backend pays a one-time library build (and the sensor
     and align kernels their load-time self-checks) on first call;
     running each op here keeps that cost out of every timed repeat.
-    The warm-up outputs of all five kernels are asserted equal to the
+    The warm-up outputs of all four kernels are asserted equal to the
     numpy reference — the same assert-before-timing contract the
     kernel sweeps enforce, just extended to the warm-up itself.
     """
     rng = make_rng(derive_seed(0, "bench-kernel-warmup"))
     plaintexts = rng.integers(0, 256, size=(4, 16), dtype=np.uint8)
     currents = rng.normal(0.02, 0.005, size=(4, 32))
-    leakage = rng.integers(0, 9, size=16).astype(np.float64)
-    hypotheses = rng.integers(0, 2, size=(16, 256)).astype(np.int8)
     samples = rng.normal(size=(3, 40))
 
     from repro.aes.batch import BatchedAES128, cycle_activity_and_ciphertexts
-    from repro.attacks.cpa import StreamingCPA
-    from repro.attacks.models import single_bit_hypothesis
     from repro.pdn.model import PDNModel, PDNParameters
     from repro.preprocess.align import estimate_shifts
 
@@ -102,14 +98,10 @@ def warm_kernels() -> None:
         activity, ciphertexts = cycle_activity_and_ciphertexts(
             batched, plaintexts
         )
-        hyp = single_bit_hypothesis(states[:, 11, 0])
         droop = PDNModel().integrate_batch(currents)
         shifts = estimate_shifts(samples, samples[0], 4)
         weight = sensor.sample_weight(voltages, seed=7)
-        engine = StreamingCPA()
-        engine.update(leakage, hypotheses)
-        arrays = (states, activity, ciphertexts, hyp, droop, shifts, weight)
-        return arrays + tuple(engine.state_arrays().values())
+        return (states, activity, ciphertexts, droop, shifts, weight)
 
     with kernels.use("numpy"):
         reference = run_all()
@@ -162,7 +154,6 @@ def run_kernels_benchmark(
     aes_traces: int = 20_000,
     pdn_traces: int = 2_000,
     pdn_samples: int = 1_024,
-    cpa_traces: int = 50_000,
     sensor_cycles: int = 50_000,
     align_traces: int = 20_000,
     repeats: int = 3,
@@ -171,9 +162,9 @@ def run_kernels_benchmark(
     """Per-backend comparison of the dispatched hot kernels.
 
     For each kernel (``aes``: fused activity+ciphertexts, ``pdn``:
-    batched IIR droop integration, ``cpa``: streaming accumulate over
-    256 candidates, ``sensor``: the ALU sensor's jittered Hamming weight over
-    its census mask at campaign voltages, ``align``: correlation shift
+    batched IIR droop integration, ``sensor``: the ALU sensor's
+    jittered Hamming weight over its census mask at campaign voltages,
+    ``align``: correlation shift
     search over +-4 samples of jittered 72-sample traces, shifts and
     scores), every backend available on this host is warmed, asserted
     bit-identical to the numpy reference, and timed best-of
@@ -181,7 +172,6 @@ def run_kernels_benchmark(
     number the acceptance gate reads.
     """
     from repro.aes.batch import BatchedAES128, cycle_activity_and_ciphertexts
-    from repro.attacks.cpa import StreamingCPA
     from repro.pdn.model import PDNModel
 
     warm_kernels()
@@ -221,24 +211,6 @@ def run_kernels_benchmark(
     pdn = PDNModel()
     currents = rng.normal(0.02, 0.005, size=(pdn_traces, pdn_samples))
     sweep("pdn", lambda: pdn.integrate_batch(currents), pdn_traces)
-
-    leakage = rng.integers(0, 33, size=cpa_traces).astype(np.float64)
-    hypotheses = rng.integers(
-        0, 2, size=(cpa_traces, 256)
-    ).astype(np.int8)
-
-    def cpa_fn():
-        engine = StreamingCPA()
-        engine.update(leakage, hypotheses)
-        return (
-            np.float64(engine._sum_x),
-            np.float64(engine._sum_xx),
-            engine._sum_h,
-            engine._sum_hh,
-            engine._sum_xh,
-        )
-
-    sweep("cpa", cpa_fn, cpa_traces)
 
     campaign = AttackCampaign(
         BenignSensor.from_name("alu"), AES128(ExperimentConfig().key),

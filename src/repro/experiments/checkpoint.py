@@ -11,9 +11,9 @@ serialize their durable state through this module:
   resume against a *different* configuration is rejected instead of
   silently producing garbage;
 * a :class:`CampaignCheckpoint` — the manifest plus the number of
-  completed shards and the driver's merged numeric state (running
-  :class:`~repro.attacks.cpa.StreamingCPA` sums, emitted correlation
-  rows, collected leakage prefixes).
+  completed shards and the driver's merged numeric state (the running
+  int64 :class:`~repro.attacks.cpa.StreamingCPA` state and the emitted
+  correlation rows).
 
 Files are written atomically — serialized to a temporary file in the
 destination directory, fsynced, then ``os.replace``d over the target —
@@ -25,8 +25,8 @@ reproduces the uninterrupted result bit for bit.
 
 The serialized payload is a single ``.npz``: reserved double-
 underscore keys carry the manifest and progress counter, every other
-key is a caller-owned numpy array (``np.savez`` round-trips float64
-payloads exactly, which is what makes resume bit-identical).
+key is a caller-owned numpy array (``np.savez`` round-trips arrays
+exactly, which is what makes resume bit-identical).
 """
 
 from __future__ import annotations
@@ -54,12 +54,14 @@ __all__ = [
 ]
 
 #: Bumped whenever the on-disk layout, or the random streams a stored
-#: state was drawn from, changes incompatibly.  Version 2 keys every
-#: stream on the 4,096-trace stream block instead of the 50k chunk grid,
-#: so a version-1 checkpoint must not resume.  The version is part of
+#: state was drawn from, changes incompatibly.  Version 2 keyed every
+#: stream on the 4,096-trace stream block instead of the 50k chunk grid;
+#: version 3 stores the int64 per-value CPA state (and full-key
+#: campaigns store it instead of a leakage prefix), so an older
+#: checkpoint must not resume.  The version is part of
 #: :attr:`CampaignManifest.config_hash`, hence of every service cache
 #: key.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Reserved keys inside the ``.npz`` payload.
 _KEY_MANIFEST = "__manifest__"
@@ -135,8 +137,8 @@ class CampaignCheckpoint:
         completed_shards: shards fully merged into ``arrays`` — always
             a prefix of ``manifest.shard_plan``, because the drivers
             merge in trace order.
-        arrays: driver-owned numeric state (running accumulator sums,
-            emitted correlation rows, leakage prefixes...).
+        arrays: driver-owned numeric state (the running CPA state and
+            the emitted correlation rows).
     """
 
     manifest: CampaignManifest

@@ -8,16 +8,17 @@ campaign — the single-byte CPA of Fig. 10 and its 16-byte extension,
 over the analytical leakage model or physically generated traces —
 runs through one contract:
 
-* a **recipe** computes one stream block's leakage from ``(state,
-  start, end)``: analytic reduced, analytic per-column, physical
-  single-byte or physical 4-column.  Recipes are the only per-source
-  code;
+* a **recipe** computes one stream block's leakage and ciphertext
+  bytes from ``(state, start, end)``: analytic reduced, analytic
+  per-column, physical single-byte or physical 4-column.  Recipes are
+  the only per-source code;
 * a :class:`ShardSource` pairs a recipe with the fan-out state and
   arrays it reads;
-* a **statistic** — :class:`SegmentPartials` (by-value CPA partials per
-  checkpoint segment) or :class:`ColumnBlocks` (column leakage blocks)
-  — owns its result validator, its one in-order reducer and its
-  checkpoint arrays;
+* the one **statistic**, :class:`SegmentPartials`, holds one int64
+  per-value CPA state (:class:`~repro.attacks.cpa.StreamingCPA`) per
+  checkpoint segment — one stream for the single-byte attack, one per
+  key byte for the full key — and owns its result validator, its one
+  in-order reducer and its checkpoint arrays;
 * :func:`_shard_task` is the one task and :func:`_run_shards` the one
   fan-out/checkpoint loop.  A fleet lease (:func:`run_lease`) is one
   shard, run by the same task on the lease's thread; the four public
@@ -37,11 +38,9 @@ Determinism is preserved by construction:
   the blocks evenly, so no shard is more than one block longer than
   another), and every worker reproduces the exact leakage the serial
   path would have produced;
-* leakage and hypothesis values are integer-valued, so the running
-  sums are float-exact and merging is order-independent: the sharded
-  result, accumulated by ciphertext-byte value
-  (:meth:`~repro.attacks.cpa.StreamingCPA.update` with ``values``), is
-  bit-identical to the dense :func:`repro.attacks.cpa.run_cpa`.
+* a shard returns int64 states, which merge to the same state in any
+  order, so the sharded result equals :func:`repro.attacks.cpa.run_cpa`
+  over the serial collector's traces.
 
 Shards run on the thread pool of
 :func:`repro.util.executors.map_ordered` (the heavy kernels release the
@@ -75,12 +74,16 @@ import numpy as np
 from repro.attacks.cpa import (
     CPAResult,
     StreamingCPA,
-    default_checkpoints,
+    checkpoint_grid,
+    state_problem,
 )
 from repro.attacks.full_key import (
+    KEY_BYTE_COLUMNS,
     FullKeyResult,
     column_of_key_byte,
-    recover_last_round_key,
+    # The drivers reduce through SegmentPartials; the name stays
+    # importable here for the bench ledger's patch table (bench/spans.py).
+    recover_last_round_key,  # noqa: F401
 )
 from repro.attacks.models import (
     BYTE_VALUES,
@@ -116,7 +119,6 @@ from repro.util.rng import derive_seed
 from repro.util.shm import ArrayFanout
 
 __all__ = [
-    "ColumnBlocks",
     "SegmentPartials",
     "Shard",
     "ShardSource",
@@ -177,20 +179,6 @@ def plan_shards(
     return plan
 
 
-def _normalize_checkpoints(
-    checkpoints: Optional[Sequence[int]], num_traces: int
-) -> np.ndarray:
-    """Checkpoint grid with the same contract as :func:`run_cpa`."""
-    if checkpoints is None:
-        return default_checkpoints(num_traces)
-    points = np.unique(np.asarray(checkpoints, dtype=np.int64))
-    if points.size == 0 or points[0] < 2 or points[-1] > num_traces:
-        raise ValueError("checkpoints must lie in [2, num_traces]")
-    if points[-1] != num_traces:
-        points = np.append(points, num_traces)
-    return points
-
-
 def segment_ends(shard: Shard, boundaries: Sequence[int]) -> List[int]:
     """A shard's merge boundaries: ``boundaries`` strictly inside it,
     then the shard end."""
@@ -202,10 +190,10 @@ def segment_ends(shard: Shard, boundaries: Sequence[int]) -> List[int]:
 # Recipes: one stream block's leakage, ``(state, start, end)``
 # ----------------------------------------------------------------------
 #
-# CPA recipes return ``(leakage, ciphertext_bytes)`` for the block;
-# column recipes return a ``(num, 4)`` leakage block.  Every seed is
-# keyed on the block's *global* start, so any block-aligned sharding
-# reproduces the serial campaign.
+# Single-byte recipes return ``(leakage (num,), ciphertext bytes
+# (num,))`` for the block; full-key recipes return ``(leakage (num, 4),
+# ciphertexts (num, 16))``.  Every seed is keyed on the block's *global*
+# start, so any block-aligned sharding reproduces the serial campaign.
 
 
 def _reduced_recipe(
@@ -224,7 +212,9 @@ def _reduced_recipe(
     return leakage, state.arrays["ct_bytes"][start:end]
 
 
-def _column_recipe(state: ArrayFanout, start: int, end: int) -> np.ndarray:
+def _column_recipe(
+    state: ArrayFanout, start: int, end: int
+) -> Tuple[np.ndarray, np.ndarray]:
     """Analytic Hamming-weight leakage at all four last-round columns,
     each column on its own ``(column, start)``-keyed streams."""
     campaign: AttackCampaign = state.heavy["campaign"]
@@ -234,7 +224,7 @@ def _column_recipe(state: ArrayFanout, start: int, end: int) -> np.ndarray:
         leakage[:, column] = campaign.column_leakage_block(
             voltages[:, column], start, column, state.heavy["mask"]
         )
-    return leakage
+    return leakage, state.arrays["ciphertexts"][start:end]
 
 
 def _physical_recipe(
@@ -281,7 +271,7 @@ def _physical_recipe(
 
 def _physical_columns_recipe(
     state: ArrayFanout, start: int, end: int
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """One generated block read at all four last-round columns.
 
     The block is generated once, optionally preprocessed at the union
@@ -315,18 +305,16 @@ def _physical_columns_recipe(
                 seed=derive_seed(seed, "e2e-col-jitter", start, col, poi),
                 mask=heavy["mask"],
             )
-    return leakage
+    return leakage, data["ciphertexts"]
 
 
 @dataclass(frozen=True)
 class ShardSource:
     """A campaign's traces under the shard contract.
 
-    ``heavy`` holds the recipe and the objects it reads; ``arrays`` the
+    ``heavy`` holds the recipe, the objects it reads and the
+    single-bit hypothesis ``table`` its CPA states use; ``arrays`` the
     campaign-global inputs it slices.
-    ``ciphertexts`` are the full-key hypothesis stage's inputs when the
-    source derives them (None for the physical single-byte source,
-    which reads its ciphertext bytes off the generated blocks).
 
     Build one with the constructor for its recipe; the local drivers
     and the fleet lease route call the same constructors.
@@ -334,7 +322,6 @@ class ShardSource:
 
     heavy: Dict[str, object]
     arrays: Dict[str, np.ndarray]
-    ciphertexts: Optional[np.ndarray] = None
 
     @classmethod
     def reduced(
@@ -356,18 +343,20 @@ class ShardSource:
                 "reduction": reduction,
                 "mask": mask,
                 "bit": bit,
-                "target_bit": target_bit,
+                "table": _table(target_bit),
             },
             arrays={
                 "voltages": voltages,
                 "ct_bytes": ciphertexts[:, target_byte],
             },
-            ciphertexts=ciphertexts,
         )
 
     @classmethod
     def per_column(
-        cls, campaign: AttackCampaign, num_traces: int
+        cls,
+        campaign: AttackCampaign,
+        num_traces: int,
+        target_bit: int = DEFAULT_TARGET_BIT,
     ) -> "ShardSource":
         """Analytic per-column leakage for the full-key recovery."""
         mask, _ = campaign.resolve_reduction(REDUCTION_HW)
@@ -377,9 +366,9 @@ class ShardSource:
                 "recipe": _column_recipe,
                 "campaign": campaign,
                 "mask": mask,
+                "table": _table(target_bit),
             },
-            arrays={"voltages": voltages},
-            ciphertexts=ciphertexts,
+            arrays={"voltages": voltages, "ciphertexts": ciphertexts},
         )
 
     @classmethod
@@ -409,7 +398,7 @@ class ShardSource:
                 ),
                 "mask": mask,
                 "target_byte": target_byte,
-                "target_bit": target_bit,
+                "table": _table(target_bit),
                 "preprocess": preprocess,
                 "samples": None
                 if preprocess is None
@@ -427,9 +416,9 @@ class ShardSource:
         seed: int = 0,
         mask: Optional[np.ndarray] = None,
         preprocess: Optional[ResolvedPreprocess] = None,
+        target_bit: int = DEFAULT_TARGET_BIT,
     ) -> "ShardSource":
         """Physically generated traces for the full-key recovery."""
-        plaintexts = campaign_plaintexts(num_traces, seed)
         aligned = generator.last_round_sample_indices()
         return cls(
             heavy={
@@ -438,6 +427,7 @@ class ShardSource:
                 "sensor": sensor,
                 "seed": seed,
                 "mask": None if mask is None else np.asarray(mask),
+                "table": _table(target_bit),
                 "preprocess": preprocess,
                 "column_samples": {
                     column: (
@@ -448,64 +438,56 @@ class ShardSource:
                     for column in range(4)
                 },
             },
-            arrays={"plaintexts": plaintexts},
-            # The hypothesis stage needs ciphertexts only: an
-            # encryption-only pass, the waveforms stay worker-side.
-            ciphertexts=generator.encrypt(plaintexts),
+            arrays={"plaintexts": campaign_plaintexts(num_traces, seed)},
         )
 
 
 # ----------------------------------------------------------------------
-# Statistics: validator, in-order reducer, checkpoint arrays
+# The statistic: validator, in-order reducer, checkpoint arrays
 # ----------------------------------------------------------------------
 
 
-def _segment_partials(
-    leakage: np.ndarray,
-    ct_bytes: np.ndarray,
-    start: int,
-    segment_ends: Sequence[int],
-    target_bit: int,
-) -> List[Tuple[int, StreamingCPA]]:
-    """One by-value CPA partial per segment of a shard's traces.
-
-    ``leakage`` and ``ct_bytes`` cover the shard from global trace
-    ``start``.  Each segment is accumulated from its ciphertext bytes
-    and the 256-row single-bit table — no (N, 256) hypothesis matrix —
-    into the exact state the dense matrix would give.
-    """
-    table = single_bit_hypothesis(BYTE_VALUES, bit=target_bit)
-    partials: List[Tuple[int, StreamingCPA]] = []
-    previous = start
-    for segment_end in segment_ends:
-        local = slice(previous - start, segment_end - start)
-        engine = StreamingCPA(num_candidates=table.shape[1])
-        engine.update(leakage[local], table, ct_bytes[local])
-        partials.append((segment_end, engine))
-        previous = segment_end
-    return partials
+def _table(target_bit: int) -> np.ndarray:
+    """The single-bit hypothesis table of every campaign CPA state."""
+    return single_bit_hypothesis(BYTE_VALUES, bit=target_bit)
 
 
 class SegmentPartials:
-    """By-value CPA segment partials, merged in trace order.
+    """Per-value CPA states, one per checkpoint segment, merged in trace
+    order.
 
     Tasks split their shard at ``boundaries`` (a campaign's
-    checkpoints).  The reducer merges each partial into a running
-    accumulator and snapshots the correlation row at every boundary.
+    checkpoints) and return one :meth:`StreamingCPA.state_arrays` per
+    segment.  The reducer merges each into a running state over
+    ``table`` and snapshots the correlations at every boundary.
+    ``streams`` is None for the single-byte attack and 16 for the full
+    key (stream ``j`` is key byte ``j``).
     """
 
-    def __init__(self, boundaries: Sequence[int]):
+    def __init__(
+        self,
+        boundaries: Sequence[int],
+        table: np.ndarray,
+        streams: Optional[int] = None,
+    ):
         self.points = np.asarray(boundaries, dtype=np.int64)
+        self.table = table
+        self.streams = streams
         self._snap_at = {int(p) for p in self.points}
-        self.running = StreamingCPA(num_candidates=256)
-        self.snapshots: List[object] = []
+        self.running = StreamingCPA(table, streams)
+        self.snapshots: List[np.ndarray] = []
 
     def task_fields(self, shard: Shard) -> Dict[str, object]:
-        return {"segment_ends": segment_ends(shard, self.points)}
+        return {
+            "segment_ends": segment_ends(shard, self.points),
+            "streams": self.streams,
+        }
 
     @staticmethod
     def validate(task: Dict[str, object], result: object) -> None:
-        """Reject truncated/corrupt partial lists before they merge."""
+        """Reject a partial list whose boundaries are not the task's
+        segment ends, or whose states are not int64 states of their
+        segments' trace counts, before it merges."""
         shard: Shard = task["shard"]
         expected = [int(p) for p in task["segment_ends"]]
         if not isinstance(result, (list, tuple)):
@@ -522,19 +504,36 @@ class SegmentPartials:
                 "segment boundaries %s" % expected,
                 "%s" % boundaries,
             )
+        streams = task.get("streams")
+        shape = (() if streams is None else (int(streams),)) + (
+            len(BYTE_VALUES),
+        )
+        previous = shard.start
+        for boundary, state in result:
+            problem = state_problem(state, shape, int(boundary) - previous)
+            if problem is not None:
+                raise TruncatedResultError(
+                    shard.site,
+                    "an int64 %s state of %d traces at segment end %d"
+                    % (shape, int(boundary) - previous, int(boundary)),
+                    problem,
+                )
+            previous = int(boundary)
 
-    def merge(self, results: Sequence[List[Tuple[int, StreamingCPA]]]) -> None:
+    def merge(self, results: Sequence[List[Tuple[int, Dict]]]) -> None:
         for partials in results:
-            for boundary, engine in partials:
-                self.running.merge(engine)
+            for boundary, state in partials:
+                self.running.merge(
+                    StreamingCPA.from_state_arrays(state, self.table)
+                )
                 if int(boundary) in self._snap_at:
                     self.snapshots.append(self.running.correlations())
 
     def arrays(self) -> Dict[str, np.ndarray]:
         arrays = {
-            "rows": np.vstack(self.snapshots)
+            "rows": np.stack(self.snapshots)
             if self.snapshots
-            else np.zeros((0, self.running.num_candidates))
+            else np.zeros((0,) + self.running.correlations().shape)
         }
         for key, value in self.running.state_arrays().items():
             arrays["engine_" + key] = value
@@ -546,7 +545,8 @@ class SegmentPartials:
                 key[len("engine_"):]: value
                 for key, value in arrays.items()
                 if key.startswith("engine_")
-            }
+            },
+            self.table,
         )
         self.snapshots = list(split_rows(arrays["rows"]))
 
@@ -557,46 +557,20 @@ class SegmentPartials:
             correct_key=correct_key,
         )
 
-
-class ColumnBlocks:
-    """Column leakage blocks, one ``(num, 4)`` block per shard, stacked
-    in trace order."""
-
-    def __init__(self):
-        self.blocks: List[np.ndarray] = []
-
-    def task_fields(self, shard: Shard) -> Dict[str, object]:
-        return {}
-
-    @staticmethod
-    def validate(task: Dict[str, object], result: object) -> None:
-        """Reject truncated or non-finite column-leakage blocks before
-        they stack: downstream, only the per-byte CPAs would see a NaN,
-        after collection, when the shard can no longer be retried."""
-        shard: Shard = task["shard"]
-        expected = (shard.num_traces, 4)
-        shape = getattr(result, "shape", None)
-        if shape != expected:
-            raise TruncatedResultError(
-                shard.site, "leakage block %s" % (expected,), "%s" % (shape,)
-            )
-        bad = int((~np.isfinite(result)).any(axis=1).sum())
-        if bad:
-            raise TruncatedResultError(
-                shard.site, "finite leakage", "%d non-finite row(s)" % bad
-            )
-
-    def merge(self, results: Sequence[np.ndarray]) -> None:
-        self.blocks.extend(results)
-
-    def arrays(self) -> Dict[str, np.ndarray]:
-        return {"leakage_prefix": self.result()}
-
-    def restore(self, arrays: Dict[str, np.ndarray]) -> None:
-        self.blocks = [np.asarray(arrays["leakage_prefix"], dtype=np.float64)]
-
-    def result(self) -> np.ndarray:
-        return np.vstack(self.blocks)
+    def full_key_result(self, last_round_key: bytes) -> FullKeyResult:
+        """One :class:`CPAResult` per key byte (stream)."""
+        rows = np.stack(self.snapshots)
+        return FullKeyResult(
+            byte_results=[
+                CPAResult(
+                    checkpoints=self.points,
+                    correlations=rows[:, index],
+                    correct_key=last_round_key[index],
+                )
+                for index in range(rows.shape[1])
+            ],
+            true_last_round_key=last_round_key,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -604,32 +578,45 @@ class ColumnBlocks:
 # ----------------------------------------------------------------------
 
 
-def _shard_task(state: ArrayFanout, task: Dict[str, object]) -> object:
+def _shard_task(
+    state: ArrayFanout, task: Dict[str, object]
+) -> List[Tuple[int, Dict[str, np.ndarray]]]:
     """One shard: the source's recipe over the shard's stream blocks,
-    reduced to the task's statistic.
+    reduced to one CPA state per segment.
 
     The payload is only the shard and its ``segment_ends``; the
     source's heavy objects and campaign-global arrays are read in place
-    from ``state``.
+    from ``state``.  Each block goes into the states of the segments it
+    overlaps as it is computed, so no shard-long array is built.  A
+    full-key block's ``(num, 4)`` leakage becomes 16 streams, key byte
+    ``j`` reading its column's leakage.
     """
     recipe = state.heavy["recipe"]
     shard: Shard = task["shard"]
-    blocks = [
-        recipe(state, start, min(start + STREAM_BLOCK, shard.end))
-        for start in range(shard.start, shard.end, STREAM_BLOCK)
-    ]
-    if "segment_ends" not in task:
-        return poison_leakage(
-            np.concatenate(blocks).astype(np.float64, copy=False)
+    ends = iter(int(p) for p in task["segment_ends"])
+    segment_end = next(ends)
+    engine = None
+    partials = []
+    for start in range(shard.start, shard.end, STREAM_BLOCK):
+        leakage, values = recipe(
+            state, start, min(start + STREAM_BLOCK, shard.end)
         )
-    leakage = np.concatenate([leak for leak, _ in blocks])
-    return _segment_partials(
-        poison_leakage(leakage.astype(np.float64, copy=False)),
-        np.concatenate([values for _, values in blocks]),
-        shard.start,
-        task["segment_ends"],
-        state.heavy["target_bit"],
-    )
+        leakage = poison_leakage(np.asarray(leakage, dtype=np.float64))
+        streams = None
+        if values.ndim == 2:
+            leakage = leakage[:, KEY_BYTE_COLUMNS]
+            streams = values.shape[1]
+        done = 0
+        while done < len(values):
+            if engine is None:
+                engine = StreamingCPA(state.heavy["table"], streams)
+            stop = min(len(values), segment_end - start)
+            engine.update(leakage[done:stop], values[done:stop])
+            if start + stop == segment_end:
+                partials.append((segment_end, engine.state_arrays()))
+                engine, segment_end = None, next(ends, None)
+            done = stop
+    return partials
 
 
 def _run_shards(
@@ -708,15 +695,14 @@ def run_lease(
     source: ShardSource,
     start: int,
     end: int,
-    segment_ends: Optional[Sequence[int]] = None,
-):
+    segment_ends: Sequence[int],
+) -> List[Tuple[int, Dict[str, np.ndarray]]]:
     """One fleet lease ``[start, end)`` of a campaign, on this thread.
 
     A lease is one shard: it runs :func:`_shard_task` directly, so a
-    fault scope the caller installs reaches the recipe.  With
-    ``segment_ends`` the result is one ``(boundary, StreamingCPA)`` per
-    segment end; without, the lease's ``(num, 4)`` leakage block.  Both
-    are bit-identical to the serial pass over the lease.
+    fault scope the caller installs reaches the recipe.  The result is
+    one ``(boundary, state_arrays)`` per segment end, the same result a
+    local shard over the lease's range returns.
 
     Raises:
         ValueError: the lease is off the stream-block grid, or its
@@ -733,19 +719,16 @@ def run_lease(
             "lease %s of a %d-trace campaign is off the %d-trace stream "
             "block grid" % (lease.site, num_traces, STREAM_BLOCK)
         )
-    task: Dict[str, object] = {"shard": lease}
-    if segment_ends is not None:
-        ends = [int(p) for p in segment_ends]
-        if ends != sorted(set(ends)) or ends[-1:] != [lease.end] or (
-            ends[0] <= lease.start
-        ):
-            raise ValueError(
-                "segment ends %s do not rise inside lease %s to its end"
-                % (ends, lease.site)
-            )
-        task["segment_ends"] = ends
+    ends = [int(p) for p in segment_ends]
+    if ends != sorted(set(ends)) or ends[-1:] != [lease.end] or (
+        ends[0] <= lease.start
+    ):
+        raise ValueError(
+            "segment ends %s do not rise inside lease %s to its end"
+            % (ends, lease.site)
+        )
     with ArrayFanout(source.heavy, source.arrays) as fanout:
-        return _shard_task(fanout, task)
+        return _shard_task(fanout, {"shard": lease, "segment_ends": ends})
 
 
 # ----------------------------------------------------------------------
@@ -803,12 +786,12 @@ def sharded_attack(
 ) -> CPAResult:
     """Parallel drop-in for :meth:`AttackCampaign.attack`.
 
-    Trace generation and hypothesis building are sharded across
-    workers; each worker accumulates one :class:`StreamingCPA` partial
-    per checkpoint segment of its shard, and the driver merges the
-    partials in trace order, evaluating correlations whenever a merge
-    boundary is a checkpoint.  The result is bit-identical to the
-    serial path for the same seed (see module docstring).
+    Trace generation is sharded across workers; each worker
+    accumulates one :class:`StreamingCPA` state per checkpoint segment
+    of its shard, and the driver merges the states in trace order,
+    evaluating correlations whenever a merge boundary is a checkpoint.
+    The result is bit-identical to the serial path for the same seed
+    (see module docstring).
 
     Args:
         campaign: characterized attack campaign.
@@ -834,7 +817,7 @@ def sharded_attack(
     source = ShardSource.reduced(
         campaign, num_traces, reduction, bit, target_byte, target_bit
     )
-    points = _normalize_checkpoints(checkpoints, num_traces)
+    points = checkpoint_grid(checkpoints, num_traces)
     shards = plan_shards(num_traces, max_workers)
     bit = source.heavy["bit"]
     manifest = _manifest(
@@ -853,9 +836,9 @@ def sharded_attack(
         points,
     )
     return _run_shards(
-        source, shards, SegmentPartials(points), manifest, max_workers,
-        policy, fault_plan, health, checkpoint_path, checkpoint_every,
-        resume,
+        source, shards, SegmentPartials(points, source.heavy["table"]),
+        manifest, max_workers, policy, fault_plan, health,
+        checkpoint_path, checkpoint_every, resume,
     ).result(campaign.cipher.last_round_key[target_byte])
 
 
@@ -913,7 +896,7 @@ def sharded_physical_attack(
         generator, sensor, num_traces, seed, mask, preprocess,
         target_byte, target_bit, reference,
     )
-    points = _normalize_checkpoints(checkpoints, num_traces)
+    points = checkpoint_grid(checkpoints, num_traces)
     shards = plan_shards(num_traces, max_workers)
     params = {
         "seed": int(seed),
@@ -928,7 +911,7 @@ def sharded_physical_attack(
     }
     params.update(_acquisition_manifest_params(generator, preprocess))
     return _run_shards(
-        source, shards, SegmentPartials(points),
+        source, shards, SegmentPartials(points, source.heavy["table"]),
         _manifest("physical", params, shards, points), max_workers,
         policy, fault_plan, health, checkpoint_path, checkpoint_every,
         resume,
@@ -950,18 +933,19 @@ def sharded_full_key(
 ) -> FullKeyResult:
     """Parallel drop-in for :meth:`AttackCampaign.attack_full_key`.
 
-    Column-resolved trace collection fans out as one task per shard,
-    each reading all four columns of its blocks — block seeds are keyed
-    on the global ``(column, start)`` grid, identical to the serial
-    collector; then the 16 per-byte CPAs run on the same backend.  With ``checkpoint_path``
-    set, the collected leakage prefix becomes durable after every
-    ``checkpoint_every`` shards, so a killed collection resumes without
-    regenerating completed shards; the per-byte CPA stage is cheap and
-    always recomputed.
+    One task per shard reads all four columns of its blocks — block
+    seeds are keyed on the global ``(column, start)`` grid, identical
+    to the serial collector — and reduces them to one 16-stream CPA
+    state per checkpoint segment (:class:`SegmentPartials`, stream
+    ``j`` for key byte ``j``), merged in trace order exactly as
+    :func:`sharded_attack` merges its one stream.  Checkpoints default
+    to :func:`default_checkpoints` and the runtime knobs are those of
+    :func:`sharded_attack`.
     """
     if num_traces < 2:
         raise ValueError("need at least 2 traces")
-    source = ShardSource.per_column(campaign, num_traces)
+    source = ShardSource.per_column(campaign, num_traces, target_bit)
+    points = checkpoint_grid(checkpoints, num_traces)
     shards = plan_shards(num_traces, max_workers)
     manifest = _manifest(
         "fullkey",
@@ -973,23 +957,13 @@ def sharded_full_key(
             "target_bit": int(target_bit),
         },
         shards,
-        checkpoints or (),
+        points,
     )
-    leakage = _run_shards(
-        source, shards, ColumnBlocks(), manifest,
-        max_workers, policy, fault_plan, health, checkpoint_path,
-        checkpoint_every, resume,
-    ).result()
-    return recover_last_round_key(
-        leakage,
-        source.ciphertexts,
-        target_bit=target_bit,
-        correct_key=campaign.cipher.last_round_key,
-        checkpoints=checkpoints,
-        max_workers=max_workers,
-        policy=policy,
-        health=health,
-    )
+    return _run_shards(
+        source, shards, SegmentPartials(points, source.heavy["table"], 16),
+        manifest, max_workers, policy, fault_plan, health,
+        checkpoint_path, checkpoint_every, resume,
+    ).full_key_result(campaign.cipher.last_round_key)
 
 
 def sharded_physical_full_key(
@@ -1016,16 +990,16 @@ def sharded_physical_full_key(
     feeds all 16 per-byte CPAs.  With ``preprocess`` set, each block is
     aligned / cropped / resampled shard-locally and every column reads
     its resolved POI set instead of the single nominal cycle sample.
-    The column-block statistic, its checkpoints and the runtime knobs
-    are those of :func:`sharded_full_key`; results are bit-identical at
-    any worker count because all block streams are keyed on global
-    indices.
+    The statistic, its checkpoints and the runtime knobs are those of
+    :func:`sharded_full_key`; results are bit-identical at any worker
+    count because all block streams are keyed on global indices.
     """
     if num_traces < 2:
         raise ValueError("need at least 2 traces")
     source = ShardSource.physical_columns(
-        generator, sensor, num_traces, seed, mask, preprocess
+        generator, sensor, num_traces, seed, mask, preprocess, target_bit
     )
+    points = checkpoint_grid(checkpoints, num_traces)
     shards = plan_shards(num_traces, max_workers)
     mask = source.heavy["mask"]
     params = {
@@ -1040,19 +1014,9 @@ def sharded_physical_full_key(
         ],
     }
     params.update(_acquisition_manifest_params(generator, preprocess))
-    leakage = _run_shards(
-        source, shards, ColumnBlocks(),
-        _manifest("physical-fullkey", params, shards, checkpoints or ()),
+    return _run_shards(
+        source, shards, SegmentPartials(points, source.heavy["table"], 16),
+        _manifest("physical-fullkey", params, shards, points),
         max_workers, policy, fault_plan, health, checkpoint_path,
         checkpoint_every, resume,
-    ).result()
-    return recover_last_round_key(
-        leakage,
-        source.ciphertexts,
-        target_bit=target_bit,
-        correct_key=generator.cipher.last_round_key,
-        checkpoints=checkpoints,
-        max_workers=max_workers,
-        policy=policy,
-        health=health,
-    )
+    ).full_key_result(generator.cipher.last_round_key)

@@ -29,10 +29,12 @@ protocol of :mod:`repro.service.codec` in both directions.  The
   validator (:meth:`~repro.service.runners.FleetShardPlan.validate`)
   before it is stored; a malformed one counts as a worker error:
   requeue, and toward distinct-worker quarantine.
-* **Merge** — partial :class:`~repro.attacks.cpa.StreamingCPA` states
-  merge in shard-plan order through the single-host driver's reducer,
-  so correlations are byte-identical at any fleet size, any
-  completion interleaving, and any reassignment history.
+* **Merge** — the per-segment int64
+  :class:`~repro.attacks.cpa.StreamingCPA` states of every lease (one
+  stream for an attack, 16 for a full key) merge in shard-plan order
+  through the single-host driver's reducer, so correlations are
+  byte-identical at any fleet size, any completion interleaving, and
+  any reassignment history.
 
 The coordinator lives inside the scheduler's event loop; all state is
 mutated from that loop, so there are no locks — only per-worker send
@@ -54,7 +56,7 @@ from repro.service.metrics import MetricsRegistry
 from repro.service.runners import (
     FleetShardPlan,
     merge_attack_partials,
-    merge_fullkey_blocks,
+    merge_fullkey_partials,
     plan_fleet_job,
 )
 from repro.util.errors import ReproError
@@ -479,13 +481,11 @@ class FleetCoordinator:
             error.quarantined = job.quarantined  # type: ignore[attr-defined]
             raise error
         ordered = [job.results[i] for i in range(len(plan.shards))]
-        if spec.kind == "attack":
-            return await asyncio.to_thread(
-                merge_attack_partials, spec.params, plan, ordered
-            )
-        return await asyncio.to_thread(
-            merge_fullkey_blocks, spec.params, ordered
-        )
+        merge = {
+            "attack": merge_attack_partials,
+            "fullkey": merge_fullkey_partials,
+        }[spec.kind]
+        return await asyncio.to_thread(merge, spec.params, plan, ordered)
 
     def _pick_worker(
         self, job: _FleetJob, exclude: Set[str] = frozenset()

@@ -15,7 +15,7 @@ params into its campaign: the direct run calls the public driver, a
 lease (:func:`run_attack_shard` / :func:`run_fullkey_shard`) runs the
 driver's own shard source through
 :func:`repro.experiments.parallel.run_lease`, and the coordinator
-merges (:func:`merge_attack_partials` / :func:`merge_fullkey_blocks`)
+merges (:func:`merge_attack_partials` / :func:`merge_fullkey_partials`)
 reduce with the driver's statistic — one shard contract on every
 route.
 
@@ -46,21 +46,23 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.aes.aes128 import AES128
-from repro.attacks.cpa import CPAResult, StreamingCPA, default_checkpoints
+from repro.attacks.cpa import CPAResult, default_checkpoints
 from repro.attacks.full_key import (
     FullKeyResult,
     column_of_key_byte,
-    recover_last_round_key,
+    # Full-key merges reduce through SegmentPartials; the name stays
+    # importable here for the bench ledger's patch table (bench/spans.py).
+    recover_last_round_key,  # noqa: F401
 )
-from repro.attacks.models import DEFAULT_TARGET_BIT, DEFAULT_TARGET_BYTE
-from repro.core.tracegen import (
-    PhysicalTraceGenerator,
-    campaign_plaintexts,
-    random_plaintexts,
+from repro.attacks.models import (
+    BYTE_VALUES,
+    DEFAULT_TARGET_BIT,
+    DEFAULT_TARGET_BYTE,
+    single_bit_hypothesis,
 )
+from repro.core.tracegen import PhysicalTraceGenerator, random_plaintexts
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
-    ColumnBlocks,
     SegmentPartials,
     Shard,
     ShardSource,
@@ -91,7 +93,7 @@ __all__ = [
     "FleetShardPlan",
     "cached_setup",
     "merge_attack_partials",
-    "merge_fullkey_blocks",
+    "merge_fullkey_partials",
     "note_warm_key",
     "plan_fleet_job",
     "retry_policy",
@@ -273,6 +275,10 @@ _ROUTES = {
     ),
 }
 
+#: The CPA streams of each fleet-dispatchable kind's states: one for
+#: the single-byte attack, one per key byte for the full key.
+_STREAMS = {"attack": None, "fullkey": 16}
+
 
 class _Job:
     """An ``attack`` or ``fullkey`` job resolved from its params.
@@ -359,18 +365,6 @@ class _Job:
             self.params.get("preprocess"),
         )
         return _INPUTS.get(key, lambda: build(**self._arguments()))
-
-    def ciphertexts(self) -> np.ndarray:
-        """The full-key hypothesis stage's ciphertexts, without traces.
-
-        The coordinator's merge needs only these; :meth:`source` would
-        also draw the whole campaign's column voltages (about 0.3 s at
-        250k traces) just to discard them.
-        """
-        if self.physical:
-            plaintexts = campaign_plaintexts(self.num_traces, self.seed)
-            return self.generator.encrypt(plaintexts)
-        return self.campaign.ciphertexts(self.num_traces)
 
 
 def run_attack(
@@ -550,11 +544,11 @@ def run_tracegen_batch(
 # pure function of the job's content parameters (seeded ciphertext and
 # noise draws), and rebuilding them on the worker costs ~10ms per 40k
 # traces against ~170ms of leakage compute — so a shard lease is a few
-# hundred bytes, and the expensive direction (partial CPA states back
-# to the coordinator) rides the binary frame codec.  Rebuilt inputs are
-# cached per configuration below; the cache keys double as the worker's
-# *warm set*, which is what the coordinator's cache-aware placement
-# matches job config hashes against.
+# hundred bytes, and the expensive direction (per-segment CPA states
+# back to the coordinator) rides the binary frame codec.  Rebuilt
+# inputs are cached per configuration below; the cache keys double as
+# the worker's *warm set*, which is what the coordinator's cache-aware
+# placement matches job config hashes against.
 
 #: Lease shard sources (campaign input arrays plus the recipe's state)
 #: rebuilt on this host, keyed per configuration.  A handful of entries
@@ -605,12 +599,14 @@ class FleetShardPlan:
     def validate(self, index: int, result: object) -> None:
         """Check shard ``index``'s lease result with the job statistic's
         validator (raises :class:`TruncatedResultError` if malformed)."""
-        shard = Shard(*self.shards[index])
-        if self.kind == "attack":
-            task = {"shard": shard, "segment_ends": self.segment_ends[index]}
-            SegmentPartials.validate(task, result)
-        else:
-            ColumnBlocks.validate({"shard": shard}, result)
+        SegmentPartials.validate(
+            {
+                "shard": Shard(*self.shards[index]),
+                "segment_ends": self.segment_ends[index],
+                "streams": _STREAMS[self.kind],
+            },
+            result,
+        )
 
 
 def plan_fleet_job(
@@ -624,11 +620,11 @@ def plan_fleet_job(
     them for a local pool, so any fleet size reproduces the exact
     per-block seeds — the precondition for bit-identical merges.
     """
-    if kind not in ("attack", "fullkey"):
+    if kind not in _STREAMS:
         raise ValueError("job kind %r is not fleet-dispatchable" % kind)
     num_traces = int(params["traces"])  # type: ignore[arg-type]
     shards = plan_shards(num_traces, max(1, int(num_shards)))
-    points = default_checkpoints(num_traces) if kind == "attack" else ()
+    points = default_checkpoints(num_traces)
     return FleetShardPlan(
         kind=kind,
         shards=tuple((s.start, s.end) for s in shards),
@@ -639,47 +635,63 @@ def plan_fleet_job(
     )
 
 
+def _run_shard(
+    kind: str,
+    params: Dict[str, object],
+    start: int,
+    end: int,
+    segment_ends: Sequence[int],
+) -> List[Tuple[int, Dict[str, np.ndarray]]]:
+    with kernels.use(params.get("kernels")):
+        return run_lease(
+            _Job(kind, params).source(),
+            start,
+            end,
+            [int(p) for p in segment_ends],
+        )
+
+
 def run_attack_shard(
     params: Dict[str, object],
     start: int,
     end: int,
     segment_ends: Sequence[int],
 ) -> List[Tuple[int, Dict[str, np.ndarray]]]:
-    """One attack shard lease on this thread, as raw accumulator states.
+    """One attack shard lease on this thread, as per-segment states.
 
     Rebuilds the campaign's shard source deterministically from the job
     parameters (cached per configuration), runs exactly the lease's
     trace range on the global stream-block grid through the local
     drivers' shard task, and returns one
-    :meth:`StreamingCPA.state_arrays` dict per segment boundary, ready
-    for the frame codec and the coordinator's merge.
+    :meth:`~repro.attacks.cpa.StreamingCPA.state_arrays` dict per
+    segment boundary, ready for the frame codec and the coordinator's
+    merge.
     """
-    with kernels.use(params.get("kernels")):
-        partials = run_lease(
-            _Job("attack", params).source(),
-            start,
-            end,
-            [int(p) for p in segment_ends],
-        )
-    return [
-        (boundary, engine.state_arrays()) for boundary, engine in partials
-    ]
+    return _run_shard("attack", params, start, end, segment_ends)
 
 
 def run_fullkey_shard(
     params: Dict[str, object],
     start: int,
     end: int,
-) -> np.ndarray:
-    """One full-key shard lease: the column-resolved leakage block.
+    segment_ends: Sequence[int],
+) -> List[Tuple[int, Dict[str, np.ndarray]]]:
+    """One full-key shard lease: :func:`run_attack_shard`'s states with
+    16 streams, one per key byte."""
+    return _run_shard("fullkey", params, start, end, segment_ends)
 
-    The collection stage of :func:`sharded_full_key` (or its physical
-    counterpart) for the lease's trace range; the cheap 16-byte CPA
-    stage always runs on the coordinator (:func:`merge_fullkey_blocks`),
-    exactly as the single-host driver recomputes it after collection.
-    """
-    with kernels.use(params.get("kernels")):
-        return run_lease(_Job("fullkey", params).source(), start, end)
+
+def _merge_partials(
+    plan: FleetShardPlan,
+    partials_by_shard: Sequence[Sequence[Tuple[int, Dict[str, np.ndarray]]]],
+) -> SegmentPartials:
+    statistic = SegmentPartials(
+        plan.checkpoints,
+        single_bit_hypothesis(BYTE_VALUES, bit=DEFAULT_TARGET_BIT),
+        _STREAMS[plan.kind],
+    )
+    statistic.merge(partials_by_shard)
+    return statistic
 
 
 def merge_attack_partials(
@@ -689,58 +701,31 @@ def merge_attack_partials(
         Sequence[Tuple[int, Dict[str, np.ndarray]]]
     ],
 ) -> CPAResult:
-    """Trace-order merge of per-shard accumulator states → CPAResult.
+    """Trace-order merge of per-shard states → CPAResult.
 
     The single-host driver's reducer (:class:`SegmentPartials`): shards
     in plan order, segments in trace order, correlations evaluated at
-    every checkpoint boundary.  Because the running sums are
-    float-exact, the result is bit-identical regardless of which
-    workers computed the partials, in what interleaving, or after how
-    many reassignments.
+    every checkpoint boundary.  The states are int64, so the result is
+    bit-identical regardless of which workers computed them, in what
+    interleaving, or after how many reassignments.
     """
-    job = _Job("attack", params)
-    statistic = SegmentPartials(plan.checkpoints)
-    statistic.merge(
-        [
-            [
-                (int(boundary), StreamingCPA.from_state_arrays(state))
-                for boundary, state in partials
-            ]
-            for partials in partials_by_shard
-        ]
-    )
+    statistic = _merge_partials(plan, partials_by_shard)
     return statistic.result(
-        int(job.setup.cipher.last_round_key[DEFAULT_TARGET_BYTE])
+        int(_Job("attack", params).setup.cipher.last_round_key[
+            DEFAULT_TARGET_BYTE
+        ])
     )
 
 
-def merge_fullkey_blocks(
+def merge_fullkey_partials(
     params: Dict[str, object],
-    blocks: Sequence[np.ndarray],
-    health: Optional[CampaignHealth] = None,
+    plan: FleetShardPlan,
+    partials_by_shard: Sequence[
+        Sequence[Tuple[int, Dict[str, np.ndarray]]]
+    ],
 ) -> FullKeyResult:
-    """Stack per-shard leakage blocks and recover the last-round key.
-
-    The blocks arrive in shard-plan order, so the stacked matrix is the
-    exact array the single-host driver builds; the per-byte CPA stage
-    then runs locally with the job's own execution knobs — identical to
-    the single-host path by construction.
-    """
-    with kernels.use(params.get("kernels")):
-        job = _Job("fullkey", params)
-        statistic = ColumnBlocks()
-        statistic.merge(list(blocks))
-        leakage = statistic.result()
-        if leakage.shape[0] != job.num_traces:
-            raise ValueError(
-                "fullkey merge expected %d traces, got %d"
-                % (job.num_traces, leakage.shape[0])
-            )
-        return recover_last_round_key(
-            leakage,
-            job.ciphertexts(),
-            target_bit=DEFAULT_TARGET_BIT,
-            correct_key=job.setup.cipher.last_round_key,
-            checkpoints=None,
-            **job.knobs(health=health),
-        )
+    """:func:`merge_attack_partials` for a full-key job's 16 streams."""
+    statistic = _merge_partials(plan, partials_by_shard)
+    return statistic.full_key_result(
+        _Job("fullkey", params).setup.cipher.last_round_key
+    )

@@ -84,6 +84,9 @@ DEFAULT_PORT = 7341
 #: the default 64 KiB limit is far too small.
 STREAM_LIMIT = 2 ** 27  # 128 MiB
 
+#: How long the drain waits for closed connections' handlers to return.
+DRAIN_CLOSE_S = 5.0
+
 
 class CampaignServer:
     """Serves one :class:`CampaignScheduler` over TCP JSON lines."""
@@ -99,6 +102,7 @@ class CampaignServer:
         self.port = port
         self._server: Optional[asyncio.base_events.Server] = None
         self._shutdown = asyncio.Event()
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -127,10 +131,17 @@ class CampaignServer:
         await self._shutdown.wait()
         assert self._server is not None
         # Stop accepting connections first, then let every accepted
-        # job reach a terminal state before tearing workers down.
+        # job reach a terminal state before tearing workers down.  Last,
+        # close the connections still open (a fleet worker waiting for
+        # its next frame, an idle client): each pending read sees EOF
+        # and its handler returns before the loop ends.
         self._server.close()
         await self._server.wait_closed()
         await self.scheduler.stop()
+        for writer in self._connections.values():
+            writer.close()
+        if self._connections:
+            await asyncio.wait(self._connections, timeout=DRAIN_CLOSE_S)
 
     async def close(self) -> None:
         """Immediate teardown for tests: close listener, stop workers."""
@@ -148,6 +159,8 @@ class CampaignServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 line = await reader.readline()
@@ -176,6 +189,7 @@ class CampaignServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            self._connections.pop(task, None)
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()

@@ -389,21 +389,22 @@ class FleetWorker:
             # dies on attempt 0 deterministically succeeds when the
             # coordinator reassigns it at attempt 1.
             self.fault_plan.fire(site, attempt)
+        run_shard = {
+            "attack": run_attack_shard,
+            "fullkey": run_fullkey_shard,
+        }.get(kind)
+        if run_shard is None:
+            raise WorkerError("lease has unknown job kind %r" % kind)
         with fault_scope(self.fault_plan, site, attempt):
-            if kind == "attack":
-                partials = run_attack_shard(
-                    params,
-                    start,
-                    end,
-                    [int(p) for p in lease.get("segment_ends") or []],
-                )
-                result: object = [
-                    [int(boundary), state] for boundary, state in partials
-                ]
-            elif kind == "fullkey":
-                result = run_fullkey_shard(params, start, end)
-            else:
-                raise WorkerError("lease has unknown job kind %r" % kind)
+            partials = run_shard(
+                params,
+                start,
+                end,
+                [int(p) for p in lease.get("segment_ends") or []],
+            )
+        result: object = [
+            [int(boundary), state] for boundary, state in partials
+        ]
         if self.fault_plan is not None:
             # A "truncate" fault loses the payload's last element on
             # the way back, as on the single-host runtime; the

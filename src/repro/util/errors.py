@@ -14,9 +14,8 @@ Concrete subclasses live next to the subsystem that raises them:
   returned a payload inconsistent with its task.
 * :class:`repro.attacks.cpa.NonFiniteValuesError` — NaN/Inf leakage or
   hypothesis values reached the CPA accumulator.
-* :class:`repro.attacks.cpa.NonIntegralValuesError` — fractional leakage
-  reached the by-value CPA accumulator, whose sums are exact only for
-  integers.
+* :class:`repro.attacks.cpa.InexactStateError` — a CPA state that has
+  seen non-integral leakage was merged or stored.
 * :class:`repro.experiments.checkpoint.CheckpointError` — a campaign
   checkpoint is unreadable or belongs to a different configuration.
 """

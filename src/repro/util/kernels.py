@@ -1,9 +1,8 @@
 """Kernel backend selection: one mode for every hot numeric kernel.
 
-Five hot kernels have two implementations each: the batched AES round
-pipeline (with the hypothesis blocks), the second-order IIR PDN
-recurrence, the streaming-CPA accumulate, the shift estimator of the
-preprocessing subsystem, and the fused sensor read.
+Four hot kernels have two implementations each: the batched AES round
+pipeline, the second-order IIR PDN recurrence, the shift estimator of
+the preprocessing subsystem, and the fused sensor read.
 
 * ``numpy`` — the reference path.  Always available, and the ground
   truth the native backend is asserted bit-identical against.  Each
@@ -15,7 +14,7 @@ preprocessing subsystem, and the fused sensor read.
   Requesting it on a host without a C compiler raises a structured
   :class:`KernelUnavailableError` naming what is missing.
 
-The selection is one mode for all five kernels — ``auto`` (the
+The selection is one mode for all four kernels — ``auto`` (the
 default: native when the C library loads, else numpy), ``numpy`` or
 ``native`` — taken from ``--kernels``, a service job's ``kernels``
 param, or the ``REPRO_KERNELS`` environment variable.  :func:`use`
@@ -28,16 +27,13 @@ kernel whose native op the library refused (a failed load-time
 self-check) runs numpy under any mode.
 
 The contract both backends honour is **bit-identical outputs** on
-campaign inputs.  AES and the hypothesis blocks are exact integer
-arithmetic; the PDN recurrence and the shift estimator evaluate the
-same float64 operations in the same order on both backends (the native
-build disables FMA contraction for exactly this reason, and the shift
-estimator repeats numpy's pairwise summation); the CPA sums are
-float64 sums of integer-valued leakage/hypotheses, which are
-order-independent and therefore exact (the same property
-:meth:`StreamingCPA.merge` already relies on).  The test suite asserts
-exact equality on every available backend, and ``repro bench`` asserts
-it again before timing anything.
+campaign inputs.  AES is exact integer arithmetic; the PDN recurrence
+and the shift estimator evaluate the same float64 operations in the
+same order on both backends (the native build disables FMA contraction
+for exactly this reason, and the shift estimator repeats numpy's
+pairwise summation); the sensor read reproduces numpy's ziggurat draws.
+The test suite asserts exact equality on every available backend, and
+``repro bench`` asserts it again before timing anything.
 
 Dispatch happens at *call time*, so campaign objects never hold a
 ctypes handle and checkpoint state pickles exactly as before.
@@ -71,10 +67,10 @@ __all__ = [
 #: Environment variable consulted when no mode is set by :func:`use`.
 KERNELS_ENV = "REPRO_KERNELS"
 
-#: The hot kernels: the three original campaign kernels, the fused
+#: The hot kernels: the AES pipeline, the PDN recurrence, the fused
 #: sensor read (jitter draw + masked Hamming weight), and the alignment
 #: shift estimator.
-KERNEL_NAMES = ("aes", "pdn", "cpa", "sensor", "align")
+KERNEL_NAMES = ("aes", "pdn", "sensor", "align")
 
 #: The selection modes; one applies to every kernel.
 KERNEL_MODES = ("auto", "numpy", "native")

@@ -4,8 +4,7 @@ A small C translation of the numpy reference loops, embedded below as
 source, compiled once with the system compiler into a content-hashed
 shared library under a cache directory (``REPRO_KERNELS_CACHE``), and
 loaded through ctypes.  ``-ffp-contract=off`` disables FMA contraction,
-and no ``-ffast-math`` means IEEE semantics (and a working
-``isfinite``) everywhere.
+and no ``-ffast-math`` means IEEE semantics everywhere.
 
 Each kernel is the *same sequence of IEEE-754 float64 operations* (or
 exact uint8 table lookups) as its numpy reference, so outputs are
@@ -73,7 +72,7 @@ class NativeProvider:
 #: The C translation of the hot loops.  Every float64 statement mirrors
 #: the numpy/python reference operation order exactly; compiled with
 #: ``-ffp-contract=off`` (no FMA) and without ``-ffast-math`` (IEEE
-#: semantics, working ``isfinite``), the results are bit-identical.
+#: semantics), the results are bit-identical.
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
@@ -230,30 +229,6 @@ void repro_aes_activity_ct(
     }
 }
 
-void repro_hyp_single_bit(
-    const uint8_t *ct, long long n, const uint8_t *inv_sbox,
-    int bit, int8_t *out)
-{
-    for (long long t = 0; t < n; ++t) {
-        uint8_t c = ct[t];
-        int8_t *row = out + 256 * t;
-        for (int k = 0; k < 256; ++k)
-            row[k] = (int8_t)((inv_sbox[c ^ k] >> bit) & 1);
-    }
-}
-
-void repro_hyp_hw(
-    const uint8_t *ct, long long n, const uint8_t *inv_sbox,
-    const uint8_t *pop, int8_t *out)
-{
-    for (long long t = 0; t < n; ++t) {
-        uint8_t c = ct[t];
-        int8_t *row = out + 256 * t;
-        for (int k = 0; k < 256; ++k)
-            row[k] = (int8_t)pop[inv_sbox[c ^ k]];
-    }
-}
-
 void repro_pdn_integrate(
     const double *x, long long rows, long long cols,
     double c1, double c2, double b0, double *out)
@@ -269,58 +244,6 @@ void repro_pdn_integrate(
             z1 = z;
         }
     }
-}
-
-long long repro_cpa_accumulate_f64(
-    const double *x, const double *h, long long n, long long k,
-    double *out)
-{
-    double sx = 0.0, sxx = 0.0;
-    double *sh = out + 2, *shh = out + 2 + k, *sxh = out + 2 + 2 * k;
-    for (long long i = 0; i < n; ++i) {
-        double xi = x[i];
-        if (!isfinite(xi))
-            return i + 1;
-        const double *hi = h + k * i;
-        sx += xi;
-        sxx += xi * xi;
-        for (long long j = 0; j < k; ++j) {
-            double hij = hi[j];
-            if (!isfinite(hij))
-                return i + 1;
-            sh[j] += hij;
-            shh[j] += hij * hij;
-            sxh[j] += hij * xi;
-        }
-    }
-    out[0] = sx;
-    out[1] = sxx;
-    return 0;
-}
-
-long long repro_cpa_accumulate_i8(
-    const double *x, const int8_t *h, long long n, long long k,
-    double *out)
-{
-    double sx = 0.0, sxx = 0.0;
-    double *sh = out + 2, *shh = out + 2 + k, *sxh = out + 2 + 2 * k;
-    for (long long i = 0; i < n; ++i) {
-        double xi = x[i];
-        if (!isfinite(xi))
-            return i + 1;
-        const int8_t *hi = h + k * i;
-        sx += xi;
-        sxx += xi * xi;
-        for (long long j = 0; j < k; ++j) {
-            double hij = (double)hi[j];
-            sh[j] += hij;
-            shh[j] += hij * hij;
-            sxh[j] += hij * xi;
-        }
-    }
-    out[0] = sx;
-    out[1] = sxx;
-    return 0;
 }
 
 /* numpy's pairwise summation of a contiguous run (pairwise_sum_DOUBLE):
@@ -737,18 +660,13 @@ def _compile_library(
 def _tables():
     """The shared uint8 lookup tables, contiguous, in one place."""
     from repro.aes.batch import GMUL2_TABLE, GMUL3_TABLE, POPCOUNT8_TABLE
-    from repro.aes.leakage import (
-        INV_SBOX_TABLE,
-        SBOX_TABLE,
-        SHIFT_ROWS_SOURCE,
-    )
+    from repro.aes.leakage import SBOX_TABLE, SHIFT_ROWS_SOURCE
 
     def u8(arr):
         return np.ascontiguousarray(arr, dtype=np.uint8)
 
     return (
         u8(SBOX_TABLE),
-        u8(INV_SBOX_TABLE),
         u8(SHIFT_ROWS_SOURCE),
         u8(GMUL2_TABLE),
         u8(GMUL3_TABLE),
@@ -763,7 +681,6 @@ def _ptr(arr: np.ndarray, ctype):
 def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
     lib = ctypes.CDLL(lib_path)
     u8p = ctypes.POINTER(ctypes.c_uint8)
-    i8p = ctypes.POINTER(ctypes.c_int8)
     i64p = ctypes.POINTER(ctypes.c_int64)
     f64p = ctypes.POINTER(ctypes.c_double)
     ll = ctypes.c_longlong
@@ -783,27 +700,18 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
         u8p, u8p, ll, u8p, u8p, u8p, u8p, u8p, ll, f64, f64, f64p, u8p
     ]
     lib.repro_aes_activity_ct.restype = None
-    lib.repro_hyp_single_bit.argtypes = [u8p, ll, u8p, ctypes.c_int, i8p]
-    lib.repro_hyp_single_bit.restype = None
-    lib.repro_hyp_hw.argtypes = [u8p, ll, u8p, u8p, i8p]
-    lib.repro_hyp_hw.restype = None
     lib.repro_pdn_integrate.argtypes = [f64p, ll, ll, f64, f64, f64, f64p]
     lib.repro_pdn_integrate.restype = None
-    lib.repro_cpa_accumulate_f64.argtypes = [f64p, f64p, ll, ll, f64p]
-    lib.repro_cpa_accumulate_f64.restype = ll
-    lib.repro_cpa_accumulate_i8.argtypes = [f64p, i8p, ll, ll, f64p]
-    lib.repro_cpa_accumulate_i8.restype = ll
     lib.repro_align.argtypes = [
         f64p, ll, ll, f64p, ctypes.POINTER(ll), ll, ctypes.c_int, f64p,
         i64p, f64p,
     ]
     lib.repro_align.restype = None
 
-    sbox, inv_sbox, shift_src, g2, g3, pop = _tables()
+    sbox, shift_src, g2, g3, pop = _tables()
     ptr = _ptr
 
     sbox_p = ptr(sbox, ctypes.c_uint8)
-    inv_sbox_p = ptr(inv_sbox, ctypes.c_uint8)
     shift_p = ptr(shift_src, ctypes.c_uint8)
     g2_p = ptr(g2, ctypes.c_uint8)
     g3_p = ptr(g3, ctypes.c_uint8)
@@ -864,24 +772,6 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
         )
         return activity, ct
 
-    def single_bit_hypothesis(ct_bytes, bit):
-        ct = np.ascontiguousarray(ct_bytes, dtype=np.uint8)
-        out = np.empty((ct.shape[0], 256), dtype=np.int8)
-        lib.repro_hyp_single_bit(
-            ptr(ct, ctypes.c_uint8), ct.shape[0], inv_sbox_p,
-            int(bit), ptr(out, ctypes.c_int8),
-        )
-        return out
-
-    def hamming_weight_hypothesis(ct_bytes):
-        ct = np.ascontiguousarray(ct_bytes, dtype=np.uint8)
-        out = np.empty((ct.shape[0], 256), dtype=np.int8)
-        lib.repro_hyp_hw(
-            ptr(ct, ctypes.c_uint8), ct.shape[0], inv_sbox_p, pop_p,
-            ptr(out, ctypes.c_int8),
-        )
-        return out
-
     def integrate(current, c1, c2, b0):
         x = np.ascontiguousarray(current, dtype=np.float64)
         out = np.empty_like(x)
@@ -899,30 +789,6 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
             float(c1), float(c2), float(b0), ptr(out, ctypes.c_double),
         )
         return out
-
-    def accumulate(x, h):
-        xf = np.ascontiguousarray(x, dtype=np.float64)
-        k = h.shape[1]
-        out = np.zeros(2 + 3 * k, dtype=np.float64)
-        if h.dtype == np.int8:
-            hc = np.ascontiguousarray(h)
-            status = lib.repro_cpa_accumulate_i8(
-                ptr(xf, ctypes.c_double), ptr(hc, ctypes.c_int8),
-                xf.shape[0], k, ptr(out, ctypes.c_double),
-            )
-        else:
-            hc = np.ascontiguousarray(h, dtype=np.float64)
-            status = lib.repro_cpa_accumulate_f64(
-                ptr(xf, ctypes.c_double), ptr(hc, ctypes.c_double),
-                xf.shape[0], k, ptr(out, ctypes.c_double),
-            )
-        if status != 0:
-            return None
-        return (
-            float(out[0]), float(out[1]),
-            out[2:2 + k].copy(), out[2 + k:2 + 2 * k].copy(),
-            out[2 + 2 * k:].copy(),
-        )
 
     align_metrics = {"correlation": 0, "sad": 1}
 
@@ -959,11 +825,8 @@ def _build_cc_ops(lib_path: str) -> Dict[Tuple[str, str], Callable]:
         ("aes", "cycle_hd_from_states"): cycle_hd_from_states,
         ("aes", "cycle_activity_from_states"): cycle_activity_from_states,
         ("aes", "activity_and_ciphertexts"): activity_and_ciphertexts,
-        ("aes", "single_bit_hypothesis"): single_bit_hypothesis,
-        ("aes", "hamming_weight_hypothesis"): hamming_weight_hypothesis,
         ("pdn", "integrate"): integrate,
         ("pdn", "integrate_batch"): integrate_batch,
-        ("cpa", "accumulate"): accumulate,
         ("align", "estimate"): estimate,
     }
 

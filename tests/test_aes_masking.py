@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.aes import AES128, LeakageModel, MaskedLeakageModel, random_ciphertexts
-from repro.attacks import run_cpa, single_bit_hypothesis
+from repro.attacks import BYTE_VALUES, run_cpa, single_bit_hypothesis
 
 
 @pytest.fixture(scope="module")
@@ -68,14 +68,18 @@ class TestMaskedCpaFails:
         cts = random_ciphertexts(60_000, seed=3)
         model = MaskedLeakageModel()
         v = model.voltages(cts, cipher.last_round_key, seed=4)
-        h = single_bit_hypothesis(cts[:, 3])
-        result = run_cpa(v, h, correct_key=cipher.last_round_key[3])
+        result = run_cpa(
+            v, cts[:, 3], single_bit_hypothesis(BYTE_VALUES),
+            correct_key=cipher.last_round_key[3],
+        )
         assert result.measurements_to_disclosure() is None
 
     def test_unmasked_succeeds_same_budget(self, cipher):
         cts = random_ciphertexts(60_000, seed=3)
         model = LeakageModel()
         v = model.voltages(cts, cipher.last_round_key, seed=4)
-        h = single_bit_hypothesis(cts[:, 3])
-        result = run_cpa(v, h, correct_key=cipher.last_round_key[3])
+        result = run_cpa(
+            v, cts[:, 3], single_bit_hypothesis(BYTE_VALUES),
+            correct_key=cipher.last_round_key[3],
+        )
         assert result.disclosed

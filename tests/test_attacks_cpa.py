@@ -5,11 +5,17 @@ import pytest
 
 from repro.aes import AES128, last_round_activity, random_ciphertexts
 from repro.attacks import (
+    BYTE_VALUES,
+    InexactStateError,
+    NonFiniteValuesError,
     StreamingCPA,
     default_checkpoints,
     run_cpa,
     single_bit_hypothesis,
 )
+from repro.util.errors import ReproError
+
+TABLE = single_bit_hypothesis(BYTE_VALUES)
 
 
 def synthetic_campaign(num_traces=30_000, noise=4.0, seed=0):
@@ -21,37 +27,57 @@ def synthetic_campaign(num_traces=30_000, noise=4.0, seed=0):
     leak = -last_round_activity(cts, k10, column=3) + rng.normal(
         0, noise, num_traces
     )
-    hypotheses = single_bit_hypothesis(cts[:, 3])
-    return leak, hypotheses, k10[3]
+    return leak, cts[:, 3], k10[3]
 
 
 class TestStreamingCPA:
     def test_matches_numpy_corrcoef(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=500)
-        h = rng.normal(size=(500, 4))
-        engine = StreamingCPA(num_candidates=4)
-        engine.update(x[:200], h[:200])
-        engine.update(x[200:], h[200:])
+        values = rng.integers(0, 8, 500)
+        table = rng.normal(size=(8, 4))
+        engine = StreamingCPA(table)
+        engine.update(x[:200], values[:200])
+        engine.update(x[200:], values[200:])
         corr = engine.correlations()
         for k in range(4):
-            expected = np.corrcoef(x, h[:, k])[0, 1]
+            expected = np.corrcoef(x, table[values, k])[0, 1]
             assert corr[k] == pytest.approx(expected, abs=1e-10)
 
     def test_shape_mismatch_rejected(self):
-        engine = StreamingCPA(num_candidates=4)
+        engine = StreamingCPA(np.eye(4))
         with pytest.raises(ValueError):
-            engine.update(np.zeros(10), np.zeros((10, 3)))
+            engine.update(np.zeros(10), np.zeros(9, dtype=int))
+        with pytest.raises(ValueError):
+            engine.update(np.zeros((10, 2)), np.zeros((10, 2), dtype=int))
+
+    def test_table_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match="table"):
+            StreamingCPA(np.zeros(256))
 
     def test_fewer_than_two_traces_gives_zero(self):
-        engine = StreamingCPA(num_candidates=2)
-        engine.update(np.array([1.0]), np.array([[0.0, 1.0]]))
+        engine = StreamingCPA(np.eye(2))
+        engine.update(np.array([1.0]), np.array([1]))
         assert np.allclose(engine.correlations(), 0.0)
 
     def test_constant_leakage_gives_zero(self):
-        engine = StreamingCPA(num_candidates=2)
-        engine.update(np.ones(100), np.random.default_rng(0).normal(size=(100, 2)))
+        engine = StreamingCPA(np.random.default_rng(0).normal(size=(4, 2)))
+        engine.update(np.ones(100), np.arange(100) % 4)
         assert np.allclose(engine.correlations(), 0.0)
+
+    def test_streams_fold_each_stream_like_a_single_state(self):
+        rng = np.random.default_rng(3)
+        leakage = rng.integers(0, 50, (900, 3)).astype(np.float64)
+        values = rng.integers(0, 256, (900, 3), dtype=np.uint8)
+        engine = StreamingCPA(TABLE, streams=3)
+        engine.update(leakage[:400], values[:400])
+        engine.update(leakage[400:], values[400:])
+        corr = engine.correlations()
+        assert corr.shape == (3, 256)
+        for stream in range(3):
+            single = StreamingCPA(TABLE)
+            single.update(leakage[:, stream], values[:, stream])
+            assert np.array_equal(corr[stream], single.correlations())
 
 
 class TestDefaultCheckpoints:
@@ -75,14 +101,14 @@ class TestDefaultCheckpoints:
 
 class TestRunCpa:
     def test_recovers_embedded_key(self):
-        leak, hypotheses, correct = synthetic_campaign()
-        result = run_cpa(leak, hypotheses, correct_key=correct)
+        leak, values, correct = synthetic_campaign()
+        result = run_cpa(leak, values, TABLE, correct_key=correct)
         assert result.best_guess == correct
         assert result.disclosed
 
     def test_mtd_reasonable(self):
-        leak, hypotheses, correct = synthetic_campaign()
-        result = run_cpa(leak, hypotheses, correct_key=correct)
+        leak, values, correct = synthetic_campaign()
+        result = run_cpa(leak, values, TABLE, correct_key=correct)
         mtd = result.measurements_to_disclosure()
         assert mtd is not None and mtd < 30_000
 
@@ -90,33 +116,33 @@ class TestRunCpa:
         rng = np.random.default_rng(3)
         leak = rng.normal(size=20_000)
         cts = random_ciphertexts(20_000, seed=4)
-        hypotheses = single_bit_hypothesis(cts[:, 3])
-        result = run_cpa(leak, hypotheses, correct_key=77)
+        result = run_cpa(leak, cts[:, 3], TABLE, correct_key=77)
         # With pure noise the key can only be "found" by luck (p=1/256);
         # require that the result is not a stable early disclosure.
         mtd = result.measurements_to_disclosure()
         assert mtd is None or mtd > 1000
 
     def test_progress_shape(self):
-        leak, hypotheses, correct = synthetic_campaign(num_traces=5000)
-        result = run_cpa(leak, hypotheses, correct_key=correct)
+        leak, values, correct = synthetic_campaign(num_traces=5000)
+        result = run_cpa(leak, values, TABLE, correct_key=correct)
         assert result.correlations.shape == (len(result.checkpoints), 256)
 
     def test_custom_checkpoints(self):
-        leak, hypotheses, correct = synthetic_campaign(num_traces=5000)
+        leak, values, correct = synthetic_campaign(num_traces=5000)
         result = run_cpa(
-            leak, hypotheses, checkpoints=[1000, 5000], correct_key=correct
+            leak, values, TABLE, checkpoints=[1000, 5000],
+            correct_key=correct,
         )
         assert result.checkpoints.tolist() == [1000, 5000]
 
     def test_checkpoint_validation(self):
-        leak, hypotheses, correct = synthetic_campaign(num_traces=1000)
+        leak, values, correct = synthetic_campaign(num_traces=1000)
         with pytest.raises(ValueError):
-            run_cpa(leak, hypotheses, checkpoints=[2000])
+            run_cpa(leak, values, TABLE, checkpoints=[2000])
 
     def test_correlation_magnitude_grows_clean(self):
-        leak, hypotheses, correct = synthetic_campaign(noise=1.0)
-        result = run_cpa(leak, hypotheses, correct_key=correct)
+        leak, values, correct = synthetic_campaign(noise=1.0)
+        result = run_cpa(leak, values, TABLE, correct_key=correct)
         correct_track = np.abs(result.correlations[:, correct])
         assert correct_track[-1] > correct_track[0]
 
@@ -124,31 +150,31 @@ class TestRunCpa:
         # A constant bit must not look like a disclosure.
         leak = np.ones(1000)
         cts = random_ciphertexts(1000, seed=5)
-        hypotheses = single_bit_hypothesis(cts[:, 3])
-        result = run_cpa(leak, hypotheses, correct_key=10)
+        result = run_cpa(leak, cts[:, 3], TABLE, correct_key=10)
         assert result.measurements_to_disclosure() is None
         assert result.key_ranks().max() == 255
 
     def test_final_correlations_are_abs(self):
-        leak, hypotheses, correct = synthetic_campaign(num_traces=3000)
-        result = run_cpa(leak, hypotheses, correct_key=correct)
+        leak, values, correct = synthetic_campaign(num_traces=3000)
+        result = run_cpa(leak, values, TABLE, correct_key=correct)
         assert result.final_correlations.min() >= 0
 
     def test_requires_correct_key_for_metrics(self):
-        leak, hypotheses, _ = synthetic_campaign(num_traces=2000)
-        result = run_cpa(leak, hypotheses)
+        leak, values, _ = synthetic_campaign(num_traces=2000)
+        result = run_cpa(leak, values, TABLE)
         with pytest.raises(ValueError):
             result.key_ranks()
 
     def test_leakage_shape_validation(self):
+        values = np.zeros(10, dtype=np.uint8)
         with pytest.raises(ValueError):
-            run_cpa(np.zeros((10, 2)), np.zeros((10, 256)))
-        with pytest.raises(ValueError):
-            run_cpa(np.zeros(10), np.zeros((5, 256)))
+            run_cpa(np.zeros((10, 2)), values, TABLE)
+        with pytest.raises(ValueError, match="values"):
+            run_cpa(np.zeros(10), values[:5], TABLE)
 
     def test_key_rank_at(self):
-        leak, hypotheses, correct = synthetic_campaign()
-        result = run_cpa(leak, hypotheses, correct_key=correct)
+        leak, values, correct = synthetic_campaign()
+        result = run_cpa(leak, values, TABLE, correct_key=correct)
         assert result.key_rank_at(-1) == 0
 
 
@@ -174,13 +200,13 @@ class TestCheckpointRegressions:
         # run_cpa used to silently ignore traces beyond the last
         # explicit checkpoint; a final checkpoint at num_traces is now
         # always appended.
-        leak, hypotheses, correct = synthetic_campaign(num_traces=5000)
+        leak, values, correct = synthetic_campaign(num_traces=5000)
         partial = run_cpa(
-            leak, hypotheses, checkpoints=[1000], correct_key=correct
+            leak, values, TABLE, checkpoints=[1000], correct_key=correct
         )
         assert partial.checkpoints.tolist() == [1000, 5000]
         full = run_cpa(
-            leak, hypotheses, checkpoints=[1000, 5000],
+            leak, values, TABLE, checkpoints=[1000, 5000],
             correct_key=correct,
         )
         assert np.array_equal(
@@ -188,9 +214,9 @@ class TestCheckpointRegressions:
         )
 
     def test_explicit_final_checkpoint_not_duplicated(self):
-        leak, hypotheses, correct = synthetic_campaign(num_traces=3000)
+        leak, values, correct = synthetic_campaign(num_traces=3000)
         result = run_cpa(
-            leak, hypotheses, checkpoints=[1000, 3000],
+            leak, values, TABLE, checkpoints=[1000, 3000],
             correct_key=correct,
         )
         assert result.checkpoints.tolist() == [1000, 3000]
@@ -202,18 +228,17 @@ class TestFiniteGuard:
     def _blocks(self, n=20):
         rng = np.random.default_rng(0)
         leakage = rng.integers(0, 8, n).astype(np.float64)
-        hypotheses = rng.integers(0, 2, (n, 4)).astype(np.float64)
-        return leakage, hypotheses
+        values = rng.integers(0, 8, n)
+        table = rng.integers(0, 2, (8, 4)).astype(np.float64)
+        return leakage, values, table
 
     def test_nan_leakage_rejected_with_indices(self):
-        from repro.attacks import NonFiniteValuesError
-
-        leakage, hypotheses = self._blocks()
+        leakage, values, table = self._blocks()
         leakage[3] = np.nan
         leakage[17] = np.inf
-        engine = StreamingCPA(num_candidates=4)
+        engine = StreamingCPA(table)
         with pytest.raises(NonFiniteValuesError) as excinfo:
-            engine.update(leakage, hypotheses)
+            engine.update(leakage, values)
         error = excinfo.value
         assert error.which == "leakage"
         assert error.indices.tolist() == [3, 17]
@@ -222,69 +247,87 @@ class TestFiniteGuard:
         assert engine.count == 0
 
     def test_indices_offset_by_prior_traces(self):
-        from repro.attacks import NonFiniteValuesError
-
-        leakage, hypotheses = self._blocks()
-        engine = StreamingCPA(num_candidates=4)
-        engine.update(leakage, hypotheses)
+        leakage, values, table = self._blocks()
+        engine = StreamingCPA(table)
+        engine.update(leakage, values)
         bad = leakage.copy()
         bad[5] = np.nan
         with pytest.raises(NonFiniteValuesError) as excinfo:
-            engine.update(bad, hypotheses)
+            engine.update(bad, values)
         assert excinfo.value.indices.tolist() == [25]
 
     def test_nan_hypotheses_rejected(self):
-        from repro.attacks import NonFiniteValuesError
-
-        leakage, hypotheses = self._blocks()
-        hypotheses[7, 2] = np.inf
+        leakage, values, table = self._blocks()
+        table[values[7], 2] = np.inf
         with pytest.raises(NonFiniteValuesError) as excinfo:
-            StreamingCPA(num_candidates=4).update(leakage, hypotheses)
+            StreamingCPA(table).update(leakage, values)
         assert excinfo.value.which == "hypotheses"
-        assert excinfo.value.indices.tolist() == [7]
+        assert excinfo.value.indices.tolist() == np.flatnonzero(
+            values == values[7]
+        ).tolist()
 
     def test_error_message_caps_listed_indices(self):
-        from repro.attacks import NonFiniteValuesError
-
-        leakage, hypotheses = self._blocks()
+        leakage, values, table = self._blocks()
         leakage[:] = np.nan
         with pytest.raises(NonFiniteValuesError) as excinfo:
-            StreamingCPA(num_candidates=4).update(leakage, hypotheses)
+            StreamingCPA(table).update(leakage, values)
         assert "(20 total)" in str(excinfo.value)
+
+    def test_non_finite_in_any_stream_names_its_trace(self):
+        leakage = np.zeros((6, 3))
+        leakage[4, 2] = np.nan
+        with pytest.raises(NonFiniteValuesError) as excinfo:
+            StreamingCPA(TABLE, streams=3).update(
+                leakage, np.zeros((6, 3), dtype=np.uint8)
+            )
+        assert excinfo.value.indices.tolist() == [4]
 
 
 class TestStateRoundtrip:
     def test_state_arrays_roundtrip_bit_exact(self):
         rng = np.random.default_rng(1)
         leakage = rng.integers(0, 64, 500).astype(np.float64)
-        hypotheses = rng.integers(0, 2, (500, 16)).astype(np.float64)
-        engine = StreamingCPA(num_candidates=16)
-        engine.update(leakage, hypotheses)
-        rebuilt = StreamingCPA.from_state_arrays(engine.state_arrays())
+        values = rng.integers(0, 256, 500, dtype=np.uint8)
+        engine = StreamingCPA(TABLE)
+        engine.update(leakage, values)
+        rebuilt = StreamingCPA.from_state_arrays(engine.state_arrays(), TABLE)
         assert rebuilt.count == engine.count
-        assert rebuilt.num_candidates == 16
+        assert rebuilt.num_candidates == 256
         assert np.array_equal(
             rebuilt.correlations(), engine.correlations()
         )
         # Continuing both must stay identical (state is complete).
-        engine.update(leakage, hypotheses)
-        rebuilt.update(leakage, hypotheses)
+        engine.update(leakage, values)
+        rebuilt.update(leakage, values)
         assert np.array_equal(
             rebuilt.correlations(), engine.correlations()
         )
 
     def test_state_arrays_are_copies(self):
-        engine = StreamingCPA(num_candidates=4)
-        engine.update(
-            np.ones(4), np.ones((4, 4))
-        )
+        engine = StreamingCPA(TABLE)
+        engine.update(np.ones(4), np.arange(4))
         state = engine.state_arrays()
-        state["sum_h"][:] = -99.0
-        assert (engine._sum_h != -99.0).all()
+        assert {np.asarray(v).dtype for v in state.values()} == {
+            np.dtype(np.int64)
+        }
+        state["sums"][:] = -99
+        assert (engine.state_arrays()["sums"] != -99).all()
+
+    def test_rebuild_rejects_float_arrays_and_wrong_tables(self):
+        engine = StreamingCPA(TABLE)
+        engine.update(np.ones(4), np.arange(4))
+        state = engine.state_arrays()
+        with pytest.raises(InexactStateError):
+            StreamingCPA.from_state_arrays(
+                dict(state, sums=state["sums"].astype(np.float64)), TABLE
+            )
+        with pytest.raises(ValueError, match="table"):
+            StreamingCPA.from_state_arrays(state, np.eye(16))
 
 
 class TestByValueUpdate:
-    """``update(x, table, values)`` is the dense update, bit for bit."""
+    """``update(x, values)`` adds a block by value; integer leakage keeps
+    an int64 state, and any other state cannot merge or be stored."""
 
     def _stream(self, n=3000, seed=0):
         rng = np.random.default_rng(seed)
@@ -293,69 +336,74 @@ class TestByValueUpdate:
         return leakage, values
 
     def test_run_cpa_by_value_matches_dense(self):
-        from repro.attacks.models import BYTE_VALUES
-
         leakage, values = self._stream(n=8000, seed=1)
-        table = single_bit_hypothesis(BYTE_VALUES)
-        dense = run_cpa(leakage, table[values], correct_key=42)
-        by_value = run_cpa(leakage, table, correct_key=42, values=values)
-        assert np.array_equal(dense.checkpoints, by_value.checkpoints)
-        assert np.array_equal(dense.correlations, by_value.correlations)
+        result = run_cpa(leakage, values, TABLE, correct_key=42)
+        h = TABLE[values].astype(np.float64)
+        n = leakage.size
+        cov = h.T @ leakage - leakage.sum() * h.sum(axis=0) / n
+        var_x = (leakage * leakage).sum() - leakage.sum() ** 2 / n
+        var_h = (h * h).sum(axis=0) - h.sum(axis=0) ** 2 / n
+        expected = cov / np.sqrt(var_x * var_h)
+        assert np.array_equal(result.correlations[-1], expected)
 
-    def test_non_integral_leakage_rejected_with_indices(self):
-        from repro.attacks import NonIntegralValuesError
-        from repro.util.errors import ReproError
-
+    def test_non_integral_leakage_makes_the_state_inexact(self):
         leakage, values = self._stream(n=20)
-        table = np.eye(256)
-        engine = StreamingCPA()
-        engine.update(leakage, table, values)
-        leakage[4] += 0.5
-        leakage[11] = -0.25
-        with pytest.raises(NonIntegralValuesError) as excinfo:
-            engine.update(leakage, table, values)
-        assert isinstance(excinfo.value, ReproError)
-        assert excinfo.value.which == "leakage"
-        # Indices are offset by the 20 traces already accumulated.
-        assert excinfo.value.indices.tolist() == [24, 31]
-        assert "24" in str(excinfo.value) and "31" in str(excinfo.value)
-        assert engine.count == 20
+        engine = StreamingCPA(TABLE)
+        engine.update(leakage, values)
+        assert engine.exact
+        fractional = leakage.copy()
+        fractional[4] += 0.5
+        engine.update(fractional, values)
+        assert not engine.exact
+        assert engine.count == 40
+        assert np.isfinite(engine.correlations()).all()
+        other = StreamingCPA(TABLE)
+        other.update(leakage, values)
+        for action in (
+            engine.state_arrays,
+            lambda: other.merge(engine),
+            lambda: engine.merge(other),
+        ):
+            with pytest.raises(InexactStateError) as excinfo:
+                action()
+            assert isinstance(excinfo.value, ReproError)
+            assert "\n" not in str(excinfo.value)
 
     def test_non_finite_checked_before_integrality(self):
         # An injected NaN (the fault harness's "nan" fault) must still
         # surface as NonFiniteValuesError next to fractional values.
-        from repro.attacks import NonFiniteValuesError
-
         leakage, values = self._stream(n=20)
         leakage[2] = 0.5
         leakage[9] = np.nan
         with pytest.raises(NonFiniteValuesError) as excinfo:
-            StreamingCPA().update(leakage, np.eye(256), values)
+            StreamingCPA(TABLE).update(leakage, values)
         assert excinfo.value.indices.tolist() == [9]
-
-    def test_non_finite_table_row_names_its_traces(self):
-        from repro.attacks import NonFiniteValuesError
-
-        leakage, values = self._stream(n=20)
-        table = np.zeros((256, 256))
-        table[values[6]] = np.inf
-        with pytest.raises(NonFiniteValuesError) as excinfo:
-            StreamingCPA().update(leakage, table, values)
-        assert excinfo.value.which == "hypotheses"
-        assert 6 in excinfo.value.indices.tolist()
 
     def test_values_must_be_bytes(self):
         leakage, values = self._stream(n=4)
         with pytest.raises(ValueError, match="256"):
-            StreamingCPA().update(
-                leakage, np.eye(256), np.array([1, 2, 256, 3])
-            )
+            StreamingCPA(TABLE).update(leakage, np.array([1, 2, 256, 3]))
+        with pytest.raises(ValueError, match="3.5"):
+            StreamingCPA(TABLE).update(leakage, np.array([1, 2, 3.5, 3]))
+        with pytest.raises(ValueError, match="0..15"):
+            StreamingCPA(np.eye(16)).update(leakage, np.array([1, 2, 16, 3]))
 
     def test_shape_validation(self):
         leakage, values = self._stream(n=10)
         with pytest.raises(ValueError, match="values"):
-            StreamingCPA().update(leakage, np.eye(256), values[:5])
+            StreamingCPA(TABLE).update(leakage, values[:5])
         with pytest.raises(ValueError, match="table"):
-            StreamingCPA().update(leakage, np.eye(128), values)
-        with pytest.raises(ValueError, match="256"):
-            run_cpa(leakage, np.eye(128), values=values)
+            StreamingCPA(np.eye(128)[0])
+        with pytest.raises(ValueError, match="values"):
+            run_cpa(leakage, values[:5], TABLE)
+        with pytest.raises(ValueError, match="merge"):
+            StreamingCPA(TABLE).merge(StreamingCPA(TABLE, streams=2))
+
+    def test_non_finite_table_row_names_its_traces(self):
+        leakage, values = self._stream(n=20)
+        table = np.zeros((256, 256))
+        table[values[6]] = np.inf
+        with pytest.raises(NonFiniteValuesError) as excinfo:
+            StreamingCPA(table).update(leakage, values)
+        assert excinfo.value.which == "hypotheses"
+        assert 6 in excinfo.value.indices.tolist()

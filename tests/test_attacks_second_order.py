@@ -10,6 +10,7 @@ from repro.aes import (
     random_ciphertexts,
 )
 from repro.attacks import (
+    BYTE_VALUES,
     centered_square,
     run_cpa,
     run_second_order_cpa,
@@ -46,8 +47,10 @@ class TestCenteredSquare:
 class TestSecondOrderAttack:
     def test_first_order_fails_on_masked(self, cipher, masked_traces):
         cts, v = masked_traces
-        h = single_bit_hypothesis(cts[:, 3])
-        first = run_cpa(v, h, correct_key=cipher.last_round_key[3])
+        first = run_cpa(
+            v, cts[:, 3], single_bit_hypothesis(BYTE_VALUES),
+            correct_key=cipher.last_round_key[3],
+        )
         assert first.measurements_to_disclosure() is None
 
     def test_second_order_succeeds_on_masked(self, cipher, masked_traces):
@@ -64,8 +67,10 @@ class TestSecondOrderAttack:
         pays off when first-order leakage is absent."""
         cts = random_ciphertexts(100_000, seed=3)
         v = LeakageModel().voltages(cts, cipher.last_round_key, seed=4)
-        h = single_bit_hypothesis(cts[:, 3])
-        first = run_cpa(v, h, correct_key=cipher.last_round_key[3])
+        first = run_cpa(
+            v, cts[:, 3], single_bit_hypothesis(BYTE_VALUES),
+            correct_key=cipher.last_round_key[3],
+        )
         assert first.disclosed
         second = run_second_order_cpa(
             v, cts[:, 3], correct_key=cipher.last_round_key[3]

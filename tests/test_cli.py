@@ -394,13 +394,59 @@ class TestCheckpointFormat:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith(
-            "error: checkpoint %s: version 1 not supported (expected 2)"
+            "error: checkpoint %s: version 1 not supported (expected 3)"
             % path
         )
         assert captured.err.count("\n") == 1
         assert "best guess" not in captured.out
         with open(path, "rb") as handle:
             assert handle.read() == before
+
+    def test_version_2_checkpoint_refuses_to_resume(self, tmp_path, capsys):
+        # A version-2 checkpoint of this very campaign stored the CPA
+        # state as five float64 sums; it must not resume into the int64
+        # per-value state, and the refusal is one line.
+        import json
+
+        import numpy as np
+
+        from repro.experiments.checkpoint import load_checkpoint
+
+        path = str(tmp_path / "attack.npz")
+        argv = [
+            "attack", "alu", "--traces", "9000", "--workers", "2",
+            "--checkpoint", path,
+        ]
+        assert main(argv) in (0, 1)
+        stored = load_checkpoint(path)
+        manifest = json.loads(stored.manifest.to_json())
+        manifest["version"] = 2
+        np.savez(
+            path,
+            rows=stored.arrays["rows"],
+            engine_count=stored.arrays["engine_count"],
+            engine_sum_x=np.float64(stored.arrays["engine_sum_x"]),
+            engine_sum_xx=np.float64(stored.arrays["engine_sum_xx"]),
+            engine_sum_h=np.zeros(256),
+            engine_sum_hh=np.zeros(256),
+            engine_sum_xh=np.zeros(256),
+            __manifest__=np.frombuffer(
+                json.dumps(manifest, sort_keys=True).encode("utf-8"),
+                dtype=np.uint8,
+            ),
+            __completed_shards__=np.int64(1),
+            __version__=np.int64(2),
+        )
+        capsys.readouterr()
+        code = main(argv + ["--resume"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(
+            "error: checkpoint %s: version 2 not supported (expected 3)"
+            % path
+        )
+        assert captured.err.count("\n") == 1
+        assert "best guess" not in captured.out
 
 
 class TestKernelsOption:
@@ -503,7 +549,7 @@ class TestKernelsOption:
         assert out.startswith("kernels: ")
         record = json.loads(path.read_text())
         assert set(record["kernels"]) == {
-            "aes", "pdn", "cpa", "sensor", "align",
+            "aes", "pdn", "sensor", "align",
         }
         for entry in record["kernels"].values():
             for case in entry["backends"].values():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.aes import AES128, LeakageModel, random_ciphertexts
-from repro.attacks import run_cpa, single_bit_hypothesis
+from repro.attacks import BYTE_VALUES, run_cpa, single_bit_hypothesis
 from repro.defense import ActiveFence, FencedLeakageModel
 
 
@@ -68,18 +68,18 @@ class TestFencedLeakage:
 
     def test_attack_degraded_not_stopped(self, cipher):
         cts = random_ciphertexts(80_000, seed=8)
-        h = single_bit_hypothesis(cts[:, 3])
+        table = single_bit_hypothesis(BYTE_VALUES)
         correct = cipher.last_round_key[3]
 
         base = LeakageModel()
         clean = run_cpa(
             base.voltages(cts, cipher.last_round_key, seed=9),
-            h, correct_key=correct,
+            cts[:, 3], table, correct_key=correct,
         )
         fenced_model = FencedLeakageModel(base, ActiveFence(seed=7))
         fenced = run_cpa(
             fenced_model.voltages(cts, cipher.last_round_key, seed=9),
-            h, correct_key=correct,
+            cts[:, 3], table, correct_key=correct,
         )
         assert clean.disclosed
         clean_corr = clean.final_correlations[correct]

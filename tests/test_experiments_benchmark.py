@@ -45,7 +45,7 @@ class TestKernelsMetadata:
         host = host_metadata()
         assert host["kernel_backends"] == kernels.active_backends()
         assert set(host["kernel_backends"]) == {
-            "aes", "pdn", "cpa", "sensor", "align",
+            "aes", "pdn", "sensor", "align",
         }
         if "native" in host["kernel_backends"].values():
             assert host["native_provider"] == "cc"
@@ -68,7 +68,6 @@ class TestKernelsBenchmark:
             aes_traces=300,
             pdn_traces=8,
             pdn_samples=64,
-            cpa_traces=400,
             sensor_cycles=2000,
             repeats=1,
             seed=5,
@@ -76,7 +75,7 @@ class TestKernelsBenchmark:
         assert path.exists()
         assert json.loads(path.read_text()) is not None
         assert set(record["kernels"]) == {
-            "aes", "pdn", "cpa", "sensor", "align",
+            "aes", "pdn", "sensor", "align",
         }
         assert record["kernels"]["sensor"]["mask_bits"] > 0
         for kernel, entry in record["kernels"].items():

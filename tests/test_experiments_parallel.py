@@ -83,10 +83,11 @@ class TestPlanShards:
             (STREAM_BLOCK, STREAM_BLOCK),  # empty
         ):
             with pytest.raises(ValueError, match="stream block grid"):
-                run_lease(source, start, end)
-        assert run_lease(source, STREAM_BLOCK, N3).shape == (
-            N3 - STREAM_BLOCK, 4
-        )
+                run_lease(source, start, end, [end])
+        [(boundary, state)] = run_lease(source, STREAM_BLOCK, N3, [N3])
+        assert boundary == N3
+        assert state["counts"].shape == (16, 256)
+        assert int(state["count"]) == N3 - STREAM_BLOCK
 
     def test_lease_segment_ends_must_end_at_the_lease_end(
         self, alu_campaign
@@ -138,12 +139,14 @@ class TestShardedAttack:
         # keyed on the global stream-block grid, not on shard-local
         # offsets.
         from repro.attacks.cpa import run_cpa
-        from repro.attacks.models import single_bit_hypothesis
+        from repro.attacks.models import BYTE_VALUES, single_bit_hypothesis
 
         data = alu_campaign.collect_reduced_traces(N3, REDUCTION_HW)
-        hypotheses = single_bit_hypothesis(data["ciphertexts"][:, 3])
         serial = run_cpa(
-            data["leakage"], hypotheses, checkpoints=[2500, 6000, N3]
+            data["leakage"],
+            data["ciphertexts"][:, 3],
+            single_bit_hypothesis(BYTE_VALUES),
+            checkpoints=[2500, 6000, N3],
         )
         sharded = sharded_attack(
             alu_campaign,
@@ -212,37 +215,37 @@ class TestStreamingMerge:
     def _integer_stream(self, n=6000, seed=0):
         rng = np.random.default_rng(seed)
         leakage = rng.integers(0, 64, size=n).astype(np.float64)
-        hypotheses = rng.integers(0, 2, size=(n, 16)).astype(np.float64)
-        return leakage, hypotheses
+        values = rng.integers(0, 16, size=n)
+        table = rng.integers(0, 2, size=(16, 16)).astype(np.int8)
+        return leakage, values, table
 
     def test_merge_equals_single_stream(self):
-        leakage, hypotheses = self._integer_stream()
-        whole = StreamingCPA(num_candidates=16)
-        whole.update(leakage, hypotheses)
+        leakage, values, table = self._integer_stream()
+        whole = StreamingCPA(table)
+        whole.update(leakage, values)
 
-        merged = StreamingCPA(num_candidates=16)
+        merged = StreamingCPA(table)
         for lo, hi in ((0, 1000), (1000, 3500), (3500, 6000)):
-            part = StreamingCPA(num_candidates=16)
-            part.update(leakage[lo:hi], hypotheses[lo:hi])
+            part = StreamingCPA(table)
+            part.update(leakage[lo:hi], values[lo:hi])
             merged.merge(part)
         assert merged.count == whole.count
-        # Integer-valued inputs make the running sums float-exact, so
-        # merging must reproduce the single-stream state bit for bit.
+        # The int64 states add up to the single-stream state exactly.
         assert np.array_equal(
             merged.correlations(), whole.correlations()
         )
 
     def test_merge_order_independent(self):
-        leakage, hypotheses = self._integer_stream(seed=3)
+        leakage, values, table = self._integer_stream(seed=3)
         parts = []
         for lo, hi in ((0, 2000), (2000, 4000), (4000, 6000)):
-            part = StreamingCPA(num_candidates=16)
-            part.update(leakage[lo:hi], hypotheses[lo:hi])
+            part = StreamingCPA(table)
+            part.update(leakage[lo:hi], values[lo:hi])
             parts.append(part)
-        forward = StreamingCPA(num_candidates=16)
+        forward = StreamingCPA(table)
         for part in parts:
             forward.merge(part)
-        backward = StreamingCPA(num_candidates=16)
+        backward = StreamingCPA(table)
         for part in reversed(parts):
             backward.merge(part)
         assert np.array_equal(
@@ -250,26 +253,28 @@ class TestStreamingMerge:
         )
 
     def test_merge_returns_self(self):
-        a = StreamingCPA(num_candidates=4)
-        b = StreamingCPA(num_candidates=4)
+        a = StreamingCPA(np.eye(4))
+        b = StreamingCPA(np.eye(4))
         assert a.merge(b) is a
 
     def test_candidate_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            StreamingCPA(num_candidates=4).merge(
-                StreamingCPA(num_candidates=8)
-            )
+            StreamingCPA(np.eye(4)).merge(StreamingCPA(np.eye(8)))
 
     def test_copy_is_independent(self):
-        leakage, hypotheses = self._integer_stream(n=100, seed=5)
-        original = StreamingCPA(num_candidates=16)
-        original.update(leakage, hypotheses)
-        snapshot = original.copy()
-        original.update(leakage, hypotheses)
+        # A state rebuilt from state_arrays() is a snapshot: updating
+        # the original leaves it as it was.
+        leakage, values, table = self._integer_stream(n=100, seed=5)
+        original = StreamingCPA(table)
+        original.update(leakage, values)
+        snapshot = StreamingCPA.from_state_arrays(
+            original.state_arrays(), table
+        )
+        original.update(leakage, values)
         assert snapshot.count == 100
         assert original.count == 200
         assert not np.array_equal(
-            snapshot._sum_h, original._sum_h
+            snapshot.state_arrays()["sums"], original.state_arrays()["sums"]
         )
 
 

@@ -30,11 +30,34 @@ from repro.util.rng import make_rng
 
 GOLDEN = Path(__file__).parent / "golden" / "seed_era_pr10.npz"
 
-# Cache keys of the default job of every kind under checkpoint format 2
-# (every random stream keyed on the 4,096-trace stream block).  They
-# must never drift within a format: the journal replays completed jobs
-# by key, and a changed key silently invalidates every cached result.
+# Cache keys of the default job of every kind under checkpoint format 3
+# (every random stream keyed on the 4,096-trace stream block, int64 CPA
+# states).  They must never drift within a format: the journal replays
+# completed jobs by key, and a changed key silently invalidates every
+# cached result.
 GOLDEN_CACHE_KEYS = {
+    "tracegen": (
+        "2eb219c9126706908519e4782a14f05c"
+        "231bbb44f77f4102f88557a93ca0d250"
+    ),
+    "attack": (
+        "e261bd4f10db4228923e4ac024f683d0"
+        "6cd6531f9f3d3c9d8130d1c724f0ec61"
+    ),
+    "fullkey": (
+        "c74fadf432ee119c6f606326a85ab7ef"
+        "1ff86388aa04c7930df1b7dc3cfd53e3"
+    ),
+    "report": (
+        "f7db4542e9d332b07ff8273c3bdf8513"
+        "46da6ad02b0670559155bae9437b0794"
+    ),
+}
+
+# The same jobs' keys under format 2 (float64 CPA sums, full-key
+# results collected from leakage blocks).  The results are the same
+# bits, but the format moved every key, and old keys are never reused.
+FORMAT_2_CACHE_KEYS = {
     "tracegen": (
         "a13f7b96b90de4a06cc4fcce202140d8"
         "91d398619051794eadb7e5205996a0b4"
@@ -135,6 +158,12 @@ class TestSeedEraCacheKeys:
     def test_format_1_cache_key_retired(self, kind):
         assert JobSpec.create(kind, {}).cache_key != (
             FORMAT_1_CACHE_KEYS[kind]
+        )
+
+    @pytest.mark.parametrize("kind", sorted(FORMAT_2_CACHE_KEYS))
+    def test_format_2_cache_key_retired(self, kind):
+        assert JobSpec.create(kind, {}).cache_key != (
+            FORMAT_2_CACHE_KEYS[kind]
         )
 
     @pytest.mark.parametrize("kind", ["attack", "fullkey", "report"])

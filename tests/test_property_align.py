@@ -183,7 +183,7 @@ class TestSelfCheck:
             assert provider is not None and provider.provider == "cc"
             assert ("align", "estimate") not in provider.ops
             assert "self-check" in provider.refused["align"]
-            assert ("cpa", "accumulate") in provider.ops
+            assert ("pdn", "integrate") in provider.ops
             with kernels.use("native"):
                 assert kernels.active_backends()["align"] == "native"
                 assert kernels.native_op("align", "estimate") is None

@@ -2,33 +2,40 @@
 
 The campaign oracle draws a trace count spanning two to four stream
 blocks (never a multiple of the block, so the last block is partial),
-a worker count, a checkpoint grouping and one injected fault on one
-shard.  It runs the analytic ALU campaign through
-:func:`sharded_attack` and :func:`sharded_full_key`, and the physical
-pipeline with trigger jitter, alignment and resampling through
-:func:`sharded_physical_attack`, and asserts each result is byte-equal
-to the undisturbed single-worker run on the numpy kernels.  The drawn
-worker count moves the shard split points over the block grid, and
-every recovery path of the thread pool (retry, deadline, validation,
-checkpointing) has to reproduce the reference exactly.
+a worker count, a checkpoint grouping and injected faults on shards.
+It runs the analytic ALU campaign through :func:`sharded_attack`, and
+the physical pipeline with trigger jitter, alignment and resampling
+through :func:`sharded_physical_attack`, under one fault, and asserts
+each result is byte-equal to the undisturbed single-worker run on the
+numpy kernels.  The full-key drivers (:func:`sharded_full_key` and
+:func:`sharded_physical_full_key`, the latter with trigger jitter) run
+under two faults in one run and are held to an independent reference:
+the serial column collector plus the in-memory
+:func:`recover_last_round_key`.  The drawn worker count moves the shard
+split points over the block grid, and every recovery path of the
+thread pool (retry, deadline, validation, checkpointing) has to
+reproduce the reference exactly.
 """
 
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.aes import AES128
+from repro.attacks import recover_last_round_key
 from repro.core import BenignSensor
 from repro.core.attack import STREAM_BLOCK
-from repro.core.tracegen import PhysicalTraceGenerator
+from repro.core.tracegen import PhysicalTraceGenerator, campaign_plaintexts
 from repro.experiments.parallel import (
     plan_shards,
     sharded_attack,
     sharded_full_key,
     sharded_physical_attack,
+    sharded_physical_full_key,
 )
 from repro.preprocess.pipeline import resolve_preprocess
 from repro.preprocess.spec import MisalignmentSpec, PreprocessSpec
@@ -42,6 +49,7 @@ from repro.util.faults import (
     FaultPlan,
     FaultSpec,
 )
+from repro.util.rng import derive_seed
 
 #: Deterministic and small: every example runs a whole campaign.
 ORACLE = settings(
@@ -53,8 +61,9 @@ ORACLE = settings(
 
 
 @st.composite
-def runs(draw):
-    """One way to run a campaign: sizes, pool, checkpoints and a fault."""
+def runs(draw, faults=1):
+    """One way to run a campaign: sizes, pool, checkpoints and
+    ``faults`` faults, each on a drawn shard."""
     blocks = draw(st.integers(min_value=2, max_value=4))
     traces = (blocks - 1) * STREAM_BLOCK + draw(
         st.integers(min_value=1, max_value=STREAM_BLOCK - 1)
@@ -62,23 +71,27 @@ def runs(draw):
     workers = draw(st.integers(min_value=1, max_value=4))
     every = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=3)))
     shards = plan_shards(traces, workers)
-    site = shards[draw(st.integers(0, len(shards) - 1))].site
-    kind = draw(
-        st.sampled_from([FAULT_EXCEPTION, FAULT_HANG, FAULT_NAN, FAULT_TRUNCATE])
-    )
+    specs = []
+    for _ in range(faults):
+        site = shards[draw(st.integers(0, len(shards) - 1))].site
+        kind = draw(
+            st.sampled_from(
+                [FAULT_EXCEPTION, FAULT_HANG, FAULT_NAN, FAULT_TRUNCATE]
+            )
+        )
+        specs.append(FaultSpec(kind, site=site, hang_seconds=3.0))
     # The deadline sits well above a healthy shard's run time (at most
     # four blocks) and well below the hang.
-    fault = FaultSpec(kind, site=site, hang_seconds=3.0)
     policy = RetryPolicy(
         max_attempts=3,
         backoff_base=0.0,
-        timeout=1.0 if kind == FAULT_HANG else None,
+        timeout=1.0 if any(s.kind == FAULT_HANG for s in specs) else None,
     )
     return {
         "traces": traces,
         "workers": workers,
         "every": every,
-        "plan": FaultPlan([fault], seed=7),
+        "plan": FaultPlan(specs, seed=7),
         "policy": policy,
     }
 
@@ -124,6 +137,43 @@ def physical():
     }
 
 
+def _physical_columns_serially(generator, sensor, num_traces, seed):
+    """The physical full-key campaign's traces, block after block: each
+    generated block read at every column's aligned last-round sample,
+    on the ``(block, column)`` jitter stream."""
+    plaintexts = campaign_plaintexts(num_traces, seed)
+    samples = generator.last_round_sample_indices()
+    leakage = np.empty((num_traces, 4))
+    ciphertexts = np.empty((num_traces, 16), dtype=np.uint8)
+    for start in range(0, num_traces, STREAM_BLOCK):
+        end = min(start + STREAM_BLOCK, num_traces)
+        data = generator.generate(
+            plaintexts[start:end], seed=derive_seed(seed, "e2e-noise", start)
+        )
+        ciphertexts[start:end] = data["ciphertexts"]
+        for column in range(4):
+            leakage[start:end, column] = sensor.sample_weight(
+                data["voltages"][:, int(samples[column])],
+                seed=derive_seed(seed, "e2e-col-jitter", start, column, 0),
+            )
+    return leakage, ciphertexts
+
+
+def _assert_same_full_key(result, leakage, ciphertexts, key):
+    """``result`` equals the in-memory recovery over serial traces."""
+    with kernels.use("numpy"):
+        reference = recover_last_round_key(
+            leakage, ciphertexts, correct_key=key
+        )
+    assert result.recovered_last_round_key == (
+        reference.recovered_last_round_key
+    )
+    for got, want in zip(result.byte_results, reference.byte_results):
+        assert got.checkpoints.tobytes() == want.checkpoints.tobytes()
+        assert got.correlations.tobytes() == want.correlations.tobytes()
+        assert got.correct_key == want.correct_key
+
+
 def _assert_same_cpa(result, reference):
     assert result.checkpoints.tobytes() == reference.checkpoints.tobytes()
     assert result.correlations.tobytes() == reference.correlations.tobytes()
@@ -144,20 +194,39 @@ class TestCampaignOracle:
         _assert_same_cpa(result, reference)
 
     @ORACLE
-    @given(run=runs())
+    @given(run=runs(faults=2))
     def test_sharded_full_key_matches_the_serial_numpy_reference(
         self, alu_campaign, run
     ):
-        subject = (alu_campaign,)
-        reference = _reference(sharded_full_key, subject, run)
+        with kernels.use("numpy"):
+            data = alu_campaign.collect_column_traces(run["traces"])
         with tempfile.TemporaryDirectory() as checkpoint_dir:
-            result = _run(sharded_full_key, subject, run, checkpoint_dir)
-        assert (
-            result.recovered_last_round_key
-            == reference.recovered_last_round_key
+            result = _run(
+                sharded_full_key, (alu_campaign,), run, checkpoint_dir
+            )
+        _assert_same_full_key(
+            result, data["leakage"], data["ciphertexts"],
+            alu_campaign.cipher.last_round_key,
         )
-        for got, want in zip(result.byte_results, reference.byte_results):
-            assert got.correlations.tobytes() == want.correlations.tobytes()
+
+    @settings(ORACLE, max_examples=3)
+    @given(run=runs(faults=2))
+    def test_sharded_physical_full_key_matches_the_serial_numpy_reference(
+        self, physical, run
+    ):
+        (generator, sensor), kwargs = physical
+        with kernels.use("numpy"):
+            leakage, ciphertexts = _physical_columns_serially(
+                generator, sensor, run["traces"], kwargs["seed"]
+            )
+        with tempfile.TemporaryDirectory() as checkpoint_dir:
+            result = _run(
+                sharded_physical_full_key, (generator, sensor), run,
+                checkpoint_dir, seed=kwargs["seed"],
+            )
+        _assert_same_full_key(
+            result, leakage, ciphertexts, generator.cipher.last_round_key
+        )
 
     @settings(ORACLE, max_examples=3)
     @given(run=runs())

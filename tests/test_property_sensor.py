@@ -298,7 +298,7 @@ class TestSelfCheck:
             assert ("sensor", "masked_weight") not in provider.ops
             assert "self-check" in provider.refused["sensor"]
             # The other C kernels still load.
-            assert ("cpa", "accumulate") in provider.ops
+            assert ("pdn", "integrate") in provider.ops
             with kernels.use("native"):
                 assert kernels.active_backends()["sensor"] == "native"
                 assert (

@@ -19,7 +19,6 @@ from repro.service.fleet import FleetConfig, FleetCoordinator
 from repro.service.jobs import JobSpec
 from repro.service.runners import (
     merge_attack_partials,
-    merge_fullkey_blocks,
     plan_fleet_job,
     run_attack,
     run_attack_shard,
@@ -297,17 +296,102 @@ class TestLeaseValidation:
             with pytest.raises(TruncatedResultError):
                 plan.validate(0, bad)
 
-    def test_fullkey_block_must_have_the_lease_shape(self):
+    def test_fullkey_states_must_be_int64_sixteen_stream_states(self):
         from repro.util.executors import TruncatedResultError
 
         spec = JobSpec.create("fullkey", {"traces": 2_000, "seed": 1})
         plan = plan_fleet_job("fullkey", spec.params, 1)
-        start, end = plan.shards[0]
-        block = run_fullkey_shard(spec.params, start, end)
-        plan.validate(0, block)
-        for bad in (block[:-1], block[:, :3], None):
+        (start, end), ends = plan.shards[0], plan.segment_ends[0]
+        partials = run_fullkey_shard(spec.params, start, end, ends)
+        plan.validate(0, partials)
+        for defect in DEFECTS:
+            bad = [
+                [boundary, DEFECTS[defect](state) if index == 3 else state]
+                for index, (boundary, state) in enumerate(partials)
+            ]
+            with pytest.raises(TruncatedResultError, match="segment end"):
+                plan.validate(0, bad)
+        for bad in (partials[:-1], None, [[end, "junk"]]):
             with pytest.raises(TruncatedResultError):
                 plan.validate(0, bad)
+
+    @pytest.mark.parametrize("defect", sorted(["float64", "rows", "count"]))
+    def test_defective_lease_state_is_rejected_and_reassigned(
+        self, monkeypatch, defect
+    ):
+        # The first lease a worker returns carries one defective
+        # segment state; the coordinator must reject it before it
+        # merges, and the reassigned lease ends the job bit-identical.
+        import threading
+
+        from repro.service import worker as worker_module
+
+        spec = JobSpec.create(
+            "fullkey", {"traces": 20_000, "seed": 1, "fleet": True}
+        )
+        baseline = run_fullkey(dict(spec.params, fleet=False))
+        real = worker_module.run_fullkey_shard
+        lock = threading.Lock()
+        first = [True]
+
+        def corrupting(*args):
+            partials = real(*args)
+            with lock:
+                corrupt, first[0] = first[0], False
+            if corrupt:
+                boundary, state = partials[0]
+                partials[0] = (boundary, DEFECTS[defect](state))
+            return partials
+
+        monkeypatch.setattr(worker_module, "run_fullkey_shard", corrupting)
+
+        async def run():
+            scheduler, server, host, port = await _start_service()
+            workers, tasks = await _start_workers(host, port, scheduler, 2)
+            try:
+                state = await _run_job(scheduler, spec)
+                assert state.status == "done", state.error
+                metrics = scheduler.metrics
+                assert metrics.counter("fleet_invalid_results").value == 1
+                from repro.service.codec import from_payload
+
+                return from_payload(state.result)
+            finally:
+                await _teardown(workers, tasks, server)
+
+        result = asyncio.run(run())
+        for got, want in zip(result.byte_results, baseline.byte_results):
+            assert got.correlations.tobytes() == want.correlations.tobytes()
+
+
+def _float64_state(state):
+    return {key: np.asarray(value, np.float64) for key, value in state.items()}
+
+
+def _missing_row_state(state):
+    return dict(
+        state,
+        counts=state["counts"][:-1],
+        sums=state["sums"][:-1],
+        sum_x=state["sum_x"][:-1],
+        sum_xx=state["sum_xx"][:-1],
+    )
+
+
+def _miscounted_state(state):
+    counts = state["counts"].copy()
+    counts[:, 0] += 1
+    return dict(state, counts=counts)
+
+
+#: The lease-state defects the coordinator must reject: a float64
+#: state, a state with one stream row missing, and a state whose
+#: per-value counts do not sum to its segment length.
+DEFECTS = {
+    "float64": _float64_state,
+    "rows": _missing_row_state,
+    "count": _miscounted_state,
+}
 
 
 class TestFleetEndToEnd:

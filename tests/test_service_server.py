@@ -295,3 +295,49 @@ class TestGracefulShutdown:
         assert job["status"] == "done"
         assert scheduler.accepting is False
         assert scheduler.metrics.counter("jobs_completed").value == 1
+
+    @pytest.mark.timeout(120)
+    def test_sigterm_with_a_fleet_worker_connected_drains_quietly(self):
+        # A real ``repro serve`` with one ``repro worker`` registered:
+        # SIGTERM must end in exit 0 and the metrics summary, with no
+        # traceback from the worker connection's pending read.
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        from repro.experiments.drills import _subprocess_env
+        from repro.service.client import fetch_metrics
+
+        env = _subprocess_env()
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--host", "127.0.0.1", "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        worker = None
+        try:
+            port = int(server.stdout.readline().rsplit(":", 1)[1])
+            worker = subprocess.Popen(
+                [sys.executable, "-m", "repro", "worker",
+                 "127.0.0.1:%d" % port],
+                env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+            )
+            deadline = time.monotonic() + 60
+            while not fetch_metrics("127.0.0.1", port)["fleet"]["workers"]:
+                assert time.monotonic() < deadline, "worker never joined"
+                time.sleep(0.1)
+            server.send_signal(signal.SIGTERM)
+            _out, err = server.communicate(timeout=60)
+            assert server.returncode == 0
+            assert "gauge fleet_workers" in err
+            assert "Traceback" not in err
+            assert "Exception in callback" not in err
+            assert worker.wait(timeout=60) == 0
+        finally:
+            for proc in (server, worker):
+                if proc is not None and proc.poll() is None:
+                    proc.kill()
+                    proc.wait()

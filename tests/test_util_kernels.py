@@ -1,8 +1,7 @@
 """Tests for the kernels mode and the two kernel backends.
 
 The contract under test: every backend of every hot kernel (batched
-AES, PDN IIR recurrence, streaming-CPA accumulate) is **bit-identical**
-to the numpy reference — the equality suite below is parametrized over
+AES, PDN IIR recurrence) is **bit-identical** to the numpy reference — the equality suite below is parametrized over
 whatever backends actually load on this host (numpy everywhere, the
 cc/ctypes provider where a C compiler exists).
 """
@@ -27,6 +26,7 @@ from repro.aes.batch import (
     cycle_hd_from_states,
 )
 from repro.aes.datapath import DatapathSchedule
+from repro.aes.leakage import INV_SBOX_TABLE, _POPCOUNT8
 from repro.attacks.cpa import NonFiniteValuesError, StreamingCPA
 from repro.attacks.models import (
     hamming_weight_hypothesis,
@@ -41,7 +41,6 @@ from repro.util.rng import derive_seed, make_rng
 # compiler exists).
 AES_BACKENDS = kernels.available_backends("aes")
 PDN_BACKENDS = kernels.available_backends("pdn")
-CPA_BACKENDS = kernels.available_backends("cpa")
 
 NATIVE = "native" in AES_BACKENDS
 
@@ -444,17 +443,17 @@ class TestAESBackendsBitIdentical:
     @pytest.mark.parametrize("backend", AES_BACKENDS)
     @pytest.mark.parametrize("bit", [0, 3, 7])
     def test_hypothesis_blocks(self, backend, bit):
+        # The hypothesis models have no native op: under every kernels
+        # mode they are InvSBox(c ^ k), its bit and its Hamming weight.
         rng = make_rng(derive_seed(bit, "kernels-hyp"))
         ct_bytes = rng.integers(0, 256, size=513, dtype=np.uint8)
-        with kernels.use("numpy"):
-            ref_bit = single_bit_hypothesis(ct_bytes, bit)
-            ref_hw = hamming_weight_hypothesis(ct_bytes)
+        state = INV_SBOX_TABLE[ct_bytes[:, None] ^ np.arange(256, dtype=np.uint8)]
         with kernels.use(backend):
             got_bit = single_bit_hypothesis(ct_bytes, bit)
             got_hw = hamming_weight_hypothesis(ct_bytes)
         assert got_bit.dtype == np.int8 and got_hw.dtype == np.int8
-        assert np.array_equal(got_bit, ref_bit)
-        assert np.array_equal(got_hw, ref_hw)
+        assert np.array_equal(got_bit, (state >> bit) & 1)
+        assert np.array_equal(got_hw, _POPCOUNT8[state])
 
     @pytest.mark.parametrize("backend", AES_BACKENDS)
     def test_matches_fips197_ciphertext(self, backend):
@@ -501,82 +500,90 @@ class TestPDNBackendsBitIdentical:
 
 
 class TestCPABackendsBitIdentical:
-    @staticmethod
-    def _blocks(seed, dtype):
-        rng = make_rng(derive_seed(seed, "kernels-cpa"))
-        blocks = []
-        for size in (64, 1, 37, 256):
-            x = rng.integers(0, 33, size=size).astype(np.float64)
-            h = rng.integers(0, 9, size=(size, 256)).astype(dtype)
-            blocks.append((x, h))
-        return blocks
+    """The CPA state has no native kernel: under every kernels mode a
+    campaign may run in, it is the numpy state, bit for bit."""
 
-    @pytest.mark.parametrize("backend", CPA_BACKENDS)
+    @staticmethod
+    def _blocks(seed):
+        rng = make_rng(derive_seed(seed, "kernels-cpa"))
+        return [
+            (
+                rng.integers(0, 33, size=size).astype(np.float64),
+                rng.integers(0, 256, size=size, dtype=np.uint8),
+            )
+            for size in (64, 1, 37, 256)
+        ]
+
+    @staticmethod
+    def _table(dtype):
+        rng = make_rng(derive_seed(0, "kernels-cpa-table"))
+        return rng.integers(0, 9, size=(256, 256)).astype(dtype)
+
+    @pytest.mark.parametrize("backend", AES_BACKENDS)
     @pytest.mark.parametrize("dtype", [np.int8, np.float64])
     def test_streaming_state_bit_identical(self, backend, dtype):
-        blocks = self._blocks(3, dtype)
-        reference = StreamingCPA()
+        blocks = self._blocks(3)
+        reference = StreamingCPA(self._table(np.int8))
         with kernels.use("numpy"):
-            for x, h in blocks:
-                reference.update(x, h)
-        engine = StreamingCPA()
+            for x, values in blocks:
+                reference.update(x, values)
+        engine = StreamingCPA(self._table(dtype))
         with kernels.use(backend):
-            for x, h in blocks:
-                engine.update(x, h)
+            for x, values in blocks:
+                engine.update(x, values)
+            got = engine.correlations()
         assert engine.count == reference.count
         for name, array in reference.state_arrays().items():
             assert np.array_equal(engine.state_arrays()[name], array), (
                 name
             )
-        assert np.array_equal(
-            engine.correlations(), reference.correlations()
-        )
+        assert np.array_equal(got, reference.correlations())
 
-    @pytest.mark.parametrize("backend", CPA_BACKENDS)
+    @pytest.mark.parametrize("backend", AES_BACKENDS)
     def test_nonfinite_leakage_exact_error(self, backend):
-        engine = StreamingCPA(num_candidates=4)
+        engine = StreamingCPA(np.ones((8, 4), dtype=np.int8))
         x = np.arange(8, dtype=np.float64)
-        h = np.ones((8, 4), dtype=np.int8)
+        values = np.arange(8)
         with kernels.use(backend):
-            engine.update(x, h)
+            engine.update(x, values)
             bad = x.copy()
             bad[5] = np.nan
             with pytest.raises(NonFiniteValuesError) as excinfo:
-                engine.update(bad, h)
+                engine.update(bad, values)
         assert excinfo.value.which == "leakage"
         assert list(excinfo.value.indices) == [8 + 5]
-        # The failed block must not have touched the accumulator.
+        # The failed block must not have touched the state.
         assert engine.count == 8
-        assert engine._sum_x == x.sum()
+        assert engine.state_arrays()["sum_x"] == x.sum()
 
-    @pytest.mark.parametrize("backend", CPA_BACKENDS)
+    @pytest.mark.parametrize("backend", AES_BACKENDS)
     def test_nonfinite_hypotheses_exact_error(self, backend):
-        engine = StreamingCPA(num_candidates=4)
-        x = np.arange(6, dtype=np.float64)
-        h = np.ones((6, 4), dtype=np.float64)
-        h[2, 3] = np.inf
+        table = np.ones((6, 4), dtype=np.float64)
+        table[2, 3] = np.inf
+        engine = StreamingCPA(table)
         with kernels.use(backend):
             with pytest.raises(NonFiniteValuesError) as excinfo:
-                engine.update(x, h)
+                engine.update(np.arange(6, dtype=np.float64), np.arange(6))
         assert excinfo.value.which == "hypotheses"
         assert list(excinfo.value.indices) == [2]
         assert engine.count == 0
 
-    @pytest.mark.parametrize("backend", CPA_BACKENDS)
+    @pytest.mark.parametrize("backend", AES_BACKENDS)
     def test_merge_stays_order_independent(self, backend):
-        blocks = self._blocks(11, np.int8)
-        whole = StreamingCPA()
+        blocks = self._blocks(11)
+        table = self._table(np.int8)
+        whole = StreamingCPA(table)
         with kernels.use(backend):
-            for x, h in blocks:
-                whole.update(x, h)
-            left, right = StreamingCPA(), StreamingCPA()
-            for x, h in blocks[:2]:
-                left.update(x, h)
-            for x, h in blocks[2:]:
-                right.update(x, h)
-            left.merge(right)
+            for x, values in blocks:
+                whole.update(x, values)
+            left, right = StreamingCPA(table), StreamingCPA(table)
+            for x, values in blocks[:2]:
+                left.update(x, values)
+            for x, values in blocks[2:]:
+                right.update(x, values)
+            right.merge(left)
         assert np.array_equal(
-            whole.correlations(), left.correlations()
+            whole.correlations(), right.correlations()
         )
 
 
@@ -589,21 +596,15 @@ class TestNativeProcessSafety:
     @needs_native
     def test_campaign_objects_stay_picklable(self):
         with kernels.use("native"):
-            engine = StreamingCPA(num_candidates=8)
-            engine.update(
-                np.arange(4, dtype=np.float64),
-                np.ones((4, 8), dtype=np.int8),
-            )
+            engine = StreamingCPA(np.ones((8, 8), dtype=np.int8))
+            engine.update(np.arange(4, dtype=np.float64), np.arange(4))
             clone = pickle.loads(pickle.dumps(engine))
             model = pickle.loads(pickle.dumps(PDNModel()))
             batched = pickle.loads(
                 pickle.dumps(BatchedAES128(bytes(range(16))))
             )
             # The clones keep working under the native backend.
-            clone.update(
-                np.arange(4, dtype=np.float64),
-                np.ones((4, 8), dtype=np.int8),
-            )
+            clone.update(np.arange(4, dtype=np.float64), np.arange(4))
             model.integrate_batch(np.ones((2, 16)))
             batched.round_states(
                 np.zeros((2, 16), dtype=np.uint8)
