@@ -33,7 +33,6 @@ from repro.attacks.models import (
     BYTE_VALUES,
     DEFAULT_TARGET_BIT,
     DEFAULT_TARGET_BYTE,
-    HYPOTHESIS_MODELS,
     hamming_distance_hypothesis,
     hamming_weight_hypothesis,
     inverse_sbox_intermediate,
@@ -53,7 +52,6 @@ __all__ = [
     "recover_last_round_key",
     "centered_square",
     "run_second_order_cpa",
-    "HYPOTHESIS_MODELS",
     "StreamingCPA",
     "default_checkpoints",
     "guessing_entropy",

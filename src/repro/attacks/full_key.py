@@ -180,6 +180,6 @@ def recover_last_round_key(
         health=health,
     )
     return FullKeyResult(
-        byte_results=results,
+        byte_results=list(results),
         true_last_round_key=correct_key,
     )

@@ -10,8 +10,6 @@ same intermediate) are provided for the ablation benches.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
 import numpy as np
 
 from repro.aes.leakage import INV_SBOX_TABLE, _POPCOUNT8
@@ -84,10 +82,3 @@ def hamming_distance_hypothesis(
     intermediate = inverse_sbox_intermediate(ct_bytes_target)
     written = _validate_ct_bytes(ct_bytes_written)
     return _POPCOUNT8[intermediate ^ written[:, None]].astype(np.int8)
-
-
-#: Registry used by benches to sweep hypothesis models.
-HYPOTHESIS_MODELS: Dict[str, Callable[..., np.ndarray]] = {
-    "single_bit": single_bit_hypothesis,
-    "hamming_weight": hamming_weight_hypothesis,
-}

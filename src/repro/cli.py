@@ -54,9 +54,9 @@ compiled kernels — bit-identical by contract; without it
 (``--workers 0``, an unknown kernels mode, ``native`` on a host
 without a C compiler) exit with code 2 and one actionable line, not
 a traceback.  The campaign commands (``attack``, ``fullkey``) also
-take fault-tolerance flags — ``--checkpoint PATH``,
-``--checkpoint-every K``, ``--resume``, ``--retries N``,
-``--task-timeout S`` — and ``report`` supports figure-granular
+take fault-tolerance flags — ``--checkpoint PATH`` (saved after every
+merged shard), ``--resume``, ``--retries N``, ``--task-timeout S`` —
+and ``report`` supports figure-granular
 ``--checkpoint``/``--resume``; a resumed campaign is bit-identical to
 an uninterrupted one.  Structured failures exit with code 2 and one
 actionable line on stderr (plus a resume hint when a checkpoint
@@ -93,7 +93,6 @@ def _add_kernels_argument(parser) -> None:
 _NUMERIC_BOUNDS = {
     "workers": ("--workers", 1, True),
     "traces": ("--traces", 2, True),
-    "checkpoint_every": ("--checkpoint-every", 1, True),
     "retries": ("--retries", 1, True),
     "task_timeout": ("--task-timeout", 0, False),
     "mhz": ("MHZ", 0, False),
@@ -215,10 +214,6 @@ def _add_resilience_arguments(parser) -> None:
     parser.add_argument(
         "--checkpoint", default=None, metavar="PATH",
         help="write a crash-safe checkpoint here as shards complete",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="K",
-        help="shards per checkpoint (default: the worker count)",
     )
     parser.add_argument(
         "--resume", action="store_true",
@@ -363,8 +358,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--spool-dir", default=None, metavar="DIR",
-        help="campaign checkpoint directory (jobs resume after a "
-        "crash)",
+        help="campaign checkpoint directory: a campaign run on this "
+        "server saves after every merged shard (a report after every "
+        "figure) and resumes from there after a crash",
     )
     serve.add_argument(
         "--cache-max-bytes", type=int, default=None, metavar="BYTES",
@@ -532,7 +528,6 @@ def _cmd_attack(args) -> int:
         ),
         health=health,
         checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
         resume=args.resume,
     )
     if health.attempts and not health.healthy:
@@ -566,7 +561,6 @@ def _cmd_fullkey(args) -> int:
         _campaign_params(args),
         health=health,
         checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
         resume=args.resume,
     )
     if health.attempts and not health.healthy:

@@ -12,18 +12,19 @@ runs through one contract:
   bytes from ``(state, start, end)``: analytic reduced, analytic
   per-column, physical single-byte or physical 4-column.  Recipes are
   the only per-source code;
-* a :class:`ShardSource` pairs a recipe with the fan-out state and
-  arrays it reads;
+* a :class:`ShardSource` is a whole campaign: a recipe, the fan-out
+  state and arrays it reads, and the campaign's manifest fingerprint,
+  trace count, CPA streams and correct key;
 * the one **statistic**, :class:`SegmentPartials`, holds one int64
   per-value CPA state (:class:`~repro.attacks.cpa.StreamingCPA`) per
   checkpoint segment — one stream for the single-byte attack, one per
   key byte for the full key — and owns its result validator, its one
-  in-order reducer and its checkpoint arrays;
-* :func:`_shard_task` is the one task and :func:`_run_shards` the one
-  fan-out/checkpoint loop.  A fleet lease (:func:`run_lease`) is one
-  shard, run by the same task on the lease's thread; the four public
-  drivers and the fleet coordinator's merge all reduce through the
-  same statistic.
+  in-order reducer, its checkpoint arrays and its result;
+* :func:`_shard_task` is the one task and :func:`run_campaign` the one
+  campaign loop.  A fleet lease (:func:`run_lease`) is one shard, run
+  by the same task on the lease's thread; the four public drivers are
+  a source each run by :func:`run_campaign`, and the fleet
+  coordinator's merge reduces through the same statistic.
 
 Determinism is preserved by construction:
 
@@ -52,22 +53,25 @@ The same determinism is what makes the campaign *fault-tolerant*:
 because the shard task is a pure function of its payload, the map's
 retry loop (:class:`repro.util.executors.RetryPolicy`) may retry a
 failed or hung shard, and rejects a malformed result through the
-statistic's validator, without any effect on the result.  Passing
-``checkpoint_path`` makes progress durable: after every
-``checkpoint_every`` completed shards the statistic's state and a
-configuration-fingerprinted manifest are atomically written
-(:mod:`repro.experiments.checkpoint`), and ``resume=True`` continues a
-killed campaign from the last checkpoint, bit-identical to an
-uninterrupted run.  Deterministic fault injection for all of these
-paths lives in :mod:`repro.util.faults`.
+statistic's validator, without any effect on the result.  Results
+stream out of the map in shard order as they land, so each shard merges
+while later shards still run, and passing ``checkpoint_path`` makes
+progress durable at no cost in parallelism: after every merged shard
+the statistic's state and a configuration-fingerprinted manifest are
+atomically written (:mod:`repro.experiments.checkpoint`), and
+``resume=True`` continues a failed or killed campaign from the last
+merged shard, bit-identical to an uninterrupted run.  Deterministic
+fault injection for all of these paths lives in
+:mod:`repro.util.faults`.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -123,7 +127,9 @@ __all__ = [
     "Shard",
     "ShardSource",
     "default_workers",
+    "hypothesis_table",
     "plan_shards",
+    "run_campaign",
     "run_lease",
     "segment_ends",
     "sharded_attack",
@@ -243,12 +249,8 @@ def _physical_recipe(
     generator: PhysicalTraceGenerator = heavy["generator"]
     sensor: BenignSensor = heavy["sensor"]
     seed: int = heavy["seed"]
-    reference: bool = heavy["reference"]
     preprocess: Optional[ResolvedPreprocess] = heavy["preprocess"]
-    generate = (
-        generator.generate_reference if reference else generator.generate
-    )
-    data = generate(
+    data = generator.generate(
         state.arrays["plaintexts"][start:end],
         seed=derive_seed(seed, "e2e-noise", start),
     )
@@ -264,7 +266,6 @@ def _physical_recipe(
             voltages[:, int(sample)],
             seed=derive_seed(seed, "e2e-jitter", *key),
             mask=heavy["mask"],
-            reference=reference,
         )
     return leakage, data["ciphertexts"][:, heavy["target_byte"]]
 
@@ -310,18 +311,28 @@ def _physical_columns_recipe(
 
 @dataclass(frozen=True)
 class ShardSource:
-    """A campaign's traces under the shard contract.
+    """A whole campaign under the shard contract.
 
     ``heavy`` holds the recipe, the objects it reads and the
     single-bit hypothesis ``table`` its CPA states use; ``arrays`` the
-    campaign-global inputs it slices.
+    campaign-global inputs it slices.  ``kind`` and ``params`` are the
+    campaign's manifest fingerprint (:class:`CampaignManifest`),
+    ``streams`` is None for the single-byte attack and 16 for the full
+    key, and ``key`` is the correct key the result is scored against
+    (the target byte, or the whole last-round key).
 
-    Build one with the constructor for its recipe; the local drivers
-    and the fleet lease route call the same constructors.
+    Build one with the constructor for its recipe; the public drivers
+    and the fleet lease route call the same constructors, and
+    :func:`run_campaign` runs any of them.
     """
 
     heavy: Dict[str, object]
     arrays: Dict[str, np.ndarray]
+    kind: str
+    params: Dict[str, object]
+    num_traces: int
+    streams: Optional[int]
+    key: object
 
     @classmethod
     def reduced(
@@ -343,12 +354,26 @@ class ShardSource:
                 "reduction": reduction,
                 "mask": mask,
                 "bit": bit,
-                "table": _table(target_bit),
+                "table": hypothesis_table(target_bit),
             },
             arrays={
                 "voltages": voltages,
                 "ct_bytes": ciphertexts[:, target_byte],
             },
+            kind="attack",
+            params={
+                "campaign_seed": campaign.seed,
+                "sensor": campaign.sensor.name,
+                "last_round_key": campaign.cipher.last_round_key.hex(),
+                "num_traces": int(num_traces),
+                "reduction": reduction,
+                "bit": None if bit is None else int(bit),
+                "target_byte": int(target_byte),
+                "target_bit": int(target_bit),
+            },
+            num_traces=int(num_traces),
+            streams=None,
+            key=campaign.cipher.last_round_key[target_byte],
         )
 
     @classmethod
@@ -366,9 +391,20 @@ class ShardSource:
                 "recipe": _column_recipe,
                 "campaign": campaign,
                 "mask": mask,
-                "table": _table(target_bit),
+                "table": hypothesis_table(target_bit),
             },
             arrays={"voltages": voltages, "ciphertexts": ciphertexts},
+            kind="fullkey",
+            params={
+                "campaign_seed": campaign.seed,
+                "sensor": campaign.sensor.name,
+                "last_round_key": campaign.cipher.last_round_key.hex(),
+                "num_traces": int(num_traces),
+                "target_bit": int(target_bit),
+            },
+            num_traces=int(num_traces),
+            streams=16,
+            key=campaign.cipher.last_round_key,
         )
 
     @classmethod
@@ -382,29 +418,44 @@ class ShardSource:
         preprocess: Optional[ResolvedPreprocess] = None,
         target_byte: int = DEFAULT_TARGET_BYTE,
         target_bit: int = DEFAULT_TARGET_BIT,
-        reference: bool = False,
     ) -> "ShardSource":
         """Physically generated traces for the single-byte CPA."""
         column = column_of_key_byte(target_byte)
+        sample_index = int(generator.last_round_sample_indices()[column])
+        listed = None if mask is None else np.asarray(mask).tolist()
         return cls(
             heavy={
                 "recipe": _physical_recipe,
                 "generator": generator,
                 "sensor": sensor,
                 "seed": seed,
-                "reference": reference,
-                "sample_index": int(
-                    generator.last_round_sample_indices()[column]
-                ),
+                "sample_index": sample_index,
                 "mask": mask,
                 "target_byte": target_byte,
-                "table": _table(target_bit),
+                "table": hypothesis_table(target_bit),
                 "preprocess": preprocess,
                 "samples": None
                 if preprocess is None
                 else preprocess.samples_for_column(column),
             },
             arrays={"plaintexts": campaign_plaintexts(num_traces, seed)},
+            kind="physical",
+            params=dict(
+                {
+                    "seed": int(seed),
+                    "sensor": sensor.name,
+                    "last_round_key": generator.cipher.last_round_key.hex(),
+                    "num_traces": int(num_traces),
+                    "mask": listed,
+                    "target_byte": int(target_byte),
+                    "target_bit": int(target_bit),
+                    "sample_index": sample_index,
+                },
+                **_acquisition_manifest_params(generator, preprocess),
+            ),
+            num_traces=int(num_traces),
+            streams=None,
+            key=generator.cipher.last_round_key[target_byte],
         )
 
     @classmethod
@@ -420,14 +471,15 @@ class ShardSource:
     ) -> "ShardSource":
         """Physically generated traces for the full-key recovery."""
         aligned = generator.last_round_sample_indices()
+        mask = None if mask is None else np.asarray(mask)
         return cls(
             heavy={
                 "recipe": _physical_columns_recipe,
                 "generator": generator,
                 "sensor": sensor,
                 "seed": seed,
-                "mask": None if mask is None else np.asarray(mask),
-                "table": _table(target_bit),
+                "mask": mask,
+                "table": hypothesis_table(target_bit),
                 "preprocess": preprocess,
                 "column_samples": {
                     column: (
@@ -439,7 +491,41 @@ class ShardSource:
                 },
             },
             arrays={"plaintexts": campaign_plaintexts(num_traces, seed)},
+            kind="physical-fullkey",
+            params=dict(
+                {
+                    "seed": int(seed),
+                    "sensor": sensor.name,
+                    "last_round_key": generator.cipher.last_round_key.hex(),
+                    "num_traces": int(num_traces),
+                    "mask": None if mask is None else mask.tolist(),
+                    "target_bit": int(target_bit),
+                    "sample_indices": [int(i) for i in aligned],
+                },
+                **_acquisition_manifest_params(generator, preprocess),
+            ),
+            num_traces=int(num_traces),
+            streams=16,
+            key=generator.cipher.last_round_key,
         )
+
+
+def _acquisition_manifest_params(
+    generator: PhysicalTraceGenerator,
+    preprocess: Optional[ResolvedPreprocess],
+) -> Dict[str, object]:
+    """Manifest entries for acquisition realism — only when active.
+
+    Absent keys keep every acquisition-free manifest (and hence config
+    hash, checkpoint resume and service cache key) byte-stable.
+    """
+    params: Dict[str, object] = {}
+    misalignment = getattr(generator, "misalignment", None)
+    if misalignment is not None and misalignment.enabled:
+        params["misalignment"] = misalignment.to_string()
+    if preprocess is not None:
+        params["preprocess"] = preprocess.spec.to_string()
+    return params
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +533,7 @@ class ShardSource:
 # ----------------------------------------------------------------------
 
 
-def _table(target_bit: int) -> np.ndarray:
+def hypothesis_table(target_bit: int = DEFAULT_TARGET_BIT) -> np.ndarray:
     """The single-bit hypothesis table of every campaign CPA state."""
     return single_bit_hypothesis(BYTE_VALUES, bit=target_bit)
 
@@ -520,14 +606,14 @@ class SegmentPartials:
                 )
             previous = int(boundary)
 
-    def merge(self, results: Sequence[List[Tuple[int, Dict]]]) -> None:
-        for partials in results:
-            for boundary, state in partials:
-                self.running.merge(
-                    StreamingCPA.from_state_arrays(state, self.table)
-                )
-                if int(boundary) in self._snap_at:
-                    self.snapshots.append(self.running.correlations())
+    def merge(self, partials: Sequence[Tuple[int, Dict]]) -> None:
+        """Fold one shard's partials, the next in trace order."""
+        for boundary, state in partials:
+            self.running.merge(
+                StreamingCPA.from_state_arrays(state, self.table)
+            )
+            if int(boundary) in self._snap_at:
+                self.snapshots.append(self.running.correlations())
 
     def arrays(self) -> Dict[str, np.ndarray]:
         arrays = {
@@ -550,31 +636,30 @@ class SegmentPartials:
         )
         self.snapshots = list(split_rows(arrays["rows"]))
 
-    def result(self, correct_key: int) -> CPAResult:
-        return CPAResult(
-            checkpoints=self.points,
-            correlations=np.vstack(self.snapshots),
-            correct_key=correct_key,
-        )
-
-    def full_key_result(self, last_round_key: bytes) -> FullKeyResult:
-        """One :class:`CPAResult` per key byte (stream)."""
+    def result(self, key) -> Union[CPAResult, FullKeyResult]:
+        """A :class:`CPAResult` scored against the key byte ``key``, or,
+        with 16 streams, a :class:`FullKeyResult` with one per key byte
+        of the last-round key ``key``."""
         rows = np.stack(self.snapshots)
+        if self.streams is None:
+            return CPAResult(
+                checkpoints=self.points, correlations=rows, correct_key=key,
+            )
         return FullKeyResult(
             byte_results=[
                 CPAResult(
                     checkpoints=self.points,
                     correlations=rows[:, index],
-                    correct_key=last_round_key[index],
+                    correct_key=key[index],
                 )
                 for index in range(rows.shape[1])
             ],
-            true_last_round_key=last_round_key,
+            true_last_round_key=key,
         )
 
 
 # ----------------------------------------------------------------------
-# The one shard task and the one fan-out/checkpoint loop
+# The one shard task and the one campaign loop
 # ----------------------------------------------------------------------
 
 
@@ -619,29 +704,63 @@ def _shard_task(
     return partials
 
 
-def _run_shards(
+def run_campaign(
     source: ShardSource,
-    shards: Sequence[Shard],
-    statistic,
-    manifest: Optional[CampaignManifest] = None,
+    checkpoints: Optional[Sequence[int]] = None,
     max_workers: Optional[int] = None,
     policy: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     health: Optional[CampaignHealth] = None,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
     resume: bool = False,
-):
-    """Every shard through :func:`_shard_task`, reduced by ``statistic``.
+) -> Union[CPAResult, FullKeyResult]:
+    """Run a whole campaign: every shard of ``source``, merged in trace
+    order.
 
-    Shards run in groups of ``checkpoint_every`` (default: the worker
-    count, so durability costs no parallelism); after each group the
-    statistic's state becomes durable.  Groups complete in trace order,
-    so the completed set is always a shard-plan prefix and a resumed
-    run replays the identical merge sequence.  Every shard is one task
-    under the retry loop of :func:`map_ordered`, keyed on its fault
-    site and checked by the statistic's validator.
+    The campaign's traces are split by :func:`plan_shards`; every shard
+    is one :func:`_shard_task` under the retry loop of
+    :func:`map_ordered`, keyed on its fault site and checked by the
+    statistic's validator.  Each shard merges into
+    :class:`SegmentPartials` as soon as it and every earlier shard have
+    landed, so the shards run at full width while the merged state only
+    ever covers a prefix of the shard plan.
+
+    Args:
+        source: the campaign (:class:`ShardSource`).
+        checkpoints: trace counts at which correlations are evaluated
+            (:func:`~repro.attacks.cpa.checkpoint_grid`; default
+            :func:`~repro.attacks.cpa.default_checkpoints`).
+        max_workers: worker count, and the number of shards (default:
+            :func:`default_workers`).
+        policy: retry/timeout policy of :func:`map_ordered`, which
+            runs every shard (default :class:`RetryPolicy`).
+        fault_plan: deterministic fault injection (tests only).
+        health: accumulates the runtime's recovery events.
+        checkpoint_path: after every merged shard, atomically write the
+            statistic's state and the campaign's configuration-
+            fingerprinted manifest here
+            (:mod:`repro.experiments.checkpoint`), so a failed or
+            killed campaign keeps every finished prefix.
+        resume: continue from ``checkpoint_path`` if it exists; the
+            stored manifest must fingerprint-match this configuration.
+            The resumed result is bit-identical to an uninterrupted
+            run.
+
+    Returns:
+        :meth:`SegmentPartials.result`: a :class:`CPAResult`, or a
+        :class:`FullKeyResult` for a 16-stream source.
     """
+    if source.num_traces < 2:
+        raise ValueError("need at least 2 traces")
+    points = checkpoint_grid(checkpoints, source.num_traces)
+    shards = plan_shards(source.num_traces, max_workers)
+    manifest = CampaignManifest(
+        kind=source.kind,
+        params=source.params,
+        shard_plan=tuple((s.start, s.end) for s in shards),
+        checkpoints=tuple(int(p) for p in points),
+    )
+    statistic = SegmentPartials(points, source.heavy["table"], source.streams)
     completed = 0
     if resume and checkpoint_path is not None and os.path.exists(
         checkpoint_path
@@ -651,29 +770,27 @@ def _run_shards(
         completed = stored.completed_shards
         if completed:
             statistic.restore(stored.arrays)
-    group = len(shards)
-    if checkpoint_path is not None:
-        group = max(1, checkpoint_every or max_workers or default_workers())
-    with ArrayFanout(source.heavy, source.arrays) as fanout:
-        tasks = [
-            dict({"shard": shard}, **statistic.task_fields(shard))
-            for shard in shards
-        ]
-        while completed < len(shards):
-            stop = min(completed + group, len(shards))
-            statistic.merge(
-                map_ordered(
-                    partial(_shard_task, fanout),
-                    tasks[completed:stop],
-                    max_workers=max_workers,
-                    policy=policy,
-                    fault_plan=fault_plan,
-                    sites=[shard.site for shard in shards[completed:stop]],
-                    health=health,
-                    validate=statistic.validate,
-                )
-            )
-            completed = stop
+    remaining = shards[completed:]
+    with ArrayFanout(source.heavy, source.arrays) as fanout, closing(
+        map_ordered(
+            partial(_shard_task, fanout),
+            [
+                dict({"shard": shard}, **statistic.task_fields(shard))
+                for shard in remaining
+            ],
+            max_workers=max_workers,
+            policy=policy,
+            fault_plan=fault_plan,
+            sites=[shard.site for shard in remaining],
+            health=health,
+            validate=statistic.validate,
+        )
+    ) as results:
+        # Closing the map on the way out drops the shards still queued
+        # when a merge or a save fails.
+        for partials in results:
+            statistic.merge(partials)
+            completed += 1
             if checkpoint_path is not None:
                 save_checkpoint(
                     checkpoint_path,
@@ -683,7 +800,7 @@ def _run_shards(
                         arrays=statistic.arrays(),
                     ),
                 )
-    return statistic
+    return statistic.result(source.key)
 
 
 # ----------------------------------------------------------------------
@@ -709,7 +826,7 @@ def run_lease(
             segment ends do not rise strictly inside it to its end.
     """
     lease = Shard(int(start), int(end))
-    num_traces = len(next(iter(source.arrays.values())))
+    num_traces = source.num_traces
     if (
         not 0 <= lease.start < lease.end <= num_traces
         or lease.start % STREAM_BLOCK
@@ -732,40 +849,8 @@ def run_lease(
 
 
 # ----------------------------------------------------------------------
-# The four public drivers
+# The four public drivers: a source each, run by run_campaign
 # ----------------------------------------------------------------------
-
-
-def _manifest(
-    kind: str,
-    params: Dict[str, object],
-    shards: Sequence[Shard],
-    checkpoints: Sequence[int],
-) -> CampaignManifest:
-    return CampaignManifest(
-        kind=kind,
-        params=params,
-        shard_plan=tuple((s.start, s.end) for s in shards),
-        checkpoints=tuple(int(p) for p in checkpoints),
-    )
-
-
-def _acquisition_manifest_params(
-    generator: PhysicalTraceGenerator,
-    preprocess: Optional[ResolvedPreprocess],
-) -> Dict[str, object]:
-    """Manifest entries for acquisition realism — only when active.
-
-    Absent keys keep every acquisition-free manifest (and hence config
-    hash, checkpoint resume and service cache key) byte-stable.
-    """
-    params: Dict[str, object] = {}
-    misalignment = getattr(generator, "misalignment", None)
-    if misalignment is not None and misalignment.enabled:
-        params["misalignment"] = misalignment.to_string()
-    if preprocess is not None:
-        params["preprocess"] = preprocess.spec.to_string()
-    return params
 
 
 def sharded_attack(
@@ -776,13 +861,7 @@ def sharded_attack(
     target_byte: int = DEFAULT_TARGET_BYTE,
     target_bit: int = DEFAULT_TARGET_BIT,
     checkpoints: Optional[Sequence[int]] = None,
-    max_workers: Optional[int] = None,
-    policy: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    health: Optional[CampaignHealth] = None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-    resume: bool = False,
+    **runtime: object,
 ) -> CPAResult:
     """Parallel drop-in for :meth:`AttackCampaign.attack`.
 
@@ -791,55 +870,18 @@ def sharded_attack(
     of its shard, and the driver merges the states in trace order,
     evaluating correlations whenever a merge boundary is a checkpoint.
     The result is bit-identical to the serial path for the same seed
-    (see module docstring).
-
-    Args:
-        campaign: characterized attack campaign.
-        num_traces / reduction / bit / target_byte / target_bit /
-            checkpoints: as in :meth:`AttackCampaign.attack`.
-        max_workers: worker count (default: :func:`default_workers`).
-        policy: retry/timeout policy of :func:`map_ordered`, which
-            runs every shard (default :class:`RetryPolicy`).
-        fault_plan: deterministic fault injection (tests only).
-        health: accumulates the runtime's recovery events.
-        checkpoint_path: write a durable checkpoint here after every
-            ``checkpoint_every`` completed shards (atomic
-            write-temp-then-rename).
-        checkpoint_every: shards per checkpoint group (default: the
-            worker count, so durability costs no parallelism).
-        resume: continue from ``checkpoint_path`` if it exists; the
-            stored manifest must fingerprint-match this configuration.
-            The resumed result is bit-identical to an uninterrupted
-            run.
+    (see module docstring).  ``num_traces`` / ``reduction`` / ``bit`` /
+    ``target_byte`` / ``target_bit`` / ``checkpoints`` are as in
+    :meth:`AttackCampaign.attack`; ``runtime`` takes the knobs of
+    :func:`run_campaign`.
     """
-    if num_traces < 2:
-        raise ValueError("need at least 2 traces")
-    source = ShardSource.reduced(
-        campaign, num_traces, reduction, bit, target_byte, target_bit
+    return run_campaign(
+        ShardSource.reduced(
+            campaign, num_traces, reduction, bit, target_byte, target_bit
+        ),
+        checkpoints,
+        **runtime,
     )
-    points = checkpoint_grid(checkpoints, num_traces)
-    shards = plan_shards(num_traces, max_workers)
-    bit = source.heavy["bit"]
-    manifest = _manifest(
-        "attack",
-        {
-            "campaign_seed": campaign.seed,
-            "sensor": campaign.sensor.name,
-            "last_round_key": campaign.cipher.last_round_key.hex(),
-            "num_traces": int(num_traces),
-            "reduction": reduction,
-            "bit": None if bit is None else int(bit),
-            "target_byte": int(target_byte),
-            "target_bit": int(target_bit),
-        },
-        shards,
-        points,
-    )
-    return _run_shards(
-        source, shards, SegmentPartials(points, source.heavy["table"]),
-        manifest, max_workers, policy, fault_plan, health,
-        checkpoint_path, checkpoint_every, resume,
-    ).result(campaign.cipher.last_round_key[target_byte])
 
 
 def sharded_physical_attack(
@@ -850,16 +892,9 @@ def sharded_physical_attack(
     target_byte: int = DEFAULT_TARGET_BYTE,
     target_bit: int = DEFAULT_TARGET_BIT,
     checkpoints: Optional[Sequence[int]] = None,
-    max_workers: Optional[int] = None,
     seed: int = 0,
-    reference: bool = False,
     preprocess: Optional[ResolvedPreprocess] = None,
-    policy: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    health: Optional[CampaignHealth] = None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-    resume: bool = False,
+    **runtime: object,
 ) -> CPAResult:
     """CPA campaign over *physically generated* traces.
 
@@ -874,48 +909,24 @@ def sharded_physical_attack(
         sensor: benign sensor sampling the aligned supply voltage.
         mask: sensitive-bit mask for the Hamming-weight reduction
             (None: all endpoint bits).
-        target_byte / target_bit / checkpoints / max_workers: as in
+        target_byte / target_bit / checkpoints: as in
             :func:`sharded_attack`.
         seed: campaign seed (plaintexts, ambient noise, jitter).
-        reference: run every stage through its per-trace pure-Python
-            reference path instead of the vectorized kernels.  Both
-            paths are bit-identical; this is the baseline the e2e
-            benchmark times the fast path against.
         preprocess: resolved preprocessing plan
             (:func:`repro.preprocess.pipeline.resolve_preprocess`);
             each block is aligned/cropped/resampled shard-locally and
             the leakage sums the sensor's readings over the resolved
             POI set.  None (the default) leaves the campaign untouched.
-        policy / fault_plan / health / checkpoint_path /
-            checkpoint_every / resume: fault-tolerant runtime knobs,
-            as in :func:`sharded_attack`.
+        runtime: the knobs of :func:`run_campaign`.
     """
-    if num_traces < 2:
-        raise ValueError("need at least 2 traces")
-    source = ShardSource.physical(
-        generator, sensor, num_traces, seed, mask, preprocess,
-        target_byte, target_bit, reference,
+    return run_campaign(
+        ShardSource.physical(
+            generator, sensor, num_traces, seed, mask, preprocess,
+            target_byte, target_bit,
+        ),
+        checkpoints,
+        **runtime,
     )
-    points = checkpoint_grid(checkpoints, num_traces)
-    shards = plan_shards(num_traces, max_workers)
-    params = {
-        "seed": int(seed),
-        "sensor": sensor.name,
-        "last_round_key": generator.cipher.last_round_key.hex(),
-        "num_traces": int(num_traces),
-        "mask": None if mask is None else np.asarray(mask).tolist(),
-        "target_byte": int(target_byte),
-        "target_bit": int(target_bit),
-        "reference": bool(reference),
-        "sample_index": source.heavy["sample_index"],
-    }
-    params.update(_acquisition_manifest_params(generator, preprocess))
-    return _run_shards(
-        source, shards, SegmentPartials(points, source.heavy["table"]),
-        _manifest("physical", params, shards, points), max_workers,
-        policy, fault_plan, health, checkpoint_path, checkpoint_every,
-        resume,
-    ).result(generator.cipher.last_round_key[target_byte])
 
 
 def sharded_full_key(
@@ -923,13 +934,7 @@ def sharded_full_key(
     num_traces: int,
     target_bit: int = DEFAULT_TARGET_BIT,
     checkpoints: Optional[List[int]] = None,
-    max_workers: Optional[int] = None,
-    policy: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    health: Optional[CampaignHealth] = None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-    resume: bool = False,
+    **runtime: object,
 ) -> FullKeyResult:
     """Parallel drop-in for :meth:`AttackCampaign.attack_full_key`.
 
@@ -939,31 +944,14 @@ def sharded_full_key(
     state per checkpoint segment (:class:`SegmentPartials`, stream
     ``j`` for key byte ``j``), merged in trace order exactly as
     :func:`sharded_attack` merges its one stream.  Checkpoints default
-    to :func:`default_checkpoints` and the runtime knobs are those of
-    :func:`sharded_attack`.
+    to :func:`default_checkpoints`; ``runtime`` takes the knobs of
+    :func:`run_campaign`.
     """
-    if num_traces < 2:
-        raise ValueError("need at least 2 traces")
-    source = ShardSource.per_column(campaign, num_traces, target_bit)
-    points = checkpoint_grid(checkpoints, num_traces)
-    shards = plan_shards(num_traces, max_workers)
-    manifest = _manifest(
-        "fullkey",
-        {
-            "campaign_seed": campaign.seed,
-            "sensor": campaign.sensor.name,
-            "last_round_key": campaign.cipher.last_round_key.hex(),
-            "num_traces": int(num_traces),
-            "target_bit": int(target_bit),
-        },
-        shards,
-        points,
+    return run_campaign(
+        ShardSource.per_column(campaign, num_traces, target_bit),
+        checkpoints,
+        **runtime,
     )
-    return _run_shards(
-        source, shards, SegmentPartials(points, source.heavy["table"], 16),
-        manifest, max_workers, policy, fault_plan, health,
-        checkpoint_path, checkpoint_every, resume,
-    ).full_key_result(campaign.cipher.last_round_key)
 
 
 def sharded_physical_full_key(
@@ -973,15 +961,9 @@ def sharded_physical_full_key(
     mask: Optional[np.ndarray] = None,
     target_bit: int = DEFAULT_TARGET_BIT,
     checkpoints: Optional[List[int]] = None,
-    max_workers: Optional[int] = None,
     seed: int = 0,
     preprocess: Optional[ResolvedPreprocess] = None,
-    policy: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    health: Optional[CampaignHealth] = None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-    resume: bool = False,
+    **runtime: object,
 ) -> FullKeyResult:
     """Full 16-byte key recovery over physically generated traces.
 
@@ -990,33 +972,16 @@ def sharded_physical_full_key(
     feeds all 16 per-byte CPAs.  With ``preprocess`` set, each block is
     aligned / cropped / resampled shard-locally and every column reads
     its resolved POI set instead of the single nominal cycle sample.
-    The statistic, its checkpoints and the runtime knobs are those of
-    :func:`sharded_full_key`; results are bit-identical at any worker
+    The statistic and its checkpoints are those of
+    :func:`sharded_full_key` and ``runtime`` takes the knobs of
+    :func:`run_campaign`; results are bit-identical at any worker
     count because all block streams are keyed on global indices.
     """
-    if num_traces < 2:
-        raise ValueError("need at least 2 traces")
-    source = ShardSource.physical_columns(
-        generator, sensor, num_traces, seed, mask, preprocess, target_bit
+    return run_campaign(
+        ShardSource.physical_columns(
+            generator, sensor, num_traces, seed, mask, preprocess,
+            target_bit,
+        ),
+        checkpoints,
+        **runtime,
     )
-    points = checkpoint_grid(checkpoints, num_traces)
-    shards = plan_shards(num_traces, max_workers)
-    mask = source.heavy["mask"]
-    params = {
-        "seed": int(seed),
-        "sensor": sensor.name,
-        "last_round_key": generator.cipher.last_round_key.hex(),
-        "num_traces": int(num_traces),
-        "mask": None if mask is None else mask.tolist(),
-        "target_bit": int(target_bit),
-        "sample_indices": [
-            int(i) for i in generator.last_round_sample_indices()
-        ],
-    }
-    params.update(_acquisition_manifest_params(generator, preprocess))
-    return _run_shards(
-        source, shards, SegmentPartials(points, source.heavy["table"], 16),
-        _manifest("physical-fullkey", params, shards, points),
-        max_workers, policy, fault_plan, health, checkpoint_path,
-        checkpoint_every, resume,
-    ).full_key_result(generator.cipher.last_round_key)

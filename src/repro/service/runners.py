@@ -5,18 +5,18 @@ acceptance criterion, and the cheapest way to *guarantee* it is to make
 both call the same function: the CLI commands (:mod:`repro.cli`) and
 the scheduler's thread workers (:mod:`repro.service.scheduler`) both
 execute through the runners here, which in turn route through the
-fault-tolerant sharded drivers (:func:`sharded_attack` /
-:func:`sharded_full_key` / :func:`run_all_figures`) — so service jobs
-inherit retries, task deadlines, and checkpoint/resume for free.
+fault-tolerant campaign loop (:func:`run_campaign`) and the figure
+sweep (:func:`run_all_figures`) — so service jobs inherit retries,
+task deadlines, and checkpoint/resume for free.
 
 Fleet execution is the same computation split differently.  One
 resolver (:class:`_Job`) turns an ``attack`` or ``fullkey`` job's
-params into its campaign: the direct run calls the public driver, a
-lease (:func:`run_attack_shard` / :func:`run_fullkey_shard`) runs the
-driver's own shard source through
+params into its campaign's shard source: the direct run hands it to
+:func:`run_campaign`, a lease (:func:`run_attack_shard` /
+:func:`run_fullkey_shard`) runs it through
 :func:`repro.experiments.parallel.run_lease`, and the coordinator
 merges (:func:`merge_attack_partials` / :func:`merge_fullkey_partials`)
-reduce with the driver's statistic — one shard contract on every
+reduce with the campaign's statistic — one shard contract on every
 route.
 
 Trace-generation jobs additionally support *coalescing*:
@@ -54,25 +54,18 @@ from repro.attacks.full_key import (
     # importable here for the bench ledger's patch table (bench/spans.py).
     recover_last_round_key,  # noqa: F401
 )
-from repro.attacks.models import (
-    BYTE_VALUES,
-    DEFAULT_TARGET_BIT,
-    DEFAULT_TARGET_BYTE,
-    single_bit_hypothesis,
-)
+from repro.attacks.models import DEFAULT_TARGET_BYTE
 from repro.core.tracegen import PhysicalTraceGenerator, random_plaintexts
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
     SegmentPartials,
     Shard,
     ShardSource,
+    hypothesis_table,
     plan_shards,
+    run_campaign,
     run_lease,
     segment_ends,
-    sharded_attack,
-    sharded_full_key,
-    sharded_physical_attack,
-    sharded_physical_full_key,
 )
 from repro.preprocess.pipeline import ResolvedPreprocess, resolve_preprocess
 from repro.preprocess.spec import MisalignmentSpec, PreprocessSpec
@@ -108,27 +101,6 @@ __all__ = [
     "warm_cache_keys",
 ]
 
-#: Experiment setups are expensive (placement + gate-level calibration)
-#: and immutable in normal use; the service reuses one per
-#: configuration, exactly like the CLI process would within one run.
-#: The scheduler executes runners on concurrent ``asyncio.to_thread``
-#: workers, so the cache is guarded: without the lock two simultaneous
-#: jobs with a fresh configuration would each pay the full calibration
-#: (and briefly hold two setups for one key).
-_SETUPS: Dict[ExperimentConfig, ExperimentSetup] = {}
-_SETUPS_LOCK = threading.Lock()
-
-
-def cached_setup(config: ExperimentConfig) -> ExperimentSetup:
-    """One shared :class:`ExperimentSetup` per configuration."""
-    with _SETUPS_LOCK:
-        setup = _SETUPS.get(config)
-        if setup is None:
-            setup = ExperimentSetup(config)
-            _SETUPS[config] = setup
-    return setup
-
-
 class _BuildOnce:
     """A keyed cache that builds each value once, even when several
     threads ask for the same cold key at the same time: a miss builds
@@ -158,6 +130,20 @@ class _BuildOnce:
                 while len(self._values) > (self.max_entries or math.inf):
                     self._values.popitem(last=False)
         return value
+
+
+#: Experiment setups are expensive (placement + gate-level calibration)
+#: and immutable in normal use; the service reuses one per
+#: configuration, exactly like the CLI process would within one run.
+#: The scheduler executes runners on concurrent ``asyncio.to_thread``
+#: workers, so two simultaneous jobs with a fresh configuration must
+#: not each pay the full calibration.
+_SETUPS = _BuildOnce()
+
+
+def cached_setup(config: ExperimentConfig) -> ExperimentSetup:
+    """One shared :class:`ExperimentSetup` per configuration."""
+    return _SETUPS.get((config,), lambda: ExperimentSetup(config))
 
 
 def retry_policy(
@@ -213,9 +199,8 @@ def _acquisition_specs(
 #: Physical generators and resolved preprocessing plans, shared across
 #: jobs like ``_SETUPS``: the generator caches its batched key schedule,
 #: and a resolved plan costs a reference + pilot generation pass.
-_PHYSICAL_GENERATORS: Dict[Tuple[str, str], PhysicalTraceGenerator] = {}
+_PHYSICAL_GENERATORS = _BuildOnce()
 _RESOLVED_PLANS = _BuildOnce()
-_PHYSICAL_LOCK = threading.Lock()
 
 
 def _physical_generator(
@@ -225,14 +210,9 @@ def _physical_generator(
         cipher.last_round_key.hex(),
         "" if misalignment is None else misalignment.to_string(),
     )
-    with _PHYSICAL_LOCK:
-        generator = _PHYSICAL_GENERATORS.get(key)
-        if generator is None:
-            generator = PhysicalTraceGenerator(
-                cipher, misalignment=misalignment
-            )
-            _PHYSICAL_GENERATORS[key] = generator
-    return generator
+    return _PHYSICAL_GENERATORS.get(
+        key, lambda: PhysicalTraceGenerator(cipher, misalignment=misalignment)
+    )
 
 
 def _resolved_plan(
@@ -263,16 +243,13 @@ def _physical_seed(config: ExperimentConfig, circuit: str) -> int:
     return derive_seed(config.seed, "physical-campaign", circuit)
 
 
-#: ``(kind, physical) -> (public driver, the shard source it builds)``.
-#: :class:`_Job` hands both the same keyword arguments.
+#: ``(kind, physical) ->`` the constructor of the job's shard source,
+#: the one its public driver builds.
 _ROUTES = {
-    ("attack", False): (sharded_attack, ShardSource.reduced),
-    ("attack", True): (sharded_physical_attack, ShardSource.physical),
-    ("fullkey", False): (sharded_full_key, ShardSource.per_column),
-    ("fullkey", True): (
-        sharded_physical_full_key,
-        ShardSource.physical_columns,
-    ),
+    ("attack", False): ShardSource.reduced,
+    ("attack", True): ShardSource.physical,
+    ("fullkey", False): ShardSource.per_column,
+    ("fullkey", True): ShardSource.physical_columns,
 }
 
 #: The CPA streams of each fleet-dispatchable kind's states: one for
@@ -284,11 +261,11 @@ class _Job:
     """An ``attack`` or ``fullkey`` job resolved from its params.
 
     The one place job params become campaign objects.  The direct run
-    (:meth:`run`) calls the public driver and a lease (:meth:`source`)
-    builds that driver's shard source, both from the same arguments;
-    the coordinator merges resolve here too, so the routes cannot
-    drift apart.  Resolution is lazy: a merge that needs only the
-    cipher never builds the sensor or the traces.
+    (:meth:`run`) and a lease (:meth:`source`) build the same shard
+    source from the same arguments; the coordinator merges resolve
+    here too, so the routes cannot drift apart.  Resolution is lazy: a
+    merge that needs only the cipher never builds the sensor or the
+    traces.
     """
 
     def __init__(self, kind: str, params: Dict[str, object]):
@@ -323,7 +300,7 @@ class _Job:
         )
 
     def _arguments(self) -> Dict[str, object]:
-        """What the job's driver and shard source are built from."""
+        """What the job's shard source is built from."""
         if not self.physical:
             arguments = {"campaign": self.campaign}
             if self.kind == "attack":
@@ -346,14 +323,15 @@ class _Job:
         }
 
     def run(self, **runtime: object) -> object:
-        """The direct route: the job's public driver."""
-        driver, _ = _ROUTES[self.kind, self.physical]
-        return driver(**self._arguments(), **self.knobs(**runtime))
+        """The direct route: the whole campaign, its source built for
+        this job alone."""
+        source = _ROUTES[self.kind, self.physical](**self._arguments())
+        return run_campaign(source, **self.knobs(**runtime))
 
     def source(self) -> ShardSource:
-        """The lease route: the driver's shard source, cached per
-        configuration."""
-        _, build = _ROUTES[self.kind, self.physical]
+        """The lease route: the campaign's shard source, cached per
+        configuration because the leases of one job share it."""
+        build = _ROUTES[self.kind, self.physical]
         campaign = self.campaign
         key = (
             self.kind,
@@ -371,7 +349,6 @@ def run_attack(
     params: Dict[str, object],
     health: Optional[CampaignHealth] = None,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
     resume: bool = False,
 ) -> CPAResult:
     """The ``repro attack`` campaign as a parameter-dict runner."""
@@ -379,7 +356,6 @@ def run_attack(
         return _Job("attack", params).run(
             health=health,
             checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
             resume=resume,
         )
 
@@ -388,7 +364,6 @@ def run_fullkey(
     params: Dict[str, object],
     health: Optional[CampaignHealth] = None,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
     resume: bool = False,
 ) -> FullKeyResult:
     """The ``repro fullkey`` campaign as a parameter-dict runner."""
@@ -396,7 +371,6 @@ def run_fullkey(
         return _Job("fullkey", params).run(
             health=health,
             checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
             resume=resume,
         )
 
@@ -427,19 +401,16 @@ def run_report(
 #: One generator per cipher key: the generator itself is cheap, but it
 #: caches its batched key schedule (and the PDN's lazily built filter
 #: state), so reusing it across requests makes repeated service jobs
-#: re-derive nothing per call.  Guarded like ``_SETUPS`` because the
+#: re-derive nothing per call.  Built once like ``_SETUPS`` because the
 #: scheduler's thread workers race on first use.
-_GENERATORS: Dict[str, PhysicalTraceGenerator] = {}
-_GENERATORS_LOCK = threading.Lock()
+_GENERATORS = _BuildOnce()
 
 
 def _generator(key_hex: str) -> PhysicalTraceGenerator:
-    with _GENERATORS_LOCK:
-        generator = _GENERATORS.get(key_hex)
-        if generator is None:
-            generator = PhysicalTraceGenerator(AES128(bytes.fromhex(key_hex)))
-            _GENERATORS[key_hex] = generator
-    return generator
+    return _GENERATORS.get(
+        (key_hex,),
+        lambda: PhysicalTraceGenerator(AES128(bytes.fromhex(key_hex))),
+    )
 
 
 def tracegen_compat_key(params: Dict[str, object]) -> str:
@@ -686,11 +657,10 @@ def _merge_partials(
     partials_by_shard: Sequence[Sequence[Tuple[int, Dict[str, np.ndarray]]]],
 ) -> SegmentPartials:
     statistic = SegmentPartials(
-        plan.checkpoints,
-        single_bit_hypothesis(BYTE_VALUES, bit=DEFAULT_TARGET_BIT),
-        _STREAMS[plan.kind],
+        plan.checkpoints, hypothesis_table(), _STREAMS[plan.kind]
     )
-    statistic.merge(partials_by_shard)
+    for partials in partials_by_shard:
+        statistic.merge(partials)
     return statistic
 
 
@@ -709,11 +679,10 @@ def merge_attack_partials(
     bit-identical regardless of which workers computed them, in what
     interleaving, or after how many reassignments.
     """
-    statistic = _merge_partials(plan, partials_by_shard)
-    return statistic.result(
-        int(_Job("attack", params).setup.cipher.last_round_key[
+    return _merge_partials(plan, partials_by_shard).result(
+        _Job("attack", params).setup.cipher.last_round_key[
             DEFAULT_TARGET_BYTE
-        ])
+        ]
     )
 
 
@@ -725,7 +694,6 @@ def merge_fullkey_partials(
     ],
 ) -> FullKeyResult:
     """:func:`merge_attack_partials` for a full-key job's 16 streams."""
-    statistic = _merge_partials(plan, partials_by_shard)
-    return statistic.full_key_result(
+    return _merge_partials(plan, partials_by_shard).result(
         _Job("fullkey", params).setup.cipher.last_round_key
     )

@@ -568,7 +568,6 @@ class CampaignScheduler:
                     state.spec.params,
                     health,
                     checkpoint,
-                    None,
                     resume,
                 )
             elif kind == "fullkey":
@@ -577,7 +576,6 @@ class CampaignScheduler:
                     state.spec.params,
                     health,
                     checkpoint,
-                    None,
                     resume,
                 )
             elif kind == "report":

@@ -45,6 +45,7 @@ import signal
 import sys
 from typing import Dict, Optional, Set, Tuple
 
+from repro.experiments.parallel import Shard
 from repro.service.codec import CodecError, read_message, write_message
 from repro.service.runners import (
     note_warm_key,
@@ -54,8 +55,8 @@ from repro.service.runners import (
 )
 from repro.service.server import STREAM_LIMIT
 from repro.util.errors import ReproError
-from repro.util.executors import usable_cpu_count
-from repro.util.faults import FaultPlan, fault_scope
+from repro.util.executors import execute_task, usable_cpu_count
+from repro.util.faults import FaultPlan
 from repro.util.rng import derive_seed
 
 __all__ = [
@@ -376,41 +377,38 @@ class FleetWorker:
         note_warm_key(str(lease.get("cache_key") or "") or None)
 
     def _run_lease(self, lease: Dict[str, object]) -> object:
-        """Execute one lease on a thread (the blocking hot path)."""
+        """Execute one lease on a thread (the blocking hot path).
+
+        The lease runs through the map's own task invocation
+        (:func:`execute_task`), so faults key on the shard site and the
+        lease attempt exactly as on the single-host runtime: a lease
+        that dies on attempt 0 deterministically succeeds when the
+        coordinator reassigns it at attempt 1, and a ``"truncate"``
+        fault loses the payload's last element on the way back, for
+        the coordinator's result validation to catch.
+        """
         kind = str(lease.get("kind"))
         params = dict(lease.get("params") or {})
         start = int(lease["start"])  # type: ignore[arg-type]
         end = int(lease["end"])  # type: ignore[arg-type]
-        attempt = int(lease.get("attempt") or 0)
-        site = "shard[%d:%d]" % (start, end)
-        if self.fault_plan is not None:
-            # Same keying as the single-host resilient runtime: faults
-            # fire on specific (site, attempt) pairs, so a lease that
-            # dies on attempt 0 deterministically succeeds when the
-            # coordinator reassigns it at attempt 1.
-            self.fault_plan.fire(site, attempt)
+        ends = [int(p) for p in lease.get("segment_ends") or []]
         run_shard = {
             "attack": run_attack_shard,
             "fullkey": run_fullkey_shard,
         }.get(kind)
         if run_shard is None:
             raise WorkerError("lease has unknown job kind %r" % kind)
-        with fault_scope(self.fault_plan, site, attempt):
-            partials = run_shard(
-                params,
-                start,
-                end,
-                [int(p) for p in lease.get("segment_ends") or []],
-            )
-        result: object = [
-            [int(boundary), state] for boundary, state in partials
-        ]
-        if self.fault_plan is not None:
-            # A "truncate" fault loses the payload's last element on
-            # the way back, as on the single-host runtime; the
-            # coordinator's result validation must catch it.
-            result = self.fault_plan.corrupt_payload(site, attempt, result)
-        return result
+
+        def run(_lease: object) -> object:
+            return [
+                [int(boundary), state]
+                for boundary, state in run_shard(params, start, end, ends)
+            ]
+
+        return execute_task(
+            run, lease, Shard(start, end).site,
+            int(lease.get("attempt") or 0), self.fault_plan,
+        )
 
     # ------------------------------------------------------------------
     # Heartbeats

@@ -6,11 +6,14 @@ out over identical, order-preserving maps; this module is the single
 place that runs them, on threads.  The hot kernels (C or numpy) release
 the GIL, so threads scale without serializing anything: every task
 reads the driver's arrays in place.  Every task runs in a copy of the
-submitting thread's :mod:`contextvars` context, so per-job context
-state (the kernels mode of :mod:`repro.util.kernels`) follows the job.
+:mod:`contextvars` context of the thread that drives the map, so
+per-job context state (the kernels mode of :mod:`repro.util.kernels`)
+follows the job.
 
-:func:`map_ordered` runs every task under a :class:`RetryPolicy`
-(the default one unless the caller passes its own): per-task deadlines
+:func:`map_ordered` yields each result in task order as soon as it and
+every earlier one have succeeded, and runs every task under a
+:class:`RetryPolicy` (the default one unless the caller passes its
+own): per-task deadlines
 counted from the moment the task starts on a thread, and bounded retry
 rounds with exponential backoff, each round on fresh daemon threads.
 The map always runs on threads (one when there is one worker), so a
@@ -62,9 +65,6 @@ BACKOFF_MAX = 2.0
 
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
-
-_UNSET = object()
-
 
 def usable_cpu_count() -> int:
     """CPUs this *process* may actually run on.
@@ -182,7 +182,7 @@ class CampaignHealth:
     """What the runtime did to keep a campaign alive.
 
     Accumulates across every :func:`map_ordered` call it is passed to,
-    so one report can cover a whole checkpointed, multi-group campaign.
+    so one report can cover a campaign and its resumed continuation.
     """
 
     attempts: List[AttemptRecord] = field(default_factory=list)
@@ -253,14 +253,20 @@ class CampaignHealth:
 # ----------------------------------------------------------------------
 
 
-def _execute_task(
+def execute_task(
     fn: Callable[[_Task], _Result],
     task: _Task,
     site: str,
     attempt: int,
     plan: Optional[FaultPlan],
 ) -> _Result:
-    """One task invocation, with the fault plan threaded through."""
+    """One task invocation, with the fault plan threaded through.
+
+    The plan fires its pre-task faults for ``(site, attempt)``, the
+    task runs inside that fault scope, and the result passes the plan's
+    payload corruption.  A local shard and a fleet lease both run
+    through here, so both key their faults the same way.
+    """
     if plan is None:
         return fn(task)
     with fault_scope(plan, site, attempt):
@@ -279,14 +285,21 @@ def map_ordered(
     sites: Optional[Sequence[str]] = None,
     health: Optional[CampaignHealth] = None,
     validate: Optional[Callable[[_Task, _Result], None]] = None,
-) -> List[_Result]:
-    """``[fn(t) for t in tasks]`` on a thread pool, under the retry loop.
+) -> Iterator[_Result]:
+    """``fn(t) for t in tasks`` on a thread pool, under the retry loop.
 
-    Results come back in task order regardless of completion order, so
-    any reduction that folds them sequentially (e.g. merging
-    per-segment CPA accumulators) is independent of the worker count.
-    There is one execution path: retry rounds on fresh daemon threads
-    (see the module docstring), one thread for one worker.
+    Yields the results in task order, each as soon as it and every
+    earlier one have succeeded: a result that lands ahead of a failed
+    task waits in a buffer until the retry round that completes the
+    gap.  Any reduction that folds the results sequentially (e.g.
+    merging per-segment CPA accumulators) is therefore independent of
+    the worker count, and can fold while later tasks still run.  There
+    is one execution path: retry rounds on fresh daemon threads (see
+    the module docstring), one thread for one worker.  The arguments
+    are checked when the map is called; the tasks start when the
+    iterator is first advanced, in a copy of the advancing thread's
+    context, and tasks still queued when the iterator is closed are
+    dropped.
 
     Args:
         fn: task function.
@@ -311,12 +324,6 @@ def map_ordered(
             after the retry round in which it failed for the
             ``policy.max_attempts``-th time).
     """
-    workers = max(
-        1, max_workers if max_workers is not None else default_workers()
-    )
-    policy = policy or RetryPolicy()
-    if health is None:
-        health = CampaignHealth()
     names = (
         list(sites)
         if sites is not None
@@ -326,11 +333,25 @@ def map_ordered(
         raise ValueError(
             "got %d sites for %d tasks" % (len(names), len(tasks))
         )
-    results: List[object] = [_UNSET] * len(tasks)
+    workers = max(
+        1, max_workers if max_workers is not None else default_workers()
+    )
+    return _ordered(
+        fn, tasks, names, workers, policy or RetryPolicy(), fault_plan,
+        CampaignHealth() if health is None else health, validate,
+    )
+
+
+def _ordered(
+    fn, tasks, names, workers, policy, fault_plan, health, validate,
+) -> Iterator[object]:
+    """The retry loop of :func:`map_ordered`, yielding in task order."""
+    results: Dict[int, object] = {}
     submissions = [0] * len(tasks)
     failures = [0] * len(tasks)
     last_error: List[Optional[BaseException]] = [None] * len(tasks)
     pending = list(range(len(tasks)))
+    released = 0
     round_number = 0
     started = time.monotonic()
     try:
@@ -354,6 +375,9 @@ def map_ordered(
                     else:
                         results[index] = value
                         health.record(names[index], attempt, "ok", seconds)
+                        while released in results:
+                            yield results.pop(released)
+                            released += 1
                         continue
                 if status == "timeout":
                     value = TimeoutError(
@@ -378,7 +402,6 @@ def map_ordered(
             round_number += 1
     finally:
         health.wall_time += time.monotonic() - started
-    return results  # type: ignore[return-value]
 
 
 def _pool_round(
@@ -415,7 +438,7 @@ def _pool_round(
                 changed.notify_all()
             try:
                 outcome[index] = "ok", context.copy().run(
-                    _execute_task,
+                    execute_task,
                     fn, tasks[index], names[index], attempts[index], plan,
                 )
             except BaseException as exc:

@@ -1,6 +1,6 @@
 """A campaign's fan-out state, shared by the pool threads in place.
 
-Every shard task of one :func:`repro.experiments.parallel._run_shards`
+Every shard task of one :func:`repro.experiments.parallel.run_campaign`
 call reads the same heavy objects (campaign, generator, sensor,
 preprocessing plan) and the same campaign-global arrays (voltages,
 ciphertext bytes, plaintexts).  The pool runs on threads, so tasks hold
@@ -9,7 +9,7 @@ is copied or serialized, per task or per retry.  A fleet lease
 (:func:`repro.experiments.parallel.run_lease`) wraps its one shard in
 one too.
 
-The module and the class keep their names, and ``_run_shards`` and
+The module and the class keep their names, and ``run_campaign`` and
 ``run_lease`` stay the only places that construct an
 :class:`ArrayFanout`, because the benchmark's traced runs wrap
 ``ArrayFanout.__init__`` and ``ArrayFanout.close`` by name

@@ -105,8 +105,7 @@ class TestNumericBounds:
         (["attack", "alu", "--task-timeout", "0"], "--task-timeout"),
         (["attack", "alu", "--task-timeout", "nan"], "--task-timeout"),
         (["fullkey", "--task-timeout", "inf"], "--task-timeout"),
-        (["attack", "alu", "--checkpoint-every", "0"],
-         "--checkpoint-every"),
+        (["report", "--workers", "0"], "--workers"),
         (["covert", "--bits", "0"], "--bits"),
         (["covert", "--rate-mbps", "0"], "--rate-mbps"),
         (["covert", "--rate-mbps", "-1"], "--rate-mbps"),
@@ -370,7 +369,7 @@ class TestCheckpointFormat:
         path = str(tmp_path / "attack.npz")
         argv = [
             "attack", "alu", "--traces", "9000", "--workers", "2",
-            "--checkpoint", path, "--checkpoint-every", "1",
+            "--checkpoint", path,
         ]
         assert main(argv) in (0, 1)
         stored = load_checkpoint(path)

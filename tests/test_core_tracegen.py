@@ -12,9 +12,22 @@ import pytest
 
 from repro.aes import AES128, last_round_activity
 from repro.aes.batch import BatchedAES128, cycle_activity_from_states
+from repro.attacks import (
+    BYTE_VALUES,
+    DEFAULT_TARGET_BIT,
+    DEFAULT_TARGET_BYTE,
+    column_of_key_byte,
+    run_cpa,
+    single_bit_hypothesis,
+)
 from repro.core.attack import STREAM_BLOCK
-from repro.core.tracegen import PhysicalTraceGenerator, random_plaintexts
+from repro.core.tracegen import (
+    PhysicalTraceGenerator,
+    campaign_plaintexts,
+    random_plaintexts,
+)
 from repro.experiments import sharded_physical_attack
+from repro.util.rng import derive_seed
 from repro.pdn import aes_current_waveform, aes_current_waveform_batch
 
 
@@ -154,15 +167,43 @@ class TestShardedPhysicalAttack:
         assert np.array_equal(serial.correlations, threaded.correlations)
 
     def test_reference_path_bit_identical(self, generator, alu_sensor):
-        kwargs = dict(seed=5, checkpoints=[400], max_workers=1)
+        # The sharded campaign against a serial loop over the per-trace
+        # pure-Python references of every stage, at the same per-block
+        # seeds.
+        seed, num_traces = 5, 400
         fast = sharded_physical_attack(
-            generator, alu_sensor, 400, **kwargs
+            generator, alu_sensor, num_traces, seed=seed,
+            checkpoints=[num_traces], max_workers=1,
         )
-        reference = sharded_physical_attack(
-            generator, alu_sensor, 400, reference=True, **kwargs
+        plaintexts = campaign_plaintexts(num_traces, seed)
+        sample = int(
+            generator.last_round_sample_indices()[
+                column_of_key_byte(DEFAULT_TARGET_BYTE)
+            ]
+        )
+        leakage = np.empty(num_traces)
+        values = np.empty(num_traces, dtype=np.uint8)
+        for start in range(0, num_traces, STREAM_BLOCK):
+            end = min(start + STREAM_BLOCK, num_traces)
+            data = generator.generate_reference(
+                plaintexts[start:end],
+                seed=derive_seed(seed, "e2e-noise", start),
+            )
+            leakage[start:end] = alu_sensor.sample_weight(
+                data["voltages"][:, sample],
+                seed=derive_seed(seed, "e2e-jitter", start),
+                reference=True,
+            )
+            values[start:end] = data["ciphertexts"][:, DEFAULT_TARGET_BYTE]
+        reference = run_cpa(
+            leakage, values,
+            single_bit_hypothesis(BYTE_VALUES, bit=DEFAULT_TARGET_BIT),
+            checkpoints=[num_traces],
+            correct_key=generator.cipher.last_round_key[DEFAULT_TARGET_BYTE],
         )
         assert np.array_equal(fast.checkpoints, reference.checkpoints)
         assert np.array_equal(fast.correlations, reference.correlations)
+        assert fast.correct_key == reference.correct_key
 
     def test_recovers_key_byte(self, generator, alu_sensor):
         result = sharded_physical_attack(

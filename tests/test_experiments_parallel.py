@@ -5,6 +5,8 @@ result is bit-identical to the serial path, for any worker count and
 any block-aligned shard layout.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,10 @@ from repro.experiments.parallel import (
     run_lease,
     sharded_attack,
     sharded_full_key,
+    sharded_physical_attack,
+    sharded_physical_full_key,
 )
+from repro.util.faults import FaultPlan
 
 #: Campaign sizes that span several stream blocks, the last one
 #: partial, so several shards exist and no boundary is a round number.
@@ -423,7 +428,7 @@ class TestCheckpointResume:
         path = str(tmp_path / "resume.npz")
         shards = plan_shards(N4, 4)
         # A persistent exception on the third shard kills the driver
-        # after the first checkpoint group is durable.
+        # after the first two shards merged and became durable.
         plan = FaultPlan(
             [FaultSpec(FAULT_EXCEPTION, site=shards[2].site,
                        attempts=10**6)],
@@ -432,7 +437,7 @@ class TestCheckpointResume:
             sharded_attack(
                 alu_campaign, N4, checkpoints=[1500, 2500, N4],
                 max_workers=4,
-                checkpoint_path=path, checkpoint_every=1,
+                checkpoint_path=path,
                 policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan,
             )
@@ -441,7 +446,7 @@ class TestCheckpointResume:
         resumed = sharded_attack(
             alu_campaign, N4, checkpoints=[1500, 2500, N4],
             max_workers=4,
-            checkpoint_path=path, checkpoint_every=1, resume=True,
+            checkpoint_path=path, resume=True,
         )
         assert np.array_equal(
             resumed.correlations, baseline.correlations
@@ -461,7 +466,7 @@ class TestCheckpointResume:
         path = str(tmp_path / "full.npz")
         result = sharded_attack(
             alu_campaign, N4, max_workers=4,
-            checkpoint_path=path, checkpoint_every=2,
+            checkpoint_path=path,
         )
         assert np.array_equal(result.correlations, baseline.correlations)
         # Resuming a finished campaign recomputes nothing and still
@@ -518,14 +523,14 @@ class TestCheckpointResume:
         with pytest.raises(ShardError):
             sharded_full_key(
                 alu_campaign, N3, max_workers=3,
-                checkpoint_path=path, checkpoint_every=1,
+                checkpoint_path=path,
                 policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan,
             )
         assert 0 < load_checkpoint(path).completed_shards < len(shards)
         resumed = sharded_full_key(
             alu_campaign, N3, max_workers=3,
-            checkpoint_path=path, checkpoint_every=1, resume=True,
+            checkpoint_path=path, resume=True,
         )
         assert (
             resumed.recovered_last_round_key
@@ -533,3 +538,160 @@ class TestCheckpointResume:
         )
         for a, b in zip(baseline.byte_results, resumed.byte_results):
             assert np.array_equal(a.correlations, b.correlations)
+
+    def test_failed_shard_keeps_the_merged_prefix_at_full_width(
+        self, alu_campaign, tmp_path
+    ):
+        # No knob: the four shards run four-wide, every merged shard is
+        # saved, and a shard that fails every attempt leaves the prefix
+        # before it on disk.
+        from repro.experiments.checkpoint import load_checkpoint
+        from repro.util.executors import RetryPolicy, ShardError
+        from repro.util.faults import FAULT_EXCEPTION, FaultSpec
+
+        num_traces = 4 * STREAM_BLOCK
+        shards = plan_shards(num_traces, 4)
+        path = str(tmp_path / "prefix.npz")
+        plan = _Timeline(
+            [FaultSpec(FAULT_EXCEPTION, site=shards[3].site,
+                       attempts=10**6)],
+        )
+        with pytest.raises(ShardError):
+            sharded_attack(
+                alu_campaign, num_traces, max_workers=4,
+                checkpoint_path=path,
+                policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
+                fault_plan=plan,
+            )
+        assert load_checkpoint(path).completed_shards == 3
+        # The shards ran concurrently: shard 3's first attempt began
+        # before shard 0's first attempt ended.
+        assert plan.began[shards[3].site, 0] < plan.ended[shards[0].site, 0]
+        resumed = sharded_attack(
+            alu_campaign, num_traces, max_workers=4,
+            checkpoint_path=path, resume=True,
+        )
+        baseline = sharded_attack(alu_campaign, num_traces, max_workers=4)
+        assert resumed.correlations.tobytes() == (
+            baseline.correlations.tobytes()
+        )
+        assert np.array_equal(resumed.checkpoints, baseline.checkpoints)
+
+
+class _Timeline(FaultPlan):
+    """A fault plan that also stamps when each ``(site, attempt)``
+    began (its pre-task faults fire) and ended (its payload passes)."""
+
+    def __init__(self, specs):
+        super().__init__(specs)
+        self.began = {}
+        self.ended = {}
+
+    def fire(self, site, attempt):
+        self.began[site, attempt] = time.monotonic()
+        super().fire(site, attempt)
+
+    def corrupt_payload(self, site, attempt, result):
+        self.ended[site, attempt] = time.monotonic()
+        return super().corrupt_payload(site, attempt, result)
+
+
+#: Manifest config hashes of the drivers at the fixed configurations of
+#: :class:`TestManifestFingerprint` (checkpoint format 3).  They must
+#: not drift: a checkpoint resumes only under the same hash.
+GOLDEN_MANIFEST_HASHES = {
+    "attack": (
+        "2d9a1e4b1c853bdd1ad54965ee03d1c2"
+        "dabf003e68db88f4856ed1f578c766f4"
+    ),
+    "fullkey": (
+        "0f5e058102dbdd61ff93e115b7b52f94"
+        "5fd25c20422c880eeddea92728285200"
+    ),
+    "physical-fullkey": (
+        "552042f68b7ed0440c34e3b103211f61"
+        "d1eca84481f5026c8eaea4d786371dfc"
+    ),
+}
+
+#: The physical driver's hash while its manifest carried the retired
+#: ``reference`` entry (always False in a campaign that ran).
+RETIRED_PHYSICAL_HASH = (
+    "05fb788016fe8061617ba85ceeec14c5"
+    "b94a1ecf95b935358dfefe1380001aaa"
+)
+
+
+class TestManifestFingerprint:
+    def _manifest(self, run, tmp_path):
+        from repro.experiments.checkpoint import load_checkpoint
+
+        path = str(tmp_path / "fingerprint.npz")
+        run(path)
+        return load_checkpoint(path).manifest
+
+    def _drivers(self, alu_campaign, alu_sensor):
+        from repro.aes import AES128
+        from repro.core.tracegen import PhysicalTraceGenerator
+
+        generator = PhysicalTraceGenerator(AES128(bytes(range(16))))
+        return {
+            "attack": lambda path: sharded_attack(
+                alu_campaign, N3, max_workers=2, checkpoint_path=path
+            ),
+            "fullkey": lambda path: sharded_full_key(
+                alu_campaign, N3, max_workers=2, checkpoint_path=path
+            ),
+            "physical": lambda path, **kw: sharded_physical_attack(
+                generator, alu_sensor, 2000, seed=5, max_workers=1,
+                checkpoint_path=path, **kw,
+            ),
+            "physical-fullkey": lambda path: sharded_physical_full_key(
+                generator, alu_sensor, 2000, seed=5, max_workers=1,
+                checkpoint_path=path,
+            ),
+        }
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_MANIFEST_HASHES))
+    def test_config_hash_unchanged(
+        self, alu_campaign, alu_sensor, tmp_path, kind
+    ):
+        run = self._drivers(alu_campaign, alu_sensor)[kind]
+        manifest = self._manifest(run, tmp_path)
+        assert manifest.kind == kind
+        assert manifest.config_hash == GOLDEN_MANIFEST_HASHES[kind]
+
+    def test_checkpoint_with_reference_entry_refuses_to_resume(
+        self, alu_campaign, alu_sensor, tmp_path
+    ):
+        # The physical manifest lost only its ``reference`` entry: put
+        # it back and the hash is the retired one, and a checkpoint
+        # carrying it refuses to resume with the one-line error.
+        import dataclasses
+
+        from repro.experiments.checkpoint import (
+            CheckpointError,
+            load_checkpoint,
+            save_checkpoint,
+        )
+
+        run = self._drivers(alu_campaign, alu_sensor)["physical"]
+        path = str(tmp_path / "fingerprint.npz")
+        run(path)
+        stored = load_checkpoint(path)
+        assert "reference" not in stored.manifest.params
+        retired = dataclasses.replace(
+            stored.manifest,
+            params=dict(stored.manifest.params, reference=False),
+        )
+        assert retired.config_hash == RETIRED_PHYSICAL_HASH
+        save_checkpoint(
+            path, dataclasses.replace(stored, manifest=retired)
+        )
+        with pytest.raises(
+            CheckpointError,
+            match="parameter 'reference': checkpoint has False, run has "
+            "None — refusing to resume a different campaign",
+        ) as excinfo:
+            run(path, resume=True)
+        assert "\n" not in str(excinfo.value)

@@ -110,9 +110,7 @@ class TestCheckpointIdentity:
         from repro.experiments.checkpoint import CheckpointError
 
         path = str(tmp_path / "campaign.npz")
-        kwargs = dict(
-            seed=5, checkpoint_path=path, checkpoint_every=1,
-        )
+        kwargs = dict(seed=5, checkpoint_path=path)
         first = MisalignmentSpec("gaussian", 1.5, drift=0.02)
         second = MisalignmentSpec("gaussian", 1.5, drift=0.020000049)
         sharded_physical_attack(

@@ -2,7 +2,7 @@
 
 The campaign oracle draws a trace count spanning two to four stream
 blocks (never a multiple of the block, so the last block is partial),
-a worker count, a checkpoint grouping and injected faults on shards.
+a worker count, whether to checkpoint and injected faults on shards.
 It runs the analytic ALU campaign through :func:`sharded_attack`, and
 the physical pipeline with trigger jitter, alignment and resampling
 through :func:`sharded_physical_attack`, under one fault, and asserts
@@ -14,7 +14,9 @@ the serial column collector plus the in-memory
 :func:`recover_last_round_key`.  The drawn worker count moves the shard
 split points over the block grid, and every recovery path of the
 thread pool (retry, deadline, validation, checkpointing) has to
-reproduce the reference exactly.
+reproduce the reference exactly.  A checkpointed run saves after every
+merged shard, so its last save covers the whole shard plan and holds
+the reference's correlation rows.
 """
 
 import os
@@ -30,6 +32,7 @@ from repro.attacks import recover_last_round_key
 from repro.core import BenignSensor
 from repro.core.attack import STREAM_BLOCK
 from repro.core.tracegen import PhysicalTraceGenerator, campaign_plaintexts
+from repro.experiments.checkpoint import load_checkpoint
 from repro.experiments.parallel import (
     plan_shards,
     sharded_attack,
@@ -69,7 +72,7 @@ def runs(draw, faults=1):
         st.integers(min_value=1, max_value=STREAM_BLOCK - 1)
     )
     workers = draw(st.integers(min_value=1, max_value=4))
-    every = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=3)))
+    checkpointed = draw(st.booleans())
     shards = plan_shards(traces, workers)
     specs = []
     for _ in range(faults):
@@ -90,26 +93,43 @@ def runs(draw, faults=1):
     return {
         "traces": traces,
         "workers": workers,
-        "every": every,
+        "checkpointed": checkpointed,
         "plan": FaultPlan(specs, seed=7),
         "policy": policy,
     }
 
 
 def _run(driver, subject, run, checkpoint_dir, **kwargs):
-    """``driver`` under the drawn run's pool, checkpoints and fault."""
+    """``driver`` under the drawn run's pool, checkpoint and fault."""
     return driver(
         *subject,
         run["traces"],
         max_workers=run["workers"],
         policy=run["policy"],
         fault_plan=run["plan"],
-        checkpoint_path=None
-        if run["every"] is None
-        else os.path.join(checkpoint_dir, "campaign.npz"),
-        checkpoint_every=run["every"],
+        checkpoint_path=os.path.join(checkpoint_dir, "campaign.npz")
+        if run["checkpointed"]
+        else None,
         **kwargs,
     )
+
+
+def _assert_stored_prefix(checkpoint_dir, run, rows):
+    """A checkpointed run's last save is a prefix of its shard plan
+    and holds the reference's correlation ``rows`` up to it.
+
+    Every drawn fault recovers within the retry budget, so the prefix
+    is the whole plan.
+    """
+    if not run["checkpointed"]:
+        return
+    stored = load_checkpoint(os.path.join(checkpoint_dir, "campaign.npz"))
+    plan = plan_shards(run["traces"], run["workers"])
+    assert stored.manifest.shard_plan == tuple((s.start, s.end) for s in plan)
+    assert stored.completed_shards == len(plan)
+    end = plan[stored.completed_shards - 1].end
+    covered = sum(1 for p in stored.manifest.checkpoints if p <= end)
+    assert stored.arrays["rows"].tobytes() == rows[:covered].tobytes()
 
 
 def _reference(driver, subject, run, **kwargs):
@@ -159,12 +179,21 @@ def _physical_columns_serially(generator, sensor, num_traces, seed):
     return leakage, ciphertexts
 
 
-def _assert_same_full_key(result, leakage, ciphertexts, key):
-    """``result`` equals the in-memory recovery over serial traces."""
+def _full_key_reference(leakage, ciphertexts, key):
+    """The in-memory recovery over serial traces, and its correlations
+    as full-key checkpoint rows (one entry per key byte)."""
     with kernels.use("numpy"):
         reference = recover_last_round_key(
             leakage, ciphertexts, correct_key=key
         )
+    rows = np.stack(
+        [byte.correlations for byte in reference.byte_results], axis=1
+    )
+    return reference, rows
+
+
+def _assert_same_full_key(result, reference):
+    """``result`` equals the in-memory recovery over serial traces."""
     assert result.recovered_last_round_key == (
         reference.recovered_last_round_key
     )
@@ -191,6 +220,9 @@ class TestCampaignOracle:
         reference = _reference(sharded_attack, subject, run)
         with tempfile.TemporaryDirectory() as checkpoint_dir:
             result = _run(sharded_attack, subject, run, checkpoint_dir)
+            _assert_stored_prefix(
+                checkpoint_dir, run, reference.correlations
+            )
         _assert_same_cpa(result, reference)
 
     @ORACLE
@@ -200,14 +232,16 @@ class TestCampaignOracle:
     ):
         with kernels.use("numpy"):
             data = alu_campaign.collect_column_traces(run["traces"])
+        reference, rows = _full_key_reference(
+            data["leakage"], data["ciphertexts"],
+            alu_campaign.cipher.last_round_key,
+        )
         with tempfile.TemporaryDirectory() as checkpoint_dir:
             result = _run(
                 sharded_full_key, (alu_campaign,), run, checkpoint_dir
             )
-        _assert_same_full_key(
-            result, data["leakage"], data["ciphertexts"],
-            alu_campaign.cipher.last_round_key,
-        )
+            _assert_stored_prefix(checkpoint_dir, run, rows)
+        _assert_same_full_key(result, reference)
 
     @settings(ORACLE, max_examples=3)
     @given(run=runs(faults=2))
@@ -219,14 +253,16 @@ class TestCampaignOracle:
             leakage, ciphertexts = _physical_columns_serially(
                 generator, sensor, run["traces"], kwargs["seed"]
             )
+        reference, rows = _full_key_reference(
+            leakage, ciphertexts, generator.cipher.last_round_key
+        )
         with tempfile.TemporaryDirectory() as checkpoint_dir:
             result = _run(
                 sharded_physical_full_key, (generator, sensor), run,
                 checkpoint_dir, seed=kwargs["seed"],
             )
-        _assert_same_full_key(
-            result, leakage, ciphertexts, generator.cipher.last_round_key
-        )
+            _assert_stored_prefix(checkpoint_dir, run, rows)
+        _assert_same_full_key(result, reference)
 
     @settings(ORACLE, max_examples=3)
     @given(run=runs())
@@ -239,5 +275,8 @@ class TestCampaignOracle:
             result = _run(
                 sharded_physical_attack, subject, run, checkpoint_dir,
                 **kwargs,
+            )
+            _assert_stored_prefix(
+                checkpoint_dir, run, reference.correlations
             )
         _assert_same_cpa(result, reference)

@@ -302,14 +302,14 @@ class TestShardedFullKeyProperty:
         with pytest.raises(ShardError):
             sharded_full_key(
                 alu_campaign, num_traces, max_workers=workers,
-                checkpoint_path=path, checkpoint_every=1,
+                checkpoint_path=path,
                 policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan,
             )
         assert 0 < load_checkpoint(path).completed_shards < len(shards)
         resumed = sharded_full_key(
             alu_campaign, num_traces, max_workers=workers,
-            checkpoint_path=path, checkpoint_every=1, resume=True,
+            checkpoint_path=path, resume=True,
         )
         for expected, result in zip(reference, resumed.byte_results):
             assert np.array_equal(result.correlations, expected)

@@ -44,19 +44,19 @@ class TestMapOrdered:
     def test_preserves_task_order(self):
         tasks = list(range(20))
         expected = [t * t for t in tasks]
-        assert map_ordered(_square, tasks, max_workers=4) == expected
+        assert list(map_ordered(_square, tasks, max_workers=4)) == expected
 
     def test_single_worker_runs_inline(self):
         # With one worker the map runs in-process, in task order.
         captured = []
-        result = map_ordered(
+        result = list(map_ordered(
             lambda x: captured.append(x) or x, [1, 2, 3], max_workers=1,
-        )
+        ))
         assert result == [1, 2, 3]
         assert captured == [1, 2, 3]
 
     def test_single_task_runs_inline(self):
-        assert map_ordered(lambda x: x + 1, [41], max_workers=8) == [42]
+        assert list(map_ordered(lambda x: x + 1, [41], max_workers=8)) == [42]
 
     def test_thread_backend_stays_in_process(self):
         pids = set(map_ordered(_pid_of, range(8), max_workers=2))
@@ -115,10 +115,10 @@ class TestResilientMap:
             [FaultSpec(FAULT_EXCEPTION, site="task[1]", attempts=1)]
         )
         health = CampaignHealth()
-        result = map_ordered(
+        result = list(map_ordered(
             _square, [1, 2, 3], max_workers=1,
             policy=FAST, fault_plan=plan, health=health,
-        )
+        ))
         assert result == [1, 4, 9]
         assert health.retries == 1
         assert not health.healthy
@@ -128,10 +128,10 @@ class TestResilientMap:
             [FaultSpec(FAULT_EXCEPTION, site="task[2]", attempts=2)]
         )
         health = CampaignHealth()
-        result = map_ordered(
+        result = list(map_ordered(
             _square, list(range(6)), max_workers=3,
             policy=FAST, fault_plan=plan, health=health,
-        )
+        ))
         assert result == [x * x for x in range(6)]
         assert health.retries == 2
 
@@ -140,11 +140,11 @@ class TestResilientMap:
             [FaultSpec(FAULT_EXCEPTION, site="task[0]", attempts=10**6)]
         )
         with pytest.raises(ShardError) as excinfo:
-            map_ordered(
+            list(map_ordered(
                 _square, [1, 2], max_workers=1,
                 policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan,
-            )
+            ))
         error = excinfo.value
         assert error.site == "task[0]"
         assert error.attempts == 2
@@ -164,13 +164,13 @@ class TestResilientMap:
             ]
         )
         health = CampaignHealth()
-        result = map_ordered(
+        result = list(map_ordered(
             _square, [1, 2], max_workers=2,
             policy=RetryPolicy(
                 max_attempts=3, timeout=0.2, backoff_base=0.0,
             ),
             fault_plan=plan, health=health,
-        )
+        ))
         assert result == [1, 4]
         assert health.timeouts >= 1
 
@@ -186,11 +186,11 @@ class TestResilientMap:
                 )
 
         health = CampaignHealth()
-        result = map_ordered(
+        result = list(map_ordered(
             list, [(1, 2), (3, 4)], max_workers=1,
             policy=FAST, fault_plan=plan, health=health,
             validate=validate,
-        )
+        ))
         assert result == [[1, 2], [3, 4]]
         assert health.retries == 1
 
@@ -199,23 +199,79 @@ class TestResilientMap:
             [FaultSpec(FAULT_EXCEPTION, site="shard[0:4]", attempts=10**6)]
         )
         with pytest.raises(ShardError, match=r"shard\[0:4\]"):
-            map_ordered(
+            list(map_ordered(
                 _square, [1, 2], max_workers=1,
                 policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan, sites=["shard[0:4]", "shard[4:8]"],
-            )
+            ))
 
     def test_sites_length_mismatch_rejected(self):
+        # Checked when the map is called, before it is iterated.
         with pytest.raises(ValueError, match="sites"):
             map_ordered(
                 _square, [1, 2, 3], max_workers=1,
                 policy=FAST, sites=["only-one"],
             )
 
+    def test_yields_each_result_once_its_prefix_succeeded(self):
+        # Task 1 blocks until the consumer holds result 0, so the map
+        # must hand out result 0 while task 1 is still running.
+        release = threading.Event()
+
+        def task(x):
+            if x == 1:
+                assert release.wait(10)
+            return x
+
+        results = map_ordered(task, [0, 1, 2], max_workers=3, policy=FAST)
+        assert next(results) == 0
+        release.set()
+        assert list(results) == [1, 2]
+
+    def test_closing_the_map_drops_queued_tasks(self):
+        # One thread: task 1 is running when the consumer closes the
+        # map after result 0, so tasks 2-5 never start.
+        started = []
+        release = threading.Event()
+
+        def task(x):
+            started.append(x)
+            if x == 1:
+                assert release.wait(10)
+            return x
+
+        results = map_ordered(task, range(6), max_workers=1, policy=FAST)
+        assert next(results) == 0
+        deadline = time.monotonic() + 10
+        while 1 not in started and time.monotonic() < deadline:
+            time.sleep(0.01)
+        results.close()
+        release.set()
+        time.sleep(0.2)
+        assert started == [0, 1]
+
+    def test_buffers_later_results_across_a_retry_round(self):
+        # Task 0 fails its first attempt; tasks 1 and 2 land in the
+        # same round but wait for the retry of task 0 to come out.
+        plan = FaultPlan(
+            [FaultSpec(FAULT_EXCEPTION, site="task[0]", attempts=1)]
+        )
+        health = CampaignHealth()
+        results = map_ordered(
+            _square, [1, 2, 3], max_workers=3,
+            policy=FAST, fault_plan=plan, health=health,
+        )
+        assert next(results) == 1
+        assert [(a.site, a.status) for a in health.attempts][-1] == (
+            "task[0]", "ok"
+        )
+        assert list(results) == [4, 9]
+        assert health.retries == 1
+
     def test_health_accumulates_across_calls(self):
         health = CampaignHealth()
-        map_ordered(_square, [1, 2], max_workers=1, health=health)
-        map_ordered(_square, [3], max_workers=1, health=health)
+        list(map_ordered(_square, [1, 2], max_workers=1, health=health))
+        list(map_ordered(_square, [3], max_workers=1, health=health))
         assert len(health.attempts) == 3
         assert health.healthy
         assert health.wall_time > 0.0
@@ -226,10 +282,10 @@ class TestResilientMap:
 
     def test_resilient_results_match_legacy(self):
         tasks = list(range(10))
-        legacy = map_ordered(_square, tasks, max_workers=4)
-        resilient = map_ordered(
+        legacy = list(map_ordered(_square, tasks, max_workers=4))
+        resilient = list(map_ordered(
             _square, tasks, max_workers=4, policy=FAST,
-        )
+        ))
         assert legacy == resilient
 
 
@@ -256,11 +312,11 @@ class TestDeadlines:
         calls = []
         health = CampaignHealth()
         started = time.monotonic()
-        result = map_ordered(
+        result = list(map_ordered(
             _counting_sleeper(0.6, calls), range(4), max_workers=2,
             policy=RetryPolicy(timeout=1.0, max_attempts=2),
             health=health,
-        )
+        ))
         wall = time.monotonic() - started
         assert result == [0, 1, 2, 3]
         assert health.timeouts == 0
@@ -279,11 +335,11 @@ class TestDeadlines:
         )
         health = CampaignHealth()
         started = time.monotonic()
-        result = map_ordered(
+        result = list(map_ordered(
             _square, [1, 2], max_workers=2,
             policy=RetryPolicy(timeout=0.2, backoff_base=0.0),
             fault_plan=plan, health=health,
-        )
+        ))
         assert result == [1, 4]
         assert health.timeouts == 2
         assert time.monotonic() - started < 2.0
@@ -299,11 +355,11 @@ class TestDeadlines:
             ]
         )
         health = CampaignHealth()
-        result = map_ordered(
+        result = list(map_ordered(
             _square, range(4), max_workers=2,
             policy=RetryPolicy(timeout=0.2, backoff_base=0.0),
             fault_plan=plan, health=health,
-        )
+        ))
         assert result == [0, 1, 4, 9]
         assert health.timeouts == 2
         attempts = {a.site: a.attempt for a in health.attempts
@@ -326,11 +382,11 @@ class TestDeadlines:
         )
         health = CampaignHealth()
         started = time.monotonic()
-        result = map_ordered(
+        result = list(map_ordered(
             _square, tasks, max_workers=workers,
             policy=RetryPolicy(timeout=0.2, backoff_base=0.0),
             fault_plan=plan, health=health,
-        )
+        ))
         assert result == [x * x for x in tasks]
         assert health.timeouts == 1
         assert time.monotonic() - started < 1.0
@@ -347,13 +403,13 @@ class TestDeadlines:
         health = CampaignHealth()
         started = time.monotonic()
         with pytest.raises(ShardError) as excinfo:
-            map_ordered(
+            list(map_ordered(
                 _square, [1, 2], max_workers=1,
                 policy=RetryPolicy(
                     max_attempts=3, timeout=0.2, backoff_base=0.0,
                 ),
                 fault_plan=plan, health=health,
-            )
+            ))
         assert time.monotonic() - started < 3 * 0.2 + 0.5
         assert excinfo.value.site == "task[0]"
         assert excinfo.value.attempts == 3
@@ -374,7 +430,7 @@ class TestContextPropagation:
 
         def run(name, out):
             var.set(name)
-            out[name] = map_ordered(task, range(6), 3, **kwargs)
+            out[name] = list(map_ordered(task, range(6), 3, **kwargs))
 
         out = {}
         threads = [
@@ -405,10 +461,10 @@ def test_abandoned_task_does_not_hold_process_exit():
             FAULT_HANG, site="task[0]", attempts=1, hang_seconds=5.0,
         )])
         try:
-            map_ordered(
+            list(map_ordered(
                 abs, [1], policy=RetryPolicy(max_attempts=1, timeout=0.2),
                 fault_plan=plan,
-            )
+            ))
         except ShardError:
             print("shard error")
         """

@@ -31,9 +31,9 @@ class TestArrayFanout:
         with ArrayFanout(
             heavy={"offset": 1.0}, arrays={"values": values}
         ) as fanout:
-            results = map_ordered(
+            results = list(map_ordered(
                 partial(_shard_sum, fanout), bounds, max_workers=2
-            )
+            ))
         assert results == [
             float(values[lo:hi].sum()) + 1.0 for lo, hi in bounds
         ]
