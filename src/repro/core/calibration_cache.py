@@ -24,9 +24,12 @@ so a stale entry can never be returned for a different implementation.
 
 Two layers:
 
-* **in-process**: a plain dict, always on; repeated sensor builds in
-  one process (test session, figure sweep) share one calibration
-  object, including its lazily built waveform bank.
+* **in-process**: an LRU of :data:`repro.util.memo.MEMO_ENTRIES`
+  calibrations, always on; repeated sensor builds in one process
+  (test session, figure sweep) share one calibration object,
+  including its lazily built waveform bank, while a long-running
+  service worker that meets a new implementation seed per job keeps
+  only the recent few.
 * **on-disk**: ``.npz`` files under ``$REPRO_CACHE_DIR``, only active
   when that variable is set (so ordinary runs never write outside the
   repo); entries survive across processes.
@@ -42,7 +45,7 @@ import os
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -52,11 +55,13 @@ from repro.core.calibration import (
     calibrate_endpoints,
 )
 from repro.timing.delay_model import DelayAnnotation
+from repro.util.memo import BuildOnce
 
 #: Bump when the on-disk layout or calibration semantics change.
 CACHE_VERSION = 1
 
-_MEMORY: Dict[str, SensorCalibration] = {}
+#: Calibrations kept in process, least recently used first.
+_MEMORY = BuildOnce()
 
 
 @dataclass
@@ -225,26 +230,30 @@ def cached_calibrate_endpoints(
         sample_period_ps,
         context,
     )
-    hit = _MEMORY.get(key)
-    if hit is not None:
-        _STATS.memory_hits += 1
-        return hit
     path = _disk_path(key, context)
-    if path is not None:
-        loaded = _load_from_disk(path, key, annotation)
-        if loaded is not None:
-            _STATS.disk_hits += 1
-            _MEMORY[key] = loaded
-            return loaded
-    _STATS.misses += 1
-    calibration = calibrate_endpoints(
-        annotation,
-        reset_inputs,
-        measure_inputs,
-        endpoint_nets,
-        sample_period_ps,
-    )
-    _MEMORY[key] = calibration
-    if path is not None:
-        _save_to_disk(path, calibration, key)
+    built = False
+
+    def build() -> SensorCalibration:
+        nonlocal built
+        built = True
+        if path is not None:
+            loaded = _load_from_disk(path, key, annotation)
+            if loaded is not None:
+                _STATS.disk_hits += 1
+                return loaded
+        _STATS.misses += 1
+        calibration = calibrate_endpoints(
+            annotation,
+            reset_inputs,
+            measure_inputs,
+            endpoint_nets,
+            sample_period_ps,
+        )
+        if path is not None:
+            _save_to_disk(path, calibration, key)
+        return calibration
+
+    calibration = _MEMORY.get(key, build)
+    if not built:
+        _STATS.memory_hits += 1
     return calibration

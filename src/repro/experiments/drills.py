@@ -584,17 +584,18 @@ def _fleet_scaling(traces: int, repeats: int, seed: int) -> Dict[str, object]:
 
             async def one_run():
                 state = scheduler.submit(spec)
+                handoff = scheduler.result_future(state)
                 async for _event in state.stream():
                     pass
                 if state.status != "done":
                     raise RuntimeError(
                         "fleet drill job failed: %s" % state.error
                     )
-                return state
+                return handoff.result()
 
             # Identity gate first — untimed, and it doubles as the
             # warm-up that pays worker-side input rebuilding.
-            result = from_payload((await one_run()).result)
+            result = from_payload(await one_run())
             if not (
                 np.array_equal(result.checkpoints, baseline.checkpoints)
                 and np.array_equal(

@@ -11,7 +11,10 @@ crash-safe checkpoints use to fence off mismatched resumes).
 Two layers, mirroring the calibration cache
 (:mod:`repro.core.calibration_cache`):
 
-* **in-memory** — decoded payload dicts keyed by hash, always on;
+* **in-memory** — decoded payload dicts keyed by hash, always on, and
+  bounded: an LRU under :data:`MEMORY_BUDGET_BYTES` of encoded payload
+  (recency = hits and stores).  The entry just stored or loaded stays
+  even when it alone exceeds the budget;
 * **on-disk** — one ``<key>.json`` per entry under ``directory``
   (written atomically via :func:`repro.util.fileio.atomic_write`),
   only when a directory is configured, so entries survive server
@@ -24,7 +27,12 @@ total entry bytes with LRU eviction (recency = disk hits and stores,
 tracked in insertion order; a restart reconstructs the order from file
 mtimes).  The entry being written is never evicted by its own ``put``,
 so a single oversized result still lands — the cap bounds *growth* on
-long-running servers, which previously was unbounded.
+long-running servers.  A disk eviction drops the memory copy too.
+
+The cache is the only owner of a finished job's payload: the scheduler
+hands a fresh result to the clients already streaming its job and keeps
+no reference, so a view of a finished job (:meth:`ResultCache.peek`)
+finds ``None`` once the result has been evicted from every layer.
 
 Hits, misses, stores and evictions are counted in :class:`CacheStats`
 and mirrored into the service metrics registry by the scheduler.  A
@@ -48,6 +56,28 @@ __all__ = ["CacheStats", "ResultCache"]
 
 #: Bump when the payload layout changes incompatibly.
 CACHE_FORMAT_VERSION = 1
+
+#: Byte budget of the in-memory layer, counted as encoded payload bytes
+#: (:func:`payload_bytes`).  Mixed service traffic re-reads only its
+#: attack results: the four pool-seed attacks of the service benchmark
+#: are about 0.7 MB together, while each tracegen payload (1.6 MB per
+#: 2k traces) is read once, by its submitter.  32 MiB holds that hot set
+#: many times over and caps what a long-running server keeps of the
+#: results it has served.
+MEMORY_BUDGET_BYTES = 32 * 2 ** 20
+
+
+def payload_bytes(value: object) -> int:
+    """Approximate size of an encoded payload: the summed lengths of
+    its strings (array data is base64 text), 8 bytes per other leaf.
+    A walk over the payload's structure; nothing is re-serialised."""
+    if isinstance(value, str):
+        return len(value)
+    if isinstance(value, dict):
+        return sum(payload_bytes(item) for item in value.values())
+    if isinstance(value, list):
+        return sum(payload_bytes(item) for item in value)
+    return 8
 
 
 @dataclass
@@ -79,7 +109,15 @@ class CacheStats:
 
 
 class ResultCache:
-    """Hash-keyed payload store with optional bounded disk persistence."""
+    """Hash-keyed payload store: a byte-bounded in-memory LRU in front
+    of optional, optionally bounded, disk persistence.
+
+    :meth:`get` is the lookup that counts (hits, misses, recency);
+    :meth:`peek` is the read-only view a status request uses.  The
+    memory layer never holds more than :data:`MEMORY_BUDGET_BYTES`
+    except for the single newest entry, so a memory-only server keeps
+    a bounded window of recent results rather than all of them.
+    """
 
     def __init__(
         self,
@@ -91,7 +129,11 @@ class ResultCache:
         self.directory = Path(directory) if directory else None
         self.max_disk_bytes = max_disk_bytes
         self.stats = CacheStats()
-        self._memory: Dict[str, Dict[str, object]] = {}
+        # key -> (payload, encoded bytes), least recently used first.
+        self._memory: "OrderedDict[str, Tuple[Dict[str, object], int]]" = (
+            OrderedDict()
+        )
+        self._memory_bytes = 0
         # key -> entry bytes, least recently used first.
         self._disk_entries: "OrderedDict[str, int]" = OrderedDict()
         self._disk_bytes = 0
@@ -121,6 +163,11 @@ class ResultCache:
         """Total bytes of tracked on-disk entries."""
         return self._disk_bytes
 
+    @property
+    def memory_bytes(self) -> int:
+        """Encoded bytes of the in-memory entries."""
+        return self._memory_bytes
+
     def _path(self, key: str) -> Optional[Path]:
         if self.directory is None:
             return None
@@ -136,24 +183,35 @@ class ResultCache:
         hit = self._memory.get(key)
         if hit is not None:
             self.stats.memory_hits += 1
+            self._memory.move_to_end(key)
             if key in self._disk_entries:
                 self._disk_entries.move_to_end(key)
-            return hit, "memory"
-        path = self._path(key)
-        if path is not None and path.is_file():
-            loaded = self._load_disk(path, key)
-            if loaded is not None:
-                self.stats.disk_hits += 1
-                self._memory[key] = loaded
-                if key in self._disk_entries:
-                    self._disk_entries.move_to_end(key)
-                return loaded, "disk"
+            return hit[0], "memory"
+        loaded = self._read_disk(key)
+        if loaded is not None:
+            self.stats.disk_hits += 1
+            self._remember(key, loaded)
+            if key in self._disk_entries:
+                self._disk_entries.move_to_end(key)
+            return loaded, "disk"
         self.stats.misses += 1
         return None, "miss"
 
+    def peek(self, key: str) -> Optional[Dict[str, object]]:
+        """The payload under ``key`` from either layer, or None.
+
+        A view, not a lookup: it counts no hit or miss, refreshes no
+        recency and does not copy a disk entry into memory, so status
+        requests neither skew the hit ratio nor evict hot results.
+        """
+        hit = self._memory.get(key)
+        if hit is not None:
+            return hit[0]
+        return self._read_disk(key)
+
     def put(self, key: str, payload: Dict[str, object]) -> None:
         """Store a payload in memory and (when configured) on disk."""
-        self._memory[key] = payload
+        self._remember(key, payload)
         self.stats.stores += 1
         path = self._path(key)
         if path is None:
@@ -170,6 +228,24 @@ class ResultCache:
         atomic_write(str(path), lambda handle: handle.write(body))
         self._track_entry(key, len(body))
         self._evict(exempt=key)
+
+    def _remember(self, key: str, payload: Dict[str, object]) -> None:
+        """Insert ``key`` as the newest memory entry, then evict the
+        least recently used others until the layer fits its budget."""
+        self._forget_memory(key)
+        size = payload_bytes(payload)
+        self._memory[key] = (payload, size)
+        self._memory_bytes += size
+        while (
+            self._memory_bytes > MEMORY_BUDGET_BYTES
+            and len(self._memory) > 1
+        ):
+            self._forget_memory(next(iter(self._memory)))
+
+    def _forget_memory(self, key: str) -> None:
+        entry = self._memory.pop(key, None)
+        if entry is not None:
+            self._memory_bytes -= entry[1]
 
     def _track_entry(self, key: str, size: int) -> None:
         previous = self._disk_entries.pop(key, None)
@@ -209,7 +285,7 @@ class ResultCache:
                     pass
             # The memory layer mirrors the eviction so a bounded server
             # actually sheds the entry instead of hiding it in RAM.
-            self._memory.pop(victim, None)
+            self._forget_memory(victim)
             self.stats.evictions += 1
             self.stats.evicted_bytes += size
 
@@ -220,11 +296,13 @@ class ResultCache:
         benchmark, which must force repeat submissions to recompute).
         """
         self._memory.clear()
+        self._memory_bytes = 0
 
-    def _load_disk(
-        self, path: Path, key: str
-    ) -> Optional[Dict[str, object]]:
+    def _read_disk(self, key: str) -> Optional[Dict[str, object]]:
         """Read one disk entry; corrupt or mismatched files are purged."""
+        path = self._path(key)
+        if path is None or not path.is_file():
+            return None
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)

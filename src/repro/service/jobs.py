@@ -3,8 +3,7 @@
 A *job* is one unit of campaign work — trace generation, a CPA attack,
 a full-key recovery, or the report figures — described by a
 :class:`JobSpec` (kind + validated parameters + priority) and tracked
-through a :class:`JobState` (status, timestamps, streamed events, the
-result payload).
+through a :class:`JobState` (status, timestamps, streamed events).
 
 Two properties make the specs service-grade:
 
@@ -384,12 +383,21 @@ class JobSpec:
 class JobState:
     """Mutable lifecycle record of one submitted job.
 
+    The record holds no result payload: a finished job's payload lives
+    in the result cache under ``spec.cache_key``, and the scheduler
+    hands it to the clients waiting on the job (``waiters``) as the job
+    completes (see
+    :meth:`~repro.service.scheduler.CampaignScheduler.result_future`).
+    So the registry of every job a server has seen grows by a small
+    record per job, not by the size of its result.
+
     Attributes:
         job_id: service-unique id (``"job-000042"``).
         spec: the validated spec.
         status: ``queued -> running -> done | failed | cancelled``.
         events: every streamed progress event, in order.
-        result: decoded result payload once ``done``.
+        waiters: futures of the clients waiting for this job's payload;
+            emptied by :meth:`hand_off` when the job ends.
         error: one-line failure reason once ``failed``.
         cache: how the result was obtained — ``None`` (computed),
             ``"memory"``/``"disk"`` (cache layer), ``"inflight"``
@@ -410,7 +418,9 @@ class JobState:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     events: List[Dict[str, object]] = field(default_factory=list)
-    result: Optional[Dict[str, object]] = None
+    waiters: List["asyncio.Future"] = field(
+        default_factory=list, repr=False
+    )
     error: Optional[str] = None
     cache: Optional[str] = None
     batch_size: int = 1
@@ -423,6 +433,15 @@ class JobState:
     @property
     def terminal(self) -> bool:
         return self.status in STATUS_TERMINAL
+
+    def hand_off(self, payload: Optional[Dict[str, object]]) -> None:
+        """Resolve every waiting client's future with ``payload`` (None
+        when the job failed or was cancelled) and drop them, so no
+        reference to the payload outlives the hand-off."""
+        waiters, self.waiters = self.waiters, []
+        for future in waiters:
+            if not future.done():
+                future.set_result(payload)
 
     def add_event(self, kind: str, **data: object) -> None:
         """Record a progress event and wake every streaming listener."""
@@ -451,8 +470,11 @@ class JobState:
             if cursor >= len(self.events) and not self.terminal:
                 await self._changed.wait()
 
-    def as_dict(self, include_result: bool = False) -> Dict[str, object]:
-        view: Dict[str, object] = {
+    def as_dict(self) -> Dict[str, object]:
+        """The JSON view of the record; a view that carries the result
+        reads it from the cache (see
+        :meth:`~repro.service.scheduler.CampaignScheduler.result`)."""
+        return {
             "job_id": self.job_id,
             "spec": self.spec.as_dict(),
             "status": self.status,
@@ -465,9 +487,6 @@ class JobState:
             "health": self.health,
             "recovered": self.recovered,
         }
-        if include_result:
-            view["result"] = self.result
-        return view
 
 
 class JobQueue:

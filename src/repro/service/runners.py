@@ -37,11 +37,10 @@ dicts (see :func:`repro.service.jobs.normalize_params`), safe to run on
 from __future__ import annotations
 
 import hashlib
-import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +79,7 @@ from repro.util.executors import (
     # importable here for the bench ledger's patch table (bench/spans.py).
     map_ordered,  # noqa: F401
 )
+from repro.util.memo import BuildOnce
 from repro.util.rng import derive_seed
 
 __all__ = [
@@ -101,44 +101,13 @@ __all__ = [
     "warm_cache_keys",
 ]
 
-class _BuildOnce:
-    """A keyed cache that builds each value once, even when several
-    threads ask for the same cold key at the same time: a miss builds
-    under that key's own lock, so other keys still build concurrently.
-    ``max_entries`` bounds the cache (LRU).
-    """
-
-    def __init__(self, max_entries: Optional[int] = None):
-        self.max_entries = max_entries
-        self._values: "OrderedDict[Tuple[object, ...], object]" = (
-            OrderedDict()
-        )
-        self._key_locks: Dict[Tuple[object, ...], threading.Lock] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: Tuple[object, ...], build: Callable[[], object]):
-        with self._lock:
-            key_lock = self._key_locks.setdefault(key, threading.Lock())
-        with key_lock:
-            with self._lock:
-                if key in self._values:
-                    self._values.move_to_end(key)
-                    return self._values[key]
-            value = build()
-            with self._lock:
-                self._values[key] = value
-                while len(self._values) > (self.max_entries or math.inf):
-                    self._values.popitem(last=False)
-        return value
-
-
 #: Experiment setups are expensive (placement + gate-level calibration)
 #: and immutable in normal use; the service reuses one per
 #: configuration, exactly like the CLI process would within one run.
 #: The scheduler executes runners on concurrent ``asyncio.to_thread``
 #: workers, so two simultaneous jobs with a fresh configuration must
 #: not each pay the full calibration.
-_SETUPS = _BuildOnce()
+_SETUPS = BuildOnce()
 
 
 def cached_setup(config: ExperimentConfig) -> ExperimentSetup:
@@ -199,8 +168,8 @@ def _acquisition_specs(
 #: Physical generators and resolved preprocessing plans, shared across
 #: jobs like ``_SETUPS``: the generator caches its batched key schedule,
 #: and a resolved plan costs a reference + pilot generation pass.
-_PHYSICAL_GENERATORS = _BuildOnce()
-_RESOLVED_PLANS = _BuildOnce()
+_PHYSICAL_GENERATORS = BuildOnce()
+_RESOLVED_PLANS = BuildOnce()
 
 
 def _physical_generator(
@@ -403,7 +372,7 @@ def run_report(
 #: state), so reusing it across requests makes repeated service jobs
 #: re-derive nothing per call.  Built once like ``_SETUPS`` because the
 #: scheduler's thread workers race on first use.
-_GENERATORS = _BuildOnce()
+_GENERATORS = BuildOnce()
 
 
 def _generator(key_hex: str) -> PhysicalTraceGenerator:
@@ -526,7 +495,10 @@ def run_tracegen_batch(
 #: bounds memory (a 250k-trace campaign's inputs are a few MB); LRU
 #: keeps the actively leased configs resident, and two leases of a
 #: cold job served at once build its source once.
-_INPUTS = _BuildOnce(max_entries=4)
+_INPUTS = BuildOnce()
+
+#: Warm config hashes a heartbeat reports, and all this process keeps.
+WARM_KEYS_LIMIT = 64
 
 #: Config hashes this process has done work for (insertion-ordered so
 #: heartbeats report the most recent last).  Fed by completed leases
@@ -536,19 +508,21 @@ _WARM_LOCK = threading.Lock()
 
 
 def note_warm_key(key: Optional[str]) -> None:
-    """Record a config hash as warm on this host."""
+    """Record a config hash as warm on this host (the newest
+    :data:`WARM_KEYS_LIMIT` are kept)."""
     if not key:
         return
     with _WARM_LOCK:
         _WARM_KEYS[str(key)] = None
         _WARM_KEYS.move_to_end(str(key))
+        while len(_WARM_KEYS) > WARM_KEYS_LIMIT:
+            _WARM_KEYS.popitem(last=False)
 
 
-def warm_cache_keys(limit: int = 64) -> List[str]:
+def warm_cache_keys() -> List[str]:
     """The most recently warmed config hashes (newest last)."""
     with _WARM_LOCK:
-        keys = list(_WARM_KEYS)
-    return keys[-limit:]
+        return list(_WARM_KEYS)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,11 @@ The heart of the campaign service.  A :class:`CampaignScheduler` owns
   threads (``asyncio.to_thread``) so the event loop stays responsive
   while campaigns crunch,
 * a :class:`~repro.service.cache.ResultCache` consulted at submit time
-  (content-addressed on the job's config hash),
+  (content-addressed on the job's config hash) and the only owner of a
+  finished job's payload: a fresh result is handed to the clients
+  already waiting on the job (:meth:`CampaignScheduler.result_future`)
+  and stored in the byte-bounded cache, and every later view of the job
+  reads it back from there (:meth:`CampaignScheduler.result`),
 * an in-flight index that *dedupes* identical jobs submitted while the
   first is still running — followers attach to the primary and share
   its result the moment it lands,
@@ -314,18 +318,13 @@ class CampaignScheduler:
                 # Terminal jobs come back for introspection/attach;
                 # nothing re-runs.  A "done" job's result payload is
                 # re-served from the content-addressed cache when it
-                # is still present.
+                # is still present (see result()).
                 state.status = str(entry["status"])
                 finished_at = entry.get("finished_at")
                 if isinstance(finished_at, (int, float)):
                     state.finished_at = float(finished_at)
                 if entry.get("error") is not None:
                     state.error = str(entry["error"])
-                if state.status == "done":
-                    payload, layer = self.cache.get(spec.cache_key)
-                    if payload is not None:
-                        state.result = payload
-                        state.cache = layer
                 state.add_event(
                     "recovered", terminal=True, status=state.status
                 )
@@ -369,6 +368,7 @@ class CampaignScheduler:
         key = spec.cache_key
 
         payload, layer = self.cache.get(key)
+        self._sync_cache_metrics()
         if payload is not None:
             self.jobs[state.job_id] = state
             state.cache = layer
@@ -437,6 +437,36 @@ class CampaignScheduler:
     def list_jobs(self) -> List[JobState]:
         return [self.jobs[job_id] for job_id in sorted(self.jobs)]
 
+    def result(self, state: JobState) -> Optional[Dict[str, object]]:
+        """A finished job's result payload, read from the cache.
+
+        None unless the job is ``done`` and its result is still in the
+        cache: a memory-only server that has evicted it reports None,
+        as journal recovery does for a result it cannot find.  A view
+        read, so it counts as no cache hit (:meth:`ResultCache.peek`).
+        """
+        if state.status != "done":
+            return None
+        return self.cache.peek(state.spec.cache_key)
+
+    def result_future(self, state: JobState) -> "asyncio.Future":
+        """A future that resolves to the job's result payload.
+
+        Taken while the job is unfinished, it resolves with the payload
+        itself when the job completes (None when it fails or is
+        cancelled), so a waiting client gets its full result even when
+        the cache has evicted it by the time the client reads it — a
+        coalesced batch can store more than the memory budget.  Taken
+        after the job ended, it resolves at once to :meth:`result`.
+        Take it right after :meth:`submit`, before the next ``await``.
+        """
+        future = asyncio.get_running_loop().create_future()
+        if state.terminal:
+            future.set_result(self.result(state))
+        else:
+            state.waiters.append(future)
+        return future
+
     def cancel(self, job_id: str) -> bool:
         """Cancel a queued job; running/terminal jobs are too late.
 
@@ -460,6 +490,7 @@ class CampaignScheduler:
         state.error = reason
         state.finished_at = time.time()
         self._journal("cancelled", state, reason=reason)
+        state.hand_off(None)
         state.add_event("cancelled", reason=reason)
         self.metrics.inc("jobs_cancelled")
         self._note_done()
@@ -511,10 +542,7 @@ class CampaignScheduler:
                 self._fail(state, exc)
             return
         for state, result in zip(members, results):
-            payload = to_payload("tracegen", result)
-            self.cache.put(state.spec.cache_key, payload)
-            self._complete(state, payload)
-        self._sync_cache_metrics()
+            self._store(state, to_payload("tracegen", result))
 
     def _wants_fleet(self, state: JobState) -> bool:
         """Fleet routing: explicit ``fleet`` param, else auto-detect.
@@ -541,10 +569,7 @@ class CampaignScheduler:
         except Exception as exc:  # noqa: BLE001 — report, don't crash
             self._fail(state, exc)
             return
-        payload = to_payload(kind, result)
-        self.cache.put(state.spec.cache_key, payload)
-        self._sync_cache_metrics()
-        self._complete(state, payload)
+        self._store(state, to_payload(kind, result))
 
     async def _run_job(self, state: JobState) -> None:
         if state.status != "queued":
@@ -600,10 +625,7 @@ class CampaignScheduler:
                 os.unlink(checkpoint)
             except OSError:
                 pass
-        payload = to_payload(kind, result)
-        self.cache.put(state.spec.cache_key, payload)
-        self._sync_cache_metrics()
-        self._complete(state, payload)
+        self._store(state, to_payload(kind, result))
 
     def _checkpoint_path(self, state: JobState) -> Optional[str]:
         if self.config.spool_dir is None:
@@ -629,10 +651,18 @@ class CampaignScheduler:
         self._journal("started", state)
         state.add_event("started", **extra)
 
+    def _store(self, state: JobState, payload: Dict[str, object]) -> None:
+        """Cache a freshly computed payload and complete its job."""
+        self.cache.put(state.spec.cache_key, payload)
+        self._sync_cache_metrics()
+        self._complete(state, payload)
+
     def _complete(
         self, state: JobState, payload: Dict[str, object]
     ) -> None:
-        state.result = payload
+        """Finish a job whose payload is in the cache: hand the payload
+        to the job's (and its followers') waiting clients; the state
+        itself keeps no reference."""
         state.status = "done"
         state.finished_at = time.time()
         if state.started_at is not None:
@@ -644,6 +674,7 @@ class CampaignScheduler:
         )
         self.metrics.inc("jobs_completed")
         self._journal("done", state, cache_key=state.spec.cache_key)
+        state.hand_off(payload)
         state.add_event(
             "done", cache=state.cache, batch_size=state.batch_size
         )
@@ -657,6 +688,7 @@ class CampaignScheduler:
         state.finished_at = time.time()
         self.metrics.inc("jobs_failed")
         self._journal("failed", state, error=state.error)
+        state.hand_off(None)
         state.add_event("failed", error=state.error)
         for follower in self._followers.pop(state.job_id, []):
             if not follower.terminal:
@@ -676,7 +708,6 @@ class CampaignScheduler:
         for follower in self._followers.pop(state.job_id, []):
             if follower.terminal:
                 continue
-            follower.result = payload
             follower.batch_size = state.batch_size
             follower.status = "done"
             follower.finished_at = time.time()
@@ -687,6 +718,7 @@ class CampaignScheduler:
             self.metrics.observe(
                 "total_s", follower.finished_at - follower.submitted_at
             )
+            follower.hand_off(payload)
             follower.add_event(
                 "done", cache="inflight", batch_size=state.batch_size
             )
@@ -705,6 +737,8 @@ class CampaignScheduler:
             "cache_evicted_bytes", stats.evicted_bytes
         )
         self.metrics.set_gauge("cache_disk_bytes", self.cache.disk_bytes)
+        self.metrics.set_gauge("cache_memory_bytes", self.cache.memory_bytes)
+        self.metrics.set_gauge("cache_memory_entries", len(self.cache))
 
     def _busy(self) -> None:
         self._idle.clear()

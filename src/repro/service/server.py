@@ -19,7 +19,9 @@ Operations:
     a bad request).
 ``job`` / ``jobs``
     inspect one job (optionally ``wait`` for it to finish) or list all
-    (with the fleet snapshot and journal/recovery counters).
+    (with the fleet snapshot and journal/recovery counters).  A
+    finished job's ``result`` is read from the result cache; once the
+    cache has evicted it from every layer it reads ``null``.
 ``attach``
     re-subscribe to a job's event stream by id: replays every event
     from the beginning, then streams live ones until the job ends and
@@ -60,7 +62,7 @@ import signal
 import sys
 from typing import Dict, Optional, Tuple
 
-from repro.service.jobs import JobSpec, QueueFullError
+from repro.service.jobs import JobSpec, JobState, QueueFullError
 from repro.service.scheduler import (
     CampaignScheduler,
     SchedulerClosedError,
@@ -267,7 +269,6 @@ class CampaignServer:
         except (ReproError, SchedulerClosedError) as exc:
             await self._send(writer, {"ok": False, "error": str(exc)})
             return
-        include_result = bool(request.get("include_result", True))
         if not request.get("stream", True):
             await self._send(
                 writer,
@@ -278,16 +279,38 @@ class CampaignServer:
                 },
             )
             return
+        # No await since submit(): a result the cache could evict
+        # before the terminal line still reaches this client.
+        handoff = (
+            self.scheduler.result_future(state)
+            if request.get("include_result", True)
+            else None
+        )
+        await self._stream(writer, state, handoff)
+
+    async def _stream(
+        self,
+        writer: asyncio.StreamWriter,
+        state: JobState,
+        handoff: Optional["asyncio.Future"],
+    ) -> None:
+        """Stream every event of a job, then its terminal line (with
+        the payload ``handoff`` resolved to, when there is one)."""
         async for event in state.stream():
             await self._send(writer, {"ok": True, "event": event})
         await self._send(
             writer,
-            {
-                "ok": True,
-                "done": True,
-                "job": state.as_dict(include_result=include_result),
-            },
+            {"ok": True, "done": True, "job": self._view(state, handoff)},
         )
+
+    @staticmethod
+    def _view(
+        state: JobState, handoff: Optional["asyncio.Future"]
+    ) -> Dict[str, object]:
+        view = state.as_dict()
+        if handoff is not None:
+            view["result"] = handoff.result() if handoff.done() else None
+        return view
 
     async def _op_job(
         self,
@@ -302,20 +325,21 @@ class CampaignServer:
                 {"ok": False, "error": "unknown job %r" % job_id},
             )
             return
+        include_result = request.get("include_result", False)
         if request.get("wait"):
+            handoff = (
+                self.scheduler.result_future(state)
+                if include_result
+                else None
+            )
             async for _event in state.stream():
                 pass
-        await self._send(
-            writer,
-            {
-                "ok": True,
-                "job": state.as_dict(
-                    include_result=bool(
-                        request.get("include_result", False)
-                    )
-                ),
-            },
-        )
+            view = self._view(state, handoff)
+        else:
+            view = state.as_dict()
+            if include_result:
+                view["result"] = self.scheduler.result(state)
+        await self._send(writer, {"ok": True, "job": view})
 
     async def _op_attach(
         self,
@@ -335,20 +359,15 @@ class CampaignServer:
                 },
             )
             return
-        include_result = bool(request.get("include_result", True))
+        handoff = (
+            self.scheduler.result_future(state)
+            if request.get("include_result", True)
+            else None
+        )
         # Same streaming shape as submit: the event log replays from
         # the beginning (JobState.stream always starts at event 0), so
         # a re-attaching client sees the full history, then lives.
-        async for event in state.stream():
-            await self._send(writer, {"ok": True, "event": event})
-        await self._send(
-            writer,
-            {
-                "ok": True,
-                "done": True,
-                "job": state.as_dict(include_result=include_result),
-            },
-        )
+        await self._stream(writer, state, handoff)
 
     async def _op_jobs(self, writer: asyncio.StreamWriter) -> None:
         await self._send(

@@ -139,6 +139,36 @@ class TestLeakageModel:
         v = model.voltages(cts, cipher.last_round_key, seed=11)
         assert np.corrcoef(activity, v)[0, 1] < -0.9
 
+    @pytest.mark.parametrize(
+        "value_weight,transition_weight",
+        [(1.0, 0.5), (1.0, 0.0), (0.0, 1.0), (0.7, 0.3)],
+    )
+    def test_column_voltages_match_per_column_activity(
+        self, cipher, value_weight, transition_weight
+    ):
+        # column_voltages recovers s9 once for all four columns; each
+        # column must equal the per-column activity bit for bit, with
+        # the noise drawn column after column from one stream.
+        from repro.util.rng import make_rng
+
+        model = LeakageModel(
+            value_weight=value_weight, transition_weight=transition_weight
+        )
+        cts = random_ciphertexts(3000, seed=12)
+        got = model.column_voltages(cts, cipher.last_round_key, seed=13)
+        rng = make_rng(13, "leakage-noise-columns")
+        for column in range(4):
+            activity = last_round_activity(
+                cts,
+                cipher.last_round_key,
+                value_weight=value_weight,
+                transition_weight=transition_weight,
+                column=column,
+            )
+            noise = rng.normal(0.0, model.noise_sigma_v, size=cts.shape[0])
+            want = model.v_idle - model.droop_per_bit_v * activity + noise
+            assert got[:, column].tobytes() == want.tobytes()
+
 
 class TestRandomCiphertexts:
     def test_shape_and_dtype(self):

@@ -5,6 +5,7 @@ result is bit-identical to the serial path, for any worker count and
 any block-aligned shard layout.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -555,6 +556,7 @@ class TestCheckpointResume:
         plan = _Timeline(
             [FaultSpec(FAULT_EXCEPTION, site=shards[3].site,
                        attempts=10**6)],
+            barrier=len(shards),
         )
         with pytest.raises(ShardError):
             sharded_attack(
@@ -565,8 +567,12 @@ class TestCheckpointResume:
             )
         assert load_checkpoint(path).completed_shards == 3
         # The shards ran concurrently: shard 3's first attempt began
-        # before shard 0's first attempt ended.
+        # before shard 0's first attempt ended, and all four first
+        # attempts were running at one instant.
         assert plan.began[shards[3].site, 0] < plan.ended[shards[0].site, 0]
+        assert max(
+            plan.began[shard.site, 0] for shard in shards
+        ) < min(plan.ended[shard.site, 0] for shard in shards[:3])
         resumed = sharded_attack(
             alu_campaign, num_traces, max_workers=4,
             checkpoint_path=path, resume=True,
@@ -580,18 +586,36 @@ class TestCheckpointResume:
 
 class _Timeline(FaultPlan):
     """A fault plan that also stamps when each ``(site, attempt)``
-    began (its pre-task faults fire) and ended (its payload passes)."""
+    began (its pre-task faults fire) and ended (its payload passes).
 
-    def __init__(self, specs):
+    With ``barrier=n``, no first attempt ends until the first
+    attempts of ``n`` sites have begun, each waiting at most
+    :data:`HOLD_S`: a short task cannot finish before a pool ``n``
+    wide has started the others, while in a narrower pool the ``n``
+    never run at one instant.
+    """
+
+    HOLD_S = 5.0
+
+    def __init__(self, specs, barrier=0):
         super().__init__(specs)
         self.began = {}
         self.ended = {}
+        self.barrier = barrier
+        self._first_began = set()
+        self._all_began = threading.Event()
 
     def fire(self, site, attempt):
         self.began[site, attempt] = time.monotonic()
+        if attempt == 0:
+            self._first_began.add(site)
+            if len(self._first_began) == self.barrier:
+                self._all_began.set()
         super().fire(site, attempt)
 
     def corrupt_payload(self, site, attempt, result):
+        if self.barrier and attempt == 0:
+            self._all_began.wait(self.HOLD_S)
         self.ended[site, attempt] = time.monotonic()
         return super().corrupt_payload(site, attempt, result)
 

@@ -261,7 +261,7 @@ class TestServiceShardPath:
             try:
                 state = await _run_job(scheduler, spec)
                 assert state.status == "done", state.error
-                return from_payload(state.result)
+                return from_payload(scheduler.result(state))
             finally:
                 await _teardown(workers, tasks, server)
 

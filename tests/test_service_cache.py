@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.service.cache import ResultCache
+from repro.service import cache as cache_module
+from repro.service.cache import ResultCache, payload_bytes
+from repro.service.codec import to_payload
 
 
 def _payload(n: int) -> dict:
@@ -155,3 +158,105 @@ class TestDiskCap:
         cache.clear_memory()
         payload, layer = cache.get("k1")
         assert payload == _payload(1) and layer == "disk"
+
+
+def _blob(n: int) -> dict:
+    """A payload of exactly ``8 + n`` encoded bytes."""
+    return {"type": "tracegen", "blob": "x" * n}
+
+
+class TestMemoryBudget:
+    """The memory layer is an LRU bounded by encoded payload bytes."""
+
+    @pytest.fixture(autouse=True)
+    def _budget(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_BUDGET_BYTES", 300)
+
+    def test_entry_size_is_its_encoded_bytes(self):
+        payload = to_payload(
+            "tracegen",
+            {
+                "voltages": np.zeros((3, 5)),
+                "ciphertexts": np.zeros((3, 16), dtype=np.uint8),
+            },
+        )
+        encoded = sum(
+            len(value["__ndarray__"])
+            for value in payload.values()
+            if isinstance(value, dict)
+        )
+        assert encoded <= payload_bytes(payload) < encoded + 100
+        cache = ResultCache()
+        cache.put("k", payload)
+        assert cache.memory_bytes == payload_bytes(payload)
+        assert payload_bytes(_blob(100)) == 108
+
+    def test_least_recently_used_goes_first(self):
+        cache = ResultCache()
+        for key in ("a", "b", "c"):
+            cache.put(key, _blob(100))
+        assert len(cache) == 2 and cache.memory_bytes == 216
+        assert cache.get("a") == (None, "miss")
+        assert cache.get("b")[1] == "memory"
+        assert cache.get("c")[1] == "memory"
+
+    def test_get_refreshes_recency(self):
+        cache = ResultCache()
+        cache.put("a", _blob(100))
+        cache.put("b", _blob(100))
+        cache.get("a")
+        cache.put("c", _blob(100))
+        assert cache.peek("a") is not None
+        assert cache.peek("b") is None
+
+    def test_oversize_newest_entry_survives_alone(self):
+        cache = ResultCache()
+        cache.put("a", _blob(100))
+        cache.put("big", _blob(1000))
+        assert len(cache) == 1 and cache.memory_bytes == 1008
+        assert cache.get("big")[1] == "memory"
+        cache.put("small", _blob(100))
+        assert cache.peek("big") is None
+        assert len(cache) == 1 and cache.memory_bytes == 108
+
+    def test_oversize_disk_load_survives_alone(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        cache.put("big", _blob(1000))
+        cache.put("a", _blob(100))
+        assert cache.get("big")[1] == "disk"
+        assert len(cache) == 1 and cache.memory_bytes == 1008
+
+    def test_disk_eviction_drops_the_memory_copy(self, tmp_path):
+        probe = ResultCache(str(tmp_path / "probe"))
+        probe.put("p", _blob(10))
+        cache = ResultCache(
+            str(tmp_path / "c"), max_disk_bytes=probe.disk_bytes
+        )
+        cache.put("a", _blob(10))
+        cache.put("b", _blob(10))
+        assert len(cache) == 1 and cache.memory_bytes == 18
+        assert cache.peek("a") is None
+
+    def test_clear_memory_resets_the_byte_count(self):
+        cache = ResultCache()
+        cache.put("a", _blob(100))
+        cache.clear_memory()
+        assert len(cache) == 0 and cache.memory_bytes == 0
+        cache.put("b", _blob(100))
+        assert cache.memory_bytes == 108
+
+    def test_peek_counts_nothing_and_promotes_nothing(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        cache.put("a", _blob(100))
+        cache.put("b", _blob(100))
+        cache.clear_memory()
+        cache.put("c", _blob(100))
+        assert cache.peek("a") == _blob(100)  # from disk, not promoted
+        assert cache.peek("c") == _blob(100)
+        assert cache.peek("missing") is None
+        assert len(cache) == 1
+        assert cache.stats.hits == 0 and cache.stats.misses == 0
+        cache.put("d", _blob(100))
+        cache.peek("c")  # no recency refresh: c is still the oldest
+        cache.put("e", _blob(100))
+        assert cache.get("c")[1] == "disk"

@@ -175,7 +175,7 @@ class TestRouteIdentity:
                     if event["event"] == "fleet_dispatch"
                 ]
                 assert dispatch["shards"] == 2 * slots
-                return from_payload(state.result)
+                return from_payload(scheduler.result(state))
             finally:
                 await _teardown(workers, tasks, server)
 
@@ -221,7 +221,7 @@ class TestOneLeaseOneThread:
                 assert errors.value == 4  # two slots -> four shards
                 from repro.service.codec import from_payload
 
-                return from_payload(state.result)
+                return from_payload(scheduler.result(state))
             finally:
                 await _teardown(workers, tasks, server)
 
@@ -236,9 +236,9 @@ class TestOneLeaseOneThread:
         import time
         from collections import Counter
 
-        from repro.service.runners import _BuildOnce
+        from repro.util.memo import BuildOnce
 
-        cache = _BuildOnce(max_entries=4)
+        cache = BuildOnce()
         calls = Counter()
         counted = threading.Lock()
 
@@ -273,6 +273,62 @@ class TestOneLeaseOneThread:
         assert calls == {("job", 0): 1, ("job", 1): 1}
         for index in range(8):
             assert results[index] is results[index % 2]
+
+
+class TestBoundedMemos:
+    """Per-configuration memos on the lease path stay bounded."""
+
+    def test_fresh_seed_leases_keep_at_most_four_setups(self):
+        from repro.core import calibration_cache
+        from repro.service import runners
+        from repro.service.jobs import normalize_params
+        from repro.util.memo import MEMO_ENTRIES
+
+        for seed in range(7001, 7007):
+            params = normalize_params(
+                "attack", {"traces": 2 * STREAM_BLOCK, "seed": seed}
+            )
+            plan = plan_fleet_job("attack", params, 1)
+            start, end = plan.shards[0]
+            run_attack_shard(params, start, end, plan.segment_ends[0])
+        assert len(runners._SETUPS) <= MEMO_ENTRIES == 4
+        assert len(runners._SETUPS._key_locks) <= 4
+        assert len(runners._INPUTS) <= 4
+        assert len(calibration_cache._MEMORY) <= 4
+
+    def test_build_once_drops_the_locks_of_evicted_and_failed_keys(self):
+        from repro.util.memo import MEMO_ENTRIES, BuildOnce
+
+        cache = BuildOnce()
+        keys = [(key,) for key in range(MEMO_ENTRIES + 3)]
+        for key in keys:
+            assert cache.get(key, lambda: key) == key
+        assert list(cache._values) == keys[3:]
+        assert sorted(cache._key_locks) == keys[3:]
+
+        def fail():
+            raise RuntimeError("build failed")
+
+        with pytest.raises(RuntimeError):
+            cache.get(("bad",), fail)
+        assert sorted(cache._key_locks) == keys[3:]
+        cache.get(keys[3], fail)  # a hit refreshes, never rebuilds
+        assert list(cache._values) == keys[4:] + keys[3:4]
+        cache.clear()
+        assert len(cache) == 0 and not cache._key_locks
+
+    def test_warm_keys_keep_the_newest_sixty_four(self, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.service import runners
+
+        monkeypatch.setattr(runners, "_WARM_KEYS", OrderedDict())
+        for index in range(100):
+            runners.note_warm_key("key-%03d" % index)
+        assert runners.warm_cache_keys() == [
+            "key-%03d" % index for index in range(36, 100)
+        ]
+        assert len(runners._WARM_KEYS) == runners.WARM_KEYS_LIMIT == 64
 
 
 class TestLeaseValidation:
@@ -355,7 +411,7 @@ class TestLeaseValidation:
                 assert metrics.counter("fleet_invalid_results").value == 1
                 from repro.service.codec import from_payload
 
-                return from_payload(state.result)
+                return from_payload(scheduler.result(state))
             finally:
                 await _teardown(workers, tasks, server)
 
@@ -409,7 +465,7 @@ class TestFleetEndToEnd:
                 assert state.status == "done", state.error
                 from repro.service.codec import from_payload
 
-                return from_payload(state.result)
+                return from_payload(scheduler.result(state))
             finally:
                 await _teardown(workers, tasks, server)
 
@@ -432,7 +488,7 @@ class TestFleetEndToEnd:
                 assert state.status == "done", state.error
                 from repro.service.codec import from_payload
 
-                return from_payload(state.result)
+                return from_payload(scheduler.result(state))
             finally:
                 await _teardown(workers, tasks, server)
 
@@ -472,7 +528,7 @@ class TestFleetEndToEnd:
                 )
                 from repro.service.codec import from_payload
 
-                return from_payload(state.result)
+                return from_payload(scheduler.result(state))
             finally:
                 await _teardown(workers, tasks, server)
 
@@ -505,7 +561,7 @@ class TestFleetEndToEnd:
                 )
                 from repro.service.codec import from_payload
 
-                return from_payload(state.result)
+                return from_payload(scheduler.result(state))
             finally:
                 await _teardown(workers, tasks, server)
 
@@ -567,7 +623,7 @@ class TestFleetEndToEnd:
                 assert scheduler.fleet.num_workers == 1
                 from repro.service.codec import from_payload
 
-                return from_payload(state.result)
+                return from_payload(scheduler.result(state))
             finally:
                 await _teardown(workers, tasks, server)
 
@@ -623,7 +679,7 @@ class TestFleetEndToEnd:
                     await asyncio.sleep(0.05)
                 from repro.service.codec import from_payload
 
-                return from_payload(state.result)
+                return from_payload(scheduler.result(state))
             finally:
                 await _teardown(workers, tasks, server)
 
@@ -671,7 +727,7 @@ class TestFleetEndToEnd:
                 assert scheduler.fleet.num_workers == 1
                 from repro.service.codec import from_payload
 
-                return from_payload(state.result)
+                return from_payload(scheduler.result(state))
             finally:
                 writer.close()
                 await _teardown(workers, tasks, server)
@@ -711,7 +767,7 @@ class TestFleetEndToEnd:
                 )
                 from repro.service.codec import from_payload
 
-                return from_payload(state.result)
+                return from_payload(scheduler.result(state))
             finally:
                 await _teardown(workers, tasks, server)
 

@@ -314,12 +314,20 @@ class TestJobState:
         assert asyncio.run(run()) == ["queued", "started", "done"]
 
     def test_as_dict_hides_result_by_default(self):
-        state = JobState("job-000002", JobSpec.create("tracegen"))
-        state.result = {"type": "tracegen"}
+        # The record owns no payload: its view has no result, and a
+        # handed-off payload reaches only the futures waiting for it.
+        async def run():
+            state = JobState("job-000002", JobSpec.create("tracegen"))
+            future = asyncio.get_running_loop().create_future()
+            state.waiters.append(future)
+            state.hand_off({"type": "tracegen"})
+            return state, future.result()
+
+        state, handed = asyncio.run(run())
         assert "result" not in state.as_dict()
-        assert state.as_dict(include_result=True)["result"] == {
-            "type": "tracegen"
-        }
+        assert handed == {"type": "tracegen"}
+        assert state.waiters == []
+        assert not hasattr(state, "result")
 
 
 class TestKernelsParameter:

@@ -86,11 +86,15 @@ class TestJournalRecovery:
                 )
                 assert fresh.job_id == "job-000008"
                 snapshot = scheduler.recovery_snapshot()
-                return recovered, events, snapshot
+                payloads = {
+                    job_id: scheduler.result(state)
+                    for job_id, state in recovered.items()
+                }
+                return payloads, events, snapshot
             finally:
                 await scheduler.stop()
 
-        recovered, events, snapshot = asyncio.run(run())
+        payloads, events, snapshot = asyncio.run(run())
         assert snapshot["journal_enabled"] is True
         assert snapshot["jobs_recovered"] == 2
         assert snapshot["journal_replays"] == 1
@@ -99,7 +103,7 @@ class TestJournalRecovery:
             kinds = [event["event"] for event in state_events]
             assert kinds[0] == "recovered"
 
-        attack = from_payload(recovered["job-000004"].result)
+        attack = from_payload(payloads["job-000004"])
         baseline = run_attack(
             JobSpec.create("attack", ATTACK_PARAMS).params
         )
@@ -107,7 +111,7 @@ class TestJournalRecovery:
         assert np.array_equal(
             attack.correlations, baseline.correlations
         )
-        traces = from_payload(recovered["job-000007"].result)
+        traces = from_payload(payloads["job-000007"])
         direct = run_tracegen(
             JobSpec.create("tracegen", TRACEGEN_PARAMS).params
         )

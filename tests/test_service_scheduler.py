@@ -11,8 +11,9 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.service.cache import ResultCache
-from repro.service.codec import from_payload
+from repro.service import cache as cache_module
+from repro.service.cache import ResultCache, payload_bytes
+from repro.service.codec import from_payload, to_payload
 from repro.service.jobs import JobSpec, QueueFullError
 from repro.service.runners import run_attack, run_tracegen
 from repro.service.scheduler import (
@@ -54,15 +55,15 @@ class TestCoalescingBitIdentity:
             for state in states:
                 await _finished(state)
             await scheduler.stop()
-            return specs, states
+            return scheduler, specs, states
 
-        specs, states = asyncio.run(run())
+        scheduler, specs, states = asyncio.run(run())
         sizes = {state.batch_size for state in states}
         assert sizes == {len(specs)}, "window should coalesce all four"
         for spec, state in zip(specs, states):
             assert state.status == "done", state.error
             direct = run_tracegen(dict(spec.params))
-            served = from_payload(state.result)
+            served = from_payload(scheduler.result(state))
             assert np.array_equal(
                 served["ciphertexts"], direct["ciphertexts"]
             )
@@ -136,13 +137,15 @@ class TestCacheIntegration:
             first = await _finished(scheduler.submit(spec))
             second = scheduler.submit(spec)
             await scheduler.stop()
-            return first, second
+            return scheduler, first, second
 
-        first, second = asyncio.run(run())
+        scheduler, first, second = asyncio.run(run())
         assert first.cache is None
         assert second.status == "done"
         assert second.cache == "memory"
-        assert second.result == first.result, "bit-identical payloads"
+        assert scheduler.result(second) == scheduler.result(first), (
+            "bit-identical payloads"
+        )
 
     def test_disk_cache_survives_scheduler_restart(self, tmp_path):
         async def run():
@@ -156,12 +159,12 @@ class TestCacheIntegration:
             await second_sched.start()
             second = second_sched.submit(spec)
             await second_sched.stop()
-            return first, second
+            return first_sched, first, second_sched, second
 
-        first, second = asyncio.run(run())
+        first_sched, first, second_sched, second = asyncio.run(run())
         assert second.cache == "disk"
-        a = from_payload(first.result)
-        b = from_payload(second.result)
+        a = from_payload(first_sched.result(first))
+        b = from_payload(second_sched.result(second))
         assert np.array_equal(a["voltages"], b["voltages"])
 
     def test_inflight_duplicate_attaches_to_primary(self):
@@ -178,10 +181,79 @@ class TestCacheIntegration:
 
         scheduler, primary, follower = asyncio.run(run())
         assert follower.cache == "inflight"
-        assert follower.result == primary.result
+        assert scheduler.result(follower) == scheduler.result(primary)
         assert scheduler.metrics.counter("jobs_deduped").value == 1
         # The deterministic pass ran once, not twice.
         assert scheduler.metrics.counter("batches").value == 1
+
+
+class TestBoundedResults:
+    """A finished job owns no payload; the byte-bounded cache does."""
+
+    SPECS = [
+        JobSpec.create("tracegen", {"traces": 20 + i, "seed": 40 + i})
+        for i in range(4)
+    ]
+
+    @pytest.fixture(autouse=True)
+    def _budget(self, monkeypatch):
+        # Two of the four payloads fit; the batch stores all four.
+        first = run_tracegen(dict(self.SPECS[0].params))
+        smallest = payload_bytes(to_payload("tracegen", first))
+        self.budget = 2 * smallest + smallest // 2
+        monkeypatch.setattr(
+            cache_module, "MEMORY_BUDGET_BYTES", self.budget
+        )
+
+    def _run_batch(self, **config):
+        async def run():
+            scheduler = _scheduler(batch_window_s=0.2, **config)
+            await scheduler.start()
+            states = [scheduler.submit(spec) for spec in self.SPECS]
+            handoffs = [scheduler.result_future(state) for state in states]
+            payloads = await asyncio.gather(*handoffs)
+            await scheduler.stop()
+            return scheduler, states, payloads
+
+        return asyncio.run(run())
+
+    def test_every_submitter_of_an_oversize_batch_gets_its_result(self):
+        scheduler, states, payloads = self._run_batch()
+        assert {state.batch_size for state in states} == {len(self.SPECS)}
+        assert sum(map(payload_bytes, payloads)) > self.budget
+        for spec, payload in zip(self.SPECS, payloads):
+            direct = run_tracegen(dict(spec.params))
+            served = from_payload(payload)
+            assert served["voltages"].tobytes() == (
+                direct["voltages"].tobytes()
+            )
+            assert np.array_equal(
+                served["ciphertexts"], direct["ciphertexts"]
+            )
+        gauges = scheduler.metrics.snapshot()["gauges"]
+        assert gauges["cache_memory_bytes"]["value"] <= self.budget
+        assert gauges["cache_memory_bytes"]["high_water"] <= self.budget
+        assert gauges["cache_memory_entries"]["value"] == 2
+        for state in states:
+            assert not hasattr(state, "result")
+            assert state.waiters == []
+
+    def test_views_read_the_cache(self):
+        scheduler, states, payloads = self._run_batch()
+        hits = scheduler.cache.stats.hits
+        # Evicted from a memory-only server: the view reports null.
+        assert scheduler.result(states[0]) is None
+        # The newest job's result is still resident.
+        assert scheduler.result(states[-1]) == payloads[-1]
+        assert scheduler.cache.stats.hits == hits, "views are no hits"
+
+    def test_views_fall_back_to_the_disk_copy(self, tmp_path):
+        scheduler, states, payloads = self._run_batch(
+            cache_dir=str(tmp_path)
+        )
+        assert scheduler.cache.peek(states[0].spec.cache_key) is not None
+        for state, payload in zip(states, payloads):
+            assert scheduler.result(state) == payload
 
 
 class TestBackpressure:
@@ -349,12 +421,12 @@ class TestCampaignJobs:
             )
             state = await _finished(scheduler.submit(spec))
             await scheduler.stop()
-            return spec, state
+            return scheduler, spec, state
 
-        spec, state = asyncio.run(run())
+        scheduler, spec, state = asyncio.run(run())
         assert state.status == "done", state.error
         direct = run_attack(dict(spec.params))
-        served = from_payload(state.result)
+        served = from_payload(scheduler.result(state))
         assert np.array_equal(served.correlations, direct.correlations)
         assert np.array_equal(served.checkpoints, direct.checkpoints)
         assert served.correct_key == direct.correct_key

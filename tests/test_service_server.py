@@ -136,6 +136,80 @@ class TestSubmitStreaming:
         assert metrics["cache"]["memory_hits"] == 1
 
 
+class TestEvictedResultsOverTheWire:
+    def test_streaming_clients_get_results_the_cache_evicted(
+        self, monkeypatch
+    ):
+        from repro.service import cache as cache_module
+
+        # A budget below one payload: every store evicts the one
+        # before it, yet each streaming submitter gets its own result.
+        monkeypatch.setattr(cache_module, "MEMORY_BUDGET_BYTES", 1)
+        params = [{"traces": 20 + i, "seed": 60 + i} for i in range(3)]
+
+        async def run():
+            server = _serve(
+                SchedulerConfig(max_concurrency=2, batch_window_s=0.2)
+            )
+            host, port = await server.start()
+
+            async def one(job_params):
+                async with ServiceClient(host, port) as client:
+                    return await client.submit("tracegen", job_params)
+
+            jobs = await asyncio.gather(*(one(p) for p in params))
+            async with ServiceClient(host, port) as client:
+                views = [
+                    await client.job(job["job_id"], include_result=True)
+                    for job in jobs
+                ]
+                attached = await client.attach(jobs[0]["job_id"])
+            await server.close()
+            return jobs, views, attached
+
+        jobs, views, attached = asyncio.run(run())
+        assert {job["batch_size"] for job in jobs} == {3}
+        for job_params, job in zip(params, jobs):
+            served = from_payload(job["result"])
+            direct = run_tracegen(normalize_params("tracegen", job_params))
+            assert np.array_equal(served["voltages"], direct["voltages"])
+        # Only the newest result is still cached; views read the cache.
+        results = [view["result"] for view in views]
+        assert sum(result is not None for result in results) == 1
+        assert attached["status"] == "done"
+        assert attached["result"] is None
+
+    def test_polling_an_unfinished_job_leaves_no_waiter(self):
+        # The batch window keeps the job queued while it is polled.
+        params = {"traces": 20, "seed": 70}
+
+        async def run():
+            server = _serve(
+                SchedulerConfig(max_concurrency=2, batch_window_s=0.5)
+            )
+            host, port = await server.start()
+            async with ServiceClient(host, port) as client:
+                job_id = await client.submit_nowait("tracegen", params)
+                polled = [
+                    await client.job(job_id, include_result=True)
+                    for _ in range(5)
+                ]
+                waiters = len(server.scheduler.job(job_id).waiters)
+                waited = await client.job(
+                    job_id, wait=True, include_result=True
+                )
+            await server.close()
+            return polled, waiters, waited
+
+        polled, waiters, waited = asyncio.run(run())
+        assert [view["result"] for view in polled] == [None] * 5
+        assert {view["status"] for view in polled} == {"queued"}
+        assert waiters == 0
+        served = from_payload(waited["result"])
+        direct = run_tracegen(normalize_params("tracegen", params))
+        assert np.array_equal(served["voltages"], direct["voltages"])
+
+
 class TestBackpressureOverTheWire:
     def test_queue_full_surfaces_as_rejection(self):
         async def run():
