@@ -18,6 +18,18 @@ from repro.circuits.c6288 import (
     build_c6288,
 )
 from repro.netlist.netlist import Netlist
+from repro.util.memo import BuildOnce
+
+#: Frozen netlists by circuit.  A netlist depends on no seed, and a
+#: frozen one rejects mutation, so every instance and implementation
+#: seed of a circuit shares one build.
+_NETLISTS = BuildOnce()
+
+
+def _built_once(
+    name: str, build: Callable[[], Netlist]
+) -> Callable[[], Netlist]:
+    return lambda: _NETLISTS.get(name, build)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -27,7 +39,8 @@ class CircuitSpec:
     Attributes:
         name: registry key.
         description: one-line human description.
-        build: zero-argument netlist factory.
+        build: zero-argument netlist factory; a registry spec's returns
+            the circuit's one shared, frozen netlist.
         reset_inputs: input assignment for the reset cycle.
         measure_inputs: input assignment for the measure cycle.
         endpoint_nets: output nets observed as sensor bits, in the bit
@@ -55,7 +68,7 @@ def _alu_spec() -> CircuitSpec:
     return CircuitSpec(
         name="alu",
         description="192-bit ripple-carry-adder ALU (paper Sec. IV)",
-        build=lambda: build_alu(ALU_WIDTH),
+        build=_built_once("alu", lambda: build_alu(ALU_WIDTH)),
         reset_inputs=stimulus.reset_inputs,
         measure_inputs=stimulus.measure_inputs,
         endpoint_nets=tuple(stimulus.endpoint_nets),
@@ -72,7 +85,9 @@ def _c6288_spec(instances: int) -> CircuitSpec:
             "%d x ISCAS-85 C6288 16x16 array multiplier (paper Sec. V-D)"
             % instances
         ),
-        build=lambda: build_c6288(C6288_OPERAND_WIDTH),
+        build=_built_once(
+            "c6288", lambda: build_c6288(C6288_OPERAND_WIDTH)
+        ),
         reset_inputs=stimulus.reset_inputs,
         measure_inputs=stimulus.measure_inputs,
         endpoint_nets=tuple(stimulus.endpoint_nets),
@@ -89,7 +104,10 @@ def _wallace_spec() -> CircuitSpec:
         description=(
             "16x16 Wallace-tree multiplier (topology-study extension)"
         ),
-        build=lambda: build_wallace_multiplier(C6288_OPERAND_WIDTH),
+        build=_built_once(
+            "wallace16",
+            lambda: build_wallace_multiplier(C6288_OPERAND_WIDTH),
+        ),
         reset_inputs=stimulus.reset_inputs,
         measure_inputs=stimulus.measure_inputs,
         endpoint_nets=tuple(stimulus.endpoint_nets),

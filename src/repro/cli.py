@@ -101,7 +101,6 @@ _NUMERIC_BOUNDS = {
     "repeats": ("--repeats", 1, True),
     "max_concurrency": ("--max-concurrency", 1, True),
     "queue_size": ("--queue-size", 1, True),
-    "batch_window": ("--batch-window", 0, True),
     "cache_max_bytes": ("--cache-max-bytes", 1, True),
     # Must exceed the fleet's heartbeat interval (FleetConfig.heartbeat_s).
     "heartbeat_timeout": ("--heartbeat-timeout", 2.0, False),
@@ -348,11 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "rejected (default: 64)",
     )
     serve.add_argument(
-        "--batch-window", type=float, default=0.05, metavar="SECONDS",
-        help="how long a trace-generation batch collects compatible "
-        "requests (default: 0.05; 0 disables coalescing)",
-    )
-    serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist the content-addressed result cache here",
     )
@@ -517,7 +511,7 @@ def _campaign_params(args, **extra) -> dict:
 
 
 def _cmd_attack(args) -> int:
-    from repro.experiments import ExperimentConfig, describe_mtd
+    from repro.experiments import describe_mtd
     from repro.service.runners import cached_setup, run_attack
     from repro.util.executors import CampaignHealth
 
@@ -532,13 +526,7 @@ def _cmd_attack(args) -> int:
     )
     if health.attempts and not health.healthy:
         print("campaign health:", health.summary())
-    setup = cached_setup(
-        ExperimentConfig(
-            seed=args.seed,
-            num_traces=args.traces,
-            max_workers=args.workers,
-        )
-    )
+    setup = cached_setup(args.seed)
     correct = setup.cipher.last_round_key[setup.config.target_byte]
     print(
         "best guess 0x%02X (true 0x%02X), rank %d, %s"
@@ -694,7 +682,6 @@ def _cmd_serve(args) -> int:
         SchedulerConfig(
             max_concurrency=args.max_concurrency,
             queue_size=args.queue_size,
-            batch_window_s=args.batch_window,
             cache_dir=args.cache_dir,
             cache_max_bytes=args.cache_max_bytes,
             spool_dir=args.spool_dir,

@@ -14,7 +14,8 @@ fault-tolerant sharded drivers the CLI uses.
 Module map:
 
 * :mod:`~repro.service.jobs` — specs, states, bounded priority queue;
-* :mod:`~repro.service.scheduler` — batching windows, dedupe, workers;
+* :mod:`~repro.service.scheduler` — batching while busy, dedupe,
+  workers;
 * :mod:`~repro.service.cache` — content-addressed result cache with an
   optional LRU-bounded disk layer;
 * :mod:`~repro.service.codec` — lossless array-over-JSON payloads plus

@@ -8,17 +8,20 @@ SHA-256 config hash of the job's result-determining parameters
 (:meth:`repro.service.jobs.JobSpec.cache_key`, the same hashing the
 crash-safe checkpoints use to fence off mismatched resumes).
 
-Two layers, mirroring the calibration cache
+A result is stored as its canonical text
+(:func:`repro.service.codec.payload_text`), never parsed or re-encoded
+here.  Two layers, mirroring the calibration cache
 (:mod:`repro.core.calibration_cache`):
 
-* **in-memory** — decoded payload dicts keyed by hash, always on, and
-  bounded: an LRU under :data:`MEMORY_BUDGET_BYTES` of encoded payload
-  (recency = hits and stores).  The entry just stored or loaded stays
-  even when it alone exceeds the budget;
+* **in-memory** — result texts keyed by hash, always on, and bounded:
+  an LRU under :data:`MEMORY_BUDGET_BYTES` of text (recency = hits and
+  stores).  The entry just stored or loaded stays even when it alone
+  exceeds the budget;
 * **on-disk** — one ``<key>.json`` per entry under ``directory``
   (written atomically via :func:`repro.util.fileio.atomic_write`),
   only when a directory is configured, so entries survive server
-  restarts.  Payloads carry arrays base64-exactly
+  restarts.  An entry is ``{"key", "payload", "version"}`` as
+  sorted-key JSON.  Payloads carry arrays base64-exactly
   (:mod:`repro.service.codec`), so a disk hit is bit-identical to the
   original computation.
 
@@ -33,6 +36,8 @@ The cache is the only owner of a finished job's payload: the scheduler
 hands a fresh result to the clients already streaming its job and keeps
 no reference, so a view of a finished job (:meth:`ResultCache.peek`)
 finds ``None`` once the result has been evicted from every layer.
+:meth:`ResultCache.put` (an fsync with a disk layer) may run on a
+worker thread while the event loop serves lookups.
 
 Hits, misses, stores and evictions are counted in :class:`CacheStats`
 and mirrored into the service metrics registry by the scheduler.  A
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,27 +63,23 @@ __all__ = ["CacheStats", "ResultCache"]
 #: Bump when the payload layout changes incompatibly.
 CACHE_FORMAT_VERSION = 1
 
-#: Byte budget of the in-memory layer, counted as encoded payload bytes
-#: (:func:`payload_bytes`).  Mixed service traffic re-reads only its
-#: attack results: the four pool-seed attacks of the service benchmark
-#: are about 0.7 MB together, while each tracegen payload (1.6 MB per
-#: 2k traces) is read once, by its submitter.  32 MiB holds that hot set
-#: many times over and caps what a long-running server keeps of the
-#: results it has served.
+#: Byte budget of the in-memory layer, counted as result text.  Mixed
+#: service traffic re-reads only its attack results: the four pool-seed
+#: attacks of the service benchmark are about 0.7 MB together, while
+#: each tracegen result (1.6 MB per 2k traces) is read once, by its
+#: submitter.  32 MiB holds that hot set many times over and caps what
+#: a long-running server keeps of the results it has served.
 MEMORY_BUDGET_BYTES = 32 * 2 ** 20
 
 
-def payload_bytes(value: object) -> int:
-    """Approximate size of an encoded payload: the summed lengths of
-    its strings (array data is base64 text), 8 bytes per other leaf.
-    A walk over the payload's structure; nothing is re-serialised."""
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, dict):
-        return sum(payload_bytes(item) for item in value.values())
-    if isinstance(value, list):
-        return sum(payload_bytes(item) for item in value)
-    return 8
+def _entry_parts(key: str) -> Tuple[bytes, bytes]:
+    """The bytes around the payload text in ``key``'s disk entry:
+    ``json.dumps({"key", "payload", "version"}, sort_keys=True)``
+    spliced, not re-encoded."""
+    return (
+        ('{"key": %s, "payload": ' % json.dumps(key)).encode("utf-8"),
+        (', "version": %d}' % CACHE_FORMAT_VERSION).encode("utf-8"),
+    )
 
 
 @dataclass
@@ -109,8 +111,8 @@ class CacheStats:
 
 
 class ResultCache:
-    """Hash-keyed payload store: a byte-bounded in-memory LRU in front
-    of optional, optionally bounded, disk persistence.
+    """Hash-keyed result-text store: a byte-bounded in-memory LRU in
+    front of optional, optionally bounded, disk persistence.
 
     :meth:`get` is the lookup that counts (hits, misses, recency);
     :meth:`peek` is the read-only view a status request uses.  The
@@ -129,10 +131,10 @@ class ResultCache:
         self.directory = Path(directory) if directory else None
         self.max_disk_bytes = max_disk_bytes
         self.stats = CacheStats()
-        # key -> (payload, encoded bytes), least recently used first.
-        self._memory: "OrderedDict[str, Tuple[Dict[str, object], int]]" = (
-            OrderedDict()
-        )
+        # Guards both indexes and the counters; file writes run outside.
+        self._lock = threading.Lock()
+        # key -> result text, least recently used first.
+        self._memory: "OrderedDict[str, str]" = OrderedDict()
         self._memory_bytes = 0
         # key -> entry bytes, least recently used first.
         self._disk_entries: "OrderedDict[str, int]" = OrderedDict()
@@ -165,7 +167,7 @@ class ResultCache:
 
     @property
     def memory_bytes(self) -> int:
-        """Encoded bytes of the in-memory entries."""
+        """Text bytes of the in-memory entries."""
         return self._memory_bytes
 
     def _path(self, key: str) -> Optional[Path]:
@@ -173,69 +175,66 @@ class ResultCache:
             return None
         return self.directory / ("%s.json" % key)
 
-    def get(self, key: str) -> Tuple[Optional[Dict[str, object]], str]:
-        """Look up a payload; returns ``(payload, layer)``.
+    def get(self, key: str) -> Tuple[Optional[str], str]:
+        """Look up a result's text; returns ``(text, layer)``.
 
         ``layer`` is ``"memory"``, ``"disk"``, or ``"miss"`` — the
         scheduler records it on the job state so clients can see where
         their result came from.
         """
-        hit = self._memory.get(key)
-        if hit is not None:
-            self.stats.memory_hits += 1
-            self._memory.move_to_end(key)
-            if key in self._disk_entries:
-                self._disk_entries.move_to_end(key)
-            return hit[0], "memory"
-        loaded = self._read_disk(key)
-        if loaded is not None:
-            self.stats.disk_hits += 1
-            self._remember(key, loaded)
-            if key in self._disk_entries:
-                self._disk_entries.move_to_end(key)
-            return loaded, "disk"
-        self.stats.misses += 1
-        return None, "miss"
+        with self._lock:
+            text = self._memory.get(key)
+            if text is not None:
+                self.stats.memory_hits += 1
+                self._memory.move_to_end(key)
+                if key in self._disk_entries:
+                    self._disk_entries.move_to_end(key)
+                return text, "memory"
+            text = self._read_disk(key)
+            if text is not None:
+                self.stats.disk_hits += 1
+                self._remember(key, text)
+                if key in self._disk_entries:
+                    self._disk_entries.move_to_end(key)
+                return text, "disk"
+            self.stats.misses += 1
+            return None, "miss"
 
-    def peek(self, key: str) -> Optional[Dict[str, object]]:
-        """The payload under ``key`` from either layer, or None.
+    def peek(self, key: str) -> Optional[str]:
+        """The text under ``key`` from either layer, or None.
 
         A view, not a lookup: it counts no hit or miss, refreshes no
         recency and does not copy a disk entry into memory, so status
         requests neither skew the hit ratio nor evict hot results.
         """
-        hit = self._memory.get(key)
-        if hit is not None:
-            return hit[0]
-        return self._read_disk(key)
+        with self._lock:
+            text = self._memory.get(key)
+            return text if text is not None else self._read_disk(key)
 
-    def put(self, key: str, payload: Dict[str, object]) -> None:
-        """Store a payload in memory and (when configured) on disk."""
-        self._remember(key, payload)
-        self.stats.stores += 1
+    def put(self, key: str, text: str) -> None:
+        """Store a result's text in memory and (when configured) on
+        disk.  The fsync'd file write holds no lock, so lookups on
+        other threads proceed while it runs."""
+        with self._lock:
+            self._remember(key, text)
+            self.stats.stores += 1
         path = self._path(key)
         if path is None:
             return
+        head, tail = _entry_parts(key)
+        body = head + text.encode("utf-8") + tail
         path.parent.mkdir(parents=True, exist_ok=True)
-        body = json.dumps(
-            {
-                "version": CACHE_FORMAT_VERSION,
-                "key": key,
-                "payload": payload,
-            },
-            sort_keys=True,
-        ).encode("utf-8")
         atomic_write(str(path), lambda handle: handle.write(body))
-        self._track_entry(key, len(body))
-        self._evict(exempt=key)
+        with self._lock:
+            self._track_entry(key, len(body))
+            self._evict(exempt=key)
 
-    def _remember(self, key: str, payload: Dict[str, object]) -> None:
+    def _remember(self, key: str, text: str) -> None:
         """Insert ``key`` as the newest memory entry, then evict the
         least recently used others until the layer fits its budget."""
         self._forget_memory(key)
-        size = payload_bytes(payload)
-        self._memory[key] = (payload, size)
-        self._memory_bytes += size
+        self._memory[key] = text
+        self._memory_bytes += len(text)
         while (
             self._memory_bytes > MEMORY_BUDGET_BYTES
             and len(self._memory) > 1
@@ -243,9 +242,9 @@ class ResultCache:
             self._forget_memory(next(iter(self._memory)))
 
     def _forget_memory(self, key: str) -> None:
-        entry = self._memory.pop(key, None)
-        if entry is not None:
-            self._memory_bytes -= entry[1]
+        text = self._memory.pop(key, None)
+        if text is not None:
+            self._memory_bytes -= len(text)
 
     def _track_entry(self, key: str, size: int) -> None:
         previous = self._disk_entries.pop(key, None)
@@ -295,27 +294,27 @@ class ResultCache:
         Operational hook for long-running servers (and the fleet
         benchmark, which must force repeat submissions to recompute).
         """
-        self._memory.clear()
-        self._memory_bytes = 0
+        with self._lock:
+            self._memory.clear()
+            self._memory_bytes = 0
 
-    def _read_disk(self, key: str) -> Optional[Dict[str, object]]:
-        """Read one disk entry; corrupt or mismatched files are purged."""
+    def _read_disk(self, key: str) -> Optional[str]:
+        """Read one disk entry's text; corrupt or mismatched files are
+        purged."""
         path = self._path(key)
         if path is None or not path.is_file():
             return None
+        head, tail = _entry_parts(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            if (
-                int(data["version"]) != CACHE_FORMAT_VERSION
-                or data["key"] != key
-            ):
+            with open(path, "rb") as handle:
+                body = handle.read()
+            if not (body.startswith(head) and body.endswith(tail)):
                 raise ValueError("stale or mismatched entry")
-            payload = data["payload"]
-            if not isinstance(payload, dict):
+            text = body[len(head):-len(tail)].decode("utf-8")
+            if not isinstance(json.loads(text), dict):
                 raise ValueError("payload is not an object")
-            return payload
-        except (OSError, ValueError, KeyError, TypeError):
+            return text
+        except (OSError, ValueError):
             self.stats.corrupt_entries += 1
             self._forget_entry(key)
             try:

@@ -36,7 +36,7 @@ import asyncio
 import base64
 import json
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "framed_length",
     "from_payload",
     "pack_message",
+    "payload_text",
     "read_message",
     "to_payload",
     "unpack_message",
@@ -381,8 +382,17 @@ def to_payload(kind: str, result: object) -> Dict[str, object]:
     raise CodecError("no payload mapping for job kind %r" % kind)
 
 
-def from_payload(payload: Dict[str, object]) -> object:
-    """Rebuild the natural result object from a tagged payload."""
+def payload_text(kind: str, result: object) -> str:
+    """A result's canonical text, sorted-key JSON: the one form the
+    service encodes a result to, caches and serves."""
+    return json.dumps(to_payload(kind, result), sort_keys=True)
+
+
+def from_payload(payload: Union[str, Dict[str, object]]) -> object:
+    """Rebuild the natural result object from a tagged payload or its
+    text (:func:`payload_text`)."""
+    if isinstance(payload, str):
+        payload = json.loads(payload)
     kind = payload.get("type")
     if kind == "tracegen":
         return {

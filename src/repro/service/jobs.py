@@ -434,14 +434,14 @@ class JobState:
     def terminal(self) -> bool:
         return self.status in STATUS_TERMINAL
 
-    def hand_off(self, payload: Optional[Dict[str, object]]) -> None:
-        """Resolve every waiting client's future with ``payload`` (None
-        when the job failed or was cancelled) and drop them, so no
-        reference to the payload outlives the hand-off."""
+    def hand_off(self, text: Optional[str]) -> None:
+        """Resolve every waiting client's future with the result
+        ``text`` (None when the job failed or was cancelled) and drop
+        them, so no reference to the result outlives the hand-off."""
         waiters, self.waiters = self.waiters, []
         for future in waiters:
             if not future.done():
-                future.set_result(payload)
+                future.set_result(text)
 
     def add_event(self, kind: str, **data: object) -> None:
         """Record a progress event and wake every streaming listener."""

@@ -26,7 +26,7 @@ requests and then applies each request's own seeded ambient-noise
 block to its slice.  Because every deterministic stage is per-row and
 the noise block depends only on ``(seed, shape)``, each fanned-out
 result is bit-identical to :func:`run_tracegen` on that request alone
-— this is what lets the scheduler's batching window merge compatible
+— this is what lets the scheduler's batches merge compatible
 requests into a single batched-AES call without changing any output.
 
 All runners are plain synchronous functions of validated parameter
@@ -102,17 +102,20 @@ __all__ = [
 ]
 
 #: Experiment setups are expensive (placement + gate-level calibration)
-#: and immutable in normal use; the service reuses one per
-#: configuration, exactly like the CLI process would within one run.
+#: and immutable in normal use; the service reuses one per root seed,
+#: exactly like the CLI process would within one run.
 #: The scheduler executes runners on concurrent ``asyncio.to_thread``
 #: workers, so two simultaneous jobs with a fresh configuration must
 #: not each pay the full calibration.
 _SETUPS = BuildOnce()
 
 
-def cached_setup(config: ExperimentConfig) -> ExperimentSetup:
-    """One shared :class:`ExperimentSetup` per configuration."""
-    return _SETUPS.get((config,), lambda: ExperimentSetup(config))
+def cached_setup(seed: int) -> ExperimentSetup:
+    """One shared :class:`ExperimentSetup` per root seed: its cipher,
+    campaigns and sensors depend on nothing else a job sets."""
+    return _SETUPS.get(
+        (seed,), lambda: ExperimentSetup(ExperimentConfig(seed=seed))
+    )
 
 
 def retry_policy(
@@ -241,13 +244,12 @@ class _Job:
         check_acquisition_reduction(kind, params)
         self.kind = kind
         self.params = params
-        self.config = _experiment_config(params)
-        self.setup = cached_setup(self.config)
+        self.setup = cached_setup(int(params["seed"]))  # type: ignore
         self.circuit = str(params.get("circuit", "alu"))
         self.num_traces = int(params["traces"])  # type: ignore[arg-type]
         self.misalignment, self.spec = _acquisition_specs(params)
         self.physical = self.misalignment is not None or self.spec is not None
-        self.seed = _physical_seed(self.config, self.circuit)
+        self.seed = _physical_seed(self.setup.config, self.circuit)
 
     @property
     def campaign(self):

@@ -1,4 +1,4 @@
-"""Async job scheduler: batching window, dedupe, cache, drain.
+"""Async job scheduler: batching, dedupe, cache, drain.
 
 The heart of the campaign service.  A :class:`CampaignScheduler` owns
 
@@ -9,16 +9,19 @@ The heart of the campaign service.  A :class:`CampaignScheduler` owns
   while campaigns crunch,
 * a :class:`~repro.service.cache.ResultCache` consulted at submit time
   (content-addressed on the job's config hash) and the only owner of a
-  finished job's payload: a fresh result is handed to the clients
-  already waiting on the job (:meth:`CampaignScheduler.result_future`)
-  and stored in the byte-bounded cache, and every later view of the job
-  reads it back from there (:meth:`CampaignScheduler.result`),
+  finished job's result: the worker thread that computed a result
+  encodes it once (:func:`~repro.service.codec.payload_text`) and
+  stores the text, fsync included; the loop then hands it to the
+  clients waiting on the job (:meth:`CampaignScheduler.result_future`),
+  and every later view reads it back (:meth:`CampaignScheduler.result`),
 * an in-flight index that *dedupes* identical jobs submitted while the
   first is still running — followers attach to the primary and share
   its result the moment it lands,
-* per-compatibility-class **batching windows** for trace-generation
-  jobs: the first request opens a window; requests arriving within
-  ``batch_window_s`` (and fitting the batch bounds) coalesce into one
+* per-compatibility-class **batching while busy** for
+  trace-generation jobs: a request joins the compatible batch queued
+  but not yet started (within the batch bounds), else queues a new
+  one; a batch starts once a worker is free, so requests coalesce only
+  while they wait behind busy workers, into one
   :func:`~repro.service.runners.run_tracegen_batch` call — a single
   batched-AES/PDN pass — whose per-request results are bit-identical
   to running each request alone,
@@ -57,7 +60,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.service.cache import ResultCache
-from repro.service.codec import to_payload
+from repro.service.codec import payload_text
 from repro.service.fleet import FleetConfig, FleetCoordinator
 from repro.service.jobs import (
     STATUS_TERMINAL,
@@ -103,10 +106,8 @@ class SchedulerConfig:
         max_concurrency: jobs (or batches) executing at once.
         queue_size: bounded queue capacity; submissions beyond it are
             rejected with :class:`~repro.service.jobs.QueueFullError`.
-        batch_window_s: how long a trace-generation batch stays open
-            for more compatible requests after its first job arrives.
         max_batch_jobs / max_batch_traces: bounds on one coalesced
-            batch (a full window closes early).
+            batch (a request that would overflow it queues a new one).
         cache_dir: on-disk result cache directory (None: memory only).
         cache_max_bytes: LRU cap on the on-disk cache (None: unbounded;
             see :class:`~repro.service.cache.ResultCache`).
@@ -122,7 +123,6 @@ class SchedulerConfig:
 
     max_concurrency: int = 2
     queue_size: int = 64
-    batch_window_s: float = 0.05
     max_batch_jobs: int = 16
     max_batch_traces: int = 1_000_000
     cache_dir: Optional[str] = None
@@ -136,8 +136,6 @@ class SchedulerConfig:
             raise ValueError("journal_compact_every must be >= 1")
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
-        if self.batch_window_s < 0:
-            raise ValueError("batch_window_s must be non-negative")
         if self.max_batch_jobs < 1 or self.max_batch_traces < 1:
             raise ValueError("batch bounds must be >= 1")
         if self.cache_max_bytes is not None and self.cache_max_bytes < 1:
@@ -146,12 +144,10 @@ class SchedulerConfig:
 
 @dataclass
 class _TraceGenBatch:
-    """One open batching window of compatible tracegen jobs."""
+    """Compatible tracegen jobs queued to run as one pass."""
 
     key: str
-    opened_at: float
     jobs: List[JobState] = field(default_factory=list)
-    closed: bool = False
 
     @property
     def total_traces(self) -> int:
@@ -367,14 +363,14 @@ class CampaignScheduler:
         spec = state.spec
         key = spec.cache_key
 
-        payload, layer = self.cache.get(key)
+        text, layer = self.cache.get(key)
         self._sync_cache_metrics()
-        if payload is not None:
+        if text is not None:
             self.jobs[state.job_id] = state
             state.cache = layer
             state.add_event("queued", cache_key=key)
             self.metrics.inc("cache_hits")
-            self._complete(state, payload)
+            self._complete(state, text)
             return state
         self.metrics.inc("cache_misses")
 
@@ -391,7 +387,7 @@ class CampaignScheduler:
             return state
 
         try:
-            if spec.kind == "tracegen" and self.config.batch_window_s > 0:
+            if spec.kind == "tracegen":
                 self._submit_tracegen(state, force=force)
             else:
                 self.queue.put(spec.priority, state, force=force)
@@ -407,24 +403,21 @@ class CampaignScheduler:
         return state
 
     def _submit_tracegen(self, state: JobState, force: bool = False) -> None:
-        """Join the open batching window for this class, or open one."""
+        """Join this class's queued batch, or queue a new one."""
         compat = tracegen_compat_key(state.spec.params)
         batch = self._open_batches.get(compat)
         traces = int(state.spec.params["traces"])  # type: ignore[arg-type]
         if (
             batch is not None
-            and not batch.closed
             and len(batch.jobs) < self.config.max_batch_jobs
             and batch.total_traces + traces <= self.config.max_batch_traces
         ):
             batch.jobs.append(state)
             return
-        batch = _TraceGenBatch(
-            compat, asyncio.get_running_loop().time(), [state]
-        )
-        # Enqueue the *window*, not the job: the worker that pops it
-        # waits out the remaining window time, then executes whatever
-        # jobs joined.  May raise QueueFullError — nothing registered.
+        batch = _TraceGenBatch(compat, [state])
+        # Enqueue the *batch*, not the job: compatible requests join it
+        # until a worker pops it.  May raise QueueFullError — nothing
+        # registered.
         self.queue.put(state.spec.priority, batch, force=force)
         self._open_batches[compat] = batch
 
@@ -437,8 +430,8 @@ class CampaignScheduler:
     def list_jobs(self) -> List[JobState]:
         return [self.jobs[job_id] for job_id in sorted(self.jobs)]
 
-    def result(self, state: JobState) -> Optional[Dict[str, object]]:
-        """A finished job's result payload, read from the cache.
+    def result(self, state: JobState) -> Optional[str]:
+        """A finished job's result text, read from the cache.
 
         None unless the job is ``done`` and its result is still in the
         cache: a memory-only server that has evicted it reports None,
@@ -450,9 +443,9 @@ class CampaignScheduler:
         return self.cache.peek(state.spec.cache_key)
 
     def result_future(self, state: JobState) -> "asyncio.Future":
-        """A future that resolves to the job's result payload.
+        """A future that resolves to the job's result text.
 
-        Taken while the job is unfinished, it resolves with the payload
+        Taken while the job is unfinished, it resolves with the text
         itself when the job completes (None when it fails or is
         cancelled), so a waiting client gets its full result even when
         the cache has evicted it by the time the client reads it — a
@@ -513,13 +506,7 @@ class CampaignScheduler:
                 self._gauge_depth()
 
     async def _run_batch(self, batch: _TraceGenBatch) -> None:
-        loop = asyncio.get_running_loop()
-        remaining = (
-            batch.opened_at + self.config.batch_window_s - loop.time()
-        )
-        if remaining > 0:
-            await asyncio.sleep(remaining)
-        batch.closed = True
+        # Started: later requests queue a batch of their own.
         if self._open_batches.get(batch.key) is batch:
             del self._open_batches[batch.key]
         members = [job for job in batch.jobs if job.status == "queued"]
@@ -533,16 +520,30 @@ class CampaignScheduler:
         if len(members) > 1:
             self.metrics.inc("coalesced_jobs", len(members))
         try:
-            results = await asyncio.to_thread(
-                run_tracegen_batch,
-                [state.spec.params for state in members],
-            )
+            texts = await asyncio.to_thread(self._run_tracegen, members)
         except Exception as exc:  # noqa: BLE001 — fail the whole batch
             for state in members:
                 self._fail(state, exc)
             return
-        for state, result in zip(members, results):
-            self._store(state, to_payload("tracegen", result))
+        for state, text in zip(members, texts):
+            self._complete(state, text)
+
+    def _run_tracegen(self, members: List[JobState]) -> List[str]:
+        """One batched trace-generation pass (on a worker thread)."""
+        results = run_tracegen_batch([state.spec.params for state in members])
+        return [
+            self._encode_and_store(state, result)
+            for state, result in zip(members, results)
+        ]
+
+    def _encode_and_store(self, state: JobState, result: object) -> str:
+        """Encode a job's result once and store the text in the cache.
+        Called on the worker thread that computed the result, so neither
+        the encoding nor the cache's fsync'd disk write blocks the event
+        loop, and the write ends before the job's ``done`` record."""
+        text = payload_text(state.spec.kind, result)
+        self.cache.put(state.spec.cache_key, text)
+        return text
 
     def _wants_fleet(self, state: JobState) -> bool:
         """Fleet routing: explicit ``fleet`` param, else auto-detect.
@@ -561,15 +562,17 @@ class CampaignScheduler:
         return wants is None and self.fleet.has_workers
 
     async def _run_fleet_job(self, state: JobState) -> None:
-        kind = state.spec.kind
         try:
             result = await self.fleet.run_job(
                 state.spec, state.job_id, on_event=state.add_event
             )
+            text = await asyncio.to_thread(
+                self._encode_and_store, state, result
+            )
         except Exception as exc:  # noqa: BLE001 — report, don't crash
             self._fail(state, exc)
             return
-        self._store(state, to_payload(kind, result))
+        self._complete(state, text)
 
     async def _run_job(self, state: JobState) -> None:
         if state.status != "queued":
@@ -579,6 +582,7 @@ class CampaignScheduler:
             await self._run_fleet_job(state)
             return
         kind = state.spec.kind
+        params = state.spec.params
         health = CampaignHealth()
         checkpoint = self._checkpoint_path(state)
         resume = checkpoint is not None and os.path.exists(checkpoint)
@@ -586,32 +590,17 @@ class CampaignScheduler:
             self._journal(
                 "checkpoint_spooled", state, path=checkpoint, resume=resume
             )
+
+        def compute() -> str:
+            if kind == "report":
+                result = run_report(params, checkpoint, resume)
+            else:
+                runner = run_attack if kind == "attack" else run_fullkey
+                result = runner(params, health, checkpoint, resume)
+            return self._encode_and_store(state, result)
+
         try:
-            if kind == "attack":
-                result = await asyncio.to_thread(
-                    run_attack,
-                    state.spec.params,
-                    health,
-                    checkpoint,
-                    resume,
-                )
-            elif kind == "fullkey":
-                result = await asyncio.to_thread(
-                    run_fullkey,
-                    state.spec.params,
-                    health,
-                    checkpoint,
-                    resume,
-                )
-            elif kind == "report":
-                result = await asyncio.to_thread(
-                    run_report, state.spec.params, checkpoint, resume
-                )
-            else:  # tracegen with a zero-width window
-                results = await asyncio.to_thread(
-                    run_tracegen_batch, [state.spec.params]
-                )
-                result = results[0]
+            text = await asyncio.to_thread(compute)
         except Exception as exc:  # noqa: BLE001 — report, don't crash
             if health.attempts:
                 state.health = health.as_dict()
@@ -625,7 +614,7 @@ class CampaignScheduler:
                 os.unlink(checkpoint)
             except OSError:
                 pass
-        self._store(state, to_payload(kind, result))
+        self._complete(state, text)
 
     def _checkpoint_path(self, state: JobState) -> Optional[str]:
         if self.config.spool_dir is None:
@@ -651,18 +640,11 @@ class CampaignScheduler:
         self._journal("started", state)
         state.add_event("started", **extra)
 
-    def _store(self, state: JobState, payload: Dict[str, object]) -> None:
-        """Cache a freshly computed payload and complete its job."""
-        self.cache.put(state.spec.cache_key, payload)
-        self._sync_cache_metrics()
-        self._complete(state, payload)
-
-    def _complete(
-        self, state: JobState, payload: Dict[str, object]
-    ) -> None:
-        """Finish a job whose payload is in the cache: hand the payload
-        to the job's (and its followers') waiting clients; the state
+    def _complete(self, state: JobState, text: str) -> None:
+        """Finish a job whose result is in the cache: hand the text to
+        the job's (and its followers') waiting clients; the state
         itself keeps no reference."""
+        self._sync_cache_metrics()
         state.status = "done"
         state.finished_at = time.time()
         if state.started_at is not None:
@@ -674,11 +656,11 @@ class CampaignScheduler:
         )
         self.metrics.inc("jobs_completed")
         self._journal("done", state, cache_key=state.spec.cache_key)
-        state.hand_off(payload)
+        state.hand_off(text)
         state.add_event(
             "done", cache=state.cache, batch_size=state.batch_size
         )
-        self._resolve_followers(state, payload)
+        self._resolve_followers(state, text)
         self._inflight.pop(state.spec.cache_key, None)
         self._note_done()
 
@@ -702,9 +684,7 @@ class CampaignScheduler:
         self._inflight.pop(state.spec.cache_key, None)
         self._note_done()
 
-    def _resolve_followers(
-        self, state: JobState, payload: Dict[str, object]
-    ) -> None:
+    def _resolve_followers(self, state: JobState, text: str) -> None:
         for follower in self._followers.pop(state.job_id, []):
             if follower.terminal:
                 continue
@@ -718,7 +698,7 @@ class CampaignScheduler:
             self.metrics.observe(
                 "total_s", follower.finished_at - follower.submitted_at
             )
-            follower.hand_off(payload)
+            follower.hand_off(text)
             follower.add_event(
                 "done", cache="inflight", batch_size=state.batch_size
             )

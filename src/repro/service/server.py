@@ -295,22 +295,34 @@ class CampaignServer:
         handoff: Optional["asyncio.Future"],
     ) -> None:
         """Stream every event of a job, then its terminal line (with
-        the payload ``handoff`` resolved to, when there is one)."""
+        the result ``handoff`` resolved to, when there is one)."""
         async for event in state.stream():
             await self._send(writer, {"ok": True, "event": event})
-        await self._send(
-            writer,
-            {"ok": True, "done": True, "job": self._view(state, handoff)},
-        )
+        await self._send_job(writer, state, handoff, done=True)
 
-    @staticmethod
-    def _view(
-        state: JobState, handoff: Optional["asyncio.Future"]
-    ) -> Dict[str, object]:
-        view = state.as_dict()
+    async def _send_job(
+        self,
+        writer: asyncio.StreamWriter,
+        state: JobState,
+        handoff: Optional["asyncio.Future"],
+        **message: object,
+    ) -> None:
+        """Send ``{"ok": true, **message, "job": view}``.  With a
+        ``handoff``, the view's ``result`` is the text it resolved to
+        (null until it has), spliced in verbatim: the event loop never
+        parses or re-encodes a result."""
+        parts = [
+            json.dumps(dict({"ok": True}, **message))[:-1],
+            ', "job": ',
+            json.dumps(state.as_dict())[:-1],
+        ]
         if handoff is not None:
-            view["result"] = handoff.result() if handoff.done() else None
-        return view
+            text = handoff.result() if handoff.done() else None
+            parts += [', "result": ', "null" if text is None else text]
+        parts.append("}}\n")
+        for part in parts:
+            writer.write(part.encode("utf-8"))
+        await writer.drain()
 
     async def _op_job(
         self,
@@ -325,21 +337,19 @@ class CampaignServer:
                 {"ok": False, "error": "unknown job %r" % job_id},
             )
             return
-        include_result = request.get("include_result", False)
-        if request.get("wait"):
-            handoff = (
-                self.scheduler.result_future(state)
-                if include_result
-                else None
-            )
+        wait = request.get("wait")
+        handoff = None
+        if request.get("include_result", False):
+            if wait:
+                handoff = self.scheduler.result_future(state)
+            else:
+                # A view, not a wait: resolved now, so it adds no waiter.
+                handoff = asyncio.get_running_loop().create_future()
+                handoff.set_result(self.scheduler.result(state))
+        if wait:
             async for _event in state.stream():
                 pass
-            view = self._view(state, handoff)
-        else:
-            view = state.as_dict()
-            if include_result:
-                view["result"] = self.scheduler.result(state)
-        await self._send(writer, {"ok": True, "job": view})
+        await self._send_job(writer, state, handoff)
 
     async def _op_attach(
         self,

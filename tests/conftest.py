@@ -6,6 +6,8 @@ per session; tests must not mutate them.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.aes import AES128
@@ -49,6 +51,24 @@ def alu_campaign(alu_sensor, cipher):
     campaign = AttackCampaign(alu_sensor, cipher, seed=1)
     campaign.characterize()
     return campaign
+
+
+@pytest.fixture
+def held_slot(monkeypatch):
+    """The service's attack runner, made to wait for the returned event
+    first: a submitted attack keeps its worker busy until it is set."""
+    from repro.service import scheduler
+
+    release = threading.Event()
+    real = scheduler.run_attack
+
+    def held(*args, **kwargs):
+        release.wait(60)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "run_attack", held)
+    yield release
+    release.set()
 
 
 @pytest.fixture(scope="session")

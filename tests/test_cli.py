@@ -91,8 +91,8 @@ class TestNumericBounds:
     @pytest.mark.parametrize("argv, flag", [
         (["serve", "--queue-size", "0"], "--queue-size"),
         (["serve", "--max-concurrency", "0"], "--max-concurrency"),
-        (["serve", "--batch-window", "-1"], "--batch-window"),
-        (["serve", "--batch-window", "nan"], "--batch-window"),
+        (["serve", "--heartbeat-timeout", "nan"], "--heartbeat-timeout"),
+        (["serve", "--fleet-grace", "inf"], "--fleet-grace"),
         (["serve", "--heartbeat-timeout", "1"], "--heartbeat-timeout"),
         (["serve", "--lease-timeout", "0"], "--lease-timeout"),
         (["serve", "--quarantine-after", "0"], "--quarantine-after"),
@@ -198,6 +198,14 @@ class TestFleetVerbs:
         assert args.name == "w0" and args.workers == 2
         assert args.quiet is True
         assert _build_parser().parse_args(["worker", "1"]).workers == 1
+
+    def test_serve_has_no_batch_window(self, capsys):
+        # Batching happens while the workers are busy; there is no
+        # window to tune.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--batch-window", "0.05"])
+        assert excinfo.value.code == 2
+        assert "--batch-window" in capsys.readouterr().err
 
     def test_worker_has_one_parallelism_flag(self, capsys):
         from repro.cli import _build_parser

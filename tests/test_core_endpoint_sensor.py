@@ -86,3 +86,50 @@ class TestSampling:
         v = np.full(3, 1.0)
         combined = c6288_sensor.sample_bits(v, seed=2)
         assert combined.shape == (3, 64)
+
+
+class TestSharedNetlist:
+    def test_seeds_share_one_netlist_and_calibrate_as_fresh_builds(self):
+        """The registry builds a circuit's frozen netlist once; every
+        seed's calibration and cache key match a fresh build's."""
+        from repro.circuits.alu import ALU_WIDTH, build_alu
+        from repro.core.calibration import calibrate_endpoints
+        from repro.core.calibration_cache import calibration_cache_key
+        from repro.timing.techmap import FpgaImplementation, fpga_annotate
+        from repro.util.rng import derive_seed
+
+        spec = get_circuit_spec("alu")
+        seeds = (3, 4)
+        sensors = [
+            BenignSensor.from_spec(spec, implementation_seed=seed)
+            for seed in seeds
+        ]
+        shared = [sensor.instances[0].annotation.netlist for sensor in sensors]
+        assert shared[0] is shared[1] is get_circuit_spec("alu").build()
+        for seed, sensor in zip(seeds, sensors):
+            instance = sensor.instances[0]
+            fresh = fpga_annotate(
+                build_alu(ALU_WIDTH),
+                FpgaImplementation(seed=derive_seed(seed, "alu", 0)),
+            )
+            arguments = (
+                spec.reset_inputs,
+                spec.measure_inputs,
+                spec.endpoint_nets,
+                sensor.sample_period_ps,
+            )
+            context = ("alu", derive_seed(seed, "alu", 0))
+            assert calibration_cache_key(
+                instance.annotation, *arguments, context
+            ) == calibration_cache_key(fresh, *arguments, context)
+            expected = calibrate_endpoints(fresh, *arguments)
+            for got, want in zip(
+                instance.calibration.waveforms, expected.waveforms
+            ):
+                assert got.net == want.net
+                assert got.edge_times_ps.tobytes() == (
+                    want.edge_times_ps.tobytes()
+                )
+                assert got.values_after_edge.tobytes() == (
+                    want.values_after_edge.tobytes()
+                )

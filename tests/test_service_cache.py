@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from repro.service import cache as cache_module
-from repro.service.cache import ResultCache, payload_bytes
-from repro.service.codec import to_payload
+from repro.service.cache import ResultCache
+from repro.service.codec import payload_text, to_payload
 
 
-def _payload(n: int) -> dict:
-    return {"type": "tracegen", "value": n}
+def _payload(n: int) -> str:
+    return json.dumps({"type": "tracegen", "value": n}, sort_keys=True)
 
 
 class TestMemoryLayer:
@@ -65,6 +65,24 @@ class TestDiskLayer:
         payload, layer = fresh.get("bbbb")
         assert payload is None and layer == "miss"
         assert fresh.stats.corrupt_entries == 1
+
+    def test_entry_bytes_keep_the_format(self, tmp_path):
+        payload = {"type": "tracegen", "value": 7}
+        cache = ResultCache(str(tmp_path))
+        cache.put("beef", json.dumps(payload, sort_keys=True))
+        assert (tmp_path / "beef.json").read_bytes() == json.dumps(
+            {"key": "beef", "payload": payload, "version": 1},
+            sort_keys=True,
+        ).encode("utf-8")
+
+    def test_non_object_payload_is_corrupt(self, tmp_path):
+        (tmp_path / "list.json").write_text(
+            json.dumps(
+                {"key": "list", "payload": [1], "version": 1},
+                sort_keys=True,
+            )
+        )
+        assert ResultCache(str(tmp_path)).get("list") == (None, "miss")
 
     def test_version_mismatch_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -160,42 +178,40 @@ class TestDiskCap:
         assert payload == _payload(1) and layer == "disk"
 
 
-def _blob(n: int) -> dict:
-    """A payload of exactly ``8 + n`` encoded bytes."""
-    return {"type": "tracegen", "blob": "x" * n}
+def _blob(n: int) -> str:
+    """A result text of ``n`` plus 32 bytes."""
+    return json.dumps({"type": "tracegen", "blob": "x" * n}, sort_keys=True)
+
+
+BLOB = len(_blob(100))
 
 
 class TestMemoryBudget:
-    """The memory layer is an LRU bounded by encoded payload bytes."""
+    """The memory layer is an LRU bounded by result text bytes."""
 
     @pytest.fixture(autouse=True)
     def _budget(self, monkeypatch):
         monkeypatch.setattr(cache_module, "MEMORY_BUDGET_BYTES", 300)
 
     def test_entry_size_is_its_encoded_bytes(self):
-        payload = to_payload(
-            "tracegen",
-            {
-                "voltages": np.zeros((3, 5)),
-                "ciphertexts": np.zeros((3, 16), dtype=np.uint8),
-            },
+        result = {
+            "voltages": np.zeros((3, 5)),
+            "ciphertexts": np.zeros((3, 16), dtype=np.uint8),
+        }
+        text = payload_text("tracegen", result)
+        assert text == json.dumps(
+            to_payload("tracegen", result), sort_keys=True
         )
-        encoded = sum(
-            len(value["__ndarray__"])
-            for value in payload.values()
-            if isinstance(value, dict)
-        )
-        assert encoded <= payload_bytes(payload) < encoded + 100
         cache = ResultCache()
-        cache.put("k", payload)
-        assert cache.memory_bytes == payload_bytes(payload)
-        assert payload_bytes(_blob(100)) == 108
+        cache.put("k", text)
+        assert cache.memory_bytes == len(text)
+        assert BLOB == 132
 
     def test_least_recently_used_goes_first(self):
         cache = ResultCache()
         for key in ("a", "b", "c"):
             cache.put(key, _blob(100))
-        assert len(cache) == 2 and cache.memory_bytes == 216
+        assert len(cache) == 2 and cache.memory_bytes == 2 * BLOB
         assert cache.get("a") == (None, "miss")
         assert cache.get("b")[1] == "memory"
         assert cache.get("c")[1] == "memory"
@@ -213,18 +229,18 @@ class TestMemoryBudget:
         cache = ResultCache()
         cache.put("a", _blob(100))
         cache.put("big", _blob(1000))
-        assert len(cache) == 1 and cache.memory_bytes == 1008
+        assert len(cache) == 1 and cache.memory_bytes == len(_blob(1000))
         assert cache.get("big")[1] == "memory"
         cache.put("small", _blob(100))
         assert cache.peek("big") is None
-        assert len(cache) == 1 and cache.memory_bytes == 108
+        assert len(cache) == 1 and cache.memory_bytes == BLOB
 
     def test_oversize_disk_load_survives_alone(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         cache.put("big", _blob(1000))
         cache.put("a", _blob(100))
         assert cache.get("big")[1] == "disk"
-        assert len(cache) == 1 and cache.memory_bytes == 1008
+        assert len(cache) == 1 and cache.memory_bytes == len(_blob(1000))
 
     def test_disk_eviction_drops_the_memory_copy(self, tmp_path):
         probe = ResultCache(str(tmp_path / "probe"))
@@ -234,7 +250,7 @@ class TestMemoryBudget:
         )
         cache.put("a", _blob(10))
         cache.put("b", _blob(10))
-        assert len(cache) == 1 and cache.memory_bytes == 18
+        assert len(cache) == 1 and cache.memory_bytes == len(_blob(10))
         assert cache.peek("a") is None
 
     def test_clear_memory_resets_the_byte_count(self):
@@ -243,7 +259,7 @@ class TestMemoryBudget:
         cache.clear_memory()
         assert len(cache) == 0 and cache.memory_bytes == 0
         cache.put("b", _blob(100))
-        assert cache.memory_bytes == 108
+        assert cache.memory_bytes == BLOB
 
     def test_peek_counts_nothing_and_promotes_nothing(self, tmp_path):
         cache = ResultCache(str(tmp_path))

@@ -296,6 +296,32 @@ class TestBoundedMemos:
         assert len(runners._INPUTS) <= 4
         assert len(calibration_cache._MEMORY) <= 4
 
+    def test_a_trace_count_sweep_builds_one_setup(self, monkeypatch):
+        from repro.service import runners
+        from repro.service.jobs import normalize_params
+
+        built = []
+        real = runners.ExperimentSetup
+
+        def counted(config):
+            built.append(config)
+            return real(config)
+
+        monkeypatch.setattr(runners, "ExperimentSetup", counted)
+        runners._SETUPS.clear()
+        setups = {
+            id(
+                runners._Job(
+                    "attack",
+                    normalize_params(
+                        "attack", {"traces": traces, "seed": 5}
+                    ),
+                ).setup
+            )
+            for traces in (40_000, 80_000, 120_000)
+        }
+        assert len(built) == 1 and len(setups) == 1
+
     def test_build_once_drops_the_locks_of_evicted_and_failed_keys(self):
         from repro.util.memo import MEMO_ENTRIES, BuildOnce
 

@@ -45,7 +45,6 @@ def _crashed_journal(tmp_path, *jobs):
 def _config(tmp_path, journal_dir):
     return SchedulerConfig(
         max_concurrency=2,
-        batch_window_s=0.0,
         journal_dir=journal_dir,
         spool_dir=str(tmp_path / "spool"),
         cache_dir=str(tmp_path / "cache"),

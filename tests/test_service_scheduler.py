@@ -7,13 +7,13 @@ depth / latency metrics are actually populated.
 """
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
 
 from repro.service import cache as cache_module
-from repro.service.cache import ResultCache, payload_bytes
-from repro.service.codec import from_payload, to_payload
+from repro.service.codec import from_payload, payload_text, to_payload
 from repro.service.jobs import JobSpec, QueueFullError
 from repro.service.runners import run_attack, run_tracegen
 from repro.service.scheduler import (
@@ -22,13 +22,31 @@ from repro.service.scheduler import (
     SchedulerConfig,
 )
 
+#: A job that holds its worker until the ``held_slot`` event is set.
+HOLD = JobSpec.create("attack", {"traces": 400, "seed": 1, "workers": 1})
+
 
 def _scheduler(**kwargs) -> CampaignScheduler:
-    defaults = dict(
-        max_concurrency=2, queue_size=16, batch_window_s=0.05
-    )
+    defaults = dict(max_concurrency=2, queue_size=16)
     defaults.update(kwargs)
     return CampaignScheduler(SchedulerConfig(**defaults))
+
+
+async def _behind_held_slot(release, specs, **config):
+    """Submit ``specs`` while the only worker runs :data:`HOLD`, then
+    release it; returns the scheduler and the finished states."""
+    scheduler = _scheduler(max_concurrency=1, **config)
+    await scheduler.start()
+    hold = scheduler.submit(HOLD)
+    while hold.status != "running":
+        await asyncio.sleep(0.005)
+    states = [scheduler.submit(spec) for spec in specs]
+    await asyncio.sleep(0.05)
+    release.set()
+    for state in [hold] + states:
+        await _finished(state)
+    await scheduler.stop()
+    return scheduler, states
 
 
 async def _finished(state, timeout=120.0):
@@ -41,25 +59,19 @@ async def _finished(state, timeout=120.0):
 
 
 class TestCoalescingBitIdentity:
-    def test_batched_tracegen_matches_direct_runs(self):
-        """The core guarantee: coalescing never changes any output."""
-
-        async def run():
-            scheduler = _scheduler(batch_window_s=0.2)
-            await scheduler.start()
-            specs = [
-                JobSpec.create("tracegen", {"traces": 30 + 7 * i, "seed": i})
-                for i in range(1, 5)
-            ]
-            states = [scheduler.submit(spec) for spec in specs]
-            for state in states:
-                await _finished(state)
-            await scheduler.stop()
-            return scheduler, specs, states
-
-        scheduler, specs, states = asyncio.run(run())
+    def test_batched_tracegen_matches_direct_runs(self, held_slot):
+        """The core guarantee: coalescing never changes any output.
+        Requests queued behind a busy worker form one batch."""
+        specs = [
+            JobSpec.create("tracegen", {"traces": 30 + 7 * i, "seed": i})
+            for i in range(1, 5)
+        ]
+        scheduler, states = asyncio.run(
+            _behind_held_slot(held_slot, specs)
+        )
         sizes = {state.batch_size for state in states}
-        assert sizes == {len(specs)}, "window should coalesce all four"
+        assert sizes == {len(specs)}, "a busy slot should coalesce all four"
+        assert scheduler.metrics.counter("batches").value == 1
         for spec, state in zip(specs, states):
             assert state.status == "done", state.error
             direct = run_tracegen(dict(spec.params))
@@ -69,63 +81,50 @@ class TestCoalescingBitIdentity:
             )
             assert np.array_equal(served["voltages"], direct["voltages"])
 
-    def test_zero_window_disables_coalescing(self):
+    def test_lone_tracegen_on_an_idle_scheduler_starts_at_once(self):
         async def run():
-            scheduler = _scheduler(batch_window_s=0.0)
+            scheduler = _scheduler()
             await scheduler.start()
-            states = [
-                scheduler.submit(
-                    JobSpec.create("tracegen", {"traces": 20, "seed": s})
-                )
-                for s in (1, 2)
-            ]
-            for state in states:
-                await _finished(state)
-            await scheduler.stop()
-            return states
-
-        states = asyncio.run(run())
-        assert all(state.batch_size == 1 for state in states)
-
-    def test_incompatible_keys_never_share_a_batch(self):
-        async def run():
-            scheduler = _scheduler(batch_window_s=0.2)
-            await scheduler.start()
-            a = scheduler.submit(
+            state = scheduler.submit(
                 JobSpec.create("tracegen", {"traces": 20, "seed": 1})
             )
-            b = scheduler.submit(
-                JobSpec.create(
-                    "tracegen",
-                    {"traces": 20, "seed": 1, "key_hex": "ff" * 16},
-                )
-            )
-            await _finished(a)
-            await _finished(b)
+            # Only loop turns, no timer: a batching delay would keep
+            # the job queued here.
+            for _ in range(20):
+                if state.status != "queued":
+                    break
+                await asyncio.sleep(0)
+            started = state.status
+            await _finished(state)
             await scheduler.stop()
-            return a, b
+            return started, state
 
-        a, b = asyncio.run(run())
+        started, state = asyncio.run(run())
+        assert started == "running"
+        assert state.status == "done" and state.batch_size == 1
+
+    def test_incompatible_keys_never_share_a_batch(self, held_slot):
+        specs = [
+            JobSpec.create("tracegen", {"traces": 20, "seed": 1}),
+            JobSpec.create(
+                "tracegen", {"traces": 20, "seed": 1, "key_hex": "ff" * 16}
+            ),
+        ]
+        _scheduler, (a, b) = asyncio.run(
+            _behind_held_slot(held_slot, specs)
+        )
         assert a.batch_size == 1 and b.batch_size == 1
         assert a.status == b.status == "done"
 
-    def test_max_batch_jobs_bounds_a_window(self):
-        async def run():
-            scheduler = _scheduler(batch_window_s=0.2, max_batch_jobs=2)
-            await scheduler.start()
-            states = [
-                scheduler.submit(
-                    JobSpec.create("tracegen", {"traces": 10, "seed": s})
-                )
-                for s in (1, 2, 3)
-            ]
-            for state in states:
-                await _finished(state)
-            await scheduler.stop()
-            return states
-
-        states = asyncio.run(run())
-        assert sorted(state.batch_size for state in states) == [1, 2, 2]
+    def test_max_batch_jobs_bounds_a_window(self, held_slot):
+        specs = [
+            JobSpec.create("tracegen", {"traces": 10, "seed": s})
+            for s in (1, 2, 3)
+        ]
+        _scheduler, states = asyncio.run(
+            _behind_held_slot(held_slot, specs, max_batch_jobs=2)
+        )
+        assert [state.batch_size for state in states] == [2, 2, 1]
 
 
 class TestCacheIntegration:
@@ -167,9 +166,29 @@ class TestCacheIntegration:
         b = from_payload(second_sched.result(second))
         assert np.array_equal(a["voltages"], b["voltages"])
 
+    def test_disk_entry_keeps_the_cache_format(self, tmp_path):
+        params = {"traces": 25, "seed": 8}
+
+        async def run():
+            scheduler = _scheduler(cache_dir=str(tmp_path))
+            await scheduler.start()
+            spec = JobSpec.create("tracegen", params)
+            state = await _finished(scheduler.submit(spec))
+            await scheduler.stop()
+            return spec, state
+
+        spec, state = asyncio.run(run())
+        assert state.status == "done", state.error
+        payload = to_payload("tracegen", run_tracegen(dict(spec.params)))
+        entry = tmp_path / ("%s.json" % spec.cache_key)
+        assert entry.read_bytes() == json.dumps(
+            {"key": spec.cache_key, "payload": payload, "version": 1},
+            sort_keys=True,
+        ).encode("utf-8")
+
     def test_inflight_duplicate_attaches_to_primary(self):
         async def run():
-            scheduler = _scheduler(batch_window_s=0.2)
+            scheduler = _scheduler()
             await scheduler.start()
             spec = JobSpec.create("tracegen", {"traces": 25, "seed": 6})
             primary = scheduler.submit(spec)
@@ -199,7 +218,7 @@ class TestBoundedResults:
     def _budget(self, monkeypatch):
         # Two of the four payloads fit; the batch stores all four.
         first = run_tracegen(dict(self.SPECS[0].params))
-        smallest = payload_bytes(to_payload("tracegen", first))
+        smallest = len(payload_text("tracegen", first))
         self.budget = 2 * smallest + smallest // 2
         monkeypatch.setattr(
             cache_module, "MEMORY_BUDGET_BYTES", self.budget
@@ -207,7 +226,7 @@ class TestBoundedResults:
 
     def _run_batch(self, **config):
         async def run():
-            scheduler = _scheduler(batch_window_s=0.2, **config)
+            scheduler = _scheduler(**config)
             await scheduler.start()
             states = [scheduler.submit(spec) for spec in self.SPECS]
             handoffs = [scheduler.result_future(state) for state in states]
@@ -220,7 +239,7 @@ class TestBoundedResults:
     def test_every_submitter_of_an_oversize_batch_gets_its_result(self):
         scheduler, states, payloads = self._run_batch()
         assert {state.batch_size for state in states} == {len(self.SPECS)}
-        assert sum(map(payload_bytes, payloads)) > self.budget
+        assert sum(map(len, payloads)) > self.budget
         for spec, payload in zip(self.SPECS, payloads):
             direct = run_tracegen(dict(spec.params))
             served = from_payload(payload)
@@ -256,17 +275,23 @@ class TestBoundedResults:
             assert scheduler.result(state) == payload
 
 
+#: A non-default cipher key: a tracegen with it joins no default batch.
+KEY = "ff" * 16
+
+
 class TestBackpressure:
     def test_queue_full_rejects_with_structured_error(self):
         async def run():
             # One slot, zero workers started: nothing drains the queue.
-            scheduler = _scheduler(queue_size=1, batch_window_s=0.0)
+            scheduler = _scheduler(queue_size=1)
             first = scheduler.submit(
                 JobSpec.create("tracegen", {"traces": 10, "seed": 1})
             )
             with pytest.raises(QueueFullError) as excinfo:
                 scheduler.submit(
-                    JobSpec.create("tracegen", {"traces": 10, "seed": 2})
+                    JobSpec.create(
+                        "tracegen", {"traces": 10, "seed": 2, "key_hex": KEY}
+                    )
                 )
             return scheduler, first, excinfo.value
 
@@ -280,12 +305,12 @@ class TestBackpressure:
 
     def test_rejection_leaves_no_inflight_residue(self):
         async def run():
-            scheduler = _scheduler(queue_size=1, batch_window_s=0.0)
+            scheduler = _scheduler(queue_size=1)
             scheduler.submit(
                 JobSpec.create("tracegen", {"traces": 10, "seed": 1})
             )
             rejected_spec = JobSpec.create(
-                "tracegen", {"traces": 10, "seed": 2}
+                "tracegen", {"traces": 10, "seed": 2, "key_hex": KEY}
             )
             with pytest.raises(QueueFullError):
                 scheduler.submit(rejected_spec)
@@ -318,7 +343,7 @@ class TestBackpressure:
 class TestMetrics:
     def test_queue_depth_and_latency_metrics_populated(self):
         async def run():
-            scheduler = _scheduler(batch_window_s=0.05)
+            scheduler = _scheduler()
             # Submit BEFORE starting workers so depth is observably > 0.
             states = [
                 scheduler.submit(
@@ -349,7 +374,7 @@ class TestMetrics:
 
     def test_batching_counters(self):
         async def run():
-            scheduler = _scheduler(batch_window_s=0.2)
+            scheduler = _scheduler()
             await scheduler.start()
             states = [
                 scheduler.submit(
@@ -371,7 +396,7 @@ class TestMetrics:
 class TestCancellation:
     def test_queued_job_cancels_cleanly(self):
         async def run():
-            scheduler = _scheduler(batch_window_s=0.0)
+            scheduler = _scheduler()
             # No workers: jobs stay queued and cancellable.
             state = scheduler.submit(
                 JobSpec.create("tracegen", {"traces": 10, "seed": 1})

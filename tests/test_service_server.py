@@ -2,29 +2,43 @@
 
 import asyncio
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from repro.service import cache as cache_module
 from repro.service.client import (
     ServiceClient,
     ServiceError,
     ServiceRejection,
 )
-from repro.service.codec import from_payload
-from repro.service.jobs import normalize_params
+from repro.service.codec import from_payload, to_payload
+from repro.service.jobs import JobSpec, normalize_params
+from repro.service.journal import JobJournal
 from repro.service.runners import run_tracegen
 from repro.service.scheduler import CampaignScheduler, SchedulerConfig
 from repro.service.server import CampaignServer
+
+#: Params of an attack that holds its worker under ``held_slot``.
+HOLD = {"traces": 400, "seed": 1, "workers": 1}
 
 
 def _serve(config=None):
     """A started server on an ephemeral port plus its scheduler."""
     scheduler = CampaignScheduler(
-        config
-        or SchedulerConfig(max_concurrency=2, batch_window_s=0.05)
+        config or SchedulerConfig(max_concurrency=2)
     )
     return CampaignServer(scheduler, port=0)
+
+
+async def _hold(server, client):
+    """Submit :data:`HOLD` and wait until it occupies its worker."""
+    hold_id = await client.submit_nowait("attack", HOLD)
+    while server.scheduler.job(hold_id).status != "running":
+        await asyncio.sleep(0.005)
+    return hold_id
 
 
 class TestProtocol:
@@ -136,28 +150,108 @@ class TestSubmitStreaming:
         assert metrics["cache"]["memory_hits"] == 1
 
 
+class TestResultText:
+    def test_every_job_line_carries_the_payload(self):
+        params = {"traces": 24, "seed": 11}
+
+        async def run():
+            server = _serve()
+            host, port = await server.start()
+            async with ServiceClient(host, port) as client:
+                submitted = await client.submit("tracegen", params)
+                attached = await client.attach(submitted["job_id"])
+                viewed = await client.job(
+                    submitted["job_id"], include_result=True
+                )
+            await server.close()
+            return submitted, attached, viewed
+
+        payload = to_payload(
+            "tracegen", run_tracegen(normalize_params("tracegen", params))
+        )
+        for job in asyncio.run(run()):
+            assert job["status"] == "done"
+            assert job["result"] == payload
+
+    def test_ping_answers_while_a_result_is_stored(
+        self, tmp_path, monkeypatch
+    ):
+        """The fsync'd cache write runs off the event loop, and the
+        job's ``done`` record lands only after the entry exists."""
+        params = {"traces": 20, "seed": 12}
+        key = JobSpec.create("tracegen", params).cache_key
+        entry = tmp_path / "cache" / ("%s.json" % key)
+        writing, release = threading.Event(), threading.Event()
+        real_write = cache_module.atomic_write
+        real_append = JobJournal.append
+        done_saw_entry = []
+
+        def slow_write(path, writer):
+            writing.set()
+            release.wait(30)
+            real_write(path, writer)
+
+        def append(journal, kind, job_id, **data):
+            if kind == "done":
+                done_saw_entry.append(os.path.exists(entry))
+            return real_append(journal, kind, job_id, **data)
+
+        monkeypatch.setattr(cache_module, "atomic_write", slow_write)
+        monkeypatch.setattr(JobJournal, "append", append)
+
+        async def run():
+            server = _serve(
+                SchedulerConfig(
+                    cache_dir=str(tmp_path / "cache"),
+                    journal_dir=str(tmp_path / "journal"),
+                )
+            )
+            host, port = await server.start()
+            try:
+                async with ServiceClient(host, port) as client:
+                    job_id = await client.submit_nowait("tracegen", params)
+                    assert await asyncio.to_thread(writing.wait, 30)
+                    alive = await asyncio.wait_for(client.ping(), 5)
+                    storing = server.scheduler.job(job_id).status
+                    release.set()
+                    done = await client.job(job_id, wait=True)
+            finally:
+                release.set()
+                await server.close()
+            return alive, storing, done
+
+        alive, storing, done = asyncio.run(run())
+        assert alive is True
+        assert storing == "running"
+        assert done["status"] == "done"
+        assert done_saw_entry == [True]
+
+
 class TestEvictedResultsOverTheWire:
     def test_streaming_clients_get_results_the_cache_evicted(
-        self, monkeypatch
+        self, monkeypatch, held_slot
     ):
-        from repro.service import cache as cache_module
-
         # A budget below one payload: every store evicts the one
         # before it, yet each streaming submitter gets its own result.
         monkeypatch.setattr(cache_module, "MEMORY_BUDGET_BYTES", 1)
         params = [{"traces": 20 + i, "seed": 60 + i} for i in range(3)]
 
         async def run():
-            server = _serve(
-                SchedulerConfig(max_concurrency=2, batch_window_s=0.2)
-            )
+            server = _serve(SchedulerConfig(max_concurrency=1))
             host, port = await server.start()
 
             async def one(job_params):
                 async with ServiceClient(host, port) as client:
                     return await client.submit("tracegen", job_params)
 
-            jobs = await asyncio.gather(*(one(p) for p in params))
+            async with ServiceClient(host, port) as holder:
+                await _hold(server, holder)
+            submits = [asyncio.create_task(one(p)) for p in params]
+            # All three queue behind the held worker, then coalesce.
+            while len(server.scheduler.jobs) < 1 + len(params):
+                await asyncio.sleep(0.005)
+            held_slot.set()
+            jobs = await asyncio.gather(*submits)
             async with ServiceClient(host, port) as client:
                 views = [
                     await client.job(job["job_id"], include_result=True)
@@ -179,22 +273,22 @@ class TestEvictedResultsOverTheWire:
         assert attached["status"] == "done"
         assert attached["result"] is None
 
-    def test_polling_an_unfinished_job_leaves_no_waiter(self):
-        # The batch window keeps the job queued while it is polled.
+    def test_polling_an_unfinished_job_leaves_no_waiter(self, held_slot):
+        # The held worker keeps the job queued while it is polled.
         params = {"traces": 20, "seed": 70}
 
         async def run():
-            server = _serve(
-                SchedulerConfig(max_concurrency=2, batch_window_s=0.5)
-            )
+            server = _serve(SchedulerConfig(max_concurrency=1))
             host, port = await server.start()
             async with ServiceClient(host, port) as client:
+                await _hold(server, client)
                 job_id = await client.submit_nowait("tracegen", params)
                 polled = [
                     await client.job(job_id, include_result=True)
                     for _ in range(5)
                 ]
                 waiters = len(server.scheduler.job(job_id).waiters)
+                held_slot.set()
                 waited = await client.job(
                     job_id, wait=True, include_result=True
                 )
@@ -214,9 +308,7 @@ class TestBackpressureOverTheWire:
     def test_queue_full_surfaces_as_rejection(self):
         async def run():
             scheduler = CampaignScheduler(
-                SchedulerConfig(
-                    max_concurrency=1, queue_size=1, batch_window_s=0.0
-                )
+                SchedulerConfig(max_concurrency=1, queue_size=1)
             )
             server = CampaignServer(scheduler, port=0)
             host, port = await server.start()
@@ -231,9 +323,16 @@ class TestBackpressureOverTheWire:
                 fill_id = None
                 rejection = None
                 for seed in range(2, 50):
+                    # A distinct cipher key per request: none can join
+                    # another's queued batch, so each takes a slot.
                     try:
                         job_id = await fill.submit_nowait(
-                            "tracegen", {"traces": 10, "seed": seed}
+                            "tracegen",
+                            {
+                                "traces": 10,
+                                "seed": seed,
+                                "key_hex": "%032x" % seed,
+                            },
                         )
                         fill_id = fill_id or job_id
                     except ServiceRejection as exc:
@@ -255,7 +354,7 @@ class TestJobsAndCancel:
     def test_jobs_listing_and_cancel_roundtrip(self):
         async def run():
             scheduler = CampaignScheduler(
-                SchedulerConfig(max_concurrency=1, batch_window_s=0.0)
+                SchedulerConfig(max_concurrency=1)
             )
             server = CampaignServer(scheduler, port=0)
             host, port = await server.start()
