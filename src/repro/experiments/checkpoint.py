@@ -1,26 +1,30 @@
 """Crash-safe campaign checkpoints.
 
-A multi-hour sharded campaign must survive the driver process dying —
-OOM, preemption, a Ctrl-C — without losing hours of trace generation.
-The campaign drivers in :mod:`repro.experiments.parallel` periodically
-serialize their durable state through this module:
+A multi-hour campaign must survive its driver dying — OOM, preemption,
+a Ctrl-C, a SIGKILLed server — without losing hours of trace
+generation.  The campaign loop
+(:func:`repro.experiments.parallel.run_campaign`) serializes its
+durable state through this module after every merged shard, on the
+local pool and on the fleet alike:
 
 * a :class:`CampaignManifest` — everything that determines the
-  campaign's output (kind, seeds and parameters, the shard plan, the
-  checkpoint grid), fingerprinted by a SHA-256 ``config_hash`` so a
-  resume against a *different* configuration is rejected instead of
-  silently producing garbage;
+  campaign's output (kind, seeds and parameters, the checkpoint grid),
+  fingerprinted by a SHA-256 ``config_hash`` so a resume against a
+  *different* configuration is rejected instead of silently producing
+  garbage;
 * a :class:`CampaignCheckpoint` — the manifest plus the number of
-  completed shards and the driver's merged numeric state (the running
+  traces merged so far (a prefix of the campaign: shards merge in trace
+  order; no shard plan, so the rest is re-planned on resume at any
+  width, on either route) and the merged numeric state (the running
   int64 :class:`~repro.attacks.cpa.StreamingCPA` state and the emitted
   correlation rows).
 
 Files are written atomically — serialized to a temporary file in the
 destination directory, fsynced, then ``os.replace``d over the target —
 so a crash mid-write can never leave a truncated checkpoint behind;
-the previous durable state simply survives.  Because shard merges are
-order-independent and every stream block's randomness is keyed on
-global trace indices, a campaign resumed from any checkpoint
+the previous durable state simply survives.  Because every stream
+block's randomness is keyed on global trace indices and the int64
+state merges exactly, a campaign resumed from any checkpoint
 reproduces the uninterrupted result bit for bit.
 
 The serialized payload is a single ``.npz``: reserved double-
@@ -58,14 +62,16 @@ __all__ = [
 #: stream on the 4,096-trace stream block instead of the 50k chunk grid;
 #: version 3 stores the int64 per-value CPA state (and full-key
 #: campaigns store it instead of a leakage prefix), so an older
-#: checkpoint must not resume.  The version is part of
-#: :attr:`CampaignManifest.config_hash`, hence of every service cache
-#: key.
-CHECKPOINT_VERSION = 3
+#: checkpoint must not resume; version 4 records the merged trace
+#: prefix instead of a shard count and drops the shard plan from the
+#: manifest, so a campaign resumes at any width and on either route.
+#: The version is part of :attr:`CampaignManifest.config_hash`, hence
+#: of every service cache key.
+CHECKPOINT_VERSION = 4
 
 #: Reserved keys inside the ``.npz`` payload.
 _KEY_MANIFEST = "__manifest__"
-_KEY_COMPLETED = "__completed_shards__"
+_KEY_MERGED = "__merged_traces__"
 _KEY_VERSION = "__version__"
 
 
@@ -84,17 +90,15 @@ class CampaignManifest:
 
     Attributes:
         kind: campaign flavor (``"attack"``, ``"physical"``,
-            ``"fullkey"``, ``"report"``).
+            ``"fullkey"``, ``"report"``, or ``"service-KIND"`` for a
+            job run through :mod:`repro.service.runners`).
         params: JSON-serializable campaign parameters (seeds, trace
             budget, targets, ...).
-        shard_plan: the ``(start, end)`` trace range of every shard,
-            in execution order.
         checkpoints: the correlation-evaluation grid.
     """
 
     kind: str
     params: Dict[str, object] = field(default_factory=dict)
-    shard_plan: Tuple[Tuple[int, int], ...] = ()
     checkpoints: Tuple[int, ...] = ()
 
     def to_json(self) -> str:
@@ -104,7 +108,6 @@ class CampaignManifest:
                 "version": CHECKPOINT_VERSION,
                 "kind": self.kind,
                 "params": self.params,
-                "shard_plan": [list(pair) for pair in self.shard_plan],
                 "checkpoints": list(self.checkpoints),
             },
             sort_keys=True,
@@ -116,9 +119,6 @@ class CampaignManifest:
         return cls(
             kind=data["kind"],
             params=data["params"],
-            shard_plan=tuple(
-                (int(a), int(b)) for a, b in data["shard_plan"]
-            ),
             checkpoints=tuple(int(p) for p in data["checkpoints"]),
         )
 
@@ -134,15 +134,15 @@ class CampaignCheckpoint:
 
     Attributes:
         manifest: the campaign configuration fingerprint.
-        completed_shards: shards fully merged into ``arrays`` — always
-            a prefix of ``manifest.shard_plan``, because the drivers
-            merge in trace order.
+        merged_traces: traces merged into ``arrays`` — always a prefix
+            ``[0, merged_traces)`` of the campaign, because shards merge
+            in trace order.
         arrays: driver-owned numeric state (the running CPA state and
             the emitted correlation rows).
     """
 
     manifest: CampaignManifest
-    completed_shards: int
+    merged_traces: int
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -160,7 +160,7 @@ def save_checkpoint(path: str, checkpoint: CampaignCheckpoint) -> None:
         _KEY_MANIFEST: np.frombuffer(
             checkpoint.manifest.to_json().encode("utf-8"), dtype=np.uint8
         ),
-        _KEY_COMPLETED: np.int64(checkpoint.completed_shards),
+        _KEY_MERGED: np.int64(checkpoint.merged_traces),
         _KEY_VERSION: np.int64(CHECKPOINT_VERSION),
     }
     payload.update(checkpoint.arrays)
@@ -183,7 +183,7 @@ def load_checkpoint(path: str) -> CampaignCheckpoint:
             manifest = CampaignManifest.from_json(
                 bytes(data[_KEY_MANIFEST]).decode("utf-8")
             )
-            completed = int(data[_KEY_COMPLETED])
+            merged = int(data[_KEY_MERGED])
             arrays = {
                 key: data[key]
                 for key in data.files
@@ -202,14 +202,16 @@ def load_checkpoint(path: str) -> CampaignCheckpoint:
         raise CheckpointError(
             path, "unreadable or corrupt (%s)" % exc
         ) from exc
-    if not 0 <= completed <= len(manifest.shard_plan):
+    # The grid always ends at the campaign's trace count.
+    total = manifest.checkpoints[-1] if manifest.checkpoints else 0
+    if not 0 <= merged <= total:
         raise CheckpointError(
             path,
-            "completed shard count %d outside the %d-shard plan"
-            % (completed, len(manifest.shard_plan)),
+            "merged trace count %d outside the %d-trace campaign"
+            % (merged, total),
         )
     return CampaignCheckpoint(
-        manifest=manifest, completed_shards=completed, arrays=arrays
+        manifest=manifest, merged_traces=merged, arrays=arrays
     )
 
 
@@ -238,12 +240,7 @@ def verify_manifest(
                 )
                 break
         else:
-            if stored.shard_plan != expected.shard_plan:
-                detail = "shard plan differs (%d vs %d shards)" % (
-                    len(stored.shard_plan),
-                    len(expected.shard_plan),
-                )
-            elif stored.checkpoints != expected.checkpoints:
+            if stored.checkpoints != expected.checkpoints:
                 detail = "checkpoint grid differs"
     raise CheckpointError(
         path,

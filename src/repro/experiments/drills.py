@@ -7,8 +7,10 @@ for the caller to assert on.  None writes a record file; speed is
 measured by ``bench/run.py``, and these numbers are only gates.
 
 * :func:`chaos_drill` — SIGKILL a journaled ``repro serve`` with two
-  jobs in flight, restart it on the same journal, and require both
-  recovered results byte-identical to undisturbed runs.
+  jobs in flight, one fleet job part-merged and spooled, restart it on
+  the same journal, and require both recovered results byte-identical
+  to undisturbed runs and the fleet job to lease again only the traces
+  its spool had not merged.
 * :func:`preprocess_drill` — a disabled misalignment spec equals no
   spec, the preprocessed campaign is bit-identical at 1 vs 2 workers,
   the alignment throughput, and the severity at which the raw attack
@@ -89,6 +91,10 @@ def _spawn_server(
             cache_dir,
             "--fleet-grace",
             "30",
+            # One job at a time: the second job waits, queued, behind
+            # the held fleet job, so both are in flight at the kill.
+            "--max-concurrency",
+            "1",
         ],
         env=env,
         stdout=subprocess.PIPE,
@@ -107,42 +113,40 @@ def _spawn_server(
             raise RuntimeError("chaos drill server failed to start")
 
 
-def _journal_has(journal_dir: str, kind: str) -> bool:
-    """Has the journal recorded a ``kind`` lifecycle event yet?
-
-    The chaos harness polls this as its barrier detector: the journal
-    is fsync'd before the scheduler acts on a record, so observing
-    ``lease_granted`` here means the shard lease genuinely left for a
-    worker — killing the server now is maximally inconvenient.
-    """
+def _leased_traces(journal_dir: str, job_id: str, since: float) -> int:
+    """Traces of ``job_id``'s leases journaled at or after ``since``."""
     log = Path(journal_dir) / "journal.jsonl"
-    if not log.exists():
-        return False
-    for raw in log.read_bytes().splitlines():
-        try:
-            if json.loads(raw).get("record") == kind:
-                return True
-        except ValueError:
-            continue
-    return False
+    records = [json.loads(raw) for raw in log.read_bytes().splitlines()]
+    return sum(
+        record["end"] - record["start"]
+        for record in records
+        if record["record"] == "lease_granted"
+        and record["job_id"] == job_id
+        and record["time"] >= since
+    )
 
 
 def chaos_drill(traces: int = 60_000, seed: int = 1) -> Dict[str, object]:
     """The durability drill: SIGKILL the journaled server mid-campaign.
 
-    Starts a real ``repro serve`` subprocess with a write-ahead journal
-    plus two ``repro worker --reconnect`` subprocesses, submits two
-    jobs (one fleet CPA attack leased to the remote workers, one local
-    attack), and — when the journal records the first ``lease_granted``
-    barrier — delivers the :class:`~repro.util.faults.FaultPlan`'s
-    ``server_kill`` (SIGKILL, no drain).  A fresh server on the same
-    port replays the journal, re-admits both jobs, the workers redial
-    with seeded backoff (``worker_kill`` at the ``recovered`` barrier
-    additionally takes one of them out), and the drill re-attaches to
-    both job ids.  Both recovered results are asserted byte-identical
-    to undisturbed single-host runs computed before any fault —
-    ``identity_diffs`` must be 0 — and the returned dict carries the
-    recovery latency and the journal counters.
+    Starts a real ``repro serve`` subprocess (one job at a time) with a
+    write-ahead journal plus two ``repro worker --reconnect``
+    subprocesses, registered in turn so the fleet job's second lease
+    goes to the second, which is stopped (SIGSTOP) before two jobs are
+    submitted: a fleet CPA attack, and a local attack queued behind it.
+    The fleet job merges and spools its first lease but cannot finish;
+    once its spool checkpoint exists the
+    :class:`~repro.util.faults.FaultPlan`'s ``server_kill`` delivers a
+    SIGKILL (no drain).  A fresh server on the same port replays the
+    journal and re-admits both jobs, the workers redial with seeded
+    backoff (``worker_kill`` at the ``recovered`` barrier additionally
+    takes the first one out), and the drill re-attaches to both job ids.
+    Both recovered results are asserted byte-identical to undisturbed
+    single-host runs computed before any fault — ``identity_diffs``
+    must be 0 — and ``rerun_traces`` counts the fleet job's traces
+    leased again after the restart (it resumes from its spool).  The
+    returned dict also carries the recovery latency and the journal
+    counters.
     """
     from repro.service.client import (
         ServiceClient,
@@ -161,14 +165,14 @@ def chaos_drill(traces: int = 60_000, seed: int = 1) -> Dict[str, object]:
 
     plan = FaultPlan(
         [
-            FaultSpec(FAULT_SERVER_KILL, site="barrier:lease_granted"),
+            FaultSpec(FAULT_SERVER_KILL, site="barrier:fleet_spooled"),
             FaultSpec(FAULT_WORKER_KILL, site="barrier:recovered"),
         ],
         seed=seed,
     )
     warm_kernels()
-    jobs = {
-        name: JobSpec.create("attack", params).params
+    specs = {
+        name: JobSpec.create("attack", params)
         for name, params in {
             "fleet-attack": {
                 "traces": int(traces),
@@ -182,6 +186,7 @@ def chaos_drill(traces: int = 60_000, seed: int = 1) -> Dict[str, object]:
             },
         }.items()
     }
+    jobs = {name: spec.params for name, spec in specs.items()}
     baselines = {
         name: run_attack(dict(params, fleet=False))
         for name, params in jobs.items()
@@ -192,70 +197,71 @@ def chaos_drill(traces: int = 60_000, seed: int = 1) -> Dict[str, object]:
     journal_dir = str(root / "journal")
     spool_dir = str(root / "spool")
     cache_dir = str(root / "cache")
+    fleet_spool = Path(spool_dir) / (
+        specs["fleet-attack"].cache_key + ".npz"
+    )
     workers = []
     server = None
     try:
         server, port = _spawn_server(
             env, 0, journal_dir, spool_dir, cache_dir
         )
-        workers = [
-            subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "worker",
-                    "127.0.0.1:%d" % port,
-                    "--name",
-                    "chaos-w%d" % index,
-                    "--reconnect",
-                    "--max-reconnects",
-                    "60",
-                    "--quiet",
-                ],
-                env=env,
-            )
-            for index in range(2)
-        ]
-        async def _submit_all():
-            ids = {}
+
+        async def _register_then_submit():
             async with ServiceClient("127.0.0.1", port) as client:
-                deadline = time.monotonic() + 60.0
-                while True:
-                    snapshot = await client.jobs_overview()
-                    fleet = snapshot.get("fleet") or {}
-                    if len(fleet.get("workers") or ()) >= len(workers):
-                        break
-                    if time.monotonic() > deadline:
-                        raise RuntimeError(
-                            "chaos drill workers never registered"
+                for index in range(2):
+                    workers.append(
+                        subprocess.Popen(
+                            [
+                                sys.executable, "-m", "repro", "worker",
+                                "127.0.0.1:%d" % port,
+                                "--name", "chaos-w%d" % index,
+                                "--reconnect", "--max-reconnects", "60",
+                                "--quiet",
+                            ],
+                            env=env,
                         )
-                    await asyncio.sleep(0.1)
-                for name, params in jobs.items():
-                    ids[name] = await client.submit_nowait(
-                        "attack", params
                     )
-            return ids
+                    deadline = time.monotonic() + 60.0
+                    while True:
+                        fleet = (await client.jobs_overview()).get("fleet")
+                        if len((fleet or {}).get("workers") or ()) > index:
+                            break
+                        if time.monotonic() > deadline:
+                            raise RuntimeError(
+                                "chaos drill workers never registered"
+                            )
+                        await asyncio.sleep(0.05)
+                # The second worker holds the fleet job's second lease
+                # unanswered: the job merges its first and spools, but
+                # cannot finish before the kill.
+                workers[1].send_signal(signal.SIGSTOP)
+                return {
+                    name: await client.submit_nowait("attack", params)
+                    for name, params in jobs.items()
+                }
 
-        job_ids = asyncio.run(_submit_all())
+        job_ids = asyncio.run(_register_then_submit())
 
-        # Barrier: the journal shows a shard lease in a worker's hands.
+        # Barrier: the fleet job's spool checkpoint holds a merged lease.
         deadline = time.monotonic() + 120.0
-        while not _journal_has(journal_dir, "lease_granted"):
+        while not fleet_spool.exists():
             if time.monotonic() > deadline:
                 raise RuntimeError(
-                    "no lease_granted record before the kill deadline"
+                    "no fleet spool checkpoint before the kill deadline"
                 )
             if server.poll() is not None:
                 raise RuntimeError("chaos drill server died early")
-            time.sleep(0.05)
+            time.sleep(0.01)
 
-        killed = plan.wants(FAULT_SERVER_KILL, "barrier:lease_granted")
+        killed = plan.wants(FAULT_SERVER_KILL, "barrier:fleet_spooled")
         if killed:
             server.send_signal(signal.SIGKILL)
             server.wait()
+        workers[1].send_signal(signal.SIGCONT)
 
         recovery_start = time.perf_counter()
+        restarted_at = time.time()
         if killed:
             server, port = _spawn_server(
                 env, port, journal_dir, spool_dir, cache_dir
@@ -268,6 +274,9 @@ def chaos_drill(traces: int = 60_000, seed: int = 1) -> Dict[str, object]:
         for name, job_id in job_ids.items():
             results[name] = attach_job("127.0.0.1", port, job_id)
         recovery_s = time.perf_counter() - recovery_start
+        rerun_traces = _leased_traces(
+            journal_dir, job_ids["fleet-attack"], restarted_at
+        )
 
         identity_diffs = 0
         for name, job in results.items():
@@ -300,6 +309,7 @@ def chaos_drill(traces: int = 60_000, seed: int = 1) -> Dict[str, object]:
     finally:
         for proc in workers:
             if proc.poll() is None:
+                proc.send_signal(signal.SIGCONT)
                 proc.send_signal(signal.SIGTERM)
         if server is not None and server.poll() is None:
             server.send_signal(signal.SIGTERM)
@@ -330,7 +340,8 @@ def chaos_drill(traces: int = 60_000, seed: int = 1) -> Dict[str, object]:
             name: {"job_id": job_ids[name], "params": params}
             for name, params in jobs.items()
         },
-        "server_killed_at": "barrier:lease_granted",
+        "server_killed_at": "barrier:fleet_spooled",
+        "rerun_traces": rerun_traces,
         "recovery_s": recovery_s,
         "identity_diffs": identity_diffs,
         "identical_results": identity_diffs == 0,

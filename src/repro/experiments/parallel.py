@@ -21,10 +21,10 @@ runs through one contract:
   key byte for the full key — and owns its result validator, its one
   in-order reducer, its checkpoint arrays and its result;
 * :func:`_shard_task` is the one task and :func:`run_campaign` the one
-  campaign loop.  A fleet lease (:func:`run_lease`) is one shard, run
-  by the same task on the lease's thread; the four public drivers are
-  a source each run by :func:`run_campaign`, and the fleet
-  coordinator's merge reduces through the same statistic.
+  campaign loop, where shards merge, validate, checkpoint and record
+  health on every route: it reads them from a dispatcher, this host's
+  pool (:class:`LocalDispatch`) or the fleet's, whose leases are one
+  shard each, run by the same task (:func:`run_lease`).
 
 Determinism is preserved by construction:
 
@@ -43,26 +43,25 @@ Determinism is preserved by construction:
   order, so the sharded result equals :func:`repro.attacks.cpa.run_cpa`
   over the serial collector's traces.
 
-Shards run on the thread pool of
+Locally, shards run on the thread pool of
 :func:`repro.util.executors.map_ordered` (the heavy kernels release the
 GIL) and read the campaign's objects and arrays in place through one
 :class:`repro.util.shm.ArrayFanout`.  Results are bit-identical at any
 worker count.
 
 The same determinism is what makes the campaign *fault-tolerant*:
-because the shard task is a pure function of its payload, the map's
-retry loop (:class:`repro.util.executors.RetryPolicy`) may retry a
-failed or hung shard, and rejects a malformed result through the
-statistic's validator, without any effect on the result.  Results
-stream out of the map in shard order as they land, so each shard merges
+because the shard task is a pure function of its payload, a dispatcher
+may retry a failed or hung shard, and rejects a malformed result
+through the statistic's validator, without any effect on the result.
+Results stream out in shard order as they land, so each shard merges
 while later shards still run, and passing ``checkpoint_path`` makes
 progress durable at no cost in parallelism: after every merged shard
-the statistic's state and a configuration-fingerprinted manifest are
-atomically written (:mod:`repro.experiments.checkpoint`), and
-``resume=True`` continues a failed or killed campaign from the last
-merged shard, bit-identical to an uninterrupted run.  Deterministic
-fault injection for all of these paths lives in
-:mod:`repro.util.faults`.
+the statistic's state, the merged trace prefix and a configuration-
+fingerprinted manifest are atomically written
+(:mod:`repro.experiments.checkpoint`), and ``resume=True`` re-plans the
+traces after the prefix, at any width and on either route, bit-identical
+to an uninterrupted run.  Deterministic fault injection for all of
+these paths lives in :mod:`repro.util.faults`.
 """
 
 from __future__ import annotations
@@ -123,6 +122,7 @@ from repro.util.rng import derive_seed
 from repro.util.shm import ArrayFanout
 
 __all__ = [
+    "LocalDispatch",
     "SegmentPartials",
     "Shard",
     "ShardSource",
@@ -157,15 +157,16 @@ class Shard:
 
 
 def plan_shards(
-    num_traces: int, num_shards: Optional[int] = None
+    num_traces: int, num_shards: Optional[int] = None, start: int = 0
 ) -> List[Shard]:
-    """Split ``[0, num_traces)`` into contiguous runs of whole stream
+    """Split ``[start, num_traces)`` into contiguous runs of whole stream
     blocks.
 
     Every boundary but the campaign's end lands on a multiple of
     :data:`STREAM_BLOCK`, because each block's random streams are keyed
     on its global start; splitting mid-block would change the sampled
-    noise relative to the serial path.  The blocks are distributed as
+    noise relative to the serial path.  ``start`` (a resumed campaign's
+    merged prefix) must be on that grid.  The blocks are distributed as
     evenly as possible, so no shard is more than one block longer than
     another; the spare blocks go to the last shards, the ones that hold
     the campaign's partial last block, so the shards' trace counts come
@@ -173,11 +174,17 @@ def plan_shards(
     """
     if num_traces < 1:
         raise ValueError("need at least one trace")
-    num_blocks = -(-num_traces // STREAM_BLOCK)
+    if start % STREAM_BLOCK or not 0 <= start < num_traces:
+        raise ValueError(
+            "start %d is off the stream block grid of a %d-trace campaign"
+            % (start, num_traces)
+        )
+    first = start // STREAM_BLOCK
+    num_blocks = -(-num_traces // STREAM_BLOCK) - first
     shards = max(1, min(num_shards or default_workers(), num_blocks))
     per_shard, extra = divmod(num_blocks, shards)
     plan: List[Shard] = []
-    block = 0
+    block = first
     for index in range(shards):
         start = block * STREAM_BLOCK
         block += per_shard + (1 if index >= shards - extra else 0)
@@ -323,7 +330,8 @@ class ShardSource:
 
     Build one with the constructor for its recipe; the public drivers
     and the fleet lease route call the same constructors, and
-    :func:`run_campaign` runs any of them.
+    :func:`run_campaign` runs any of them.  A campaign whose shards run
+    elsewhere (a fleet job) needs only the ``table`` in ``heavy``.
     """
 
     heavy: Dict[str, object]
@@ -704,6 +712,26 @@ def _shard_task(
     return partials
 
 
+class LocalDispatch:
+    """The default dispatcher (see :func:`run_campaign`): the shards on
+    this host's pool, under the retry loop of :func:`map_ordered`, each
+    reading ``source``'s fan-out in place."""
+
+    def __init__(self, source, max_workers=None, policy=None, fault_plan=None):
+        self.source, self.max_workers = source, max_workers
+        self.knobs = {"policy": policy, "fault_plan": fault_plan}
+        self.width = max_workers or default_workers()
+
+    def __call__(self, tasks, health, validate):
+        with ArrayFanout(self.source.heavy, self.source.arrays) as fanout:
+            # Closing this generator closes the map: queued shards drop.
+            yield from map_ordered(
+                partial(_shard_task, fanout), tasks, self.max_workers,
+                sites=[task["shard"].site for task in tasks],
+                health=health, validate=validate, **self.knobs,
+            )
+
+
 def run_campaign(
     source: ShardSource,
     checkpoints: Optional[Sequence[int]] = None,
@@ -713,38 +741,41 @@ def run_campaign(
     health: Optional[CampaignHealth] = None,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
+    dispatch=None,
 ) -> Union[CPAResult, FullKeyResult]:
     """Run a whole campaign: every shard of ``source``, merged in trace
     order.
 
-    The campaign's traces are split by :func:`plan_shards`; every shard
-    is one :func:`_shard_task` under the retry loop of
-    :func:`map_ordered`, keyed on its fault site and checked by the
-    statistic's validator.  Each shard merges into
-    :class:`SegmentPartials` as soon as it and every earlier shard have
-    landed, so the shards run at full width while the merged state only
-    ever covers a prefix of the shard plan.
+    The traces not yet merged are split by :func:`plan_shards` into
+    ``dispatch.width`` shards.  Called with their tasks, the campaign's
+    health and the statistic's validator, the dispatcher yields each
+    shard's validated result in shard order as it lands; each merges
+    into :class:`SegmentPartials` at once, so the shards run at full
+    width while the merged state only ever covers a prefix.
 
     Args:
-        source: the campaign (:class:`ShardSource`).
+        source: the campaign (:class:`ShardSource`); its ``kind`` and
+            ``params`` are the checkpoint manifest's identity.
         checkpoints: trace counts at which correlations are evaluated
             (:func:`~repro.attacks.cpa.checkpoint_grid`; default
             :func:`~repro.attacks.cpa.default_checkpoints`).
-        max_workers: worker count, and the number of shards (default:
-            :func:`default_workers`).
-        policy: retry/timeout policy of :func:`map_ordered`, which
-            runs every shard (default :class:`RetryPolicy`).
-        fault_plan: deterministic fault injection (tests only).
-        health: accumulates the runtime's recovery events.
+        max_workers / policy / fault_plan: the default dispatcher's
+            worker count (also its shard count; default
+            :func:`default_workers`), retry/timeout policy and
+            deterministic fault injection (tests only).
+        health: accumulates every shard attempt the dispatcher makes.
         checkpoint_path: after every merged shard, atomically write the
-            statistic's state and the campaign's configuration-
-            fingerprinted manifest here
-            (:mod:`repro.experiments.checkpoint`), so a failed or
-            killed campaign keeps every finished prefix.
-        resume: continue from ``checkpoint_path`` if it exists; the
-            stored manifest must fingerprint-match this configuration.
-            The resumed result is bit-identical to an uninterrupted
-            run.
+            statistic's state, the merged trace prefix and the
+            configuration-fingerprinted manifest here
+            (:mod:`repro.experiments.checkpoint`).
+        resume: continue from ``checkpoint_path`` if it exists and its
+            manifest fingerprint-matches, re-planning the traces after
+            its prefix at this run's width; bit-identical to an
+            uninterrupted run.
+        dispatch: where the shards run (default
+            ``LocalDispatch(source, max_workers, policy, fault_plan)``;
+            the fleet's is :meth:`repro.service.fleet.FleetCoordinator.
+            dispatcher`).
 
     Returns:
         :meth:`SegmentPartials.result`: a :class:`CPAResult`, or a
@@ -753,50 +784,41 @@ def run_campaign(
     if source.num_traces < 2:
         raise ValueError("need at least 2 traces")
     points = checkpoint_grid(checkpoints, source.num_traces)
-    shards = plan_shards(source.num_traces, max_workers)
     manifest = CampaignManifest(
         kind=source.kind,
         params=source.params,
-        shard_plan=tuple((s.start, s.end) for s in shards),
         checkpoints=tuple(int(p) for p in points),
     )
     statistic = SegmentPartials(points, source.heavy["table"], source.streams)
-    completed = 0
+    merged = 0
     if resume and checkpoint_path is not None and os.path.exists(
         checkpoint_path
     ):
         stored = load_checkpoint(checkpoint_path)
         verify_manifest(checkpoint_path, stored.manifest, manifest)
-        completed = stored.completed_shards
-        if completed:
+        merged = stored.merged_traces
+        if merged:
             statistic.restore(stored.arrays)
-    remaining = shards[completed:]
-    with ArrayFanout(source.heavy, source.arrays) as fanout, closing(
-        map_ordered(
-            partial(_shard_task, fanout),
-            [
-                dict({"shard": shard}, **statistic.task_fields(shard))
-                for shard in remaining
-            ],
-            max_workers=max_workers,
-            policy=policy,
-            fault_plan=fault_plan,
-            sites=[shard.site for shard in remaining],
-            health=health,
-            validate=statistic.validate,
-        )
-    ) as results:
-        # Closing the map on the way out drops the shards still queued
-        # when a merge or a save fails.
-        for partials in results:
+    if merged == source.num_traces:
+        return statistic.result(source.key)
+    if dispatch is None:
+        dispatch = LocalDispatch(source, max_workers, policy, fault_plan)
+    tasks = [
+        dict({"shard": shard}, **statistic.task_fields(shard))
+        for shard in plan_shards(source.num_traces, dispatch.width, merged)
+    ]
+    health = CampaignHealth() if health is None else health
+    # Closing the dispatcher on the way out drops the shards still
+    # queued when a merge or a save fails.
+    with closing(dispatch(tasks, health, statistic.validate)) as results:
+        for task, partials in zip(tasks, results):
             statistic.merge(partials)
-            completed += 1
             if checkpoint_path is not None:
                 save_checkpoint(
                     checkpoint_path,
                     CampaignCheckpoint(
                         manifest=manifest,
-                        completed_shards=completed,
+                        merged_traces=task["shard"].end,
                         arrays=statistic.arrays(),
                     ),
                 )

@@ -21,13 +21,14 @@ Module map:
 * :mod:`~repro.service.codec` — lossless array-over-JSON payloads plus
   length-prefixed binary frames for the fleet wire;
 * :mod:`~repro.service.runners` — shared CLI/service execution paths
-  and the fleet shard plan/run/merge primitives;
+  (one campaign loop on either route) and the fleet lease runners;
 * :mod:`~repro.service.server` / :mod:`~repro.service.client` — the
   JSON-lines protocol endpoints;
 * :mod:`~repro.service.fleet` / :mod:`~repro.service.worker` — the
   distributed campaign fabric: lease-based shard dispatch with
   cache-aware placement, heartbeat fencing, worker auto-reconnect,
-  poison-shard quarantine, and bit-identical merge;
+  poison-shard quarantine, and lease results handed back to the
+  campaign loop in plan order;
 * :mod:`~repro.service.journal` — the write-ahead job journal that
   makes the control plane crash-safe: fsync'd lifecycle records,
   snapshot compaction, replay + job recovery after a server SIGKILL;

@@ -1,4 +1,4 @@
-"""Fleet coordinator: multi-host shard dispatch with bit-identical merge.
+"""Fleet coordinator: multi-host shard dispatch for the campaign loop.
 
 One campaign, many machines.  Remote workers (:mod:`repro.service.worker`)
 connect over the service's TCP port, upgrade the JSON-lines connection
@@ -6,12 +6,13 @@ with a ``worker_register`` op, and from then on speak the binary frame
 protocol of :mod:`repro.service.codec` in both directions.  The
 :class:`FleetCoordinator` owns the other end:
 
-* **Leases** — each fleet-dispatched job is decomposed into
-  block-aligned shards (:func:`repro.service.runners.plan_fleet_job`);
-  a shard is *leased* to one worker at a time, and the lease carries
-  the attempt number so deterministic fault injection
-  (:class:`repro.util.faults.FaultPlan`) keys exactly like the
-  single-host resilient runtime.
+* **Leases** — a fleet job runs the one campaign loop
+  (:func:`repro.experiments.parallel.run_campaign`) with the
+  coordinator's dispatcher (:meth:`FleetCoordinator.dispatcher`) in
+  place of the local pool; each shard the loop plans is *leased* to one
+  worker at a time, and the lease carries the attempt number so
+  deterministic fault injection (:class:`repro.util.faults.FaultPlan`)
+  keys exactly like the single-host runtime.
 * **Cache-aware placement** — workers advertise the config hashes they
   have warm (rebuilt campaign inputs, on-disk result-cache entries);
   a shard whose job config hash is warm on some free worker goes
@@ -23,18 +24,15 @@ protocol of :mod:`repro.service.codec` in both directions.  The
   connection requeues immediately.  Because every shard task is a pure
   function of the job parameters and its trace range, reassignment and
   even *duplicate* completions (a revoked worker finishing late) are
-  harmless: the first result per shard wins and any repeat is
-  bit-identical by construction.
-* **Validation** — every lease result passes the job statistic's
-  validator (:meth:`~repro.service.runners.FleetShardPlan.validate`)
-  before it is stored; a malformed one counts as a worker error:
-  requeue, and toward distinct-worker quarantine.
-* **Merge** — the per-segment int64
-  :class:`~repro.attacks.cpa.StreamingCPA` states of every lease (one
-  stream for an attack, 16 for a full key) merge in shard-plan order
-  through the single-host driver's reducer, so correlations are
-  byte-identical at any fleet size, any completion interleaving, and
-  any reassignment history.
+  harmless: the first result per shard wins.  Every lease attempt is
+  one record of the job's :class:`~repro.util.executors.CampaignHealth`.
+* **Validation** — every lease result passes the campaign statistic's
+  validator before it is kept; a malformed one counts as a worker
+  error: requeue, and toward distinct-worker quarantine.
+* **Hand-off** — validated results go back to the campaign loop in plan
+  order as they land, and the loop merges, checkpoints and scores them
+  as it does the local pool's: byte-identical at any fleet size,
+  interleaving or reassignment history, and resumable from the spool.
 
 The coordinator lives inside the scheduler's event loop; all state is
 mutated from that loop, so there are no locks — only per-worker send
@@ -45,22 +43,22 @@ from __future__ import annotations
 
 import asyncio
 import json
+import queue
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
+from repro.experiments.parallel import (
+    # Fleet leases merge in run_campaign; the name stays importable
+    # here for the bench ledger's patch table (bench/spans.py).
+    run_campaign as merge_attack_partials,  # noqa: F401
+)
 from repro.service.codec import CodecError, read_message, write_message
 from repro.service.jobs import JobSpec
 from repro.service.journal import JobJournal
 from repro.service.metrics import MetricsRegistry
-from repro.service.runners import (
-    FleetShardPlan,
-    merge_attack_partials,
-    merge_fullkey_partials,
-    plan_fleet_job,
-)
 from repro.util.errors import ReproError
-from repro.util.executors import TruncatedResultError
 
 __all__ = [
     "FleetConfig",
@@ -175,45 +173,90 @@ class FleetConfig:
 
 
 class _FleetJob:
-    """One fleet-dispatched job's shard bookkeeping."""
+    """One fleet job's campaign, and its dispatcher: called on the
+    campaign loop's thread, it opens the job on the event loop and
+    yields each validated lease result (``ready``) once it and every
+    earlier shard have landed; only a result that lands early waits in
+    ``landed``.  ``width``: ``SHARDS_PER_SLOT`` shards per fleet slot."""
 
     def __init__(
         self,
+        coordinator: "FleetCoordinator",
         spec: JobSpec,
         job_id: str,
-        plan: FleetShardPlan,
         on_event: Optional[Callable[..., None]],
     ):
+        self.coordinator = coordinator
         self.spec = spec
         self.job_id = job_id
-        self.plan = plan
         self.on_event = on_event
-        self.pending: Deque[int] = deque(range(len(plan.shards)))
+        self.loop = asyncio.get_running_loop()
+        self.width = coordinator.total_slots * SHARDS_PER_SLOT
+        self.ready: "queue.SimpleQueue" = queue.SimpleQueue()
+        self.pending: Deque[int] = deque()
         self.attempts: Dict[int, int] = {}
         self.outstanding: Dict[int, "_Lease"] = {}
-        self.results: Dict[int, object] = {}
+        self.landed: Dict[int, object] = {}
+        self.released = 0
         # Distinct workers each shard has *raised* on — the poison-
         # shard signal (drops/timeouts stay out of this set).
         self.failed_workers: Dict[int, Set[str]] = {}
-        self.done = asyncio.Event()
-        self.error: Optional[str] = None
-        self.quarantined: Optional[ShardQuarantined] = None
+        self.closed = False
 
-    @property
-    def finished(self) -> bool:
-        return len(self.results) == len(self.plan.shards)
+    def __call__(self, tasks, health, validate):
+        self.tasks, self.health, self.validate = tasks, health, validate
+        self.pending.extend(range(len(tasks)))
+        started = time.monotonic()
+        asyncio.run_coroutine_threadsafe(
+            self.coordinator._open(self), self.loop
+        ).result()
+        try:
+            for _ in tasks:
+                result = self.ready.get()
+                if isinstance(result, FleetError):
+                    raise result
+                yield result
+        finally:
+            health.wall_time += time.monotonic() - started
+            self.loop.call_soon_threadsafe(self.coordinator._close, self)
+
+    def shard(self, index: int):
+        return self.tasks[index]["shard"]
+
+    def has(self, index: int) -> bool:
+        """Has shard ``index``'s result already landed?"""
+        return index < self.released or index in self.landed
+
+    def land(self, index: int, result: object) -> None:
+        """Keep a validated result; release every result now in order."""
+        self.landed[index] = result
+        while self.released in self.landed:
+            self.ready.put(self.landed.pop(self.released))
+            self.released += 1
+        if self.released == len(self.tasks):
+            self.closed = True
+
+    def record(self, lease: "_Lease", status: str, error=None) -> None:
+        """One lease attempt into the campaign's health."""
+        seconds = self.loop.time() - lease.started_at
+        site = self.shard(lease.shard_index).site
+        self.health.record(site, lease.attempt, status, seconds, error)
 
     def event(self, kind: str, **data: object) -> None:
         if self.on_event is not None:
             self.on_event(kind, **data)
 
-    def fail(self, reason: str) -> None:
-        if self.done.is_set():
-            return
-        self.error = reason
+    def close(self) -> None:
+        """Stop leasing: the job finished, failed or was abandoned."""
+        self.closed = True
         self.pending.clear()
         self.outstanding.clear()
-        self.done.set()
+
+    def fail(self, reason: str) -> None:
+        if self.closed:
+            return
+        self.close()
+        self.ready.put(FleetError("fleet job failed: %s" % reason))
 
 
 @dataclass
@@ -273,7 +316,7 @@ class _Worker:
 
 
 class FleetCoordinator:
-    """Routes shard leases to registered workers and merges results."""
+    """Routes fleet jobs' shard leases to registered workers."""
 
     def __init__(
         self,
@@ -421,10 +464,7 @@ class FleetCoordinator:
             pass
         if not self._workers:
             for job in list(self._jobs.values()):
-                if not job.done.is_set():
-                    job.fail(
-                        "last fleet worker disconnected (%s)" % reason
-                    )
+                job.fail("last fleet worker disconnected (%s)" % reason)
             self._jobs.clear()
         else:
             await self._pump()
@@ -432,19 +472,17 @@ class FleetCoordinator:
     # ------------------------------------------------------------------
     # Job dispatch
     # ------------------------------------------------------------------
-    async def run_job(
+    async def dispatcher(
         self,
         spec: JobSpec,
         job_id: str,
         on_event: Optional[Callable[..., None]] = None,
-    ) -> object:
-        """Dispatch one job across the fleet and merge the result.
-
-        Raises :class:`FleetError` when no workers are connected, a
-        shard exhausts its attempts, or the fleet empties mid-job.
-        The returned object is the same result type the local runner
-        produces, bit-identical to it.
-        """
+    ) -> _FleetJob:
+        """The dispatcher that runs a job's campaign on the fleet
+        (through its runner's :func:`~repro.experiments.parallel.
+        run_campaign`).  :class:`FleetError` when no worker is connected,
+        and from the campaign when a shard exhausts its attempts, is
+        quarantined or loses the last worker."""
         if not self._workers and self.config.register_grace_s > 0:
             # After a server restart, reconnecting workers race the
             # recovered fleet jobs; give registration a bounded head
@@ -458,34 +496,27 @@ class FleetCoordinator:
                 "no fleet workers connected — start one with "
                 "`repro worker HOST:PORT`"
             )
-        plan = plan_fleet_job(
-            spec.kind,
-            spec.params,
-            self.total_slots * SHARDS_PER_SLOT,
-        )
-        job = _FleetJob(spec, job_id, plan, on_event)
-        self._jobs[job_id] = job
+        return _FleetJob(self, spec, job_id, on_event)
+
+    async def _open(self, job: _FleetJob) -> None:
+        """Start leasing a campaign's shards (on the event loop)."""
+        if not self._workers:
+            job.fail("no fleet workers connected")
+            return
+        self._jobs[job.job_id] = job
         job.event(
             "fleet_dispatch",
-            shards=len(plan.shards),
+            shards=len(job.tasks),
             workers=len(self._workers),
             slots=self.total_slots,
         )
-        try:
-            await self._pump()
-            await job.done.wait()
-        finally:
-            self._jobs.pop(job_id, None)
-        if job.error is not None:
-            error = FleetError("fleet job failed: %s" % job.error)
-            error.quarantined = job.quarantined  # type: ignore[attr-defined]
-            raise error
-        ordered = [job.results[i] for i in range(len(plan.shards))]
-        merge = {
-            "attack": merge_attack_partials,
-            "fullkey": merge_fullkey_partials,
-        }[spec.kind]
-        return await asyncio.to_thread(merge, spec.params, plan, ordered)
+        await self._pump()
+
+    def _close(self, job: _FleetJob) -> None:
+        """The campaign loop stopped reading: lease nothing more."""
+        job.close()
+        if self._jobs.get(job.job_id) is job:
+            del self._jobs[job.job_id]
 
     def _pick_worker(
         self, job: _FleetJob, exclude: Set[str] = frozenset()
@@ -540,7 +571,7 @@ class FleetCoordinator:
             # stays pending on its own; the shards behind it still take
             # whatever slots are free.
             deferred: List[int] = []
-            while job.pending and not job.done.is_set():
+            while job.pending and not job.closed:
                 index = job.pending.popleft()
                 worker = self._pick_worker(
                     job, job.failed_workers.get(index, frozenset())
@@ -560,7 +591,7 @@ class FleetCoordinator:
                 worker.leases[lease.lease_id] = lease
                 job.outstanding[index] = lease
                 self._leases[lease.lease_id] = lease
-                start, end = job.plan.shards[index]
+                shard = job.shard(index)
                 assignments.append(
                     (
                         worker,
@@ -572,10 +603,10 @@ class FleetCoordinator:
                             "params": dict(job.spec.params),
                             "cache_key": job.spec.cache_key,
                             "shard_index": index,
-                            "start": start,
-                            "end": end,
+                            "start": shard.start,
+                            "end": shard.end,
                             "segment_ends": list(
-                                job.plan.segment_ends[index]
+                                job.tasks[index]["segment_ends"]
                             ),
                             "attempt": lease.attempt,
                         },
@@ -596,6 +627,8 @@ class FleetCoordinator:
                 "lease_granted",
                 message["job_id"],
                 shard=message["shard_index"],
+                start=message["start"],
+                end=message["end"],
                 worker=worker.worker_id,
                 attempt=message["attempt"],
                 lease_id=message["lease_id"],
@@ -616,18 +649,18 @@ class FleetCoordinator:
             return
         job = lease.job
         index = lease.shard_index
-        if job.done.is_set() or index in job.results:
+        if job.closed or job.has(index):
             # A reassigned shard completed twice.  Shard tasks are pure
             # functions of (params, range), so the late copy is
-            # bit-identical to the merged one; dropping it is the
+            # bit-identical to the kept one; dropping it is the
             # idempotent merge.
             self.metrics.inc("fleet_duplicate_results")
             await self._pump()
             return
         result = message.get("result")
         try:
-            job.plan.validate(index, result)
-        except TruncatedResultError as exc:
+            job.validate(job.tasks[index], result)
+        except Exception as exc:  # noqa: BLE001 — the worker's fault
             # A malformed result is the worker failing the lease: the
             # same requeue and distinct-worker quarantine as an error.
             self.metrics.inc("fleet_invalid_results")
@@ -636,22 +669,21 @@ class FleetCoordinator:
                 {"lease_id": lease_id, "error": "invalid result: %s" % exc},
             )
             return
-        job.results[index] = result
         if job.outstanding.get(index) is lease:
             del job.outstanding[index]
         self._leases.pop(lease_id, None)
         worker.warm_keys.add(job.spec.cache_key)
         self.metrics.inc("fleet_shards_completed")
+        job.record(lease, "ok")
+        job.land(index, result)
         job.event(
             "shard_done",
             shard=index,
             worker=worker.name,
             attempt=lease.attempt,
-            completed=len(job.results),
-            total=len(job.plan.shards),
+            completed=job.released + len(job.landed),
+            total=len(job.tasks),
         )
-        if job.finished:
-            job.done.set()
         await self._pump()
 
     async def _on_error(
@@ -666,7 +698,7 @@ class FleetCoordinator:
         error = str(message.get("error", "unknown"))
         job = lease.job
         index = lease.shard_index
-        if not job.done.is_set() and index not in job.results:
+        if not job.closed and not job.has(index):
             failed_on = job.failed_workers.setdefault(index, set())
             failed_on.add(worker.worker_id)
             if len(failed_on) >= self.config.quarantine_after:
@@ -686,16 +718,16 @@ class FleetCoordinator:
         index = lease.shard_index
         if job.outstanding.get(index) is lease:
             del job.outstanding[index]
-        start, end = job.plan.shards[index]
+        shard = job.shard(index)
+        job.record(lease, "error", error)
         record = ShardQuarantined(
             job_id=job.job_id,
             shard_index=index,
-            start=start,
-            end=end,
+            start=shard.start,
+            end=shard.end,
             workers=tuple(sorted(failed_on)),
             last_error=error,
         )
-        job.quarantined = record
         self.metrics.inc("shards_quarantined")
         self.metrics.inc("fleet_jobs_failed")
         self._journal(
@@ -708,14 +740,17 @@ class FleetCoordinator:
         job.event("shard_quarantined", **record.as_dict())
         job.fail(record.describe())
 
-    async def _requeue(self, lease: _Lease, reason: str) -> None:
+    async def _requeue(
+        self, lease: _Lease, reason: str, status: str = "error"
+    ) -> None:
         """Revoke one lease and requeue its shard (or fail the job)."""
         lease.revoked = True
         self._leases.pop(lease.lease_id, None)
         job = lease.job
         index = lease.shard_index
-        if job.done.is_set() or index in job.results:
+        if job.closed or job.has(index):
             return
+        job.record(lease, status, reason)
         if job.outstanding.get(index) is lease:
             del job.outstanding[index]
         self._journal(
@@ -793,6 +828,7 @@ class FleetCoordinator:
                         lease,
                         "lease timeout after %.1fs"
                         % self.config.lease_timeout_s,
+                        "timeout",
                     )
                 if expired:
                     await self._pump()

@@ -358,18 +358,24 @@ class JobSpec:
         }
 
     @property
+    def manifest(self) -> CampaignManifest:
+        """The job's campaign identity: the job's campaign checkpoints
+        under it (plus its grid) on either route."""
+        return CampaignManifest(
+            kind="service-" + self.kind, params=self.content_params()
+        )
+
+    @property
     def cache_key(self) -> str:
         """Content address of this job's result.
 
-        Reuses the checkpoint manifest's SHA-256 config hash, so the
-        cache key machinery and the resume-safety machinery can never
-        drift apart.  Execution knobs (workers, executor, retries,
-        timeouts, priority) are excluded: the runtime guarantees they
-        never change the bit-identical result.
+        The :attr:`manifest`'s SHA-256 config hash, so the cache key
+        machinery and the resume-safety machinery can never drift
+        apart.  Execution knobs (workers, executor, retries, timeouts,
+        priority) are excluded: the runtime guarantees they never
+        change the bit-identical result.
         """
-        return CampaignManifest(
-            kind="service-" + self.kind, params=self.content_params()
-        ).config_hash
+        return self.manifest.config_hash
 
     def as_dict(self) -> Dict[str, object]:
         return {

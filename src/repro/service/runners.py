@@ -11,13 +11,17 @@ task deadlines, and checkpoint/resume for free.
 
 Fleet execution is the same computation split differently.  One
 resolver (:class:`_Job`) turns an ``attack`` or ``fullkey`` job's
-params into its campaign's shard source: the direct run hands it to
-:func:`run_campaign`, a lease (:func:`run_attack_shard` /
-:func:`run_fullkey_shard`) runs it through
-:func:`repro.experiments.parallel.run_lease`, and the coordinator
-merges (:func:`merge_attack_partials` / :func:`merge_fullkey_partials`)
-reduce with the campaign's statistic — one shard contract on every
-route.
+params into its campaign: the direct run hands its shard source to
+:func:`run_campaign`; a fleet job hands :func:`run_campaign` the
+fleet's dispatcher instead, with a source that holds only what merging
+needs (the hypothesis table and the key), so the server never builds
+the campaign's sensor or inputs; and a lease
+(:func:`run_attack_shard` / :func:`run_fullkey_shard`) runs one shard
+of the source through :func:`repro.experiments.parallel.run_lease`.
+Either way the campaign checkpoints under the job's manifest
+(:attr:`repro.service.jobs.JobSpec.manifest`), so a spool written on
+one route resumes on the other — one shard contract and one campaign
+loop on every route.
 
 Trace-generation jobs additionally support *coalescing*:
 :func:`run_tracegen_batch` runs one deterministic pass (batched AES →
@@ -39,13 +43,13 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.aes.aes128 import AES128
-from repro.attacks.cpa import CPAResult, default_checkpoints
+from repro.attacks.cpa import CPAResult
 from repro.attacks.full_key import (
     FullKeyResult,
     column_of_key_byte,
@@ -57,20 +61,20 @@ from repro.attacks.models import DEFAULT_TARGET_BYTE
 from repro.core.tracegen import PhysicalTraceGenerator, random_plaintexts
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
-    SegmentPartials,
-    Shard,
     ShardSource,
     hypothesis_table,
-    plan_shards,
     run_campaign,
     run_lease,
-    segment_ends,
 )
 from repro.preprocess.pipeline import ResolvedPreprocess, resolve_preprocess
 from repro.preprocess.spec import MisalignmentSpec, PreprocessSpec
 from repro.experiments.runner import FigureRecord, run_all_figures
 from repro.experiments.setup import ExperimentSetup
-from repro.service.jobs import check_acquisition_reduction
+from repro.service.jobs import (
+    JobSpec,
+    check_acquisition_reduction,
+    normalize_params,
+)
 from repro.util import kernels
 from repro.util.executors import (
     CampaignHealth,
@@ -83,12 +87,8 @@ from repro.util.memo import BuildOnce
 from repro.util.rng import derive_seed
 
 __all__ = [
-    "FleetShardPlan",
     "cached_setup",
-    "merge_attack_partials",
-    "merge_fullkey_partials",
     "note_warm_key",
-    "plan_fleet_job",
     "retry_policy",
     "run_attack",
     "run_attack_shard",
@@ -224,8 +224,8 @@ _ROUTES = {
     ("fullkey", True): ShardSource.physical_columns,
 }
 
-#: The CPA streams of each fleet-dispatchable kind's states: one for
-#: the single-byte attack, one per key byte for the full key.
+#: The CPA streams of each job kind's states: one for the single-byte
+#: attack, one per key byte for the full key.
 _STREAMS = {"attack": None, "fullkey": 16}
 
 
@@ -233,11 +233,10 @@ class _Job:
     """An ``attack`` or ``fullkey`` job resolved from its params.
 
     The one place job params become campaign objects.  The direct run
-    (:meth:`run`) and a lease (:meth:`source`) build the same shard
-    source from the same arguments; the coordinator merges resolve
-    here too, so the routes cannot drift apart.  Resolution is lazy: a
-    merge that needs only the cipher never builds the sensor or the
-    traces.
+    and the fleet's campaign (:meth:`run`) and a lease (:meth:`source`)
+    resolve here, so the routes cannot drift apart.  Resolution is
+    lazy: a fleet campaign, which merges only, needs just the cipher
+    and never builds the sensor or the traces.
     """
 
     def __init__(self, kind: str, params: Dict[str, object]):
@@ -293,11 +292,32 @@ class _Job:
             ),
         }
 
-    def run(self, **runtime: object) -> object:
-        """The direct route: the whole campaign, its source built for
-        this job alone."""
-        source = _ROUTES[self.kind, self.physical](**self._arguments())
-        return run_campaign(source, **self.knobs(**runtime))
+    def run(self, dispatch=None, **runtime: object) -> object:
+        """The whole campaign, checkpointed under the job's manifest.
+
+        Its shards run on this host's pool, from a source built for
+        this job alone, or, given a ``dispatch`` (the fleet's),
+        elsewhere: the source here then holds only what the merge reads.
+        """
+        manifest = JobSpec(
+            self.kind, normalize_params(self.kind, self.params)
+        ).manifest
+        identity = {"kind": manifest.kind, "params": manifest.params}
+        if dispatch is None:
+            build = _ROUTES[self.kind, self.physical]
+            source = replace(build(**self._arguments()), **identity)
+        else:
+            key = self.setup.cipher.last_round_key
+            source = ShardSource(
+                {"table": hypothesis_table()}, {},
+                num_traces=self.num_traces,
+                streams=_STREAMS[self.kind],
+                key=key[DEFAULT_TARGET_BYTE] if self.kind == "attack" else key,
+                **identity,
+            )
+        return run_campaign(
+            source, dispatch=dispatch, **self.knobs(**runtime)
+        )
 
     def source(self) -> ShardSource:
         """The lease route: the campaign's shard source, cached per
@@ -321,10 +341,16 @@ def run_attack(
     health: Optional[CampaignHealth] = None,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
+    dispatch=None,
 ) -> CPAResult:
-    """The ``repro attack`` campaign as a parameter-dict runner."""
+    """The ``repro attack`` campaign as a parameter-dict runner.
+
+    ``dispatch`` is where its shards run (default: this host's pool;
+    the scheduler passes the fleet's dispatcher for a fleet job).
+    """
     with kernels.use(params.get("kernels")):
         return _Job("attack", params).run(
+            dispatch,
             health=health,
             checkpoint_path=checkpoint_path,
             resume=resume,
@@ -336,10 +362,12 @@ def run_fullkey(
     health: Optional[CampaignHealth] = None,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
+    dispatch=None,
 ) -> FullKeyResult:
     """The ``repro fullkey`` campaign as a parameter-dict runner."""
     with kernels.use(params.get("kernels")):
         return _Job("fullkey", params).run(
+            dispatch,
             health=health,
             checkpoint_path=checkpoint_path,
             resume=resume,
@@ -527,61 +555,6 @@ def warm_cache_keys() -> List[str]:
         return list(_WARM_KEYS)
 
 
-@dataclass(frozen=True)
-class FleetShardPlan:
-    """A job's block-aligned shard decomposition for fleet dispatch.
-
-    ``segment_ends[i]`` are shard *i*'s internal merge boundaries —
-    every campaign checkpoint falling inside the shard plus the shard
-    end (:func:`repro.experiments.parallel.segment_ends`) — so the
-    coordinator's trace-order merge reproduces the single-host
-    checkpoint sequence bit for bit.
-    """
-
-    kind: str
-    shards: Tuple[Tuple[int, int], ...]
-    segment_ends: Tuple[Tuple[int, ...], ...]
-    checkpoints: Tuple[int, ...]
-
-    def validate(self, index: int, result: object) -> None:
-        """Check shard ``index``'s lease result with the job statistic's
-        validator (raises :class:`TruncatedResultError` if malformed)."""
-        SegmentPartials.validate(
-            {
-                "shard": Shard(*self.shards[index]),
-                "segment_ends": self.segment_ends[index],
-                "streams": _STREAMS[self.kind],
-            },
-            result,
-        )
-
-
-def plan_fleet_job(
-    kind: str, params: Dict[str, object], num_shards: int
-) -> FleetShardPlan:
-    """Block-aligned shard plan for one fleet-dispatched job.
-
-    Shards are runs of whole stream blocks
-    (:data:`~repro.core.attack.STREAM_BLOCK`, the seed grid of the
-    single-host drivers), split as evenly as :func:`plan_shards` splits
-    them for a local pool, so any fleet size reproduces the exact
-    per-block seeds — the precondition for bit-identical merges.
-    """
-    if kind not in _STREAMS:
-        raise ValueError("job kind %r is not fleet-dispatchable" % kind)
-    num_traces = int(params["traces"])  # type: ignore[arg-type]
-    shards = plan_shards(num_traces, max(1, int(num_shards)))
-    points = default_checkpoints(num_traces)
-    return FleetShardPlan(
-        kind=kind,
-        shards=tuple((s.start, s.end) for s in shards),
-        segment_ends=tuple(
-            tuple(segment_ends(shard, points)) for shard in shards
-        ),
-        checkpoints=tuple(int(p) for p in points),
-    )
-
-
 def _run_shard(
     kind: str,
     params: Dict[str, object],
@@ -611,8 +584,8 @@ def run_attack_shard(
     trace range on the global stream-block grid through the local
     drivers' shard task, and returns one
     :meth:`~repro.attacks.cpa.StreamingCPA.state_arrays` dict per
-    segment boundary, ready for the frame codec and the coordinator's
-    merge.
+    segment boundary, ready for the frame codec and the job's
+    campaign loop on the server.
     """
     return _run_shard("attack", params, start, end, segment_ends)
 
@@ -626,50 +599,3 @@ def run_fullkey_shard(
     """One full-key shard lease: :func:`run_attack_shard`'s states with
     16 streams, one per key byte."""
     return _run_shard("fullkey", params, start, end, segment_ends)
-
-
-def _merge_partials(
-    plan: FleetShardPlan,
-    partials_by_shard: Sequence[Sequence[Tuple[int, Dict[str, np.ndarray]]]],
-) -> SegmentPartials:
-    statistic = SegmentPartials(
-        plan.checkpoints, hypothesis_table(), _STREAMS[plan.kind]
-    )
-    for partials in partials_by_shard:
-        statistic.merge(partials)
-    return statistic
-
-
-def merge_attack_partials(
-    params: Dict[str, object],
-    plan: FleetShardPlan,
-    partials_by_shard: Sequence[
-        Sequence[Tuple[int, Dict[str, np.ndarray]]]
-    ],
-) -> CPAResult:
-    """Trace-order merge of per-shard states → CPAResult.
-
-    The single-host driver's reducer (:class:`SegmentPartials`): shards
-    in plan order, segments in trace order, correlations evaluated at
-    every checkpoint boundary.  The states are int64, so the result is
-    bit-identical regardless of which workers computed them, in what
-    interleaving, or after how many reassignments.
-    """
-    return _merge_partials(plan, partials_by_shard).result(
-        _Job("attack", params).setup.cipher.last_round_key[
-            DEFAULT_TARGET_BYTE
-        ]
-    )
-
-
-def merge_fullkey_partials(
-    params: Dict[str, object],
-    plan: FleetShardPlan,
-    partials_by_shard: Sequence[
-        Sequence[Tuple[int, Dict[str, np.ndarray]]]
-    ],
-) -> FullKeyResult:
-    """:func:`merge_attack_partials` for a full-key job's 16 streams."""
-    return _merge_partials(plan, partials_by_shard).result(
-        _Job("fullkey", params).setup.cipher.last_round_key
-    )

@@ -28,12 +28,14 @@ The heart of the campaign service.  A :class:`CampaignScheduler` owns
 * a :class:`~repro.service.metrics.MetricsRegistry` tracking queue
   depth, latencies, cache traffic, and batching efficiency.
 
-Attack/full-key/report jobs execute through the resilient
-runtime: every campaign gets a :class:`CampaignHealth` (switching
-:func:`map_ordered` into its retry/deadline mode), and when a
-``spool_dir`` is configured each campaign checkpoints under its cache
-key and resumes automatically if an identical job previously died
-mid-run.
+Attack/full-key/report jobs execute through one body
+(:meth:`CampaignScheduler._run_job`) on both routes: an attack or
+full-key campaign runs on this host's pool or, handed the fleet's
+dispatcher, on the fleet; either way it records every shard attempt in
+a :class:`CampaignHealth` (the job's ``health``), and when a
+``spool_dir`` is configured it checkpoints under the job's cache key
+and resumes automatically — on either route — if an identical job
+previously died mid-run.
 
 When a ``journal_dir`` is configured the scheduler becomes *durable*:
 every lifecycle transition is appended to a write-ahead
@@ -561,28 +563,21 @@ class CampaignScheduler:
             return True
         return wants is None and self.fleet.has_workers
 
-    async def _run_fleet_job(self, state: JobState) -> None:
-        try:
-            result = await self.fleet.run_job(
-                state.spec, state.job_id, on_event=state.add_event
-            )
-            text = await asyncio.to_thread(
-                self._encode_and_store, state, result
-            )
-        except Exception as exc:  # noqa: BLE001 — report, don't crash
-            self._fail(state, exc)
-            return
-        self._complete(state, text)
-
     async def _run_job(self, state: JobState) -> None:
         if state.status != "queued":
             return  # cancelled while waiting
         self._mark_started(state)
-        if self._wants_fleet(state):
-            await self._run_fleet_job(state)
-            return
         kind = state.spec.kind
         params = state.spec.params
+        dispatch = None
+        if self._wants_fleet(state):
+            try:
+                dispatch = await self.fleet.dispatcher(
+                    state.spec, state.job_id, on_event=state.add_event
+                )
+            except Exception as exc:  # noqa: BLE001 — report, don't crash
+                self._fail(state, exc)
+                return
         health = CampaignHealth()
         checkpoint = self._checkpoint_path(state)
         resume = checkpoint is not None and os.path.exists(checkpoint)
@@ -596,7 +591,7 @@ class CampaignScheduler:
                 result = run_report(params, checkpoint, resume)
             else:
                 runner = run_attack if kind == "attack" else run_fullkey
-                result = runner(params, health, checkpoint, resume)
+                result = runner(params, health, checkpoint, resume, dispatch)
             return self._encode_and_store(state, result)
 
         try:

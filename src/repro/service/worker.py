@@ -19,9 +19,9 @@ server drains or the connection drops:
   ``heartbeat_s`` (the server dictates the interval at registration);
 * ``revoke`` suppresses leases that have not started yet; a lease
   already running cannot be interrupted mid-kernel, so it finishes and
-  sends its result anyway — the coordinator's idempotent merge drops
-  the duplicate (this is deliberate: purity makes late results
-  harmless, and finishing is cheaper than discarding it);
+  sends its result anyway — the coordinator drops the duplicate (this
+  is deliberate: purity makes late results harmless, and finishing is
+  cheaper than discarding it);
 * a :class:`~repro.util.faults.FaultPlan` can be injected (tests, CI)
   to fire deterministic exceptions, hangs and truncated results keyed
   on the shard site and lease attempt — the same keying the
@@ -33,7 +33,7 @@ server drains or the connection drops:
   re-registration (cache-aware placement survives the restart), and
   leases from the dead session are re-validated — stale revocations
   are cleared, and any in-flight result that lands on the new
-  connection is absorbed by the coordinator's idempotent merge.
+  connection is dropped by the coordinator as a duplicate.
 """
 
 from __future__ import annotations
@@ -259,8 +259,8 @@ class FleetWorker:
             # Lease re-validation across the gap: revocations from the
             # dead session are void (the restarted coordinator knows
             # nothing of those lease ids), and any still-running lease
-            # will report on the new link where the idempotent merge
-            # either uses it or drops it as a duplicate.
+            # will report on the new link, where the coordinator drops
+            # it as an unknown lease.
             self._revoked.clear()
             self._log("link lost (%s); reconnecting" % reason)
         self._log("disconnected (%d lease(s) served)" % self.leases_completed)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.timing.delay_model import DelayAnnotation
 
@@ -80,7 +80,6 @@ class TimedSimulator:
         final_inputs: Mapping[str, int],
         sample_time_ps: float,
         voltage: float = 1.0,
-        extra_sample_times_ps: Optional[Sequence[float]] = None,
     ) -> TimedSnapshot:
         """Simulate one input transition and sample at ``sample_time_ps``.
 
@@ -90,9 +89,6 @@ class TimedSimulator:
             sample_time_ps: when the capturing registers latch.
             voltage: supply voltage during this cycle; all gate delays
                 are scaled by the annotation's delay model.
-            extra_sample_times_ps: unused by the main flow; present so
-                multi-tap captures can reuse one propagation run via
-                :meth:`run_transition_multi`.
 
         Returns:
             snapshot of all net values at the sampling instant.

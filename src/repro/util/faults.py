@@ -36,8 +36,8 @@ functions stay oblivious to the plan unless they opt in via
 Chaos kinds (:data:`CHAOS_KINDS`) extend the vocabulary to whole
 *processes and links* of the journaled campaign service:
 
-* ``"server_kill"`` — SIGKILL the service process at a journaled
-  barrier (e.g. the first ``lease_granted`` record);
+* ``"server_kill"`` — SIGKILL the service process at a barrier
+  (e.g. once a fleet job's spool checkpoint exists);
 * ``"worker_kill"`` — SIGKILL one fleet worker process;
 * ``"net_cut"`` — sever a worker's TCP connection without killing it.
 
@@ -45,7 +45,7 @@ These are *harness-fired*: :meth:`FaultPlan.fire` never delivers them
 (a task cannot kill the server it runs under).  The chaos drill
 (:func:`repro.experiments.drills.chaos_drill`) and the recovery tests
 consult the plan via :meth:`FaultPlan.wants` at named barriers — sites
-like ``"barrier:lease_granted"`` — so a kill schedule is as
+like ``"barrier:fleet_spooled"`` — so a kill schedule is as
 deterministic and replayable as any shard-level fault.
 """
 
@@ -86,7 +86,7 @@ FAULT_HANG = "hang"
 FAULT_NAN = "nan"
 #: The result payload comes back missing its last element.
 FAULT_TRUNCATE = "truncate"
-#: SIGKILL the campaign service process at a journaled barrier.
+#: SIGKILL the campaign service process at a barrier.
 FAULT_SERVER_KILL = "server_kill"
 #: SIGKILL one fleet worker process.
 FAULT_WORKER_KILL = "worker_kill"
@@ -201,7 +201,7 @@ class FaultPlan:
         """Does the plan schedule a chaos fault at this barrier?
 
         The chaos harness asks this at named barriers (sites like
-        ``"barrier:lease_granted"``) and delivers the kill/cut itself.
+        ``"barrier:fleet_spooled"``) and delivers the kill/cut itself.
         """
         return self.match(kind, site, attempt) is not None
 

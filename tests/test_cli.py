@@ -340,7 +340,9 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ")
-        assert "num_traces" in err
+        # The job's own parameter: a campaign run through the runners
+        # checkpoints under its job manifest.
+        assert "parameter 'traces'" in err
         assert "Traceback" not in err
         assert err.count("\n") == 1, "one actionable line, no traceback"
 
@@ -401,7 +403,7 @@ class TestCheckpointFormat:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith(
-            "error: checkpoint %s: version 1 not supported (expected 3)"
+            "error: checkpoint %s: version 1 not supported (expected 4)"
             % path
         )
         assert captured.err.count("\n") == 1
@@ -449,7 +451,49 @@ class TestCheckpointFormat:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith(
-            "error: checkpoint %s: version 2 not supported (expected 3)"
+            "error: checkpoint %s: version 2 not supported (expected 4)"
+            % path
+        )
+        assert captured.err.count("\n") == 1
+        assert "best guess" not in captured.out
+
+
+    def test_version_3_checkpoint_refuses_to_resume(self, tmp_path, capsys):
+        # A version-3 checkpoint counted merged shards of a recorded
+        # shard plan; format 4 records the merged trace prefix instead,
+        # so it must not resume, and the refusal is one line.
+        import json
+
+        import numpy as np
+
+        from repro.experiments.checkpoint import load_checkpoint
+
+        path = str(tmp_path / "attack.npz")
+        argv = [
+            "attack", "alu", "--traces", "9000", "--workers", "2",
+            "--checkpoint", path,
+        ]
+        assert main(argv) in (0, 1)
+        stored = load_checkpoint(path)
+        manifest = json.loads(stored.manifest.to_json())
+        manifest["version"] = 3
+        manifest["shard_plan"] = [[0, 8192], [8192, 9000]]
+        np.savez(
+            path,
+            **stored.arrays,
+            __manifest__=np.frombuffer(
+                json.dumps(manifest, sort_keys=True).encode("utf-8"),
+                dtype=np.uint8,
+            ),
+            __completed_shards__=np.int64(1),
+            __version__=np.int64(3),
+        )
+        capsys.readouterr()
+        code = main(argv + ["--resume"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(
+            "error: checkpoint %s: version 3 not supported (expected 4)"
             % path
         )
         assert captured.err.count("\n") == 1

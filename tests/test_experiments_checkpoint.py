@@ -23,7 +23,6 @@ def make_manifest(**overrides):
     fields = dict(
         kind="attack",
         params={"seed": 1, "num_traces": 4000},
-        shard_plan=((0, 1000), (1000, 2000), (2000, 4000)),
         checkpoints=(1000, 2000, 4000),
     )
     fields.update(overrides)
@@ -73,12 +72,6 @@ class TestManifest:
             != base.config_hash
         )
         assert (
-            make_manifest(
-                shard_plan=((0, 2000), (2000, 4000))
-            ).config_hash
-            != base.config_hash
-        )
-        assert (
             make_manifest(checkpoints=(4000,)).config_hash
             != base.config_hash
         )
@@ -94,7 +87,7 @@ class TestSaveLoad:
         path = str(tmp_path / "c.npz")
         checkpoint = CampaignCheckpoint(
             manifest=make_manifest(),
-            completed_shards=2,
+            merged_traces=2000,
             arrays={
                 "rows": np.arange(12.0).reshape(3, 4),
                 "engine_count": np.int64(2000),
@@ -103,7 +96,7 @@ class TestSaveLoad:
         save_checkpoint(path, checkpoint)
         loaded = load_checkpoint(path)
         assert loaded.manifest == checkpoint.manifest
-        assert loaded.completed_shards == 2
+        assert loaded.merged_traces == 2000
         assert np.array_equal(
             loaded.arrays["rows"], checkpoint.arrays["rows"]
         )
@@ -160,10 +153,10 @@ class TestSaveLoad:
         save_checkpoint(
             path, CampaignCheckpoint(make_manifest(), 3, {})
         )
-        # Corrupt the counter beyond the shard plan.
+        # Corrupt the counter beyond the campaign's traces.
         with np.load(path) as data:
             payload = {key: data[key] for key in data.files}
-        payload["__completed_shards__"] = np.int64(7)
+        payload["__merged_traces__"] = np.int64(7000)
         np.savez(path, **payload)
         with pytest.raises(CheckpointError, match="outside"):
             load_checkpoint(path)
@@ -171,12 +164,12 @@ class TestSaveLoad:
     def test_save_is_atomic_over_existing(self, tmp_path):
         path = str(tmp_path / "c.npz")
         save_checkpoint(
-            path, CampaignCheckpoint(make_manifest(), 1, {})
+            path, CampaignCheckpoint(make_manifest(), 1000, {})
         )
         save_checkpoint(
-            path, CampaignCheckpoint(make_manifest(), 2, {})
+            path, CampaignCheckpoint(make_manifest(), 2000, {})
         )
-        assert load_checkpoint(path).completed_shards == 2
+        assert load_checkpoint(path).merged_traces == 2000
         assert [
             name for name in os.listdir(tmp_path) if name.endswith(".tmp")
         ] == []
@@ -200,12 +193,12 @@ class TestVerifyManifest:
                 "p", make_manifest(), make_manifest(kind="fullkey")
             )
 
-    def test_mismatch_names_shard_plan(self):
-        with pytest.raises(CheckpointError, match="shard plan"):
+    def test_mismatch_names_checkpoint_grid(self):
+        with pytest.raises(CheckpointError, match="checkpoint grid"):
             verify_manifest(
                 "p",
                 make_manifest(),
-                make_manifest(shard_plan=((0, 4000),)),
+                make_manifest(checkpoints=(2000, 4000)),
             )
 
 

@@ -78,6 +78,18 @@ class TestPlanShards:
         with pytest.raises(ValueError):
             plan_shards(0, 4)
 
+    def test_a_merged_prefix_replans_the_rest(self):
+        # A resumed campaign plans only the traces after its prefix,
+        # split as the whole range would be from there.
+        num_traces = 5 * STREAM_BLOCK + 7
+        assert plan_shards(num_traces, 2, start=2 * STREAM_BLOCK) == [
+            Shard(2 * STREAM_BLOCK, 4 * STREAM_BLOCK),
+            Shard(4 * STREAM_BLOCK, num_traces),
+        ]
+        for start in (1, STREAM_BLOCK + 1, 6 * STREAM_BLOCK):
+            with pytest.raises(ValueError, match="stream block grid"):
+                plan_shards(num_traces, 2, start=start)
+
     def test_lease_off_the_block_grid_rejected(self, alu_campaign):
         from repro.experiments.parallel import ShardSource
 
@@ -443,7 +455,7 @@ class TestCheckpointResume:
                 fault_plan=plan,
             )
         stored = load_checkpoint(path)
-        assert 0 < stored.completed_shards < len(shards)
+        assert 0 < stored.merged_traces < N4
         resumed = sharded_attack(
             alu_campaign, N4, checkpoints=[1500, 2500, N4],
             max_workers=4,
@@ -528,7 +540,7 @@ class TestCheckpointResume:
                 policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan,
             )
-        assert 0 < load_checkpoint(path).completed_shards < len(shards)
+        assert 0 < load_checkpoint(path).merged_traces < N3
         resumed = sharded_full_key(
             alu_campaign, N3, max_workers=3,
             checkpoint_path=path, resume=True,
@@ -565,7 +577,7 @@ class TestCheckpointResume:
                 policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan,
             )
-        assert load_checkpoint(path).completed_shards == 3
+        assert load_checkpoint(path).merged_traces == shards[3].start
         # The shards ran concurrently: shard 3's first attempt began
         # before shard 0's first attempt ended, and all four first
         # attempts were running at one instant.
@@ -577,6 +589,54 @@ class TestCheckpointResume:
             alu_campaign, num_traces, max_workers=4,
             checkpoint_path=path, resume=True,
         )
+        baseline = sharded_attack(alu_campaign, num_traces, max_workers=4)
+        assert resumed.correlations.tobytes() == (
+            baseline.correlations.tobytes()
+        )
+        assert np.array_equal(resumed.checkpoints, baseline.checkpoints)
+
+
+    @pytest.mark.parametrize("resume_workers", [2, 1])
+    def test_resume_at_another_width(
+        self, alu_campaign, tmp_path, resume_workers
+    ):
+        # A campaign killed after 2 of its 4 shards resumes at any
+        # width: the checkpoint records the merged trace prefix, and
+        # the traces after it are re-planned at the resumed width.
+        from repro.experiments.checkpoint import load_checkpoint
+        from repro.util.executors import (
+            CampaignHealth,
+            RetryPolicy,
+            ShardError,
+        )
+        from repro.util.faults import FAULT_EXCEPTION, FaultSpec
+
+        num_traces = 4 * STREAM_BLOCK
+        shards = plan_shards(num_traces, 4)
+        path = str(tmp_path / "widths.npz")
+        plan = FaultPlan(
+            [FaultSpec(FAULT_EXCEPTION, site=shards[2].site,
+                       attempts=10**6)],
+        )
+        with pytest.raises(ShardError):
+            sharded_attack(
+                alu_campaign, num_traces, max_workers=4,
+                checkpoint_path=path,
+                policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
+                fault_plan=plan,
+            )
+        assert load_checkpoint(path).merged_traces == shards[2].start
+        health = CampaignHealth()
+        resumed = sharded_attack(
+            alu_campaign, num_traces, max_workers=resume_workers,
+            checkpoint_path=path, resume=True, health=health,
+        )
+        assert {attempt.site for attempt in health.attempts} == {
+            shard.site
+            for shard in plan_shards(
+                num_traces, resume_workers, start=shards[2].start
+            )
+        }
         baseline = sharded_attack(alu_campaign, num_traces, max_workers=4)
         assert resumed.correlations.tobytes() == (
             baseline.correlations.tobytes()
@@ -621,28 +681,29 @@ class _Timeline(FaultPlan):
 
 
 #: Manifest config hashes of the drivers at the fixed configurations of
-#: :class:`TestManifestFingerprint` (checkpoint format 3).  They must
-#: not drift: a checkpoint resumes only under the same hash.
+#: :class:`TestManifestFingerprint` (checkpoint format 4, whose manifest
+#: holds no shard plan).  They must not drift: a checkpoint resumes only
+#: under the same hash.
 GOLDEN_MANIFEST_HASHES = {
     "attack": (
-        "2d9a1e4b1c853bdd1ad54965ee03d1c2"
-        "dabf003e68db88f4856ed1f578c766f4"
+        "f0593e21b8fe4f95f93ab9c3311ae9db"
+        "8ef448f1e6e0a70c2d21f433a34e8207"
     ),
     "fullkey": (
-        "0f5e058102dbdd61ff93e115b7b52f94"
-        "5fd25c20422c880eeddea92728285200"
+        "e7a8198b37874da388447a8b7dde14bd"
+        "855eff369582cb48f973a077befb61ef"
     ),
     "physical-fullkey": (
-        "552042f68b7ed0440c34e3b103211f61"
-        "d1eca84481f5026c8eaea4d786371dfc"
+        "1c6e62e0527d3f91e069f77a8c99ed98"
+        "429fb675760144a6de8a7517174bf05d"
     ),
 }
 
-#: The physical driver's hash while its manifest carried the retired
-#: ``reference`` entry (always False in a campaign that ran).
+#: The physical driver's hash with the retired ``reference`` entry
+#: (always False in a campaign that ran) put back into its manifest.
 RETIRED_PHYSICAL_HASH = (
-    "05fb788016fe8061617ba85ceeec14c5"
-    "b94a1ecf95b935358dfefe1380001aaa"
+    "b306bc54deffbdc5fb19da1efc6702b6"
+    "79e6daf27682e71ee41fe94cb50f4db4"
 )
 
 

@@ -30,12 +30,34 @@ from repro.util.rng import make_rng
 
 GOLDEN = Path(__file__).parent / "golden" / "seed_era_pr10.npz"
 
-# Cache keys of the default job of every kind under checkpoint format 3
+# Cache keys of the default job of every kind under checkpoint format 4
 # (every random stream keyed on the 4,096-trace stream block, int64 CPA
-# states).  They must never drift within a format: the journal replays
-# completed jobs by key, and a changed key silently invalidates every
-# cached result.
+# states, a merged trace prefix instead of a shard plan).  They must
+# never drift within a format: the journal replays completed jobs by
+# key, and a changed key silently invalidates every cached result.
 GOLDEN_CACHE_KEYS = {
+    "tracegen": (
+        "9e8910b12cc93166d44fe5b591607bd4"
+        "257346d3a3cb3912cdb5e34e41c3ce0e"
+    ),
+    "attack": (
+        "5d1e5877be1e09cce787cd25eab296d1"
+        "d1273fbb994b826e3ff464dbb7cbd1d2"
+    ),
+    "fullkey": (
+        "58ee291e703359c54ae223455d4bfdf5"
+        "1402c0f4765c07bfbb2f2a4746ef58af"
+    ),
+    "report": (
+        "7b8fc1525fee01a239d48454d8c92002"
+        "8b5b1b13be4478443be55893cd03bdeb"
+    ),
+}
+
+# The same jobs' keys under format 3 (a shard count and a shard plan in
+# every checkpoint).  The results are the same bits, but the format
+# moved every key, and old keys are never reused.
+FORMAT_3_CACHE_KEYS = {
     "tracegen": (
         "2eb219c9126706908519e4782a14f05c"
         "231bbb44f77f4102f88557a93ca0d250"
@@ -164,6 +186,12 @@ class TestSeedEraCacheKeys:
     def test_format_2_cache_key_retired(self, kind):
         assert JobSpec.create(kind, {}).cache_key != (
             FORMAT_2_CACHE_KEYS[kind]
+        )
+
+    @pytest.mark.parametrize("kind", sorted(FORMAT_3_CACHE_KEYS))
+    def test_format_3_cache_key_retired(self, kind):
+        assert JobSpec.create(kind, {}).cache_key != (
+            FORMAT_3_CACHE_KEYS[kind]
         )
 
     @pytest.mark.parametrize("kind", ["attack", "fullkey", "report"])

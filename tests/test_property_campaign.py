@@ -14,9 +14,12 @@ the serial column collector plus the in-memory
 :func:`recover_last_round_key`.  The drawn worker count moves the shard
 split points over the block grid, and every recovery path of the
 thread pool (retry, deadline, validation, checkpointing) has to
-reproduce the reference exactly.  A checkpointed run saves after every
-merged shard, so its last save covers the whole shard plan and holds
-the reference's correlation rows.
+reproduce the reference exactly.  A checkpointed run is killed first,
+by a drawn shard that fails every attempt, and then resumed from its
+checkpoint at a worker count drawn independently of the killed run's:
+the checkpoint records the merged trace prefix, so the resumed run
+re-plans the rest at its own width.  Its last save covers the whole
+campaign and holds the reference's correlation rows.
 """
 
 import os
@@ -43,7 +46,7 @@ from repro.experiments.parallel import (
 from repro.preprocess.pipeline import resolve_preprocess
 from repro.preprocess.spec import MisalignmentSpec, PreprocessSpec
 from repro.util import kernels
-from repro.util.executors import RetryPolicy
+from repro.util.executors import RetryPolicy, ShardError
 from repro.util.faults import (
     FAULT_EXCEPTION,
     FAULT_HANG,
@@ -90,46 +93,60 @@ def runs(draw, faults=1):
         backoff_base=0.0,
         timeout=1.0 if any(s.kind == FAULT_HANG for s in specs) else None,
     )
-    return {
+    run = {
         "traces": traces,
         "workers": workers,
         "checkpointed": checkpointed,
         "plan": FaultPlan(specs, seed=7),
         "policy": policy,
     }
+    if checkpointed:
+        # The killed run also loses a drawn shard on every attempt; the
+        # resumed run draws its width independently of the killed one.
+        killed = shards[draw(st.integers(0, len(shards) - 1))].site
+        run["kill"] = FaultPlan(
+            specs + [FaultSpec(FAULT_EXCEPTION, site=killed, attempts=10**6)],
+            seed=7,
+        )
+        run["resume_workers"] = draw(st.integers(min_value=1, max_value=4))
+    return run
 
 
 def _run(driver, subject, run, checkpoint_dir, **kwargs):
-    """``driver`` under the drawn run's pool, checkpoint and fault."""
-    return driver(
-        *subject,
-        run["traces"],
-        max_workers=run["workers"],
-        policy=run["policy"],
-        fault_plan=run["plan"],
-        checkpoint_path=os.path.join(checkpoint_dir, "campaign.npz")
-        if run["checkpointed"]
-        else None,
-        **kwargs,
+    """``driver`` under the drawn run's pool and faults; a checkpointed
+    run is killed at its drawn shard, then resumed at its drawn width."""
+
+    def attempt(workers, plan, **checkpointing):
+        return driver(
+            *subject,
+            run["traces"],
+            max_workers=workers,
+            policy=run["policy"],
+            fault_plan=plan,
+            **checkpointing,
+            **kwargs,
+        )
+
+    if not run["checkpointed"]:
+        return attempt(run["workers"], run["plan"])
+    path = os.path.join(checkpoint_dir, "campaign.npz")
+    with pytest.raises(ShardError):
+        attempt(run["workers"], run["kill"], checkpoint_path=path)
+    return attempt(
+        run["resume_workers"], run["plan"], checkpoint_path=path,
+        resume=True,
     )
 
 
 def _assert_stored_prefix(checkpoint_dir, run, rows):
-    """A checkpointed run's last save is a prefix of its shard plan
-    and holds the reference's correlation ``rows`` up to it.
-
-    Every drawn fault recovers within the retry budget, so the prefix
-    is the whole plan.
-    """
+    """A checkpointed run's last save covers the whole campaign and
+    holds the reference's correlation ``rows``: the resumed run
+    recovers every drawn fault within the retry budget."""
     if not run["checkpointed"]:
         return
     stored = load_checkpoint(os.path.join(checkpoint_dir, "campaign.npz"))
-    plan = plan_shards(run["traces"], run["workers"])
-    assert stored.manifest.shard_plan == tuple((s.start, s.end) for s in plan)
-    assert stored.completed_shards == len(plan)
-    end = plan[stored.completed_shards - 1].end
-    covered = sum(1 for p in stored.manifest.checkpoints if p <= end)
-    assert stored.arrays["rows"].tobytes() == rows[:covered].tobytes()
+    assert stored.merged_traces == run["traces"]
+    assert stored.arrays["rows"].tobytes() == rows.tobytes()
 
 
 def _reference(driver, subject, run, **kwargs):

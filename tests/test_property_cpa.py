@@ -306,7 +306,7 @@ class TestShardedFullKeyProperty:
                 policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
                 fault_plan=plan,
             )
-        assert 0 < load_checkpoint(path).completed_shards < len(shards)
+        assert 0 < load_checkpoint(path).merged_traces < num_traces
         resumed = sharded_full_key(
             alu_campaign, num_traces, max_workers=workers,
             checkpoint_path=path, resume=True,
@@ -318,36 +318,18 @@ class TestShardedFullKeyProperty:
     def test_fleet_leases_equal_serial_collector(self, slots):
         # A worker with ``slots`` slots runs that many leases at once,
         # each one shard on one thread returning 16-stream states; the
-        # coordinator's merge must equal the serial collector plus the
-        # in-memory recovery.
-        from concurrent.futures import ThreadPoolExecutor
-
+        # fleet job's campaign loop must merge them into the serial
+        # collector plus the in-memory recovery.
         from repro.service.jobs import normalize_params
-        from repro.service.runners import (
-            cached_setup,
-            merge_fullkey_partials,
-            plan_fleet_job,
-            run_fullkey_shard,
-        )
+        from repro.service.runners import cached_setup, run_fullkey
+        from tests.test_service_fleet import LeaseDispatch
 
         params = normalize_params("fullkey", {"traces": 60_000, "seed": 1})
         campaign = cached_setup(int(params["seed"])).campaign("alu")
         reference = _serial_reference(campaign, 60_000)
-        plan = plan_fleet_job("fullkey", params, 2 * slots)
-        with ThreadPoolExecutor(slots) as worker:
-            partials = list(
-                worker.map(
-                    lambda lease: run_fullkey_shard(params, *lease),
-                    [
-                        (start, end, ends)
-                        for (start, end), ends in zip(
-                            plan.shards, plan.segment_ends
-                        )
-                    ],
-                )
-            )
-        for index, result in enumerate(partials):
-            plan.validate(index, result)
-        merged = merge_fullkey_partials(params, plan, partials)
+        merged = run_fullkey(
+            params,
+            dispatch=LeaseDispatch("fullkey", params, 2 * slots, slots),
+        )
         for expected, result in zip(reference, merged.byte_results):
             assert result.correlations.tobytes() == expected.tobytes()

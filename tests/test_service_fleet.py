@@ -10,16 +10,21 @@ every recovery path reproduces exactly.
 """
 
 import asyncio
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.attacks.cpa import default_checkpoints
 from repro.core.attack import STREAM_BLOCK
+from repro.experiments.parallel import (
+    SegmentPartials,
+    plan_shards,
+    segment_ends,
+)
 from repro.service.fleet import FleetConfig, FleetCoordinator
 from repro.service.jobs import JobSpec
 from repro.service.runners import (
-    merge_attack_partials,
-    plan_fleet_job,
     run_attack,
     run_attack_shard,
     run_fullkey,
@@ -100,35 +105,79 @@ async def _teardown(workers, tasks, server):
     await server.close()
 
 
+class LeaseDispatch:
+    """The fleet's campaign path without sockets: a dispatcher that runs
+    every shard task of ``width`` through the lease route
+    (``run_attack_shard`` / ``run_fullkey_shard``) on ``slots``
+    threads and validates each result, as the coordinator does."""
+
+    def __init__(self, kind, params, width, slots=1):
+        self.run_shard = {
+            "attack": run_attack_shard, "fullkey": run_fullkey_shard,
+        }[kind]
+        self.params = params
+        self.width = width
+        self.slots = slots
+        self.tasks = []
+
+    def lease(self, task):
+        shard = task["shard"]
+        return self.run_shard(
+            self.params, shard.start, shard.end, task["segment_ends"]
+        )
+
+    def __call__(self, tasks, health, validate):
+        self.tasks = tasks
+        with ThreadPoolExecutor(self.slots) as pool:
+            for task, result in zip(tasks, pool.map(self.lease, tasks)):
+                validate(task, result)
+                yield result
+
+
+def lease_task(kind, params, num_shards, index=0):
+    """Shard ``index`` of a ``num_shards`` plan, as the campaign loop
+    hands it to a dispatcher."""
+    traces = int(params["traces"])
+    shard = plan_shards(traces, num_shards)[index]
+    return {
+        "shard": shard,
+        "segment_ends": segment_ends(shard, default_checkpoints(traces)),
+        "streams": 16 if kind == "fullkey" else None,
+    }
+
+
 class TestShardPlanAndMerge:
+    """A fleet job's campaign: shards planned by the campaign loop,
+    run as leases, merged by the loop."""
+
     def test_plan_is_chunk_aligned_and_covers_the_range(self):
         spec = _attack_spec()
-        plan = plan_fleet_job("attack", spec.params, 4)
-        assert plan.shards[0][0] == 0
-        assert plan.shards[-1][1] == ATTACK_TRACES
-        for (start, end), nxt in zip(plan.shards, plan.shards[1:]):
-            assert end == nxt[0]
-            assert start % STREAM_BLOCK == 0
+        dispatch = LeaseDispatch("attack", spec.params, 4)
+        run_attack(spec.params, dispatch=dispatch)
+        shards = [task["shard"] for task in dispatch.tasks]
+        assert len(shards) == 4
+        assert shards[0].start == 0
+        assert shards[-1].end == ATTACK_TRACES
+        for shard, nxt in zip(shards, shards[1:]):
+            assert shard.end == nxt.start
+            assert shard.start % STREAM_BLOCK == 0
+        points = {int(p) for p in default_checkpoints(ATTACK_TRACES)}
         covered = sorted(
             boundary
-            for ends in plan.segment_ends
-            for boundary in ends
-            if boundary in plan.checkpoints
+            for task in dispatch.tasks
+            for boundary in task["segment_ends"]
+            if boundary in points
         )
-        assert covered == sorted(plan.checkpoints)
+        assert covered == sorted(points)
 
     def test_merge_is_invariant_to_shard_count(self):
         spec = _attack_spec()
         baseline = _baseline(spec)
         for num_shards in (1, 2):
-            plan = plan_fleet_job("attack", spec.params, num_shards)
-            partials = [
-                run_attack_shard(spec.params, start, end, list(ends))
-                for (start, end), ends in zip(
-                    plan.shards, plan.segment_ends
-                )
-            ]
-            merged = merge_attack_partials(spec.params, plan, partials)
+            merged = run_attack(
+                spec.params,
+                dispatch=LeaseDispatch("attack", spec.params, num_shards),
+            )
             _assert_cpa_equal(merged, baseline)
 
 
@@ -275,6 +324,56 @@ class TestOneLeaseOneThread:
             assert results[index] is results[index % 2]
 
 
+class TestServerSide:
+    def test_fresh_seed_dispatch_builds_no_sensor_on_the_server(
+        self, monkeypatch
+    ):
+        # The server's campaign loop only merges: it reads the key and
+        # the hypothesis table.  Every sensor a fresh-seed fleet job
+        # builds is built inside a lease.
+        import threading
+
+        from repro.experiments.setup import ExperimentSetup
+        from repro.service import runners
+
+        leasing = threading.local()
+        real_shard = runners._run_shard
+        real_sensor = ExperimentSetup.sensor
+        built = []
+
+        def lease(*args):
+            leasing.active = True
+            try:
+                return real_shard(*args)
+            finally:
+                leasing.active = False
+
+        def sensor(self, circuit):
+            built.append(getattr(leasing, "active", False))
+            return real_sensor(self, circuit)
+
+        monkeypatch.setattr(runners, "_run_shard", lease)
+        monkeypatch.setattr(ExperimentSetup, "sensor", sensor)
+        spec = JobSpec.create(
+            "attack", {"traces": 2 * STREAM_BLOCK, "seed": 7211}
+        )
+
+        async def run():
+            scheduler, server, host, port = await _start_service()
+            workers, tasks = await _start_workers(host, port, scheduler, 1)
+            try:
+                state = await _run_job(scheduler, spec)
+                assert state.status == "done", state.error
+                assert any(
+                    e["event"] == "fleet_dispatch" for e in state.events
+                )
+            finally:
+                await _teardown(workers, tasks, server)
+
+        asyncio.run(run())
+        assert built and all(built)
+
+
 class TestBoundedMemos:
     """Per-configuration memos on the lease path stay bounded."""
 
@@ -288,9 +387,11 @@ class TestBoundedMemos:
             params = normalize_params(
                 "attack", {"traces": 2 * STREAM_BLOCK, "seed": seed}
             )
-            plan = plan_fleet_job("attack", params, 1)
-            start, end = plan.shards[0]
-            run_attack_shard(params, start, end, plan.segment_ends[0])
+            task = lease_task("attack", params, 1)
+            shard = task["shard"]
+            run_attack_shard(
+                params, shard.start, shard.end, task["segment_ends"]
+            )
         assert len(runners._SETUPS) <= MEMO_ENTRIES == 4
         assert len(runners._SETUPS._key_locks) <= 4
         assert len(runners._INPUTS) <= 4
@@ -365,37 +466,41 @@ class TestLeaseValidation:
         from repro.util.executors import TruncatedResultError
 
         spec = _attack_spec()
-        plan = plan_fleet_job("attack", spec.params, 2)
-        (start, end), ends = plan.shards[0], plan.segment_ends[0]
+        task = lease_task("attack", spec.params, 2)
+        (start, end), ends = (
+            (task["shard"].start, task["shard"].end), task["segment_ends"]
+        )
         partials = [
             [boundary, state]
             for boundary, state in run_attack_shard(
                 spec.params, start, end, list(ends)
             )
         ]
-        plan.validate(0, partials)
+        SegmentPartials.validate(task, partials)
         for bad in (partials[:-1], partials[1:], None, "junk"):
             with pytest.raises(TruncatedResultError):
-                plan.validate(0, bad)
+                SegmentPartials.validate(task, bad)
 
     def test_fullkey_states_must_be_int64_sixteen_stream_states(self):
         from repro.util.executors import TruncatedResultError
 
         spec = JobSpec.create("fullkey", {"traces": 2_000, "seed": 1})
-        plan = plan_fleet_job("fullkey", spec.params, 1)
-        (start, end), ends = plan.shards[0], plan.segment_ends[0]
+        task = lease_task("fullkey", spec.params, 1)
+        (start, end), ends = (
+            (task["shard"].start, task["shard"].end), task["segment_ends"]
+        )
         partials = run_fullkey_shard(spec.params, start, end, ends)
-        plan.validate(0, partials)
+        SegmentPartials.validate(task, partials)
         for defect in DEFECTS:
             bad = [
                 [boundary, DEFECTS[defect](state) if index == 3 else state]
                 for index, (boundary, state) in enumerate(partials)
             ]
             with pytest.raises(TruncatedResultError, match="segment end"):
-                plan.validate(0, bad)
+                SegmentPartials.validate(task, bad)
         for bad in (partials[:-1], None, [[end, "junk"]]):
             with pytest.raises(TruncatedResultError):
-                plan.validate(0, bad)
+                SegmentPartials.validate(task, bad)
 
     @pytest.mark.parametrize("defect", sorted(["float64", "rows", "count"]))
     def test_defective_lease_state_is_rejected_and_reassigned(
@@ -552,6 +657,25 @@ class TestFleetEndToEnd:
                 assert (
                     metrics.counter("fleet_leases_reassigned").value >= 1
                 )
+                # The job's health holds one record per lease attempt:
+                # each failed first attempt, then its reassignment.
+                attempts = state.health["attempts"]
+                assert len(attempts) == (
+                    metrics.counter("fleet_leases_issued").value
+                )
+                failed = [a for a in attempts if a["status"] != "ok"]
+                assert len(failed) == (
+                    metrics.counter("fleet_shard_errors").value
+                )
+                ok = {
+                    (a["site"], a["attempt"])
+                    for a in attempts
+                    if a["status"] == "ok"
+                }
+                assert len(ok) == 4  # every shard of the plan, once
+                for attempt in failed:
+                    assert (attempt["site"], attempt["attempt"] + 1) in ok
+                assert state.health["retries"] == len(failed)
                 from repro.service.codec import from_payload
 
                 return from_payload(scheduler.result(state))
@@ -813,13 +937,23 @@ class TestPlacement:
         coordinator._workers[worker.worker_id] = worker
         return worker
 
-    def _job(self, coordinator, spec):
+    @staticmethod
+    def _fleet_job(coordinator, spec, num_shards):
+        """A fleet job opened for ``num_shards`` leases, as the campaign
+        loop opens it (on a running event loop)."""
         from repro.service.fleet import _FleetJob
-        from repro.service.runners import plan_fleet_job
 
+        job = _FleetJob(coordinator, spec, "job-t", None)
+        job.tasks = [
+            lease_task("attack", spec.params, num_shards, index)
+            for index in range(num_shards)
+        ]
+        job.pending.extend(range(num_shards))
+        return job
+
+    def _job(self, coordinator, spec):
         async def build():
-            plan = plan_fleet_job("attack", spec.params, 2)
-            return _FleetJob(spec, "job-t", plan, None)
+            return self._fleet_job(coordinator, spec, 2)
 
         return asyncio.run(build())
 
@@ -852,8 +986,6 @@ class TestPlacement:
     def test_waiting_retry_does_not_hold_back_later_shards(self):
         """Shard 0 raised on worker a and waits for busy worker b; the
         shard behind it must still take a's free slot."""
-        from repro.service.fleet import _FleetJob
-
         coordinator = FleetCoordinator()
         spec = _attack_spec()
         failed = self._worker(coordinator, "a", slots=1)
@@ -867,8 +999,7 @@ class TestPlacement:
         failed.send = record
 
         async def run():
-            plan = plan_fleet_job("attack", spec.params, 4)
-            job = _FleetJob(spec, "job-t", plan, None)
+            job = self._fleet_job(coordinator, spec, 4)
             job.failed_workers[0] = {failed.worker_id}
             coordinator._jobs[job.job_id] = job
             await coordinator._pump()

@@ -179,13 +179,9 @@ class TestAcquisitionParams:
                     "attack", dict(extra, reduction="single_bit")
                 )
         # A param dict that skipped admission: the direct route, the
-        # lease route and the coordinator merge reject it alike.
-        from repro.service.runners import (
-            merge_attack_partials,
-            plan_fleet_job,
-            run_attack,
-            run_attack_shard,
-        )
+        # lease route and a fleet job's campaign reject it alike.
+        from repro.service.runners import run_attack, run_attack_shard
+        from tests.test_service_fleet import LeaseDispatch, lease_task
 
         params = dict(
             normalize_params(
@@ -193,13 +189,15 @@ class TestAcquisitionParams:
             ),
             reduction="single_bit",
         )
-        plan = plan_fleet_job("attack", params, 1)
+        task = lease_task("attack", params, 1)
         routes = (
             lambda: run_attack(params),
             lambda: run_attack_shard(
-                params, 0, 4000, list(plan.segment_ends[0])
+                params, 0, 4000, list(task["segment_ends"])
             ),
-            lambda: merge_attack_partials(params, plan, []),
+            lambda: run_attack(
+                params, dispatch=LeaseDispatch("attack", params, 1)
+            ),
         )
         for route in routes:
             with pytest.raises(JobError, match="reduction=hamming_weight"):

@@ -16,11 +16,14 @@ import json as jsonlib
 import numpy as np
 import pytest
 
+from repro.core.attack import STREAM_BLOCK
+from repro.experiments.checkpoint import load_checkpoint
+from repro.experiments.parallel import plan_shards
 from repro.service.codec import from_payload
 from repro.service.fleet import FleetConfig
 from repro.service.jobs import JobSpec
 from repro.service.journal import JobJournal, JournalLocked
-from repro.service.runners import run_attack, run_tracegen
+from repro.service.runners import _Job, run_attack, run_tracegen
 from repro.service.scheduler import CampaignScheduler, SchedulerConfig
 from repro.service.server import CampaignServer
 from repro.service.worker import FleetWorker
@@ -207,6 +210,152 @@ class TestJournalRecovery:
                 await first.stop()
 
         asyncio.run(run())
+
+
+#: A five-block attack: two shards at width 2 (two blocks, then three).
+CROSS_ROUTE_PARAMS = {"traces": 5 * STREAM_BLOCK, "seed": 3}
+
+
+async def _serve_with_worker(scheduler, fault_plan=None):
+    """``scheduler`` behind a server, with one one-slot worker
+    registered."""
+    server = CampaignServer(scheduler, port=0)
+    host, port = await server.start()
+    worker = FleetWorker(
+        host, port, name="w", slots=1, fault_plan=fault_plan, quiet=True
+    )
+    task = asyncio.create_task(worker.run())
+    deadline = asyncio.get_running_loop().time() + 15.0
+    while scheduler.fleet.num_workers < 1:
+        assert asyncio.get_running_loop().time() < deadline
+        await asyncio.sleep(0.02)
+    return server, worker, task
+
+
+async def _finish(state):
+    async for _event in state.stream():
+        pass
+    return state
+
+
+def _resumed_at(state, merged):
+    """Every attempt the recovered job made lies after ``merged``."""
+    starts = {
+        int(attempt["site"].split("[")[1].split(":")[0])
+        for attempt in state.health["attempts"]
+    }
+    return bool(starts) and min(starts) >= merged
+
+
+class TestCrossRouteResume:
+    """A spool checkpoint belongs to the job, not to the route: it
+    carries the job's manifest and the merged trace prefix, so a
+    restarted server resumes it on whichever route the job takes."""
+
+    def test_fleet_spool_resumes_locally_without_workers(self, tmp_path):
+        spec = JobSpec.create("attack", CROSS_ROUTE_PARAMS)  # fleet unset
+        first, second = plan_shards(spec.params["traces"], 2)
+        # The fleet job's second lease fails every attempt: its first
+        # lease merged and spooled, then the job died.
+        poison = FaultPlan(
+            [FaultSpec("exception", site=second.site, attempts=10**6)]
+        )
+
+        async def fleet_run():
+            scheduler = CampaignScheduler(
+                SchedulerConfig(
+                    max_concurrency=1, spool_dir=str(tmp_path / "spool")
+                ),
+                fleet_config=FleetConfig(max_lease_attempts=2),
+            )
+            server, worker, task = await _serve_with_worker(
+                scheduler, poison
+            )
+            try:
+                return await _finish(scheduler.submit(spec))
+            finally:
+                worker.drain()
+                await asyncio.gather(task, return_exceptions=True)
+                await server.close()
+
+        died = asyncio.run(fleet_run())
+        assert died.status == "failed"
+        assert [a["status"] for a in died.health["attempts"]] == [
+            "ok", "error", "error",
+        ]
+        spool = str(tmp_path / "spool" / (spec.cache_key + ".npz"))
+        assert load_checkpoint(spool).merged_traces == first.end
+
+        journal_dir = _crashed_journal(
+            tmp_path, ("job-000001", "attack", CROSS_ROUTE_PARAMS, True)
+        )
+
+        async def restart():
+            scheduler = CampaignScheduler(_config(tmp_path, journal_dir))
+            await scheduler.start()
+            try:
+                assert not scheduler.fleet.has_workers
+                state = await _finish(scheduler.job("job-000001"))
+                return state, scheduler.result(state)
+            finally:
+                await scheduler.stop()
+
+        state, text = asyncio.run(restart())
+        assert state.status == "done", state.error
+        assert not any(e["event"] == "fleet_dispatch" for e in state.events)
+        assert _resumed_at(state, first.end)
+        result, baseline = from_payload(text), run_attack(spec.params)
+        assert result.correlations.tobytes() == (
+            baseline.correlations.tobytes()
+        )
+        assert np.array_equal(result.checkpoints, baseline.checkpoints)
+
+    def test_local_spool_resumes_on_the_fleet(self, tmp_path):
+        from repro.util.executors import ShardError
+
+        params = dict(CROSS_ROUTE_PARAMS, fleet=True)
+        spec = JobSpec.create("attack", params)
+        first, second = plan_shards(spec.params["traces"], 2)
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        # A local two-wide run of the job that dies on its second shard.
+        with pytest.raises(ShardError):
+            _Job("attack", dict(spec.params, workers=2, retries=1)).run(
+                checkpoint_path=str(spool / (spec.cache_key + ".npz")),
+                fault_plan=FaultPlan(
+                    [FaultSpec("exception", site=second.site, attempts=9)]
+                ),
+            )
+        journal_dir = _crashed_journal(
+            tmp_path, ("job-000001", "attack", params, True)
+        )
+
+        async def restart():
+            scheduler = CampaignScheduler(
+                _config(tmp_path, journal_dir),
+                fleet_config=FleetConfig(register_grace_s=15.0),
+            )
+            server, worker, task = await _serve_with_worker(scheduler)
+            try:
+                state = await _finish(scheduler.job("job-000001"))
+                return state, scheduler.result(state)
+            finally:
+                worker.drain()
+                await asyncio.gather(task, return_exceptions=True)
+                await server.close()
+
+        state, text = asyncio.run(restart())
+        assert state.status == "done", state.error
+        (dispatch,) = [
+            e for e in state.events if e["event"] == "fleet_dispatch"
+        ]
+        assert dispatch["shards"] == 2  # the three blocks left, re-planned
+        assert _resumed_at(state, first.end)
+        result, baseline = from_payload(text), run_attack(spec.params)
+        assert result.correlations.tobytes() == (
+            baseline.correlations.tobytes()
+        )
+        assert np.array_equal(result.checkpoints, baseline.checkpoints)
 
 
 class TestWorkerReconnect:
@@ -422,13 +571,15 @@ class TestPhantomHandshake:
 class TestSubprocessChaosDrill:
     def test_sigkill_server_recovery_is_bit_identical(self):
         """The full acceptance drill with real processes: SIGKILL the
-        journaled server at the ``lease_granted`` barrier with two
-        jobs in flight (one leased to a remote worker), restart it,
-        and every recovered result matches the undisturbed run."""
+        journaled server once the fleet job has spooled a merged lease,
+        with two jobs in flight, restart it, and every recovered result
+        matches the undisturbed run while the fleet job leases again
+        only the traces its spool had not merged."""
         from repro.experiments.drills import chaos_drill
 
         record = chaos_drill(traces=12_000, seed=1)
         assert record["plan"]["server_kill"] is True
+        assert 0 < record["rerun_traces"] < record["traces"]
         assert record["identity_diffs"] == 0
         assert record["identical_results"] is True
         assert record["journal"]["jobs_recovered"] == 2
