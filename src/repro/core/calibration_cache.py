@@ -1,9 +1,12 @@
 """Keyed cache for gate-level sensor calibrations.
 
 Calibrating one placed benign circuit means running the event-driven
-simulator over the full reset→measure transition
-(:func:`repro.timing.event_sim.endpoint_waveforms`) — fractions of a
-second for the ALU, noticeably longer for the C6288 multiplier tree.
+simulator's one event loop over the full reset→measure transition
+(:func:`repro.timing.event_sim.endpoint_waveforms`) — hundredths of a
+second for the ALU, seconds per C6288 instance.  A cached calibration
+is the bytes that loop produced; ``tests/test_core_calibration.py``
+pins them for both paper sensors, so a change to the loop that moves
+them fails there before it could meet a stale on-disk entry.
 Experiment drivers, benches and the CLI all rebuild the same few
 sensors over and over; this module memoizes the resulting
 :class:`~repro.core.calibration.SensorCalibration` so the gate-level

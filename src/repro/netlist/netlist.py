@@ -231,6 +231,24 @@ class Netlist:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
+    def check_inputs(self, input_values: Mapping[str, int]) -> Dict[str, int]:
+        """The primary-input values of an assignment, checked.
+
+        Raises:
+            NetlistError: an input has no value.
+            ValueError: a value is not 0 or 1.
+        """
+        values: Dict[str, int] = {}
+        for net in self._inputs:
+            try:
+                value = input_values[net]
+            except KeyError:
+                raise NetlistError("missing value for input %s" % net)
+            if value not in (0, 1):
+                raise ValueError("input %s must be 0/1, got %r" % (net, value))
+            values[net] = value
+        return values
+
     def evaluate(self, input_values: Mapping[str, int]) -> Dict[str, int]:
         """Zero-delay functional evaluation.
 
@@ -242,15 +260,7 @@ class Netlist:
         """
         if not self._frozen or self._topo_order is None:
             raise NetlistError("evaluate requires a frozen netlist")
-        values: Dict[str, int] = {}
-        for net in self._inputs:
-            try:
-                value = input_values[net]
-            except KeyError:
-                raise NetlistError("missing value for input %s" % net)
-            if value not in (0, 1):
-                raise ValueError("input %s must be 0/1, got %r" % (net, value))
-            values[net] = value
+        values = self.check_inputs(input_values)
         for gate in self._topo_order:
             operands = [values[net] for net in gate.inputs]
             values[gate.output] = gate.gate_type.evaluate(operands)

@@ -8,6 +8,10 @@ The chain used throughout the library:
    reporting and the strict timing-check defense;
 3. :class:`TimedSimulator` plays reset→measure transitions at a given
    supply voltage and reports what overclocked capture registers latch.
+   One event loop records each net's edge history; snapshots
+   (:meth:`TimedSimulator.run_transition`), waveforms
+   (:func:`endpoint_waveforms`) and settle times
+   (:func:`endpoint_settle_times`) are read off it.
 """
 
 from repro.timing.delay_model import (

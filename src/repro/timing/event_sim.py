@@ -13,16 +13,27 @@ what an overclocked register bank latches on the early clock edge.
 Endpoints whose final transition has not arrived by the sample time
 latch a *stale* value; as the supply voltage moves, the set of stale
 endpoints moves with it.  That is the improvised sensor.
+
+One event loop serves every entry point.  It pops events in
+``(time, seq)`` order and records the edges of the nets asked for.  A
+waveform is that history, a settle time its last edge, and a snapshot
+each net's last edge strictly before the sample time: an edge exactly
+at the sample time is not latched (the tie rule).  The loop stops at
+the first popped event at or after the sample time; a snapshot is
+``settled`` only when the queue drained first (the stop rule).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.timing.delay_model import DelayAnnotation
+
+History = Dict[str, List[Tuple[float, int]]]
 
 
 @dataclass
@@ -70,10 +81,6 @@ class TimedSimulator:
         if not self._netlist.frozen:
             raise ValueError("netlist must be frozen")
 
-    @property
-    def annotation(self) -> DelayAnnotation:
-        return self._annotation
-
     def run_transition(
         self,
         initial_inputs: Mapping[str, int],
@@ -93,96 +100,52 @@ class TimedSimulator:
         Returns:
             snapshot of all net values at the sampling instant.
         """
-        snapshots = self.run_transition_multi(
-            initial_inputs, final_inputs, [sample_time_ps], voltage
+        history, settled = self._propagate(
+            initial_inputs, final_inputs, None, voltage, sample_time_ps
         )
-        return snapshots[0]
+        # The loop stopped before any edge at or after the sample time.
+        values = {net: edges[-1][1] for net, edges in history.items()}
+        return TimedSnapshot(sample_time_ps, values, settled)
 
-    def run_transition_multi(
+    def _propagate(
         self,
         initial_inputs: Mapping[str, int],
         final_inputs: Mapping[str, int],
-        sample_times_ps: Sequence[float],
-        voltage: float = 1.0,
-    ) -> List[TimedSnapshot]:
-        """Like :meth:`run_transition` for several sample times at once.
-
-        ``sample_times_ps`` must be sorted ascending.  A single event
-        propagation serves all snapshots, which the calibration sweep
-        uses to trace an endpoint's settling behaviour cheaply.
-        """
-        if not sample_times_ps:
-            raise ValueError("need at least one sample time")
-        if any(
-            b < a for a, b in zip(sample_times_ps, sample_times_ps[1:])
-        ):
-            raise ValueError("sample times must be sorted ascending")
+        nets: Optional[Sequence[str]],
+        voltage: float,
+        stop_ps: float = math.inf,
+    ) -> Tuple[History, bool]:
+        """Edge history of ``nets`` (None: all), and if the queue drained."""
         netlist = self._netlist
+        delay_ps = self._annotation.gate_delay_ps
         factor = self._annotation.model.delay_factor(voltage)
-
         values = netlist.evaluate(initial_inputs)
+        final = netlist.check_inputs(final_inputs)
+        names = values if nets is None else nets
+        history: History = {net: [(-math.inf, values[net])] for net in names}
         counter = itertools.count()
         queue: List[Tuple[float, int, str, int]] = []
-
-        # Apply the new input values at t = 0.
-        for net in netlist.inputs:
-            new_value = final_inputs[net]
-            if new_value not in (0, 1):
-                raise ValueError(
-                    "input %s must be 0/1, got %r" % (net, new_value)
-                )
-            if new_value != values[net]:
-                heapq.heappush(queue, (0.0, next(counter), net, new_value))
-
-        snapshots: List[TimedSnapshot] = []
-        sample_iter = iter(sample_times_ps)
-        next_sample = next(sample_iter)
-
-        def take_snapshots_up_to(event_time: float) -> None:
-            """Emit snapshots for all sample times at or before ``event_time``.
-
-            The comparison is inclusive: a transition scheduled exactly
-            at a sample time has *not* propagated through the capture
-            register yet, so the latch observes the value from strictly
-            before the clock edge.  (With a strict ``<`` an exact-tie
-            event would be applied first and wrongly counted as
-            latched.)
-            """
-            nonlocal next_sample
-            while next_sample is not None and next_sample <= event_time:
-                snapshots.append(
-                    TimedSnapshot(next_sample, dict(values), settled=False)
-                )
-                next_sample = next(sample_iter, None)
-
+        for net, value in final.items():
+            if value != values[net]:
+                heapq.heappush(queue, (0.0, next(counter), net, value))
         while queue:
             time_ps, _, net, value = heapq.heappop(queue)
-            take_snapshots_up_to(time_ps)
-            if next_sample is None:
-                break
+            if time_ps >= stop_ps:
+                return history, False
             if values[net] == value:
                 continue
             values[net] = value
+            if net in history:
+                history[net].append((time_ps, value))
             for consumer in netlist.fanout_of(net):
                 gate = netlist.gate_driving(consumer)
                 operands = [values[n] for n in gate.inputs]
                 new_out = gate.gate_type.evaluate(operands)
-                delay = self._annotation.gate_delay_ps[consumer] * factor
+                delay = delay_ps[consumer] * factor
                 heapq.heappush(
                     queue, (time_ps + delay, next(counter), consumer, new_out)
                 )
-
-        settled = not queue
-        while next_sample is not None:
-            snapshots.append(
-                TimedSnapshot(next_sample, dict(values), settled=settled)
-            )
-            next_sample = next(sample_iter, None)
-        return snapshots
-
-    def settled_outputs(self, inputs: Mapping[str, int]) -> Dict[str, int]:
-        """Zero-delay settled output values (convenience wrapper)."""
-        return self._netlist.evaluate_outputs(inputs)
+        return history, True
 
 
 def endpoint_waveforms(
@@ -191,7 +154,7 @@ def endpoint_waveforms(
     final_inputs: Mapping[str, int],
     endpoints: Sequence[str],
     voltage: float = 1.0,
-) -> Dict[str, List[Tuple[float, int]]]:
+) -> History:
     """Full transition history of each endpoint for one stimulus pair.
 
     Returns, per endpoint, the list ``[(t0, v0), (t1, v1), ...]`` where
@@ -202,35 +165,9 @@ def endpoint_waveforms(
     ``delay_factor(v) / delay_factor(v_ref)`` — the property the fast
     calibrated sensor model in :mod:`repro.core.calibration` exploits.
     """
-    netlist = simulator.annotation.netlist
-    factor = simulator.annotation.model.delay_factor(voltage)
-
-    values = netlist.evaluate(initial_inputs)
-    history: Dict[str, List[Tuple[float, int]]] = {
-        net: [(float("-inf"), values[net])] for net in endpoints
-    }
-    endpoint_set = set(endpoints)
-    counter = itertools.count()
-    queue: List[Tuple[float, int, str, int]] = []
-    for net in netlist.inputs:
-        if final_inputs[net] != values[net]:
-            heapq.heappush(queue, (0.0, next(counter), net, final_inputs[net]))
-    while queue:
-        time_ps, _, net, value = heapq.heappop(queue)
-        if values[net] == value:
-            continue
-        values[net] = value
-        if net in endpoint_set:
-            history[net].append((time_ps, value))
-        for consumer in netlist.fanout_of(net):
-            gate = netlist.gate_driving(consumer)
-            operands = [values[n] for n in gate.inputs]
-            new_out = gate.gate_type.evaluate(operands)
-            delay = simulator.annotation.gate_delay_ps[consumer] * factor
-            heapq.heappush(
-                queue, (time_ps + delay, next(counter), consumer, new_out)
-            )
-    return history
+    return simulator._propagate(
+        initial_inputs, final_inputs, endpoints, voltage
+    )[0]
 
 
 def endpoint_settle_times(
@@ -247,31 +184,7 @@ def endpoint_settle_times(
     toggle get settle time 0.  The calibration layer converts these
     times into latch-threshold voltages.
     """
-    netlist = simulator.annotation.netlist
-    factor = simulator.annotation.model.delay_factor(voltage)
-
-    values = netlist.evaluate(initial_inputs)
-    counter = itertools.count()
-    queue: List[Tuple[float, int, str, int]] = []
-    for net in netlist.inputs:
-        if final_inputs[net] != values[net]:
-            heapq.heappush(queue, (0.0, next(counter), net, final_inputs[net]))
-
-    last_change: Dict[str, float] = {net: 0.0 for net in endpoints}
-    endpoint_set = set(endpoints)
-    while queue:
-        time_ps, _, net, value = heapq.heappop(queue)
-        if values[net] == value:
-            continue
-        values[net] = value
-        if net in endpoint_set:
-            last_change[net] = time_ps
-        for consumer in netlist.fanout_of(net):
-            gate = netlist.gate_driving(consumer)
-            operands = [values[n] for n in gate.inputs]
-            new_out = gate.gate_type.evaluate(operands)
-            delay = simulator.annotation.gate_delay_ps[consumer] * factor
-            heapq.heappush(
-                queue, (time_ps + delay, next(counter), consumer, new_out)
-            )
-    return last_change
+    history = endpoint_waveforms(
+        simulator, initial_inputs, final_inputs, endpoints, voltage
+    )
+    return {net: max(edges[-1][0], 0.0) for net, edges in history.items()}

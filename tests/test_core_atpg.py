@@ -55,6 +55,25 @@ class TestFindActivationStimulus:
         )["max_settle_ps"]
         assert best.score >= 0.5 * full_chain
 
+    def test_golden_search_result(self, adder_annotation):
+        # Pins the settle times the search scores with, to the last bit.
+        best = find_activation_stimulus(
+            adder_annotation,
+            ["s%d" % i for i in range(8)],
+            MaxEndpointDelay("s7"),
+            attempts=24,
+            refine_steps=48,
+            seed=0,
+        )
+        inputs = adder_annotation.netlist.inputs
+        assert best.score == 2218.6605264590125
+        assert "".join(str(best.reset_inputs[n]) for n in inputs) == (
+            "01000001000111110"
+        )
+        assert "".join(str(best.measure_inputs[n]) for n in inputs) == (
+            "00100000110111111"
+        )
+
     def test_refinement_never_worsens(self, adder_annotation):
         endpoints = ["s%d" % i for i in range(8)]
         rough = find_activation_stimulus(

@@ -1,6 +1,8 @@
 """Tests for endpoint calibration — including the fast-model/gate-level
 equivalence that justifies bulk trace generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,32 @@ class TestFastModelMatchesGateLevel:
         fast = sensor.sample_bits(voltages)
         slow = sensor.sample_bits_gate_level(voltages)
         assert np.array_equal(fast, slow)
+
+
+def calibration_digest(sensor):
+    """sha256 over every instance's calibration, in sensor-bit order."""
+    digest = hashlib.sha256()
+    for inst in sensor.instances:
+        for waveform in inst.calibration.waveforms:
+            digest.update(waveform.net.encode("utf-8"))
+            digest.update(waveform.edge_times_ps.tobytes())
+            digest.update(waveform.values_after_edge.tobytes())
+    return digest.hexdigest()
+
+
+class TestCalibrationGoldens:
+    """The paper sensors' gate-level calibrations, pinned to the byte.
+
+    Any change to the event loop's tie order or float ops moves these
+    digests, and with them every on-disk calibration cache entry.
+    """
+
+    def test_alu(self, alu_sensor):
+        assert calibration_digest(alu_sensor) == (
+            "3fbf0350c1c52bff33c6464371dda44e2d6098a713ef6b3b19be47523e0ca241"
+        )
+
+    def test_c6288x2(self, c6288_sensor):
+        assert calibration_digest(c6288_sensor) == (
+            "5a5848e932af2d3f0dfdd214d5b9fbf9085d9b374d8abdbb19ed9da385caf970"
+        )

@@ -7,6 +7,7 @@ than the two paper circuits:
 * the event-driven simulator settles to the zero-delay evaluation;
 * no endpoint settles later than its STA arrival bound;
 * recorded waveforms are consistent (parity, initial/final values);
+* a snapshot stopped at its sample time reads the unstopped waveform;
 * the calibrated fast model agrees with the gate-level simulator;
 * ``.bench`` serialization round-trips functionally.
 """
@@ -121,6 +122,31 @@ class TestEventSimProperties:
             # ...and times are strictly increasing after the sentinel.
             times = [t for t, _ in events[1:]]
             assert all(a < b or a == b for a, b in zip(times, times[1:]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(netlist_with_vectors(), st.data())
+    def test_stopped_snapshot_reads_unstopped_waveform(self, case, data):
+        # The snapshot loop stops at the sample time; what it latches
+        # must equal the full waveform's last edge strictly before it,
+        # including at sample times that tie an edge exactly.
+        netlist, before, after = case
+        annotation = annotate_delays(netlist, seed=5)
+        simulator = TimedSimulator(annotation)
+        nets = list(netlist.evaluate(before))
+        history = endpoint_waveforms(simulator, before, after, nets)
+        edges = sorted({t for events in history.values() for t, _ in events})
+        sample_time = data.draw(
+            st.one_of(
+                st.sampled_from(edges[1:] or [0.0]),
+                st.floats(-1.0, max(edges[-1], 0.0) + 100.0),
+            )
+        )
+        snapshot = simulator.run_transition(before, after, sample_time)
+        for net in nets:
+            latched = [v for t, v in history[net] if t < sample_time][-1]
+            assert snapshot.values[net] == latched
+            if snapshot.settled:
+                assert history[net][-1][0] < sample_time
 
     @settings(max_examples=40, deadline=None)
     @given(netlist_with_vectors(), st.floats(0.8, 1.2))

@@ -6,7 +6,7 @@ from repro.circuits import (
     adder_input_assignment,
     build_ripple_carry_adder,
 )
-from repro.netlist import Netlist
+from repro.netlist import Netlist, NetlistError
 from repro.timing import (
     DelayAnnotation,
     DelayModel,
@@ -70,27 +70,16 @@ class TestRunTransition:
         assert nominal.values["n2"] == 1
         assert drooped.values["n2"] == 0
 
-    def test_multi_sample_ordering_enforced(self):
-        nl = chain(2)
-        sim = TimedSimulator(unit_ann(nl))
-        with pytest.raises(ValueError):
-            sim.run_transition_multi({"a": 0}, {"a": 1}, [200.0, 100.0])
-
     def test_multi_sample_snapshots(self):
         nl = chain(3)
         sim = TimedSimulator(unit_ann(nl))
-        snaps = sim.run_transition_multi(
-            {"a": 0}, {"a": 1}, [50.0, 150.0, 250.0, 1000.0]
-        )
+        snaps = [
+            sim.run_transition({"a": 0}, {"a": 1}, t)
+            for t in [50.0, 150.0, 250.0, 1000.0]
+        ]
         assert [s.values["n0"] for s in snaps] == [0, 1, 1, 1]
         assert [s.values["n2"] for s in snaps] == [0, 0, 0, 1]
         assert snaps[-1].settled
-
-    def test_empty_sample_times_rejected(self):
-        nl = chain(1)
-        sim = TimedSimulator(unit_ann(nl))
-        with pytest.raises(ValueError):
-            sim.run_transition_multi({"a": 0}, {"a": 1}, [])
 
     def test_non_binary_input_rejected(self):
         nl = chain(1)
@@ -203,9 +192,10 @@ class TestSampleTimeTieBreak:
     def test_tie_vs_just_after(self):
         nl = chain(2)
         sim = TimedSimulator(unit_ann(nl))
-        snapshots = sim.run_transition_multi(
-            {"a": 0}, {"a": 1}, [100.0, 100.0 + 1e-6, 200.0]
-        )
+        snapshots = [
+            sim.run_transition({"a": 0}, {"a": 1}, t)
+            for t in [100.0, 100.0 + 1e-6, 200.0]
+        ]
         assert snapshots[0].values["n0"] == 0  # exact tie: stale
         assert snapshots[1].values["n0"] == 1  # just after: fresh
         assert snapshots[2].values["n1"] == 0  # tie again at 200 ps
@@ -216,9 +206,48 @@ class TestSampleTimeTieBreak:
         # pins the gate-level convention the simulator itself uses.
         nl = chain(3)
         sim = TimedSimulator(unit_ann(nl))
-        snapshots = sim.run_transition_multi(
-            {"a": 0}, {"a": 1}, [100.0, 200.0, 300.0]
-        )
+        snapshots = [
+            sim.run_transition({"a": 0}, {"a": 1}, t)
+            for t in [100.0, 200.0, 300.0]
+        ]
         assert [s.values["n2"] for s in snapshots] == [0, 0, 0]
         settled = sim.run_transition({"a": 0}, {"a": 1}, 300.0 + 1e-6)
         assert settled.values["n2"] == 1
+
+
+def _and_gate():
+    nl = Netlist("t")
+    nl.add_input("a")
+    nl.add_input("b")
+    nl.add_gate("y", "AND", ["a", "b"])
+    nl.add_output("y")
+    return nl.freeze()
+
+
+_ENTRY_POINTS = {
+    "run_transition": lambda sim, before, after: sim.run_transition(
+        before, after, 1e6
+    ),
+    "endpoint_waveforms": lambda sim, before, after: endpoint_waveforms(
+        sim, before, after, ["y"]
+    ),
+    "endpoint_settle_times": lambda sim, before, after: endpoint_settle_times(
+        sim, before, after, ["y"]
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("stimulus", ["initial", "final"])
+@pytest.mark.parametrize(
+    "bad, error",
+    [({"a": 5, "b": 1}, ValueError), ({"b": 1}, NetlistError)],
+    ids=["non_binary", "missing"],
+)
+def test_stimulus_checked(entry, stimulus, bad, error):
+    """Every entry point checks both stimuli as ``Netlist.evaluate`` does."""
+    good = {"a": 0, "b": 1}
+    pair = (bad, good) if stimulus == "initial" else (good, bad)
+    sim = TimedSimulator(unit_ann(_and_gate()))
+    with pytest.raises(error, match="input a"):
+        _ENTRY_POINTS[entry](sim, *pair)
